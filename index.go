@@ -326,7 +326,7 @@ func (ix *Index) SearchByVec(qe []float64, k int) []Result {
 }
 
 // SearchBatch answers many queries under the configured backend,
-// embedding the queries in parallel (nn.ForwardParallel under the hood)
+// embedding the queries in parallel (Encoder.EmbedAllParallel)
 // and fanning the searches out across the index's worker budget. Results
 // are in query order.
 func (ix *Index) SearchBatch(qs []Trajectory, k int) [][]Result {

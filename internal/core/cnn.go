@@ -95,25 +95,24 @@ func newCNNAt(cfg Config, minX, minY, maxX, maxY float64) *CNNEncoder {
 	}
 }
 
-// raster paints a trajectory onto the study-space field: channel 0 is the
-// visit density (visits per cell, normalized by trajectory length) and
-// channel 1 the mean normalized progress (0 at the start, 1 at the end)
-// of the points that fell in the cell. Points outside the bounding box
-// clamp to the border cells.
-func (c *CNNEncoder) raster(t geo.Trajectory) []float64 {
-	cells := cnnNX * cnnNY
-	data := make([]float64, cells*2)
+// raster paints a trajectory onto the study-space field, written into
+// data (zeroed, two values per cell): channel 0 is the visit density
+// (visits per cell, normalized by trajectory length) and channel 1 the
+// mean normalized progress (0 at the start, 1 at the end) of the points
+// that fell in the cell. Points outside the bounding box clamp to the
+// border cells.
+func (c *CNNEncoder) raster(t geo.Trajectory, data []float64) {
 	if len(t) == 0 {
-		return data
+		return
 	}
-	counts := make([]float64, cells)
-	progress := make([]float64, cells)
 	spanX := c.maxX - c.minX
 	spanY := c.maxY - c.minY
 	denom := 1.0
 	if len(t) > 1 {
 		denom = float64(len(t) - 1)
 	}
+	// First pass: accumulate per-cell visit counts and progress sums in
+	// place; the second pass normalizes them.
 	for i, p := range t {
 		x := 0
 		if spanX > 0 {
@@ -124,17 +123,16 @@ func (c *CNNEncoder) raster(t geo.Trajectory) []float64 {
 			y = clampCell(int((p.Y-c.minY)/spanY*float64(cnnNY)), cnnNY)
 		}
 		id := y*cnnNX + x
-		counts[id]++
-		progress[id] += float64(i) / denom
+		data[id*2]++
+		data[id*2+1] += float64(i) / denom
 	}
 	n := float64(len(t))
-	for id := 0; id < cells; id++ {
-		data[id*2] = counts[id] / n
-		if counts[id] > 0 {
-			data[id*2+1] = progress[id] / counts[id]
+	for id := 0; id < cnnNX*cnnNY; id++ {
+		if count := data[id*2]; count > 0 {
+			data[id*2] = count / n
+			data[id*2+1] /= count
 		}
 	}
-	return data
 }
 
 // clampCell clamps a raster coordinate into [0, n).
@@ -177,9 +175,11 @@ func (c *CNNEncoder) setBeta(b float64)    { c.beta = b }
 func (c *CNNEncoder) trainRNG() randSource { return c.rng }
 
 // forward encodes a raw trajectory into the representation h_f
-// (1×HashBits), building a gradient graph.
-func (c *CNNEncoder) forward(t geo.Trajectory) *nn.Tensor {
-	x := nn.FromSlice(cnnNX*cnnNY, 2, c.raster(t))
+// (1×HashBits). As for Model.forward, a nil Scratch builds the gradient
+// graph and a Scratch runs the same ops tape-free.
+func (c *CNNEncoder) forward(s *nn.Scratch, t geo.Trajectory) *nn.Tensor {
+	x := s.New(cnnNX*cnnNY, 2)
+	c.raster(t, x.Data)
 	h := nn.ReLU(c.conv1.Forward(x))
 	h = nn.ReLU(c.conv2.Forward(h))
 	h = nn.MeanRows(h)
@@ -194,34 +194,19 @@ func (c *CNNEncoder) relaxedCode(hf *nn.Tensor) *nn.Tensor {
 }
 
 // Embed returns the Euclidean-space embedding of a trajectory as a plain
-// vector (no gradient graph).
-func (c *CNNEncoder) Embed(t geo.Trajectory) []float64 {
-	out := c.forward(t)
-	v := make([]float64, len(out.Data))
-	copy(v, out.Data)
-	return v
-}
+// vector; the forward pass runs tape-free.
+func (c *CNNEncoder) Embed(t geo.Trajectory) []float64 { return embedOne(c, t) }
 
-// EmbedAll embeds a batch sequentially.
-func (c *CNNEncoder) EmbedAll(ts []geo.Trajectory) [][]float64 { return embedAll(c, ts) }
+// EmbedAll embeds a batch sequentially, reusing one Scratch.
+func (c *CNNEncoder) EmbedAll(ts []geo.Trajectory) [][]float64 {
+	return embedAllParallel(ts, c.Dim(), 1, tapeFree(c))
+}
 
 // EmbedAllParallel embeds a batch across worker goroutines (workers ≤ 0
 // uses GOMAXPROCS). Forward passes only read the parameters, so this is
 // safe whenever no training step runs concurrently.
 func (c *CNNEncoder) EmbedAllParallel(ts []geo.Trajectory, workers int) [][]float64 {
-	builders := make([]func() *nn.Tensor, len(ts))
-	for i := range ts {
-		t := ts[i]
-		builders[i] = func() *nn.Tensor { return c.forward(t) }
-	}
-	outs := nn.ForwardParallel(workers, builders)
-	vecs := make([][]float64, len(outs))
-	for i, o := range outs {
-		v := make([]float64, len(o.Data))
-		copy(v, o.Data)
-		vecs[i] = v
-	}
-	return vecs
+	return embedAllParallel(ts, c.Dim(), workers, tapeFree(c))
 }
 
 // Code returns the Hamming-space code sign(Embed(t)).

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"traj2hash/internal/data"
@@ -425,6 +426,53 @@ func TestTrainImprovesRetrieval(t *testing.T) {
 	}
 	if h.BestEpoch < 0 || h.BestEpoch >= m.Cfg.Epochs {
 		t.Errorf("best epoch = %d", h.BestEpoch)
+	}
+}
+
+// TestTrainWithoutValidationKeepsTrainedWeights is the regression test for
+// model selection with no validation set: HR@10 is NaN every epoch, and a
+// NaN never compares greater than the best so far, so Train used to put
+// the initial (untrained) weights back when it finished. The weights
+// kept must be the last epoch's.
+func TestTrainWithoutValidationKeepsTrainedWeights(t *testing.T) {
+	cfg, space, td := trainFixture(t)
+	td.Validation = nil
+	m, err := New(cfg, space)
+	if err != nil {
+		t.Fatal(err)
+	}
+	initial := paramBits(m)
+	var last *Checkpoint
+	td.CheckpointEvery = 1
+	td.OnCheckpoint = func(c *Checkpoint) error { last = c; return nil }
+	h, err := m.Train(td)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if last == nil || last.Epoch != cfg.Epochs {
+		t.Fatalf("last checkpoint %+v, want one at epoch %d", last, cfg.Epochs)
+	}
+	got := paramBits(m)
+	if reflect.DeepEqual(got, initial) {
+		t.Fatal("Train without a validation set restored the initial weights")
+	}
+	var want []uint64
+	for _, g := range last.Params {
+		for _, v := range g {
+			want = append(want, math.Float64bits(v))
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("weights after Train are not the last epoch's")
+	}
+	if h.BestEpoch != cfg.Epochs-1 {
+		t.Errorf("BestEpoch = %d, want the last epoch %d", h.BestEpoch, cfg.Epochs-1)
+	}
+	for _, hr := range h.ValHR10 {
+		if !math.IsNaN(hr) {
+			t.Errorf("ValHR10 = %v without a validation set, want NaN", h.ValHR10)
+			break
+		}
 	}
 }
 

@@ -8,8 +8,10 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"traj2hash/internal/geo"
 	"traj2hash/internal/hamming"
@@ -305,21 +307,67 @@ func setParams(ps []*nn.Tensor, groups [][]float64) error {
 	return nil
 }
 
-// embedAllParallel is the shared EmbedAllParallel implementation for
-// encoders without an autograd forward pass: a bounded worker pool over
-// a shared atomic-free work counter, deterministic output order.
-func embedAllParallel(enc Encoder, ts []geo.Trajectory, workers int) [][]float64 {
-	builders := make([]func() *nn.Tensor, len(ts))
-	for i := range ts {
-		t := ts[i]
-		builders[i] = func() *nn.Tensor { return nn.FromVec(enc.Embed(t)) }
+// embedInto writes one trajectory's embedding into dst (len Dim).
+type embedInto func(t geo.Trajectory, dst []float64)
+
+// embedAllParallel is the one batch-embedding implementation: a bounded
+// worker pool over a shared work counter, deterministic output order
+// (workers ≤ 0 uses GOMAXPROCS; one worker runs inline). newWorker is
+// called once per worker, so whatever its embedInto closes over — a
+// Scratch — is that worker's alone and is reused across its items. Every
+// vector is a window of one flat backing array and is written by the
+// worker that computed it, so nothing a forward pass allocates outlives
+// its item: a batch holds O(workers) scratch however long it is.
+func embedAllParallel(ts []geo.Trajectory, dim, workers int, newWorker func() embedInto) [][]float64 {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	outs := nn.ForwardParallel(workers, builders)
-	vecs := make([][]float64, len(outs))
-	for i, o := range outs {
-		vecs[i] = o.Data
+	if workers > len(ts) {
+		workers = len(ts)
 	}
+	vecs := make([][]float64, len(ts))
+	flat := make([]float64, len(ts)*dim)
+	var next atomic.Int64
+	work := func() {
+		embed := newWorker()
+		for i := int(next.Add(1)) - 1; i < len(ts); i = int(next.Add(1)) - 1 {
+			vecs[i] = flat[i*dim : (i+1)*dim : (i+1)*dim]
+			embed(ts[i], vecs[i])
+		}
+	}
+	if workers <= 1 {
+		work()
+		return vecs
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	wg.Wait()
 	return vecs
+}
+
+// tapeFree is the embedAllParallel worker of the trainable encoders: each
+// worker owns one Scratch and runs the encoder's forward pass on it
+// tape-free, copying the result out before the Scratch is reused.
+func tapeFree(m trainable) func() embedInto {
+	return func() embedInto {
+		s := new(nn.Scratch)
+		return func(t geo.Trajectory, dst []float64) {
+			s.Reset()
+			copy(dst, m.forward(s, t).Data)
+		}
+	}
+}
+
+// embedOne is the shared Embed of the trainable encoders: a single
+// tape-free forward pass on a Scratch that dies with the call.
+func embedOne(m trainable, t geo.Trajectory) []float64 {
+	return append([]float64(nil), m.forward(new(nn.Scratch), t).Data...)
 }
 
 // codeAll is the shared CodeAll implementation: one Code per trajectory.
@@ -327,15 +375,6 @@ func codeAll(enc Encoder, ts []geo.Trajectory) []hamming.Code {
 	out := make([]hamming.Code, len(ts))
 	for i, t := range ts {
 		out[i] = enc.Code(t)
-	}
-	return out
-}
-
-// embedAll is the shared sequential EmbedAll implementation.
-func embedAll(enc Encoder, ts []geo.Trajectory) [][]float64 {
-	out := make([][]float64, len(ts))
-	for i, t := range ts {
-		out[i] = enc.Embed(t)
 	}
 	return out
 }

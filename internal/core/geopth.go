@@ -170,12 +170,19 @@ func (g *GeoPTH) Embed(t geo.Trajectory) []float64 {
 }
 
 // EmbedAll embeds a batch sequentially.
-func (g *GeoPTH) EmbedAll(ts []geo.Trajectory) [][]float64 { return embedAll(g, ts) }
+func (g *GeoPTH) EmbedAll(ts []geo.Trajectory) [][]float64 {
+	return embedAllParallel(ts, g.Dim(), 1, g.embedWorker)
+}
 
 // EmbedAllParallel embeds a batch across worker goroutines; the hasher is
 // immutable after construction, so concurrent Embeds are always safe.
 func (g *GeoPTH) EmbedAllParallel(ts []geo.Trajectory, workers int) [][]float64 {
-	return embedAllParallel(g, ts, workers)
+	return embedAllParallel(ts, g.Dim(), workers, g.embedWorker)
+}
+
+// embedWorker is the hasher's embedAllParallel worker; it keeps no state.
+func (g *GeoPTH) embedWorker() embedInto {
+	return func(t geo.Trajectory, dst []float64) { copy(dst, g.Embed(t)) }
 }
 
 // Code returns the Hamming-space code sign(Embed(t)).

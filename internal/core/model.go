@@ -184,19 +184,20 @@ func (m *Model) prep(t geo.Trajectory) geo.Trajectory {
 
 // encodeDirection encodes one direction (forward or reversed) of a prepared
 // trajectory into the fused representation h of Equation 14 (1×Dim).
-func (m *Model) encodeDirection(t geo.Trajectory) *nn.Tensor {
-	hl := m.encodeGPS(t)
+func (m *Model) encodeDirection(s *nn.Scratch, t geo.Trajectory) *nn.Tensor {
+	mark := s.Mark()
+	hl := m.encodeGPS(s, t)
 	if !m.Cfg.UseGrids {
-		return m.fuse.Forward(hl)
+		return mark.Keep(m.fuse.Forward(hl))
 	}
-	hg := m.encodeGrid(t)
-	return m.fuse.Forward(nn.ConcatCols(hl, hg))
+	hg := m.encodeGrid(s, t)
+	return mark.Keep(m.fuse.Forward(nn.ConcatCols(hl, hg)))
 }
 
 // encodeGPS is the attention-based trajectory encoder of Section IV-D.
-func (m *Model) encodeGPS(t geo.Trajectory) *nn.Tensor {
-	n := len(t)
-	raw := nn.New(n, 2)
+func (m *Model) encodeGPS(s *nn.Scratch, t geo.Trajectory) *nn.Tensor {
+	mark := s.Mark()
+	raw := s.New(len(t), 2)
 	for i, p := range t {
 		q := m.stats.Normalize(p)
 		raw.Set(i, 0, q.X)
@@ -207,38 +208,41 @@ func (m *Model) encodeGPS(t geo.Trajectory) *nn.Tensor {
 	if m.Cfg.Readout == CLS {
 		x = nn.ConcatRows(m.cls, x)
 	}
+	x = mark.Keep(x)
 	for _, b := range m.blocks {
 		x = b.Forward(x) // Equations 11–12
 	}
 	switch m.Cfg.Readout {
 	case Mean:
-		return nn.MeanRows(x)
-	case CLS:
-		return nn.SliceRows(x, 0, 1)
-	default: // LowerBound, Equation 13
-		return nn.SliceRows(x, 0, 1)
+		return mark.Keep(nn.MeanRows(x))
+	default: // CLS, and LowerBound (Equation 13): row 0
+		return mark.Keep(nn.SliceRows(x, 0, 1))
 	}
 }
 
 // encodeGrid is the light-weight grid representation encoder of
 // Section IV-C: frozen decomposed embeddings + positional encoding →
 // MLP_g → mean pooling (Equation 9).
-func (m *Model) encodeGrid(t geo.Trajectory) *nn.Tensor {
+func (m *Model) encodeGrid(s *nn.Scratch, t geo.Trajectory) *nn.Tensor {
+	mark := s.Mark()
 	cells := m.fineGrid.GridTrajectory(t)
-	x := m.gridEmb.EmbedCells(cells)
+	x := s.Input(m.gridEmb.EmbedCells(cells))
 	x = m.pe.Add(x)
-	return nn.MeanRows(m.gridMLP.Forward(x))
+	return mark.Keep(nn.MeanRows(m.gridMLP.Forward(x)))
 }
 
 // forward encodes a raw trajectory into the final representation h_f of
-// Equation 15 (1×HashBits), building a gradient graph.
-func (m *Model) forward(t geo.Trajectory) *nn.Tensor {
+// Equation 15 (1×HashBits). It is the model's only forward pass: with a
+// nil Scratch it builds the gradient graph training differentiates; on a
+// Scratch the same ops run tape-free (see nn.Scratch) and the result is
+// valid until s is next reset.
+func (m *Model) forward(s *nn.Scratch, t geo.Trajectory) *nn.Tensor {
 	p := m.prep(t)
-	h := m.encodeDirection(p)
+	h := m.encodeDirection(s, p)
 	if !m.Cfg.UseRevAug {
 		return m.proj.Forward(h)
 	}
-	hr := m.encodeDirection(p.Reverse())
+	hr := m.encodeDirection(s, p.Reverse())
 	return nn.ConcatCols(m.proj.Forward(h), m.proj.Forward(hr))
 }
 
@@ -249,33 +253,15 @@ func (m *Model) relaxedCode(hf *nn.Tensor) *nn.Tensor {
 }
 
 // Embed returns the Euclidean-space embedding h_f of a trajectory as a
-// plain vector (no gradient graph).
-func (m *Model) Embed(t geo.Trajectory) []float64 {
-	out := m.forward(t)
-	v := make([]float64, len(out.Data))
-	copy(v, out.Data)
-	return v
-}
+// plain vector. The forward pass runs tape-free on a Scratch that dies
+// with the call.
+func (m *Model) Embed(t geo.Trajectory) []float64 { return embedOne(m, t) }
 
-// EmbedAll embeds a batch of trajectories. Every vector shares one flat
-// backing array sized on the first forward pass — two allocations for
-// the write path of the whole batch instead of one per trajectory. (The
-// forward passes themselves build gradient graphs and remain the
-// documented allocation floor of batch embedding; see the EmbedAll
-// benchmark in model_bench_test.go.)
+// EmbedAll embeds a batch of trajectories sequentially. Every vector
+// shares one flat backing array and every forward pass reuses one
+// Scratch, so the batch costs a handful of allocations however long it is.
 func (m *Model) EmbedAll(ts []geo.Trajectory) [][]float64 {
-	out := make([][]float64, len(ts))
-	var flat []float64
-	for i, t := range ts {
-		e := m.forward(t)
-		if flat == nil {
-			flat = make([]float64, len(ts)*len(e.Data))
-		}
-		d := len(e.Data)
-		v := flat[i*d : i*d : (i+1)*d]
-		out[i] = append(v, e.Data...)
-	}
-	return out
+	return embedAllParallel(ts, m.Dim(), 1, tapeFree(m))
 }
 
 // EmbedAllParallel embeds a batch across worker goroutines (workers ≤ 0
@@ -283,23 +269,7 @@ func (m *Model) EmbedAll(ts []geo.Trajectory) [][]float64 {
 // safe whenever no training step runs concurrently. As in EmbedAll, the
 // result vectors share one flat backing array.
 func (m *Model) EmbedAllParallel(ts []geo.Trajectory, workers int) [][]float64 {
-	builders := make([]func() *nn.Tensor, len(ts))
-	for i := range ts {
-		t := ts[i]
-		builders[i] = func() *nn.Tensor { return m.forward(t) }
-	}
-	outs := nn.ForwardParallel(workers, builders)
-	vecs := make([][]float64, len(outs))
-	var flat []float64
-	for i, o := range outs {
-		if flat == nil {
-			flat = make([]float64, len(outs)*len(o.Data))
-		}
-		d := len(o.Data)
-		v := flat[i*d : i*d : (i+1)*d]
-		vecs[i] = append(v, o.Data...)
-	}
-	return vecs
+	return embedAllParallel(ts, m.Dim(), workers, tapeFree(m))
 }
 
 // Code returns the Hamming-space hash code z = sign(h_f) of Equation 16.

@@ -30,12 +30,12 @@ func TestEmbedAllMatchesEmbed(t *testing.T) {
 	}
 }
 
-// BenchmarkHotpathEmbedAll measures batch embedding end to end. The
-// write path of the batch costs two allocations total (the [][]float64
-// spine and one flat backing array); the forward passes build gradient
-// graphs and remain the documented allocation floor — allocs/op here
-// tracks that floor, locked in by scripts/hotpath_floors.json rather
-// than a zero-alloc assertion.
+// BenchmarkHotpathEmbedAll measures batch embedding end to end at
+// tinyConfig. The batch shares one flat backing array and one Scratch, so
+// allocs/op is the handful of scratch chunks of the first pass plus the
+// per-trajectory heap work outside internal/nn (resampling, reversal, the
+// grid channel's frozen-table lookups) — locked in by
+// scripts/hotpath_floors.json.
 func BenchmarkHotpathEmbedAll(b *testing.B) {
 	trajs := genTrajs(8, 43)
 	m, err := New(tinyConfig(), trajs)
@@ -46,5 +46,23 @@ func BenchmarkHotpathEmbedAll(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.EmbedAll(trajs)
+	}
+}
+
+// BenchmarkHotpathEmbedAttention64 measures one attention Embed at the
+// paper's shape (d = 64, 2 blocks, 4 heads, MaxLen 48) — the query cost
+// the serving path pays, which tinyConfig understates by ~30×.
+func BenchmarkHotpathEmbedAttention64(b *testing.B) {
+	cfg := paperShapeConfig()
+	trajs := genTrajs(8, 44)
+	m, err := New(cfg, trajs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	qs := lengthProbes(b, trajs, 2*cfg.MaxLen, 2*cfg.MaxLen, cfg.MaxLen, cfg.MaxLen/2)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.Embed(qs[i%len(qs)])
 	}
 }

@@ -177,7 +177,7 @@ type trainable interface {
 	Encoder
 	Params() []*nn.Tensor
 	trainConfig() Config
-	forward(t geo.Trajectory) *nn.Tensor
+	forward(s *nn.Scratch, t geo.Trajectory) *nn.Tensor
 	relaxedCode(hf *nn.Tensor) *nn.Tensor
 	curBeta() float64
 	setBeta(b float64)
@@ -483,8 +483,14 @@ func trainLoop(ctx context.Context, m trainable, td TrainData) (*History, error)
 				met.valHR10.Set(hr)
 			}
 		}
-		if hr > h.BestHR10 {
-			h.BestHR10 = hr
+		// Model selection keeps the best validation epoch. With no
+		// validation set there is nothing to select on (hr is NaN and
+		// compares false), so the last epoch that got here — non-finite
+		// epochs never do — is the one to keep.
+		if !hasVal || hr > h.BestHR10 {
+			if hasVal {
+				h.BestHR10 = hr
+			}
 			h.BestEpoch = epoch
 			bestSnap = snapshotParams(m)
 		}
@@ -504,6 +510,12 @@ func trainLoop(ctx context.Context, m trainable, td TrainData) (*History, error)
 		}
 	}
 	restoreParams(m, bestSnap)
+	// A trained encoder is served tape-free and never reads a gradient
+	// again; left in place the buffers double its resident size. A later
+	// Train call re-creates them on its first Backward.
+	for _, p := range m.Params() {
+		p.Grad = nil
+	}
 	return h, nil
 }
 
@@ -523,7 +535,7 @@ func seedBatchLoss(m trainable, seeds []geo.Trajectory, s [][]float64, samples [
 		if e, ok := cache[i]; ok {
 			return e
 		}
-		e := m.forward(seeds[i])
+		e := m.forward(nil, seeds[i])
 		cache[i] = e
 		return e
 	}
@@ -581,7 +593,7 @@ func tripletBatchLoss(m trainable, corpus []geo.Trajectory, triplets []Triplet, 
 		if e, ok := cache[i]; ok {
 			return e
 		}
-		e := m.relaxedCode(m.forward(corpus[i]))
+		e := m.relaxedCode(m.forward(nil, corpus[i]))
 		cache[i] = e
 		return e
 	}

@@ -33,6 +33,7 @@ func NewMultiHeadAttention(d, heads int, rng *rand.Rand) *MultiHeadAttention {
 
 // Forward applies self-attention to x (n×d), returning n×d.
 func (a *MultiHeadAttention) Forward(x *Tensor) *Tensor {
+	mark := x.scratch.Mark()
 	q := a.Wq.Forward(x)
 	k := a.Wk.Forward(x)
 	v := a.Wv.Forward(x)
@@ -40,15 +41,16 @@ func (a *MultiHeadAttention) Forward(x *Tensor) *Tensor {
 	scale := 1 / math.Sqrt(float64(dk))
 	heads := make([]*Tensor, a.Heads)
 	for h := 0; h < a.Heads; h++ {
+		headMark := x.scratch.Mark()
 		lo, hi := h*dk, (h+1)*dk
 		qh := SliceCols(q, lo, hi)
 		kh := SliceCols(k, lo, hi)
 		vh := SliceCols(v, lo, hi)
 		scores := Scale(MatMul(qh, Transpose(kh)), scale)
 		w := SoftmaxRows(scores)
-		heads[h] = MatMul(w, vh)
+		heads[h] = headMark.Keep(MatMul(w, vh))
 	}
-	return a.Wo.Forward(ConcatCols(heads...))
+	return mark.Keep(a.Wo.Forward(ConcatCols(heads...)))
 }
 
 // Params implements Module.
@@ -84,6 +86,7 @@ func NewEncoderBlock(d, heads, ffHidden int, useNorm bool, rng *rand.Rand) *Enco
 
 // Forward applies the block to x (n×d).
 func (b *EncoderBlock) Forward(x *Tensor) *Tensor {
+	mark := x.scratch.Mark()
 	h := Add(x, b.Attn.Forward(x))
 	if b.LN1 != nil {
 		h = b.LN1.Forward(h)
@@ -92,7 +95,7 @@ func (b *EncoderBlock) Forward(x *Tensor) *Tensor {
 	if b.LN2 != nil {
 		h = b.LN2.Forward(h)
 	}
-	return h
+	return mark.Keep(h)
 }
 
 // Params implements Module.

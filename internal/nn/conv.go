@@ -64,13 +64,14 @@ func (c *Conv3x3) Forward(x *Tensor) *Tensor {
 	if x.Rows != c.NX*c.NY || x.Cols != c.In {
 		panic(fmt.Sprintf("nn: Conv3x3 input %dx%d, want %dx%d", x.Rows, x.Cols, c.NX*c.NY, c.In))
 	}
-	padded := ConcatRows(x, New(1, c.In))
-	taps := make([]*Tensor, 9)
+	mark := x.scratch.Mark()
+	padded := ConcatRows(x, x.scratch.New(1, c.In))
+	var taps [9]*Tensor
 	for t := range c.idx {
 		taps[t] = Gather(padded, c.idx[t])
 	}
-	patches := ConcatCols(taps...)
-	return AddRow(MatMul(patches, c.K), c.B)
+	patches := ConcatCols(taps[:]...)
+	return mark.Keep(AddRow(MatMul(patches, c.K), c.B))
 }
 
 // Params returns the trainable kernel and bias.

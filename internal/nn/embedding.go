@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 )
@@ -63,12 +64,29 @@ func NewPositionalEncoding(maxLen, d int) *PositionalEncoding {
 // precomputed horizon wrap around, which keeps very long inputs working
 // (they are rare: trajectories are resampled/truncated upstream).
 func (p *PositionalEncoding) Add(x *Tensor) *Tensor {
-	n := x.Rows
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i % p.table.Rows
+	if x.Cols != p.d {
+		panic(fmt.Sprintf("nn: PositionalEncoding of width %d added to %dx%d", p.d, x.Rows, x.Cols))
 	}
-	return Add(x, Gather(p.table, idx))
+	out, taped := output(x.Rows, x.Cols, x)
+	d := p.d
+	for i := 0; i < x.Rows; i++ {
+		pos := p.table.Data[(i%p.table.Rows)*d:][:d]
+		xrow, orow := x.Data[i*d:][:d], out.Data[i*d:][:d]
+		for j, s := range pos {
+			orow[j] = xrow[j] + s
+		}
+	}
+	if !taped {
+		return out
+	}
+	out.back = func(t *Tensor) {
+		// The encodings are constants: the gradient passes straight to x.
+		x.ensureGrad()
+		for i, g := range t.Grad {
+			x.Grad[i] += g
+		}
+	}
+	return out
 }
 
 // Slice returns the raw encodings for positions [0, n) as an n×d constant

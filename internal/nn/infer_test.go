@@ -6,29 +6,63 @@ import (
 	"testing"
 )
 
-// TestMatMulIntoMatchesMatMul checks the graph-free kernel against the
-// autograd forward pass over assorted shapes (the two run the identical
-// i-p-j accumulation order, so values agree to the last bit; the
-// tolerance guards against future reorderings, not present error).
+// textbookMatMul is the reference the shared kernel is held to: the plain
+// i-p-j loop, every term added in order (no sparsity skip).
+func textbookMatMul(a, b *Tensor) []float64 {
+	n, k, m := a.Rows, a.Cols, b.Cols
+	out := make([]float64, n*m)
+	for i := 0; i < n; i++ {
+		for p := 0; p < k; p++ {
+			for j := 0; j < m; j++ {
+				out[i*m+j] += a.Data[i*k+p] * b.Data[p*m+j]
+			}
+		}
+	}
+	return out
+}
+
+// TestMatMulIntoMatchesMatMul holds MatMul (taped and tape-free) and
+// MatMulInto — one kernel — to bit equality with the textbook loop, over
+// assorted shapes (k a multiple of 4 and not), single-row inputs, and
+// ReLU-sparse activations (exact zeros, which the kernel skips and the
+// textbook loop multiplies through).
 func TestMatMulIntoMatchesMatMul(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	shapes := []struct{ n, k, m int }{
-		{1, 1, 1}, {2, 3, 4}, {5, 5, 5}, {1, 16, 8}, {7, 2, 9},
+		{1, 1, 1}, {2, 3, 4}, {5, 5, 5}, {1, 16, 8}, {7, 2, 9}, {3, 7, 5},
+		{48, 64, 64}, {1, 64, 64}, {48, 16, 48}, {6, 13, 1},
 	}
 	for _, sh := range shapes {
-		a := Randn(sh.n, sh.k, 1, rng)
-		b := Randn(sh.k, sh.m, 1, rng)
-		a.Data[0] = 0 // exercise the sparsity fast path
-		want := MatMul(a, b)
-		dst := New(sh.n, sh.m)
-		for i := range dst.Data {
-			dst.Data[i] = math.NaN() // MatMulInto must overwrite, not accumulate
-		}
-		MatMulInto(dst, a, b)
-		for i := range want.Data {
-			if math.Abs(dst.Data[i]-want.Data[i]) > 1e-12 {
-				t.Fatalf("%dx%dx%d element %d: got %v, want %v",
-					sh.n, sh.k, sh.m, i, dst.Data[i], want.Data[i])
+		for _, sparse := range []bool{false, true} {
+			a := Randn(sh.n, sh.k, 1, rng)
+			b := Randn(sh.k, sh.m, 1, rng)
+			a.Data[0] = 0
+			if sparse {
+				for i, v := range a.Data {
+					if v < 0 {
+						a.Data[i] = 0
+					}
+				}
+			}
+			want := textbookMatMul(a, b)
+			dst := New(sh.n, sh.m)
+			for i := range dst.Data {
+				dst.Data[i] = math.NaN() // MatMulInto must overwrite, not accumulate
+			}
+			MatMulInto(dst, a, b)
+			var s Scratch
+			got := map[string][]float64{
+				"MatMulInto":       dst.Data,
+				"MatMul":           MatMul(a, b).Data,
+				"tape-free MatMul": MatMul(s.Input(a), b).Data,
+			}
+			for name, data := range got {
+				for i := range want {
+					if math.Float64bits(data[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("%s %dx%dx%d sparse=%v element %d: got %v, want %v",
+							name, sh.n, sh.k, sh.m, sparse, i, data[i], want[i])
+					}
+				}
 			}
 		}
 	}
@@ -60,8 +94,8 @@ func TestHotpathMatMulIntoZeroAlloc(t *testing.T) {
 	}
 }
 
-// BenchmarkHotpathMatMulInto measures the graph-free kernel on the
-// serving-relevant shape (batch-of-1 embedding times a square weight).
+// BenchmarkHotpathMatMulInto measures the kernel on a batch-of-1
+// embedding times a square weight.
 func BenchmarkHotpathMatMulInto(b *testing.B) {
 	rng := rand.New(rand.NewSource(23))
 	x := Randn(1, 128, 1, rng)
@@ -71,5 +105,109 @@ func BenchmarkHotpathMatMulInto(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		MatMulInto(dst, x, w)
+	}
+}
+
+// tapeFreeForwards is every layer a serving-time forward pass runs, as a
+// function of its input.
+func tapeFreeForwards(rng *rand.Rand) map[string]func(x *Tensor) *Tensor {
+	block := NewEncoderBlock(8, 2, 8, true, rng)
+	conv := NewConv3x3(4, 3, 8, 5, rng)
+	pe := NewPositionalEncoding(5, 8)
+	cls := XavierParam(1, 8, rng)
+	return map[string]func(x *Tensor) *Tensor{
+		"block":  block.Forward,
+		"conv":   func(x *Tensor) *Tensor { return ReLU(conv.Forward(x)) },
+		"pe+cls": func(x *Tensor) *Tensor { return MeanRows(ConcatRows(cls, pe.Add(x))) },
+	}
+}
+
+// TestHotpathForwardNoTape checks the tape-free mode layer by layer: the
+// same forward function, fed an input that lives on a Scratch, returns
+// bit-identical values to the taped pass, records no parents and no
+// backward closure, and — once the Scratch has been through one pass —
+// allocates nothing.
+func TestHotpathForwardNoTape(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	x := Randn(12, 8, 1, rng)
+	for name, forward := range tapeFreeForwards(rng) {
+		taped := forward(x)
+		if taped.back == nil || len(taped.parents) == 0 {
+			t.Fatalf("%s: the taped pass recorded no graph; the test would prove nothing", name)
+		}
+		var s Scratch
+		var free *Tensor
+		pass := func() {
+			s.Reset()
+			free = forward(s.Input(x))
+		}
+		pass()
+		if free.back != nil || free.parents != nil || free.scratch != &s {
+			t.Errorf("%s: tape-free result has back=%v parents=%d scratch=%p",
+				name, free.back != nil, len(free.parents), free.scratch)
+		}
+		if free.Rows != taped.Rows || free.Cols != taped.Cols {
+			t.Fatalf("%s: shape %dx%d, taped %dx%d", name, free.Rows, free.Cols, taped.Rows, taped.Cols)
+		}
+		for i := range taped.Data {
+			if math.Float64bits(free.Data[i]) != math.Float64bits(taped.Data[i]) {
+				t.Fatalf("%s element %d: tape-free %v, taped %v", name, i, free.Data[i], taped.Data[i])
+			}
+		}
+		// The attention layer's per-call heads slice is the one allocation
+		// a warm pass keeps (ConcatCols retains it under the tape).
+		if allocs := testing.AllocsPerRun(20, pass); allocs > 1 {
+			t.Errorf("%s: a warm tape-free pass allocated %v times", name, allocs)
+		}
+	}
+}
+
+// TestScratchKeepBoundsFootprint checks Mark/Keep: the kept tensor
+// survives with its values, everything else allocated since the mark is
+// reused, and a layer that releases its intermediates costs its peak, not
+// its sum.
+func TestScratchKeepBoundsFootprint(t *testing.T) {
+	var s Scratch
+	base := s.New(1, 4)
+	copy(base.Data, []float64{1, 2, 3, 4})
+	floats := func() int {
+		n := 0
+		for _, c := range s.data.chunks {
+			n += len(c)
+		}
+		return n
+	}
+	var kept *Tensor
+	afterFirst := 0
+	for round := 0; round < 50; round++ {
+		mark := s.Mark()
+		tmp := s.New(100, 100) // larger than a chunk: gets its own
+		tmp.Data[0] = float64(round)
+		small := s.New(2, 3)
+		for i := range small.Data {
+			small.Data[i] = float64(round*10 + i)
+		}
+		kept = mark.Keep(small)
+		for i, v := range kept.Data {
+			if v != float64(round*10+i) {
+				t.Fatalf("round %d: kept[%d] = %v", round, i, v)
+			}
+		}
+		mark.Keep(kept) // keeping a tensor that already sits at the mark is harmless
+		if round == 0 {
+			afterFirst = floats()
+		}
+	}
+	if base.Data[3] != 4 {
+		t.Error("Keep disturbed a tensor allocated before the mark")
+	}
+	if got := floats(); got != afterFirst {
+		t.Errorf("released rounds grew the scratch from %d to %d floats", afterFirst, got)
+	}
+	// A nil Scratch is the taped mode: everything is a no-op.
+	var none *Scratch
+	none.Reset()
+	if h := none.New(2, 2); h.scratch != nil || none.Input(h) != h || none.Mark().Keep(h) != h {
+		t.Error("nil Scratch is not the identity")
 	}
 }

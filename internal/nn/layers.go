@@ -34,7 +34,8 @@ func NewLinear(in, out int, rng *rand.Rand) *Linear {
 
 // Forward applies the layer to x (n×in).
 func (l *Linear) Forward(x *Tensor) *Tensor {
-	return AddRow(MatMul(x, l.W), l.B)
+	mark := x.scratch.Mark()
+	return mark.Keep(AddRow(MatMul(x, l.W), l.B))
 }
 
 // Params implements Module.
@@ -101,12 +102,18 @@ func NewLayerNorm(d int) *LayerNorm {
 func (ln *LayerNorm) Forward(x *Tensor) *Tensor {
 	n, d := x.Rows, x.Cols
 	df := float64(d)
-	// Precompute per-row mean and inverse std for forward and backward.
-	mean := make([]float64, n)
-	invStd := make([]float64, n)
-	xhat := make([]float64, n*d)
+	gamma, beta := ln.Gamma, ln.Beta
+	out, taped := output(n, d, x, gamma, beta)
+	// The backward pass needs x̂ and the per-row inverse std; a tape-free
+	// pass keeps neither.
+	var invStd, xhat []float64
+	if taped {
+		invStd = make([]float64, n)
+		xhat = make([]float64, n*d)
+	}
 	for i := 0; i < n; i++ {
 		row := x.Data[i*d : (i+1)*d]
+		orow := out.Data[i*d : (i+1)*d]
 		var mu float64
 		for _, v := range row {
 			mu += v
@@ -118,14 +125,22 @@ func (ln *LayerNorm) Forward(x *Tensor) *Tensor {
 			vr += dv * dv
 		}
 		vr /= df
-		mean[i] = mu
-		invStd[i] = 1 / math.Sqrt(vr+ln.Eps)
+		inv := 1 / math.Sqrt(vr+ln.Eps)
 		for j, v := range row {
-			xhat[i*d+j] = (v - mu) * invStd[i]
+			xh := (v - mu) * inv
+			orow[j] = xh*gamma.Data[j] + beta.Data[j]
+			if taped {
+				xhat[i*d+j] = xh
+			}
+		}
+		if taped {
+			invStd[i] = inv
 		}
 	}
-	gamma, beta := ln.Gamma, ln.Beta
-	out := result(n, d, func(t *Tensor) {
+	if !taped {
+		return out
+	}
+	out.back = func(t *Tensor) {
 		if gamma.inGraph() {
 			gamma.ensureGrad()
 			for i := 0; i < n; i++ {
@@ -157,11 +172,6 @@ func (ln *LayerNorm) Forward(x *Tensor) *Tensor {
 					x.Grad[i*d+j] += invStd[i] * (dxhat[j] - sumD/df - xhat[i*d+j]*sumDX/df)
 				}
 			}
-		}
-	}, x, gamma, beta)
-	for i := 0; i < n; i++ {
-		for j := 0; j < d; j++ {
-			out.Data[i*d+j] = xhat[i*d+j]*gamma.Data[j] + beta.Data[j]
 		}
 	}
 	return out

@@ -12,7 +12,12 @@ func MatMul(a, b *Tensor) *Tensor {
 		panic(fmt.Sprintf("nn: MatMul %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	n, k, m := a.Rows, a.Cols, b.Cols
-	out := result(n, m, func(t *Tensor) {
+	out, taped := output(n, m, a, b)
+	matmul(out.Data, a.Data, b.Data, n, k, m)
+	if !taped {
+		return out
+	}
+	out.back = func(t *Tensor) {
 		// dA = dOut · Bᵀ ; dB = Aᵀ · dOut
 		if a.inGraph() {
 			a.ensureGrad()
@@ -41,22 +46,6 @@ func MatMul(a, b *Tensor) *Tensor {
 				}
 			}
 		}
-	}, a, b)
-	// Forward: straightforward ikj loop for cache friendliness.
-	for i := 0; i < n; i++ {
-		arow := a.Data[i*k : (i+1)*k]
-		orow := out.Data[i*m : (i+1)*m]
-		for p := 0; p < k; p++ {
-			av := arow[p]
-			//lint:ignore floatcompare sparsity fast path: skipping exactly-zero activations is exact (0·x contributes nothing)
-			if av == 0 {
-				continue
-			}
-			brow := b.Data[p*m : (p+1)*m]
-			for j := 0; j < m; j++ {
-				orow[j] += av * brow[j]
-			}
-		}
 	}
 	return out
 }
@@ -64,7 +53,14 @@ func MatMul(a, b *Tensor) *Tensor {
 // Add returns a + b elementwise (same shape).
 func Add(a, b *Tensor) *Tensor {
 	sameShape(a, b)
-	out := result(a.Rows, a.Cols, func(t *Tensor) {
+	out, taped := output(a.Rows, a.Cols, a, b)
+	for i := range out.Data {
+		out.Data[i] = a.Data[i] + b.Data[i]
+	}
+	if !taped {
+		return out
+	}
+	out.back = func(t *Tensor) {
 		if a.inGraph() {
 			a.ensureGrad()
 			for i, g := range t.Grad {
@@ -77,9 +73,6 @@ func Add(a, b *Tensor) *Tensor {
 				b.Grad[i] += g
 			}
 		}
-	}, a, b)
-	for i := range out.Data {
-		out.Data[i] = a.Data[i] + b.Data[i]
 	}
 	return out
 }
@@ -87,7 +80,14 @@ func Add(a, b *Tensor) *Tensor {
 // Sub returns a − b elementwise (same shape).
 func Sub(a, b *Tensor) *Tensor {
 	sameShape(a, b)
-	out := result(a.Rows, a.Cols, func(t *Tensor) {
+	out, taped := output(a.Rows, a.Cols, a, b)
+	for i := range out.Data {
+		out.Data[i] = a.Data[i] - b.Data[i]
+	}
+	if !taped {
+		return out
+	}
+	out.back = func(t *Tensor) {
 		if a.inGraph() {
 			a.ensureGrad()
 			for i, g := range t.Grad {
@@ -100,9 +100,6 @@ func Sub(a, b *Tensor) *Tensor {
 				b.Grad[i] -= g
 			}
 		}
-	}, a, b)
-	for i := range out.Data {
-		out.Data[i] = a.Data[i] - b.Data[i]
 	}
 	return out
 }
@@ -110,7 +107,14 @@ func Sub(a, b *Tensor) *Tensor {
 // Mul returns the Hadamard (elementwise) product.
 func Mul(a, b *Tensor) *Tensor {
 	sameShape(a, b)
-	out := result(a.Rows, a.Cols, func(t *Tensor) {
+	out, taped := output(a.Rows, a.Cols, a, b)
+	for i := range out.Data {
+		out.Data[i] = a.Data[i] * b.Data[i]
+	}
+	if !taped {
+		return out
+	}
+	out.back = func(t *Tensor) {
 		if a.inGraph() {
 			a.ensureGrad()
 			for i, g := range t.Grad {
@@ -123,9 +127,6 @@ func Mul(a, b *Tensor) *Tensor {
 				b.Grad[i] += g * a.Data[i]
 			}
 		}
-	}, a, b)
-	for i := range out.Data {
-		out.Data[i] = a.Data[i] * b.Data[i]
 	}
 	return out
 }
@@ -135,7 +136,16 @@ func AddRow(a, b *Tensor) *Tensor {
 	if b.Rows != 1 || b.Cols != a.Cols {
 		panic(fmt.Sprintf("nn: AddRow %dx%d + %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
-	out := result(a.Rows, a.Cols, func(t *Tensor) {
+	out, taped := output(a.Rows, a.Cols, a, b)
+	for i := 0; i < a.Rows; i++ {
+		for j := 0; j < a.Cols; j++ {
+			out.Data[i*a.Cols+j] = a.Data[i*a.Cols+j] + b.Data[j]
+		}
+	}
+	if !taped {
+		return out
+	}
+	out.back = func(t *Tensor) {
 		if a.inGraph() {
 			a.ensureGrad()
 			for i, g := range t.Grad {
@@ -150,50 +160,62 @@ func AddRow(a, b *Tensor) *Tensor {
 				}
 			}
 		}
-	}, a, b)
-	for i := 0; i < a.Rows; i++ {
-		for j := 0; j < a.Cols; j++ {
-			out.Data[i*a.Cols+j] = a.Data[i*a.Cols+j] + b.Data[j]
-		}
 	}
 	return out
 }
 
 // Scale returns s·a.
 func Scale(a *Tensor, s float64) *Tensor {
-	out := result(a.Rows, a.Cols, func(t *Tensor) {
+	out, taped := output(a.Rows, a.Cols, a)
+	for i := range out.Data {
+		out.Data[i] = a.Data[i] * s
+	}
+	if !taped {
+		return out
+	}
+	out.back = func(t *Tensor) {
 		if a.inGraph() {
 			a.ensureGrad()
 			for i, g := range t.Grad {
 				a.Grad[i] += g * s
 			}
 		}
-	}, a)
-	for i := range out.Data {
-		out.Data[i] = a.Data[i] * s
 	}
 	return out
 }
 
 // AddScalar returns a + s elementwise.
 func AddScalar(a *Tensor, s float64) *Tensor {
-	out := result(a.Rows, a.Cols, func(t *Tensor) {
+	out, taped := output(a.Rows, a.Cols, a)
+	for i := range out.Data {
+		out.Data[i] = a.Data[i] + s
+	}
+	if !taped {
+		return out
+	}
+	out.back = func(t *Tensor) {
 		if a.inGraph() {
 			a.ensureGrad()
 			for i, g := range t.Grad {
 				a.Grad[i] += g
 			}
 		}
-	}, a)
-	for i := range out.Data {
-		out.Data[i] = a.Data[i] + s
 	}
 	return out
 }
 
 // ReLU returns max(0, a) elementwise.
 func ReLU(a *Tensor) *Tensor {
-	out := result(a.Rows, a.Cols, func(t *Tensor) {
+	out, taped := output(a.Rows, a.Cols, a)
+	for i, v := range a.Data {
+		if v > 0 {
+			out.Data[i] = v
+		}
+	}
+	if !taped {
+		return out
+	}
+	out.back = func(t *Tensor) {
 		if a.inGraph() {
 			a.ensureGrad()
 			for i, g := range t.Grad {
@@ -202,18 +224,20 @@ func ReLU(a *Tensor) *Tensor {
 				}
 			}
 		}
-	}, a)
-	for i, v := range a.Data {
-		if v > 0 {
-			out.Data[i] = v
-		}
 	}
 	return out
 }
 
 // Tanh returns tanh(a) elementwise.
 func Tanh(a *Tensor) *Tensor {
-	out := result(a.Rows, a.Cols, func(t *Tensor) {
+	out, taped := output(a.Rows, a.Cols, a)
+	for i, v := range a.Data {
+		out.Data[i] = math.Tanh(v)
+	}
+	if !taped {
+		return out
+	}
+	out.back = func(t *Tensor) {
 		if a.inGraph() {
 			a.ensureGrad()
 			for i, g := range t.Grad {
@@ -221,16 +245,20 @@ func Tanh(a *Tensor) *Tensor {
 				a.Grad[i] += g * (1 - y*y)
 			}
 		}
-	}, a)
-	for i, v := range a.Data {
-		out.Data[i] = math.Tanh(v)
 	}
 	return out
 }
 
 // Sigmoid returns 1/(1+e^−a) elementwise.
 func Sigmoid(a *Tensor) *Tensor {
-	out := result(a.Rows, a.Cols, func(t *Tensor) {
+	out, taped := output(a.Rows, a.Cols, a)
+	for i, v := range a.Data {
+		out.Data[i] = 1 / (1 + math.Exp(-v))
+	}
+	if !taped {
+		return out
+	}
+	out.back = func(t *Tensor) {
 		if a.inGraph() {
 			a.ensureGrad()
 			for i, g := range t.Grad {
@@ -238,80 +266,102 @@ func Sigmoid(a *Tensor) *Tensor {
 				a.Grad[i] += g * y * (1 - y)
 			}
 		}
-	}, a)
-	for i, v := range a.Data {
-		out.Data[i] = 1 / (1 + math.Exp(-v))
 	}
 	return out
 }
 
 // Exp returns e^a elementwise.
 func Exp(a *Tensor) *Tensor {
-	out := result(a.Rows, a.Cols, func(t *Tensor) {
+	out, taped := output(a.Rows, a.Cols, a)
+	for i, v := range a.Data {
+		out.Data[i] = math.Exp(v)
+	}
+	if !taped {
+		return out
+	}
+	out.back = func(t *Tensor) {
 		if a.inGraph() {
 			a.ensureGrad()
 			for i, g := range t.Grad {
 				a.Grad[i] += g * t.Data[i]
 			}
 		}
-	}, a)
-	for i, v := range a.Data {
-		out.Data[i] = math.Exp(v)
 	}
 	return out
 }
 
 // Log returns ln(a + eps) elementwise; eps keeps the gradient finite at 0.
 func Log(a *Tensor, eps float64) *Tensor {
-	out := result(a.Rows, a.Cols, func(t *Tensor) {
+	out, taped := output(a.Rows, a.Cols, a)
+	for i, v := range a.Data {
+		out.Data[i] = math.Log(v + eps)
+	}
+	if !taped {
+		return out
+	}
+	out.back = func(t *Tensor) {
 		if a.inGraph() {
 			a.ensureGrad()
 			for i, g := range t.Grad {
 				a.Grad[i] += g / (a.Data[i] + eps)
 			}
 		}
-	}, a)
-	for i, v := range a.Data {
-		out.Data[i] = math.Log(v + eps)
 	}
 	return out
 }
 
 // Square returns a² elementwise.
 func Square(a *Tensor) *Tensor {
-	out := result(a.Rows, a.Cols, func(t *Tensor) {
+	out, taped := output(a.Rows, a.Cols, a)
+	for i, v := range a.Data {
+		out.Data[i] = v * v
+	}
+	if !taped {
+		return out
+	}
+	out.back = func(t *Tensor) {
 		if a.inGraph() {
 			a.ensureGrad()
 			for i, g := range t.Grad {
 				a.Grad[i] += g * 2 * a.Data[i]
 			}
 		}
-	}, a)
-	for i, v := range a.Data {
-		out.Data[i] = v * v
 	}
 	return out
 }
 
 // Sqrt returns sqrt(a + eps) elementwise; eps keeps the gradient finite at 0.
 func Sqrt(a *Tensor, eps float64) *Tensor {
-	out := result(a.Rows, a.Cols, func(t *Tensor) {
+	out, taped := output(a.Rows, a.Cols, a)
+	for i, v := range a.Data {
+		out.Data[i] = math.Sqrt(v + eps)
+	}
+	if !taped {
+		return out
+	}
+	out.back = func(t *Tensor) {
 		if a.inGraph() {
 			a.ensureGrad()
 			for i, g := range t.Grad {
 				a.Grad[i] += g * 0.5 / t.Data[i]
 			}
 		}
-	}, a)
-	for i, v := range a.Data {
-		out.Data[i] = math.Sqrt(v + eps)
 	}
 	return out
 }
 
 // SumAll reduces to a 1×1 scalar.
 func SumAll(a *Tensor) *Tensor {
-	out := result(1, 1, func(t *Tensor) {
+	out, taped := output(1, 1, a)
+	var s float64
+	for _, v := range a.Data {
+		s += v
+	}
+	out.Data[0] = s
+	if !taped {
+		return out
+	}
+	out.back = func(t *Tensor) {
 		if a.inGraph() {
 			a.ensureGrad()
 			g := t.Grad[0]
@@ -319,19 +369,23 @@ func SumAll(a *Tensor) *Tensor {
 				a.Grad[i] += g
 			}
 		}
-	}, a)
-	var s float64
-	for _, v := range a.Data {
-		s += v
 	}
-	out.Data[0] = s
 	return out
 }
 
 // MeanAll reduces to the 1×1 mean.
 func MeanAll(a *Tensor) *Tensor {
 	n := float64(len(a.Data))
-	out := result(1, 1, func(t *Tensor) {
+	out, taped := output(1, 1, a)
+	var s float64
+	for _, v := range a.Data {
+		s += v
+	}
+	out.Data[0] = s / n
+	if !taped {
+		return out
+	}
+	out.back = func(t *Tensor) {
 		if a.inGraph() {
 			a.ensureGrad()
 			g := t.Grad[0] / n
@@ -339,12 +393,7 @@ func MeanAll(a *Tensor) *Tensor {
 				a.Grad[i] += g
 			}
 		}
-	}, a)
-	var s float64
-	for _, v := range a.Data {
-		s += v
 	}
-	out.Data[0] = s / n
 	return out
 }
 
@@ -352,16 +401,7 @@ func MeanAll(a *Tensor) *Tensor {
 // pooling of Equation 9.
 func MeanRows(a *Tensor) *Tensor {
 	n := float64(a.Rows)
-	out := result(1, a.Cols, func(t *Tensor) {
-		if a.inGraph() {
-			a.ensureGrad()
-			for i := 0; i < a.Rows; i++ {
-				for j := 0; j < a.Cols; j++ {
-					a.Grad[i*a.Cols+j] += t.Grad[j] / n
-				}
-			}
-		}
-	}, a)
+	out, taped := output(1, a.Cols, a)
 	for i := 0; i < a.Rows; i++ {
 		for j := 0; j < a.Cols; j++ {
 			out.Data[j] += a.Data[i*a.Cols+j]
@@ -370,12 +410,36 @@ func MeanRows(a *Tensor) *Tensor {
 	for j := range out.Data {
 		out.Data[j] /= n
 	}
+	if !taped {
+		return out
+	}
+	out.back = func(t *Tensor) {
+		if a.inGraph() {
+			a.ensureGrad()
+			for i := 0; i < a.Rows; i++ {
+				for j := 0; j < a.Cols; j++ {
+					a.Grad[i*a.Cols+j] += t.Grad[j] / n
+				}
+			}
+		}
+	}
 	return out
 }
 
 // RowSums returns the n×1 per-row sums of an n×d tensor.
 func RowSums(a *Tensor) *Tensor {
-	out := result(a.Rows, 1, func(t *Tensor) {
+	out, taped := output(a.Rows, 1, a)
+	for i := 0; i < a.Rows; i++ {
+		var s float64
+		for j := 0; j < a.Cols; j++ {
+			s += a.Data[i*a.Cols+j]
+		}
+		out.Data[i] = s
+	}
+	if !taped {
+		return out
+	}
+	out.back = func(t *Tensor) {
 		if a.inGraph() {
 			a.ensureGrad()
 			for i := 0; i < a.Rows; i++ {
@@ -385,13 +449,6 @@ func RowSums(a *Tensor) *Tensor {
 				}
 			}
 		}
-	}, a)
-	for i := 0; i < a.Rows; i++ {
-		var s float64
-		for j := 0; j < a.Cols; j++ {
-			s += a.Data[i*a.Cols+j]
-		}
-		out.Data[i] = s
 	}
 	return out
 }
@@ -401,7 +458,17 @@ func DivByColumn(a, c *Tensor) *Tensor {
 	if c.Rows != a.Rows || c.Cols != 1 {
 		panic(fmt.Sprintf("nn: DivByColumn %dx%d / %dx%d", a.Rows, a.Cols, c.Rows, c.Cols))
 	}
-	out := result(a.Rows, a.Cols, func(t *Tensor) {
+	out, taped := output(a.Rows, a.Cols, a, c)
+	for i := 0; i < a.Rows; i++ {
+		inv := 1 / c.Data[i]
+		for j := 0; j < a.Cols; j++ {
+			out.Data[i*a.Cols+j] = a.Data[i*a.Cols+j] * inv
+		}
+	}
+	if !taped {
+		return out
+	}
+	out.back = func(t *Tensor) {
 		if a.inGraph() {
 			a.ensureGrad()
 			for i := 0; i < a.Rows; i++ {
@@ -422,35 +489,13 @@ func DivByColumn(a, c *Tensor) *Tensor {
 				c.Grad[i] -= s * inv2
 			}
 		}
-	}, a, c)
-	for i := 0; i < a.Rows; i++ {
-		inv := 1 / c.Data[i]
-		for j := 0; j < a.Cols; j++ {
-			out.Data[i*a.Cols+j] = a.Data[i*a.Cols+j] * inv
-		}
 	}
 	return out
 }
 
 // SoftmaxRows applies softmax independently to each row.
 func SoftmaxRows(a *Tensor) *Tensor {
-	out := result(a.Rows, a.Cols, func(t *Tensor) {
-		if a.inGraph() {
-			a.ensureGrad()
-			for i := 0; i < a.Rows; i++ {
-				row := t.Data[i*a.Cols : (i+1)*a.Cols]
-				grow := t.Grad[i*a.Cols : (i+1)*a.Cols]
-				// dL/dx_j = y_j * (g_j - sum_k g_k y_k)
-				var dot float64
-				for j, y := range row {
-					dot += grow[j] * y
-				}
-				for j, y := range row {
-					a.Grad[i*a.Cols+j] += y * (grow[j] - dot)
-				}
-			}
-		}
-	}, a)
+	out, taped := output(a.Rows, a.Cols, a)
 	for i := 0; i < a.Rows; i++ {
 		row := a.Data[i*a.Cols : (i+1)*a.Cols]
 		orow := out.Data[i*a.Cols : (i+1)*a.Cols]
@@ -470,12 +515,41 @@ func SoftmaxRows(a *Tensor) *Tensor {
 			orow[j] /= sum
 		}
 	}
+	if !taped {
+		return out
+	}
+	out.back = func(t *Tensor) {
+		if a.inGraph() {
+			a.ensureGrad()
+			for i := 0; i < a.Rows; i++ {
+				row := t.Data[i*a.Cols : (i+1)*a.Cols]
+				grow := t.Grad[i*a.Cols : (i+1)*a.Cols]
+				// dL/dx_j = y_j * (g_j - sum_k g_k y_k)
+				var dot float64
+				for j, y := range row {
+					dot += grow[j] * y
+				}
+				for j, y := range row {
+					a.Grad[i*a.Cols+j] += y * (grow[j] - dot)
+				}
+			}
+		}
+	}
 	return out
 }
 
 // Transpose returns aᵀ.
 func Transpose(a *Tensor) *Tensor {
-	out := result(a.Cols, a.Rows, func(t *Tensor) {
+	out, taped := output(a.Cols, a.Rows, a)
+	for i := 0; i < a.Rows; i++ {
+		for j := 0; j < a.Cols; j++ {
+			out.Data[j*a.Rows+i] = a.Data[i*a.Cols+j]
+		}
+	}
+	if !taped {
+		return out
+	}
+	out.back = func(t *Tensor) {
 		if a.inGraph() {
 			a.ensureGrad()
 			for i := 0; i < a.Rows; i++ {
@@ -483,11 +557,6 @@ func Transpose(a *Tensor) *Tensor {
 					a.Grad[i*a.Cols+j] += t.Grad[j*a.Rows+i]
 				}
 			}
-		}
-	}, a)
-	for i := 0; i < a.Rows; i++ {
-		for j := 0; j < a.Cols; j++ {
-			out.Data[j*a.Rows+i] = a.Data[i*a.Cols+j]
 		}
 	}
 	return out
@@ -507,10 +576,21 @@ func ConcatCols(ts ...*Tensor) *Tensor {
 		}
 		total += t.Cols
 	}
-	parents := append([]*Tensor(nil), ts...)
-	out := result(rows, total, func(t *Tensor) {
+	out, taped := output(rows, total, ts...)
+	off := 0
+	for _, p := range ts {
+		for i := 0; i < rows; i++ {
+			copy(out.Data[i*total+off:i*total+off+p.Cols], p.Data[i*p.Cols:(i+1)*p.Cols])
+		}
+		off += p.Cols
+	}
+	if !taped {
+		return out
+	}
+	parts := append([]*Tensor(nil), ts...) // copied here so ts itself never escapes
+	out.back = func(t *Tensor) {
 		off := 0
-		for _, p := range ts {
+		for _, p := range parts {
 			if p.inGraph() {
 				p.ensureGrad()
 				for i := 0; i < rows; i++ {
@@ -521,13 +601,6 @@ func ConcatCols(ts ...*Tensor) *Tensor {
 			}
 			off += p.Cols
 		}
-	}, parents...)
-	off := 0
-	for _, p := range ts {
-		for i := 0; i < rows; i++ {
-			copy(out.Data[i*total+off:i*total+off+p.Cols], p.Data[i*p.Cols:(i+1)*p.Cols])
-		}
-		off += p.Cols
 	}
 	return out
 }
@@ -545,10 +618,19 @@ func ConcatRows(ts ...*Tensor) *Tensor {
 		}
 		total += t.Rows
 	}
-	parents := append([]*Tensor(nil), ts...)
-	out := result(total, cols, func(t *Tensor) {
+	out, taped := output(total, cols, ts...)
+	off := 0
+	for _, p := range ts {
+		copy(out.Data[off:off+len(p.Data)], p.Data)
+		off += len(p.Data)
+	}
+	if !taped {
+		return out
+	}
+	parts := append([]*Tensor(nil), ts...) // copied here so ts itself never escapes
+	out.back = func(t *Tensor) {
 		off := 0
-		for _, p := range ts {
+		for _, p := range parts {
 			if p.inGraph() {
 				p.ensureGrad()
 				for i := range p.Grad {
@@ -557,11 +639,6 @@ func ConcatRows(ts ...*Tensor) *Tensor {
 			}
 			off += len(p.Data)
 		}
-	}, parents...)
-	off := 0
-	for _, p := range ts {
-		copy(out.Data[off:off+len(p.Data)], p.Data)
-		off += len(p.Data)
 	}
 	return out
 }
@@ -571,15 +648,19 @@ func SliceRows(a *Tensor, lo, hi int) *Tensor {
 	if lo < 0 || hi > a.Rows || lo >= hi {
 		panic(fmt.Sprintf("nn: SliceRows [%d,%d) of %d rows", lo, hi, a.Rows))
 	}
-	out := result(hi-lo, a.Cols, func(t *Tensor) {
+	out, taped := output(hi-lo, a.Cols, a)
+	copy(out.Data, a.Data[lo*a.Cols:hi*a.Cols])
+	if !taped {
+		return out
+	}
+	out.back = func(t *Tensor) {
 		if a.inGraph() {
 			a.ensureGrad()
 			for i := range t.Grad {
 				a.Grad[lo*a.Cols+i] += t.Grad[i]
 			}
 		}
-	}, a)
-	copy(out.Data, a.Data[lo*a.Cols:hi*a.Cols])
+	}
 	return out
 }
 
@@ -590,7 +671,14 @@ func SliceCols(a *Tensor, lo, hi int) *Tensor {
 		panic(fmt.Sprintf("nn: SliceCols [%d,%d) of %d cols", lo, hi, a.Cols))
 	}
 	w := hi - lo
-	out := result(a.Rows, w, func(t *Tensor) {
+	out, taped := output(a.Rows, w, a)
+	for i := 0; i < a.Rows; i++ {
+		copy(out.Data[i*w:(i+1)*w], a.Data[i*a.Cols+lo:i*a.Cols+hi])
+	}
+	if !taped {
+		return out
+	}
+	out.back = func(t *Tensor) {
 		if a.inGraph() {
 			a.ensureGrad()
 			for i := 0; i < a.Rows; i++ {
@@ -599,9 +687,6 @@ func SliceCols(a *Tensor, lo, hi int) *Tensor {
 				}
 			}
 		}
-	}, a)
-	for i := 0; i < a.Rows; i++ {
-		copy(out.Data[i*w:(i+1)*w], a.Data[i*a.Cols+lo:i*a.Cols+hi])
 	}
 	return out
 }
@@ -615,7 +700,14 @@ func Gather(table *Tensor, idx []int) *Tensor {
 		}
 	}
 	d := table.Cols
-	out := result(len(idx), d, func(t *Tensor) {
+	out, taped := output(len(idx), d, table)
+	for r, i := range idx {
+		copy(out.Data[r*d:(r+1)*d], table.Data[i*d:(i+1)*d])
+	}
+	if !taped {
+		return out
+	}
+	out.back = func(t *Tensor) {
 		if table.inGraph() {
 			table.ensureGrad()
 			for r, i := range idx {
@@ -624,9 +716,6 @@ func Gather(table *Tensor, idx []int) *Tensor {
 				}
 			}
 		}
-	}, table)
-	for r, i := range idx {
-		copy(out.Data[r*d:(r+1)*d], table.Data[i*d:(i+1)*d])
 	}
 	return out
 }
@@ -644,16 +733,20 @@ func Dropout(a *Tensor, p float64, training bool, rng *rand.Rand) *Tensor {
 			mask[i] = scale
 		}
 	}
-	out := result(a.Rows, a.Cols, func(t *Tensor) {
+	out, taped := output(a.Rows, a.Cols, a)
+	for i, v := range a.Data {
+		out.Data[i] = v * mask[i]
+	}
+	if !taped {
+		return out
+	}
+	out.back = func(t *Tensor) {
 		if a.inGraph() {
 			a.ensureGrad()
 			for i, g := range t.Grad {
 				a.Grad[i] += g * mask[i]
 			}
 		}
-	}, a)
-	for i, v := range a.Data {
-		out.Data[i] = v * mask[i]
 	}
 	return out
 }
@@ -661,7 +754,16 @@ func Dropout(a *Tensor, p float64, training bool, rng *rand.Rand) *Tensor {
 // Dot returns the 1×1 inner product of two equal-shape tensors (flattened).
 func Dot(a, b *Tensor) *Tensor {
 	sameShape(a, b)
-	out := result(1, 1, func(t *Tensor) {
+	out, taped := output(1, 1, a, b)
+	var s float64
+	for i := range a.Data {
+		s += a.Data[i] * b.Data[i]
+	}
+	out.Data[0] = s
+	if !taped {
+		return out
+	}
+	out.back = func(t *Tensor) {
 		g := t.Grad[0]
 		if a.inGraph() {
 			a.ensureGrad()
@@ -675,12 +777,7 @@ func Dot(a, b *Tensor) *Tensor {
 				b.Grad[i] += g * a.Data[i]
 			}
 		}
-	}, a, b)
-	var s float64
-	for i := range a.Data {
-		s += a.Data[i] * b.Data[i]
 	}
-	out.Data[0] = s
 	return out
 }
 

@@ -29,6 +29,10 @@ type Tensor struct {
 	parents      []*Tensor
 	// back propagates t.Grad into the parents' Grad slices.
 	back func(t *Tensor)
+	// scratch is non-nil for tensors of a tape-free forward pass: it owns
+	// their storage, and ops consuming them allocate from it and record
+	// nothing (see infer.go).
+	scratch *Scratch
 }
 
 // New returns an uninitialized (zero) tensor of the given shape.
@@ -133,20 +137,25 @@ func (t *Tensor) ZeroGrad() {
 	}
 }
 
-// result constructs an op output tensor, keeping only in-graph parents.
-func result(rows, cols int, back func(t *Tensor), parents ...*Tensor) *Tensor {
-	out := New(rows, cols)
-	var live []*Tensor
-	for _, p := range parents {
-		if p != nil && p.inGraph() {
-			live = append(live, p)
+// output returns the zero tensor an op writes its result into and reports
+// whether the op must record its backward closure on it (taped). When any
+// input belongs to a Scratch the pass is tape-free: the result comes from
+// that Scratch and nothing is recorded. Otherwise the result is on the
+// heap and keeps its in-graph inputs as parents; with none, no gradient
+// can flow through it and no closure is needed either.
+func output(rows, cols int, inputs ...*Tensor) (out *Tensor, taped bool) {
+	for _, p := range inputs {
+		if p != nil && p.scratch != nil {
+			return p.scratch.New(rows, cols), false
 		}
 	}
-	if len(live) > 0 {
-		out.parents = live
-		out.back = back
+	out = New(rows, cols)
+	for _, p := range inputs {
+		if p != nil && p.inGraph() {
+			out.parents = append(out.parents, p)
+		}
 	}
-	return out
+	return out, len(out.parents) > 0
 }
 
 // Backward runs reverse-mode differentiation from t, which must be a scalar

@@ -25,7 +25,9 @@
 #      cmd/benchjson exports bin/BENCH_hotpath.json and gates allocs/op
 #      against scripts/hotpath_floors.json (allocs are exact, so unlike
 #      ns/op they CAN fail the build; see DESIGN.md "Performance
-#      contracts")
+#      contracts"). The suite includes the tape-free embedding path at
+#      both shapes: BenchmarkHotpathEmbedAll (tinyConfig batch) and
+#      BenchmarkHotpathEmbedAttention64 (one Embed at the paper shape)
 #   8. determinism contracts — the det-rule subset of trajlint
 #      (detmaprange, detwallclock, detunordered) re-checked standalone:
 #      nondeterminism sources must not reach gob encodes, WAL appends,
