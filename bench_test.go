@@ -16,6 +16,7 @@
 package traj2hash
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -31,7 +32,6 @@ import (
 	"traj2hash/internal/experiments"
 	"traj2hash/internal/geo"
 	"traj2hash/internal/hamming"
-	"traj2hash/internal/search"
 )
 
 // benchExperiment runs a registry experiment once per iteration, printing
@@ -143,47 +143,50 @@ func benchSearchSetup(b *testing.B, n int) ([]hamming.Code, [][]float64, hamming
 	return codes, embs, hamming.FromSigns(q), q
 }
 
-func BenchmarkSearchEuclideanBF10k(b *testing.B) {
-	_, embs, _, q := benchSearchSetup(b, 10000)
-	s, err := search.NewEuclideanBF(embs, [][]float64{q})
+// benchBackend loads one engine backend — the code every search consumer
+// runs — with the given items, each an embedding and its code.
+func benchBackend(b *testing.B, name string, cfg engine.Config, embs [][]float64, codes []hamming.Code) engine.Backend {
+	b.Helper()
+	be, err := engine.NewBackend(name, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
+	for i, emb := range embs {
+		if err := be.Add(emb, codes[i]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return be
+}
+
+// benchSearch10k times top-50 search of one backend over 10k items.
+func benchSearch10k(b *testing.B, name string, cfg engine.Config) {
+	codes, embs, qc, q := benchSearchSetup(b, 10000)
+	be := benchBackend(b, name, cfg, embs, codes)
+	query := engine.Query{Emb: q, Code: qc}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.Search(0, 50)
+		be.Search(query, 50)
 	}
+}
+
+func BenchmarkSearchEuclideanBF10k(b *testing.B) {
+	benchSearch10k(b, engine.EuclideanBFName, engine.Config{})
 }
 
 func BenchmarkSearchHammingBF10k(b *testing.B) {
-	codes, _, qc, _ := benchSearchSetup(b, 10000)
-	s, err := search.NewHammingBF(codes, []hamming.Code{qc})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Search(0, 50)
-	}
+	benchSearch10k(b, engine.HammingBFName, engine.Config{})
 }
 
 func BenchmarkSearchHammingHybrid10k(b *testing.B) {
-	codes, _, qc, _ := benchSearchSetup(b, 10000)
-	s, err := search.NewHammingHybrid(codes, []hamming.Code{qc})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Search(0, 50)
-	}
+	benchSearch10k(b, engine.HammingHybridName, engine.Config{})
 }
 
 // BenchmarkSearchVPTree10k measures the exact Euclidean k-NN metric-tree
-// extension (see internal/search/vptree.go) against the linear scans above.
+// extension (see internal/engine/vptree.go) against the linear scans above.
 func BenchmarkSearchVPTree10k(b *testing.B) {
 	_, embs, _, q := benchSearchSetup(b, 10000)
-	tree, err := search.NewVPTree(embs, 1)
+	tree, err := engine.NewVPTree(embs, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -199,15 +202,7 @@ func BenchmarkSearchVPTree10k(b *testing.B) {
 // code radius expansion; MIH's regime is long codes — see
 // BenchmarkSearchLongCodes64.
 func BenchmarkSearchHammingMIH10k(b *testing.B) {
-	codes, _, qc, _ := benchSearchSetup(b, 10000)
-	s, err := search.NewHammingMIH(codes, []hamming.Code{qc}, 4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Search(0, 50)
-	}
+	benchSearch10k(b, engine.MIHName, engine.Config{MIHChunks: 4})
 }
 
 // BenchmarkSearchLongCodes64 compares the paper's strategies against MIH on
@@ -219,6 +214,7 @@ func BenchmarkSearchHammingMIH10k(b *testing.B) {
 func BenchmarkSearchLongCodes64(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	const n = 20000
+	vecs := make([][]float64, n)
 	codes := make([]hamming.Code, n)
 	for i := range codes {
 		v := make([]float64, 64)
@@ -230,36 +226,21 @@ func BenchmarkSearchLongCodes64(b *testing.B) {
 				v[j] = -v[j]
 			}
 		}
-		codes[i] = hamming.FromSigns(v)
+		vecs[i], codes[i] = v, hamming.FromSigns(v)
 	}
-	q := codes[7]
-	hybrid, err := search.NewHammingHybrid(codes, []hamming.Code{q})
-	if err != nil {
-		b.Fatal(err)
+	q := engine.Query{Code: codes[7]}
+	for _, c := range []struct{ label, backend string }{
+		{"HammingBF", engine.HammingBFName},
+		{"HammingHybrid", engine.HammingHybridName},
+		{"HammingMIH", engine.MIHName},
+	} {
+		be := benchBackend(b, c.backend, engine.Config{MIHChunks: 4}, vecs, codes)
+		b.Run(c.label, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				be.Search(q, 50)
+			}
+		})
 	}
-	mih, err := search.NewHammingMIH(codes, []hamming.Code{q}, 4)
-	if err != nil {
-		b.Fatal(err)
-	}
-	bf, err := search.NewHammingBF(codes, []hamming.Code{q})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("HammingBF", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			bf.Search(0, 50)
-		}
-	})
-	b.Run("HammingHybrid", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			hybrid.Search(0, 50)
-		}
-	})
-	b.Run("HammingMIH", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			mih.Search(0, 50)
-		}
-	})
 }
 
 // BenchmarkEngineSearchBatch measures batch-query throughput of the
@@ -311,7 +292,9 @@ func BenchmarkEngineSearchBatch(b *testing.B) {
 			name := fmt.Sprintf("%s/shards=%d/workers=%d", backend, cfg.shards, cfg.workers)
 			b.Run(name, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					e.SearchBatch(queries, k)
+					if _, _, err := e.SearchBatchWithCtx(context.Background(), backend, queries, k); err != nil {
+						b.Fatal(err)
+					}
 				}
 			})
 		}

@@ -349,7 +349,7 @@ func cmdSearch(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	enc, err := searchEncoder(*encoderKind, *modelPath, *scale, ds)
+	enc, err := experiments.ResolveEncoder(*encoderKind, *modelPath, *scale, ds)
 	if err != nil {
 		return err
 	}
@@ -426,38 +426,6 @@ func cmdSearch(ctx context.Context, args []string) error {
 		serve.WriteStats(os.Stdout, reg)
 	}
 	return nil
-}
-
-// searchEncoder resolves the encoder a search-like subcommand runs with:
-// with no -encoder flag it loads whatever the model file holds; a
-// training-free kind (geopth) is built from the dataset on the fly — no
-// model file and no training run needed; a trainable kind loads the model
-// file and insists the stored encoder matches.
-func searchEncoder(kindFlag, modelPath, scale string, ds *data.Dataset) (core.Encoder, error) {
-	if kindFlag == "" {
-		return core.LoadEncoderFile(modelPath)
-	}
-	kind, err := core.ResolveEncoderKind(kindFlag)
-	if err != nil {
-		return nil, err
-	}
-	if kind == core.GeoPTHKind {
-		sc, err := experiments.ParseScale(scale)
-		if err != nil {
-			return nil, err
-		}
-		cfg := experiments.ParamsFor(sc).CoreConfig()
-		return core.NewEncoder(kind, cfg, ds.All())
-	}
-	enc, err := core.LoadEncoderFile(modelPath)
-	if err != nil {
-		return nil, err
-	}
-	if enc.Kind() != kind {
-		return nil, fmt.Errorf("search: %s holds a %q encoder, but -encoder %s was requested; train one with 'traj2hash train -encoder %s'",
-			modelPath, enc.Kind(), kind, kind)
-	}
-	return enc, nil
 }
 
 // cmdBench times each encoder kind's embed and hash throughput on a

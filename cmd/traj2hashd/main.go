@@ -92,7 +92,7 @@ func run(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	enc, err := resolveEncoder(*encoderKind, *modelPath, *scale, ds)
+	enc, err := experiments.ResolveEncoder(*encoderKind, *modelPath, *scale, ds)
 	if err != nil {
 		return err
 	}
@@ -153,34 +153,4 @@ func run(ctx context.Context, args []string) error {
 	}
 	fmt.Println("drained cleanly: all in-flight requests completed, index closed")
 	return nil
-}
-
-// resolveEncoder mirrors the search subcommand's encoder resolution:
-// training-free kinds (geopth) build from the dataset on the fly,
-// trainable kinds load -model and must match. Duplicated here rather
-// than shared because main packages cannot import each other.
-func resolveEncoder(kindFlag, modelPath, scale string, ds *data.Dataset) (core.Encoder, error) {
-	if kindFlag == "" {
-		return core.LoadEncoderFile(modelPath)
-	}
-	kind, err := core.ResolveEncoderKind(kindFlag)
-	if err != nil {
-		return nil, err
-	}
-	if kind == core.GeoPTHKind {
-		sc, err := experiments.ParseScale(scale)
-		if err != nil {
-			return nil, err
-		}
-		cfg := experiments.ParamsFor(sc).CoreConfig()
-		return core.NewEncoder(kind, cfg, ds.All())
-	}
-	enc, err := core.LoadEncoderFile(modelPath)
-	if err != nil {
-		return nil, err
-	}
-	if enc.Kind() != kind {
-		return nil, fmt.Errorf("%s holds a %q encoder, but -encoder %s was requested", modelPath, enc.Kind(), kind)
-	}
-	return enc, nil
 }

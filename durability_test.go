@@ -62,7 +62,7 @@ func applyOps(ix *Index, ops []mop) (int, error) {
 		var err error
 		switch op.kind {
 		case mopAdd:
-			_, err = ix.Add(op.t)
+			_, err = ix.AddCtx(context.Background(), op.t)
 		case mopDelete:
 			err = ix.Delete(op.id)
 		case mopUpdate:
@@ -148,15 +148,16 @@ func assertIndexParity(t *testing.T, tag string, got, want *Index, qs []Trajecto
 	k := got.Len() + 2 // over-ask: the ranking of every live item
 	for qi, q := range qs {
 		qt := fmt.Sprintf("%s q%d", tag, qi)
-		assertSameResults(t, qt+" Search", got.Search(q, 5), want.Search(q, 5))
-		assertSameResults(t, qt+" Euclidean", got.SearchEuclidean(q, k), want.SearchEuclidean(q, k))
-		assertSameResults(t, qt+" Hamming", got.SearchHamming(q, k), want.SearchHamming(q, k))
-		assertSameResults(t, qt+" Hybrid", got.SearchHybrid(q, k), want.SearchHybrid(q, k))
-		gw, ww := got.Within(q, 2), want.Within(q, 2)
+		assertSameResults(t, qt+" Search", do(t, got, Query{Traj: q, K: 5}), do(t, want, Query{Traj: q, K: 5}))
+		for _, backend := range []string{BackendEuclideanBF, BackendHammingBF, BackendHammingHybrid} {
+			query := Query{Traj: q, K: k, Backend: backend}
+			assertSameResults(t, qt+" "+backend, do(t, got, query), do(t, want, query))
+		}
+		gw, ww := within(t, got, q, 2), within(t, want, q, 2)
 		if !reflect.DeepEqual(gw, ww) {
 			t.Fatalf("%s Within: got %v, want %v", qt, gw, ww)
 		}
-		for _, r := range got.SearchEuclidean(q, k) {
+		for _, r := range do(t, got, Query{Traj: q, K: k, Backend: BackendEuclideanBF}) {
 			if _, ok := live[r.ID]; !ok {
 				t.Fatalf("%s: dead id %d surfaced in the full ranking", qt, r.ID)
 			}
@@ -328,7 +329,7 @@ func TestDurableRoundTrip(t *testing.T) {
 	if err := ix.Update(2, ds.Database[10]); err != nil {
 		t.Fatal(err)
 	}
-	if id, err := ix.Add(ds.Database[11]); err != nil || id != 4 {
+	if id, err := ix.AddCtx(context.Background(), ds.Database[11]); err != nil || id != 4 {
 		t.Fatalf("Add = (%d, %v), want id 4", id, err)
 	}
 	if err := ix.Close(); err != nil {
@@ -370,7 +371,7 @@ func TestDurableRoundTrip(t *testing.T) {
 			t.Fatal(mut)
 		}
 	}
-	if _, err := oracle.Add(ds.Database[11]); err != nil {
+	if _, err := oracle.AddCtx(context.Background(), ds.Database[11]); err != nil {
 		t.Fatal(err)
 	}
 	_, live := expectedAfter([]mop{
@@ -383,7 +384,7 @@ func TestDurableRoundTrip(t *testing.T) {
 
 	// Ids keep advancing across restarts (never reused), and a third
 	// clean reopen sees the post-restart mutation too.
-	if id, err := ix2.Add(ds.Database[12]); err != nil || id != 5 {
+	if id, err := ix2.AddCtx(context.Background(), ds.Database[12]); err != nil || id != 5 {
 		t.Fatalf("post-reopen Add = (%d, %v), want id 5", id, err)
 	}
 	if err := ix2.Close(); err != nil {
@@ -415,6 +416,7 @@ func TestAccessorsReportMissing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	qe := m.Embed(ds.Queries[0])
 	for _, id := range []int{-1, 3, 1 << 20} {
 		if _, ok := ix.Trajectory(id); ok {
 			t.Errorf("Trajectory(%d) ok for an id never assigned", id)
@@ -422,7 +424,7 @@ func TestAccessorsReportMissing(t *testing.T) {
 		if _, ok := ix.Embedding(id); ok {
 			t.Errorf("Embedding(%d) ok for an id never assigned", id)
 		}
-		if d := ix.ApproxDistance(ds.Queries[0], id); !math.IsNaN(d) {
+		if d := ix.ApproxDistanceByVec(qe, id); !math.IsNaN(d) {
 			t.Errorf("ApproxDistance(%d) = %v, want NaN", id, d)
 		}
 	}
@@ -435,7 +437,7 @@ func TestAccessorsReportMissing(t *testing.T) {
 	if _, ok := ix.Embedding(1); ok {
 		t.Error("Embedding ok after delete")
 	}
-	if d := ix.ApproxDistance(ds.Queries[0], 1); !math.IsNaN(d) {
+	if d := ix.ApproxDistanceByVec(qe, 1); !math.IsNaN(d) {
 		t.Errorf("ApproxDistance of deleted id = %v, want NaN", d)
 	}
 	if tr, ok := ix.Trajectory(0); !ok || len(tr) == 0 {
@@ -470,12 +472,6 @@ func TestMutationsAfterCloseFailClosed(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if _, err := ix.Add(ds.Database[5]); !errors.Is(err, ErrClosed) {
-		t.Errorf("Add after Close = %v, want ErrClosed", err)
-	}
-	if _, err := ix.AddBatch(ds.Database[5:7]); !errors.Is(err, ErrClosed) {
-		t.Errorf("AddBatch after Close = %v, want ErrClosed", err)
-	}
 	if _, err := ix.AddCtx(context.Background(), ds.Database[5]); !errors.Is(err, ErrClosed) {
 		t.Errorf("AddCtx after Close = %v, want ErrClosed", err)
 	}
@@ -493,7 +489,7 @@ func TestMutationsAfterCloseFailClosed(t *testing.T) {
 	if ix.Len() != 3 {
 		t.Fatalf("Len after refused mutations = %d, want 3", ix.Len())
 	}
-	if got := ix.Search(ds.Queries[0], 2); len(got) != 2 {
+	if got := do(t, ix, Query{Traj: ds.Queries[0], K: 2}); len(got) != 2 {
 		t.Fatalf("Search after Close returned %d results, want 2 (queries must keep working)", len(got))
 	}
 	if err := ix.Close(); err != nil {
@@ -526,7 +522,7 @@ func TestMutationsAfterCloseFailClosed(t *testing.T) {
 	if err := mem.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if id, err := mem.Add(ds.Database[5]); err != nil || id != 2 {
+	if id, err := mem.AddCtx(context.Background(), ds.Database[5]); err != nil || id != 2 {
 		t.Fatalf("in-memory Add after Close = (%d, %v), want id 2", id, err)
 	}
 }

@@ -11,16 +11,16 @@ import (
 )
 
 // This file is the mutability + durability face of the Index:
-// Delete/Update (engine tombstones and in-place replacement), the
-// context-aware Add variants, and the write-ahead-log protocol — apply
-// the mutation in memory, append its record (group-fsynced), snapshot on
-// cadence. Recovery (openWAL/restore) is the inverse: load the latest
-// snapshot into the engine, replay the log tail idempotently, and
-// remember what happened in RecoveryInfo.
+// Delete/Update (engine tombstones and in-place replacement), the two
+// Add forms, and the write-ahead-log protocol — apply the mutation in
+// memory, append its record (group-fsynced), snapshot on cadence.
+// Recovery (openWAL/restore) is the inverse: load the latest snapshot
+// into the engine, replay the log tail idempotently, and remember what
+// happened in RecoveryInfo.
 
 // Delete removes the trajectory with the given id from the index: it
-// disappears from every subsequent Search/Within answer immediately and
-// its id is never reused. Deleting an unknown id returns ErrNotFound;
+// disappears from every subsequent search and WithinCtx answer immediately
+// and its id is never reused. Deleting an unknown id returns ErrNotFound;
 // deleting twice returns ErrDeleted (both from package engine, exposed
 // as traj2hash.ErrNotFound / traj2hash.ErrDeleted). When the shard's
 // tombstone density crosses Options.CompactAt the delete also compacts
@@ -61,21 +61,27 @@ func (ix *Index) Update(id int, t Trajectory) error {
 	return ix.logMutation(wal.Record{Op: wal.OpUpdate, ID: id, Emb: emb, Code: code, Traj: flattenTraj(t)})
 }
 
-// AddCtx is Add honoring cancellation: a done context fails fast before
-// the trajectory is embedded or any state changes.
+// AddCtx embeds and indexes one more trajectory, returning its id. A done
+// context fails fast before the trajectory is embedded or any state
+// changes.
 func (ix *Index) AddCtx(ctx context.Context, t Trajectory) (int, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
 	}
-	return ix.Add(t)
+	emb := ix.enc.Embed(t)
+	ix.mu.Lock()
+	defer ix.mu.Unlock()
+	return ix.add(t, emb)
 }
 
-// AddBatchCtx is AddBatch honoring cancellation between appends: a done
-// context fails fast BEFORE the batch is embedded (embedding is the
-// expensive part — the same fail-fast contract AddCtx documents), the
-// context is then re-checked before each item, and on cancellation the
-// ids already indexed (and durably logged, when a WAL is configured) are
-// returned alongside the context's error — the applied prefix.
+// AddBatchCtx embeds (in parallel, across the index's worker budget) and
+// indexes a batch of trajectories, returning their ids. A done context
+// fails fast BEFORE the batch is embedded (embedding is the expensive
+// part — the same fail-fast contract AddCtx documents) and is re-checked
+// before each item. On any failure — cancellation, a rejected item, a WAL
+// append error — the ids already indexed (and durably logged, when a WAL
+// is configured) are returned alongside the error: the applied prefix,
+// exactly what reopening the directory would recover.
 func (ix *Index) AddBatchCtx(ctx context.Context, ts []Trajectory) ([]int, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package traj2hash_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -33,7 +34,11 @@ func Example() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, hit := range idx.SearchHybrid(ds.Queries[0], 10) {
+	hits, status := idx.Do(context.Background(), traj2hash.Query{Traj: ds.Queries[0], K: 10})
+	if status.Err != nil {
+		log.Fatal(status.Err)
+	}
+	for _, hit := range hits {
 		fmt.Println(hit.ID, hit.Score)
 	}
 }

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"sort"
@@ -43,6 +44,7 @@ func main() {
 	}
 	fmt.Printf("%d trajectories indexed (%d-bit codes)\n", idx.Len(), cfg.HashBits)
 
+	ctx := context.Background()
 	// Greedy clustering: repeatedly take the unassigned trajectory with the
 	// largest radius-1 neighborhood as a cluster center.
 	assigned := make([]bool, len(corpus))
@@ -59,7 +61,11 @@ func main() {
 				continue
 			}
 			var members []int
-			for _, id := range idx.Within(corpus[i], 1) {
+			near, status := idx.WithinCtx(ctx, corpus[i], 1)
+			if status.Err != nil {
+				log.Fatal(status.Err)
+			}
+			for _, id := range near {
 				if !assigned[id] {
 					members = append(members, id)
 				}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -63,21 +64,31 @@ func main() {
 	fmt.Printf("query encoding: %v/query (one-time, shared by all strategies)\n",
 		encPer.Round(time.Microsecond))
 
+	// A strategy is a backend plus the representation it reads: the
+	// embedding for the Euclidean scan, the code for the Hamming ones.
 	strategies := []struct {
-		name   string
-		search func(qi int) []traj2hash.Result
+		name, backend string
+		byCode        bool
 	}{
-		{"Euclidean-BF", func(qi int) []traj2hash.Result { return idx.SearchEuclideanByVec(qVecs[qi], k) }},
-		{"Hamming-BF", func(qi int) []traj2hash.Result { return idx.SearchHammingByCode(qCodes[qi], k) }},
-		{"Hamming-Hybrid", func(qi int) []traj2hash.Result { return idx.SearchHybridByCode(qCodes[qi], k) }},
+		{"Euclidean-BF", traj2hash.BackendEuclideanBF, false},
+		{"Hamming-BF", traj2hash.BackendHammingBF, true},
+		{"Hamming-Hybrid", traj2hash.BackendHammingHybrid, true},
 	}
+	ctx := context.Background()
 
 	fmt.Printf("\n%-16s %12s %10s\n", "strategy", "per query", "HR@10")
 	for _, s := range strategies {
 		start := time.Now()
 		returned := make([][]int, len(ds.Queries))
 		for qi := range ds.Queries {
-			res := s.search(qi)
+			query := traj2hash.Query{Vec: qVecs[qi], K: k, Backend: s.backend}
+			if s.byCode {
+				query = traj2hash.Query{Code: qCodes[qi], K: k, Backend: s.backend}
+			}
+			res, status := idx.Do(ctx, query)
+			if status.Err != nil {
+				log.Fatal(status.Err)
+			}
 			ids := make([]int, len(res))
 			for i, r := range res {
 				ids[i] = r.ID
@@ -90,9 +101,8 @@ func main() {
 	}
 
 	// Learned distance estimates for the top hits. ApproxDistanceByVec
-	// reuses the query embeddings computed once above — calling
-	// ApproxDistance inside a loop would re-encode the query every
-	// iteration (a full encoder forward pass per call).
+	// reuses the query embeddings computed once above, so the loop costs
+	// no encoder forward pass.
 	var meanTop, meanTen float64
 	for qi := range ds.Queries {
 		hits := idx.SearchEuclideanByVec(qVecs[qi], k)

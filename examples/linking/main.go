@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -73,14 +74,17 @@ func main() {
 		log.Fatal(err)
 	}
 	// Embed each query trace once, then both search and score the link
-	// from that embedding: SearchHybridByCode + ApproxDistanceByVec avoid
-	// re-running the encoder per call inside the loop (ApproxDistance and
-	// SearchHybrid would each pay a full forward pass every iteration).
+	// from that embedding: Query.Vec + ApproxDistanceByVec share one
+	// encoder forward pass per iteration (Query.Traj would run a second).
+	ctx := context.Background()
 	var top1, top5 int
 	var linkDist float64
 	for i := 0; i < numEntities; i++ {
 		qe := m.Embed(datasetA[i])
-		res := idx.SearchHybridByCode(traj2hash.SignCode(qe), 5)
+		res, status := idx.Do(ctx, traj2hash.Query{Vec: qe, K: 5})
+		if status.Err != nil {
+			log.Fatal(status.Err)
+		}
 		if len(res) > 0 && res[0].ID == i {
 			top1++
 		}

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -53,6 +54,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	ctx := context.Background()
 	q := ds.Queries[0]
 	exactStart := time.Now()
 	exact := make([]float64, len(ds.Database))
@@ -61,8 +63,11 @@ func main() {
 	}
 	exactTime := time.Since(exactStart)
 	approxStart := time.Now()
-	top := idx.SearchEuclidean(q, 10)
+	top, status := idx.Do(ctx, traj2hash.Query{Traj: q, K: 10, Backend: traj2hash.BackendEuclideanBF})
 	approxTime := time.Since(approxStart)
+	if status.Err != nil {
+		log.Fatal(status.Err)
+	}
 	fmt.Printf("ranking %d candidates: exact Frechet %v, embed+search %v (%.0fx faster)\n",
 		len(ds.Database), exactTime.Round(time.Microsecond), approxTime.Round(time.Microsecond),
 		float64(exactTime)/float64(approxTime))
@@ -76,9 +81,13 @@ func main() {
 	fmt.Printf("embedding's top match (id %d) sits at exact-Frechet rank %d\n",
 		top[0].ID, bestExactRank)
 
-	// 5. Top-k search in Hamming space with the hybrid strategy.
+	// 5. Top-k search in Hamming space with the hybrid strategy (the
+	//    default backend of an index built with NewIndex).
 	for qi, query := range ds.Queries {
-		res := idx.SearchHybrid(query, 5)
+		res, status := idx.Do(ctx, traj2hash.Query{Traj: query, K: 5})
+		if status.Err != nil {
+			log.Fatal(status.Err)
+		}
 		ids := make([]int, len(res))
 		for i, r := range res {
 			ids[i] = r.ID

@@ -22,7 +22,7 @@ var (
 	ErrDeleted  = engine.ErrDeleted
 )
 
-// ErrClosed is returned by Add/AddBatch/Delete/Update after Close has
+// ErrClosed is returned by AddCtx/AddBatchCtx/Delete/Update after Close has
 // released a durable index's WAL: once the log handle is gone a mutation
 // could only succeed in memory while silently breaking the durability
 // promise, so the whole mutation is refused instead. Queries keep
@@ -43,9 +43,34 @@ type Status = engine.Status
 // backend that produced it (squared Euclidean distance for the Euclidean
 // backends; Hamming distance for the Hamming backends — smaller is more
 // similar in both cases).
-type Result struct {
-	ID    int
-	Score float64
+type Result = engine.Result
+
+// Query is one top-k search: a representation of the query trajectory, a
+// result count, and a strategy. Exactly one of Traj, Vec and Code must be
+// set — they are the three stages of the same pipeline (trajectory →
+// Encoder.Embed → SignCode), so a caller that already holds a later stage
+// skips the work before it: Vec amortizes the forward pass over repeated
+// searches, Code additionally skips the sign hash but can only be answered
+// in Hamming space.
+type Query struct {
+	// Traj is a raw query trajectory; Do embeds it with the index's encoder.
+	Traj Trajectory
+	// Vec is a precomputed query embedding (from Encoder.Embed). The
+	// Hamming code is derived from its signs, so one forward pass serves
+	// every backend.
+	Vec []float64
+	// Code is a precomputed query code (from Encoder.Code or SignCode). A
+	// bare code carries no embedding, so it is an error to send it to a
+	// Euclidean-space backend (BackendEuclideanBF, BackendVPTree).
+	Code Code
+	// K is the number of results wanted; K <= 0 is answered with the
+	// empty, complete result.
+	K int
+	// Backend names the strategy answering this query; see the Backend*
+	// constants. Empty means Options.Backend. The index always maintains
+	// the paper's three strategies next to the configured one; any other
+	// backend is an error.
+	Backend string
 }
 
 // The search backends selectable through Options.Backend (and the CLI
@@ -65,16 +90,17 @@ func Backends() []string { return engine.BackendNames() }
 // Options configures an Index. The zero value is valid: Hamming-Hybrid
 // search on a single shard with GOMAXPROCS workers.
 type Options struct {
-	// Backend selects the strategy used by Search/SearchBatch; see the
-	// Backend* constants. Empty means BackendHammingHybrid. The
-	// strategy-specific methods (SearchEuclidean, SearchHamming,
-	// SearchHybrid) remain available regardless of this choice.
+	// Backend selects the strategy that answers a Query with no Backend
+	// of its own, and every SearchBatchCtx; see the Backend* constants.
+	// Empty means BackendHammingHybrid. The paper's three strategies
+	// (Euclidean-BF, Hamming-BF, Hamming-Hybrid) stay selectable per query
+	// through Query.Backend regardless of this choice.
 	Backend string
 	// Shards partitions the database; queries fan out across shards in
 	// parallel and adds only lock one shard. ≤ 0 means 1.
 	Shards int
 	// Workers bounds the index's parallelism: batch embedding, the
-	// per-query shard fan-out, and the SearchBatch query fan-out.
+	// per-query shard fan-out, and the SearchBatchCtx query fan-out.
 	// ≤ 0 means GOMAXPROCS.
 	Workers int
 	// MIHChunks is the substring count of the MIH backend (0 = auto).
@@ -140,7 +166,7 @@ type RecoveryInfo struct {
 // Euclidean-space embedding and Hamming-space code and answers top-k
 // similar-trajectory queries with any registered search backend. It is a
 // thin facade over the sharded internal query engine and is safe for
-// concurrent use: any number of goroutines may Add and Search at once
+// concurrent use: any number of goroutines may add and search at once
 // (training the encoder concurrently is not).
 type Index struct {
 	enc  Encoder
@@ -157,8 +183,8 @@ type Index struct {
 
 // NewIndex embeds and indexes the given trajectories with an encoder
 // (e.g. a trained Model, or any other registered Encoder kind) and
-// default Options. At least one trajectory is required; use Add or
-// AddBatch for subsequent insertions.
+// default Options. At least one trajectory is required; use AddCtx or
+// AddBatchCtx for subsequent insertions.
 func NewIndex(enc Encoder, ts []Trajectory) (*Index, error) {
 	if len(ts) == 0 {
 		return nil, fmt.Errorf("traj2hash: empty initial database")
@@ -186,9 +212,10 @@ func NewIndexWith(enc Encoder, ts []Trajectory, opts Options) (*Index, error) {
 		backend = BackendHammingHybrid
 	}
 	eng, err := engine.New(engine.Options{
-		// The configured backend serves Search/SearchBatch; the three
-		// paper strategies are always maintained (the scans cost only a
-		// slice header each; the hybrid table also serves Within).
+		// The configured backend is the default of Do and serves
+		// SearchBatchCtx; the three paper strategies are always maintained
+		// (the scans cost only a slice header each; the hybrid table also
+		// serves WithinCtx).
 		Backends:  []string{backend, BackendEuclideanBF, BackendHammingBF, BackendHammingHybrid},
 		Shards:    opts.Shards,
 		Workers:   opts.Workers,
@@ -203,6 +230,7 @@ func NewIndexWith(enc Encoder, ts []Trajectory, opts Options) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
+	opts.Backend = eng.Backends()[0] // canonical, so Do and Backend need no lookup
 	ix := &Index{enc: enc, opts: opts, eng: eng}
 	if opts.WALDir != "" {
 		if err := ix.openWAL(); err != nil {
@@ -218,10 +246,13 @@ func NewIndexWith(enc Encoder, ts []Trajectory, opts Options) (*Index, error) {
 	if ix.eng.NextID() > 0 {
 		return ix, nil
 	}
-	if _, err := ix.AddBatch(ts); err != nil {
+	// Construction has no caller context to honour.
+	if ids, err := ix.AddBatchCtx(context.Background(), ts); err != nil {
 		//lint:ignore errcheck the batch error takes precedence over the store cleanup close
 		ix.Close()
-		return nil, err
+		// With a WAL the applied prefix is already durable: the next
+		// NewIndexWith on this directory recovers it and ignores ts.
+		return nil, fmt.Errorf("traj2hash: seeding the index stopped after %d of %d trajectories: %w", len(ids), len(ts), err)
 	}
 	return ix, nil
 }
@@ -229,34 +260,6 @@ func NewIndexWith(enc Encoder, ts []Trajectory, opts Options) (*Index, error) {
 // Recovery reports what NewIndexWith found in Options.WALDir (the zero
 // RecoveryInfo for an in-memory index or a fresh directory).
 func (ix *Index) Recovery() RecoveryInfo { return ix.rec }
-
-// Add embeds and indexes one more trajectory, returning its id.
-func (ix *Index) Add(t Trajectory) (int, error) {
-	emb := ix.enc.Embed(t)
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	return ix.add(t, emb)
-}
-
-// AddBatch embeds (in parallel, across the index's worker budget) and
-// indexes a batch of trajectories, returning their ids.
-func (ix *Index) AddBatch(ts []Trajectory) ([]int, error) {
-	if len(ts) == 0 {
-		return nil, nil
-	}
-	embs := ix.enc.EmbedAllParallel(ts, ix.opts.Workers)
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	ids := make([]int, len(ts))
-	for i, t := range ts {
-		id, err := ix.add(t, embs[i])
-		if err != nil {
-			return nil, err
-		}
-		ids[i] = id
-	}
-	return ids, nil
-}
 
 // add indexes one embedded trajectory and logs it durably when a WAL is
 // configured; callers hold ix.mu, which keeps the engine's sequential
@@ -304,130 +307,111 @@ func (ix *Index) Embedding(id int) ([]float64, bool) {
 	return ix.embs[id], true
 }
 
-// Backend returns the name of the backend serving Search/SearchBatch.
-func (ix *Index) Backend() string { return ix.eng.Backends()[0] }
+// Backend returns the canonical name of the configured backend
+// (Options.Backend): the default of Do and the one serving SearchBatchCtx.
+func (ix *Index) Backend() string { return ix.opts.Backend }
 
 // Encoder returns the encoder the index embeds and hashes with.
 func (ix *Index) Encoder() Encoder { return ix.enc }
 
-// Search returns the k most similar trajectories under the configured
-// backend (Options.Backend). The query is embedded on the fly; to
-// amortize encoding over repeated searches, embed once with the encoder
-// and use SearchByVec.
-func (ix *Index) Search(q Trajectory, k int) []Result {
-	return ix.SearchByVec(ix.enc.Embed(q), k)
-}
-
-// SearchByVec is Search with a precomputed query embedding (from
-// Encoder.Embed). The Hamming code is derived from the embedding's signs,
-// so one forward pass serves every backend.
-func (ix *Index) SearchByVec(qe []float64, k int) []Result {
-	return toResults(ix.eng.Search(engine.Query{Emb: qe, Code: hamming.FromSigns(qe)}, k))
-}
-
-// SearchBatch answers many queries under the configured backend,
-// embedding the queries in parallel (Encoder.EmbedAllParallel)
-// and fanning the searches out across the index's worker budget. Results
-// are in query order.
-func (ix *Index) SearchBatch(qs []Trajectory, k int) [][]Result {
-	embs := ix.enc.EmbedAllParallel(qs, ix.opts.Workers)
-	queries := make([]engine.Query, len(embs))
-	for i, e := range embs {
-		queries[i] = engine.Query{Emb: e, Code: hamming.FromSigns(e)}
+// Do answers one top-k query. It is the single search path of the index:
+// the query is embedded if it arrived as a trajectory, hashed if it
+// arrived as (or was just turned into) an embedding, and fanned out
+// across the shards of q.Backend under ctx. The fan-out stops as soon as
+// ctx is done and whatever shards answered in time are merged into a
+// (possibly partial) answer, tagged by the returned Status; a panicking
+// shard degrades the answer instead of crashing the process.
+//
+// An invalid query — none or several of Traj/Vec/Code set, a bare Code
+// for a Euclidean-space backend, a backend the index does not maintain —
+// is reported as Status{Err: …} with no results and no shard consulted.
+func (ix *Index) Do(ctx context.Context, q Query) ([]Result, Status) {
+	backend := ix.opts.Backend
+	if q.Backend != "" {
+		var err error
+		if backend, err = engine.Resolve(q.Backend); err != nil {
+			return nil, Status{Err: err}
+		}
 	}
-	batches := ix.eng.SearchBatch(queries, k)
-	out := make([][]Result, len(batches))
-	for i, rs := range batches {
-		out[i] = toResults(rs)
+	hasTraj, hasVec, hasCode := len(q.Traj) > 0, len(q.Vec) > 0, q.Code.Bits > 0
+	var eq engine.Query
+	switch {
+	case hasTraj && !hasVec && !hasCode:
+		emb := ix.enc.Embed(q.Traj)
+		eq = engine.Query{Emb: emb, Code: hamming.FromSigns(emb)}
+	case hasVec && !hasTraj && !hasCode:
+		eq = engine.Query{Emb: q.Vec, Code: hamming.FromSigns(q.Vec)}
+	case hasCode && !hasTraj && !hasVec:
+		if backend == BackendEuclideanBF || backend == BackendVPTree {
+			return nil, Status{Err: fmt.Errorf("traj2hash: backend %q searches embeddings; a Query carrying only a Code cannot be answered by it (set Vec or Traj)", backend)}
+		}
+		eq = engine.Query{Code: q.Code}
+	default:
+		return nil, Status{Err: errors.New("traj2hash: a Query needs exactly one of Traj, Vec and Code")}
 	}
-	return out
+	rs, st, err := ix.eng.SearchWithCtx(ctx, backend, eq, q.K)
+	if err != nil {
+		return nil, Status{Err: err}
+	}
+	return rs, st
 }
 
-// SearchCtx is Search honoring cancellation and deadlines: the shard
-// fan-out stops as soon as ctx is done and whatever shards answered in
-// time are merged into a (possibly partial) answer, tagged by the
-// returned Status. A panicking shard degrades the answer instead of
-// crashing the process.
+// SearchCtx is Do for a raw trajectory under the configured backend.
 func (ix *Index) SearchCtx(ctx context.Context, q Trajectory, k int) ([]Result, Status) {
-	return ix.SearchByVecCtx(ctx, ix.enc.Embed(q), k)
+	return ix.Do(ctx, Query{Traj: q, K: k})
 }
 
-// SearchByVecCtx is SearchCtx with a precomputed query embedding.
+// SearchByVecCtx is Do for a precomputed query embedding under the
+// configured backend.
 func (ix *Index) SearchByVecCtx(ctx context.Context, qe []float64, k int) ([]Result, Status) {
-	rs, st := ix.eng.SearchCtx(ctx, engine.Query{Emb: qe, Code: hamming.FromSigns(qe)}, k)
-	return toResults(rs), st
+	return ix.Do(ctx, Query{Vec: qe, K: k})
 }
 
-// SearchBatchCtx is SearchBatch honoring cancellation and deadlines.
-// Results and statuses are in query order; queries never started because
-// the context expired first carry an incomplete Status with the context
-// error. (Query embedding happens before the deadline applies to shard
-// work; embed separately and use the engine directly for finer control.)
+// SearchEuclideanByVec is Do for a precomputed query embedding under
+// Euclidean-BF — exact over the learned space — with no deadline and the
+// Status dropped: the convenience for "which stored item is nearest to
+// this vector" lookups.
+func (ix *Index) SearchEuclideanByVec(qe []float64, k int) []Result {
+	rs, _ := ix.Do(context.Background(), Query{Vec: qe, K: k, Backend: BackendEuclideanBF})
+	return rs
+}
+
+// SearchBatchCtx answers many queries under the configured backend,
+// embedding them in parallel (Encoder.EmbedAllParallel) and fanning the
+// searches out across the index's worker budget under ctx. Results and
+// statuses are in query order; queries never started because the context
+// expired first carry an incomplete Status with the context error. (Query
+// embedding happens before the deadline applies to shard work; embed
+// separately and use Do for finer control.)
 func (ix *Index) SearchBatchCtx(ctx context.Context, qs []Trajectory, k int) ([][]Result, []Status) {
 	embs := ix.enc.EmbedAllParallel(qs, ix.opts.Workers)
 	queries := make([]engine.Query, len(embs))
 	for i, e := range embs {
 		queries[i] = engine.Query{Emb: e, Code: hamming.FromSigns(e)}
 	}
-	batches, sts := ix.eng.SearchBatchCtx(ctx, queries, k)
-	out := make([][]Result, len(batches))
-	for i, rs := range batches {
-		out[i] = toResults(rs)
+	batches, sts, err := ix.eng.SearchBatchWithCtx(ctx, ix.opts.Backend, queries, k)
+	if err != nil {
+		sts = make([]Status, len(qs))
+		for i := range sts {
+			sts[i].Err = err
+		}
+		return make([][]Result, len(qs)), sts
 	}
-	return out, sts
+	return batches, sts
 }
 
-// WithinCtx is Within honoring cancellation and deadlines; incomplete
-// answers (missed shards) are tagged by the Status.
+// WithinCtx returns the ids of indexed trajectories whose hash codes lie
+// within the given Hamming radius (0–2) of the query's code — the bucket
+// neighborhood used for gathering-pattern style grouping (see
+// examples/clustering) — sorted ascending. It honors cancellation and
+// deadlines like Do; incomplete answers (missed shards) are tagged by the
+// Status.
 func (ix *Index) WithinCtx(ctx context.Context, q Trajectory, radius int) ([]int, Status) {
-	//lint:ignore errcheck the built-in backend registration makes the config error impossible here
-	ids, st, _ := ix.eng.WithinCtx(ctx, ix.enc.Code(q), radius)
+	ids, st, err := ix.eng.WithinCtx(ctx, ix.enc.Code(q), radius)
+	if err != nil {
+		return nil, Status{Err: err}
+	}
 	return ids, st
-}
-
-// SearchEuclidean returns the k most similar trajectories by embedding
-// distance (Euclidean-BF): exact over the learned space, highest accuracy,
-// linear scan cost.
-func (ix *Index) SearchEuclidean(q Trajectory, k int) []Result {
-	return ix.SearchEuclideanByVec(ix.enc.Embed(q), k)
-}
-
-// SearchEuclideanByVec is SearchEuclidean with a precomputed query
-// embedding (from Encoder.Embed).
-func (ix *Index) SearchEuclideanByVec(qe []float64, k int) []Result {
-	//lint:ignore errcheck the built-in backend name is always registered; the config error is impossible
-	rs, _ := ix.eng.SearchWith(BackendEuclideanBF, engine.Query{Emb: qe}, k)
-	return toResults(rs)
-}
-
-// SearchHamming returns the k most similar trajectories by Hamming distance
-// over the binary codes (Hamming-BF): a popcount scan, ~2× faster than the
-// Euclidean scan.
-func (ix *Index) SearchHamming(q Trajectory, k int) []Result {
-	return ix.SearchHammingByCode(ix.enc.Code(q), k)
-}
-
-// SearchHammingByCode is SearchHamming with a precomputed query code (from
-// Encoder.Code or SignCode).
-func (ix *Index) SearchHammingByCode(qc Code, k int) []Result {
-	//lint:ignore errcheck the built-in backend name is always registered; the config error is impossible
-	rs, _ := ix.eng.SearchWith(BackendHammingBF, engine.Query{Code: qc}, k)
-	return toResults(rs)
-}
-
-// SearchHybrid returns the k most similar trajectories with the paper's
-// Hamming-Hybrid strategy: radius-2 table lookup when the neighborhood
-// holds at least k items, brute-force scan otherwise. Fastest on large
-// databases.
-func (ix *Index) SearchHybrid(q Trajectory, k int) []Result {
-	return ix.SearchHybridByCode(ix.enc.Code(q), k)
-}
-
-// SearchHybridByCode is SearchHybrid with a precomputed query code.
-func (ix *Index) SearchHybridByCode(qc Code, k int) []Result {
-	//lint:ignore errcheck the built-in backend name is always registered; the config error is impossible
-	rs, _ := ix.eng.SearchWith(BackendHammingHybrid, engine.Query{Code: qc}, k)
-	return toResults(rs)
 }
 
 // HybridFastPaths reports how many hybrid searches (across all shards)
@@ -450,31 +434,10 @@ func (ix *Index) Stats() MetricsSnapshot {
 	return ix.opts.Metrics.Snapshot()
 }
 
-// Within returns the ids of indexed trajectories whose hash codes lie
-// within the given Hamming radius (0–2) of the query's code — the bucket
-// neighborhood used for gathering-pattern style grouping (see
-// examples/clustering). Ids are sorted ascending.
-func (ix *Index) Within(q Trajectory, radius int) []int {
-	//lint:ignore errcheck the built-in backend registration makes the config error impossible here
-	ids, _ := ix.eng.Within(ix.enc.Code(q), radius)
-	return ids
-}
-
-// Code returns the query's Hamming code under the index's encoder.
-func (ix *Index) Code(q Trajectory) Code { return ix.enc.Code(q) }
-
-// ApproxDistance returns the index's learned approximation of the
-// trajectory distance between the query and an indexed trajectory. It
-// embeds the query on every call; inside loops over many ids, embed once
-// and use ApproxDistanceByVec.
-func (ix *Index) ApproxDistance(q Trajectory, id int) float64 {
-	return ix.ApproxDistanceByVec(ix.enc.Embed(q), id)
-}
-
-// ApproxDistanceByVec is ApproxDistance with a precomputed query
-// embedding (from Encoder.Embed), amortizing the encoder forward pass over
-// repeated distance evaluations. An out-of-range or deleted id has no
-// distance: the result is NaN.
+// ApproxDistanceByVec returns the index's learned approximation of the
+// trajectory distance between a query embedding (from Encoder.Embed —
+// embed once, evaluate against many ids) and an indexed trajectory. An
+// out-of-range or deleted id has no distance: the result is NaN.
 func (ix *Index) ApproxDistanceByVec(qe []float64, id int) float64 {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
@@ -488,12 +451,4 @@ func (ix *Index) ApproxDistanceByVec(qe []float64, id int) float64 {
 		sum += d * d
 	}
 	return math.Sqrt(sum)
-}
-
-func toResults(rs []engine.Result) []Result {
-	out := make([]Result, len(rs))
-	for i, r := range rs {
-		out[i] = Result{ID: r.ID, Score: r.Score}
-	}
-	return out
 }

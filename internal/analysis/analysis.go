@@ -17,7 +17,7 @@
 //	ctxfirst      — context.Context is the first parameter, never a field
 //
 // On top of those, three performance-contract rules enforce the
-// //perf:hotpath directive (see perfdirective.go and perfdiag.go):
+// //perf:hotpath directive (see funcdirective.go and perfdiag.go):
 //
 //	hotpathalloc  — marked functions are heap-allocation-free (compiler
 //	                escape analysis is the oracle), including their
@@ -29,7 +29,7 @@
 //
 // And three determinism-contract rules enforce the //det:replayed
 // directive and guard every serialization sink with an interprocedural
-// nondeterminism taint analysis (see det.go and detdirective.go):
+// nondeterminism taint analysis (see det.go and funcdirective.go):
 //
 //	detmaprange   — map-iteration order never reaches gob encodes, WAL
 //	                append payloads, or //det:replayed returns unsorted
@@ -225,8 +225,8 @@ func runPackageObserved(pkg *Package, rules []*Rule, observe func(rule string, d
 	}
 	diags = append(diags, directiveDiags...)
 	diags = append(diags, sup.stale(pkg, selected)...)
-	diags = append(diags, collectPerfDirectives(pkg)...)
-	diags = append(diags, collectDetDirectives(pkg)...)
+	diags = append(diags, hotpathDirective.collect(pkg)...)
+	diags = append(diags, replayedDirective.collect(pkg)...)
 	return diags
 }
 

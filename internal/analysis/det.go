@@ -25,7 +25,7 @@ package analysis
 //	  bytes feed snapshots, checkpoints, datasets, and model files
 //	- payload arguments of a wal Store's Append — every appended record
 //	  is replayed verbatim during recovery
-//	- return values of //det:replayed functions (detdirective.go), whose
+//	- return values of //det:replayed functions (funcdirective.go), whose
 //	  outcome is compared byte-for-byte across replays; additionally,
 //	  ANY clock/ambient read or multi-channel select transitively
 //	  reachable inside a //det:replayed function is a finding even
@@ -222,8 +222,8 @@ func detFindings(pkg *Package) []detFinding {
 }
 
 func (a *detAnalyzer) run() {
-	replayed := map[*ast.FuncDecl]detFunc{}
-	for _, df := range detFuncs(a.pkg) {
+	replayed := map[*ast.FuncDecl]markedFunc{}
+	for _, df := range replayedDirective.funcs(a.pkg) {
 		replayed[df.decl] = df
 	}
 	for _, f := range a.pkg.Files {
@@ -232,7 +232,7 @@ func (a *detAnalyzer) run() {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			var rep *detFunc
+			var rep *markedFunc
 			if df, ok := replayed[fd]; ok {
 				rep = &df
 			}
@@ -338,7 +338,7 @@ func (a *detAnalyzer) observesOf(pkg *Package, decl *ast.FuncDecl) taintVal {
 // checkReplayedObserves reports, inside a //det:replayed function, every
 // ambient read and scheduling-dependent select — direct or through a
 // module callee — at its call site.
-func (a *detAnalyzer) checkReplayedObserves(pkg *Package, decl *ast.FuncDecl, rep detFunc) {
+func (a *detAnalyzer) checkReplayedObserves(pkg *Package, decl *ast.FuncDecl, rep markedFunc) {
 	name := funcDisplayName(decl)
 	ast.Inspect(decl.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
@@ -449,7 +449,7 @@ type detBody struct {
 	a         *detAnalyzer
 	pkg       *Package
 	decl      *ast.FuncDecl
-	rep       *detFunc
+	rep       *markedFunc
 	report    bool
 	params    []*types.Var // receiver first
 	paramBit  map[*types.Var]int
@@ -464,7 +464,7 @@ type detBody struct {
 // emits findings for the analyzer's package; with report=false it only
 // computes the summary inputs (return taint, exit fact). The returned
 // fact is the body's exit fact (parameter mutation view).
-func (a *detAnalyzer) analyzeFuncBody(pkg *Package, decl *ast.FuncDecl, body *ast.BlockStmt, fn *types.Func, rep *detFunc, report bool) (*detBody, detFact) {
+func (a *detAnalyzer) analyzeFuncBody(pkg *Package, decl *ast.FuncDecl, body *ast.BlockStmt, fn *types.Func, rep *markedFunc, report bool) (*detBody, detFact) {
 	b := &detBody{
 		a: a, pkg: pkg, decl: decl, rep: rep, report: report,
 		paramBit:  map[*types.Var]int{},

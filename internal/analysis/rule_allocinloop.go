@@ -33,7 +33,7 @@ var ruleAllocInLoop = &Rule{
 }
 
 func runAllocInLoop(p *Pass) {
-	for _, h := range hotpathFuncs(p.Pkg) {
+	for _, h := range hotpathDirective.funcs(p.Pkg) {
 		if h.decl.Body == nil {
 			continue
 		}

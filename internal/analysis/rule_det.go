@@ -14,7 +14,7 @@ package analysis
 //	                writes from `go` literals) reaching a sink
 //
 // The //det:replayed directive itself is validated by
-// collectDetDirectives (detdirective.go) under the "directive"
+// replayedDirective.collect (funcdirective.go) under the "directive"
 // pseudo-rule, alongside //perf:hotpath and //lint:ignore.
 
 var ruleDetMapRange = &Rule{

@@ -102,7 +102,7 @@ func realDoc(doc *ast.CommentGroup) bool {
 		return false
 	}
 	for _, c := range doc.List {
-		if _, isDirective := directiveText(c.Text); !isDirective {
+		if _, isDirective := directiveText(c.Text, "lint:"); !isDirective {
 			return true
 		}
 	}

@@ -33,7 +33,7 @@ var ruleHotpathAlloc = &Rule{
 }
 
 func runHotpathAlloc(p *Pass) {
-	hot := hotpathFuncs(p.Pkg)
+	hot := hotpathDirective.funcs(p.Pkg)
 	if len(hot) == 0 {
 		return
 	}

@@ -30,7 +30,7 @@ var ruleHotpathBCE = &Rule{
 }
 
 func runHotpathBCE(p *Pass) {
-	hot := hotpathFuncs(p.Pkg)
+	hot := hotpathDirective.funcs(p.Pkg)
 	if len(hot) == 0 {
 		return
 	}

@@ -113,7 +113,7 @@ func collectSuppressions(pkg *Package) (suppressionSet, []Diagnostic) {
 	for _, f := range pkg.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				text, ok := directiveText(c.Text)
+				text, ok := directiveText(c.Text, "lint:")
 				if !ok {
 					continue
 				}
@@ -156,8 +156,9 @@ func collectSuppressions(pkg *Package) (suppressionSet, []Diagnostic) {
 	return set, diags
 }
 
-// directiveText extracts the "lint:..." payload from a comment, if any.
-func directiveText(comment string) (string, bool) {
+// directiveText extracts a comment's directive payload — its text from
+// prefix ("lint:", "perf:", "det:") on — if it carries one.
+func directiveText(comment, prefix string) (string, bool) {
 	var body string
 	switch {
 	case strings.HasPrefix(comment, "//"):
@@ -166,7 +167,7 @@ func directiveText(comment string) (string, bool) {
 		body = strings.TrimSuffix(comment[2:], "*/")
 	}
 	body = strings.TrimSpace(body)
-	if strings.HasPrefix(body, "lint:") {
+	if strings.HasPrefix(body, prefix) {
 		return body, true
 	}
 	return "", false

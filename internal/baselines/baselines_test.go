@@ -8,6 +8,7 @@ import (
 	"traj2hash/internal/dist"
 	"traj2hash/internal/geo"
 	"traj2hash/internal/hamming"
+	"traj2hash/internal/nn"
 )
 
 func tinyBase() BaseConfig {
@@ -392,8 +393,23 @@ func TestHashAdapterTooFewSeeds(t *testing.T) {
 	}
 }
 
+// paramsMoved reports whether any parameter differs bitwise from its
+// snapshot — whether a training run changed the weights at all.
+func paramsMoved(ps []*nn.Tensor, before [][]float64) bool {
+	for i, p := range ps {
+		for j, v := range p.Data {
+			if math.Float64bits(v) != math.Float64bits(before[i][j]) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // TestAllBaselinesTrainable exercises one WMSE epoch for the metric
-// baselines over a shared space — an integration smoke test.
+// baselines over a shared space — an integration smoke test. It trains
+// with no validation set, so the run must hand back the trained weights,
+// not the initial ones.
 func TestAllBaselinesTrainable(t *testing.T) {
 	seeds := gen(12, 14)
 	cfg := tinyBase()
@@ -403,8 +419,42 @@ func TestAllBaselinesTrainable(t *testing.T) {
 		if e.Name() == "t2vec" || e.Name() == "CL-TSim" {
 			continue // these train unsupervised, covered above
 		}
+		before := snapshotParams(e.Params())
 		if _, err := TrainWMSE(e, cfg, seeds, nil, dist.DTWDist); err != nil {
 			t.Errorf("%s: %v", e.Name(), err)
 		}
+		if !paramsMoved(e.Params(), before) {
+			t.Errorf("%s: every weight equals its initial value after training", e.Name())
+		}
+	}
+}
+
+// TestTrainWMSEWithoutValidationKeepsLastEpoch is the regression test of
+// the model-selection bug: with no validation set HR@10 is NaN, which
+// never beats BestHR10, and the initial weights used to be restored. The
+// last epoch is the one to keep, and it is reported as such.
+func TestTrainWMSEWithoutValidationKeepsLastEpoch(t *testing.T) {
+	seeds := gen(12, 14)
+	cfg := tinyBase()
+	e := NewTransformer(cfg, seeds)
+	before := snapshotParams(e.Params())
+	res, err := TrainWMSE(e, cfg, seeds, nil, dist.FrechetDist)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !paramsMoved(e.Params(), before) {
+		t.Fatal("every weight equals its initial value after training without a validation set")
+	}
+	if res.BestEpoch != cfg.Epochs-1 || res.BestHR10 != -1 {
+		t.Errorf("BestEpoch %d, BestHR10 %v; want the last epoch (%d) and no HR (-1)", res.BestEpoch, res.BestHR10, cfg.Epochs-1)
+	}
+	// With a validation set, selection is by HR@10 as before.
+	val := gen(12, 15)
+	res, err = TrainWMSE(NewTransformer(cfg, seeds), cfg, seeds, val, dist.FrechetDist)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.BestHR10 < 0 || res.BestHR10 != res.ValHR10[res.BestEpoch] {
+		t.Errorf("with validation: BestHR10 %v at epoch %d, ValHR10 %v", res.BestHR10, res.BestEpoch, res.ValHR10)
 	}
 }

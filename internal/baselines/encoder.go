@@ -102,7 +102,8 @@ type TrainResult struct {
 
 // TrainWMSE fits an encoder with the weighted-MSE metric-learning objective
 // of Equation 17 (the NeuTraj-style seed-supervised training every
-// distance-aware baseline uses), with best-validation-HR@10 selection.
+// distance-aware baseline uses), with best-validation-HR@10 selection (an
+// empty validation set keeps the last epoch).
 func TrainWMSE(e Encoder, cfg BaseConfig, seeds, val []geo.Trajectory, f dist.Func) (*TrainResult, error) {
 	if len(seeds) < cfg.M+1 {
 		return nil, fmt.Errorf("baselines: need at least M+1=%d seeds, got %d", cfg.M+1, len(seeds))
@@ -178,14 +179,33 @@ func TrainWMSE(e Encoder, cfg BaseConfig, seeds, val []geo.Trajectory, f dist.Fu
 		setTraining(false)
 		hr := validationHR10(e, val, valTruth)
 		res.ValHR10 = append(res.ValHR10, hr)
+		// Model selection keeps the best validation epoch. With no
+		// validation set there is nothing to select on (hr is NaN and
+		// compares false; BestHR10 stays -1), so the last epoch that left
+		// finite weights is the one to keep.
 		if hr > res.BestHR10 {
 			res.BestHR10 = hr
+			res.BestEpoch = epoch
+			best = snapshotParams(e.Params())
+		} else if len(val) == 0 && paramsFinite(e.Params()) {
 			res.BestEpoch = epoch
 			best = snapshotParams(e.Params())
 		}
 	}
 	restoreParams(e.Params(), best)
 	return res, nil
+}
+
+// paramsFinite reports whether every parameter value is a finite number.
+func paramsFinite(ps []*nn.Tensor) bool {
+	for _, p := range ps {
+		for _, v := range p.Data {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 type sampleSet struct {

@@ -108,11 +108,6 @@ type encoderEntry struct {
 var (
 	encRegMu   sync.RWMutex
 	encoderReg = map[string]encoderEntry{}
-	encAliases = map[string]string{
-		// The paper model predates the interface; accept its old names.
-		"model":     AttentionKind,
-		"traj2hash": AttentionKind,
-	}
 )
 
 // RegisterEncoder makes an encoder kind constructible by name. loader
@@ -127,13 +122,11 @@ func RegisterEncoder(kind string, factory EncoderFactory, loader EncoderLoader) 
 	encoderReg[kind] = encoderEntry{factory: factory, loader: loader}
 }
 
-// ResolveEncoderKind canonicalizes an encoder kind, following aliases.
+// ResolveEncoderKind checks that kind names a registered encoder and
+// returns it.
 func ResolveEncoderKind(kind string) (string, error) {
 	encRegMu.RLock()
 	defer encRegMu.RUnlock()
-	if a, ok := encAliases[kind]; ok {
-		kind = a
-	}
 	if _, ok := encoderReg[kind]; !ok {
 		return "", fmt.Errorf("core: unknown encoder kind %q (have %v)", kind, encoderKindsLocked())
 	}
@@ -156,8 +149,8 @@ func encoderKindsLocked() []string {
 	return kinds
 }
 
-// NewEncoder builds a fresh encoder of the given (possibly aliased) kind
-// with its study space fitted on space.
+// NewEncoder builds a fresh encoder of the given kind with its study
+// space fitted on space.
 func NewEncoder(kind string, cfg Config, space []geo.Trajectory) (Encoder, error) {
 	canonical, err := ResolveEncoderKind(kind)
 	if err != nil {
@@ -259,29 +252,20 @@ func SaveEncoderFile(path string, enc Encoder) error {
 	return f.Close()
 }
 
-// LoadEncoderFile reads an encoder from path: first as the kind-tagged
-// container SaveEncoderFile writes, then — for files that predate the
-// encoder interface — as a raw attention-model stream (Model.SaveFile's
-// format), so every model file ever written by this library keeps
-// loading.
+// LoadEncoderFile reads an encoder from path, which must hold the
+// kind-tagged container SaveEncoderFile writes. (A raw attention-model
+// stream from Model.SaveFile is not one; LoadFile reads those.)
 func LoadEncoderFile(path string) (Encoder, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	enc, cerr := LoadEncoder(bufio.NewReader(f))
-	if cerr == nil {
-		//lint:ignore errcheck read-only file; the decode already succeeded
-		f.Close()
-		return enc, nil
+	defer f.Close()
+	enc, err := LoadEncoder(bufio.NewReader(f))
+	if err != nil {
+		return nil, fmt.Errorf("core: %s is not an encoder container (the format SaveEncoderFile and 'traj2hash train' write): %w", path, err)
 	}
-	//lint:ignore errcheck read-only file; falling back to the legacy decode path
-	f.Close()
-	m, merr := LoadFile(path)
-	if merr != nil {
-		return nil, fmt.Errorf("core: %s is neither an encoder container (%v) nor a legacy model file: %w", path, cerr, merr)
-	}
-	return m, nil
+	return enc, nil
 }
 
 // ErrEncoderMismatch is returned (wrapped) when a checkpoint or encoder

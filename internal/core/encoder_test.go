@@ -5,6 +5,7 @@ import (
 	"errors"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"traj2hash/internal/hamming"
@@ -29,18 +30,9 @@ func TestEncoderRegistry(t *testing.T) {
 	if !reflect.DeepEqual(kinds, want) {
 		t.Fatalf("EncoderKinds() = %v, want %v", kinds, want)
 	}
-	for alias, canonical := range map[string]string{
-		"model":       AttentionKind,
-		"traj2hash":   AttentionKind,
-		AttentionKind: AttentionKind,
-		GeoPTHKind:    GeoPTHKind,
-		CNNKind:       CNNKind,
-	} {
-		got, err := ResolveEncoderKind(alias)
-		if err != nil {
-			t.Errorf("ResolveEncoderKind(%q): %v", alias, err)
-		} else if got != canonical {
-			t.Errorf("ResolveEncoderKind(%q) = %q, want %q", alias, got, canonical)
+	for _, kind := range want {
+		if got, err := ResolveEncoderKind(kind); err != nil || got != kind {
+			t.Errorf("ResolveEncoderKind(%q) = (%q, %v)", kind, got, err)
 		}
 	}
 	if _, err := ResolveEncoderKind("no-such-encoder"); err == nil {
@@ -133,10 +125,10 @@ func TestEncoderSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLoadEncoderFileLegacyModel checks the migration path: a raw model
-// file written by the pre-interface Model.SaveFile API must load through
-// LoadEncoderFile.
-func TestLoadEncoderFileLegacyModel(t *testing.T) {
+// TestLoadEncoderFile checks the file entry point: the container format
+// round-trips, and anything else — a raw model stream from Model.SaveFile
+// included — fails with one error naming the expected format.
+func TestLoadEncoderFile(t *testing.T) {
 	cfg := tinyConfig()
 	space := genTrajs(40, 7)
 	m, err := New(cfg, space)
@@ -145,21 +137,17 @@ func TestLoadEncoderFileLegacyModel(t *testing.T) {
 	}
 	dir := t.TempDir()
 
-	legacy := filepath.Join(dir, "legacy.gob")
-	if err := m.SaveFile(legacy); err != nil {
+	raw := filepath.Join(dir, "raw.gob")
+	if err := m.SaveFile(raw); err != nil {
 		t.Fatal(err)
 	}
-	enc, err := LoadEncoderFile(legacy)
-	if err != nil {
-		t.Fatalf("legacy model file did not load: %v", err)
+	if _, err := LoadEncoderFile(raw); err == nil || !strings.Contains(err.Error(), "not an encoder container") {
+		t.Fatalf("raw model file: err %v, want the not-a-container error", err)
 	}
-	if enc.Kind() != AttentionKind {
-		t.Fatalf("legacy file loaded as %q, want %q", enc.Kind(), AttentionKind)
+	if _, err := LoadFile(raw); err != nil {
+		t.Fatalf("LoadFile no longer reads the raw model format: %v", err)
 	}
 	ts := genTrajs(6, 11)
-	if !reflect.DeepEqual(enc.EmbedAll(ts), m.EmbedAll(ts)) {
-		t.Error("legacy load changed embeddings")
-	}
 
 	// And the container format through the same entry point.
 	modern := filepath.Join(dir, "modern.enc")

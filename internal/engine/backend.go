@@ -5,10 +5,10 @@
 // them selectable by name, and a sharded, concurrency-safe Engine that
 // partitions the database across shards and fans queries out in parallel.
 //
-// Every consumer of top-k search — the public Index facade, the
-// internal/search strategy adapters used by the efficiency experiments,
-// and the CLI search subcommand — goes through the same backends, so a
-// benchmark of one is a benchmark of all.
+// Every consumer of top-k search — the public Index facade, the strategy
+// adapter of the efficiency experiments (internal/experiments), and the
+// CLI search subcommand — goes through the same backends, so a benchmark
+// of one is a benchmark of all.
 package engine
 
 import (
@@ -280,10 +280,6 @@ func (b *HammingBF) Search(q Query, k int) []Result {
 	return neighborsToResults(b.table.BruteForce(q.Code, k))
 }
 
-// Table exposes the underlying hash table (for the internal/search
-// adapters and diagnostics).
-func (b *HammingBF) Table() *hamming.Table { return b.table }
-
 // addToTable lazily creates the table on the first insert and validates
 // the bit length against want (0 = infer).
 func addToTable(tp **hamming.Table, want int, code hamming.Code) (*hamming.Table, error) {
@@ -371,7 +367,7 @@ func (b *HammingHybrid) FastPathCount() int64 { return b.fastPaths.Load() }
 
 // Within returns the local ids within the given Hamming radius (0–2) of
 // the code, sorted ascending — the bucket-neighborhood primitive behind
-// Index.Within.
+// Index.WithinCtx.
 func (b *HammingHybrid) Within(code hamming.Code, radius int) []int {
 	if b.table == nil {
 		return nil
@@ -380,9 +376,6 @@ func (b *HammingHybrid) Within(code hamming.Code, radius int) []int {
 	sort.Ints(ids)
 	return ids
 }
-
-// Table exposes the underlying hash table.
-func (b *HammingHybrid) Table() *hamming.Table { return b.table }
 
 // --- mih ---
 
@@ -462,10 +455,6 @@ func (b *MIHBackend) Search(q Query, k int) []Result {
 	}
 	return neighborsToResults(b.idx.Search(q.Code, k))
 }
-
-// MIH exposes the underlying multi-index (for the internal/search
-// adapters and diagnostics).
-func (b *MIHBackend) MIH() *hamming.MIH { return b.idx }
 
 // --- vptree ---
 

@@ -311,20 +311,14 @@ func (e *Engine) searchShardsSeqCtx(ctx context.Context, bi int, q Query, k int)
 	return out, st
 }
 
-// SearchBatchCtx answers many queries with the default backend under
-// ctx, parallelized across queries by the engine's worker budget.
+// SearchBatchWithCtx answers many queries with the named backend under
+// ctx, parallelized across queries by the engine's worker budget: each
+// worker walks the shards of its query sequentially, which scales better
+// than nested fan-out when the batch is larger than the worker budget.
 // Results and statuses are in query order; queries never started because
 // the context expired first carry an incomplete Status with the context
-// error.
-func (e *Engine) SearchBatchCtx(ctx context.Context, qs []Query, k int) ([][]Result, []Status) {
-	//lint:ignore errcheck the default backend name is registered at construction; the config error is impossible
-	rs, sts, _ := e.SearchBatchWithCtx(ctx, e.names[0], qs, k)
-	return rs, sts
-}
-
-// SearchBatchWithCtx is SearchBatchCtx with an explicit backend. The
-// error reports configuration problems only; per-query degradation is in
-// the Status slice.
+// error. The error reports configuration problems only (unknown backend);
+// per-query degradation is in the Status slice.
 func (e *Engine) SearchBatchWithCtx(ctx context.Context, name string, qs []Query, k int) ([][]Result, []Status, error) {
 	bi, err := e.backendIndex(name)
 	if err != nil {

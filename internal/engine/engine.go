@@ -15,7 +15,7 @@ import (
 // Options configures an Engine.
 type Options struct {
 	// Backends are the registry names of the backends every shard
-	// maintains. Backends[0] is the default used by Search/SearchBatch.
+	// maintains. Backends[0] is the default used by Search/SearchCtx.
 	// Empty means {hamming-hybrid}.
 	Backends []string
 	// Shards is the number of database partitions (default 1). Items are
@@ -23,7 +23,7 @@ type Options struct {
 	// insertion pattern and per-shard id order follows global id order.
 	Shards int
 	// Workers bounds the engine's parallelism: the per-query shard
-	// fan-out and the SearchBatch query fan-out (default GOMAXPROCS).
+	// fan-out and the SearchBatchWithCtx query fan-out (default GOMAXPROCS).
 	Workers int
 	// CompactAt is the tombstone-density threshold that triggers a shard
 	// compaction at the end of the Delete that crosses it: when
@@ -292,7 +292,8 @@ func addToBackends(backends []Backend, emb []float64, code hamming.Code) error {
 }
 
 // AddBatch indexes a batch, returning the assigned ids. codes may be nil
-// (derived from embedding signs).
+// (derived from embedding signs). When an item is rejected the ids already
+// assigned are returned alongside the error — the applied prefix.
 func (e *Engine) AddBatch(embs [][]float64, codes []hamming.Code) ([]int, error) {
 	if codes != nil && len(codes) != len(embs) {
 		return nil, fmt.Errorf("engine: %d embeddings but %d codes", len(embs), len(codes))
@@ -305,7 +306,7 @@ func (e *Engine) AddBatch(embs [][]float64, codes []hamming.Code) ([]int, error)
 		}
 		id, err := e.Add(emb, c)
 		if err != nil {
-			return nil, err
+			return ids[:i], err
 		}
 		ids[i] = id
 	}
@@ -335,45 +336,10 @@ func (e *Engine) Search(q Query, k int) []Result {
 	return rs
 }
 
-// SearchWith answers a top-k query with the named backend, fanning out
-// across shards in parallel and merging per-shard candidates into the
-// exact global top-k by (score, id). Thin wrapper over SearchWithCtx.
-func (e *Engine) SearchWith(name string, q Query, k int) ([]Result, error) {
-	rs, _, err := e.SearchWithCtx(context.Background(), name, q, k)
-	return rs, err
-}
-
-// SearchBatch answers many queries with the default backend, parallelized
-// across queries by the engine's worker budget. Results are returned in
-// query order. Thin wrapper over SearchBatchCtx.
-func (e *Engine) SearchBatch(qs []Query, k int) [][]Result {
-	rs, _ := e.SearchBatchCtx(context.Background(), qs, k)
-	return rs
-}
-
-// SearchBatchWith is SearchBatch with an explicit backend. Each worker
-// walks the shards of its query sequentially — parallelism comes from
-// query-level fan-out, which scales better than nested fan-out when the
-// batch is larger than the worker budget. Thin wrapper over
-// SearchBatchWithCtx.
-func (e *Engine) SearchBatchWith(name string, qs []Query, k int) ([][]Result, error) {
-	rs, _, err := e.SearchBatchWithCtx(context.Background(), name, qs, k)
-	return rs, err
-}
-
 // radiusSearcher is the optional interface of backends that support
 // bucket-neighborhood lookups (hamming-hybrid).
 type radiusSearcher interface {
 	Within(code hamming.Code, radius int) []int
-}
-
-// Within returns the global ids whose codes lie within the given Hamming
-// radius (0–2) of the query code, sorted ascending. It requires a backend
-// supporting radius lookups (hamming-hybrid) among the engine's backends.
-// Thin wrapper over WithinCtx.
-func (e *Engine) Within(code hamming.Code, radius int) ([]int, error) {
-	ids, _, err := e.WithinCtx(context.Background(), code, radius)
-	return ids, err
 }
 
 // FastPathCount sums the hybrid fast-path counters across shards, or 0 if

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -8,6 +9,26 @@ import (
 
 	"traj2hash/internal/hamming"
 )
+
+// The helpers below run the engine's context-aware entry points with no
+// deadline and drop the Status, for tests that assert on answers only.
+
+func searchWith(e *Engine, name string, q Query, k int) ([]Result, error) {
+	rs, _, err := e.SearchWithCtx(context.Background(), name, q, k)
+	return rs, err
+}
+
+// searchBatch batches under the default backend; that name is always
+// maintained, so the configuration error is impossible.
+func searchBatch(e *Engine, qs []Query, k int) [][]Result {
+	rs, _, _ := e.SearchBatchWithCtx(context.Background(), e.names[0], qs, k)
+	return rs
+}
+
+func within(e *Engine, code hamming.Code, radius int) ([]int, error) {
+	ids, _, err := e.WithinCtx(context.Background(), code, radius)
+	return ids, err
+}
 
 func randVecs(rng *rand.Rand, n, d int) [][]float64 {
 	out := make([][]float64, n)
@@ -163,10 +184,10 @@ func TestEngineSearchWithUnknownBackend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.SearchWith(HammingBFName, Query{}, 3); err == nil {
+	if _, err := searchWith(e, HammingBFName, Query{}, 3); err == nil {
 		t.Error("backend not maintained by engine accepted")
 	}
-	if _, err := e.SearchWith("bogus", Query{}, 3); err == nil {
+	if _, err := searchWith(e, "bogus", Query{}, 3); err == nil {
 		t.Error("unknown backend accepted")
 	}
 }
@@ -187,7 +208,7 @@ func TestEngineWithin(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	got, err := e.Within(codes[5], 0)
+	got, err := within(e, codes[5], 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +225,7 @@ func TestEngineWithin(t *testing.T) {
 	// Monotone in radius and always sorted.
 	prev := len(got)
 	for r := 1; r <= 2; r++ {
-		ids, err := e.Within(codes[5], r)
+		ids, err := within(e, codes[5], r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -220,7 +241,7 @@ func TestEngineWithin(t *testing.T) {
 	}
 	// An engine without a hybrid backend refuses.
 	e2, _ := New(Options{Backends: []string{EuclideanBFName}})
-	if _, err := e2.Within(codes[0], 1); err == nil {
+	if _, err := within(e2, codes[0], 1); err == nil {
 		t.Error("Within without hybrid backend accepted")
 	}
 }
@@ -245,7 +266,7 @@ func TestEngineSearchBatchMatchesSequential(t *testing.T) {
 			emb := randVecs(rng, 1, 8)[0]
 			qs[i] = Query{Emb: emb, Code: hamming.FromSigns(emb)}
 		}
-		batch := e.SearchBatch(qs, 7)
+		batch := searchBatch(e, qs, 7)
 		for qi, q := range qs {
 			single := e.Search(q, 7)
 			if !reflect.DeepEqual(batch[qi], single) {
@@ -306,7 +327,7 @@ func TestEngineConcurrentAddSearch(t *testing.T) {
 				v := randVecs(rng, 1, 16)[0]
 				q := Query{Emb: v, Code: hamming.FromSigns(v)}
 				for _, name := range e.Backends() {
-					rs, err := e.SearchWith(name, q, 5)
+					rs, err := searchWith(e, name, q, 5)
 					if err != nil {
 						errCh <- err
 						return
@@ -318,8 +339,8 @@ func TestEngineConcurrentAddSearch(t *testing.T) {
 					}
 				}
 				if i%10 == 0 {
-					e.SearchBatch([]Query{q, q}, 3)
-					if _, err := e.Within(q.Code, 1); err != nil {
+					searchBatch(e, []Query{q, q}, 3)
+					if _, err := within(e, q.Code, 1); err != nil {
 						errCh <- err
 						return
 					}

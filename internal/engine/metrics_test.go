@@ -94,7 +94,10 @@ func TestEngineMetricsDegradedOnCanceledContext(t *testing.T) {
 
 	// Batch path: every skipped query counts as asked-and-degraded.
 	qs := []Query{{Emb: make([]float64, 4)}, {Emb: make([]float64, 4)}}
-	_, sts := e.SearchBatchCtx(ctx, qs, 5)
+	_, sts, err := e.SearchBatchWithCtx(ctx, e.names[0], qs, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i, s := range sts {
 		if s.Complete {
 			t.Fatalf("batch query %d should be incomplete", i)
@@ -137,7 +140,7 @@ func benchSearchBatch(b *testing.B, reg *obs.Registry) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.SearchBatch(qs, 10)
+		searchBatch(e, qs, 10)
 	}
 }
 

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"context"
 	"errors"
 	"fmt"
 
@@ -30,7 +29,7 @@ func (e *Engine) lookup(id int) (loc, error) {
 }
 
 // Delete tombstones one item: the id disappears from every subsequent
-// Search/Within answer immediately, while its per-shard slot survives
+// Search/WithinCtx answer immediately, while its per-shard slot survives
 // until compaction reclaims it (backends have no removal primitive — MIH
 // buckets and VP-trees do not shrink incrementally). Deleting an already
 // deleted id returns ErrDeleted; an id never assigned, ErrNotFound.
@@ -271,39 +270,4 @@ func (e *Engine) restoreItem(it RestoreItem) error {
 	e.locs[it.ID] = loc{shard: si, local: len(sh.ids) - 1}
 	e.live++
 	return nil
-}
-
-// AddCtx is Add honoring cancellation: a done context fails fast before
-// any state changes, so a canceled ingestion never half-applies an item.
-func (e *Engine) AddCtx(ctx context.Context, emb []float64, code hamming.Code) (int, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	return e.Add(emb, code)
-}
-
-// AddBatchCtx is AddBatch honoring cancellation between appends: the
-// context is checked before each item, and on cancellation the ids
-// already assigned are returned alongside the context's error — the
-// applied prefix, so a durable caller knows exactly what was ingested.
-func (e *Engine) AddBatchCtx(ctx context.Context, embs [][]float64, codes []hamming.Code) ([]int, error) {
-	if codes != nil && len(codes) != len(embs) {
-		return nil, fmt.Errorf("engine: %d embeddings but %d codes", len(embs), len(codes))
-	}
-	ids := make([]int, 0, len(embs))
-	for i, emb := range embs {
-		if err := ctx.Err(); err != nil {
-			return ids, err
-		}
-		var c hamming.Code
-		if codes != nil {
-			c = codes[i]
-		}
-		id, err := e.Add(emb, c)
-		if err != nil {
-			return ids, err
-		}
-		ids = append(ids, id)
-	}
-	return ids, nil
 }

@@ -1,9 +1,9 @@
 package engine
 
 import (
-	"context"
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"traj2hash/internal/hamming"
@@ -167,7 +167,7 @@ func TestWithinExcludesDeleted(t *testing.T) {
 	}
 	victim := 17
 	q := hamming.FromSigns(vecs[victim])
-	pre, err := e.Within(q, 2)
+	pre, err := within(e, q, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestWithinExcludesDeleted(t *testing.T) {
 	if err := e.Delete(victim); err != nil {
 		t.Fatal(err)
 	}
-	post, err := e.Within(q, 2)
+	post, err := within(e, q, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestWithinExcludesDeleted(t *testing.T) {
 	if err := e.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	compacted, err := e.Within(q, 2)
+	compacted, err := within(e, q, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,11 +392,11 @@ func TestRestoreRebuildsExactly(t *testing.T) {
 			for qi := 0; qi < 8; qi++ {
 				v := randVecs(rng, 1, dim)[0]
 				q := Query{Emb: v, Code: hamming.FromSigns(v)}
-				want, err := e.SearchWith(backend, q, k)
+				want, err := searchWith(e, backend, q, k)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := r.SearchWith(backend, q, k)
+				got, err := searchWith(r, backend, q, k)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -425,37 +425,23 @@ func TestRestoreRebuildsExactly(t *testing.T) {
 	}
 }
 
-// TestAddCtx covers the context-aware ingestion variants: a live
-// context behaves like Add, a dead one fails fast, and a mid-batch
-// cancellation returns exactly the applied prefix.
-func TestAddCtx(t *testing.T) {
+// TestAddBatchAppliedPrefix locks AddBatch's failure contract: an item
+// rejected mid-batch returns the ids already assigned — the applied
+// prefix — not nil.
+func TestAddBatchAppliedPrefix(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
 	e, err := New(Options{Backends: []string{EuclideanBFName}, Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := randVecs(rng, 1, 8)[0]
-	if id, err := e.AddCtx(context.Background(), v, hamming.Code{}); err != nil || id != 0 {
-		t.Fatalf("AddCtx = (%d, %v), want (0, nil)", id, err)
+	batch := randVecs(rng, 4, 8)
+	batch[2] = batch[2][:5] // wrong dimension: rejected after two items landed
+	ids, err := e.AddBatch(batch, nil)
+	if err == nil || !reflect.DeepEqual(ids, []int{0, 1}) {
+		t.Fatalf("AddBatch with a bad third item = (%v, %v), want the applied prefix [0 1] and an error", ids, err)
 	}
-	canceled, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := e.AddCtx(canceled, v, hamming.Code{}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("AddCtx on dead context: %v, want context.Canceled", err)
-	}
-	if e.NextID() != 1 {
-		t.Fatalf("dead-context AddCtx mutated the engine: NextID %d", e.NextID())
-	}
-	ids, err := e.AddBatchCtx(context.Background(), randVecs(rng, 3, 8), nil)
-	if err != nil || len(ids) != 3 {
-		t.Fatalf("AddBatchCtx = (%v, %v), want 3 ids", ids, err)
-	}
-	ids, err = e.AddBatchCtx(canceled, randVecs(rng, 3, 8), nil)
-	if !errors.Is(err, context.Canceled) || len(ids) != 0 {
-		t.Fatalf("AddBatchCtx on dead context = (%v, %v), want empty prefix + context.Canceled", ids, err)
-	}
-	if _, err := e.AddBatchCtx(context.Background(), randVecs(rng, 2, 8), randCodes(rng, 3, 8)); err == nil {
-		t.Fatal("AddBatchCtx with mismatched lengths accepted")
+	if e.Len() != 2 {
+		t.Fatalf("Len = %d after a batch that applied two items", e.Len())
 	}
 }
 

@@ -223,7 +223,10 @@ func TestEngineEdgeCasesAllBackends(t *testing.T) {
 
 			// The batch path under a dead context: per-query statuses all
 			// incomplete.
-			_, sts := e.SearchBatchCtx(ctx, []Query{q, q, q}, 5)
+			_, sts, err := e.SearchBatchWithCtx(ctx, backend, []Query{q, q, q}, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
 			for qi, s := range sts {
 				if s.Complete {
 					t.Errorf("%s shards=%d canceled batch query %d: status %+v, want incomplete", backend, shards, qi, s)

@@ -7,8 +7,9 @@ import (
 
 	"traj2hash/internal/core"
 	"traj2hash/internal/dist"
+	"traj2hash/internal/engine"
+	"traj2hash/internal/geo"
 	"traj2hash/internal/hamming"
-	"traj2hash/internal/search"
 )
 
 // TimingCell is one measured point of Figures 5 and 6.
@@ -56,10 +57,8 @@ var efficiencyDistances = []dist.Func{dist.DTWDist, dist.FrechetDist}
 type timingEnv struct {
 	dataset string
 	dist    string
-	dbEmb   [][]float64
-	qEmb    [][]float64
-	dbCodes []hamming.Code
-	qCodes  []hamming.Code
+	db      []engine.Query
+	queries []engine.Query
 }
 
 // prepareTiming trains one Traj2Hash model and embeds the timing corpus.
@@ -86,51 +85,40 @@ func prepareTiming(cityIdx int, f dist.Func, scale Scale) (*timingEnv, error) {
 	queries := city.Generate(efficiencyQueries, p.Seed+200)
 
 	te := &timingEnv{dataset: city.Name, dist: f.String()}
-	te.dbEmb = make([][]float64, len(db))
-	te.dbCodes = make([]hamming.Code, len(db))
-	for i, t := range db {
-		te.dbEmb[i] = m.Embed(t)
-		te.dbCodes[i] = hamming.FromSigns(te.dbEmb[i])
+	encode := func(ts []geo.Trajectory) []engine.Query {
+		out := make([]engine.Query, len(ts))
+		for i, t := range ts {
+			emb := m.Embed(t)
+			out[i] = engine.Query{Emb: emb, Code: hamming.FromSigns(emb)}
+		}
+		return out
 	}
-	te.qEmb = make([][]float64, len(queries))
-	te.qCodes = make([]hamming.Code, len(queries))
-	for i, t := range queries {
-		te.qEmb[i] = m.Embed(t)
-		te.qCodes[i] = hamming.FromSigns(te.qEmb[i])
-	}
+	te.db, te.queries = encode(db), encode(queries)
 	return te, nil
 }
 
 // timeStrategies measures the three Section V-E strategies on a database
 // prefix of the given size.
 func (te *timingEnv) timeStrategies(dbSize, k int) ([]TimingCell, error) {
-	eb, err := search.NewEuclideanBF(te.dbEmb[:dbSize], te.qEmb)
-	if err != nil {
-		return nil, err
-	}
-	hb, err := search.NewHammingBF(te.dbCodes[:dbSize], te.qCodes)
-	if err != nil {
-		return nil, err
-	}
-	hh, err := search.NewHammingHybrid(te.dbCodes[:dbSize], te.qCodes)
-	if err != nil {
-		return nil, err
-	}
-	n := len(te.qEmb)
+	n := len(te.queries)
 	out := make([]TimingCell, 0, 3)
-	run := func(name string, s search.Searcher) TimingCell {
-		start := time.Now()
-		search.RunAll(s, n, k)
-		return TimingCell{
-			Dataset: te.dataset, Distance: te.dist, Strategy: name,
-			DBSize: dbSize, K: k, PerQuery: time.Since(start) / time.Duration(n),
+	for _, st := range []struct{ label, backend string }{
+		{"Euclidean-BF", engine.EuclideanBFName},
+		{"Hamming-BF", engine.HammingBFName},
+		{"Hamming-Hybrid", engine.HammingHybridName},
+	} {
+		s, err := newStrategy(st.backend, te.db[:dbSize], te.queries)
+		if err != nil {
+			return nil, err
 		}
+		start := time.Now()
+		s.runAll(k)
+		out = append(out, TimingCell{
+			Dataset: te.dataset, Distance: te.dist, Strategy: st.label,
+			DBSize: dbSize, K: k, PerQuery: time.Since(start) / time.Duration(n),
+			FastFrac: float64(s.fastPaths()) / float64(n),
+		})
 	}
-	out = append(out, run("Euclidean-BF", eb))
-	out = append(out, run("Hamming-BF", hb))
-	c := run("Hamming-Hybrid", hh)
-	c.FastFrac = float64(hh.FastPathCount) / float64(n)
-	out = append(out, c)
 	return out, nil
 }
 

@@ -8,8 +8,8 @@ import (
 	"traj2hash/internal/core"
 	"traj2hash/internal/data"
 	"traj2hash/internal/dist"
+	"traj2hash/internal/engine"
 	"traj2hash/internal/eval"
-	"traj2hash/internal/search"
 )
 
 // EncoderRace races every registered encoder kind on the same dataset
@@ -59,12 +59,12 @@ func EncoderRace(scale Scale, log io.Writer) (*Table, []CellResult, error) {
 		encoded := len(ds.Database) + len(ds.Queries)
 		encodePer := time.Since(encStart) / time.Duration(encoded)
 
-		s, err := search.NewHammingBF(dc, qc)
+		s, err := newStrategy(engine.HammingBFName, codeQueries(dc), codeQueries(qc))
 		if err != nil {
 			return nil, nil, fmt.Errorf("encoders %s search: %w", kind, err)
 		}
 		searchStart := time.Now()
-		returned := search.RunAll(s, len(qc), 60)
+		returned := s.runAll(60)
 		searchPer := time.Since(searchStart) / time.Duration(len(qc))
 
 		m := eval.Evaluate(returned, truth)

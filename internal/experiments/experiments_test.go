@@ -2,11 +2,14 @@ package experiments
 
 import (
 	"bytes"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"traj2hash/internal/core"
 	"traj2hash/internal/data"
 	"traj2hash/internal/dist"
+	"traj2hash/internal/engine"
 	"traj2hash/internal/eval"
 	"traj2hash/internal/geo"
 )
@@ -208,13 +211,16 @@ func TestTimeStrategiesConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	embs := tr.EmbedAll(env.Dataset.Database)
-	codes := tr.CodeAll(env.Dataset.Database)
-	te.dbEmb = embs
-	te.dbCodes = codes
-	te.qEmb = tr.EmbedAll(env.Dataset.Queries)
-	te.qCodes = tr.CodeAll(env.Dataset.Queries)
-	cells, err := te.timeStrategies(len(embs), 5)
+	pair := func(ts []geo.Trajectory) []engine.Query {
+		embs, codes := tr.EmbedAll(ts), tr.CodeAll(ts)
+		out := make([]engine.Query, len(ts))
+		for i := range ts {
+			out[i] = engine.Query{Emb: embs[i], Code: codes[i]}
+		}
+		return out
+	}
+	te.db, te.queries = pair(env.Dataset.Database), pair(env.Dataset.Queries)
+	cells, err := te.timeStrategies(len(te.db), 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,4 +318,40 @@ func TestEnvSplitsMatchSpec(t *testing.T) {
 		t.Error("env splits do not match spec")
 	}
 	var _ []geo.Trajectory = env.Dataset.Queries
+}
+
+// TestResolveEncoder covers the serving commands' shared flag resolution:
+// no kind loads whatever the model file holds, a training-free kind is
+// built from the dataset with no model file at all, and a trainable kind
+// must match the file.
+func TestResolveEncoder(t *testing.T) {
+	env := microEnv(t)
+	ds := env.Dataset
+	m, err := core.New(microParams().CoreConfig(), ds.All())
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := filepath.Join(t.TempDir(), "model.gob")
+	if err := core.SaveEncoderFile(model, m); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ kind, path, want string }{
+		{"", model, core.AttentionKind},
+		{core.AttentionKind, model, core.AttentionKind},
+		{core.GeoPTHKind, "no-such-file", core.GeoPTHKind},
+	} {
+		enc, err := ResolveEncoder(c.kind, c.path, "tiny", ds)
+		if err != nil || enc.Kind() != c.want {
+			t.Errorf("ResolveEncoder(%q, %s): %v, want a %s encoder", c.kind, c.path, err, c.want)
+		}
+	}
+	if _, err := ResolveEncoder(core.CNNKind, model, "tiny", ds); err == nil || !strings.Contains(err.Error(), "-encoder cnn was requested") {
+		t.Errorf("kind mismatch: %v", err)
+	}
+	if _, err := ResolveEncoder("bogus", model, "tiny", ds); err == nil {
+		t.Error("unknown kind accepted")
+	}
+	if _, err := ResolveEncoder(core.GeoPTHKind, model, "bogus", ds); err == nil {
+		t.Error("unknown scale accepted")
+	}
 }

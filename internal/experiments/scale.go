@@ -174,3 +174,35 @@ func NewEnv(city *data.City, p Params) *Env {
 func Cities() []*data.City {
 	return []*data.City{data.Porto(), data.ChengDu()}
 }
+
+// ResolveEncoder resolves the encoder a serving command (traj2hash
+// search, traj2hashd) runs with from its -encoder, -model and -scale
+// flags: with no kind it loads whatever the model file holds; a
+// training-free kind (geopth) is built from the dataset on the fly — no
+// model file and no training run needed; a trainable kind loads the model
+// file and insists the stored encoder matches.
+func ResolveEncoder(kindFlag, modelPath, scale string, ds *data.Dataset) (core.Encoder, error) {
+	if kindFlag == "" {
+		return core.LoadEncoderFile(modelPath)
+	}
+	kind, err := core.ResolveEncoderKind(kindFlag)
+	if err != nil {
+		return nil, err
+	}
+	if kind == core.GeoPTHKind {
+		sc, err := ParseScale(scale)
+		if err != nil {
+			return nil, err
+		}
+		return core.NewEncoder(kind, ParamsFor(sc).CoreConfig(), ds.All())
+	}
+	enc, err := core.LoadEncoderFile(modelPath)
+	if err != nil {
+		return nil, err
+	}
+	if enc.Kind() != kind {
+		return nil, fmt.Errorf("%s holds a %q encoder, but -encoder %s was requested; train one with 'traj2hash train -encoder %s'",
+			modelPath, enc.Kind(), kind, kind)
+	}
+	return enc, nil
+}

@@ -5,8 +5,8 @@ import (
 	"io"
 
 	"traj2hash/internal/dist"
+	"traj2hash/internal/engine"
 	"traj2hash/internal/eval"
-	"traj2hash/internal/search"
 )
 
 // Distances are the three trajectory measures of the evaluation
@@ -87,10 +87,9 @@ func trainCached(name string, env *Env, f dist.Func, cache map[string]*Trained) 
 func euclideanMetrics(tr *Trained, env *Env, truth [][]int) (eval.Metrics, error) {
 	qe := tr.EmbedAll(env.Dataset.Queries)
 	de := tr.EmbedAll(env.Dataset.Database)
-	s, err := search.NewEuclideanBF(de, qe)
+	s, err := newStrategy(engine.EuclideanBFName, embQueries(de), embQueries(qe))
 	if err != nil {
 		return eval.Metrics{}, err
 	}
-	returned := search.RunAll(s, len(qe), 60)
-	return eval.Evaluate(returned, truth), nil
+	return eval.Evaluate(s.runAll(60), truth), nil
 }

@@ -5,8 +5,8 @@ import (
 	"io"
 
 	"traj2hash/internal/dist"
+	"traj2hash/internal/engine"
 	"traj2hash/internal/eval"
-	"traj2hash/internal/search"
 )
 
 // Table2 reproduces Table II: top-k accuracy of Hamming-space search. The
@@ -62,12 +62,11 @@ func Table2(scale Scale, log io.Writer) (*Table, []CellResult, error) {
 func hammingMetrics(tr *Trained, env *Env, truth [][]int) (eval.Metrics, error) {
 	qc := tr.CodeAll(env.Dataset.Queries)
 	dc := tr.CodeAll(env.Dataset.Database)
-	s, err := search.NewHammingBF(dc, qc)
+	s, err := newStrategy(engine.HammingBFName, codeQueries(dc), codeQueries(qc))
 	if err != nil {
 		return eval.Metrics{}, err
 	}
-	returned := search.RunAll(s, len(qc), 60)
-	return eval.Evaluate(returned, truth), nil
+	return eval.Evaluate(s.runAll(60), truth), nil
 }
 
 // Note on the distance-agnostic cache: AttachHashAdapter is a no-op once a

@@ -376,7 +376,7 @@ func TestServeGracefulDrain(t *testing.T) {
 	if _, err := http.Post(base+"/search", "application/json", strings.NewReader("{}")); err == nil {
 		t.Error("post-drain request succeeded; want connection refused")
 	}
-	if _, err := idx.Add(ds.Queries[4]); err != traj2hash.ErrClosed {
+	if _, err := idx.AddCtx(context.Background(), ds.Queries[4]); err != traj2hash.ErrClosed {
 		t.Errorf("post-drain Add error %v, want ErrClosed (drain must Close the index)", err)
 	}
 

@@ -1,0 +1,241 @@
+package traj2hash
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"reflect"
+	"sort"
+	"strings"
+	"testing"
+
+	"traj2hash/internal/engine"
+	"traj2hash/internal/faultinject"
+)
+
+// TestIndexSurface pins the exported method set of *Index against a
+// sorted golden list: the facade is one query path (Do), its three
+// benchmark-pinned conveniences, one batch form, one radius form, and the
+// mutation/accessor methods. A new method is a conscious diff here.
+func TestIndexSurface(t *testing.T) {
+	want := []string{
+		"AddBatchCtx", "AddCtx", "ApproxDistanceByVec", "Backend", "Close",
+		"Delete", "Do", "Embedding", "Encoder", "HybridFastPaths", "Len",
+		"Recovery", "SearchBatchCtx", "SearchByVecCtx", "SearchCtx",
+		"SearchEuclideanByVec", "Stats", "Trajectory", "Update", "WithinCtx",
+	}
+	typ := reflect.TypeOf(&Index{})
+	got := make([]string, typ.NumMethod())
+	for i := range got {
+		got[i] = typ.Method(i).Name
+	}
+	sort.Strings(got)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("*Index exports %d methods:\n got %v\nwant %v", len(got), got, want)
+	}
+}
+
+// TestDoParity locks Do to the engine: by Traj, Vec and Code, on every
+// backend the index maintains (plus the "" default), over 1 and 3
+// shards, before and after deletes with compaction, the answer is
+// byte-identical to engine.SearchWithCtx on independently prepared
+// representations — and the three pinned conveniences equal Do.
+func TestDoParity(t *testing.T) {
+	m, ds := untrainedFixture(t)
+	ctx := context.Background()
+	const k = 7
+	// mih and vptree as configured backends bring all five under test (the
+	// three paper strategies are always maintained).
+	for _, configured := range []string{"", BackendMIH, BackendVPTree} {
+		for _, shards := range []int{1, 3} {
+			ix, err := NewIndexWith(m, ds.Database, Options{Backend: configured, Shards: shards, Workers: 2, VPTreeSeed: 7})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, phase := range []string{"fresh", "compacted"} {
+				if phase == "compacted" {
+					for id := 0; id < len(ds.Database); id += 3 {
+						if err := ix.Delete(id); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if err := ix.eng.Compact(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for qi, q := range ds.Queries {
+					emb := m.Embed(q)
+					code := SignCode(emb)
+					for _, backend := range append([]string{""}, ix.eng.Backends()...) {
+						tag := fmt.Sprintf("configured=%q shards=%d %s q%d backend=%q", configured, shards, phase, qi, backend)
+						name := backend
+						if name == "" {
+							name = ix.Backend()
+						}
+						want, wantSt, err := ix.eng.SearchWithCtx(ctx, name, engine.Query{Emb: emb, Code: code}, k)
+						if err != nil || !wantSt.Complete || len(want) != k {
+							t.Fatalf("%s: engine reference = (%d results, %+v, %v)", tag, len(want), wantSt, err)
+						}
+						inputs := map[string]Query{
+							"Traj": {Traj: q, K: k, Backend: backend},
+							"Vec":  {Vec: emb, K: k, Backend: backend},
+						}
+						if name != BackendEuclideanBF && name != BackendVPTree {
+							inputs["Code"] = Query{Code: code, K: k, Backend: backend}
+						}
+						for in, query := range inputs {
+							got, st := ix.Do(ctx, query)
+							if !reflect.DeepEqual(st, wantSt) {
+								t.Fatalf("%s by %s: status %+v, engine %+v", tag, in, st, wantSt)
+							}
+							assertSameResults(t, tag+" by "+in, got, want)
+						}
+					}
+					// The pinned conveniences are Do under another name.
+					byTraj, st := ix.SearchCtx(ctx, q, k)
+					assertSameResults(t, "SearchCtx", byTraj, do(t, ix, Query{Traj: q, K: k}))
+					byVec, st2 := ix.SearchByVecCtx(ctx, emb, k)
+					assertSameResults(t, "SearchByVecCtx", byVec, do(t, ix, Query{Vec: emb, K: k}))
+					if !st.Complete || !st2.Complete {
+						t.Fatalf("convenience statuses %+v %+v", st, st2)
+					}
+					assertSameResults(t, "SearchEuclideanByVec", ix.SearchEuclideanByVec(emb, k),
+						do(t, ix, Query{Vec: emb, K: k, Backend: BackendEuclideanBF}))
+				}
+			}
+		}
+	}
+}
+
+// TestDoInvalidQueries: every malformed Query shape comes back as
+// Status.Err with no results — and without consulting a shard, so the
+// engine's query counter does not move.
+func TestDoInvalidQueries(t *testing.T) {
+	m, ds := untrainedFixture(t)
+	reg := NewMetricsRegistry()
+	ix, err := NewIndexWith(m, ds.Database, Options{Shards: 2, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := ds.Queries[0]
+	emb := m.Embed(q)
+	code := SignCode(emb)
+	for name, query := range map[string]Query{
+		"no input":           {K: 5},
+		"traj and vec":       {Traj: q, Vec: emb, K: 5},
+		"vec and code":       {Vec: emb, Code: code, K: 5},
+		"all three":          {Traj: q, Vec: emb, Code: code, K: 5},
+		"code to euclidean":  {Code: code, K: 5, Backend: BackendEuclideanBF},
+		"unmaintained (mih)": {Vec: emb, K: 5, Backend: BackendMIH},
+		"code to vptree":     {Code: code, K: 5, Backend: BackendVPTree},
+		"code to vp-tree":    {Code: code, K: 5, Backend: "vp-tree"}, // alias of vptree
+		"unknown backend":    {Vec: emb, K: 5, Backend: "bogus"},
+	} {
+		rs, st := ix.Do(context.Background(), query)
+		if st.Err == nil || st.Complete || rs != nil || st.ShardsOK != 0 {
+			t.Errorf("%s: got (%v, %+v), want no results and Status.Err", name, rs, st)
+		}
+	}
+	if got := ix.Stats().Counters["engine.search.total"]; got != 0 {
+		t.Errorf("invalid queries moved engine.search.total to %d", got)
+	}
+	// A valid query on the same index still counts.
+	do(t, ix, Query{Code: code, K: 5})
+	if got := ix.Stats().Counters["engine.search.total"]; got != 1 {
+		t.Errorf("engine.search.total = %d after one valid query", got)
+	}
+}
+
+// TestSearchByVecCtxAllocs pins the allocation count of the facade's hot
+// query path on a single-shard index (deterministic: one fan-out worker).
+// The parent measured 21 allocs/op; sharing engine.Result removed the
+// per-search copy of the result slice.
+func TestSearchByVecCtxAllocs(t *testing.T) {
+	m, ds := untrainedFixture(t)
+	ix, err := NewIndexWith(m, ds.Database, Options{Shards: 1, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	qe := m.Embed(ds.Queries[0])
+	ctx := context.Background()
+	if n := testing.AllocsPerRun(200, func() { ix.SearchByVecCtx(ctx, qe, 5) }); n > 20 {
+		t.Errorf("SearchByVecCtx allocates %v times per search, want <= 20", n)
+	}
+}
+
+// TestAddBatchAppliedPrefixIsWhatRecovers: when the WAL append of item n
+// of a batch fails, the ids AddBatchCtx returns are the applied prefix —
+// exactly what reopening the directory recovers — and NewIndexWith's
+// seed batch reports the same prefix in its error.
+func TestAddBatchAppliedPrefixIsWhatRecovers(t *testing.T) {
+	m, ds := untrainedFixture(t)
+	batch := ds.Database[:6]
+	opts := func(dir string, fs *faultinject.FS) Options {
+		o := Options{Shards: 2, WALDir: dir, SnapshotEvery: -1, WALSyncEvery: 1}
+		if fs != nil {
+			o.walFS = fs
+		}
+		return o
+	}
+	// Recon: writes spent opening the log, then one write per appended item.
+	recon := faultinject.NewFS(nil)
+	rix, err := NewIndexWith(m, nil, opts(t.TempDir(), recon))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opening, _, _ := recon.Counts()
+	if _, err := rix.AddBatchCtx(context.Background(), batch); err != nil {
+		t.Fatal(err)
+	}
+	if total, _, _ := recon.Counts(); total-opening != len(batch) {
+		t.Fatalf("recon: %d writes for %d appends; the schedule below assumes one each", total-opening, len(batch))
+	}
+	if err := rix.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	for n := 1; n <= len(batch); n++ {
+		for _, seed := range []bool{false, true} {
+			dir := t.TempDir()
+			ffs := faultinject.NewFS(nil)
+			ffs.ShortWriteAt(opening + n) // the n-th append tears
+			var ids []int
+			if seed {
+				_, err = NewIndexWith(m, batch, opts(dir, ffs))
+				want := fmt.Sprintf("after %d of %d trajectories", n-1, len(batch))
+				if err == nil || !strings.Contains(err.Error(), want) || !errors.Is(err, faultinject.ErrCrashed) {
+					t.Fatalf("n=%d seed batch: err %v, want the crash wrapped with %q", n, err, want)
+				}
+			} else {
+				ix, err := NewIndexWith(m, nil, opts(dir, ffs))
+				if err != nil {
+					t.Fatal(err)
+				}
+				ids, err = ix.AddBatchCtx(context.Background(), batch)
+				if !errors.Is(err, faultinject.ErrCrashed) || len(ids) != n-1 {
+					t.Fatalf("n=%d: AddBatchCtx = (%v, %v), want the %d-id prefix and the crash", n, ids, err, n-1)
+				}
+				//lint:ignore errcheck the filesystem crashed mid-flight; Close only releases the dead log handle
+				ix.Close()
+			}
+			re, err := NewIndexWith(m, nil, opts(dir, nil))
+			if err != nil {
+				t.Fatalf("n=%d seed=%v: reopen: %v", n, seed, err)
+			}
+			if re.Len() != n-1 {
+				t.Fatalf("n=%d seed=%v: reopen recovered %d items, the applied prefix was %d", n, seed, re.Len(), n-1)
+			}
+			for i := 0; i < n-1; i++ {
+				if !seed && ids[i] != i {
+					t.Fatalf("n=%d: returned ids %v are not the prefix 0..%d", n, ids, n-2)
+				}
+				if tr, ok := re.Trajectory(i); !ok || !reflect.DeepEqual(tr, batch[i]) {
+					t.Fatalf("n=%d seed=%v: recovered id %d is not batch item %d", n, seed, i, i)
+				}
+			}
+			if err := re.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}

@@ -50,8 +50,10 @@
 #  12. full test suite under the race detector (the engine's concurrent
 #      Add/Search tests only mean something with -race)
 #  13. benchmark artifacts published to the repo root (BENCH_*.json,
-#      committed — the per-PR perf trajectory) and a repo-hygiene check
-#      that generated outputs stay under bin/
+#      committed — the per-PR perf trajectory), the non-test
+#      lines-of-code table per package (scripts/loc.sh — the size
+#      trajectory the ROADMAP's design-quality needle is read from), and
+#      a repo-hygiene check that generated outputs stay under bin/
 #
 # BENCH_obs — the instrumentation overhead guard (not a CI gate:
 # wall-clock benchmarks are too noisy to fail a build on; run it when
@@ -301,6 +303,9 @@ for name in BENCH_hotpath BENCH_mutable BENCH_encoders BENCH_trajlint BENCH_serv
 	}
 	cp "bin/$name.json" "$name.json"
 done
+
+echo "== non-test Go lines per package (scripts/loc.sh)"
+./scripts/loc.sh
 
 echo "== repo hygiene (generated outputs stay under bin/)"
 # Build artifacts belong in bin/ (gitignored). These paths have crept

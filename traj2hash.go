@@ -12,7 +12,7 @@
 //	model.Train(traj2hash.TrainData{Seeds: seeds, Validation: val,
 //	        Corpus: corpus, F: traj2hash.Frechet})
 //	idx, _ := traj2hash.NewIndex(model, database)
-//	top10 := idx.SearchHybrid(query, 10)
+//	top10, status := idx.Do(ctx, traj2hash.Query{Traj: query, K: 10})
 //
 // The packages under internal/ hold the full implementation — the
 // from-scratch neural network framework, the exact distance functions, the
@@ -131,8 +131,7 @@ func LoadModel(r io.Reader) (*Model, error) { return core.Load(r) }
 func LoadModelFile(path string) (*Model, error) { return core.LoadFile(path) }
 
 // NewEncoder builds a fresh encoder of the given kind (see the Encoder*
-// constants; the legacy names "model" and "traj2hash" alias the attention
-// model) with its study space fitted on space.
+// constants) with its study space fitted on space.
 func NewEncoder(kind string, cfg Config, space []Trajectory) (Encoder, error) {
 	return core.NewEncoder(kind, cfg, space)
 }
@@ -144,8 +143,9 @@ func EncoderKinds() []string { return core.EncoderKinds() }
 // kind-tagged container format.
 func SaveEncoderFile(path string, enc Encoder) error { return core.SaveEncoderFile(path, enc) }
 
-// LoadEncoderFile reads an encoder written by SaveEncoderFile; files
-// written by the older Model.SaveFile API load as the attention model.
+// LoadEncoderFile reads an encoder written by SaveEncoderFile. (Files
+// written by Model.SaveFile are not containers; LoadModelFile reads
+// those.)
 func LoadEncoderFile(path string) (Encoder, error) { return core.LoadEncoderFile(path) }
 
 // Distance computes the exact trajectory distance f between a and b.

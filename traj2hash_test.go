@@ -2,10 +2,32 @@ package traj2hash
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"sync"
 	"testing"
 )
+
+// do answers q with no deadline and requires a complete answer: the
+// shorthand of the tests that care about results, not degradation.
+func do(t testing.TB, ix *Index, q Query) []Result {
+	t.Helper()
+	rs, st := ix.Do(context.Background(), q)
+	if !st.Complete {
+		t.Fatalf("Do(backend %q, k %d): %+v", q.Backend, q.K, st)
+	}
+	return rs
+}
+
+// within is do's radius-lookup counterpart.
+func within(t testing.TB, ix *Index, q Trajectory, radius int) []int {
+	t.Helper()
+	ids, st := ix.WithinCtx(context.Background(), q, radius)
+	if !st.Complete {
+		t.Fatalf("WithinCtx(radius %d): %+v", radius, st)
+	}
+	return ids
+}
 
 // facadeModel trains one tiny model shared by the API tests.
 func facadeFixture(t *testing.T) (*Model, *Dataset) {
@@ -100,9 +122,9 @@ func TestIndexLifecycle(t *testing.T) {
 		t.Fatalf("Len = %d", ix.Len())
 	}
 	q := ds.Queries[0]
-	eu := ix.SearchEuclidean(q, 5)
-	ham := ix.SearchHamming(q, 5)
-	hyb := ix.SearchHybrid(q, 5)
+	eu := do(t, ix, Query{Traj: q, K: 5, Backend: BackendEuclideanBF})
+	ham := do(t, ix, Query{Traj: q, K: 5, Backend: BackendHammingBF})
+	hyb := do(t, ix, Query{Traj: q, K: 5, Backend: BackendHammingHybrid})
 	for _, res := range [][]Result{eu, ham, hyb} {
 		if len(res) != 5 {
 			t.Fatalf("result len = %d", len(res))
@@ -125,7 +147,7 @@ func TestIndexLifecycle(t *testing.T) {
 		}
 	}
 	// ApproxDistance consistent with Euclidean search score.
-	if d := ix.ApproxDistance(q, eu[0].ID); math.Abs(d*d-eu[0].Score) > 1e-6*(1+eu[0].Score) {
+	if d := ix.ApproxDistanceByVec(m.Embed(q), eu[0].ID); math.Abs(d*d-eu[0].Score) > 1e-6*(1+eu[0].Score) {
 		t.Errorf("ApproxDistance² %v != score %v", d*d, eu[0].Score)
 	}
 	if emb, ok := ix.Embedding(0); !ok || len(emb) == 0 {
@@ -141,7 +163,7 @@ func TestIndexStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, q := range ds.Queries {
-		if got := ix.Search(q, 5); len(got) != 5 {
+		if got := do(t, ix, Query{Traj: q, K: 5}); len(got) != 5 {
 			t.Fatalf("search returned %d results", len(got))
 		}
 	}
@@ -178,25 +200,25 @@ func TestIndexIncrementalAdd(t *testing.T) {
 	}
 	// Insert the query itself: it must become the top hit everywhere.
 	q := ds.Queries[1]
-	id, err := ix.Add(q)
+	id, err := ix.AddCtx(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if id != 10 || ix.Len() != 11 {
 		t.Fatalf("id=%d len=%d", id, ix.Len())
 	}
-	if got := ix.SearchEuclidean(q, 1); got[0].ID != id || got[0].Score > 1e-9 {
+	if got := do(t, ix, Query{Traj: q, K: 1, Backend: BackendEuclideanBF}); got[0].ID != id || got[0].Score > 1e-9 {
 		t.Errorf("Euclidean self = %+v", got[0])
 	}
-	if got := ix.SearchHamming(q, 1); got[0].ID != id || got[0].Score != 0 {
+	if got := do(t, ix, Query{Traj: q, K: 1, Backend: BackendHammingBF}); got[0].ID != id || got[0].Score != 0 {
 		t.Errorf("Hamming self = %+v", got[0])
 	}
-	if got := ix.SearchHybrid(q, 1); got[0].ID != id {
+	if got := do(t, ix, Query{Traj: q, K: 1, Backend: BackendHammingHybrid}); got[0].ID != id {
 		t.Errorf("Hybrid self = %+v", got[0])
 	}
 }
 
-func TestIndexWithinAndCode(t *testing.T) {
+func TestIndexWithin(t *testing.T) {
 	m, ds := facadeFixture(t)
 	ix, err := NewIndex(m, ds.Database)
 	if err != nil {
@@ -205,7 +227,7 @@ func TestIndexWithinAndCode(t *testing.T) {
 	// An indexed trajectory is within radius 0 of itself.
 	q := ds.Database[3]
 	found := false
-	for _, id := range ix.Within(q, 0) {
+	for _, id := range within(t, ix, q, 0) {
 		if id == 3 {
 			found = true
 		}
@@ -216,13 +238,13 @@ func TestIndexWithinAndCode(t *testing.T) {
 	// Radii are monotone.
 	prev := 0
 	for r := 0; r <= 2; r++ {
-		n := len(ix.Within(q, r))
+		n := len(within(t, ix, q, r))
 		if n < prev {
 			t.Errorf("Within not monotone: %d then %d", prev, n)
 		}
 		prev = n
 	}
-	if ix.Code(q).Bits != m.Cfg.HashBits {
+	if ix.Encoder().Code(q).Bits != m.Cfg.HashBits {
 		t.Error("Code bits mismatch")
 	}
 }
@@ -298,8 +320,8 @@ func TestIndexBackendSelection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refEu := ref.SearchEuclidean(q, 7)
-	refHam := ref.SearchHamming(q, 7)
+	refEu := do(t, ref, Query{Traj: q, K: 7, Backend: BackendEuclideanBF})
+	refHam := do(t, ref, Query{Traj: q, K: 7, Backend: BackendHammingBF})
 	for _, backend := range Backends() {
 		ix, err := NewIndexWith(m, ds.Database, Options{Backend: backend, Shards: 3, Workers: 2})
 		if err != nil {
@@ -308,7 +330,7 @@ func TestIndexBackendSelection(t *testing.T) {
 		if ix.Backend() != backend {
 			t.Errorf("Backend() = %q, want %q", ix.Backend(), backend)
 		}
-		got := ix.Search(q, 7)
+		got := do(t, ix, Query{Traj: q, K: 7})
 		if len(got) != 7 {
 			t.Fatalf("%s: len = %d", backend, len(got))
 		}
@@ -322,12 +344,12 @@ func TestIndexBackendSelection(t *testing.T) {
 				t.Errorf("%s rank %d: id %d, want %d", backend, i, got[i].ID, want[i].ID)
 			}
 		}
-		// The strategy-specific methods work regardless of configuration.
-		if rs := ix.SearchEuclidean(q, 3); len(rs) != 3 || rs[0].ID != refEu[0].ID {
-			t.Errorf("%s: SearchEuclidean = %+v", backend, rs)
+		// The paper's strategies answer regardless of configuration.
+		if rs := do(t, ix, Query{Traj: q, K: 3, Backend: BackendEuclideanBF}); len(rs) != 3 || rs[0].ID != refEu[0].ID {
+			t.Errorf("%s: Euclidean-BF = %+v", backend, rs)
 		}
-		if rs := ix.SearchHybrid(q, 3); len(rs) != 3 || rs[0].ID != refHam[0].ID {
-			t.Errorf("%s: SearchHybrid = %+v", backend, rs)
+		if rs := do(t, ix, Query{Traj: q, K: 3, Backend: BackendHammingHybrid}); len(rs) != 3 || rs[0].ID != refHam[0].ID {
+			t.Errorf("%s: Hamming-Hybrid = %+v", backend, rs)
 		}
 	}
 	if _, err := NewIndexWith(m, ds.Database, Options{Backend: "bogus"}); err == nil {
@@ -344,25 +366,28 @@ func TestIndexBatchAPIs(t *testing.T) {
 	if ix.Len() != 0 {
 		t.Fatalf("empty index Len = %d", ix.Len())
 	}
-	ids, err := ix.AddBatch(ds.Database)
+	ids, err := ix.AddBatchCtx(context.Background(), ds.Database)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, id := range ids {
 		if id != i {
-			t.Fatalf("AddBatch ids = %v", ids[:5])
+			t.Fatalf("AddBatchCtx ids = %v", ids[:5])
 		}
 	}
 	if ix.Len() != len(ds.Database) {
 		t.Fatalf("Len = %d", ix.Len())
 	}
-	// SearchBatch equals per-query Search, in query order.
-	batch := ix.SearchBatch(ds.Queries, 5)
+	// SearchBatchCtx equals per-query Do, in query order.
+	batch, sts := ix.SearchBatchCtx(context.Background(), ds.Queries, 5)
 	if len(batch) != len(ds.Queries) {
 		t.Fatalf("batch len = %d", len(batch))
 	}
 	for qi, q := range ds.Queries {
-		single := ix.Search(q, 5)
+		if !sts[qi].Complete {
+			t.Fatalf("query %d: %+v", qi, sts[qi])
+		}
+		single := do(t, ix, Query{Traj: q, K: 5})
 		for i := range single {
 			if batch[qi][i] != single[i] {
 				t.Fatalf("query %d rank %d: batch %+v != single %+v", qi, i, batch[qi][i], single[i])
@@ -373,10 +398,6 @@ func TestIndexBatchAPIs(t *testing.T) {
 	qe := m.Embed(ds.Queries[0])
 	if !HammingDistanceIsZero(SignCode(qe), m.Code(ds.Queries[0])) {
 		t.Error("SignCode(Embed) != Code")
-	}
-	// ApproxDistanceByVec agrees with ApproxDistance without re-embedding.
-	if d1, d2 := ix.ApproxDistance(ds.Queries[0], 3), ix.ApproxDistanceByVec(qe, 3); d1 != d2 {
-		t.Errorf("ApproxDistance %v != ByVec %v", d1, d2)
 	}
 }
 
@@ -397,7 +418,7 @@ func TestIndexConcurrentAddSearch(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for _, tr := range rest {
-			if _, err := ix.Add(tr); err != nil {
+			if _, err := ix.AddCtx(context.Background(), tr); err != nil {
 				t.Error(err)
 				return
 			}
@@ -407,12 +428,12 @@ func TestIndexConcurrentAddSearch(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < 30; i++ {
 			q := ds.Queries[i%len(ds.Queries)]
-			if res := ix.Search(q, 5); len(res) != 5 {
+			if res, _ := ix.SearchCtx(context.Background(), q, 5); len(res) != 5 {
 				t.Errorf("search returned %d results", len(res))
 				return
 			}
-			ix.SearchEuclidean(q, 3)
-			ix.Within(q, 1)
+			ix.Do(context.Background(), Query{Traj: q, K: 3, Backend: BackendEuclideanBF})
+			ix.WithinCtx(context.Background(), q, 1)
 		}
 	}()
 	wg.Wait()
