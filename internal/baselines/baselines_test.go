@@ -1,18 +1,31 @@
 package baselines
 
 import (
+	"bytes"
+	"context"
+	"encoding/binary"
+	"errors"
+	"hash/fnv"
 	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 
+	"traj2hash/internal/core"
 	"traj2hash/internal/data"
 	"traj2hash/internal/dist"
+	"traj2hash/internal/faultinject"
 	"traj2hash/internal/geo"
 	"traj2hash/internal/hamming"
 	"traj2hash/internal/nn"
 )
 
-func tinyBase() BaseConfig {
-	cfg := DefaultBaseConfig(16)
+// tinyBase is the baselines' configuration as internal/experiments builds
+// it — the paper model's settings with its own contributions switched off
+// (WMSE only) — at test size.
+func tinyBase() core.Config {
+	cfg := core.DefaultConfig(16)
+	cfg.Gamma, cfg.UseTriplets, cfg.UseGrids = 0, false, false
 	cfg.MaxLen = 12
 	cfg.M = 4
 	cfg.Epochs = 3
@@ -33,8 +46,15 @@ func euclid(a, b []float64) float64 {
 	return math.Sqrt(sum)
 }
 
+// baseline is what every neural baseline is: a core.Trainable whose
+// forward pass is reachable for the taped-vs-tape-free comparison.
+type baseline interface {
+	core.Trainable
+	core.Net
+}
+
 // allEncoders builds one of each neural baseline over the same space.
-func allEncoders(t *testing.T, cfg BaseConfig, space []geo.Trajectory) []Encoder {
+func allEncoders(t *testing.T, cfg core.Config, space []geo.Trajectory) []baseline {
 	t.Helper()
 	nt, err := NewNeuTraj(cfg, space)
 	if err != nil {
@@ -48,7 +68,7 @@ func allEncoders(t *testing.T, cfg BaseConfig, space []geo.Trajectory) []Encoder
 	if err != nil {
 		t.Fatal(err)
 	}
-	return []Encoder{
+	return []baseline{
 		nt,
 		ntns,
 		t2v,
@@ -58,47 +78,118 @@ func allEncoders(t *testing.T, cfg BaseConfig, space []geo.Trajectory) []Encoder
 	}
 }
 
-func TestEncoderNamesAndDims(t *testing.T) {
-	space := gen(12, 1)
-	cfg := tinyBase()
-	encs := allEncoders(t, cfg, space)
-	wantNames := map[string]bool{
-		"NeuTraj": true, "NT-No-SAM": true, "t2vec": true,
-		"CL-TSim": true, "Transformer": true, "TrajGAT": true,
+// paramValues deep-copies an encoder's parameter values, in the form
+// SetParams takes back.
+func paramValues(ps []*nn.Tensor) [][]float64 {
+	out := make([][]float64, len(ps))
+	for i, p := range ps {
+		out[i] = append([]float64(nil), p.Data...)
 	}
-	for _, e := range encs {
-		if !wantNames[e.Name()] {
-			t.Errorf("unexpected name %q", e.Name())
-		}
-		delete(wantNames, e.Name())
-		if e.OutDim() != cfg.Dim {
-			t.Errorf("%s: OutDim = %d", e.Name(), e.OutDim())
-		}
-		emb := Embed(e, space[0])
-		if len(emb) != cfg.Dim {
-			t.Errorf("%s: embedding dim = %d", e.Name(), len(emb))
-		}
-		for _, v := range emb {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				t.Errorf("%s: non-finite embedding", e.Name())
-				break
-			}
-		}
-		if len(e.Params()) == 0 {
-			t.Errorf("%s: no parameters", e.Name())
-		}
-	}
-	if len(wantNames) != 0 {
-		t.Errorf("missing encoders: %v", wantNames)
-	}
+	return out
 }
 
-func TestEmbedAllShape(t *testing.T) {
-	space := gen(6, 2)
-	e := NewTransformer(tinyBase(), space)
-	out := EmbedAll(e, space[:4])
-	if len(out) != 4 || len(out[0]) != e.OutDim() {
-		t.Errorf("EmbedAll shape = %dx%d", len(out), len(out[0]))
+// bits maps values to their IEEE-754 bit patterns, so reflect.DeepEqual
+// compares them exactly (NaN-safe, −0 ≠ +0).
+func bits(groups ...[]float64) [][]uint64 {
+	out := make([][]uint64, len(groups))
+	for i, g := range groups {
+		out[i] = make([]uint64, len(g))
+		for j, v := range g {
+			out[i][j] = math.Float64bits(v)
+		}
+	}
+	return out
+}
+
+// parentEmbedAllAllocs is what embedding 100 trajectories cost at the
+// parent commit, where baselines.EmbedAll built a full autograd graph per
+// trajectory (measured there with this file's tinyBase and gen(100, 21)).
+var parentEmbedAllAllocs = map[string]float64{
+	"NeuTraj": 147801, "NT-No-SAM": 119001, "t2vec": 125301,
+	"CL-TSim": 119001, "Transformer": 49501, "TrajGAT": 64203,
+}
+
+// TestBaselinesEncoderContract holds all six baselines to what they now
+// inherit from the shared encoder surface: the core.Encoder contract, the
+// bit-exact agreement of every tape-free entry point with the taped
+// forward pass that training differentiates, and a tape-free batch embed
+// that costs a sliver of the per-trajectory graphs it replaced.
+func TestBaselinesEncoderContract(t *testing.T) {
+	cfg := tinyBase()
+	space := gen(100, 21)
+	probes := make([]geo.Trajectory, 0, 4)
+	for i, n := range []int{2, 10, cfg.MaxLen, 3 * cfg.MaxLen} {
+		probes = append(probes, space[i].Resample(n))
+	}
+	encs := allEncoders(t, cfg, space)
+	if len(encs) != len(parentEmbedAllAllocs) {
+		t.Fatalf("%d baselines, want %d", len(encs), len(parentEmbedAllAllocs))
+	}
+	for _, e := range encs {
+		t.Run(e.Kind(), func(t *testing.T) {
+			parent, ok := parentEmbedAllAllocs[e.Kind()]
+			if !ok {
+				t.Fatalf("unexpected name %q", e.Kind())
+			}
+			if e.Dim() != cfg.Dim {
+				t.Fatalf("Dim = %d, want the latent dimension %d", e.Dim(), cfg.Dim)
+			}
+			if len(e.Params()) == 0 {
+				t.Fatal("no parameters")
+			}
+			// A few taped passes first, so NeuTraj's memory is not all zero
+			// and the comparisons below read something.
+			for _, tr := range space[:8] {
+				e.Forward(nil, tr)
+			}
+
+			// The core.Encoder contract.
+			all := e.EmbedAll(space[:12])
+			par := e.EmbedAllParallel(space[:12], 4)
+			for i, tr := range space[:12] {
+				one := e.Embed(tr)
+				if len(one) != e.Dim() {
+					t.Fatalf("Embed returned %d values, Dim() = %d", len(one), e.Dim())
+				}
+				for _, v := range one {
+					if math.IsNaN(v) || math.IsInf(v, 0) {
+						t.Fatal("non-finite embedding")
+					}
+				}
+				if !reflect.DeepEqual(bits(one, all[i], par[i]), bits(e.Embed(tr), one, one)) {
+					t.Fatalf("item %d: Embed, a second Embed, EmbedAll and EmbedAllParallel disagree", i)
+				}
+				if code := e.Code(tr); code.Bits != e.Dim() || !hamming.Equal(code, hamming.FromSigns(one)) {
+					t.Fatalf("item %d: Code != FromSigns(Embed)", i)
+				}
+			}
+			if codes := e.CodeAll(space[:3]); len(codes) != 3 || !hamming.Equal(codes[2], e.Code(space[2])) {
+				t.Error("CodeAll disagrees with Code")
+			}
+
+			// Tape-free == taped, bit for bit, at every length class. The
+			// taped pass is a training pass — NeuTraj's writes its memory —
+			// so the state it read is put back before the next comparison.
+			all = e.EmbedAll(probes)
+			par = e.EmbedAllParallel(probes, 3)
+			before := paramValues(e.Params())
+			for i, p := range probes {
+				want := e.Forward(nil, p).Data
+				if err := e.SetParams(before); err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(bits(e.Embed(p), all[i], par[i]), bits(want, want, want)) {
+					t.Fatalf("len(t)=%d: tape-free bits differ from the taped forward pass", len(p))
+				}
+			}
+
+			allocs := testing.AllocsPerRun(3, func() { e.EmbedAll(space) })
+			if allocs > parent/10 {
+				t.Errorf("EmbedAll of 100 trajectories allocates %.0f times, budget %.0f (a tenth of the parent's %.0f): something stayed on the tape",
+					allocs, parent/10, parent)
+			}
+			t.Logf("EmbedAll of 100 trajectories: %.0f allocs (parent %.0f)", allocs, parent)
+		})
 	}
 }
 
@@ -111,7 +202,7 @@ func TestTrainWMSEImproves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := TrainWMSE(e, cfg, seeds, val, dist.FrechetDist)
+	res, err := e.Train(core.TrainData{Seeds: seeds, Validation: val, F: dist.FrechetDist})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,58 +222,96 @@ func TestTrainWMSEImproves(t *testing.T) {
 
 func TestTrainWMSETooFewSeeds(t *testing.T) {
 	space := gen(4, 5)
-	cfg := tinyBase()
-	e := NewTransformer(cfg, space)
-	if _, err := TrainWMSE(e, cfg, space[:2], nil, dist.DTWDist); err == nil {
+	e := NewTransformer(tinyBase(), space)
+	if _, err := e.Train(core.TrainData{Seeds: space[:2], F: dist.DTWDist}); err == nil {
 		t.Error("tiny seed set accepted")
+	}
+	// The self-supervised baselines need a corpus instead.
+	if _, err := NewCLTSim(tinyBase(), space).Train(core.TrainData{Seeds: space, F: dist.DTWDist}); err == nil {
+		t.Error("CL-TSim trained on an empty corpus")
 	}
 }
 
 func TestNeuTrajSAMMemoryChanges(t *testing.T) {
 	space := gen(10, 6)
-	cfg := tinyBase()
-	nt, err := NewNeuTraj(cfg, space)
+	nt, err := NewNeuTraj(tinyBase(), space)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Inference must be order-independent: SAM memory is written only in
-	// training mode.
-	first := Embed(nt, space[0])
-	Embed(nt, space[1]) // other encodings must not perturb the memory
-	again := Embed(nt, space[0])
+	// Inference must be order-independent: SAM memory is written only by
+	// taped (training) passes.
+	first := nt.Embed(space[0])
+	nt.Embed(space[1]) // other encodings must not perturb the memory
+	again := nt.Embed(space[0])
 	if euclid(first, again) > 1e-12 {
 		t.Error("inference encoding depends on prior queries")
 	}
-	// Training mode does write memory.
-	nt.SetTraining(true)
-	Embed(nt, space[0])
-	nt.SetTraining(false)
+	for _, v := range nt.memory.Data {
+		if v != 0 {
+			t.Fatal("Embed wrote SAM memory")
+		}
+	}
+	// A training pass does write memory.
+	nt.Forward(nil, space[0])
 	var nonZero bool
-	for _, v := range nt.memory {
+	for _, v := range nt.memory.Data {
 		if v != 0 {
 			nonZero = true
 			break
 		}
 	}
 	if !nonZero {
-		t.Error("training mode did not write SAM memory")
+		t.Error("the taped pass did not write SAM memory")
 	}
-	nt.ResetMemory()
-	for _, v := range nt.memory {
-		if v != 0 {
-			t.Fatal("ResetMemory left residue")
-		}
+}
+
+// TestNeuTrajMemoryTravelsWithWeights is the regression test of the
+// model-selection hole: the SAM memory is training state every Forward
+// reads, but it was not among Params(), so restoring a snapshot (the
+// best-validation epoch, a rollback target, a checkpoint) paired those
+// weights with whatever memory the last epoch left behind.
+func TestNeuTrajMemoryTravelsWithWeights(t *testing.T) {
+	seeds := gen(12, 16)
+	cfg := tinyBase()
+	cfg.Epochs = 1
+	nt, err := NewNeuTraj(cfg, seeds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	td := core.TrainData{Seeds: seeds, F: dist.FrechetDist}
+	if _, err := nt.Train(td); err != nil {
+		t.Fatal(err)
+	}
+	snap := paramValues(nt.Params())
+	memory := append([]float64(nil), nt.memory.Data...)
+	before := nt.Embed(seeds[0])
+	if _, err := nt.Train(td); err != nil { // one more epoch
+		t.Fatal(err)
+	}
+	if reflect.DeepEqual(bits(memory), bits(nt.memory.Data)) {
+		t.Fatal("another epoch left the SAM memory untouched; the test would prove nothing")
+	}
+	if err := nt.SetParams(snap); err != nil {
+		t.Fatal(err)
+	}
+	if after := nt.Embed(seeds[0]); !reflect.DeepEqual(bits(after), bits(before)) {
+		t.Errorf("restoring a snapshot did not restore the embedding:\nbefore %v\nafter  %v", before, after)
 	}
 }
 
 func TestT2VecTrainReducesLoss(t *testing.T) {
 	corpus := gen(30, 7)
 	cfg := tinyBase()
+	cfg.Epochs = 4
 	t2v, err := NewT2Vec(cfg, corpus, 400)
 	if err != nil {
 		t.Fatal(err)
 	}
-	losses := t2v.Train(corpus, 4)
+	h, err := t2v.Train(core.TrainData{Corpus: corpus})
+	if err != nil {
+		t.Fatal(err)
+	}
+	losses := h.EpochLoss
 	if len(losses) != 4 {
 		t.Fatalf("losses = %v", losses)
 	}
@@ -193,9 +322,12 @@ func TestT2VecTrainReducesLoss(t *testing.T) {
 
 func TestCLTSimTrainStableAndInformative(t *testing.T) {
 	corpus := gen(24, 8)
-	cfg := tinyBase()
-	cl := NewCLTSim(cfg, corpus)
-	losses := cl.Train(corpus, 3)
+	cl := NewCLTSim(tinyBase(), corpus)
+	h, err := cl.Train(core.TrainData{Corpus: corpus})
+	if err != nil {
+		t.Fatal(err)
+	}
+	losses := h.EpochLoss
 	if len(losses) == 0 {
 		t.Fatal("no loss recorded")
 	}
@@ -206,14 +338,15 @@ func TestCLTSimTrainStableAndInformative(t *testing.T) {
 	}
 	// After contrastive training, an augmented view should be nearer its
 	// source than a random other trajectory, most of the time.
+	rng := rand.New(rand.NewSource(8))
 	var correct int
 	const trials = 8
 	for i := 0; i < trials; i++ {
 		src := corpus[i]
-		view := cl.augment(src)
+		view := cl.augment(src, rng)
 		other := corpus[(i+11)%len(corpus)]
-		a := euclid(Embed(cl, src), Embed(cl, view))
-		b := euclid(Embed(cl, src), Embed(cl, other))
+		a := euclid(cl.Embed(src), cl.Embed(view))
+		b := euclid(cl.Embed(src), cl.Embed(other))
 		if a < b {
 			correct++
 		}
@@ -226,8 +359,9 @@ func TestCLTSimTrainStableAndInformative(t *testing.T) {
 func TestCLTSimAugmentKeepsEndpoints(t *testing.T) {
 	corpus := gen(5, 9)
 	cl := NewCLTSim(tinyBase(), corpus)
+	rng := rand.New(rand.NewSource(9))
 	for trial := 0; trial < 10; trial++ {
-		v := cl.augment(corpus[0])
+		v := cl.augment(corpus[0], rng)
 		if len(v) < 2 {
 			t.Fatal("augmented view too short")
 		}
@@ -393,6 +527,62 @@ func TestHashAdapterTooFewSeeds(t *testing.T) {
 	}
 }
 
+// frozenEncoder is a core.Encoder with a closed-form embedding, so the
+// adapter's input is the same at every commit.
+type frozenEncoder struct{}
+
+func (frozenEncoder) Kind() string { return "frozen" }
+func (frozenEncoder) Dim() int     { return 8 }
+func (frozenEncoder) Embed(t geo.Trajectory) []float64 {
+	v := make([]float64, 8)
+	for k := range v {
+		p := t[k*(len(t)-1)/7]
+		v[k] = (p.X - t[0].X + 2*(p.Y-t[0].Y)) / 1000
+	}
+	return v
+}
+func (e frozenEncoder) EmbedAll(ts []geo.Trajectory) [][]float64 {
+	out := make([][]float64, len(ts))
+	for i, t := range ts {
+		out[i] = e.Embed(t)
+	}
+	return out
+}
+func (e frozenEncoder) EmbedAllParallel(ts []geo.Trajectory, _ int) [][]float64 {
+	return e.EmbedAll(ts)
+}
+func (e frozenEncoder) Code(t geo.Trajectory) hamming.Code { return hamming.FromSigns(e.Embed(t)) }
+func (e frozenEncoder) CodeAll(ts []geo.Trajectory) []hamming.Code {
+	out := make([]hamming.Code, len(ts))
+	for i, t := range ts {
+		out[i] = e.Code(t)
+	}
+	return out
+}
+
+// TestHashAdapterBitsUnchanged pins the adapter's trained head, given
+// identical input embeddings, to the bits it had when the ranking hinge
+// was spelled out inline instead of calling core.RankingHinge: the hash is
+// of W and B after the same ten epochs at the parent commit.
+func TestHashAdapterBitsUnchanged(t *testing.T) {
+	ad := NewHashAdapter(frozenEncoder{}, 16, 2, 1)
+	acfg := DefaultAdapterConfig()
+	acfg.Epochs = 10
+	acfg.M = 4
+	if err := ad.Train(acfg, gen(20, 12), dist.FrechetDist); err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	for _, p := range ad.W.Params() {
+		for _, v := range p.Data {
+			h.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(v)))
+		}
+	}
+	if got, want := h.Sum64(), uint64(0x674aad782c651cfc); got != want {
+		t.Errorf("trained adapter head hashes to %#x, want %#x", got, want)
+	}
+}
+
 // paramsMoved reports whether any parameter differs bitwise from its
 // snapshot — whether a training run changed the weights at all.
 func paramsMoved(ps []*nn.Tensor, before [][]float64) bool {
@@ -406,25 +596,23 @@ func paramsMoved(ps []*nn.Tensor, before [][]float64) bool {
 	return false
 }
 
-// TestAllBaselinesTrainable exercises one WMSE epoch for the metric
-// baselines over a shared space — an integration smoke test. It trains
-// with no validation set, so the run must hand back the trained weights,
-// not the initial ones.
+// TestAllBaselinesTrainable exercises one epoch of every baseline over a
+// shared space — an integration smoke test. It trains with no validation
+// set, so the run must hand back the trained weights, not the initial
+// ones.
 func TestAllBaselinesTrainable(t *testing.T) {
 	seeds := gen(12, 14)
 	cfg := tinyBase()
 	cfg.Epochs = 1
 	cfg.M = 4
 	for _, e := range allEncoders(t, cfg, seeds) {
-		if e.Name() == "t2vec" || e.Name() == "CL-TSim" {
-			continue // these train unsupervised, covered above
-		}
-		before := snapshotParams(e.Params())
-		if _, err := TrainWMSE(e, cfg, seeds, nil, dist.DTWDist); err != nil {
-			t.Errorf("%s: %v", e.Name(), err)
+		before := paramValues(e.Params())
+		// The self-supervised two read only the corpus.
+		if _, err := e.Train(core.TrainData{Seeds: seeds, Corpus: seeds, F: dist.DTWDist}); err != nil {
+			t.Errorf("%s: %v", e.Kind(), err)
 		}
 		if !paramsMoved(e.Params(), before) {
-			t.Errorf("%s: every weight equals its initial value after training", e.Name())
+			t.Errorf("%s: every weight equals its initial value after training", e.Kind())
 		}
 	}
 }
@@ -437,8 +625,8 @@ func TestTrainWMSEWithoutValidationKeepsLastEpoch(t *testing.T) {
 	seeds := gen(12, 14)
 	cfg := tinyBase()
 	e := NewTransformer(cfg, seeds)
-	before := snapshotParams(e.Params())
-	res, err := TrainWMSE(e, cfg, seeds, nil, dist.FrechetDist)
+	before := paramValues(e.Params())
+	res, err := e.Train(core.TrainData{Seeds: seeds, F: dist.FrechetDist})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -450,11 +638,121 @@ func TestTrainWMSEWithoutValidationKeepsLastEpoch(t *testing.T) {
 	}
 	// With a validation set, selection is by HR@10 as before.
 	val := gen(12, 15)
-	res, err = TrainWMSE(NewTransformer(cfg, seeds), cfg, seeds, val, dist.FrechetDist)
+	res, err = NewTransformer(cfg, seeds).Train(core.TrainData{Seeds: seeds, Validation: val, F: dist.FrechetDist})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.BestHR10 < 0 || res.BestHR10 != res.ValHR10[res.BestEpoch] {
 		t.Errorf("with validation: BestHR10 %v at epoch %d, ValHR10 %v", res.BestHR10, res.BestEpoch, res.ValHR10)
+	}
+}
+
+// TestBaselineResumeBitwiseIdentical: the baselines inherit resumable
+// training. A run canceled after epoch 2 flushes its last checkpoint; that
+// checkpoint, round-tripped through its byte format, resumes a freshly
+// built encoder to exactly the parameters — NeuTraj's memory among them —
+// and history of a run that was never interrupted. NeuTraj covers the
+// non-gradient state, Transformer the plain WMSE path, CL-TSim the
+// BatchLoss path and its per-epoch augmentation stream.
+func TestBaselineResumeBitwiseIdentical(t *testing.T) {
+	seeds, val := gen(14, 17), gen(12, 18)
+	space := append(append([]geo.Trajectory{}, seeds...), val...)
+	cfg := tinyBase()
+	cfg.Epochs = 4
+	td := core.TrainData{Seeds: seeds, Validation: val, Corpus: space, F: dist.FrechetDist}
+	builders := map[string]func() baseline{
+		"NeuTraj": func() baseline {
+			nt, err := NewNeuTraj(cfg, space)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return nt
+		},
+		"Transformer": func() baseline { return NewTransformer(cfg, space) },
+		"CL-TSim":     func() baseline { return NewCLTSim(cfg, space) },
+	}
+	for name, build := range builders {
+		t.Run(name, func(t *testing.T) {
+			full := build()
+			hFull, err := full.Train(td)
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			// The interrupted run: canceled at the first step of epoch 2.
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var stream bytes.Buffer
+			tdA := td
+			tdA.StepHook = func(epoch, _ int) {
+				if epoch == 2 {
+					cancel()
+				}
+			}
+			tdA.OnCheckpoint = func(c *core.Checkpoint) error {
+				stream.Reset()
+				return c.Save(&stream)
+			}
+			if _, err := build().TrainCtx(ctx, tdA); !errors.Is(err, context.Canceled) {
+				t.Fatalf("interrupted run returned %v, want context.Canceled", err)
+			}
+			ckpt, err := core.LoadCheckpoint(&stream)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ckpt.Epoch != 2 || ckpt.Kind != name {
+				t.Fatalf("flushed checkpoint is epoch %d of %q, want epoch 2 of %q", ckpt.Epoch, ckpt.Kind, name)
+			}
+
+			resumed := build()
+			tdB := td
+			tdB.Resume = ckpt
+			hResumed, err := resumed.Train(tdB)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(bits(paramValues(full.Params())...), bits(paramValues(resumed.Params())...)) {
+				t.Error("resumed run's final parameters are not bitwise identical to the uninterrupted run")
+			}
+			if !reflect.DeepEqual(bits(hFull.EpochLoss, hFull.ValHR10), bits(hResumed.EpochLoss, hResumed.ValHR10)) || hFull.BestEpoch != hResumed.BestEpoch {
+				t.Errorf("histories diverged:\nfull    %+v\nresumed %+v", hFull, hResumed)
+			}
+		})
+	}
+}
+
+// TestBaselineDivergenceRollsBack: the baselines inherit the divergence
+// guard. A poisoned optimizer step used to leave NaN weights behind a nil
+// error; now the epoch is rolled back and replayed, or — with no boundary
+// to roll back to — training fails with core.ErrDiverged.
+func TestBaselineDivergenceRollsBack(t *testing.T) {
+	seeds := gen(12, 19)
+	td := core.TrainData{Seeds: seeds, F: dist.FrechetDist}
+	poisonAt := func(e baseline, epoch int) core.TrainData {
+		p := faultinject.NewGradPoisoner(faultinject.Site{Epoch: epoch, Step: 0})
+		out := td
+		out.StepHook = func(epoch, step int) { p.MaybePoison(epoch, step, e.Params()) }
+		return out
+	}
+
+	e := NewTransformer(tinyBase(), seeds)
+	h, err := e.Train(poisonAt(e, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(h.Diverged, []int{1}) {
+		t.Errorf("Diverged = %v, want [1]", h.Diverged)
+	}
+	for _, p := range e.Params() {
+		for _, v := range p.Data {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatal("non-finite weights survived the rollback")
+			}
+		}
+	}
+
+	e = NewTransformer(tinyBase(), seeds)
+	if _, err := e.Train(poisonAt(e, 0)); !errors.Is(err, core.ErrDiverged) {
+		t.Errorf("poisoning the first epoch returned %v, want core.ErrDiverged", err)
 	}
 }

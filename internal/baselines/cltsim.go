@@ -1,9 +1,9 @@
 package baselines
 
 import (
-	"math"
 	"math/rand"
 
+	"traj2hash/internal/core"
 	"traj2hash/internal/geo"
 	"traj2hash/internal/nn"
 )
@@ -13,10 +13,9 @@ import (
 // dropping and point distortion with rates drawn from {0, 0.2, 0.4, 0.6}
 // (Section V-A5). Like t2vec, it is distance-agnostic.
 type CLTSim struct {
-	cfg   BaseConfig
+	core.NetEncoder
 	stats geo.Stats
 	cell  *nn.GRUCell
-	rng   *rand.Rand
 
 	// Rates are sampled per view from this set, matching the paper.
 	Rates []float64
@@ -25,49 +24,44 @@ type CLTSim struct {
 }
 
 // NewCLTSim builds the contrastive baseline.
-func NewCLTSim(cfg BaseConfig, space []geo.Trajectory) *CLTSim {
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	return &CLTSim{
-		cfg:   cfg,
+func NewCLTSim(cfg core.Config, space []geo.Trajectory) *CLTSim {
+	c := &CLTSim{
 		stats: geo.ComputeStats(space),
-		cell:  nn.NewGRUCell(2, cfg.Dim, rng),
-		rng:   rng,
 		Rates: []float64{0, 0.2, 0.4, 0.6},
 		Tau:   0.5,
 	}
+	base, rng := newBase("CL-TSim", cfg, c)
+	c.NetEncoder = base
+	c.cell = nn.NewGRUCell(2, cfg.Dim, rng)
+	return c
 }
 
-// Name implements Encoder.
-func (c *CLTSim) Name() string { return "CL-TSim" }
-
-// OutDim implements Encoder.
-func (c *CLTSim) OutDim() int { return c.cfg.Dim }
-
-// Params implements Encoder.
+// Params returns the GRU weights.
 func (c *CLTSim) Params() []*nn.Tensor { return c.cell.Params() }
 
-// Forward implements Encoder: final GRU state over normalized points.
-func (c *CLTSim) Forward(tr geo.Trajectory) *nn.Tensor {
-	p := prepTraj(tr, c.cfg.MaxLen)
-	return c.cell.Final(pointFeatures(p, c.stats))
+// Forward returns the final GRU state over normalized points (see
+// core.Net).
+func (c *CLTSim) Forward(s *nn.Scratch, tr geo.Trajectory) *nn.Tensor {
+	p := prepTraj(tr, c.Cfg.MaxLen)
+	return c.cell.Final(pointFeatures(s, p, c.stats))
 }
 
 // augment produces one stochastic view: drop each interior point with the
 // sampled dropping rate and distort survivors with Gaussian noise scaled by
 // the distortion rate.
-func (c *CLTSim) augment(tr geo.Trajectory) geo.Trajectory {
-	drop := c.Rates[c.rng.Intn(len(c.Rates))]
-	distort := c.Rates[c.rng.Intn(len(c.Rates))]
+func (c *CLTSim) augment(tr geo.Trajectory, rng *rand.Rand) geo.Trajectory {
+	drop := c.Rates[rng.Intn(len(c.Rates))]
+	distort := c.Rates[rng.Intn(len(c.Rates))]
 	scale := distort * 0.1 * (c.stats.StdX + c.stats.StdY) / 2
 	out := make(geo.Trajectory, 0, len(tr))
 	for i, p := range tr {
 		// Keep endpoints so views stay comparable.
-		if i != 0 && i != len(tr)-1 && c.rng.Float64() < drop {
+		if i != 0 && i != len(tr)-1 && rng.Float64() < drop {
 			continue
 		}
 		out = append(out, geo.Point{
-			X: p.X + c.rng.NormFloat64()*scale,
-			Y: p.Y + c.rng.NormFloat64()*scale,
+			X: p.X + rng.NormFloat64()*scale,
+			Y: p.Y + rng.NormFloat64()*scale,
 		})
 	}
 	if len(out) < 2 {
@@ -89,73 +83,33 @@ func (c *CLTSim) ntXentBatch(views []*nn.Tensor) *nn.Tensor {
 	// Similarity matrix scaled by temperature.
 	sims := nn.Scale(nn.MatMul(z, nn.Transpose(z)), 1/c.Tau)
 	n := len(views)
-	var terms []*nn.Tensor
-	for i := 0; i < n; i++ {
+	terms := make([]*nn.Tensor, n)
+	for i := range terms {
 		j := i ^ 1 // the paired view
 		row := nn.SliceRows(sims, i, i+1)
-		// Mask self-similarity by subtracting a large constant at position i:
-		// implemented by building an explicit mask vector.
+		// Mask self-similarity by subtracting a large constant at position i.
 		mask := nn.New(1, n)
-		for k := 0; k < n; k++ {
-			if k == i {
-				mask.Data[k] = -1e9
-			}
-		}
-		masked := nn.Add(row, mask)
+		mask.Data[i] = -1e9
 		// −s_ij + log Σ_k exp(s_ik)
-		lse := nn.Log(nn.SumAll(nn.Exp(masked)), 1e-12)
-		pos := nn.SliceCols(row, j, j+1)
-		terms = append(terms, nn.Sub(lse, pos))
+		lse := nn.Log(nn.SumAll(nn.Exp(nn.Add(row, mask))), 1e-12)
+		terms[i] = nn.Sub(lse, nn.SliceCols(row, j, j+1))
 	}
-	total := terms[0]
-	for _, t := range terms[1:] {
-		total = nn.Add(total, t)
-	}
-	return nn.Scale(total, 1/float64(n))
+	return nn.MeanAll(nn.ConcatRows(terms...))
 }
 
-// Train fits the encoder with contrastive learning on an unlabelled corpus.
-func (c *CLTSim) Train(ts []geo.Trajectory, epochs int) []float64 {
-	opt := nn.NewAdam(c.Params(), c.cfg.LR)
-	var losses []float64
-	idx := make([]int, len(ts))
-	for i := range idx {
-		idx[i] = i
+// BatchLoss is CL-TSim's objective, which the training loop runs in place
+// of the supervised losses: NT-Xent over two augmented views, drawn from
+// rng, of every trajectory in the batch. A batch of one has no negatives
+// and is skipped.
+func (c *CLTSim) BatchLoss(corpus []geo.Trajectory, batch []int, rng *rand.Rand) *nn.Tensor {
+	if len(batch) < 2 {
+		return nil
 	}
-	batch := c.cfg.BatchSize
-	if batch < 2 {
-		batch = 2
-	}
-	for epoch := 0; epoch < epochs; epoch++ {
-		c.rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
-		var sum float64
-		var n int
-		for lo := 0; lo+1 < len(idx); lo += batch {
-			hi := lo + batch
-			if hi > len(idx) {
-				hi = len(idx)
-			}
-			var views []*nn.Tensor
-			for _, i := range idx[lo:hi] {
-				views = append(views, c.Forward(c.augment(ts[i])))
-				views = append(views, c.Forward(c.augment(ts[i])))
-			}
-			loss := c.ntXentBatch(views)
-			v := loss.Scalar()
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				continue
-			}
-			sum += v
-			n++
-			loss.Backward()
-			if c.cfg.ClipNorm > 0 {
-				nn.ClipGradNorm(opt.Params, c.cfg.ClipNorm)
-			}
-			opt.Step()
-		}
-		if n > 0 {
-			losses = append(losses, sum/float64(n))
+	views := make([]*nn.Tensor, 0, 2*len(batch))
+	for _, i := range batch {
+		for v := 0; v < 2; v++ {
+			views = append(views, c.Forward(nil, c.augment(corpus[i], rng)))
 		}
 	}
-	return losses
+	return c.ntXentBatch(views)
 }

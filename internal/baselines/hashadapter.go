@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sort"
 
+	"traj2hash/internal/core"
 	"traj2hash/internal/dist"
 	"traj2hash/internal/geo"
 	"traj2hash/internal/hamming"
@@ -20,7 +21,7 @@ import (
 // cheap. The crucial asymmetry versus Traj2Hash — baselines see only the
 // seed set, never the generated triplet corpus — is what Table II measures.
 type HashAdapter struct {
-	enc   Encoder
+	enc   core.Encoder
 	W     *nn.Linear
 	Bits  int
 	Alpha float64
@@ -28,11 +29,11 @@ type HashAdapter struct {
 }
 
 // NewHashAdapter creates the adapter head over the encoder.
-func NewHashAdapter(enc Encoder, bits int, alpha float64, seed int64) *HashAdapter {
+func NewHashAdapter(enc core.Encoder, bits int, alpha float64, seed int64) *HashAdapter {
 	rng := rand.New(rand.NewSource(seed))
 	return &HashAdapter{
 		enc:   enc,
-		W:     nn.NewLinear(enc.OutDim(), bits, rng),
+		W:     nn.NewLinear(enc.Dim(), bits, rng),
 		Bits:  bits,
 		Alpha: alpha,
 		beta:  1,
@@ -61,7 +62,7 @@ func (h *HashAdapter) Train(cfg AdapterConfig, seeds []geo.Trajectory, f dist.Fu
 		return fmt.Errorf("baselines: adapter needs at least M+1=%d seeds, got %d", cfg.M+1, len(seeds))
 	}
 	// Precompute frozen embeddings once.
-	embs := EmbedAll(h.enc, seeds)
+	embs := h.enc.EmbedAll(seeds)
 	d := dist.Matrix(f, seeds)
 	theta := cfg.Theta
 	if theta <= 0 {
@@ -92,8 +93,7 @@ func (h *HashAdapter) Train(cfg AdapterConfig, seeds []geo.Trajectory, f dist.Fu
 				}
 				up := h.relaxed(embs[p])
 				un := h.relaxed(embs[ng])
-				margin := nn.AddScalar(nn.Sub(nn.Dot(ui, un), nn.Dot(ui, up)), h.Alpha)
-				terms = append(terms, nn.HingeScalar(margin))
+				terms = append(terms, core.RankingHinge(ui, up, un, h.Alpha))
 			}
 		}
 		if len(terms) == 0 {
@@ -123,9 +123,7 @@ func (h *HashAdapter) relaxed(emb []float64) *nn.Tensor {
 
 // Code hashes a trajectory through the frozen encoder and the head.
 func (h *HashAdapter) Code(t geo.Trajectory) hamming.Code {
-	emb := Embed(h.enc, t)
-	x := nn.FromVec(emb)
-	out := h.W.Forward(x)
+	out := h.W.Forward(nn.FromVec(h.enc.Embed(t)))
 	return hamming.FromSigns(out.Data)
 }
 
@@ -146,11 +144,4 @@ func removeSelf(ids []int, self int) []int {
 		}
 	}
 	return out
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -3,6 +3,7 @@ package baselines
 import (
 	"math/rand"
 
+	"traj2hash/internal/core"
 	"traj2hash/internal/geo"
 	"traj2hash/internal/grid"
 	"traj2hash/internal/nn"
@@ -14,42 +15,33 @@ import (
 // trajectory embedding. The training is distance-agnostic (it never sees
 // the target distance function), which is why it ranks last in Table I.
 type T2Vec struct {
-	cfg  BaseConfig
+	core.NetEncoder
 	g    *grid.Grid
 	emb  *nn.Embedding // trainable cell embeddings
 	enc  *nn.GRUCell
 	dec  *nn.GRUCell
 	outW *nn.Linear // decoder hidden → predicted cell embedding
-	rng  *rand.Rand
 }
 
 // NewT2Vec builds the autoencoder over a cell grid of the given size
 // (coarser than the 50 m encoder grid to keep the vocabulary small — t2vec
 // itself uses a learned vocabulary of hot cells).
-func NewT2Vec(cfg BaseConfig, space []geo.Trajectory, cellSize float64) (*T2Vec, error) {
+func NewT2Vec(cfg core.Config, space []geo.Trajectory, cellSize float64) (*T2Vec, error) {
 	g, err := grid.FromTrajectories(space, cellSize)
 	if err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	return &T2Vec{
-		cfg:  cfg,
-		g:    g,
-		emb:  nn.NewEmbedding(g.Cells(), cfg.Dim, rng),
-		enc:  nn.NewGRUCell(cfg.Dim, cfg.Dim, rng),
-		dec:  nn.NewGRUCell(cfg.Dim, cfg.Dim, rng),
-		outW: nn.NewLinear(cfg.Dim, cfg.Dim, rng),
-		rng:  rng,
-	}, nil
+	t := &T2Vec{g: g}
+	base, rng := newBase("t2vec", cfg, t)
+	t.NetEncoder = base
+	t.emb = nn.NewEmbedding(g.Cells(), cfg.Dim, rng)
+	t.enc = nn.NewGRUCell(cfg.Dim, cfg.Dim, rng)
+	t.dec = nn.NewGRUCell(cfg.Dim, cfg.Dim, rng)
+	t.outW = nn.NewLinear(cfg.Dim, cfg.Dim, rng)
+	return t, nil
 }
 
-// Name implements Encoder.
-func (t *T2Vec) Name() string { return "t2vec" }
-
-// OutDim implements Encoder.
-func (t *T2Vec) OutDim() int { return t.cfg.Dim }
-
-// Params implements Encoder.
+// Params returns the cell embeddings, both GRUs and the output layer.
 func (t *T2Vec) Params() []*nn.Tensor {
 	ps := t.emb.Params()
 	ps = append(ps, t.enc.Params()...)
@@ -58,88 +50,47 @@ func (t *T2Vec) Params() []*nn.Tensor {
 	return ps
 }
 
-// tokens maps a trajectory to its (deduplicated) cell token sequence.
-func (t *T2Vec) tokens(tr geo.Trajectory) []int {
-	p := prepTraj(tr, t.cfg.MaxLen)
-	return t.g.GridTrajectory(p)
+// cells embeds a trajectory's (deduplicated) cell token sequence, one row
+// per token.
+func (t *T2Vec) cells(s *nn.Scratch, tr geo.Trajectory) *nn.Tensor {
+	toks := t.g.GridTrajectory(prepTraj(tr, t.Cfg.MaxLen))
+	return nn.Gather(s.Input(t.emb.Table), toks)
 }
 
-// Forward implements Encoder: the encoder GRU's final state.
-func (t *T2Vec) Forward(tr geo.Trajectory) *nn.Tensor {
-	x := t.emb.Forward(t.tokens(tr))
-	return t.enc.Final(x)
+// Forward returns the encoder GRU's final state (see core.Net).
+func (t *T2Vec) Forward(s *nn.Scratch, tr geo.Trajectory) *nn.Tensor {
+	return t.enc.Final(t.cells(s, tr))
 }
 
 // reconstructionLoss runs encode→decode with teacher forcing. At each step
 // the decoder predicts the next cell's embedding; a margin loss pulls the
 // prediction toward the true cell and pushes it from a random noise cell
 // (negative sampling keeps the embedding table from collapsing).
-func (t *T2Vec) reconstructionLoss(tr geo.Trajectory) *nn.Tensor {
-	toks := t.tokens(tr)
-	x := t.emb.Forward(toks)
-	h := t.enc.Final(x)
-	var terms []*nn.Tensor
-	prev := nn.New(1, t.cfg.Dim) // start-of-sequence input
-	state := h
-	for i := 0; i < len(toks); i++ {
+func (t *T2Vec) reconstructionLoss(tr geo.Trajectory, rng *rand.Rand) *nn.Tensor {
+	x := t.cells(nil, tr)
+	state := t.enc.Final(x)
+	terms := make([]*nn.Tensor, x.Rows)
+	prev := nn.New(1, t.Cfg.Dim) // start-of-sequence input
+	for i := range terms {
 		state = t.dec.Step(prev, state)
 		pred := t.outW.Forward(state)
 		target := nn.SliceRows(x, i, i+1)
-		noiseID := t.rng.Intn(t.g.Cells())
-		noise := t.emb.Forward([]int{noiseID})
+		noise := t.emb.Forward([]int{rng.Intn(t.g.Cells())})
 		// Hinge margin: score(pred, target) should beat score(pred, noise).
 		margin := nn.AddScalar(nn.Sub(nn.Dot(pred, noise), nn.Dot(pred, target)), 1)
-		terms = append(terms, nn.HingeScalar(margin))
+		terms[i] = nn.HingeScalar(margin)
 		prev = target
 	}
-	total := terms[0]
-	for _, tm := range terms[1:] {
-		total = nn.Add(total, tm)
-	}
-	return nn.Scale(total, 1/float64(len(toks)))
+	return nn.MeanAll(nn.ConcatRows(terms...))
 }
 
-// Train fits the autoencoder on an unlabelled corpus.
-func (t *T2Vec) Train(ts []geo.Trajectory, epochs int) []float64 {
-	opt := nn.NewAdam(t.Params(), t.cfg.LR)
-	var losses []float64
-	idx := make([]int, len(ts))
-	for i := range idx {
-		idx[i] = i
+// BatchLoss is t2vec's objective, which the training loop runs in place
+// of the supervised losses: the mean reconstruction loss of the batch,
+// noise cells drawn from rng.
+func (t *T2Vec) BatchLoss(corpus []geo.Trajectory, batch []int, rng *rand.Rand) *nn.Tensor {
+	terms := make([]*nn.Tensor, len(batch))
+	for k, i := range batch {
+		terms[k] = t.reconstructionLoss(corpus[i], rng)
 	}
-	for epoch := 0; epoch < epochs; epoch++ {
-		t.rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
-		var sum float64
-		var n int
-		for lo := 0; lo < len(idx); lo += t.cfg.BatchSize {
-			hi := lo + t.cfg.BatchSize
-			if hi > len(idx) {
-				hi = len(idx)
-			}
-			var loss *nn.Tensor
-			for _, i := range idx[lo:hi] {
-				l := t.reconstructionLoss(ts[i])
-				if loss == nil {
-					loss = l
-				} else {
-					loss = nn.Add(loss, l)
-				}
-			}
-			if loss == nil {
-				continue
-			}
-			loss = nn.Scale(loss, 1/float64(hi-lo))
-			sum += loss.Scalar()
-			n++
-			loss.Backward()
-			if t.cfg.ClipNorm > 0 {
-				nn.ClipGradNorm(opt.Params, t.cfg.ClipNorm)
-			}
-			opt.Step()
-		}
-		if n > 0 {
-			losses = append(losses, sum/float64(n))
-		}
-	}
-	return losses
+	return nn.MeanAll(nn.ConcatRows(terms...))
 }

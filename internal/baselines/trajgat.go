@@ -1,8 +1,7 @@
 package baselines
 
 import (
-	"math/rand"
-
+	"traj2hash/internal/core"
 	"traj2hash/internal/geo"
 	"traj2hash/internal/nn"
 )
@@ -13,7 +12,7 @@ import (
 // and a transformer over the enriched sequence with mean-pooling read-out
 // produces the embedding. Trained with the same WMSE objective.
 type TrajGAT struct {
-	cfg    BaseConfig
+	core.NetEncoder
 	stats  geo.Stats
 	tree   *QuadTree
 	nodes  *nn.Embedding // quadtree node embeddings
@@ -22,34 +21,21 @@ type TrajGAT struct {
 }
 
 // NewTrajGAT builds the quadtree over the study space and the encoder. Per
-// Section V-A5 it matches Traj2Hash's head count and depth.
-func NewTrajGAT(cfg BaseConfig, space []geo.Trajectory) *TrajGAT {
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	heads := 4
-	for cfg.Dim%heads != 0 {
-		heads /= 2
-	}
-	tree := NewQuadTree(space, 64, 8)
-	t := &TrajGAT{
-		cfg:   cfg,
-		stats: geo.ComputeStats(space),
-		tree:  tree,
-		nodes: nn.NewEmbedding(tree.NumNodes(), cfg.Dim, rng),
-		mlpE:  nn.NewLinear(2, cfg.Dim, rng),
-	}
-	for i := 0; i < 2; i++ {
-		t.blocks = append(t.blocks, nn.NewEncoderBlock(cfg.Dim, heads, cfg.Dim, true, rng))
+// Section V-A5 it matches Traj2Hash's head count and depth (Config.Heads,
+// Config.Blocks).
+func NewTrajGAT(cfg core.Config, space []geo.Trajectory) *TrajGAT {
+	t := &TrajGAT{stats: geo.ComputeStats(space), tree: NewQuadTree(space, 64, 8)}
+	base, rng := newBase("TrajGAT", cfg, t)
+	t.NetEncoder = base
+	t.nodes = nn.NewEmbedding(t.tree.NumNodes(), cfg.Dim, rng)
+	t.mlpE = nn.NewLinear(2, cfg.Dim, rng)
+	for i := 0; i < cfg.Blocks; i++ {
+		t.blocks = append(t.blocks, nn.NewEncoderBlock(cfg.Dim, cfg.Heads, cfg.Dim, true, rng))
 	}
 	return t
 }
 
-// Name implements Encoder.
-func (t *TrajGAT) Name() string { return "TrajGAT" }
-
-// OutDim implements Encoder.
-func (t *TrajGAT) OutDim() int { return t.cfg.Dim }
-
-// Params implements Encoder.
+// Params returns the node embeddings, the point embedding and the blocks.
 func (t *TrajGAT) Params() []*nn.Tensor {
 	ps := t.nodes.Params()
 	ps = append(ps, t.mlpE.Params()...)
@@ -62,18 +48,17 @@ func (t *TrajGAT) Params() []*nn.Tensor {
 // Tree exposes the quadtree (for tests and diagnostics).
 func (t *TrajGAT) Tree() *QuadTree { return t.tree }
 
-// Forward implements Encoder.
-func (t *TrajGAT) Forward(tr geo.Trajectory) *nn.Tensor {
-	p := prepTraj(tr, t.cfg.MaxLen)
-	feat := t.mlpE.Forward(pointFeatures(p, t.stats))
+// Forward encodes a trajectory (see core.Net).
+func (t *TrajGAT) Forward(s *nn.Scratch, tr geo.Trajectory) *nn.Tensor {
+	p := prepTraj(tr, t.Cfg.MaxLen)
+	feat := t.mlpE.Forward(pointFeatures(s, p, t.stats))
 	// Structural encoding: sum of node embeddings along each point's
 	// quadtree path, appended as rows then added to the point features.
+	nodes := s.Input(t.nodes.Table)
 	rows := make([]*nn.Tensor, len(p))
 	for i, pt := range p {
-		path := t.tree.Path(pt)
-		emb := t.nodes.Forward(path)
 		// Mean over the path keeps the scale independent of depth.
-		rows[i] = nn.MeanRows(emb)
+		rows[i] = nn.MeanRows(nn.Gather(nodes, t.tree.Path(pt)))
 	}
 	x := nn.Add(feat, nn.ConcatRows(rows...))
 	for _, b := range t.blocks {

@@ -1,18 +1,17 @@
 package baselines
 
 import (
-	"math/rand"
-
+	"traj2hash/internal/core"
 	"traj2hash/internal/geo"
 	"traj2hash/internal/nn"
 )
 
 // Transformer is the vanilla self-attention baseline [46]: point features →
 // positional encoding → stacked attention blocks → CLS read-out, trained
-// with the same WMSE metric-learning objective. Per Section V-A5 it uses
-// the same head count and depth as Traj2Hash.
+// with the WMSE metric-learning objective. Per Section V-A5 it uses the
+// same head count and depth as Traj2Hash.
 type Transformer struct {
-	cfg    BaseConfig
+	core.NetEncoder
 	stats  geo.Stats
 	mlpE   *nn.Linear
 	blocks []*nn.EncoderBlock
@@ -20,34 +19,22 @@ type Transformer struct {
 	pe     *nn.PositionalEncoding
 }
 
-// NewTransformer builds the baseline with 2 blocks and 4 heads (falling
-// back to fewer heads when the dimension is not divisible by 4).
-func NewTransformer(cfg BaseConfig, space []geo.Trajectory) *Transformer {
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	heads := 4
-	for cfg.Dim%heads != 0 {
-		heads /= 2
-	}
-	t := &Transformer{
-		cfg:   cfg,
-		stats: geo.ComputeStats(space),
-		mlpE:  nn.NewLinear(2, cfg.Dim, rng),
-		cls:   nn.XavierParam(1, cfg.Dim, rng),
-		pe:    nn.NewPositionalEncoding(cfg.MaxLen+1, cfg.Dim),
-	}
-	for i := 0; i < 2; i++ {
-		t.blocks = append(t.blocks, nn.NewEncoderBlock(cfg.Dim, heads, cfg.Dim, true, rng))
+// NewTransformer builds the baseline with Traj2Hash's own depth and head
+// count (Config.Blocks, Config.Heads).
+func NewTransformer(cfg core.Config, space []geo.Trajectory) *Transformer {
+	t := &Transformer{stats: geo.ComputeStats(space)}
+	base, rng := newBase("Transformer", cfg, t)
+	t.NetEncoder = base
+	t.mlpE = nn.NewLinear(2, cfg.Dim, rng)
+	t.cls = nn.XavierParam(1, cfg.Dim, rng)
+	t.pe = nn.NewPositionalEncoding(cfg.MaxLen+1, cfg.Dim)
+	for i := 0; i < cfg.Blocks; i++ {
+		t.blocks = append(t.blocks, nn.NewEncoderBlock(cfg.Dim, cfg.Heads, cfg.Dim, true, rng))
 	}
 	return t
 }
 
-// Name implements Encoder.
-func (t *Transformer) Name() string { return "Transformer" }
-
-// OutDim implements Encoder.
-func (t *Transformer) OutDim() int { return t.cfg.Dim }
-
-// Params implements Encoder.
+// Params returns the CLS token, the point embedding and the blocks.
 func (t *Transformer) Params() []*nn.Tensor {
 	ps := []*nn.Tensor{t.cls}
 	ps = append(ps, t.mlpE.Params()...)
@@ -57,10 +44,10 @@ func (t *Transformer) Params() []*nn.Tensor {
 	return ps
 }
 
-// Forward implements Encoder.
-func (t *Transformer) Forward(tr geo.Trajectory) *nn.Tensor {
-	p := prepTraj(tr, t.cfg.MaxLen)
-	x := t.mlpE.Forward(pointFeatures(p, t.stats))
+// Forward encodes a trajectory (see core.Net).
+func (t *Transformer) Forward(s *nn.Scratch, tr geo.Trajectory) *nn.Tensor {
+	p := prepTraj(tr, t.Cfg.MaxLen)
+	x := t.mlpE.Forward(pointFeatures(s, p, t.stats))
 	x = t.pe.Add(x)
 	x = nn.ConcatRows(t.cls, x)
 	for _, b := range t.blocks {

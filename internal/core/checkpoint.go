@@ -266,8 +266,8 @@ func LoadCheckpointFile(path string) (*Checkpoint, error) {
 // a resume into the wrong encoder fails with a typed error.
 //
 //det:replayed the captured state is what makes resumed training bitwise identical to uninterrupted training
-func buildCheckpoint(m trainable, opt *nn.Adam, epoch int, h *History, lr float64, rollbacks int, best [][]float64) *Checkpoint {
-	ps := m.Params()
+func buildCheckpoint(m *NetEncoder, opt *nn.Adam, epoch int, h *History, lr float64, rollbacks int, best [][]float64) *Checkpoint {
+	ps := m.net.Params()
 	shapes := make([][2]int, len(ps))
 	params := make([][]float64, len(ps))
 	for i, p := range ps {
@@ -282,9 +282,9 @@ func buildCheckpoint(m trainable, opt *nn.Adam, epoch int, h *History, lr float6
 	return &Checkpoint{
 		Version:   CheckpointVersion,
 		Kind:      m.Kind(),
-		Cfg:       m.trainConfig(),
+		Cfg:       m.Cfg,
 		Epoch:     epoch,
-		Beta:      m.curBeta(),
+		Beta:      m.beta,
 		LR:        lr,
 		Rollbacks: rollbacks,
 		AdamT:     t,
@@ -305,7 +305,7 @@ func buildCheckpoint(m trainable, opt *nn.Adam, epoch int, h *History, lr float6
 // fails loudly instead of training from garbage.
 //
 //det:replayed restoring a checkpoint must reproduce the exact state buildCheckpoint captured
-func applyCheckpoint(m trainable, c *Checkpoint, opt *nn.Adam) ([][]float64, *History, error) {
+func applyCheckpoint(m *NetEncoder, c *Checkpoint, opt *nn.Adam) ([][]float64, *History, error) {
 	kind := c.Kind
 	if kind == "" {
 		kind = AttentionKind
@@ -314,7 +314,7 @@ func applyCheckpoint(m trainable, c *Checkpoint, opt *nn.Adam) ([][]float64, *Hi
 		return nil, nil, fmt.Errorf("core: checkpoint was written by encoder %q, resuming with %q: %w",
 			kind, m.Kind(), ErrEncoderMismatch)
 	}
-	ps := m.Params()
+	ps := m.net.Params()
 	if len(c.Shapes) != len(ps) {
 		return nil, nil, fmt.Errorf("core: checkpoint has %d params, model has %d", len(c.Shapes), len(ps))
 	}
@@ -333,7 +333,7 @@ func applyCheckpoint(m trainable, c *Checkpoint, opt *nn.Adam) ([][]float64, *Hi
 	if err := opt.SetState(c.AdamT, c.AdamM, c.AdamV); err != nil {
 		return nil, nil, err
 	}
-	m.setBeta(c.Beta)
+	m.beta = c.Beta
 	best := make([][]float64, len(c.Best))
 	for i, b := range c.Best {
 		best[i] = append([]float64(nil), b...)

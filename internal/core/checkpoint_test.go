@@ -217,7 +217,7 @@ func TestDivergenceRollbackReplays(t *testing.T) {
 			t.Errorf("epoch %d HR@10 is NaN despite the guard", e)
 		}
 	}
-	if m.paramsNonFinite() {
+	if paramsNonFinite(m.Params()) {
 		t.Error("final parameters are non-finite")
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"math/rand"
 
 	"traj2hash/internal/geo"
-	"traj2hash/internal/hamming"
 	"traj2hash/internal/nn"
 )
 
@@ -38,13 +37,13 @@ const (
 // pooling and a two-layer head map the image to the HashBits-wide
 // embedding h_f. Codes follow the usual sign convention (Equation 16).
 //
-// CNNEncoder implements Trainable: it is fitted by the same generic
-// training loop (trainLoop) as the paper's attention model, with the same
-// objective, β schedule, checkpointing, and divergence guard.
+// CNNEncoder implements Trainable through the NetEncoder it embeds: it is
+// fitted by the same training loop (trainLoop) as the paper's attention
+// model, with the same objective, β schedule, checkpointing, and
+// divergence guard. Of its Cfg, HashBits, Seed, and the training
+// hyper-parameters are consulted.
 type CNNEncoder struct {
-	// Cfg records the configuration; HashBits, Seed, and the training
-	// hyper-parameters are consulted.
-	Cfg Config
+	NetEncoder
 
 	// Study-space bounding box the raster is anchored to.
 	minX, minY, maxX, maxY float64
@@ -53,9 +52,6 @@ type CNNEncoder struct {
 	conv2 *nn.Conv3x3
 	head1 *nn.Linear // cnnChans → cnnChans
 	head2 *nn.Linear // cnnChans → HashBits
-
-	beta float64
-	rng  *rand.Rand
 }
 
 // NewCNN builds the convolutional encoder with its raster fitted to the
@@ -83,16 +79,15 @@ func NewCNN(cfg Config, space []geo.Trajectory) (*CNNEncoder, error) {
 // initialization is deterministic from Config.Seed.
 func newCNNAt(cfg Config, minX, minY, maxX, maxY float64) *CNNEncoder {
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	return &CNNEncoder{
-		Cfg:  cfg,
+	c := &CNNEncoder{
 		minX: minX, minY: minY, maxX: maxX, maxY: maxY,
 		conv1: nn.NewConv3x3(cnnNX, cnnNY, 2, cnnChans, rng),
 		conv2: nn.NewConv3x3(cnnNX, cnnNY, cnnChans, cnnChans, rng),
 		head1: nn.NewLinear(cnnChans, cnnChans, rng),
 		head2: nn.NewLinear(cnnChans, cfg.HashBits, rng),
-		beta:  cfg.BetaStart,
-		rng:   rng,
 	}
+	c.NetEncoder = NewNetEncoder(CNNKind, cfg, rng, c)
+	return c
 }
 
 // raster paints a trajectory onto the study-space field, written into
@@ -146,12 +141,6 @@ func clampCell(v, n int) int {
 	return v
 }
 
-// Kind returns the encoder registry name.
-func (c *CNNEncoder) Kind() string { return CNNKind }
-
-// Dim returns the embedding width (= Config.HashBits).
-func (c *CNNEncoder) Dim() int { return c.Cfg.HashBits }
-
 // Params returns the trainable parameters of both conv layers and the
 // head.
 func (c *CNNEncoder) Params() []*nn.Tensor {
@@ -163,21 +152,9 @@ func (c *CNNEncoder) Params() []*nn.Tensor {
 	return ps
 }
 
-// SetParams overwrites the trainable parameter values from flat
-// per-tensor slices in Params() order.
-func (c *CNNEncoder) SetParams(groups [][]float64) error { return setParams(c.Params(), groups) }
-
-// trainable hooks: the generic training loop (train.go) drives the CNN
-// through these exactly as it drives the attention model.
-func (c *CNNEncoder) trainConfig() Config  { return c.Cfg }
-func (c *CNNEncoder) curBeta() float64     { return c.beta }
-func (c *CNNEncoder) setBeta(b float64)    { c.beta = b }
-func (c *CNNEncoder) trainRNG() randSource { return c.rng }
-
-// forward encodes a raw trajectory into the representation h_f
-// (1×HashBits). As for Model.forward, a nil Scratch builds the gradient
-// graph and a Scratch runs the same ops tape-free.
-func (c *CNNEncoder) forward(s *nn.Scratch, t geo.Trajectory) *nn.Tensor {
+// Forward encodes a raw trajectory into the representation h_f
+// (1×HashBits): taped under a nil Scratch, tape-free on one (see Net).
+func (c *CNNEncoder) Forward(s *nn.Scratch, t geo.Trajectory) *nn.Tensor {
 	x := s.New(cnnNX*cnnNY, 2)
 	c.raster(t, x.Data)
 	h := nn.ReLU(c.conv1.Forward(x))
@@ -186,34 +163,6 @@ func (c *CNNEncoder) forward(s *nn.Scratch, t geo.Trajectory) *nn.Tensor {
 	h = nn.ReLU(c.head1.Forward(h))
 	return c.head2.Forward(h)
 }
-
-// relaxedCode applies the training-time relaxation tanh(β·h_f) of the
-// sign function (Equation 16).
-func (c *CNNEncoder) relaxedCode(hf *nn.Tensor) *nn.Tensor {
-	return nn.Tanh(nn.Scale(hf, c.beta))
-}
-
-// Embed returns the Euclidean-space embedding of a trajectory as a plain
-// vector; the forward pass runs tape-free.
-func (c *CNNEncoder) Embed(t geo.Trajectory) []float64 { return embedOne(c, t) }
-
-// EmbedAll embeds a batch sequentially, reusing one Scratch.
-func (c *CNNEncoder) EmbedAll(ts []geo.Trajectory) [][]float64 {
-	return embedAllParallel(ts, c.Dim(), 1, tapeFree(c))
-}
-
-// EmbedAllParallel embeds a batch across worker goroutines (workers ≤ 0
-// uses GOMAXPROCS). Forward passes only read the parameters, so this is
-// safe whenever no training step runs concurrently.
-func (c *CNNEncoder) EmbedAllParallel(ts []geo.Trajectory, workers int) [][]float64 {
-	return embedAllParallel(ts, c.Dim(), workers, tapeFree(c))
-}
-
-// Code returns the Hamming-space code sign(Embed(t)).
-func (c *CNNEncoder) Code(t geo.Trajectory) hamming.Code { return hamming.FromSigns(c.Embed(t)) }
-
-// CodeAll hashes a batch of trajectories.
-func (c *CNNEncoder) CodeAll(ts []geo.Trajectory) []hamming.Code { return codeAll(c, ts) }
 
 // cnnBlob is the gob wire format of a (possibly trained) CNN encoder.
 type cnnBlob struct {
@@ -229,7 +178,7 @@ func (c *CNNEncoder) Save(w io.Writer) error {
 		Cfg:  c.Cfg,
 		MinX: c.minX, MinY: c.minY, MaxX: c.maxX, MaxY: c.maxY,
 		Beta:   c.beta,
-		Groups: snapshotParams(c),
+		Groups: snapshotParams(c.Params()),
 	}
 	if err := gob.NewEncoder(w).Encode(blob); err != nil {
 		return fmt.Errorf("core: cnn save: %w", err)

@@ -372,7 +372,7 @@ func TestSnapshotRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap := m.snapshot()
+	snap := snapshotParams(m.Params())
 	before := m.Embed(ts[0])
 	// Perturb all parameters.
 	for _, p := range m.Params() {
@@ -383,7 +383,7 @@ func TestSnapshotRestore(t *testing.T) {
 	if e := m.Embed(ts[0]); euclid(e, before) == 0 {
 		t.Fatal("perturbation had no effect")
 	}
-	m.restore(snap)
+	restoreParams(m.Params(), snap)
 	after := m.Embed(ts[0])
 	if euclid(after, before) != 0 {
 		t.Error("restore did not recover embeddings")

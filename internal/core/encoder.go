@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"os"
 	"runtime"
 	"sort"
@@ -22,10 +23,11 @@ import (
 // implementation maps a GPS trajectory to a dense Euclidean-space
 // embedding and, via the sign convention of Equation 16, to a binary
 // Hamming-space code. The paper's attention model (Model), the
-// training-free GeoPTH-style prototype hasher (GeoPTH), and the CNN over
-// grid rasterizations (CNNEncoder) all implement it; the public Index,
-// the CLI, and the experiment harness are written against this interface
-// and work with any registered kind.
+// training-free GeoPTH-style prototype hasher (GeoPTH), the CNN over
+// grid rasterizations (CNNEncoder), and the six comparison methods of
+// internal/baselines all implement it; the public Index, the CLI, and the
+// experiment harness are written against this interface and work with any
+// of them.
 //
 // Contract (enforced by the cross-encoder contract test):
 //   - Embed is deterministic and returns exactly Dim() values;
@@ -53,7 +55,8 @@ type Encoder interface {
 }
 
 // Trainable is the sub-interface of encoders whose parameters are fitted
-// by the gradient training loop (Section IV-F). Training-free encoders —
+// by the gradient training loop (Section IV-F) — every encoder that embeds
+// a NetEncoder. Training-free encoders —
 // GeoPTH — deliberately do not implement it; callers that require
 // training should type-assert and fail fast (the CLI train subcommand
 // does exactly that).
@@ -68,7 +71,7 @@ type Trainable interface {
 	// over TrainCtx with a background context.
 	Train(td TrainData) (*History, error)
 	// TrainCtx is Train honoring cancellation, checkpointing, resume,
-	// and the divergence guard (see Model.TrainCtx for the contract).
+	// and the divergence guard (see NetEncoder.TrainCtx for the contract).
 	TrainCtx(ctx context.Context, td TrainData) (*History, error)
 }
 
@@ -274,23 +277,6 @@ func LoadEncoderFile(path string) (Encoder, error) {
 // distinguish it with errors.Is.
 var ErrEncoderMismatch = errors.New("core: encoder kind mismatch")
 
-// setParams copies flat per-tensor value slices into an encoder's
-// parameters, validating lengths — the shared SetParams implementation.
-func setParams(ps []*nn.Tensor, groups [][]float64) error {
-	if len(groups) != len(ps) {
-		return fmt.Errorf("core: SetParams got %d groups, encoder has %d params", len(groups), len(ps))
-	}
-	for i, p := range ps {
-		if len(groups[i]) != len(p.Data) {
-			return fmt.Errorf("core: SetParams group %d has %d values, param wants %d", i, len(groups[i]), len(p.Data))
-		}
-	}
-	for i, p := range ps {
-		copy(p.Data, groups[i])
-	}
-	return nil
-}
-
 // embedInto writes one trajectory's embedding into dst (len Dim).
 type embedInto func(t geo.Trajectory, dst []float64)
 
@@ -335,23 +321,124 @@ func embedAllParallel(ts []geo.Trajectory, dim, workers int, newWorker func() em
 	return vecs
 }
 
-// tapeFree is the embedAllParallel worker of the trainable encoders: each
-// worker owns one Scratch and runs the encoder's forward pass on it
-// tape-free, copying the result out before the Scratch is reused.
-func tapeFree(m trainable) func() embedInto {
-	return func() embedInto {
-		s := new(nn.Scratch)
-		return func(t geo.Trajectory, dst []float64) {
-			s.Reset()
-			copy(dst, m.forward(s, t).Data)
+// Net is the one thing that differs between gradient-trained encoders:
+// the parameters and the forward pass. Forward maps a raw trajectory to
+// the 1×Dim representation h_f. With a nil Scratch it runs under the tape
+// and builds the gradient graph training differentiates; on a Scratch the
+// same ops run tape-free (see nn.Scratch) and the result is valid until s
+// is next reset — so lookups from parameter tables must go through
+// s.Input, or they stay on the tape. Params may include non-gradient
+// state the forward pass reads (NeuTraj's spatial memory): the optimizer
+// skips tensors without a gradient, while snapshots, rollback and
+// checkpoints carry them with the weights.
+type Net interface {
+	Params() []*nn.Tensor
+	Forward(s *nn.Scratch, t geo.Trajectory) *nn.Tensor
+}
+
+// batchLosser is what trainLoop asks a Net for: one that implements it is
+// fitted by its own self-supervised objective (t2vec's reconstruction,
+// CL-TSim's NT-Xent) in place of the supervised losses of Section IV-F.
+// BatchLoss builds the taped loss of one batch of corpus indices, drawing
+// whatever randomness it needs (noise cells, augmentations) from rng — the
+// per-epoch generator, so the draws replay after resume and rollback. A
+// nil result skips the batch.
+type batchLosser interface {
+	BatchLoss(corpus []geo.Trajectory, batch []int, rng *rand.Rand) *nn.Tensor
+}
+
+// NetEncoder is the one implementation of everything gradient-trained
+// encoders share — the Encoder surface served tape-free, SetParams, and
+// training through trainLoop — over the Net that embeds it: the attention
+// Model, the CNNEncoder and the six baselines of internal/baselines each
+// embed a NetEncoder built over themselves, supply Params and Forward, and
+// thereby implement Trainable.
+type NetEncoder struct {
+	// Cfg is the configuration the encoder was built with; its training
+	// hyper-parameters drive Train.
+	Cfg Config
+
+	kind string
+	net  Net
+	beta float64    // tanh(β·) relaxation scale
+	rng  *rand.Rand // the construction generator, which WMSE sampling continues
+}
+
+// NewNetEncoder returns the shared surface of the encoder kind over net,
+// for net to embed. rng is the generator net's parameters were (or are
+// about to be) initialized from.
+func NewNetEncoder(kind string, cfg Config, rng *rand.Rand, net Net) NetEncoder {
+	return NetEncoder{Cfg: cfg, kind: kind, net: net, beta: cfg.BetaStart, rng: rng}
+}
+
+// Kind returns the encoder's registry name or, for encoders outside the
+// registry, the name it carries in result tables and checkpoints.
+func (e *NetEncoder) Kind() string { return e.kind }
+
+// Dim returns the embedding width, which equals the code length
+// Config.HashBits (Embed returns h_f of Equation 15, one sign bit per
+// coordinate).
+func (e *NetEncoder) Dim() int { return e.Cfg.HashBits }
+
+// SetParams overwrites the parameter values from flat per-tensor slices in
+// Params() order, rejecting length mismatches.
+func (e *NetEncoder) SetParams(groups [][]float64) error {
+	ps := e.net.Params()
+	if len(groups) != len(ps) {
+		return fmt.Errorf("core: SetParams got %d groups, encoder has %d params", len(groups), len(ps))
+	}
+	for i, p := range ps {
+		if len(groups[i]) != len(p.Data) {
+			return fmt.Errorf("core: SetParams group %d has %d values, param wants %d", i, len(groups[i]), len(p.Data))
 		}
+	}
+	restoreParams(ps, groups)
+	return nil
+}
+
+// Embed returns the Euclidean-space embedding h_f of a trajectory as a
+// plain vector. The forward pass runs tape-free on a Scratch that dies
+// with the call.
+func (e *NetEncoder) Embed(t geo.Trajectory) []float64 {
+	return append([]float64(nil), e.net.Forward(new(nn.Scratch), t).Data...)
+}
+
+// EmbedAll embeds a batch of trajectories sequentially. Every vector
+// shares one flat backing array and every forward pass reuses one
+// Scratch, so the batch costs a handful of allocations however long it is.
+func (e *NetEncoder) EmbedAll(ts []geo.Trajectory) [][]float64 {
+	return embedAllParallel(ts, e.Dim(), 1, e.embedWorker)
+}
+
+// EmbedAllParallel embeds a batch across worker goroutines (workers ≤ 0
+// uses GOMAXPROCS). Forward passes only read the parameters, so this is
+// safe whenever no training step runs concurrently. As in EmbedAll, the
+// result vectors share one flat backing array.
+func (e *NetEncoder) EmbedAllParallel(ts []geo.Trajectory, workers int) [][]float64 {
+	return embedAllParallel(ts, e.Dim(), workers, e.embedWorker)
+}
+
+// embedWorker is the embedAllParallel worker: it owns one Scratch and runs
+// the forward pass on it tape-free, copying the result out before the
+// Scratch is reused.
+func (e *NetEncoder) embedWorker() embedInto {
+	s := new(nn.Scratch)
+	return func(t geo.Trajectory, dst []float64) {
+		s.Reset()
+		copy(dst, e.net.Forward(s, t).Data)
 	}
 }
 
-// embedOne is the shared Embed of the trainable encoders: a single
-// tape-free forward pass on a Scratch that dies with the call.
-func embedOne(m trainable, t geo.Trajectory) []float64 {
-	return append([]float64(nil), m.forward(new(nn.Scratch), t).Data...)
+// Code returns the Hamming-space hash code z = sign(h_f) of Equation 16.
+func (e *NetEncoder) Code(t geo.Trajectory) hamming.Code { return hamming.FromSigns(e.Embed(t)) }
+
+// CodeAll hashes a batch of trajectories.
+func (e *NetEncoder) CodeAll(ts []geo.Trajectory) []hamming.Code { return codeAll(e, ts) }
+
+// relaxedCode applies the training-time relaxation tanh(β·h_f) of the sign
+// function (Equation 16, following HashNet).
+func (e *NetEncoder) relaxedCode(hf *nn.Tensor) *nn.Tensor {
+	return nn.Tanh(nn.Scale(hf, e.beta))
 }
 
 // codeAll is the shared CodeAll implementation: one Code per trajectory.

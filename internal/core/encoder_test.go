@@ -213,7 +213,7 @@ func TestCNNTrainable(t *testing.T) {
 	if len(h.EpochLoss) != cfg.Epochs {
 		t.Fatalf("trained %d epochs, want %d", len(h.EpochLoss), cfg.Epochs)
 	}
-	if paramsNonFinite(enc.(*CNNEncoder)) {
+	if paramsNonFinite(tr.Params()) {
 		t.Error("CNN training produced non-finite parameters")
 	}
 }

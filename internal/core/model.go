@@ -9,7 +9,6 @@ import (
 
 	"traj2hash/internal/geo"
 	"traj2hash/internal/grid"
-	"traj2hash/internal/hamming"
 	"traj2hash/internal/nn"
 )
 
@@ -23,8 +22,10 @@ type cellEmbedder interface {
 // light-weight grid representation encoder, an attention-based GPS
 // trajectory encoder, and a hash layer producing embeddings in Euclidean
 // space (h_f, Equation 15) and codes in Hamming space (z, Equation 16).
+// The Encoder and Trainable surface is the embedded NetEncoder's; Model
+// supplies the parameters and the forward pass.
 type Model struct {
-	Cfg Config
+	NetEncoder
 
 	stats geo.Stats // Gaussian normalization of Equation 10
 
@@ -46,9 +47,6 @@ type Model struct {
 	// Hash layer (Section IV-E).
 	fuse *nn.Linear // MLP_f (Equation 14)
 	proj *nn.Linear // W_p (Equation 15)
-
-	beta float64 // tanh(β·) relaxation scale
-	rng  *rand.Rand
 }
 
 // New builds a Traj2Hash model. The study space (grid extent and
@@ -63,12 +61,8 @@ func New(cfg Config, space []geo.Trajectory) (*Model, error) {
 		return nil, fmt.Errorf("core: no trajectories to fit the study space")
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	m := &Model{
-		Cfg:   cfg,
-		stats: geo.ComputeStats(space),
-		rng:   rng,
-		beta:  cfg.BetaStart,
-	}
+	m := &Model{stats: geo.ComputeStats(space)}
+	m.NetEncoder = NewNetEncoder(AttentionKind, cfg, rng, m)
 
 	fuseIn := cfg.Dim
 	if cfg.UseGrids {
@@ -133,25 +127,6 @@ func init() {
 		func(cfg Config, space []geo.Trajectory) (Encoder, error) { return New(cfg, space) },
 		func(r io.Reader) (Encoder, error) { return Load(r) })
 }
-
-// Kind returns the encoder registry name of the paper's attention model.
-func (m *Model) Kind() string { return AttentionKind }
-
-// Dim returns the embedding width, which equals the code length
-// Config.HashBits (Embed returns h_f of Equation 15, one sign bit per
-// coordinate).
-func (m *Model) Dim() int { return m.Cfg.HashBits }
-
-// SetParams overwrites the trainable parameter values from flat
-// per-tensor slices in Params() order.
-func (m *Model) SetParams(groups [][]float64) error { return setParams(m.Params(), groups) }
-
-// trainable hooks: the generic training loop (train.go) drives any
-// in-package encoder through these.
-func (m *Model) trainConfig() Config  { return m.Cfg }
-func (m *Model) curBeta() float64     { return m.beta }
-func (m *Model) setBeta(b float64)    { m.beta = b }
-func (m *Model) trainRNG() randSource { return m.rng }
 
 // Params returns all trainable parameters (the frozen grid embeddings are
 // excluded by design, Section IV-C).
@@ -231,12 +206,10 @@ func (m *Model) encodeGrid(s *nn.Scratch, t geo.Trajectory) *nn.Tensor {
 	return mark.Keep(nn.MeanRows(m.gridMLP.Forward(x)))
 }
 
-// forward encodes a raw trajectory into the final representation h_f of
-// Equation 15 (1×HashBits). It is the model's only forward pass: with a
-// nil Scratch it builds the gradient graph training differentiates; on a
-// Scratch the same ops run tape-free (see nn.Scratch) and the result is
-// valid until s is next reset.
-func (m *Model) forward(s *nn.Scratch, t geo.Trajectory) *nn.Tensor {
+// Forward encodes a raw trajectory into the final representation h_f of
+// Equation 15 (1×HashBits). It is the model's only forward pass (see Net):
+// taped under a nil Scratch, tape-free on one.
+func (m *Model) Forward(s *nn.Scratch, t geo.Trajectory) *nn.Tensor {
 	p := m.prep(t)
 	h := m.encodeDirection(s, p)
 	if !m.Cfg.UseRevAug {
@@ -244,46 +217,6 @@ func (m *Model) forward(s *nn.Scratch, t geo.Trajectory) *nn.Tensor {
 	}
 	hr := m.encodeDirection(s, p.Reverse())
 	return nn.ConcatCols(m.proj.Forward(h), m.proj.Forward(hr))
-}
-
-// relaxedCode applies the training-time relaxation tanh(β·h_f) of the sign
-// function (Equation 16, following HashNet).
-func (m *Model) relaxedCode(hf *nn.Tensor) *nn.Tensor {
-	return nn.Tanh(nn.Scale(hf, m.beta))
-}
-
-// Embed returns the Euclidean-space embedding h_f of a trajectory as a
-// plain vector. The forward pass runs tape-free on a Scratch that dies
-// with the call.
-func (m *Model) Embed(t geo.Trajectory) []float64 { return embedOne(m, t) }
-
-// EmbedAll embeds a batch of trajectories sequentially. Every vector
-// shares one flat backing array and every forward pass reuses one
-// Scratch, so the batch costs a handful of allocations however long it is.
-func (m *Model) EmbedAll(ts []geo.Trajectory) [][]float64 {
-	return embedAllParallel(ts, m.Dim(), 1, tapeFree(m))
-}
-
-// EmbedAllParallel embeds a batch across worker goroutines (workers ≤ 0
-// uses GOMAXPROCS). Forward passes only read the parameters, so this is
-// safe whenever no training step runs concurrently. As in EmbedAll, the
-// result vectors share one flat backing array.
-func (m *Model) EmbedAllParallel(ts []geo.Trajectory, workers int) [][]float64 {
-	return embedAllParallel(ts, m.Dim(), workers, tapeFree(m))
-}
-
-// Code returns the Hamming-space hash code z = sign(h_f) of Equation 16.
-func (m *Model) Code(t geo.Trajectory) hamming.Code {
-	return hamming.FromSigns(m.Embed(t))
-}
-
-// CodeAll hashes a batch of trajectories.
-func (m *Model) CodeAll(ts []geo.Trajectory) []hamming.Code {
-	out := make([]hamming.Code, len(ts))
-	for i, t := range ts {
-		out[i] = m.Code(t)
-	}
-	return out
 }
 
 // ApproxDistance returns the model's Euclidean-space approximation of the
@@ -304,9 +237,3 @@ func (m *Model) ApproxDistance(a, b geo.Trajectory, theta float64) float64 {
 	}
 	return eu
 }
-
-// snapshot copies all parameter values (for best-epoch model selection).
-func (m *Model) snapshot() [][]float64 { return snapshotParams(m) }
-
-// restore writes a snapshot back into the parameters.
-func (m *Model) restore(snap [][]float64) { restoreParams(m, snap) }

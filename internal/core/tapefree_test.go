@@ -35,12 +35,15 @@ func lengthProbes(tb testing.TB, space []geo.Trajectory, lengths ...int) []geo.T
 
 // assertTapeFreeParity holds every tape-free entry point of a trainable
 // encoder to math.Float64bits equality with its taped forward pass.
-func assertTapeFreeParity(t *testing.T, m trainable, probes []geo.Trajectory) {
+func assertTapeFreeParity(t *testing.T, m interface {
+	Encoder
+	Net
+}, probes []geo.Trajectory) {
 	t.Helper()
 	all := m.EmbedAll(probes) // one Scratch reused across items: stale storage must not leak
 	par := m.EmbedAllParallel(probes, 3)
 	for i, p := range probes {
-		want := m.forward(nil, p).Data
+		want := m.Forward(nil, p).Data
 		for name, got := range map[string][]float64{
 			"Embed": m.Embed(p), "EmbedAll": all[i], "EmbedAllParallel": par[i],
 		} {
@@ -134,7 +137,7 @@ func TestEmbedAllParallelRetainsPerWorkerScratch(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	const workers = 4
 	embedAllParallel(space, m.Dim(), workers, func() embedInto {
-		embed := tapeFree(m)()
+		embed := m.embedWorker()
 		return func(tr geo.Trajectory, dst []float64) {
 			embed(tr, dst)
 			if &tr[0] == &space[500][0] { // near the end: anything per-item would have piled up

@@ -167,27 +167,9 @@ type randSource interface {
 	Float64() float64
 }
 
-// trainable is what the generic training loop needs from an encoder: the
-// Encoder surface, parameter access, a differentiable forward pass, the
-// tanh(β·) relaxation, and the hyper-parameters/RNG of the run. Its
-// methods are unexported, so implementations live in this package (Model
-// and CNNEncoder); external callers drive training through the exported
-// Trainable interface instead.
-type trainable interface {
-	Encoder
-	Params() []*nn.Tensor
-	trainConfig() Config
-	forward(s *nn.Scratch, t geo.Trajectory) *nn.Tensor
-	relaxedCode(hf *nn.Tensor) *nn.Tensor
-	curBeta() float64
-	setBeta(b float64)
-	trainRNG() randSource
-}
-
 // snapshotParams copies all parameter values (for best-epoch model
 // selection and the divergence guard's rollback target).
-func snapshotParams(m trainable) [][]float64 {
-	ps := m.Params()
+func snapshotParams(ps []*nn.Tensor) [][]float64 {
 	out := make([][]float64, len(ps))
 	for i, p := range ps {
 		out[i] = append([]float64(nil), p.Data...)
@@ -196,8 +178,7 @@ func snapshotParams(m trainable) [][]float64 {
 }
 
 // restoreParams writes a snapshot back into the parameters.
-func restoreParams(m trainable, snap [][]float64) {
-	ps := m.Params()
+func restoreParams(ps []*nn.Tensor, snap [][]float64) {
 	for i, p := range ps {
 		copy(p.Data, snap[i])
 	}
@@ -207,20 +188,8 @@ func restoreParams(m trainable, snap [][]float64) {
 // L = L_s + γ·(L_r + L_t), with Adam, HashNet β-scheduling, and
 // best-validation-HR@10 model selection (Section V-A5). It is a thin
 // wrapper over TrainCtx with a background context.
-func (m *Model) Train(td TrainData) (*History, error) {
-	return m.TrainCtx(context.Background(), td)
-}
-
-// Train fits the CNN encoder with the same objective and schedule as the
-// paper model; see Model.Train.
-func (c *CNNEncoder) Train(td TrainData) (*History, error) {
-	return c.TrainCtx(context.Background(), td)
-}
-
-// TrainCtx is Train honoring cancellation, checkpointing, resume, and
-// the divergence guard; see Model.TrainCtx for the full contract.
-func (c *CNNEncoder) TrainCtx(ctx context.Context, td TrainData) (*History, error) {
-	return trainLoop(ctx, c, td)
+func (e *NetEncoder) Train(td TrainData) (*History, error) {
+	return e.TrainCtx(context.Background(), td)
 }
 
 // epochRNG derives the deterministic in-epoch sample stream (anchor
@@ -234,10 +203,10 @@ func epochRNG(seed int64, epoch int) *rand.Rand {
 	return rand.New(rand.NewSource(seed*1000003 + int64(epoch)*7919 + 12289))
 }
 
-// paramsNonFinite reports whether any trainable parameter holds a NaN or
-// an Inf — the cheap half of the divergence guard.
-func paramsNonFinite(m trainable) bool {
-	for _, p := range m.Params() {
+// paramsNonFinite reports whether any parameter holds a NaN or an Inf —
+// the cheap half of the divergence guard.
+func paramsNonFinite(ps []*nn.Tensor) bool {
+	for _, p := range ps {
 		for _, v := range p.Data {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				return true
@@ -246,9 +215,6 @@ func paramsNonFinite(m trainable) bool {
 	}
 	return false
 }
-
-// paramsNonFinite is the method form tests exercise directly.
-func (m *Model) paramsNonFinite() bool { return paramsNonFinite(m) }
 
 // TrainCtx is Train with a failure domain around it:
 //
@@ -265,19 +231,27 @@ func (m *Model) paramsNonFinite() bool { return paramsNonFinite(m) }
 //     trip is recorded in History.Diverged); with no boundary to roll
 //     back to — or the rollback budget exhausted — training returns
 //     ErrDiverged instead of silently emitting NaN metrics.
-func (m *Model) TrainCtx(ctx context.Context, td TrainData) (*History, error) {
-	return trainLoop(ctx, m, td)
+func (e *NetEncoder) TrainCtx(ctx context.Context, td TrainData) (*History, error) {
+	return trainLoop(ctx, e, td)
 }
 
-// trainLoop is the encoder-generic training loop behind Model.TrainCtx
-// and CNNEncoder.TrainCtx: any in-package trainable — a differentiable
-// forward pass plus parameter access — gets the full Section IV-F
-// optimization with checkpointing, resume, and the divergence guard.
+// trainLoop is the one training loop, behind NetEncoder.TrainCtx: any Net
+// — a differentiable forward pass plus parameter access — gets the full
+// Section IV-F optimization with checkpointing, resume, and the divergence
+// guard. The ablation switches of Config select the objective: Gamma = 0
+// with UseTriplets off leaves exactly the WMSE loss of Equation 17 (what
+// the supervised baselines train with), and a Net that brings its own
+// batch loss (batchLosser) runs it over shuffled corpus batches in place
+// of the seed and triplet phases, needing no seeds or distance function.
 //
 //det:replayed the per-epoch body replays after resume and rollback; (seed, epoch) is the only allowed randomness cursor
-func trainLoop(ctx context.Context, m trainable, td TrainData) (*History, error) {
-	cfg := m.trainConfig()
-	if len(td.Seeds) < cfg.M+1 {
+func trainLoop(ctx context.Context, m *NetEncoder, td TrainData) (*History, error) {
+	cfg := m.Cfg
+	own, selfSupervised := m.net.(batchLosser)
+	switch {
+	case selfSupervised && len(td.Corpus) == 0:
+		return nil, fmt.Errorf("core: %s trains on the corpus alone, and TrainData.Corpus is empty", m.kind)
+	case !selfSupervised && len(td.Seeds) < cfg.M+1:
 		return nil, fmt.Errorf("core: need at least M+1=%d seeds, got %d", cfg.M+1, len(td.Seeds))
 	}
 	h := &History{}
@@ -317,15 +291,16 @@ func trainLoop(ctx context.Context, m trainable, td TrainData) (*History, error)
 
 	// Fast triplet generation (Section IV-F).
 	var triplets []Triplet
-	if cfg.UseTriplets && len(td.Corpus) >= 3 {
+	if cfg.UseTriplets && !selfSupervised && len(td.Corpus) >= 3 {
 		triplets = GenerateTriplets(td.Corpus, cfg.TripletCellSize, cfg.NumTriplets, cfg.Seed)
 	}
 	h.Triplets = len(triplets)
 
-	samples := buildSamples(seedSim, cfg.M, m.trainRNG())
-	opt := nn.NewAdam(m.Params(), cfg.LR)
+	samples := buildSamples(seedSim, cfg.M, m.rng)
+	params := m.net.Params()
+	opt := nn.NewAdam(params, cfg.LR)
 
-	bestSnap := snapshotParams(m)
+	bestSnap := snapshotParams(params)
 	h.BestHR10 = -1
 	lr := cfg.LR
 	rollbacks := 0
@@ -367,7 +342,12 @@ func trainLoop(ctx context.Context, m trainable, td TrainData) (*History, error)
 		return h, fmt.Errorf("core: training interrupted in epoch %d: %w", epoch, context.Cause(ctx))
 	}
 
+	// One epoch visits every seed anchor once — or, under a Net's own batch
+	// loss, every corpus trajectory.
 	anchors := make([]int, ns)
+	if selfSupervised {
+		anchors = make([]int, len(td.Corpus))
+	}
 	for epoch := startEpoch; epoch < cfg.Epochs; epoch++ {
 		if ctx.Err() != nil {
 			return interrupted(epoch)
@@ -407,7 +387,7 @@ func trainLoop(ctx context.Context, m trainable, td TrainData) (*History, error)
 			stepIdx++
 		}
 
-		// WMSE + seed ranking batches.
+		// WMSE + seed ranking batches (or the Net's own batch loss).
 		for lo := 0; lo < len(anchors); lo += cfg.BatchSize {
 			if ctx.Err() != nil {
 				canceled = true
@@ -417,7 +397,12 @@ func trainLoop(ctx context.Context, m trainable, td TrainData) (*History, error)
 			if hi > len(anchors) {
 				hi = len(anchors)
 			}
-			loss := seedBatchLoss(m, td.Seeds, seedSim, samples, anchors[lo:hi])
+			var loss *nn.Tensor
+			if selfSupervised {
+				loss = own.BatchLoss(td.Corpus, anchors[lo:hi], erng)
+			} else {
+				loss = seedBatchLoss(m, td.Seeds, seedSim, samples, anchors[lo:hi])
+			}
 			if loss == nil {
 				continue
 			}
@@ -452,7 +437,7 @@ func trainLoop(ctx context.Context, m trainable, td TrainData) (*History, error)
 		// and never becomes lastGood — it is rolled back and replayed at
 		// half the learning rate, or surfaced as ErrDiverged when there
 		// is nothing to roll back to.
-		if math.IsNaN(meanLoss) || math.IsInf(meanLoss, 0) || paramsNonFinite(m) || (hasVal && math.IsNaN(hr)) {
+		if math.IsNaN(meanLoss) || math.IsInf(meanLoss, 0) || paramsNonFinite(params) || (hasVal && math.IsNaN(hr)) {
 			if lastGood == nil || rollbacks >= maxRollbacks {
 				h.Diverged = append(h.Diverged, epoch)
 				return h, fmt.Errorf("core: epoch %d went non-finite with no checkpoint to roll back to (rollbacks %d/%d): %w",
@@ -492,12 +477,12 @@ func trainLoop(ctx context.Context, m trainable, td TrainData) (*History, error)
 				h.BestHR10 = hr
 			}
 			h.BestEpoch = epoch
-			bestSnap = snapshotParams(m)
+			bestSnap = snapshotParams(params)
 		}
 
 		// HashNet relaxation schedule: β grows each epoch, sharpening
 		// tanh(β·) toward sign(·).
-		m.setBeta(m.curBeta() * cfg.BetaGrowth)
+		m.beta *= cfg.BetaGrowth
 
 		lastGood = buildCheckpoint(m, opt, epoch+1, h, lr, rollbacks, bestSnap)
 		if td.CheckpointEvery > 0 && td.OnCheckpoint != nil && (epoch+1)%td.CheckpointEvery == 0 {
@@ -509,11 +494,11 @@ func trainLoop(ctx context.Context, m trainable, td TrainData) (*History, error)
 			}
 		}
 	}
-	restoreParams(m, bestSnap)
+	restoreParams(params, bestSnap)
 	// A trained encoder is served tape-free and never reads a gradient
 	// again; left in place the buffers double its resident size. A later
 	// Train call re-creates them on its first Backward.
-	for _, p := range m.Params() {
+	for _, p := range params {
 		p.Grad = nil
 	}
 	return h, nil
@@ -526,7 +511,7 @@ const tripletBatchesPerEpoch = 2
 
 // seedBatchLoss builds L_s + γ·L_r (Equations 17 and 19) over a batch of
 // anchors. Returns nil when the batch is empty.
-func seedBatchLoss(m trainable, seeds []geo.Trajectory, s [][]float64, samples []sampleSet, batch []int) *nn.Tensor {
+func seedBatchLoss(m *NetEncoder, seeds []geo.Trajectory, s [][]float64, samples []sampleSet, batch []int) *nn.Tensor {
 	if len(batch) == 0 {
 		return nil
 	}
@@ -535,7 +520,7 @@ func seedBatchLoss(m trainable, seeds []geo.Trajectory, s [][]float64, samples [
 		if e, ok := cache[i]; ok {
 			return e
 		}
-		e := m.forward(nil, seeds[i])
+		e := m.net.Forward(nil, seeds[i])
 		cache[i] = e
 		return e
 	}
@@ -552,7 +537,7 @@ func seedBatchLoss(m trainable, seeds []geo.Trajectory, s [][]float64, samples [
 		}
 		// L_r: the M samples grouped into M/2 (positive, negative) pairs by
 		// similarity (Equation 19), on the tanh-relaxed codes.
-		if m.trainConfig().Gamma > 0 {
+		if m.Cfg.Gamma > 0 {
 			ui := m.relaxedCode(hi)
 			order := append([]int(nil), set.ids...)
 			row := s[i]
@@ -565,8 +550,8 @@ func seedBatchLoss(m trainable, seeds []geo.Trajectory, s [][]float64, samples [
 				}
 				up := m.relaxedCode(embed(p))
 				un := m.relaxedCode(embed(n))
-				hinge := RankingHinge(ui, up, un, m.trainConfig().Alpha)
-				terms = append(terms, nn.Scale(hinge, 0.5*m.trainConfig().Gamma))
+				hinge := RankingHinge(ui, up, un, m.Cfg.Alpha)
+				terms = append(terms, nn.Scale(hinge, 0.5*m.Cfg.Gamma))
 			}
 		}
 	}
@@ -579,12 +564,12 @@ func seedBatchLoss(m trainable, seeds []geo.Trajectory, s [][]float64, samples [
 // tripletBatchLoss builds γ·L_t (Equation 20) over a random triplet
 // batch drawn from rng — the per-epoch generator, so the picks belong to
 // the epoch's replayable sample stream (see epochRNG).
-func tripletBatchLoss(m trainable, corpus []geo.Trajectory, triplets []Triplet, rng randSource) *nn.Tensor {
+func tripletBatchLoss(m *NetEncoder, corpus []geo.Trajectory, triplets []Triplet, rng randSource) *nn.Tensor {
 	//lint:ignore floatcompare γ is a user-set hyper-parameter; exactly 0 is the documented "triplet loss off" switch
-	if m.trainConfig().Gamma == 0 || len(triplets) == 0 {
+	if m.Cfg.Gamma == 0 || len(triplets) == 0 {
 		return nil
 	}
-	n := m.trainConfig().TripletBatch
+	n := m.Cfg.TripletBatch
 	if n > len(triplets) {
 		n = len(triplets)
 	}
@@ -593,15 +578,15 @@ func tripletBatchLoss(m trainable, corpus []geo.Trajectory, triplets []Triplet, 
 		if e, ok := cache[i]; ok {
 			return e
 		}
-		e := m.relaxedCode(m.forward(nil, corpus[i]))
+		e := m.relaxedCode(m.net.Forward(nil, corpus[i]))
 		cache[i] = e
 		return e
 	}
 	var terms []*nn.Tensor
 	for b := 0; b < n; b++ {
 		t := triplets[rng.Intn(len(triplets))]
-		hinge := RankingHinge(code(t.Anchor), code(t.Positive), code(t.Negative), m.trainConfig().Alpha)
-		terms = append(terms, nn.Scale(hinge, m.trainConfig().Gamma))
+		hinge := RankingHinge(code(t.Anchor), code(t.Positive), code(t.Negative), m.Cfg.Alpha)
+		terms = append(terms, nn.Scale(hinge, m.Cfg.Gamma))
 	}
 	if len(terms) == 0 {
 		return nil
@@ -631,7 +616,7 @@ func sumTerms(terms []*nn.Tensor) *nn.Tensor {
 // the validation embeddings themselves went non-finite — an explicit
 // divergence signal the guard in TrainCtx acts on, never a value that
 // silently enters the history.
-func validationHR10(m trainable, val []geo.Trajectory, truth [][]int) (hr float64, ok bool) {
+func validationHR10(m *NetEncoder, val []geo.Trajectory, truth [][]int) (hr float64, ok bool) {
 	if len(val) == 0 {
 		return math.NaN(), false
 	}

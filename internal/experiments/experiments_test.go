@@ -59,9 +59,6 @@ func TestParamsForMonotone(t *testing.T) {
 		if err := p.CoreConfig().Validate(); err != nil {
 			t.Errorf("scale %v: invalid core config: %v", s, err)
 		}
-		if p.BaseConfig().Dim != p.Dim {
-			t.Errorf("scale %v: baseline dim mismatch", s)
-		}
 	}
 }
 
@@ -120,8 +117,8 @@ func TestTrainMethodAllNames(t *testing.T) {
 			continue
 		}
 		embs := tr.EmbedAll(env.Dataset.Queries[:2])
-		if len(embs) != 2 || len(embs[0]) == 0 {
-			t.Errorf("%s: bad embeddings", name)
+		if len(embs) != 2 || len(embs[0]) != env.Params.Dim {
+			t.Errorf("%s: bad embeddings (every method embeds at the shared latent dimension %d)", name, env.Params.Dim)
 		}
 		if err := tr.AttachHashAdapter(env, dist.FrechetDist, 8); err != nil {
 			t.Errorf("%s adapter: %v", name, err)

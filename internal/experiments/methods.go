@@ -31,7 +31,7 @@ type Trained struct {
 	// only available after AttachHashAdapter.
 	CodeAll func([]geo.Trajectory) []hamming.Code
 
-	enc baselines.Encoder // non-nil for neural baselines
+	enc core.Encoder // nil for Fresh
 }
 
 // DistanceAgnostic reports whether the method trains without the target
@@ -41,78 +41,55 @@ func DistanceAgnostic(name string) bool {
 }
 
 // TrainMethod trains the named method on the environment for distance f.
+// Every neural method is a core.Trainable fitted by the one training loop
+// under the same protocol; the distance-agnostic ones see the unlabelled
+// trajectories only, so no exact distance is computed for them.
 func TrainMethod(name string, env *Env, f dist.Func) (*Trained, error) {
 	p := env.Params
 	ds := env.Dataset
 	space := ds.All()
+	// The baselines share Traj2Hash's settings minus what is the paper's own
+	// contribution: no ranking loss, no generated triplets, no grid channel.
+	bc := p.CoreConfig()
+	bc.Gamma, bc.UseTriplets, bc.UseGrids = 0, false, false
+	var enc core.Trainable
+	var err error
 	switch name {
 	case "Traj2Hash":
-		cfg := p.CoreConfig()
-		m, err := core.New(cfg, space)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := m.Train(core.TrainData{
-			Seeds: ds.Seeds, Validation: ds.Validation, Corpus: ds.Corpus, F: f,
-		}); err != nil {
-			return nil, err
-		}
-		return &Trained{Name: name, EmbedAll: m.EmbedAll, CodeAll: m.CodeAll}, nil
-
+		enc, err = core.New(p.CoreConfig(), space)
 	case "Fresh":
 		fr := baselines.NewFresh(1000, 4, 16, p.Seed)
 		return &Trained{Name: name, CodeAll: fr.CodeAll}, nil
-
 	case "t2vec":
-		bc := p.BaseConfig()
-		t2v, err := baselines.NewT2Vec(bc, space, 400)
-		if err != nil {
-			return nil, err
-		}
-		corpus := append(append([]geo.Trajectory{}, ds.Seeds...), ds.Corpus...)
-		t2v.Train(corpus, bc.Epochs)
-		return newNeural(t2v), nil
-
+		enc, err = baselines.NewT2Vec(bc, space, 400)
 	case "CL-TSim":
-		bc := p.BaseConfig()
-		cl := baselines.NewCLTSim(bc, space)
-		corpus := append(append([]geo.Trajectory{}, ds.Seeds...), ds.Corpus...)
-		cl.Train(corpus, bc.Epochs)
-		return newNeural(cl), nil
-
-	case "NeuTraj", "NT-No-SAM", "Transformer", "TrajGAT":
-		bc := p.BaseConfig()
-		var enc baselines.Encoder
-		var err error
-		switch name {
-		case "NeuTraj":
-			enc, err = baselines.NewNeuTraj(bc, space)
-		case "NT-No-SAM":
-			enc, err = baselines.NewNTNoSAM(bc, space)
-		case "Transformer":
-			enc = baselines.NewTransformer(bc, space)
-		case "TrajGAT":
-			enc = baselines.NewTrajGAT(bc, space)
-		}
-		if err != nil {
-			return nil, err
-		}
-		if _, err := baselines.TrainWMSE(enc, bc, ds.Seeds, ds.Validation, f); err != nil {
-			return nil, err
-		}
-		return newNeural(enc), nil
-
+		enc = baselines.NewCLTSim(bc, space)
+	case "NeuTraj":
+		enc, err = baselines.NewNeuTraj(bc, space)
+	case "NT-No-SAM":
+		enc, err = baselines.NewNTNoSAM(bc, space)
+	case "Transformer":
+		enc = baselines.NewTransformer(bc, space)
+	case "TrajGAT":
+		enc = baselines.NewTrajGAT(bc, space)
 	default:
 		return nil, fmt.Errorf("experiments: unknown method %q", name)
 	}
-}
-
-func newNeural(enc baselines.Encoder) *Trained {
-	return &Trained{
-		Name:     enc.Name(),
-		EmbedAll: func(ts []geo.Trajectory) [][]float64 { return baselines.EmbedAll(enc, ts) },
-		enc:      enc,
+	if err != nil {
+		return nil, err
 	}
+	td := core.TrainData{Seeds: ds.Seeds, Validation: ds.Validation, Corpus: ds.Corpus, F: f}
+	if DistanceAgnostic(name) {
+		td = core.TrainData{Corpus: append(append([]geo.Trajectory{}, ds.Seeds...), ds.Corpus...)}
+	}
+	if _, err := enc.Train(td); err != nil {
+		return nil, err
+	}
+	t := &Trained{Name: name, EmbedAll: enc.EmbedAll, enc: enc}
+	if name == "Traj2Hash" {
+		t.CodeAll = enc.CodeAll // hashes natively; the baselines need AttachHashAdapter
+	}
+	return t, nil
 }
 
 // AttachHashAdapter fits the Table II linear hash head on a trained neural

@@ -14,7 +14,6 @@ package experiments
 import (
 	"fmt"
 
-	"traj2hash/internal/baselines"
 	"traj2hash/internal/core"
 	"traj2hash/internal/data"
 )
@@ -136,17 +135,6 @@ func (p Params) CoreConfig() core.Config {
 		// Tiny scale: coarser grid keeps the NCE pre-training instant.
 		cfg.GridCellSize = 200
 	}
-	return cfg
-}
-
-// BaseConfig derives the shared baseline configuration.
-func (p Params) BaseConfig() baselines.BaseConfig {
-	cfg := baselines.DefaultBaseConfig(p.Dim)
-	cfg.MaxLen = p.MaxLen
-	cfg.M = p.M
-	cfg.Epochs = p.Epochs
-	cfg.BatchSize = p.Batch
-	cfg.Seed = p.Seed
 	return cfg
 }
 

@@ -115,9 +115,11 @@ func tapeFreeForwards(rng *rand.Rand) map[string]func(x *Tensor) *Tensor {
 	conv := NewConv3x3(4, 3, 8, 5, rng)
 	pe := NewPositionalEncoding(5, 8)
 	cls := XavierParam(1, 8, rng)
+	gru := NewGRUCell(8, 6, rng)
 	return map[string]func(x *Tensor) *Tensor{
 		"block":  block.Forward,
 		"conv":   func(x *Tensor) *Tensor { return ReLU(conv.Forward(x)) },
+		"gru":    gru.Final,
 		"pe+cls": func(x *Tensor) *Tensor { return MeanRows(ConcatRows(cls, pe.Add(x))) },
 	}
 }

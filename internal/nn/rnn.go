@@ -53,11 +53,14 @@ func (c *GRUCell) RunSequence(x *Tensor) *Tensor {
 }
 
 // Final runs the sequence and returns only the last hidden state (1×hidden)
-// — the read-out NeuTraj and its variants use.
+// — the read-out NeuTraj and its variants use. The initial state lives
+// where x does, so an x on a Scratch makes the whole recurrence tape-free,
+// each step releasing its intermediates.
 func (c *GRUCell) Final(x *Tensor) *Tensor {
-	h := c.InitState()
+	h := x.scratch.New(1, c.Hidden)
 	for i := 0; i < x.Rows; i++ {
-		h = c.Step(SliceRows(x, i, i+1), h)
+		mark := x.scratch.Mark()
+		h = mark.Keep(c.Step(SliceRows(x, i, i+1), h))
 	}
 	return h
 }

@@ -7,7 +7,9 @@
 #   4. go build
 #   5. fault-injection + observability + durability scenarios under the
 #      race detector — the failure-domain contracts (panic isolation,
-#      deadlines, checkpoint rollback), their visibility (injected
+#      deadlines, checkpoint rollback — for the paper model and, in
+#      ./internal/baselines, the six baselines that inherit the same
+#      training loop), their visibility (injected
 #      faults must move the obs counters; see DESIGN.md
 #      "Observability"), and the crash-recovery parity suite (a crash
 #      injected at every WAL write/fsync/rename must recover to an
@@ -109,7 +111,7 @@ go build ./...
 echo "== go test -race (fault-injection + observability + durability scenarios)"
 METRICS_JSON_OUT="$PWD/bin/metrics.json" \
 	go test -race -run 'Fault|Panic|Chaos|Deadline|Checkpoint|Resume|Diverg|Rollback|Cancel|EdgeCases|Metrics|Degraded|Timeout|Histogram|Tracer|SaveCheckpointFile|Crash|Recover|Torn|Durab|Mutat' \
-	. ./internal/engine ./internal/faultinject ./internal/core ./internal/obs ./internal/wal || {
+	. ./internal/engine ./internal/faultinject ./internal/core ./internal/baselines ./internal/obs ./internal/wal || {
 	echo "fault injection: a failure-domain contract is broken — partial results, panic isolation, checkpoint rollback, crash-recovery parity, and their metric visibility are specified in DESIGN.md 'Failure semantics & graceful degradation', 'Observability', and 'Mutability & durability'"
 	exit 1
 }
