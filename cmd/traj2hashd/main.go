@@ -11,9 +11,10 @@
 //	GET  /stats    index shape, drain state, latency quantiles, metrics
 //	GET  /healthz  200 serving | 503 draining
 //
-// Concurrent single searches are coalesced by a small wait-window
-// batcher into one engine invocation, and admission control sheds with
-// 503 beyond -max-inflight. Drive it with cmd/trajload.
+// Searches that arrive while a flush is in flight are coalesced by a
+// flush-when-idle batcher into one engine invocation (an idle daemon
+// dispatches a search at once), and admission control sheds with 503
+// beyond -max-inflight. Drive it with cmd/trajload.
 package main
 
 import (
@@ -76,7 +77,7 @@ func run(ctx context.Context, args []string) error {
 	timeout := fs.Duration("timeout", 2*time.Second,
 		"default per-request deadline when the client sends no timeout_ms (0 = none)")
 	batchWindow := fs.Duration("batch-window", 2*time.Millisecond,
-		"how long an open batch waits for concurrent searches to coalesce (negative = no coalescing)")
+		"maximum time an open batch is held while a flush is in flight; an idle server dispatches immediately (negative = no coalescing)")
 	batchMax := fs.Int("batch-max", 64, "max coalesced batch size")
 	maxInFlight := fs.Int("max-inflight", 256,
 		"admitted-request bound; beyond it requests are shed with 503")

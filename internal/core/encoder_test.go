@@ -2,7 +2,10 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/fnv"
+	"math"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -189,6 +192,47 @@ func TestGeoPTHIsTrainingFree(t *testing.T) {
 	}
 	if !distinct {
 		t.Error("all geopth codes identical; prototype hashing is degenerate")
+	}
+}
+
+// TestGeoPTHOutputsPinned pins every Embed bit and Code word of a GeoPTH
+// hasher over a fixed corpus to the values recorded before
+// dist.directedHausdorff learned to leave its inner loop early: the
+// break is exact, so neither hash may ever move. Both shapes matter —
+// tinyConfig resamples to 12 points, the 64-bit default to 24.
+func TestGeoPTHOutputsPinned(t *testing.T) {
+	for _, tc := range []struct {
+		name                string
+		cfg                 Config
+		wantEmbed, wantCode uint64
+	}{
+		{"tiny", tinyConfig(), 0x77da7a506b0cc772, 0x52359da8d2763c0d},
+		{"default64", DefaultConfig(64), 0xa70e30e241790bf5, 0x96a31e69525df877},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			enc, err := NewGeoPTH(tc.cfg, genTrajs(80, 7))
+			if err != nil {
+				t.Fatal(err)
+			}
+			embeds, codes := fnv.New64a(), fnv.New64a()
+			var buf [8]byte
+			for _, tr := range genTrajs(60, 21) {
+				for _, v := range enc.Embed(tr) {
+					binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+					embeds.Write(buf[:])
+				}
+				for _, w := range enc.Code(tr).Words {
+					binary.LittleEndian.PutUint64(buf[:], w)
+					codes.Write(buf[:])
+				}
+			}
+			if got := embeds.Sum64(); got != tc.wantEmbed {
+				t.Errorf("FNV-64a of Embed bits = %#x, want %#x", got, tc.wantEmbed)
+			}
+			if got := codes.Sum64(); got != tc.wantCode {
+				t.Errorf("FNV-64a of Code words = %#x, want %#x", got, tc.wantCode)
+			}
+		})
 	}
 }
 

@@ -278,6 +278,10 @@ func Hausdorff(a, b geo.Trajectory) float64 {
 	return math.Max(directedHausdorff(a, b), directedHausdorff(b, a))
 }
 
+// directedHausdorff is max over p in a of min over q in b of |p-q|. The
+// inner loop stops as soon as p's running minimum has dropped to the
+// outer maximum: the minimum can only fall further, so p can no longer
+// raise worst and the result is bit-identical to the full double loop.
 func directedHausdorff(a, b geo.Trajectory) float64 {
 	var worst float64
 	for _, p := range a {
@@ -285,8 +289,7 @@ func directedHausdorff(a, b geo.Trajectory) float64 {
 		for _, q := range b {
 			if d := p.SqDist(q); d < best {
 				best = d
-				//lint:ignore floatcompare early exit on an exactly-zero squared distance (coincident points); a near-zero miss only skips the shortcut
-				if best == 0 {
+				if best <= worst {
 					break
 				}
 			}

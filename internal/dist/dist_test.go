@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"traj2hash/internal/data"
 	"traj2hash/internal/geo"
 )
 
@@ -325,6 +326,78 @@ func TestFrechetDominatesHausdorff(t *testing.T) {
 		if h > f+1e-9 {
 			t.Fatalf("trial %d: Hausdorff %v > Frechet %v", trial, h, f)
 		}
+	}
+}
+
+// plainHausdorff is the textbook double loop with no shortcut — the
+// reference directedHausdorff's early break must match bit for bit.
+func plainHausdorff(a, b geo.Trajectory) float64 {
+	if len(a) == 0 && len(b) == 0 {
+		return 0
+	}
+	if len(a) == 0 || len(b) == 0 {
+		return math.Inf(1)
+	}
+	directed := func(a, b geo.Trajectory) float64 {
+		var worst float64
+		for _, p := range a {
+			best := math.Inf(1)
+			for _, q := range b {
+				if d := p.SqDist(q); d < best {
+					best = d
+				}
+			}
+			if best > worst {
+				worst = best
+			}
+		}
+		return math.Sqrt(worst)
+	}
+	return math.Max(directed(a, b), directed(b, a))
+}
+
+// TestHausdorffEarlyBreakBitIdentical: leaving the inner loop once a
+// point's running minimum has dropped to the outer maximum changes no
+// bit of any Hausdorff distance — over Porto-like pairs (raw and
+// resampled to the GeoPTH prototype length) and the degenerate shapes
+// where the break fires first: empty, single-point, coincident and
+// duplicated points.
+func TestHausdorffEarlyBreakBitIdentical(t *testing.T) {
+	check := func(name string, a, b geo.Trajectory) {
+		t.Helper()
+		got, want := Hausdorff(a, b), plainHausdorff(a, b)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("%s: Hausdorff = %v (%#x), plain double loop = %v (%#x)",
+				name, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+	ts := data.Porto().Generate(40, 3)
+	for i := 0; i+1 < len(ts); i++ {
+		for _, j := range []int{i + 1, (i + 7) % len(ts), (i + 19) % len(ts)} {
+			check("porto", ts[i], ts[j])
+			check("porto reversed", ts[j], ts[i].Reverse())
+			check("porto resampled", ts[i].Resample(24), ts[j].Resample(24))
+		}
+	}
+	p, q := geo.Point{X: 1, Y: 2}, geo.Point{X: 4, Y: 6}
+	long := ts[0]
+	dup := append(append(geo.Trajectory{}, long...), long...)
+	for _, tc := range []struct {
+		name string
+		a, b geo.Trajectory
+	}{
+		{"both empty", nil, nil},
+		{"one empty", nil, long},
+		{"single vs single", geo.Trajectory{p}, geo.Trajectory{q}},
+		{"single vs itself", geo.Trajectory{p}, geo.Trajectory{p}},
+		{"single vs long", geo.Trajectory{p}, long},
+		{"coincident points", geo.Trajectory{p, p, p}, geo.Trajectory{p, p}},
+		{"identical", long, long},
+		{"duplicated points", dup, long},
+		{"duplicated vs other", dup, ts[1]},
+	} {
+		check(tc.name, tc.a, tc.b)
+		check(tc.name+" swapped", tc.b, tc.a)
 	}
 }
 

@@ -2,6 +2,9 @@ package hamming
 
 import (
 	"math/rand"
+	"reflect"
+	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -362,6 +365,110 @@ func TestHybridFallsBackOnSparse(t *testing.T) {
 	for i := range bf {
 		if ns[i] != bf[i] {
 			t.Fatal("fallback differs from brute force")
+		}
+	}
+}
+
+// TestHybridConcurrentAfterUpdate is the read-path-never-writes
+// contract: after Update moves an id out of a bucket and back, the
+// bucket must still be ascending, so concurrent Hybrid searches for its
+// code (which the engine runs under a shard's *read* lock) only read
+// it. Sorting the live bucket in place — what Hybrid used to do — is a
+// write-write race the detector reports here. Both key shapes (raw
+// word, string) take the same mutation history, and Hybrid must equal
+// BruteForce id for id afterwards.
+func TestHybridConcurrentAfterUpdate(t *testing.T) {
+	for _, bits := range []int{16, 80} {
+		home, away := NewCode(bits), NewCode(bits)
+		home.Words[0], away.Words[0] = 0x00ff, 0xff00 // 16 bits apart: away is outside home's radius 2
+		codes := make([]Code, 64)
+		for i := range codes {
+			codes[i] = home
+		}
+		tab, err := NewTable(codes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range []int{10, 40, 3} {
+			if err := tab.Update(id, away); err != nil {
+				t.Fatal(err)
+			}
+			if err := tab.Update(id, home); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tab.Update(63, away); err != nil {
+			t.Fatal(err)
+		}
+		if tab.Buckets() != 2 {
+			t.Fatalf("bits %d: Buckets = %d, want 2", bits, tab.Buckets())
+		}
+		if got := tab.Lookup(home); !sort.IntsAreSorted(got) || len(got) != 63 {
+			t.Errorf("bits %d: home bucket %v, want ids 0..62 ascending", bits, got)
+		}
+
+		want := tab.BruteForce(home, 5)
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for rep := 0; rep < 50; rep++ {
+					got, fast := tab.Hybrid(home, 5)
+					if !fast || !reflect.DeepEqual(got, want) {
+						t.Errorf("bits %d: Hybrid = %v (fast %v), want BruteForce's %v", bits, got, fast, want)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	}
+}
+
+// TestBucketsStayAscendingUnderMutation drives a random Add/Update
+// history over dense codes and checks the write-side invariant Hybrid
+// relies on — every bucket ascending — and that Hybrid's fast path still
+// equals BruteForce id for id.
+func TestBucketsStayAscendingUnderMutation(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	codes := make([]Code, 400)
+	for i := range codes {
+		codes[i] = randCode(rng, 8)
+	}
+	tab, err := NewTable(codes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for step := 0; step < 600; step++ {
+		if step%4 == 0 {
+			if _, err := tab.Add(randCode(rng, 8)); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		if err := tab.Update(rng.Intn(tab.Len()), randCode(rng, 8)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	total := 0
+	for w := 0; w < 256; w++ {
+		c := NewCode(8)
+		c.Words[0] = uint64(w)
+		ids := tab.Lookup(c)
+		if !sort.IntsAreSorted(ids) {
+			t.Fatalf("bucket %#x = %v, want ascending", w, ids)
+		}
+		total += len(ids)
+	}
+	if total != tab.Len() {
+		t.Fatalf("buckets hold %d ids, table has %d", total, tab.Len())
+	}
+	for trial := 0; trial < 20; trial++ {
+		q := randCode(rng, 8)
+		got, fast := tab.Hybrid(q, 10)
+		if want := tab.BruteForce(q, 10); !fast || !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: Hybrid = %v (fast %v), BruteForce = %v", trial, got, fast, want)
 		}
 	}
 }

@@ -13,12 +13,16 @@ import (
 //
 // Codes up to 64 bits are bucketed by their raw word (no allocation per
 // probe); longer codes fall back to string keys.
+//
+// Every bucket holds its ids in ascending order — an invariant the write
+// side (NewTable, Add, Update) maintains so that the read side never
+// has to sort, and therefore never writes, table memory: concurrent
+// searches are safe under a reader lock.
 type Table struct {
-	bits    int
-	fast    map[uint64][]int // single-word codes
-	slow    map[string][]int // multi-word codes
-	codes   []Code
-	buckets int
+	bits  int
+	fast  map[uint64][]int // single-word codes
+	slow  map[string][]int // multi-word codes
+	codes []Code
 }
 
 // NewTable builds an index over the given codes; item i gets id i.
@@ -37,16 +41,7 @@ func NewTable(codes []Code) (*Table, error) {
 		if c.Bits != bits {
 			return nil, fmt.Errorf("hamming: code %d has %d bits, want %d", i, c.Bits, bits)
 		}
-		if t.fast != nil {
-			t.fast[c.Words[0]] = append(t.fast[c.Words[0]], i)
-		} else {
-			t.slow[c.Key()] = append(t.slow[c.Key()], i)
-		}
-	}
-	if t.fast != nil {
-		t.buckets = len(t.fast)
-	} else {
-		t.buckets = len(t.slow)
+		t.insert(c, i)
 	}
 	return t, nil
 }
@@ -59,19 +54,7 @@ func (t *Table) Add(c Code) (int, error) {
 	}
 	id := len(t.codes)
 	t.codes = append(t.codes, c)
-	if t.fast != nil {
-		w := c.Words[0]
-		if _, ok := t.fast[w]; !ok {
-			t.buckets++
-		}
-		t.fast[w] = append(t.fast[w], id)
-	} else {
-		k := c.Key()
-		if _, ok := t.slow[k]; !ok {
-			t.buckets++
-		}
-		t.slow[k] = append(t.slow[k], id)
-	}
+	t.insert(c, id)
 	return id, nil
 }
 
@@ -93,60 +76,48 @@ func (t *Table) Update(id int, c Code) error {
 		return nil
 	}
 	if t.fast != nil {
-		t.removeFast(old.Words[0], id)
-		w := c.Words[0]
-		if _, ok := t.fast[w]; !ok {
-			t.buckets++
-		}
-		t.fast[w] = append(t.fast[w], id)
+		bucketRemove(t.fast, old.Words[0], id)
 	} else {
-		t.removeSlow(old.Key(), id)
-		k := c.Key()
-		if _, ok := t.slow[k]; !ok {
-			t.buckets++
-		}
-		t.slow[k] = append(t.slow[k], id)
+		bucketRemove(t.slow, old.Key(), id)
 	}
+	t.insert(c, id)
 	t.codes[id] = c
 	return nil
 }
 
-// removeFast deletes id from the single-word bucket w, dropping the
-// bucket entirely when it empties (bucket order is irrelevant: every
-// consumer sorts ids before use).
-func (t *Table) removeFast(w uint64, id int) {
-	ids := t.fast[w]
-	for i, v := range ids {
-		if v == id {
-			ids[i] = ids[len(ids)-1]
-			ids = ids[:len(ids)-1]
-			break
-		}
+// insert puts id into c's bucket.
+func (t *Table) insert(c Code, id int) {
+	if t.fast != nil {
+		bucketInsert(t.fast, c.Words[0], id)
+	} else {
+		bucketInsert(t.slow, c.Key(), id)
 	}
-	if len(ids) == 0 {
-		delete(t.fast, w)
-		t.buckets--
-		return
-	}
-	t.fast[w] = ids
 }
 
-// removeSlow is removeFast for the multi-word string-keyed buckets.
-func (t *Table) removeSlow(k string, id int) {
-	ids := t.slow[k]
-	for i, v := range ids {
-		if v == id {
-			ids[i] = ids[len(ids)-1]
-			ids = ids[:len(ids)-1]
-			break
-		}
-	}
-	if len(ids) == 0 {
-		delete(t.slow, k)
-		t.buckets--
+// bucketInsert puts id into bucket k of m at its ordered position.
+func bucketInsert[K comparable](m map[K][]int, k K, id int) {
+	ids := m[k]
+	at := sort.SearchInts(ids, id)
+	ids = append(ids, 0)
+	copy(ids[at+1:], ids[at:])
+	ids[at] = id
+	m[k] = ids
+}
+
+// bucketRemove takes id out of bucket k of m, keeping the rest in order;
+// a bucket it empties is dropped from the map, so the map's length is
+// the number of non-empty buckets.
+func bucketRemove[K comparable](m map[K][]int, k K, id int) {
+	ids := m[k]
+	at := sort.SearchInts(ids, id)
+	if at == len(ids) || ids[at] != id {
 		return
 	}
-	t.slow[k] = ids
+	if len(ids) == 1 {
+		delete(m, k)
+		return
+	}
+	m[k] = append(ids[:at], ids[at+1:]...)
 }
 
 // Len returns the number of indexed items.
@@ -156,9 +127,10 @@ func (t *Table) Len() int { return len(t.codes) }
 func (t *Table) Bits() int { return t.bits }
 
 // Buckets returns the number of non-empty buckets.
-func (t *Table) Buckets() int { return t.buckets }
+func (t *Table) Buckets() int { return len(t.fast) + len(t.slow) }
 
-// Lookup returns the ids in the exact bucket of q.
+// Lookup returns the ids in the exact bucket of q, ascending. The slice
+// aliases the table's own storage: callers must not modify it.
 func (t *Table) Lookup(q Code) []int {
 	if t.fast != nil {
 		return t.fast[q.Words[0]]
@@ -264,13 +236,14 @@ func (t *Table) Hybrid(q Code, k int) ([]Neighbor, bool) {
 		if len(out) == k {
 			break
 		}
-		need := k - len(out)
-		if len(ids) > need {
-			// Only the smallest ids of this distance group are needed.
+		if d > 0 {
+			// d1 and d2 are private concatenations of many buckets; d0 is
+			// the table's own bucket, already ascending and never written.
 			sort.Ints(ids)
+		}
+		// Only the smallest ids of this distance group are needed.
+		if need := k - len(out); len(ids) > need {
 			ids = ids[:need]
-		} else {
-			sort.Ints(ids)
 		}
 		for _, id := range ids {
 			out = append(out, Neighbor{ID: id, Distance: d})

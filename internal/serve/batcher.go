@@ -15,6 +15,7 @@ import (
 type searchReq struct {
 	traj     traj2hash.Trajectory
 	k        int
+	enqueued time.Time // when the handler queued it; batch wait is measured from here
 	deadline time.Time // zero = no deadline
 	resp     chan searchResult
 }
@@ -42,23 +43,44 @@ func (s *Server) dispatch() {
 	}
 }
 
-// collect gathers a batch starting from first: it keeps the batch open
-// for BatchWindow (or until MaxBatch), coalescing whatever concurrent
-// searches arrive in that window. A negative window disables
-// coalescing. On quit the partial batch is returned as-is — flush still
-// answers its members.
+// collect gathers a batch starting from first, flush-when-idle: it takes
+// whatever is already queued without blocking and, if no flush is in
+// flight, returns at once — a request that meets an idle server never
+// waits. Only while a flight is in the air is the batch held open, and
+// then until that flight lands (flightsLanded), MaxBatch fills, or
+// BatchWindow has passed: arrivals that overlap a flight are exactly the
+// ones that can share the next one, so the batch size follows the load
+// by itself and the window is the maximum hold, not the hold. A negative
+// window disables coalescing. On quit the partial batch is returned
+// as-is — flush still answers its members.
 func (s *Server) collect(first *searchReq) []*searchReq {
 	batch := []*searchReq{first}
 	if s.cfg.BatchWindow < 0 {
 		return batch
 	}
-	timer := time.NewTimer(s.cfg.BatchWindow)
-	defer timer.Stop()
+	var window <-chan time.Time // armed only once the batch actually has to wait
 	for len(batch) < s.cfg.MaxBatch {
 		select {
 		case sr := <-s.in:
 			batch = append(batch, sr)
-		case <-timer.C:
+			continue
+		default:
+		}
+		if s.flights.Load() == 0 {
+			return batch
+		}
+		if window == nil {
+			timer := time.NewTimer(s.cfg.BatchWindow)
+			defer timer.Stop()
+			window = timer.C
+		}
+		select {
+		case sr := <-s.in:
+			batch = append(batch, sr)
+		case <-s.flightsLanded:
+			// Possibly a token left by an earlier landing nobody waited
+			// for: the loop re-reads the count before it trusts it.
+		case <-window:
 			return batch
 		case <-s.quit:
 			return batch
@@ -69,8 +91,9 @@ func (s *Server) collect(first *searchReq) []*searchReq {
 
 // flush answers a batch. Members are grouped by k (SearchBatchCtx takes
 // one k per call) preserving arrival order, and each group runs in its
-// own wg-accounted goroutine so a slow flush never blocks the dispatch
-// loop from collecting the next batch.
+// own wg-accounted goroutine — a flight, counted in s.flights until it
+// lands — so a slow flush never blocks the dispatch loop from
+// collecting the next batch.
 func (s *Server) flush(batch []*searchReq) {
 	if len(batch) == 0 {
 		return
@@ -86,10 +109,26 @@ func (s *Server) flush(batch []*searchReq) {
 	for _, k := range order {
 		g := groups[k]
 		s.wg.Add(1)
+		s.flights.Add(1)
 		go func(k int, g []*searchReq) {
 			defer s.wg.Done()
+			defer s.landFlight()
 			s.flushGroup(k, g)
 		}(k, g)
+	}
+}
+
+// landFlight retires one flight. The one that brings the count to zero
+// tells collect the server is idle again, so a batch held behind it
+// leaves now rather than when its window expires. The send never
+// blocks, and a token already in the channel serves just as well: the
+// dispatcher re-reads the count after every wake-up.
+func (s *Server) landFlight() {
+	if s.flights.Add(-1) == 0 {
+		select {
+		case s.flightsLanded <- struct{}{}:
+		default:
+		}
 	}
 }
 
@@ -119,6 +158,10 @@ func (s *Server) flushGroup(k int, g []*searchReq) {
 	s.met.batches.Inc()
 	s.met.batchQueries.Add(int64(len(g)))
 	s.met.batchSize.Observe(float64(len(g)))
+	flushStart := time.Now()
+	for _, sr := range g {
+		s.met.batchWait.Observe(flushStart.Sub(sr.enqueued).Seconds())
+	}
 	var results [][]traj2hash.Result
 	var statuses []traj2hash.Status
 	if len(g) == 1 {

@@ -6,16 +6,19 @@
 // Three serving-discipline mechanisms live here (DESIGN.md "Serving
 // layer"):
 //
-//   - Micro-batching. Concurrent single searches are coalesced by a
-//     small wait-window batcher (batcher.go) into one SearchBatchCtx
-//     call, amortizing embedding and shard fan-out across the batch.
+//   - Micro-batching. Searches that arrive while a flush is in flight
+//     are coalesced by a flush-when-idle batcher (batcher.go) into one
+//     SearchBatchCtx call, amortizing embedding and shard fan-out across
+//     the batch; a search that meets an idle server is dispatched at
+//     once.
 //   - Admission control. A semaphore bounds admitted requests; beyond it
 //     the server sheds immediately with 503 and a Status-style degraded
 //     JSON body instead of queueing without bound.
 //   - Graceful drain. When Run's context is canceled (SIGTERM) the
-//     listener stops accepting, every in-flight request completes, the
-//     batcher stops, and the Index is Closed — fsyncing the WAL — before
-//     Run returns. An accepted request is never dropped.
+//     listener stops accepting, open connections are closed behind
+//     their next answer (lame duck), every in-flight request completes,
+//     the batcher stops, and the Index is Closed — fsyncing the WAL —
+//     before Run returns. An accepted request is never dropped.
 package serve
 
 import (
@@ -61,9 +64,11 @@ type Config struct {
 	DefaultTimeout time.Duration
 	// DefaultK is the result count when a search omits k (default 10).
 	DefaultK int
-	// BatchWindow is how long the batcher holds an open batch waiting
-	// for more searches to coalesce (default 2ms; negative disables
-	// coalescing — every search becomes a batch of one).
+	// BatchWindow is the maximum time an open batch is held while a
+	// flush is in flight; an idle server dispatches immediately, and a
+	// held batch leaves as soon as the flight ahead of it lands (default
+	// 2ms; negative disables coalescing — every search becomes a batch
+	// of one).
 	BatchWindow time.Duration
 	// MaxBatch caps the coalesced batch size (default 64).
 	MaxBatch int
@@ -88,6 +93,7 @@ type serveMetrics struct {
 	batches        *obs.Counter   // serve.batch.count — engine invocations made by the batcher
 	batchQueries   *obs.Counter   // serve.batch.queries — searches carried by those invocations
 	batchSize      *obs.Histogram // serve.batch.size — coalesced batch size distribution
+	batchWait      *obs.Histogram // serve.batch.wait.seconds — per search, enqueue → its flush starting
 	latency        *obs.Histogram // serve.request.seconds — admitted-search wall latency
 	drainDiscarded *obs.Counter   // serve.drain.discarded — queued searches whose handlers timed out before drain
 }
@@ -101,6 +107,7 @@ func newServeMetrics(reg *obs.Registry) serveMetrics {
 		batches:        reg.Counter("serve.batch.count"),
 		batchQueries:   reg.Counter("serve.batch.queries"),
 		batchSize:      reg.Histogram("serve.batch.size", obs.CountBounds()),
+		batchWait:      reg.Histogram("serve.batch.wait.seconds", obs.FineLatencyBounds()),
 		latency:        reg.Histogram("serve.request.seconds", obs.FineLatencyBounds()),
 		drainDiscarded: reg.Counter("serve.drain.discarded"),
 	}
@@ -119,6 +126,13 @@ type Server struct {
 	quit     chan struct{}   // closed after HTTP shutdown: the dispatcher exits
 	wg       sync.WaitGroup  // dispatcher + flush goroutines
 	draining atomic.Bool
+
+	// The server's own notion of idle: flights counts flushGroups started
+	// and not yet finished; the one that brings it to zero leaves a token
+	// in flightsLanded (cap 1, sticky: a landing is never lost on a
+	// dispatcher that was not yet listening).
+	flights       atomic.Int32
+	flightsLanded chan struct{}
 }
 
 // New validates cfg, applies defaults, and builds the server. The
@@ -148,6 +162,8 @@ func New(cfg Config) (*Server, error) {
 		sem:  make(chan struct{}, cfg.MaxInFlight),
 		in:   make(chan *searchReq, cfg.MaxInFlight),
 		quit: make(chan struct{}),
+
+		flightsLanded: make(chan struct{}, 1),
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/search", s.handleSearch)
@@ -160,8 +176,20 @@ func New(cfg Config) (*Server, error) {
 		MountDebug(mux, cfg.Metrics)
 	}
 	s.mux = mux
-	s.http = &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
+	s.http = &http.Server{Handler: http.HandlerFunc(s.serveHTTP), ReadHeaderTimeout: 5 * time.Second}
 	return s, nil
+}
+
+// serveHTTP is the listener-side entry: the mux, plus the lame-duck
+// half of the drain — once draining, every reply carries "Connection:
+// close", so a keep-alive client is told to let go of the connection
+// with an answer in hand instead of finding it reset under its next
+// request.
+func (s *Server) serveHTTP(w http.ResponseWriter, r *http.Request) {
+	if s.draining.Load() {
+		w.Header().Set("Connection", "close")
+	}
+	s.mux.ServeHTTP(w, r)
 }
 
 // Handler returns the serving mux (for tests that drive the server
@@ -184,31 +212,50 @@ func (s *Server) Run(ctx context.Context, ln net.Listener) error {
 	srvErr := make(chan error, 1)
 	go func() { srvErr <- s.http.Serve(ln) }()
 
-	var serveFailed error
-	select {
-	case <-ctx.Done():
-	case err := <-srvErr:
-		if err != nil && !errors.Is(err, http.ErrServerClosed) {
-			serveFailed = err
-		}
-	}
-
 	// Drain protocol. Order matters: (1) mark draining so /healthz turns
-	// 503 for load balancers; (2) Shutdown stops accepting and waits for
+	// 503 for load balancers and every reply says "Connection: close",
+	// stop accepting, and hold that lame-duck state for a moment: a
+	// busy keep-alive client has its connection closed behind an answer
+	// and its redial refused, where http.Server.Shutdown — which closes
+	// a connection the instant it looks idle — would reset it under a
+	// request the client had already written; (2) Shutdown waits for
 	// every handler to return — the batcher is still running, so queued
 	// searches keep completing; (3) only then stop the dispatcher via
 	// quit (never by closing s.in: a handler that outlived DrainTimeout
 	// could still be sending); (4) wait for flush goroutines; (5) close
 	// the index, fsyncing the WAL.
-	s.draining.Store(true)
+	var serveFailed, lnErr error
+	select {
+	case <-ctx.Done():
+		s.draining.Store(true)
+		lnErr = ln.Close()
+		// Serve returns as soon as Accept fails on the closed listener.
+		if err := <-srvErr; !errors.Is(err, net.ErrClosed) {
+			serveFailed = err
+		}
+		time.Sleep(lameDuck)
+	case err := <-srvErr:
+		// Serve gave up on its own: nothing is left to lame-duck.
+		s.draining.Store(true)
+		if !errors.Is(err, http.ErrServerClosed) {
+			serveFailed = err
+		}
+	}
 	shutCtx, cancel := context.WithTimeout(context.Background(), s.cfg.DrainTimeout)
 	defer cancel()
 	shutErr := s.http.Shutdown(shutCtx)
 	close(s.quit)
 	s.wg.Wait()
 	closeErr := s.cfg.Index.Close()
-	return errors.Join(serveFailed, shutErr, closeErr)
+	return errors.Join(serveFailed, lnErr, shutErr, closeErr)
 }
+
+// lameDuck is how long a draining server keeps answering on its open
+// connections — each reply closing its connection — before Shutdown
+// closes whatever is idle. It only has to outlast the gap between two
+// requests of a busy client; a connection quiet for this long is safe
+// to close.
+const lameDuck = 100 * time.Millisecond
 
 // ---- request/response JSON shapes (shared with cmd/trajload) ----
 
@@ -410,7 +457,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 
 	start := time.Now()
-	sr := &searchReq{traj: traj, k: k, resp: make(chan searchResult, 1)}
+	sr := &searchReq{traj: traj, k: k, enqueued: start, resp: make(chan searchResult, 1)}
 	if d, ok := ctx.Deadline(); ok {
 		sr.deadline = d
 	}

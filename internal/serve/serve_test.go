@@ -4,10 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"io"
 	"net"
 	"net/http"
 	"strings"
 	"sync"
+	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -98,6 +102,17 @@ func postJSON(t *testing.T, url string, v, out any) int {
 	return resp.StatusCode
 }
 
+// slowFlights makes every engine search on a one-shard faultinject index
+// take d, and returns the index: the way the batching tests keep a
+// flight in the air for a known time.
+func slowFlights(t *testing.T, d time.Duration) (*traj2hash.Index, *traj2hash.Dataset) {
+	t.Helper()
+	faultinject.Register()
+	prev := faultinject.SetDefault(&faultinject.Faults{SleepOn: map[int]time.Duration{0: d}})
+	t.Cleanup(func() { faultinject.SetDefault(prev) })
+	return testIndex(t, traj2hash.Options{Backend: faultinject.BackendName, Shards: 1})
+}
+
 // TestServeEndpointRoundTrips drives every endpoint once over a live
 // listener: search, the three mutations (including their 404/410 error
 // mapping), stats, healthz, and the malformed-input paths.
@@ -177,12 +192,16 @@ func TestServeEndpointRoundTrips(t *testing.T) {
 // both sides — the server's obs counters (batch.queries > batch.count)
 // and the per-response Batched field the client sees.
 func TestServeCoalescesConcurrentSearches(t *testing.T) {
-	idx, ds := testIndex(t, traj2hash.Options{})
+	// Flush-when-idle coalesces what overlaps a flight, so the flights
+	// must last long enough for eight HTTP clients to overlap one: the
+	// first search takes off alone and the rest share the batch held
+	// behind it.
+	idx, ds := slowFlights(t, 50*time.Millisecond)
 	reg := obs.New()
 	base, _, _ := startServer(t, Config{
 		Index: idx, Metrics: reg,
 		DefaultTimeout: 5 * time.Second,
-		BatchWindow:    50 * time.Millisecond, // generous: all 8 must land in one window
+		BatchWindow:    time.Second, // generous: the landing, not the window, releases the batch
 	})
 
 	const concurrent = 8
@@ -218,6 +237,109 @@ func TestServeCoalescesConcurrentSearches(t *testing.T) {
 	}
 	if max < 2 {
 		t.Errorf("max Batched = %d, want > 1 (concurrent searches must share a batch)", max)
+	}
+}
+
+// waitForCounter polls c until it reaches want, failing the test if it
+// has not within the bound.
+func waitForCounter(t *testing.T, c *obs.Counter, want int64, within time.Duration) {
+	t.Helper()
+	deadline := time.Now().Add(within)
+	for c.Value() < want {
+		if time.Now().After(deadline) {
+			t.Fatalf("counter at %d after %v, want %d", c.Value(), within, want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// maxBatchWait is the upper edge of the highest occupied bucket of
+// serve.batch.wait.seconds.
+func maxBatchWait(reg *obs.Registry) float64 {
+	return reg.Histogram("serve.batch.wait.seconds", obs.FineLatencyBounds()).Snapshot().Quantile(1)
+}
+
+// TestServeLoneSearchSkipsWindow: a search that meets an idle server is
+// dispatched at once — the window is a maximum hold, and nothing holds
+// a batch when no flush is in flight.
+func TestServeLoneSearchSkipsWindow(t *testing.T) {
+	idx, ds := testIndex(t, traj2hash.Options{})
+	reg := obs.New()
+	base, _, _ := startServer(t, Config{Index: idx, Metrics: reg, BatchWindow: 500 * time.Millisecond})
+
+	var sr SearchResponse
+	start := time.Now()
+	if code := postJSON(t, base+"/search", SearchRequest{Traj: FromTrajectory(ds.Queries[0]), K: 3}, &sr); code != http.StatusOK {
+		t.Fatalf("/search status %d", code)
+	}
+	if elapsed := time.Since(start); elapsed > 250*time.Millisecond {
+		t.Errorf("lone search took %v under a 500ms window, want immediate dispatch", elapsed)
+	}
+	if sr.Batched != 1 {
+		t.Errorf("Batched = %d, want 1", sr.Batched)
+	}
+	if w := maxBatchWait(reg); !(w < 0.05) {
+		t.Errorf("serve.batch.wait.seconds max = %vs, want < 50ms on an idle server", w)
+	}
+}
+
+// searchBehindFlight starts one search, waits until its flight is in
+// the air, then issues a second search and returns when that one has
+// been dispatched: how long the dispatch took from the moment the
+// second search was issued. Both searches are answered before the test
+// ends.
+func searchBehindFlight(t *testing.T, base string, reg *obs.Registry, ds *traj2hash.Dataset) time.Duration {
+	t.Helper()
+	var wg sync.WaitGroup
+	t.Cleanup(wg.Wait)
+	search := func(i int) {
+		defer wg.Done()
+		if code := postJSON(t, base+"/search", SearchRequest{Traj: FromTrajectory(ds.Queries[i]), K: 3}, nil); code != http.StatusOK {
+			t.Errorf("search %d status %d", i, code)
+		}
+	}
+	flights := reg.Counter("serve.batch.count")
+	wg.Add(1)
+	go search(0)
+	waitForCounter(t, flights, 1, 2*time.Second)
+	issued := time.Now()
+	wg.Add(1)
+	go search(1)
+	waitForCounter(t, flights, 2, 10*time.Second)
+	return time.Since(issued)
+}
+
+// TestServeQueuedSearchLeavesWhenFlightEnds: a search queued behind a
+// flight is released by that flight landing — the sticky completion
+// signal — not by the window, here fifty times longer than the flight.
+func TestServeQueuedSearchLeavesWhenFlightEnds(t *testing.T) {
+	idx, ds := slowFlights(t, 100*time.Millisecond)
+	reg := obs.New()
+	base, _, _ := startServer(t, Config{Index: idx, Metrics: reg, BatchWindow: 5 * time.Second})
+
+	if held := searchBehindFlight(t, base, reg, ds); held > time.Second {
+		t.Errorf("queued search dispatched after %v, want it released when the 100ms flight landed", held)
+	}
+}
+
+// TestServeWindowIsMaximumHold: with a flight slower than the window, a
+// queued search is held for the window and no longer — it takes off
+// while the first flight is still in the air.
+func TestServeWindowIsMaximumHold(t *testing.T) {
+	const window = 100 * time.Millisecond
+	idx, ds := slowFlights(t, time.Second)
+	reg := obs.New()
+	base, _, _ := startServer(t, Config{Index: idx, Metrics: reg, BatchWindow: window})
+
+	held := searchBehindFlight(t, base, reg, ds)
+	if held < window/2 {
+		t.Errorf("queued search dispatched after %v: not held although a flight was in the air", held)
+	}
+	if held > window+500*time.Millisecond {
+		t.Errorf("queued search dispatched after %v, want no later than the %v window (the flight lasts 1s)", held, window)
+	}
+	if w := maxBatchWait(reg); !(w > 0.03 && w < 0.6) {
+		t.Errorf("serve.batch.wait.seconds max = %vs, want about the %v window", w, window)
 	}
 }
 
@@ -392,5 +514,60 @@ func TestServeGracefulDrain(t *testing.T) {
 	}
 	if idx2.Len() != n+1 {
 		t.Errorf("reopened index has %d trajectories, want %d (seed + the served add)", idx2.Len(), n+1)
+	}
+}
+
+// TestServeDrainNeverResetsABusyConnection is the client's side of the
+// drain contract: keep-alive clients that are mid-stream when the drain
+// starts must see every request either answered or refused at dial —
+// never a connection reset under a request already written, which is
+// what closing a just-idle keep-alive connection does to a client that
+// had reused it. The lame-duck step (replies carry "Connection: close"
+// while the listener is already shut) is what prevents it.
+func TestServeDrainNeverResetsABusyConnection(t *testing.T) {
+	idx, ds := testIndex(t, traj2hash.Options{})
+	base, cancel, errc := startServer(t, Config{Index: idx})
+
+	body, err := json.Marshal(SearchRequest{Traj: FromTrajectory(ds.Queries[0]), K: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: 8}}
+	defer client.CloseIdleConnections()
+	var answered atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				resp, err := client.Post(base+"/search", "application/json", bytes.NewReader(body))
+				if errors.Is(err, syscall.ECONNREFUSED) {
+					return // the drained server's listener is gone: the expected end
+				}
+				if err != nil {
+					t.Errorf("request lost to the drain: %v", err)
+					return
+				}
+				if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+					t.Errorf("reading reply: %v", err)
+				}
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK {
+					t.Errorf("status %d mid-drain", resp.StatusCode)
+					return
+				}
+				answered.Add(1)
+			}
+		}()
+	}
+	// Let all eight connections get warm and busy before the drain.
+	for warmUp := time.Now().Add(10 * time.Second); answered.Load() < 200 && time.Now().Before(warmUp); {
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	wg.Wait()
+	if err := <-errc; err != nil {
+		t.Errorf("Run returned %v after a clean drain", err)
 	}
 }

@@ -43,12 +43,16 @@
 #      over the committed seed corpora (internal/wal/testdata/fuzz/):
 #      frame/snapshot decoding never panics and torn-tail truncation
 #      never misclassifies corruption
-#  11. serving smoke — a real traj2hashd daemon over a temp WAL dir is
-#      driven by cmd/trajload twice: a fixed-count run that must meet a
-#      p99 latency bound, then an open-ended run SIGTERMed mid-flight
-#      that must lose zero accepted requests (the graceful-drain
-#      contract; see DESIGN.md "Serving layer"). The latency quantiles
-#      are exported to bin/BENCH_serving.json via cmd/benchjson
+#  11. serving smoke — a real traj2hashd daemon over a temp WAL dir,
+#      started with a 250 ms batch window, is driven by cmd/trajload
+#      three times: a lone-client pass whose p99 must stay under
+#      100 ms (flush-when-idle: a search that meets an idle server
+#      never waits for the window), a fixed-count concurrent run that
+#      must meet a p99 latency bound, then an open-ended run SIGTERMed
+#      mid-flight that must lose zero accepted requests (the
+#      graceful-drain contract; see DESIGN.md "Serving layer"). The
+#      concurrent run's latency quantiles are exported to
+#      bin/BENCH_serving.json via cmd/benchjson
 #  12. full test suite under the race detector (the engine's concurrent
 #      Add/Search tests only mean something with -race)
 #  13. benchmark artifacts published to the repo root (BENCH_*.json,
@@ -232,11 +236,15 @@ done
 
 echo "== serving smoke (traj2hashd + trajload -> BENCH_serving.json)"
 # The serving layer's gate: a real daemon over a temp WAL dir, driven by
-# the load generator. Run 1 (fixed count) must meet the p99 bound with
-# zero errors; run 2 (open-ended) is SIGTERMed mid-flight — trajload
-# exits nonzero if any accepted request was dropped, and the daemon
-# exits nonzero if the drain did not complete cleanly (in-flight
-# requests finished, WAL fsynced and closed).
+# the load generator. The batch window is set far above any search
+# (250ms) so the lone-client pass proves it is a maximum hold: one
+# client never overlaps its own flight, so every search must be
+# dispatched at once and the p99 stays under 100ms. Run 2 (fixed count,
+# 8 clients) must meet the p99 bound with zero errors; run 3
+# (open-ended) is SIGTERMed mid-flight — trajload exits nonzero if any
+# accepted request was dropped, and the daemon exits nonzero if the
+# drain did not complete cleanly (in-flight requests finished, WAL
+# fsynced and closed).
 go build -o bin/traj2hashd ./cmd/traj2hashd
 go build -o bin/trajload ./cmd/trajload
 go build -o bin/traj2hash ./cmd/traj2hash
@@ -245,6 +253,7 @@ serve_tmp=$(mktemp -d)
 rm -f bin/traj2hashd.addr bin/bench_serving.txt
 ./bin/traj2hashd -addr 127.0.0.1:0 -addr-file bin/traj2hashd.addr \
 	-data "$serve_tmp/ds.gob" -encoder geopth -scale tiny \
+	-batch-window 250ms \
 	-wal-dir "$serve_tmp/wal" >bin/traj2hashd.log 2>&1 &
 serve_pid=$!
 serve_wait=0
@@ -259,6 +268,13 @@ while [ ! -s bin/traj2hashd.addr ]; do
 	sleep 0.1
 done
 serve_addr=$(cat bin/traj2hashd.addr)
+./bin/trajload -addr "$serve_addr" -data "$serve_tmp/ds.gob" \
+	-n 100 -c 1 -mix search=1 -max-p99 100ms || {
+	cat bin/traj2hashd.log
+	echo "serving: the lone-client run failed — a search on an idle server must be dispatched at once, not held for -batch-window (250ms here); see DESIGN.md 'Micro-batching'"
+	kill "$serve_pid" 2>/dev/null || true
+	exit 1
+}
 ./bin/trajload -addr "$serve_addr" -data "$serve_tmp/ds.gob" \
 	-n 300 -c 8 -max-p99 2s -bench-out bin/bench_serving.txt || {
 	cat bin/traj2hashd.log
