@@ -165,10 +165,10 @@ func init() {
 		return &EuclideanBF{}, nil
 	})
 	Register(HammingBFName, func(cfg Config) (Backend, error) {
-		return &HammingBF{bits: cfg.Bits}, nil
+		return &HammingBF{tableBackend{name: HammingBFName, tab: &codeTable{bits: cfg.Bits}}}, nil
 	})
 	Register(HammingHybridName, func(cfg Config) (Backend, error) {
-		return &HammingHybrid{bits: cfg.Bits}, nil
+		return &HammingHybrid{tableBackend{name: HammingHybridName, tab: &codeTable{bits: cfg.Bits}}, new(atomic.Int64)}, nil
 	})
 	Register(MIHName, func(cfg Config) (Backend, error) {
 		return &MIHBackend{bits: cfg.Bits, chunks: cfg.MIHChunks}, nil
@@ -237,124 +237,98 @@ func sqDist(a, b []float64) float64 {
 	return sum
 }
 
-// --- hamming-bf ---
+// --- hamming-bf, hamming-hybrid ---
 
-// HammingBF scans all binary codes with popcount Hamming distance — the
-// paper's Hamming-BF strategy, ~2× faster than the Euclidean scan.
-type HammingBF struct {
-	bits  int
-	table *hamming.Table
+// codeTable is the lazily created hamming.Table (NewTable needs a first
+// code) the two whole-code strategies search. A standalone backend owns
+// one; inside an engine shard hamming-bf adopts hamming-hybrid's (see
+// Engine.newItems), so the shard keeps one table, fed once per item.
+type codeTable struct {
+	bits int // configured code length, 0 = infer from the first add
+	t    *hamming.Table
+}
+
+// tableBackend is the Backend plumbing hamming-bf and hamming-hybrid
+// share; they differ only in Search.
+type tableBackend struct {
+	name    string
+	tab     *codeTable
+	adopted bool // tab is another backend's, which feeds it
 }
 
 // Name implements Backend.
-func (b *HammingBF) Name() string { return HammingBFName }
+func (b *tableBackend) Name() string { return b.name }
 
 // Len implements Backend.
-func (b *HammingBF) Len() int {
-	if b.table == nil {
+func (b *tableBackend) Len() int {
+	if b.tab.t == nil {
 		return 0
 	}
-	return b.table.Len()
+	return b.tab.t.Len()
 }
 
-// Add implements Backend.
-func (b *HammingBF) Add(_ []float64, code hamming.Code) error {
-	t, err := addToTable(&b.table, b.bits, code)
-	if err != nil {
-		return err
+// Add implements Backend. An adopted table is fed by its owner; the code
+// is validated all the same, so error attribution does not depend on
+// backend order.
+func (b *tableBackend) Add(_ []float64, code hamming.Code) (err error) {
+	switch {
+	case code.Bits == 0:
+		return fmt.Errorf("engine: %s needs a non-empty code", b.name)
+	case b.tab.bits > 0 && code.Bits != b.tab.bits:
+		return fmt.Errorf("engine: code has %d bits, backend wants %d", code.Bits, b.tab.bits)
+	case b.adopted:
+	case b.tab.t == nil:
+		b.tab.t, err = hamming.NewTable([]hamming.Code{code})
+	default:
+		_, err = b.tab.t.Add(code)
 	}
-	b.table = t
-	return nil
+	return err
 }
 
-// Update implements Backend.
-func (b *HammingBF) Update(local int, _ []float64, code hamming.Code) error {
-	return updateTable(b.table, HammingBFName, local, code)
+// Update implements Backend (nil table = nothing was ever added, so any
+// id is unknown).
+func (b *tableBackend) Update(local int, _ []float64, code hamming.Code) error {
+	switch {
+	case code.Bits == 0:
+		return fmt.Errorf("engine: %s needs a non-empty code", b.name)
+	case b.tab.t == nil:
+		return fmt.Errorf("engine: %s update of unknown id %d (empty backend)", b.name, local)
+	case b.adopted:
+		return nil
+	}
+	return b.tab.t.Update(local, code)
 }
+
+// HammingBF scans all binary codes with popcount Hamming distance — the
+// paper's Hamming-BF strategy: one XOR + popcount per stored word.
+type HammingBF struct{ tableBackend }
 
 // Search implements Backend.
 func (b *HammingBF) Search(q Query, k int) []Result {
-	if b.table == nil || q.Code.Bits == 0 {
+	if b.tab.t == nil || q.Code.Bits == 0 {
 		return nil
 	}
-	return neighborsToResults(b.table.BruteForce(q.Code, k))
+	return neighborsToResults(b.tab.t.BruteForce(q.Code, k))
 }
-
-// addToTable lazily creates the table on the first insert and validates
-// the bit length against want (0 = infer).
-func addToTable(tp **hamming.Table, want int, code hamming.Code) (*hamming.Table, error) {
-	if code.Bits == 0 {
-		return nil, fmt.Errorf("engine: hamming backend needs a non-empty code")
-	}
-	if want > 0 && code.Bits != want {
-		return nil, fmt.Errorf("engine: code has %d bits, backend wants %d", code.Bits, want)
-	}
-	if *tp == nil {
-		return hamming.NewTable([]hamming.Code{code})
-	}
-	if _, err := (*tp).Add(code); err != nil {
-		return nil, err
-	}
-	return *tp, nil
-}
-
-// updateTable validates and applies an in-place code replacement on a
-// lazily-created table (nil = nothing was ever added, so any id is
-// unknown).
-func updateTable(t *hamming.Table, name string, local int, code hamming.Code) error {
-	if code.Bits == 0 {
-		return fmt.Errorf("engine: %s needs a non-empty code", name)
-	}
-	if t == nil {
-		return fmt.Errorf("engine: %s update of unknown id %d (empty backend)", name, local)
-	}
-	return t.Update(local, code)
-}
-
-// --- hamming-hybrid ---
 
 // HammingHybrid is the paper's Section V-E hybrid strategy: radius-2
 // table lookup when the neighborhood holds at least k items, brute-force
 // scan otherwise. Its results equal Hamming-BF exactly (both are the true
 // Hamming top-k with ascending-id tie-breaks); only the cost differs.
 type HammingHybrid struct {
-	bits      int
-	table     *hamming.Table
-	fastPaths atomic.Int64
-}
-
-// Name implements Backend.
-func (b *HammingHybrid) Name() string { return HammingHybridName }
-
-// Len implements Backend.
-func (b *HammingHybrid) Len() int {
-	if b.table == nil {
-		return 0
-	}
-	return b.table.Len()
-}
-
-// Add implements Backend.
-func (b *HammingHybrid) Add(_ []float64, code hamming.Code) error {
-	t, err := addToTable(&b.table, b.bits, code)
-	if err != nil {
-		return err
-	}
-	b.table = t
-	return nil
-}
-
-// Update implements Backend.
-func (b *HammingHybrid) Update(local int, _ []float64, code hamming.Code) error {
-	return updateTable(b.table, HammingHybridName, local, code)
+	tableBackend
+	// fastPaths counts table-lookup answers: the backend's own when
+	// standalone, the shard's inside an engine — which outlives the
+	// backends a compaction replaces.
+	fastPaths *atomic.Int64
 }
 
 // Search implements Backend.
 func (b *HammingHybrid) Search(q Query, k int) []Result {
-	if b.table == nil || q.Code.Bits == 0 {
+	if b.tab.t == nil || q.Code.Bits == 0 {
 		return nil
 	}
-	ns, fast := b.table.Hybrid(q.Code, k)
+	ns, fast := b.tab.t.Hybrid(q.Code, k)
 	if fast {
 		b.fastPaths.Add(1)
 	}
@@ -369,10 +343,10 @@ func (b *HammingHybrid) FastPathCount() int64 { return b.fastPaths.Load() }
 // the code, sorted ascending — the bucket-neighborhood primitive behind
 // Index.WithinCtx.
 func (b *HammingHybrid) Within(code hamming.Code, radius int) []int {
-	if b.table == nil {
+	if b.tab.t == nil {
 		return nil
 	}
-	ids := append([]int(nil), b.table.LookupRadius(code, radius)...)
+	ids := b.tab.t.LookupRadius(code, radius) // a fresh slice: sorted in place
 	sort.Ints(ids)
 	return ids
 }

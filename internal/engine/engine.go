@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"traj2hash/internal/hamming"
@@ -70,10 +71,10 @@ func (o Options) withDefaults() Options {
 // shard is one partition of the database: the global ids of its items
 // (ascending, thanks to round-robin assignment under the add lock), one
 // backend instance per configured backend name, the canonical item
-// representations (embedding + code, parallel to ids — the source of
-// truth compaction and durability snapshots rebuild from), and the
-// tombstone overlay (dead bitmap + count) that Delete maintains and the
-// search paths filter through.
+// representations (embedding + code words, parallel to ids — the source
+// of truth compaction rebuilds from), the tombstone overlay (dead bitmap
+// + count) that Delete maintains and the search paths filter through,
+// and the hybrid fast-path counter, which must outlive the backends.
 //
 // Liveness invariant: the live entries of ids are strictly ascending —
 // Add appends increasing ids, Delete only flips dead bits, Update
@@ -81,13 +82,33 @@ func (o Options) withDefaults() Options {
 // per-backend local-id tie-breaks equal to global-id tie-breaks after any
 // mutation history.
 type shard struct {
-	mu       sync.RWMutex
+	mu sync.RWMutex
+	items
+	deadN     int
+	fastPaths atomic.Int64
+}
+
+// items is what compaction rebuilds and swaps in as a whole: a backend
+// set and the canonical arrays it indexes, all parallel to ids.
+type items struct {
 	ids      []int
 	embs     [][]float64
-	codes    []hamming.Code
+	codes    hamming.Slab
 	dead     []bool
-	deadN    int
 	backends []Backend
+}
+
+// put appends one item — every backend, then the canonical arrays — and
+// returns its local index. Callers hold the shard's write lock.
+func (it *items) put(id int, emb []float64, code hamming.Code) (int, error) {
+	if err := addToBackends(it.backends, emb, code); err != nil {
+		return 0, err
+	}
+	it.ids = append(it.ids, id)
+	it.embs = append(it.embs, emb)
+	it.codes.Append(code)
+	it.dead = append(it.dead, false)
+	return len(it.ids) - 1, nil
 }
 
 // Engine is a sharded, concurrency-safe top-k query engine. Every shard
@@ -188,16 +209,45 @@ func New(opts Options) (*Engine, error) {
 	}
 	for s := 0; s < opts.Shards; s++ {
 		sh := &shard{}
-		for _, n := range names {
-			b, err := NewBackend(n, opts.Config)
-			if err != nil {
-				return nil, err
-			}
-			sh.backends = append(sh.backends, b)
+		var err error
+		if sh.items, err = e.newItems(sh); err != nil {
+			return nil, err
 		}
 		e.shards = append(e.shards, sh)
 	}
 	return e, nil
+}
+
+// newItems builds shard sh an empty item set with a fresh backend per
+// configured name (at construction and at every compaction) and wires
+// what the shard keeps once: hamming-bf adopts hamming-hybrid's table, so
+// one hamming.Table serves both and each mutation feeds it once, and the
+// hybrid counts its fast paths on the shard. A wrapped backend
+// (internal/faultinject) is neither concrete type: it keeps its own.
+func (e *Engine) newItems(sh *shard) (items, error) {
+	backends := make([]Backend, 0, len(e.names))
+	var bf *HammingBF
+	var hybrid *HammingHybrid
+	for _, n := range e.names {
+		b, err := NewBackend(n, e.opts.Config)
+		if err != nil {
+			return items{}, err
+		}
+		switch b := b.(type) {
+		case *HammingBF:
+			bf = b
+		case *HammingHybrid:
+			hybrid = b
+		}
+		backends = append(backends, b)
+	}
+	if hybrid != nil {
+		hybrid.fastPaths = &sh.fastPaths
+		if bf != nil {
+			bf.tab, bf.adopted = hybrid.tab, true
+		}
+	}
+	return items{backends: backends}, nil
 }
 
 // Backends returns the canonical backend names the engine maintains; the
@@ -261,15 +311,12 @@ func (e *Engine) Add(emb []float64, code hamming.Code) (int, error) {
 	sh := e.shards[si]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if err := addToBackends(sh.backends, emb, code); err != nil {
+	local, err := sh.put(id, emb, code)
+	if err != nil {
 		return 0, err
 	}
 	e.dim = len(emb)
-	sh.ids = append(sh.ids, id)
-	sh.embs = append(sh.embs, emb)
-	sh.codes = append(sh.codes, code)
-	sh.dead = append(sh.dead, false)
-	e.locs = append(e.locs, loc{shard: si, local: len(sh.ids) - 1})
+	e.locs = append(e.locs, loc{shard: si, local: local})
 	e.next++
 	e.live++
 	return id, nil
@@ -342,16 +389,13 @@ type radiusSearcher interface {
 	Within(code hamming.Code, radius int) []int
 }
 
-// FastPathCount sums the hybrid fast-path counters across shards, or 0 if
-// the engine has no hamming-hybrid backend.
+// FastPathCount sums the hybrid fast-path counters (0 without a
+// hamming-hybrid backend). They live on the shards, not in the backends,
+// so the total survives compaction and reading it takes no lock.
 func (e *Engine) FastPathCount() int64 {
 	var total int64
 	for _, sh := range e.shards {
-		for _, b := range sh.backends {
-			if h, ok := b.(*HammingHybrid); ok {
-				total += h.FastPathCount()
-			}
-		}
+		total += sh.fastPaths.Load()
 	}
 	return total
 }

@@ -102,7 +102,7 @@ func (e *Engine) Update(id int, emb []float64, code hamming.Code) error {
 		}
 	}
 	sh.embs[l.local] = emb
-	sh.codes[l.local] = code
+	sh.codes.Set(l.local, code)
 	if e.met != nil {
 		e.met.updates.Inc()
 	}
@@ -151,36 +151,21 @@ func (e *Engine) compactShardLocked(si int) error {
 	if sh.deadN == 0 {
 		return nil
 	}
-	backends := make([]Backend, 0, len(e.names))
-	for _, n := range e.names {
-		b, err := NewBackend(n, e.opts.Config)
-		if err != nil {
-			return fmt.Errorf("engine: compaction of shard %d: %w", si, err)
-		}
-		backends = append(backends, b)
+	next, err := e.newItems(sh)
+	if err != nil {
+		return fmt.Errorf("engine: compaction of shard %d: %w", si, err)
 	}
-	nLive := len(sh.ids) - sh.deadN
-	ids := make([]int, 0, nLive)
-	embs := make([][]float64, 0, nLive)
-	codes := make([]hamming.Code, 0, nLive)
 	for local, id := range sh.ids {
 		if sh.dead[local] {
 			continue
 		}
-		if err := addToBackends(backends, sh.embs[local], sh.codes[local]); err != nil {
+		n, err := next.put(id, sh.embs[local], sh.codes.At(local))
+		if err != nil {
 			return fmt.Errorf("engine: compaction of shard %d: %w", si, err)
 		}
-		e.locs[id] = loc{shard: si, local: len(ids)}
-		ids = append(ids, id)
-		embs = append(embs, sh.embs[local])
-		codes = append(codes, sh.codes[local])
+		e.locs[id] = loc{shard: si, local: n}
 	}
-	sh.ids = ids
-	sh.embs = embs
-	sh.codes = codes
-	sh.dead = make([]bool, len(ids))
-	sh.deadN = 0
-	sh.backends = backends
+	sh.items, sh.deadN = next, 0
 	if e.met != nil {
 		e.met.compactions.Inc()
 	}
@@ -259,15 +244,12 @@ func (e *Engine) restoreItem(it RestoreItem) error {
 	sh := e.shards[si]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if err := addToBackends(sh.backends, emb, code); err != nil {
+	local, err := sh.put(it.ID, emb, code)
+	if err != nil {
 		return fmt.Errorf("engine: Restore item %d: %w", it.ID, err)
 	}
 	e.dim = len(emb)
-	sh.ids = append(sh.ids, it.ID)
-	sh.embs = append(sh.embs, emb)
-	sh.codes = append(sh.codes, code)
-	sh.dead = append(sh.dead, false)
-	e.locs[it.ID] = loc{shard: si, local: len(sh.ids) - 1}
+	e.locs[it.ID] = loc{shard: si, local: local}
 	e.live++
 	return nil
 }

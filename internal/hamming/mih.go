@@ -19,24 +19,25 @@ import (
 // This is an extension beyond the paper (which caps lookup at radius 2 and
 // falls back to a scan); see the extra benchmarks in bench_test.go.
 type MIH struct {
-	bits      int
 	chunks    int
 	chunkBits []int
 	tables    []map[uint64][]int
-	codes     []Code
+	codes     Slab
 }
 
 // NewMIH indexes the codes with the given number of substrings (chunks).
-// Chunks must divide into the code length with at most 64 bits each.
+// Chunks must divide into the code length with at most 64 bits each. The
+// codes are copied: the index keeps no reference to the argument.
 func NewMIH(codes []Code, chunks int) (*MIH, error) {
-	if len(codes) == 0 {
-		return nil, fmt.Errorf("hamming: empty code set")
+	slab, err := newSlab(codes)
+	if err != nil {
+		return nil, err
 	}
-	bits := codes[0].Bits
+	bits := slab.bits
 	if chunks <= 0 || chunks > bits {
 		return nil, fmt.Errorf("hamming: invalid chunk count %d for %d bits", chunks, bits)
 	}
-	m := &MIH{bits: bits, chunks: chunks, codes: codes}
+	m := &MIH{chunks: chunks, codes: slab}
 	base := bits / chunks
 	rem := bits % chunks
 	for c := 0; c < chunks; c++ {
@@ -51,9 +52,6 @@ func NewMIH(codes []Code, chunks int) (*MIH, error) {
 		m.tables = append(m.tables, make(map[uint64][]int))
 	}
 	for id, c := range codes {
-		if c.Bits != bits {
-			return nil, fmt.Errorf("hamming: code %d has %d bits, want %d", id, c.Bits, bits)
-		}
 		for ci, sub := range m.substrings(c) {
 			m.tables[ci][sub] = append(m.tables[ci][sub], id)
 		}
@@ -65,11 +63,11 @@ func NewMIH(codes []Code, chunks int) (*MIH, error) {
 // length must match the index's. Chunk widths are fixed at construction,
 // so insertion is a per-chunk map append.
 func (m *MIH) Add(c Code) (int, error) {
-	if c.Bits != m.bits {
-		return 0, fmt.Errorf("hamming: code has %d bits, MIH has %d", c.Bits, m.bits)
+	if c.Bits != m.codes.bits {
+		return 0, fmt.Errorf("hamming: code has %d bits, MIH has %d", c.Bits, m.codes.bits)
 	}
-	id := len(m.codes)
-	m.codes = append(m.codes, c)
+	id := m.codes.Len()
+	m.codes.Append(c)
 	for ci, sub := range m.substrings(c) {
 		m.tables[ci][sub] = append(m.tables[ci][sub], id)
 	}
@@ -82,13 +80,13 @@ func (m *MIH) Add(c Code) (int, error) {
 // untouched (the engine's tie-break contract under mutation). The new
 // code's length must match the index's.
 func (m *MIH) Update(id int, c Code) error {
-	if id < 0 || id >= len(m.codes) {
-		return fmt.Errorf("hamming: update of unknown id %d (have %d codes)", id, len(m.codes))
+	if id < 0 || id >= m.codes.Len() {
+		return fmt.Errorf("hamming: update of unknown id %d (have %d codes)", id, m.codes.Len())
 	}
-	if c.Bits != m.bits {
-		return fmt.Errorf("hamming: code has %d bits, MIH has %d", c.Bits, m.bits)
+	if c.Bits != m.codes.bits {
+		return fmt.Errorf("hamming: code has %d bits, MIH has %d", c.Bits, m.codes.bits)
 	}
-	old := m.codes[id]
+	old := m.codes.At(id)
 	if Equal(old, c) {
 		return nil
 	}
@@ -100,7 +98,7 @@ func (m *MIH) Update(id int, c Code) error {
 		m.removeFromChunk(ci, oldSubs[ci], id)
 		m.tables[ci][sub] = append(m.tables[ci][sub], id)
 	}
-	m.codes[id] = c
+	m.codes.Set(id, c)
 	return nil
 }
 
@@ -124,10 +122,10 @@ func (m *MIH) removeFromChunk(ci int, sub uint64, id int) {
 }
 
 // Len returns the number of indexed codes.
-func (m *MIH) Len() int { return len(m.codes) }
+func (m *MIH) Len() int { return m.codes.Len() }
 
 // Bits returns the code length.
-func (m *MIH) Bits() int { return m.bits }
+func (m *MIH) Bits() int { return m.codes.bits }
 
 // substrings extracts the chunk values of a code into a fresh slice.
 // Hot paths use substringsInto with buffer-owned storage instead.
@@ -269,7 +267,7 @@ func (m *MIH) Search(q Code, k int) []Neighbor {
 			continue
 		}
 		items := sel.Select(len(cands), k, func(i int) float64 {
-			return float64(Distance(q, m.codes[cands[i]]))
+			return float64(Distance(q, m.codes.At(cands[i])))
 		})
 		guarantee := m.chunks*(subRadius+1) - 1
 		if int(items[len(items)-1].Dist) <= guarantee {
@@ -281,12 +279,5 @@ func (m *MIH) Search(q Code, k int) []Neighbor {
 		}
 	}
 	// Guarantee unreachable within the probe budget: rank everything.
-	items := sel.Select(len(m.codes), k, func(i int) float64 {
-		return float64(Distance(q, m.codes[i]))
-	})
-	ns := make([]Neighbor, len(items))
-	for i, it := range items {
-		ns[i] = Neighbor{ID: it.ID, Distance: int(it.Dist)}
-	}
-	return ns
+	return m.codes.nearest(q, k, &sel, nil)
 }

@@ -11,6 +11,8 @@
 // remain the convenient one-shot forms.
 package topk
 
+import "math"
+
 // Item is a candidate with its distance (smaller is better).
 type Item struct {
 	ID   int
@@ -65,21 +67,82 @@ func siftDown(h []Item, i, m int) {
 // kept across queries allocates nothing per call once it has grown to
 // the largest k it has seen (append's amortized growth is the only
 // allocation it ever performs). A Selector is not safe for concurrent
-// use, and the slice returned by Select aliases the Selector's buffer —
-// consume or copy it before the next call.
+// use, and the slice returned by Select or Finish aliases the Selector's
+// buffer — consume or copy it before the next call.
+//
+// Select is the closure form. Scans that compute their own distances
+// (the Hamming kernel) drive the same heap through the streaming form:
+// Begin(k), Offer per candidate — guarded by a comparison against Worst
+// so that the heap is touched only on an improvement — then Finish.
 type Selector struct {
 	h []Item
+	k int
+}
+
+// Begin starts a streaming selection of the k best candidates,
+// discarding any previous selection.
+func (s *Selector) Begin(k int) {
+	s.h = s.h[:0]
+	s.k = k
+}
+
+// Offer considers one candidate, in any id order. The first k offers
+// fill the buffer unordered and heapify once — O(k) instead of k
+// sift-ups; every decision after that compares only against the root,
+// which is the same unique worst element under any valid heap layout, so
+// the output ordering is unaffected by the construction order.
+//
+//perf:hotpath Offer is the per-improvement step of every top-k scan; an allocation here multiplies by the candidates that improve the selection
+func (s *Selector) Offer(id int, dist float64) {
+	it := Item{ID: id, Dist: dist}
+	if len(s.h) < s.k {
+		s.h = append(s.h, it)
+		if len(s.h) == s.k {
+			heapify(s.h)
+		}
+		return
+	}
+	if len(s.h) > 0 && worse(s.h[0], it) {
+		s.h[0] = it
+		siftDown(s.h, 0, len(s.h))
+	}
+}
+
+// Worst returns the distance of the worst candidate currently kept once
+// k are held, +Inf before. A scan that offers ids in ascending order may
+// skip every candidate whose distance is not below it: an equal distance
+// at a later id ranks after everything kept, so the check is exact.
+func (s *Selector) Worst() float64 {
+	if len(s.h) < s.k || len(s.h) == 0 {
+		return math.Inf(1)
+	}
+	return s.h[0].Dist
+}
+
+// Finish ends a streaming selection: the kept candidates sorted
+// ascending by (distance, id), aliasing the Selector's buffer. The
+// ordering pass is an in-place heapsort over the max-heap rather than
+// sort.Slice, whose closure and interface boxing allocate per call.
+func (s *Selector) Finish() []Item {
+	h := s.h
+	if len(h) < s.k {
+		heapify(h) // fewer than k offered: the buffer is still unordered
+	}
+	// Repeatedly move the worst remaining to the tail, leaving the array
+	// ascending (best first) under the worse ordering.
+	for m := len(h); m > 1; m-- {
+		h[0], h[m-1] = h[m-1], h[0]
+		siftDown(h, 0, m-1)
+	}
+	return h
 }
 
 // Select returns the k items with the smallest distances among ids
 // [0, n), using the dist callback, sorted ascending with ties broken by
 // ascending id (the worse ordering, exactly as the package-level Select
-// documents). The result aliases the Selector's internal buffer.
-//
-// The final ordering pass is an in-place heapsort over the already-built
-// max-heap rather than sort.Slice: the closure and interface boxing of
-// sort.Slice are per-call allocations, and selection runs once per query
-// per shard. dist is called exactly once per id, in ascending id order.
+// documents). The result aliases the Selector's internal buffer. dist is
+// called exactly once per id, in ascending id order — which is what lets
+// the steady-state loop decide with one comparison against Worst.
 //
 //perf:hotpath top-k selection runs once per query per shard; the scan it ranks only keeps its O(n log k) bound if selection itself stays allocation-free
 func (s *Selector) Select(n, k int, dist func(i int) float64) []Item {
@@ -89,35 +152,18 @@ func (s *Selector) Select(n, k int, dist func(i int) float64) []Item {
 	if k > n {
 		k = n
 	}
-	// Bounded max-heap of the current best k: the root is the worst kept.
-	// The first k items fill the buffer unordered and heapify once —
-	// O(k) instead of k sift-ups, and the decision loop below compares
-	// only against the root, which is the same unique worst element under
-	// any valid heap layout, so the output ordering contract is
-	// unaffected by the construction order.
-	h := s.h[:0]
+	s.Begin(k)
 	for i := 0; i < k; i++ {
-		h = append(h, Item{ID: i, Dist: dist(i)})
+		s.Offer(i, dist(i))
 	}
-	heapify(h)
-	if len(h) == 0 {
-		return nil // unreachable (k ≥ 1); pins len(h) > 0 for the prover
-	}
+	worst := s.Worst()
 	for i := k; i < n; i++ {
-		it := Item{ID: i, Dist: dist(i)}
-		if worse(h[0], it) {
-			h[0] = it
-			siftDown(h, 0, len(h))
+		if d := dist(i); d < worst {
+			s.Offer(i, d)
+			worst = s.Worst()
 		}
 	}
-	// Heapsort: repeatedly move the worst remaining to the tail, leaving
-	// the array ascending (best first) under the worse ordering.
-	for m := len(h); m > 1; m-- {
-		h[0], h[m-1] = h[m-1], h[0]
-		siftDown(h, 0, m-1)
-	}
-	s.h = h
-	return h
+	return s.Finish()
 }
 
 // Select returns the k items with the smallest distances among ids

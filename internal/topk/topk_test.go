@@ -122,3 +122,46 @@ func TestSelectSortedOutput(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestStreamingMatchesSelect drives Begin/Offer/Finish directly — ids in
+// ascending and in shuffled order, with and without the Worst guard a
+// scan uses — and requires the closure form's exact answer on coarse
+// distances that force tie-breaks, for k below, at, and past n.
+func TestStreamingMatchesSelect(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	var sel Selector
+	for trial := 0; trial < 200; trial++ {
+		n, k := rng.Intn(60), rng.Intn(70)
+		dists := make([]float64, n)
+		for i := range dists {
+			dists[i] = float64(rng.Intn(6))
+		}
+		want := SelectSlice(dists, k)
+
+		check := func(label string, got []Item) {
+			t.Helper()
+			if len(got) != len(want) {
+				t.Fatalf("%s n=%d k=%d: got %d items, want %d", label, n, k, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s n=%d k=%d item %d: got %+v, want %+v", label, n, k, i, got[i], want[i])
+				}
+			}
+		}
+
+		sel.Begin(k)
+		for _, id := range rng.Perm(n) {
+			sel.Offer(id, dists[id])
+		}
+		check("shuffled", sel.Finish())
+
+		sel.Begin(k)
+		for id, d := range dists {
+			if d < sel.Worst() { // exact only because ids ascend
+				sel.Offer(id, d)
+			}
+		}
+		check("guarded", sel.Finish())
+	}
+}

@@ -239,3 +239,37 @@ func TestAddBatchAppliedPrefixIsWhatRecovers(t *testing.T) {
 		}
 	}
 }
+
+// TestHybridFastPathsSurvivesCompaction: Index.HybridFastPaths is a
+// monotone total — an automatic compaction (25 % tombstones) rebuilds
+// the shard's backends and must not reset it.
+func TestHybridFastPathsSurvivesCompaction(t *testing.T) {
+	m, ds := untrainedFixture(t)
+	ix, err := NewIndexWith(m, ds.Database, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// An indexed trajectory sits in its own bucket, so K = 1 always takes
+	// the table-lookup path.
+	for _, tr := range ds.Database {
+		do(t, ix, Query{Traj: tr, K: 1})
+	}
+	before := ix.HybridFastPaths()
+	if before != int64(len(ds.Database)) {
+		t.Fatalf("HybridFastPaths = %d after %d self-queries", before, len(ds.Database))
+	}
+	for id := 0; id < len(ds.Database)*3/10; id++ {
+		if err := ix.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := ix.HybridFastPaths(); got != before {
+		t.Fatalf("HybridFastPaths went from %d to %d across a compaction", before, got)
+	}
+	for _, tr := range ds.Database {
+		do(t, ix, Query{Traj: tr, K: 1})
+	}
+	if got := ix.HybridFastPaths(); got <= before {
+		t.Fatalf("HybridFastPaths = %d after another round of queries, want more than %d", got, before)
+	}
+}

@@ -4,7 +4,8 @@
 #   2. trajlint — the stdlib-only analyzer suite enforcing the repo's
 #      correctness contracts (see DESIGN.md "Static analysis & invariants")
 #   3. go vet
-#   4. go build
+#   4. go build (and one informational line: nn.matmul's address mod 64
+#      in the trajbench binary — see the alignment trap in ROADMAP item 1)
 #   5. fault-injection + observability + durability scenarios under the
 #      race detector — the failure-domain contracts (panic isolation,
 #      deadlines, checkpoint rollback — for the paper model and, in
@@ -111,6 +112,13 @@ go vet ./... || {
 
 echo "== go build ./..."
 go build ./...
+# Informational: the attention embed is sensitive to the 64-byte alignment
+# of nn.matmul (ROADMAP item 1), and any text linked before internal/nn
+# moves it. Printed so that an alignment shift shows in every CI log
+# instead of being rediscovered as a "regression" in untouched code.
+go build -o bin/trajbench ./benchmarks/trajbench
+matmul_addr=$(go tool nm bin/trajbench | awk '$3 == "traj2hash/internal/nn.matmul" { print $1 }')
+echo "nn.matmul address mod 64 in bin/trajbench: $((0x${matmul_addr:-0} % 64)) (0x${matmul_addr:-symbol not found})"
 
 echo "== go test -race (fault-injection + observability + durability scenarios)"
 METRICS_JSON_OUT="$PWD/bin/metrics.json" \
