@@ -79,7 +79,7 @@ type Query struct {
 const (
 	BackendEuclideanBF   = engine.EuclideanBFName   // exact scan over embeddings
 	BackendHammingBF     = engine.HammingBFName     // popcount scan over codes
-	BackendHammingHybrid = engine.HammingHybridName // radius-2 lookup w/ scan fallback
+	BackendHammingHybrid = engine.HammingHybridName // Section V-E hybrid: a scan of the distinct codes
 	BackendMIH           = engine.MIHName           // multi-index hashing
 	BackendVPTree        = engine.VPTreeName        // vantage-point tree
 )
@@ -401,11 +401,12 @@ func (ix *Index) SearchBatchCtx(ctx context.Context, qs []Trajectory, k int) ([]
 }
 
 // WithinCtx returns the ids of indexed trajectories whose hash codes lie
-// within the given Hamming radius (0–2) of the query's code — the bucket
+// within the given Hamming radius of the query's code — the bucket
 // neighborhood used for gathering-pattern style grouping (see
-// examples/clustering) — sorted ascending. It honors cancellation and
-// deadlines like Do; incomplete answers (missed shards) are tagged by the
-// Status.
+// examples/clustering) — sorted ascending. The radius must be 0, 1 or 2:
+// any other is an error, reported in Status.Err with no ids, as Do
+// reports an invalid Query. It honors cancellation and deadlines like
+// Do; incomplete answers (missed shards) are tagged by the Status.
 func (ix *Index) WithinCtx(ctx context.Context, q Trajectory, radius int) ([]int, Status) {
 	ids, st, err := ix.eng.WithinCtx(ctx, ix.enc.Code(q), radius)
 	if err != nil {
@@ -415,7 +416,7 @@ func (ix *Index) WithinCtx(ctx context.Context, q Trajectory, radius int) ([]int
 }
 
 // HybridFastPaths reports how many hybrid searches (across all shards)
-// were answered via table lookup rather than the brute-force fallback.
+// the radius-2 neighborhood of the query answered on its own.
 func (ix *Index) HybridFastPaths() int64 { return ix.eng.FastPathCount() }
 
 // Stats returns a point-in-time snapshot of the index's observability

@@ -311,14 +311,16 @@ func (b *HammingBF) Search(q Query, k int) []Result {
 	return neighborsToResults(b.tab.t.BruteForce(q.Code, k))
 }
 
-// HammingHybrid is the paper's Section V-E hybrid strategy: radius-2
-// table lookup when the neighborhood holds at least k items, brute-force
-// scan otherwise. Its results equal Hamming-BF exactly (both are the true
-// Hamming top-k with ascending-id tie-breaks); only the cost differs.
+// HammingHybrid is the paper's Section V-E hybrid strategy, answered by
+// one threshold scan over the table's distinct codes (hamming.Table's
+// bucket directory) instead of one over every item. Its results equal
+// Hamming-BF exactly (both are the true Hamming top-k with ascending-id
+// tie-breaks); only the cost differs.
 type HammingHybrid struct {
 	tableBackend
-	// fastPaths counts table-lookup answers: the backend's own when
-	// standalone, the shard's inside an engine — which outlives the
+	// fastPaths counts the searches the radius-2 neighborhood alone
+	// answered — the paper's table-lookup case: the backend's own count
+	// when standalone, the shard's inside an engine — which outlives the
 	// backends a compaction replaces.
 	fastPaths *atomic.Int64
 }
@@ -335,13 +337,14 @@ func (b *HammingHybrid) Search(q Query, k int) []Result {
 	return neighborsToResults(ns)
 }
 
-// FastPathCount returns how many searches were answered via table lookup
-// rather than the brute-force fallback. Safe to read concurrently.
+// FastPathCount returns how many searches the radius-2 neighborhood
+// answered (it held at least k items). Safe to read concurrently.
 func (b *HammingHybrid) FastPathCount() int64 { return b.fastPaths.Load() }
 
-// Within returns the local ids within the given Hamming radius (0–2) of
-// the code, sorted ascending — the bucket-neighborhood primitive behind
-// Index.WithinCtx.
+// Within returns the local ids within the given Hamming radius of the
+// code, sorted ascending — the bucket-neighborhood primitive behind
+// Index.WithinCtx, which has already rejected a radius outside
+// 0–hamming.MaxRadius.
 func (b *HammingHybrid) Within(code hamming.Code, radius int) []int {
 	if b.tab.t == nil {
 		return nil

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync/atomic"
 	"time"
 
 	"traj2hash/internal/hamming"
@@ -97,29 +98,21 @@ func fanOut[T any](ctx context.Context, n, workers int, fn func(i int) (T, error
 		}()
 		return outcome[T]{i: i, v: v, err: err}
 	}
-	next := make(chan int) // unbuffered: workers pull indices until closed
+	// Worker w starts on unit w and claims further indices from a shared
+	// counter. A unit claimed after ctx is done reports itself skipped
+	// (see run), so the collector can account for every index and return.
+	// Starting each worker on a unit of its own means the collector cannot
+	// finish before every worker has run: none is left behind in the run
+	// queue to pile up under a stream of short searches.
+	var next atomic.Int64
+	next.Store(int64(workers))
 	for w := 0; w < workers; w++ {
-		go func() {
-			for i := range next {
+		go func(i int) {
+			for ; i < n; i = int(next.Add(1)) - 1 {
 				ch <- run(i)
 			}
-		}()
+		}(w)
 	}
-	go func() {
-		defer close(next)
-		for i := 0; i < n; i++ {
-			select {
-			case next <- i:
-			case <-ctx.Done():
-				// Unstarted units: report them as skipped so the
-				// collector can account for every index and return.
-				for ; i < n; i++ {
-					ch <- outcome[T]{i: i, skipped: true}
-				}
-				return
-			}
-		}
-	}()
 	gather := func(out outcome[T]) {
 		switch {
 		case out.skipped:
@@ -350,11 +343,16 @@ func (e *Engine) SearchBatchWithCtx(ctx context.Context, name string, qs []Query
 }
 
 // WithinCtx returns the global ids whose codes lie within the given
-// Hamming radius (0–2) of the query code, sorted ascending, honoring
+// Hamming radius of the query code, sorted ascending, honoring
 // cancellation and isolating shard panics like SearchCtx. The error
-// reports configuration problems (no radius-lookup backend); runtime
-// degradation is in the Status.
+// reports configuration problems — a radius outside 0–hamming.MaxRadius
+// (an error, before any shard is consulted: the lookup enumerates no
+// further), no radius-lookup backend; runtime degradation is in the
+// Status.
 func (e *Engine) WithinCtx(ctx context.Context, code hamming.Code, radius int) ([]int, Status, error) {
+	if radius < 0 || radius > hamming.MaxRadius {
+		return nil, Status{}, fmt.Errorf("engine: radius %d outside the supported range 0–%d", radius, hamming.MaxRadius)
+	}
 	bi := -1
 	for i := range e.names {
 		if _, ok := e.shards[0].backends[i].(radiusSearcher); ok {

@@ -4,10 +4,12 @@ import (
 	"context"
 	"math/rand"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
 	"traj2hash/internal/hamming"
+	"traj2hash/internal/obs"
 )
 
 // The helpers below run the engine's context-aware entry points with no
@@ -243,6 +245,34 @@ func TestEngineWithin(t *testing.T) {
 	e2, _ := New(Options{Backends: []string{EuclideanBFName}})
 	if _, err := within(e2, codes[0], 1); err == nil {
 		t.Error("Within without hybrid backend accepted")
+	}
+}
+
+// TestWithinRejectsUnsupportedRadius: a radius the lookup does not
+// enumerate is a configuration error naming the range, raised before any
+// shard is consulted — it used to be answered, complete, with the
+// nearest supported radius's ids.
+func TestWithinRejectsUnsupportedRadius(t *testing.T) {
+	reg := obs.New()
+	e, err := New(Options{Backends: []string{HammingHybridName}, Shards: 2, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(8))
+	codes := randCodes(rng, 20, 12)
+	for _, c := range codes {
+		if _, err := e.Add(c.Signs(), c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, radius := range []int{-1, 3, 5} {
+		ids, st, err := e.WithinCtx(context.Background(), codes[0], radius)
+		if err == nil || !strings.Contains(err.Error(), "0–2") || ids != nil || st.ShardsOK != 0 {
+			t.Errorf("WithinCtx(radius %d) = %v, %+v, err %v; want no ids, no shard work and an error naming 0–2", radius, ids, st, err)
+		}
+	}
+	if got := reg.Snapshot().Counters["engine.search.total"]; got != 0 {
+		t.Errorf("rejected radii moved engine.search.total to %d", got)
 	}
 }
 

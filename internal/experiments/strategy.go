@@ -61,10 +61,10 @@ func (s *strategy) runAll(k int) [][]int {
 	return out
 }
 
-// fastPaths reports how many searches a hamming-hybrid strategy answered
-// by table lookup rather than its brute-force fallback (0 for every other
-// backend) — the Figure 5/6 analysis of when the hybrid degenerates to
-// Hamming-BF.
+// fastPaths reports how many searches of a hamming-hybrid strategy the
+// radius-2 neighborhood answered — the paper's table-lookup case (0 for
+// every other backend) — the Figure 5/6 analysis of when the hybrid
+// degenerates to Hamming-BF.
 func (s *strategy) fastPaths() int64 {
 	if h, ok := s.be.(*engine.HammingHybrid); ok {
 		return h.FastPathCount()

@@ -1,8 +1,8 @@
 // Package hamming provides packed binary codes, Hamming distance, and the
 // hash-table search machinery of Section V-E: brute-force Hamming scan,
-// table lookup with radius expansion, and the Hamming-Hybrid strategy that
-// falls back to brute force when the radius-2 neighborhood holds fewer than
-// k candidates.
+// table lookup with radius expansion, and the Hamming-Hybrid strategy,
+// answered by one scan over the table's distinct codes whether or not the
+// radius-2 neighborhood holds k candidates.
 package hamming
 
 import (

@@ -350,7 +350,8 @@ func TestNewCodePanicsOnNonPositive(t *testing.T) {
 func TestHybridFallsBackOnSparse(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	// 64-bit random codes over few items: radius-2 neighborhoods are empty,
-	// forcing the fallback (the footnote-5 scenario).
+	// so no fast path is reported (the footnote-5 scenario) and the scan of
+	// the distinct codes answers like the scan of the items.
 	codes := make([]Code, 50)
 	for i := range codes {
 		codes[i] = randCode(rng, 64)
@@ -364,7 +365,7 @@ func TestHybridFallsBackOnSparse(t *testing.T) {
 	bf := tab.BruteForce(q, 10)
 	for i := range bf {
 		if ns[i] != bf[i] {
-			t.Fatal("fallback differs from brute force")
+			t.Fatal("sparse hybrid differs from brute force")
 		}
 	}
 }

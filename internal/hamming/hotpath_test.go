@@ -137,6 +137,30 @@ func TestHotpathBruteForceIntoZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestHotpathHybridIntoZeroAlloc locks in the //perf:hotpath contract on
+// the hybrid search — the default serving path — with warm buffers, for
+// a query the radius-2 neighborhood answers and one it does not.
+func TestHotpathHybridIntoZeroAlloc(t *testing.T) {
+	codes := randCodes(500, 64, 10)
+	table, err := NewTable(codes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sel topk.Selector
+	var dst []Neighbor
+	for _, q := range []Code{randCodes(1, 64, 11)[0], codes[0]} {
+		for _, k := range []int{10, 1} {
+			dst, _ = table.HybridInto(q, k, &sel, dst) // warm sel and dst
+			allocs := testing.AllocsPerRun(100, func() {
+				dst, _ = table.HybridInto(q, k, &sel, dst)
+			})
+			if allocs != 0 {
+				t.Fatalf("HybridInto(k=%d) allocated %v per call, want 0", k, allocs)
+			}
+		}
+	}
+}
+
 // TestHotpathCandidatesIntoZeroAlloc locks in the //perf:hotpath
 // contract on MIH candidate generation with a warm buffer.
 func TestHotpathCandidatesIntoZeroAlloc(t *testing.T) {
@@ -185,6 +209,27 @@ func BenchmarkHotpathHammingBruteForce(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		dst = table.BruteForceInto(q, 10, &sel, dst)
+	}
+}
+
+// BenchmarkHotpathHammingHybrid measures the steady-state hybrid search
+// on the brute-force benchmark's fixture (10k codes, k=10) with reused
+// buffers: random 64-bit codes are all distinct, so the directory is as
+// long as the item array and this is the hybrid's worst case.
+func BenchmarkHotpathHammingHybrid(b *testing.B) {
+	codes := randCodes(10000, 64, 15)
+	table, err := NewTable(codes)
+	if err != nil {
+		b.Fatal(err)
+	}
+	q := randCodes(1, 64, 16)[0]
+	var sel topk.Selector
+	var dst []Neighbor
+	dst, _ = table.HybridInto(q, 10, &sel, dst) // warm buffers
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dst, _ = table.HybridInto(q, 10, &sel, dst)
 	}
 }
 

@@ -61,67 +61,92 @@ func checkAgainstOracle(t *testing.T, label string, tab *Table, codes []Code, qu
 	}
 }
 
-// TestBruteForceMatchesNaiveOracle pins the threshold scan id for id and
-// distance for distance to a naive sort: every stride (1, 2, 4 words and
-// the partial-word lengths around them), k from 0 past n, heavy ties
-// (where only the ascending-id rule decides), and a table that reached
-// its state through a random Add/Update history.
-func TestBruteForceMatchesNaiveOracle(t *testing.T) {
-	for _, bits := range []int{1, 8, 16, 63, 64, 65, 128, 200} {
-		rng := rand.New(rand.NewSource(int64(100 + bits)))
-		const n = 60
-		queries := []Code{randCode(rng, bits), randCode(rng, bits), NewCode(bits)}
+// oracleSet is one table under test with the mirror of its codes that
+// the naive oracle reads.
+type oracleSet struct {
+	name  string
+	tab   *Table
+	codes []Code
+}
 
-		random := make([]Code, n)
-		for i := range random {
-			random[i] = randCode(rng, bits)
+// oracleSets builds the code sets both scans are pinned on, for one bit
+// length: random codes, heavy ties (all-equal and two-code sets, where
+// only the ascending-id rule decides), and a table that reached its
+// state through a random Add/Update history. The queries include a
+// stored code and a one-bit neighbor of it, so radius-2 neighborhoods
+// are hit as well as missed.
+func oracleSets(t *testing.T, bits int) ([]oracleSet, []Code) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(int64(100 + bits)))
+	const n = 60
+	random := make([]Code, n)
+	for i := range random {
+		random[i] = randCode(rng, bits)
+	}
+	equal := make([]Code, n)
+	two := make([]Code, n)
+	a, b := randCode(rng, bits), randCode(rng, bits)
+	for i := range equal {
+		equal[i] = a
+		two[i] = a
+		if rng.Intn(2) == 0 {
+			two[i] = b
 		}
-		equal := make([]Code, n)
-		two := make([]Code, n)
-		a, b := randCode(rng, bits), randCode(rng, bits)
-		for i := range equal {
-			equal[i] = a
-			two[i] = a
-			if rng.Intn(2) == 0 {
-				two[i] = b
-			}
-		}
-		for _, tc := range []struct {
-			name  string
-			codes []Code
-		}{{"random", random}, {"all-equal", equal}, {"two-codes", two}} {
-			tab, err := NewTable(tc.codes)
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkAgainstOracle(t, fmt.Sprintf("bits=%d %s", bits, tc.name), tab, tc.codes, queries)
-		}
+	}
+	queries := []Code{randCode(rng, bits), randCode(rng, bits), NewCode(bits), a, a.FlipBit(0)}
 
-		// A mutation history: the mirror slice is the oracle's input.
-		mirror := append([]Code(nil), random[:5]...)
-		tab, err := NewTable(mirror)
+	var sets []oracleSet
+	for _, tc := range []struct {
+		name  string
+		codes []Code
+	}{{"random", random}, {"all-equal", equal}, {"two-codes", two}} {
+		tab, err := NewTable(tc.codes)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for step := 0; step < 150; step++ {
-			c := randCode(rng, bits)
-			if rng.Intn(3) == 0 {
-				c = mirror[rng.Intn(len(mirror))] // force duplicates and no-op updates
-			}
-			if rng.Intn(2) == 0 {
-				if _, err := tab.Add(c); err != nil {
-					t.Fatal(err)
-				}
-				mirror = append(mirror, c)
-			} else {
-				id := rng.Intn(len(mirror))
-				if err := tab.Update(id, c); err != nil {
-					t.Fatal(err)
-				}
-				mirror[id] = c
-			}
+		sets = append(sets, oracleSet{fmt.Sprintf("bits=%d %s", bits, tc.name), tab, tc.codes})
+	}
+
+	// A mutation history: the mirror slice is the oracle's input.
+	mirror := append([]Code(nil), random[:5]...)
+	tab, err := NewTable(mirror)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for step := 0; step < 150; step++ {
+		c := randCode(rng, bits)
+		if rng.Intn(3) == 0 {
+			c = mirror[rng.Intn(len(mirror))] // force duplicates and no-op updates
 		}
-		checkAgainstOracle(t, fmt.Sprintf("bits=%d mutated", bits), tab, mirror, queries)
+		if rng.Intn(2) == 0 {
+			if _, err := tab.Add(c); err != nil {
+				t.Fatal(err)
+			}
+			mirror = append(mirror, c)
+		} else {
+			id := rng.Intn(len(mirror))
+			if err := tab.Update(id, c); err != nil {
+				t.Fatal(err)
+			}
+			mirror[id] = c
+		}
+	}
+	return append(sets, oracleSet{fmt.Sprintf("bits=%d mutated", bits), tab, mirror}), queries
+}
+
+// oracleBits covers every stride (1, 2, 4 words) and the partial-word
+// lengths around them.
+var oracleBits = []int{1, 8, 16, 63, 64, 65, 128, 200}
+
+// TestBruteForceMatchesNaiveOracle pins the threshold scan id for id and
+// distance for distance to a naive sort, over oracleSets and k from 0
+// past n.
+func TestBruteForceMatchesNaiveOracle(t *testing.T) {
+	for _, bits := range oracleBits {
+		sets, queries := oracleSets(t, bits)
+		for _, set := range sets {
+			checkAgainstOracle(t, set.name, set.tab, set.codes, queries)
+		}
 	}
 }
 

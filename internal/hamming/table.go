@@ -46,6 +46,9 @@ func (s *Slab) Append(c Code) {
 // Set overwrites code i with a copy of c.
 func (s *Slab) Set(i int, c Code) { copy(s.At(i).Words, s.checked(c)) }
 
+// truncate drops every code from index n on.
+func (s *Slab) truncate(n int) { s.words = s.words[:n*s.stride] }
+
 // checked returns c's words once c is known to have the store's length.
 func (s *Slab) checked(c Code) []uint64 {
 	if c.Bits != s.bits || len(c.Words) != s.stride {
@@ -73,18 +76,22 @@ func newSlab(codes []Code) (Slab, error) {
 // ids. It supports exact-bucket lookup, radius-r lookup by bit-flip
 // expansion, and the Hamming-Hybrid top-k search of Section V-E.
 //
-// Codes up to 64 bits are bucketed by their raw word (no allocation per
-// probe); longer codes fall back to string keys. The codes themselves
-// live in a Slab, which the brute-force scan walks.
+// The buckets form a dense directory: bucket i's code is keys.At(i) and
+// its ids are buckets[i], so a search can walk the distinct codes as one
+// flat array — the same columnar layout the item codes have. The maps
+// only locate a code's directory position (codes up to 64 bits by their
+// raw word, no allocation per probe; longer codes by string key).
 //
-// Every bucket holds its ids in ascending order — an invariant the write
-// side (NewTable, Add, Update) maintains so that the read side never
-// has to sort, and therefore never writes, table memory: concurrent
-// searches are safe under a reader lock.
+// Every bucket is non-empty and holds its ids in ascending order —
+// invariants the write side (NewTable, Add, Update) maintains so that the
+// read side never has to sort, and therefore never writes, table memory:
+// concurrent searches are safe under a reader lock.
 type Table struct {
-	fast  map[uint64][]int // single-word codes
-	slow  map[string][]int // multi-word codes
-	codes Slab
+	fast    map[uint64]int // single-word code → directory position
+	slow    map[string]int // multi-word code key → directory position
+	keys    Slab           // the distinct codes, one per bucket
+	buckets [][]int        // bucket i holds the ids whose code is keys.At(i)
+	codes   Slab           // item id → code
 }
 
 // NewTable builds an index over the given codes; item i gets id i. The
@@ -96,9 +103,9 @@ func NewTable(codes []Code) (*Table, error) {
 	}
 	t := &Table{codes: slab}
 	if slab.bits <= 64 {
-		t.fast = make(map[uint64][]int, len(codes))
+		t.fast = make(map[uint64]int, len(codes))
 	} else {
-		t.slow = make(map[string][]int, len(codes))
+		t.slow = make(map[string]int, len(codes))
 	}
 	for i, c := range codes {
 		t.insert(c, i)
@@ -135,49 +142,82 @@ func (t *Table) Update(id int, c Code) error {
 	if Equal(old, c) {
 		return nil
 	}
-	if t.fast != nil {
-		bucketRemove(t.fast, old.Words[0], id)
-	} else {
-		bucketRemove(t.slow, old.Key(), id)
-	}
+	t.remove(old, id)
 	t.insert(c, id)
 	t.codes.Set(id, c)
 	return nil
 }
 
-// insert puts id into c's bucket.
-func (t *Table) insert(c Code, id int) {
+// position returns the directory position of c's bucket, if it has one.
+func (t *Table) position(c Code) (int, bool) {
 	if t.fast != nil {
-		bucketInsert(t.fast, c.Words[0], id)
+		bi, ok := t.fast[c.Words[0]]
+		return bi, ok
+	}
+	bi, ok := t.slow[c.Key()]
+	return bi, ok
+}
+
+// setPosition records that c's bucket sits at directory position bi.
+func (t *Table) setPosition(c Code, bi int) {
+	if t.fast != nil {
+		t.fast[c.Words[0]] = bi
 	} else {
-		bucketInsert(t.slow, c.Key(), id)
+		t.slow[c.Key()] = bi
 	}
 }
 
-// bucketInsert puts id into bucket k of m at its ordered position.
-func bucketInsert[K comparable](m map[K][]int, k K, id int) {
-	ids := m[k]
+// insert puts id into c's bucket at its ordered position, appending a
+// new bucket to the directory when c is a code the table has not seen.
+func (t *Table) insert(c Code, id int) {
+	bi, ok := t.position(c)
+	if !ok {
+		bi = len(t.buckets)
+		t.keys.Append(c)
+		t.buckets = append(t.buckets, nil)
+		t.setPosition(c, bi)
+	}
+	ids := t.buckets[bi]
 	at := sort.SearchInts(ids, id)
 	ids = append(ids, 0)
 	copy(ids[at+1:], ids[at:])
 	ids[at] = id
-	m[k] = ids
+	t.buckets[bi] = ids
 }
 
-// bucketRemove takes id out of bucket k of m, keeping the rest in order;
-// a bucket it empties is dropped from the map, so the map's length is
-// the number of non-empty buckets.
-func bucketRemove[K comparable](m map[K][]int, k K, id int) {
-	ids := m[k]
+// remove takes id out of c's bucket, keeping the rest in order. A bucket
+// it empties leaves the directory: the last bucket is swapped into its
+// position (and that key's map entry re-pointed), so the directory stays
+// dense and its length is the number of non-empty buckets.
+func (t *Table) remove(c Code, id int) {
+	bi, ok := t.position(c)
+	if !ok {
+		return
+	}
+	ids := t.buckets[bi]
 	at := sort.SearchInts(ids, id)
 	if at == len(ids) || ids[at] != id {
 		return
 	}
-	if len(ids) == 1 {
-		delete(m, k)
+	if len(ids) > 1 {
+		t.buckets[bi] = append(ids[:at], ids[at+1:]...)
 		return
 	}
-	m[k] = append(ids[:at], ids[at+1:]...)
+	if t.fast != nil {
+		delete(t.fast, c.Words[0])
+	} else {
+		delete(t.slow, c.Key())
+	}
+	last := len(t.buckets) - 1
+	if bi != last {
+		moved := t.keys.At(last)
+		t.setPosition(moved, bi)
+		t.keys.Set(bi, moved)
+		t.buckets[bi] = t.buckets[last]
+	}
+	t.buckets[last] = nil
+	t.buckets = t.buckets[:last]
+	t.keys.truncate(last)
 }
 
 // Len returns the number of indexed items.
@@ -186,16 +226,16 @@ func (t *Table) Len() int { return t.codes.Len() }
 // Bits returns the code length.
 func (t *Table) Bits() int { return t.codes.bits }
 
-// Buckets returns the number of non-empty buckets.
-func (t *Table) Buckets() int { return len(t.fast) + len(t.slow) }
+// Buckets returns the number of non-empty buckets: the directory length.
+func (t *Table) Buckets() int { return len(t.buckets) }
 
 // Lookup returns the ids in the exact bucket of q, ascending. The slice
 // aliases the table's own storage: callers must not modify it.
 func (t *Table) Lookup(q Code) []int {
-	if t.fast != nil {
-		return t.fast[q.Words[0]]
+	if bi, ok := t.position(q); ok {
+		return t.buckets[bi]
 	}
-	return t.slow[q.Key()]
+	return nil
 }
 
 // lookupFlipped returns the bucket of q with bits i (and j ≥ 0) flipped,
@@ -206,19 +246,30 @@ func (t *Table) lookupFlipped(q Code, i, j int) []int {
 		if j >= 0 {
 			w ^= 1 << uint(j)
 		}
-		return t.fast[w]
+		if bi, ok := t.fast[w]; ok {
+			return t.buckets[bi]
+		}
+		return nil
 	}
 	c := q.FlipBit(i)
 	if j >= 0 {
 		c = c.FlipBit(j)
 	}
-	return t.slow[c.Key()]
+	return t.Lookup(c)
 }
 
+// MaxRadius is the radius of the paper's table-lookup strategy: two
+// flipped bits, past which the flip buckets (C(bits, r) of them) outgrow
+// a scan. LookupRadius enumerates no further and Hybrid reports its fast
+// path against it.
+const MaxRadius = 2
+
 // LookupRadius returns all ids within Hamming distance radius of q,
-// enumerated by flipping up to radius bits (radius ≤ 2 per the paper's
-// strategy). Flip buckets are pairwise disjoint, so no deduplication is
-// needed.
+// enumerated by flipping up to radius bits. Flip buckets are pairwise
+// disjoint, so no deduplication is needed. Only radii 0–MaxRadius are
+// enumerated — a radius outside that range gets the nearest supported
+// one's set, so callers that take a radius from outside validate it
+// first (engine.WithinCtx rejects it with an error).
 func (t *Table) LookupRadius(q Code, radius int) []int {
 	var out []int
 	out = append(out, t.Lookup(q)...)
@@ -248,8 +299,18 @@ type Neighbor struct {
 // O(n log k), so the popcount scan dominates. The result is freshly
 // allocated; hot callers should use BruteForceInto with reused state.
 func (t *Table) BruteForce(q Code, k int) []Neighbor {
+	sel, dst := t.fresh(k)
+	return t.BruteForceInto(q, k, &sel, dst)
+}
+
+// fresh returns selection state for one search, sized up front: the
+// convenience forms then allocate twice per call, where a zero Selector
+// and a nil result would each grow by doubling.
+func (t *Table) fresh(k int) (topk.Selector, []Neighbor) {
+	n := max(0, min(k, t.Len()))
 	var sel topk.Selector
-	return t.BruteForceInto(q, k, &sel, nil)
+	sel.Reserve(n)
+	return sel, make([]Neighbor, 0, n)
 }
 
 // BruteForceInto is BruteForce with caller-owned state: sel holds the
@@ -263,23 +324,22 @@ func (t *Table) BruteForceInto(q Code, k int, sel *topk.Selector, dst []Neighbor
 	return t.codes.nearest(q, k, sel, dst)
 }
 
-// nearest is the one scan kernel, for every bit length: a threshold scan
-// — XOR + popcount per code and one integer comparison against the
-// current k-th distance; the heap is touched only on an improvement.
-// d < worst is exact: ids ascend during the scan, so a candidate that
-// ties the k-th distance has a larger id than everything kept and ranks
-// after it under (distance, id). A query of another bit length is a
-// caller bug and panics, once per call rather than once per code.
+// nearest is the item scan, for every bit length: a threshold scan — XOR
+// + popcount per code and one integer comparison against the current
+// k-th distance; the heap is touched only on an improvement. d < worst
+// is exact: ids ascend during the scan, so a candidate that ties the
+// k-th distance has a larger id than everything kept and ranks after it
+// under (distance, id). A query of another bit length is a caller bug
+// and panics, once per call rather than once per code.
 //
-//perf:hotpath the inner loop of every Hamming scan: a bounds check or an allocation here multiplies by n codes per query
+//perf:hotpath the inner loop of the Hamming-BF scan: a bounds check or an allocation here multiplies by n codes per query
 func (s *Slab) nearest(q Code, k int, sel *topk.Selector, dst []Neighbor) []Neighbor {
 	words, qw := s.words, q.Words
 	if q.Bits != s.bits || len(qw) != s.stride {
 		panic("hamming: code length mismatch in brute-force scan")
 	}
-	dst = dst[:0]
 	if k <= 0 {
-		return dst
+		return dst[:0]
 	}
 	sel.Begin(k) // k > n just never fills: Finish sorts what was offered
 	worst := threshold(sel, q.Bits)
@@ -305,10 +365,7 @@ func (s *Slab) nearest(q Code, k int, sel *topk.Selector, dst []Neighbor) []Neig
 			}
 		}
 	}
-	for _, it := range sel.Finish() {
-		dst = append(dst, Neighbor{ID: it.ID, Distance: int(it.Dist)})
-	}
-	return dst
+	return neighbors(sel.Finish(), dst)
 }
 
 // threshold is the scan's integer bound: the selector's current k-th
@@ -321,44 +378,84 @@ func threshold(sel *topk.Selector, bits int) int {
 	return bits + 1
 }
 
-// Hybrid implements the Hamming-Hybrid strategy of Section V-E: search the
-// radius-2 neighborhood via table lookup; if it contains at least k items,
-// rank just those; otherwise fall back to the brute-force scan. The boolean
-// reports whether the table-lookup fast path was taken.
-//
-// Candidates arrive grouped by exact distance (the flip radius of their
-// bucket), so ranking is a per-group id sort with no distance computation.
+// neighbors writes a finished selection into dst's storage.
+func neighbors(items []topk.Item, dst []Neighbor) []Neighbor {
+	dst = dst[:0]
+	for _, it := range items {
+		dst = append(dst, Neighbor{ID: it.ID, Distance: int(it.Dist)})
+	}
+	return dst
+}
+
+// Hybrid implements the Hamming-Hybrid strategy of Section V-E: the k
+// nearest items, and whether the radius-2 neighborhood of q alone
+// answered — it held at least k items, the paper's table-lookup fast
+// path. A non-positive k has the empty answer and no fast path. The
+// result is freshly allocated; hot callers should use HybridInto with
+// reused state.
 func (t *Table) Hybrid(q Code, k int) ([]Neighbor, bool) {
-	d0 := t.Lookup(q)
-	var d1, d2 []int
-	for i := 0; i < t.codes.bits; i++ {
-		d1 = append(d1, t.lookupFlipped(q, i, -1)...)
+	sel, dst := t.fresh(k)
+	return t.HybridInto(q, k, &sel, dst)
+}
+
+// HybridInto is Hybrid with caller-owned state, as BruteForceInto is
+// BruteForce's. It is one threshold scan over the directory's distinct
+// codes: a bucket whose distance exceeds the current k-th distance is
+// skipped, every other bucket offers its ids. That is exact — each item
+// sits in exactly one bucket and the bound only ever falls — so the
+// answer equals BruteForce's id for id. Buckets that tie the bound are
+// offered (d <= worst where the item scan has d < worst) because ids do
+// not ascend across buckets; the selector's (distance, id) order settles
+// them. The cost is one pass over Buckets() keys whichever radius
+// answers: no flip enumeration, no fallback scan. A query of another bit
+// length is a caller bug and panics.
+//
+//perf:hotpath the hybrid search is the default serving path: it runs per query per shard over every distinct code
+func (t *Table) HybridInto(q Code, k int, sel *topk.Selector, dst []Neighbor) ([]Neighbor, bool) {
+	keys, buckets, qw := t.keys.words, t.buckets, q.Words
+	if q.Bits != t.keys.bits || len(qw) != t.keys.stride {
+		panic("hamming: code length mismatch in hybrid search")
 	}
-	for i := 0; i < t.codes.bits; i++ {
-		for j := i + 1; j < t.codes.bits; j++ {
-			d2 = append(d2, t.lookupFlipped(q, i, j)...)
+	if k <= 0 {
+		return dst[:0], false
+	}
+	sel.Begin(k)
+	worst := threshold(sel, q.Bits)
+	if len(qw) == 1 {
+		q0 := qw[0]
+		buckets = buckets[:len(keys)] // one key per bucket: lets buckets[bi] go unchecked
+		for bi, w := range keys {
+			if d := bits.OnesCount64(w ^ q0); d <= worst {
+				offerBucket(sel, buckets[bi], k, d)
+				worst = threshold(sel, q.Bits)
+			}
+		}
+	} else {
+		for len(keys) >= len(qw) && len(buckets) > 0 {
+			row, ids := keys[:len(qw)], buckets[0]
+			keys, buckets = keys[len(qw):], buckets[1:]
+			var d int
+			for j, w := range qw {
+				d += bits.OnesCount64(w ^ row[j])
+			}
+			if d <= worst {
+				offerBucket(sel, ids, k, d)
+				worst = threshold(sel, q.Bits)
+			}
 		}
 	}
-	if len(d0)+len(d1)+len(d2) < k {
-		return t.BruteForce(q, k), false
+	dst = neighbors(sel.Finish(), dst)
+	return dst, len(dst) == k && dst[k-1].Distance <= MaxRadius
+}
+
+// offerBucket offers the ids of one bucket, all at distance d. The ids
+// ascend, so only the k smallest can rank: a bucket of thousands costs k
+// offers.
+func offerBucket(sel *topk.Selector, ids []int, k, d int) {
+	if len(ids) > k {
+		ids = ids[:k]
 	}
-	out := make([]Neighbor, 0, k)
-	for d, ids := range [][]int{d0, d1, d2} {
-		if len(out) == k {
-			break
-		}
-		if d > 0 {
-			// d1 and d2 are private concatenations of many buckets; d0 is
-			// the table's own bucket, already ascending and never written.
-			sort.Ints(ids)
-		}
-		// Only the smallest ids of this distance group are needed.
-		if need := k - len(out); len(ids) > need {
-			ids = ids[:need]
-		}
-		for _, id := range ids {
-			out = append(out, Neighbor{ID: id, Distance: d})
-		}
+	for _, id := range ids {
+		sel.Offer(id, float64(d))
 	}
-	return out, true
 }

@@ -63,6 +63,27 @@ func TestHotpathSelectorZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestReserveMakesFirstSelectionAllocFree: a Selector reserved for k
+// runs its first selection — not only the warm ones — without
+// allocating.
+func TestReserveMakesFirstSelectionAllocFree(t *testing.T) {
+	const k = 32
+	allocs := testing.AllocsPerRun(100, func() {
+		var sel Selector
+		sel.Reserve(k)
+		sel.Begin(k)
+		for id := 0; id < 2*k; id++ {
+			sel.Offer(id, float64(id%7))
+		}
+		if len(sel.Finish()) != k {
+			t.Fatal("selection lost candidates")
+		}
+	})
+	if allocs != 1 { // the reservation itself
+		t.Fatalf("a reserved selection allocated %v times, want 1", allocs)
+	}
+}
+
 // BenchmarkHotpathTopKSelect measures steady-state selection with a
 // reused Selector (the BENCH_hotpath.json artifact locks allocs/op at
 // its recorded floor via scripts/hotpath_floors.json).

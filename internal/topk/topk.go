@@ -79,6 +79,16 @@ type Selector struct {
 	k int
 }
 
+// Reserve grows the buffer to hold k candidates, so that a selection of
+// up to k started afterwards allocates nothing. It is for callers that
+// know k before they reach a //perf:hotpath scan, which may not
+// allocate; a Selector that is never reserved grows by append instead.
+func (s *Selector) Reserve(k int) {
+	if cap(s.h) < k {
+		s.h = make([]Item, 0, k)
+	}
+}
+
 // Begin starts a streaming selection of the k best candidates,
 // discarding any previous selection.
 func (s *Selector) Begin(k int) {

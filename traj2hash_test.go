@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -246,6 +247,23 @@ func TestIndexWithin(t *testing.T) {
 	}
 	if ix.Encoder().Code(q).Bits != m.Cfg.HashBits {
 		t.Error("Code bits mismatch")
+	}
+}
+
+// TestWithinRejectsUnsupportedRadius: the facade reports a radius outside
+// 0–2 in Status.Err with no ids, as Do reports an invalid Query — not as
+// a complete answer for some other radius.
+func TestWithinRejectsUnsupportedRadius(t *testing.T) {
+	m, ds := facadeFixture(t)
+	ix, err := NewIndex(m, ds.Database)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, radius := range []int{-1, 3, 5} {
+		ids, st := ix.WithinCtx(context.Background(), ds.Database[3], radius)
+		if ids != nil || st.Complete || st.Err == nil || !strings.Contains(st.Err.Error(), "0–2") {
+			t.Errorf("WithinCtx(radius %d) = %v, %+v; want no ids and an error naming 0–2", radius, ids, st)
+		}
 	}
 }
 
