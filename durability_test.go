@@ -684,3 +684,122 @@ func TestIndexAddCtx(t *testing.T) {
 		t.Fatalf("live AddBatchCtx = (%v, %v)", ids, err)
 	}
 }
+
+// dirBytes reads every file of the (flat) WAL directory, keyed by name.
+func dirBytes(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := map[string]string{}
+	for _, e := range entries {
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[e.Name()] = string(b)
+	}
+	return files
+}
+
+// TestNonFiniteEmbeddingIsRefused: a trajectory GeoPTH cannot embed to
+// finite coordinates — empty, a coordinate whose square overflows, a NaN
+// coordinate; every prototype distance is +Inf and every gap Inf − Inf —
+// used to be indexed, WAL-logged and answered with NaN scores under
+// Complete: true. Every entry point of the facade now refuses it with
+// ErrNonFiniteEmbedding: mutations leave the index and the WAL directory
+// byte-for-byte as they were, queries consult no shard.
+func TestNonFiniteEmbeddingIsRefused(t *testing.T) {
+	ds := BuildDataset(Porto(), SplitSpec{Seed: 10, Validation: 6, Corpus: 30, Queries: 6, Database: 40}, 9)
+	enc, err := NewEncoder(EncoderGeoPTH, DefaultConfig(16), ds.All())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	reg := NewMetricsRegistry()
+	opts := durableOpts(BackendEuclideanBF, 2, dir, nil)
+	opts.Metrics = reg
+	ix, err := NewIndexWith(enc, ds.Database, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ix.Close()
+	ctx := context.Background()
+	good := ds.Queries[0]
+	n := ix.Len()
+	traj0, _ := ix.Trajectory(0)
+	emb0, _ := ix.Embedding(0)
+	wantGood := do(t, ix, Query{Traj: good, K: 3})
+	searches := ix.Stats().Counters["engine.search.total"]
+	disk := dirBytes(t, dir)
+
+	refused := func(what string, err error) {
+		t.Helper()
+		if !errors.Is(err, ErrNonFiniteEmbedding) {
+			t.Errorf("%s: error %v, want ErrNonFiniteEmbedding", what, err)
+		}
+	}
+	for name, bad := range map[string]Trajectory{
+		"empty":       nil,
+		"overflowing": {{X: 1e200}},
+		"NaN":         {{X: 1, Y: 2}, {X: math.NaN(), Y: 1}},
+	} {
+		_, err := ix.AddCtx(ctx, bad)
+		refused(name+" AddCtx", err)
+		refused(name+" Update", ix.Update(0, bad))
+		_, st := ix.WithinCtx(ctx, bad, 1)
+		refused(name+" WithinCtx", st.Err)
+		if len(bad) > 0 { // an empty Query.Traj is the "no input" query
+			rs, st := ix.Do(ctx, Query{Traj: bad, K: 3})
+			refused(name+" Do", st.Err)
+			if rs != nil || st.Complete || st.ShardsOK != 0 {
+				t.Errorf("%s Do: got (%v, %+v), want no results and no shard consulted", name, rs, st)
+			}
+		}
+		// The rest of a batch is answered as if the bad query were not there.
+		rss, sts := ix.SearchBatchCtx(ctx, []Trajectory{good, bad, good}, 3)
+		refused(name+" SearchBatchCtx", sts[1].Err)
+		if rss[1] != nil || !reflect.DeepEqual(rss[0], wantGood) || !reflect.DeepEqual(rss[2], wantGood) || !sts[0].Complete || !sts[2].Complete {
+			t.Errorf("%s SearchBatchCtx: results %v statuses %+v, want %v around a refused query", name, rss, sts, wantGood)
+		}
+		searches += 2
+	}
+	_, st := ix.Do(ctx, Query{Vec: []float64{1, math.Inf(-1), 3}, K: 3})
+	refused("Do with an infinite Vec", st.Err)
+
+	if got := ix.Stats().Counters["engine.search.total"]; got != searches {
+		t.Errorf("engine.search.total = %d, want %d: a refused query reached the engine", got, searches)
+	}
+	if _, ok := ix.Trajectory(n); ok || ix.Len() != n {
+		t.Errorf("refused adds grew the index to Len %d (id %d assigned: %v)", ix.Len(), n, ok)
+	}
+	if tr, _ := ix.Trajectory(0); !reflect.DeepEqual(tr, traj0) {
+		t.Error("a refused Update replaced the stored trajectory")
+	}
+	if e, _ := ix.Embedding(0); !reflect.DeepEqual(e, emb0) {
+		t.Error("a refused Update replaced the stored embedding")
+	}
+	if !reflect.DeepEqual(dirBytes(t, dir), disk) {
+		t.Error("refused mutations changed the WAL directory")
+	}
+
+	// A batch stops at the refused item and reports the applied prefix,
+	// which is what a reopen recovers.
+	ids, err := ix.AddBatchCtx(ctx, []Trajectory{ds.Queries[1], ds.Queries[2], {{X: 1e200}}, ds.Queries[3]})
+	refused("AddBatchCtx", err)
+	if !reflect.DeepEqual(ids, []int{n, n + 1}) {
+		t.Fatalf("AddBatchCtx applied ids %v, want [%d %d]", ids, n, n+1)
+	}
+	if err := ix.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := NewIndexWith(enc, nil, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if re.Len() != n+2 {
+		t.Errorf("reopened Len = %d, want %d", re.Len(), n+2)
+	}
+}

@@ -44,9 +44,14 @@ func (ix *Index) Delete(id int) error {
 // Update re-embeds t and replaces the trajectory stored under id in
 // place: the id, its shard, and its insertion-order position are all
 // preserved, so deterministic tie-breaks survive the mutation. Updating
-// an unknown id returns ErrNotFound; a deleted one, ErrDeleted.
+// an unknown id returns ErrNotFound; a deleted one, ErrDeleted; a
+// trajectory whose embedding is not finite, ErrNonFiniteEmbedding with
+// the stored item untouched.
 func (ix *Index) Update(id int, t Trajectory) error {
 	emb := ix.enc.Embed(t)
+	if err := checkEmbedding(emb); err != nil {
+		return err
+	}
 	code := hamming.FromSigns(emb)
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
@@ -63,7 +68,9 @@ func (ix *Index) Update(id int, t Trajectory) error {
 
 // AddCtx embeds and indexes one more trajectory, returning its id. A done
 // context fails fast before the trajectory is embedded or any state
-// changes.
+// changes; a trajectory whose embedding is not finite (an empty one, an
+// overflowing coordinate) fails with ErrNonFiniteEmbedding, likewise
+// before any state changes.
 func (ix *Index) AddCtx(ctx context.Context, t Trajectory) (int, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err

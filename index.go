@@ -29,6 +29,26 @@ var (
 // working. Test with errors.Is.
 var ErrClosed = errors.New("traj2hash: index closed")
 
+// ErrNonFiniteEmbedding is returned — by the mutations directly, by the
+// queries in Status.Err — when the embedding of a trajectory (or a
+// caller-supplied Query.Vec) has a NaN or infinite coordinate: an empty
+// trajectory or an overflowing coordinate under GeoPTH, diverged weights
+// under a neural encoder. Such a vector has no distance to anything, so
+// it is refused where it enters the index: nothing is indexed or logged,
+// and no shard is consulted. Test with errors.Is.
+var ErrNonFiniteEmbedding = errors.New("traj2hash: embedding has a non-finite coordinate")
+
+// checkEmbedding reports ErrNonFiniteEmbedding for a vector the engine
+// must not see.
+func checkEmbedding(emb []float64) error {
+	for _, v := range emb {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return ErrNonFiniteEmbedding
+		}
+	}
+	return nil
+}
+
 // Status reports how completely a context-aware query was answered — the
 // failure-domain contract of the query engine (DESIGN.md "Failure
 // semantics & graceful degradation"). A query never blocks past its
@@ -268,6 +288,9 @@ func (ix *Index) add(t Trajectory, emb []float64) (int, error) {
 	if ix.closed {
 		return 0, ErrClosed
 	}
+	if err := checkEmbedding(emb); err != nil {
+		return 0, err
+	}
 	code := hamming.FromSigns(emb)
 	id, err := ix.eng.Add(emb, code)
 	if err != nil {
@@ -323,7 +346,8 @@ func (ix *Index) Encoder() Encoder { return ix.enc }
 // shard degrades the answer instead of crashing the process.
 //
 // An invalid query — none or several of Traj/Vec/Code set, a bare Code
-// for a Euclidean-space backend, a backend the index does not maintain —
+// for a Euclidean-space backend, a backend the index does not maintain,
+// a Traj or Vec whose embedding is not finite (ErrNonFiniteEmbedding) —
 // is reported as Status{Err: …} with no results and no shard consulted.
 func (ix *Index) Do(ctx context.Context, q Query) ([]Result, Status) {
 	backend := ix.opts.Backend
@@ -337,17 +361,22 @@ func (ix *Index) Do(ctx context.Context, q Query) ([]Result, Status) {
 	var eq engine.Query
 	switch {
 	case hasTraj && !hasVec && !hasCode:
-		emb := ix.enc.Embed(q.Traj)
-		eq = engine.Query{Emb: emb, Code: hamming.FromSigns(emb)}
+		eq.Emb = ix.enc.Embed(q.Traj)
 	case hasVec && !hasTraj && !hasCode:
-		eq = engine.Query{Emb: q.Vec, Code: hamming.FromSigns(q.Vec)}
+		eq.Emb = q.Vec
 	case hasCode && !hasTraj && !hasVec:
 		if backend == BackendEuclideanBF || backend == BackendVPTree {
 			return nil, Status{Err: fmt.Errorf("traj2hash: backend %q searches embeddings; a Query carrying only a Code cannot be answered by it (set Vec or Traj)", backend)}
 		}
-		eq = engine.Query{Code: q.Code}
+		eq.Code = q.Code
 	default:
 		return nil, Status{Err: errors.New("traj2hash: a Query needs exactly one of Traj, Vec and Code")}
+	}
+	if !hasCode {
+		if err := checkEmbedding(eq.Emb); err != nil {
+			return nil, Status{Err: err}
+		}
+		eq.Code = hamming.FromSigns(eq.Emb)
 	}
 	rs, st, err := ix.eng.SearchWithCtx(ctx, backend, eq, q.K)
 	if err != nil {
@@ -380,35 +409,50 @@ func (ix *Index) SearchEuclideanByVec(qe []float64, k int) []Result {
 // embedding them in parallel (Encoder.EmbedAllParallel) and fanning the
 // searches out across the index's worker budget under ctx. Results and
 // statuses are in query order; queries never started because the context
-// expired first carry an incomplete Status with the context error. (Query
-// embedding happens before the deadline applies to shard work; embed
-// separately and use Do for finer control.)
+// expired first carry an incomplete Status with the context error, and a
+// query whose embedding is not finite carries ErrNonFiniteEmbedding and
+// no results while the rest of the batch is answered. (Query embedding
+// happens before the deadline applies to shard work; embed separately
+// and use Do for finer control.)
 func (ix *Index) SearchBatchCtx(ctx context.Context, qs []Trajectory, k int) ([][]Result, []Status) {
 	embs := ix.enc.EmbedAllParallel(qs, ix.opts.Workers)
-	queries := make([]engine.Query, len(embs))
+	results, sts := make([][]Result, len(qs)), make([]Status, len(qs))
+	// Only the queries with a usable embedding reach the engine; at[j]
+	// is the position in qs of the j-th of them.
+	queries, at := make([]engine.Query, 0, len(embs)), make([]int, 0, len(embs))
 	for i, e := range embs {
-		queries[i] = engine.Query{Emb: e, Code: hamming.FromSigns(e)}
+		if sts[i].Err = checkEmbedding(e); sts[i].Err == nil {
+			queries = append(queries, engine.Query{Emb: e, Code: hamming.FromSigns(e)})
+			at = append(at, i)
+		}
 	}
-	batches, sts, err := ix.eng.SearchBatchWithCtx(ctx, ix.opts.Backend, queries, k)
+	batches, ok, err := ix.eng.SearchBatchWithCtx(ctx, ix.opts.Backend, queries, k)
 	if err != nil {
-		sts = make([]Status, len(qs))
-		for i := range sts {
+		for _, i := range at {
 			sts[i].Err = err
 		}
-		return make([][]Result, len(qs)), sts
+		return results, sts
 	}
-	return batches, sts
+	for j, i := range at {
+		results[i], sts[i] = batches[j], ok[j]
+	}
+	return results, sts
 }
 
 // WithinCtx returns the ids of indexed trajectories whose hash codes lie
 // within the given Hamming radius of the query's code — the bucket
 // neighborhood used for gathering-pattern style grouping (see
 // examples/clustering) — sorted ascending. The radius must be 0, 1 or 2:
-// any other is an error, reported in Status.Err with no ids, as Do
+// any other is an error, as is a query whose embedding is not finite
+// (ErrNonFiniteEmbedding), reported in Status.Err with no ids, as Do
 // reports an invalid Query. It honors cancellation and deadlines like
 // Do; incomplete answers (missed shards) are tagged by the Status.
 func (ix *Index) WithinCtx(ctx context.Context, q Trajectory, radius int) ([]int, Status) {
-	ids, st, err := ix.eng.WithinCtx(ctx, ix.enc.Code(q), radius)
+	emb := ix.enc.Embed(q)
+	if err := checkEmbedding(emb); err != nil {
+		return nil, Status{Err: err}
+	}
+	ids, st, err := ix.eng.WithinCtx(ctx, hamming.FromSigns(emb), radius)
 	if err != nil {
 		return nil, Status{Err: err}
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/gob"
 	"errors"
 	"hash/fnv"
 	"math"
@@ -11,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"traj2hash/internal/geo"
 	"traj2hash/internal/hamming"
 )
 
@@ -196,9 +198,9 @@ func TestGeoPTHIsTrainingFree(t *testing.T) {
 }
 
 // TestGeoPTHOutputsPinned pins every Embed bit and Code word of a GeoPTH
-// hasher over a fixed corpus to the values recorded before
-// dist.directedHausdorff learned to leave its inner loop early: the
-// break is exact, so neither hash may ever move. Both shapes matter —
+// hasher over a fixed corpus to the values recorded under the plain
+// Hausdorff double loop: every shortcut dist.Hausdorff has taken since
+// is exact, so neither hash may ever move. Both shapes matter —
 // tinyConfig resamples to 12 points, the 64-bit default to 24.
 func TestGeoPTHOutputsPinned(t *testing.T) {
 	for _, tc := range []struct {
@@ -233,6 +235,54 @@ func TestGeoPTHOutputsPinned(t *testing.T) {
 				t.Errorf("FNV-64a of Code words = %#x, want %#x", got, tc.wantCode)
 			}
 		})
+	}
+}
+
+// TestLoadGeoPTHRejectsUnusableBlobs: a saved hasher with an empty or
+// non-finite prototype, or a scale that is not a positive finite number,
+// would embed every trajectory to NaN; loading it must fail instead.
+func TestLoadGeoPTHRejectsUnusableBlobs(t *testing.T) {
+	good, err := NewGeoPTH(tinyConfig(), genTrajs(40, 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	load := func(edit func(*geopthBlob)) error {
+		blob := geopthBlob{
+			Cfg:    good.Cfg,
+			ProtoA: append([]geo.Trajectory(nil), good.protoA...),
+			ProtoB: append([]geo.Trajectory(nil), good.protoB...),
+			Scale:  good.scale,
+		}
+		edit(&blob)
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(blob); err != nil {
+			t.Fatal(err)
+		}
+		_, err := loadGeoPTH(&buf)
+		return err
+	}
+	if err := load(func(*geopthBlob) {}); err != nil {
+		t.Fatalf("an unedited blob must load: %v", err)
+	}
+	for _, tc := range []struct {
+		name string
+		edit func(*geopthBlob)
+	}{
+		{"empty prototype", func(b *geopthBlob) { b.ProtoB[3] = geo.Trajectory{} }},
+		{"NaN prototype point", func(b *geopthBlob) {
+			b.ProtoA[1] = append(geo.Trajectory{{X: math.NaN(), Y: 1}}, b.ProtoA[1]...)
+		}},
+		{"infinite prototype point", func(b *geopthBlob) {
+			b.ProtoB[0] = append(geo.Trajectory{{X: 1, Y: math.Inf(-1)}}, b.ProtoB[0]...)
+		}},
+		{"zero scale", func(b *geopthBlob) { b.Scale = 0 }},
+		{"negative scale", func(b *geopthBlob) { b.Scale = -1 }},
+		{"NaN scale", func(b *geopthBlob) { b.Scale = math.NaN() }},
+		{"infinite scale", func(b *geopthBlob) { b.Scale = math.Inf(1) }},
+	} {
+		if err := load(tc.edit); err == nil {
+			t.Errorf("%s: loadGeoPTH accepted the blob", tc.name)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"sort"
 
@@ -159,14 +160,19 @@ func (g *GeoPTH) Dim() int { return g.Cfg.HashBits }
 // Embed returns the normalized signed prototype gaps of t: coordinate i
 // is (d(t, B_i) − d(t, A_i)) · scale, positive when t lies closer to A_i.
 func (g *GeoPTH) Embed(t geo.Trajectory) []float64 {
-	tb := boundLen(t, g.Cfg.MaxLen)
 	out := make([]float64, len(g.protoA))
+	g.embedInto(t, out)
+	return out
+}
+
+// embedInto writes Embed(t) into dst, which has Dim coordinates.
+func (g *GeoPTH) embedInto(t geo.Trajectory, dst []float64) {
+	tb := boundLen(t, g.Cfg.MaxLen)
 	for i := range g.protoA {
 		da := dist.Distance(geopthDist, tb, g.protoA[i])
 		db := dist.Distance(geopthDist, tb, g.protoB[i])
-		out[i] = (db - da) * g.scale
+		dst[i] = (db - da) * g.scale
 	}
-	return out
 }
 
 // EmbedAll embeds a batch sequentially.
@@ -181,9 +187,7 @@ func (g *GeoPTH) EmbedAllParallel(ts []geo.Trajectory, workers int) [][]float64 
 }
 
 // embedWorker is the hasher's embedAllParallel worker; it keeps no state.
-func (g *GeoPTH) embedWorker() embedInto {
-	return func(t geo.Trajectory, dst []float64) { copy(dst, g.Embed(t)) }
-}
+func (g *GeoPTH) embedWorker() embedInto { return g.embedInto }
 
 // Code returns the Hamming-space code sign(Embed(t)).
 func (g *GeoPTH) Code(t geo.Trajectory) hamming.Code { return hamming.FromSigns(g.Embed(t)) }
@@ -217,6 +221,22 @@ func loadGeoPTH(r io.Reader) (*GeoPTH, error) {
 	if len(blob.ProtoA) != blob.Cfg.HashBits || len(blob.ProtoB) != blob.Cfg.HashBits {
 		return nil, fmt.Errorf("core: geopth load: %d/%d prototypes for %d bits",
 			len(blob.ProtoA), len(blob.ProtoB), blob.Cfg.HashBits)
+	}
+	// A hasher with any of these would load and then embed NaN silently.
+	for i := range blob.ProtoA {
+		for _, proto := range []geo.Trajectory{blob.ProtoA[i], blob.ProtoB[i]} {
+			if len(proto) == 0 {
+				return nil, fmt.Errorf("core: geopth load: prototype pair %d has an empty trajectory", i)
+			}
+			for _, p := range proto {
+				if !p.IsFinite() {
+					return nil, fmt.Errorf("core: geopth load: prototype pair %d has a non-finite point", i)
+				}
+			}
+		}
+	}
+	if !(blob.Scale > 0) || math.IsInf(blob.Scale, 1) { // also catches NaN
+		return nil, fmt.Errorf("core: geopth load: scale %v is not a positive finite number", blob.Scale)
 	}
 	return &GeoPTH{Cfg: blob.Cfg, protoA: blob.ProtoA, protoB: blob.ProtoB, scale: blob.Scale}, nil
 }

@@ -275,30 +275,88 @@ func Hausdorff(a, b geo.Trajectory) float64 {
 	if len(a) == 0 || len(b) == 0 {
 		return math.Inf(1)
 	}
-	return math.Max(directedHausdorff(a, b), directedHausdorff(b, a))
+	sq, _ := hausdorffSq(a, b)
+	return math.Sqrt(sq)
 }
 
-// directedHausdorff is max over p in a of min over q in b of |p-q|. The
-// inner loop stops as soon as p's running minimum has dropped to the
-// outer maximum: the minimum can only fall further, so p can no longer
-// raise worst and the result is bit-identical to the full double loop.
-func directedHausdorff(a, b geo.Trajectory) float64 {
-	var worst float64
-	for _, p := range a {
-		best := math.Inf(1)
-		for _, q := range b {
-			if d := p.SqDist(q); d < best {
-				best = d
-				if best <= worst {
-					break
+// hausdorffSq is the kernel of Hausdorff in squared units over two
+// non-empty trajectories; pairs counts the point pairs it evaluated.
+//
+// A point whose running minimum has dropped to the outer maximum worst
+// can no longer raise it, so its scan stops there (the early break). The
+// result is a max over points of a min over the same SqDist values
+// whatever is skipped that way, which makes three orderings free, each
+// chosen so the break fires sooner:
+//
+//  1. worst runs across both directions instead of restarting at 0 for
+//     h(b, a) — max(h(a, b), h(b, a)) is one maximum over all points;
+//  2. the first and last point of each side are scanned before the points
+//     between them: a curve's farthest point is usually an end, so worst
+//     starts near its final value;
+//  3. a point's scan starts where the previous point of its side found
+//     its minimum and expands outward (at, at+1, at-1, ...): consecutive
+//     points have neighbouring nearest points, so the first probe is
+//     usually already below worst.
+//
+// Every point is still scanned once and a wrong hint costs nothing but
+// order — each index is probed at most once per scan — so the worst case
+// is the plain double loop.
+//
+//perf:hotpath a GeoPTH embed is 2 x HashBits of these and nothing else, so it is the served search's largest owned cost; an allocation or a bounds check per probed pair would give the saved pairs back
+func hausdorffSq(a, b geo.Trajectory) (worst float64, pairs int) {
+	// Each side splits into its first point, its last and the rest between
+	// them, so every point is scanned exactly once (a one-point side has
+	// no last, a two-point side nothing between).
+	aRest, bRest := a[1:], b[1:]
+	aCut, bCut := max(len(aRest)-1, 0), max(len(bRest)-1, 0)
+	aFirst, aLast, aMid := a[:1], aRest[aCut:], aRest[:aCut]
+	bFirst, bLast, bMid := b[:1], bRest[bCut:], bRest[:bCut]
+	for pass := 0; pass < 6; pass++ {
+		from, to := aFirst, b
+		switch pass {
+		case 1:
+			from = aLast
+		case 2:
+			from, to = bFirst, a
+		case 3:
+			from, to = bLast, a
+		case 4:
+			from = aMid
+		case 5:
+			from, to = bMid, a
+		}
+		at := 0
+		for _, p := range from {
+			best := math.Inf(1)
+			// One unsigned comparison per probe is both the loop's range
+			// test and the proof that lets the compiler drop the bounds
+			// check: an index that walked off either end wraps above len.
+			for lo, hi := at, at+1; uint(lo) < uint(len(to)) || uint(hi) < uint(len(to)); lo, hi = lo-1, hi+1 {
+				if uint(lo) < uint(len(to)) {
+					pairs++
+					if d := p.SqDist(to[lo]); d < best {
+						best, at = d, lo
+						if best <= worst {
+							break
+						}
+					}
+				}
+				if uint(hi) < uint(len(to)) {
+					pairs++
+					if d := p.SqDist(to[hi]); d < best {
+						best, at = d, hi
+						if best <= worst {
+							break
+						}
+					}
 				}
 			}
-		}
-		if best > worst {
-			worst = best
+			if best > worst {
+				worst = best
+			}
 		}
 	}
-	return math.Sqrt(worst)
+	return worst, pairs
 }
 
 // ERP returns the Edit distance with Real Penalty [17] using gap as the

@@ -330,7 +330,7 @@ func TestFrechetDominatesHausdorff(t *testing.T) {
 }
 
 // plainHausdorff is the textbook double loop with no shortcut — the
-// reference directedHausdorff's early break must match bit for bit.
+// reference dist.Hausdorff's kernel must match bit for bit.
 func plainHausdorff(a, b geo.Trajectory) float64 {
 	if len(a) == 0 && len(b) == 0 {
 		return 0
@@ -356,28 +356,68 @@ func plainHausdorff(a, b geo.Trajectory) float64 {
 	return math.Max(directed(a, b), directed(b, a))
 }
 
-// TestHausdorffEarlyBreakBitIdentical: leaving the inner loop once a
-// point's running minimum has dropped to the outer maximum changes no
-// bit of any Hausdorff distance — over Porto-like pairs (raw and
-// resampled to the GeoPTH prototype length) and the degenerate shapes
-// where the break fires first: empty, single-point, coincident and
-// duplicated points.
-func TestHausdorffEarlyBreakBitIdentical(t *testing.T) {
-	check := func(name string, a, b geo.Trajectory) {
-		t.Helper()
-		got, want := Hausdorff(a, b), plainHausdorff(a, b)
-		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Errorf("%s: Hausdorff = %v (%#x), plain double loop = %v (%#x)",
-				name, got, math.Float64bits(got), want, math.Float64bits(want))
+// checkHausdorff holds Hausdorff(a, b) to plainHausdorff bit for bit, in
+// both argument orders, and the kernel to its worst case, the double
+// loop: every point pair at most once per direction.
+func checkHausdorff(t *testing.T, name string, a, b geo.Trajectory) {
+	t.Helper()
+	want := math.Float64bits(plainHausdorff(a, b))
+	if got := math.Float64bits(Hausdorff(a, b)); got != want {
+		t.Errorf("%s: Hausdorff(a, b) = %#x, plain double loop = %#x", name, got, want)
+	}
+	if got := math.Float64bits(Hausdorff(b, a)); got != want {
+		t.Errorf("%s: Hausdorff(b, a) = %#x, plain double loop = %#x", name, got, want)
+	}
+	if len(a) > 0 && len(b) > 0 {
+		if _, pairs := hausdorffSq(a, b); pairs > 2*len(a)*len(b) {
+			t.Errorf("%s: %d point pairs evaluated for %d x %d points, more than the double loop",
+				name, pairs, len(a), len(b))
 		}
 	}
+}
+
+// zigZag builds the kernel's adversary: b runs along a line, a alternates
+// between its two ends — so the index where a point found its minimum is
+// the farthest possible start for the next one — while climbing away
+// from the line towards its middle, so neither end of a seeds the bound
+// and most points raise it only after a full scan.
+func zigZag(n, m int) (a, b geo.Trajectory) {
+	for j := 0; j < m; j++ {
+		b = append(b, geo.Point{X: float64(j)})
+	}
+	for i := 0; i < n; i++ {
+		end := float64(i % 2 * (m - 1))
+		rise := 1 + float64(min(i, n-1-i))/float64(n)
+		a = append(a, geo.Point{X: end, Y: rise})
+	}
+	return a, b
+}
+
+// TestHausdorffKernelBitIdentical: the running bound shared by both
+// directions, the endpoint seeds and the scan that starts at the previous
+// point's nearest neighbour change no bit of any Hausdorff distance and
+// never cost more than the double loop — over
+// Porto-like pairs in the shapes GeoPTH meets (equal lengths, a trip
+// against a shorter or longer prototype, reversed and self-paired), the
+// degenerate shapes where a break fires first, and the zig-zag adversary
+// whose locality hint is wrong at every point.
+func TestHausdorffKernelBitIdentical(t *testing.T) {
 	ts := data.Porto().Generate(40, 3)
 	for i := 0; i+1 < len(ts); i++ {
 		for _, j := range []int{i + 1, (i + 7) % len(ts), (i + 19) % len(ts)} {
-			check("porto", ts[i], ts[j])
-			check("porto reversed", ts[j], ts[i].Reverse())
-			check("porto resampled", ts[i].Resample(24), ts[j].Resample(24))
+			checkHausdorff(t, "porto", ts[i], ts[j])
+			checkHausdorff(t, "porto reversed", ts[j], ts[i].Reverse())
+			checkHausdorff(t, "porto resampled", ts[i].Resample(24), ts[j].Resample(24))
+			checkHausdorff(t, "porto 48 vs 48", ts[i].Resample(48), ts[j].Resample(48))
+			checkHausdorff(t, "porto 44 vs 6", ts[i].Resample(44), ts[j].Resample(6))
+			checkHausdorff(t, "porto 120 vs 48", ts[i].Resample(120), ts[j].Resample(48))
 		}
+		proto := ts[i].Resample(48)
+		for n := 1; n <= 5; n++ {
+			checkHausdorff(t, "short vs 48", ts[(i+1)%len(ts)].Resample(n), proto)
+		}
+		checkHausdorff(t, "prototype vs itself", proto, proto)
+		checkHausdorff(t, "prototype vs its reverse", proto, proto.Reverse())
 	}
 	p, q := geo.Point{X: 1, Y: 2}, geo.Point{X: 4, Y: 6}
 	long := ts[0]
@@ -396,9 +436,65 @@ func TestHausdorffEarlyBreakBitIdentical(t *testing.T) {
 		{"duplicated points", dup, long},
 		{"duplicated vs other", dup, ts[1]},
 	} {
-		check(tc.name, tc.a, tc.b)
-		check(tc.name+" swapped", tc.b, tc.a)
+		checkHausdorff(t, tc.name, tc.a, tc.b)
 	}
+
+	for _, shape := range [][2]int{{48, 48}, {44, 6}, {5, 48}, {2, 2}} {
+		a, b := zigZag(shape[0], shape[1])
+		checkHausdorff(t, "zig-zag", a, b)
+		// The adversary must be one: had the hints helped, the a → b pass
+		// alone would not have needed every pair.
+		if _, pairs := hausdorffSq(a, b); pairs < len(a)*len(b) {
+			t.Errorf("zig-zag %d x %d: only %d pairs evaluated; the locality hint is not being defeated",
+				len(a), len(b), pairs)
+		}
+	}
+}
+
+// fuzzTrajectories decodes fuzz bytes into two trajectories: the first
+// byte says how many of the points go to a, every later byte pair is one
+// point. Coordinates are small integers, so ties and coincident points
+// are common, with three byte values standing for NaN and the infinities.
+func fuzzTrajectories(data []byte) (a, b geo.Trajectory) {
+	if len(data) == 0 {
+		return nil, nil
+	}
+	coord := func(c byte) float64 {
+		switch c {
+		case 0x80:
+			return math.NaN()
+		case 0x7f:
+			return math.Inf(1)
+		case 0x81:
+			return math.Inf(-1)
+		}
+		return float64(int8(c))
+	}
+	var pts geo.Trajectory
+	for i := 1; i+1 < len(data); i += 2 {
+		pts = append(pts, geo.Point{X: coord(data[i]), Y: coord(data[i+1])})
+	}
+	na := int(data[0]) % (len(pts) + 1)
+	return pts[:na], pts[na:]
+}
+
+// FuzzHausdorffMatchesPlain: for any two point lists — empty sides,
+// ties, NaN and infinite coordinates included — Hausdorff equals the
+// plain double loop bit for bit and is symmetric in its arguments.
+func FuzzHausdorffMatchesPlain(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 1, 2})                                     // a empty
+	f.Add([]byte{1, 1, 2, 1, 2})                               // coincident singles
+	f.Add([]byte{2, 0, 0, 9, 0, 0, 1, 3, 1, 6, 1, 9, 1})       // 2 vs 4
+	f.Add([]byte{3, 0, 1, 5, 2, 0, 3, 0, 0, 1, 0, 2, 0, 3, 0}) // a zig-zags over b
+	f.Add([]byte{1, 0x80, 0, 1, 1, 2, 2})                      // NaN point in a
+	f.Add([]byte{2, 1, 1, 2, 2, 0x7f, 0, 3, 3})                // +Inf point in b
+	f.Add([]byte{1, 0x7f, 0x81, 0x7f, 0x81})                   // Inf − Inf on both sides
+	f.Add([]byte{2, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80})       // nothing but NaN
+	f.Fuzz(func(t *testing.T, data []byte) {
+		a, b := fuzzTrajectories(data)
+		checkHausdorff(t, "fuzz", a, b)
+	})
 }
 
 // TestFrechetNonNegativeAndAchieved: Frechet equals some pointwise distance.
@@ -454,4 +550,43 @@ func TestQuickLowerBoundNeverNegative(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// hausdorffFixture is one GeoPTH embed at the serving shape: a 48-point
+// Porto trip and the 128 48-point prototypes it is measured against.
+func hausdorffFixture() (q geo.Trajectory, protos []geo.Trajectory) {
+	ts := data.Porto().Generate(129, 5)
+	for i := range ts {
+		ts[i] = ts[i].Resample(48)
+	}
+	return ts[0], ts[1:]
+}
+
+// TestHotpathHausdorffZeroAlloc locks in the //perf:hotpath contract on
+// the Hausdorff kernel.
+func TestHotpathHausdorffZeroAlloc(t *testing.T) {
+	q, protos := hausdorffFixture()
+	var sink float64
+	allocs := testing.AllocsPerRun(20, func() {
+		for _, p := range protos {
+			sink += Hausdorff(q, p)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Hausdorff allocated %v per 128 distances, want 0", allocs)
+	}
+}
+
+// BenchmarkHotpathHausdorff measures the 128 distances of the fixture.
+func BenchmarkHotpathHausdorff(b *testing.B) {
+	q, protos := hausdorffFixture()
+	b.ReportAllocs()
+	b.ResetTimer()
+	var sink float64
+	for i := 0; i < b.N; i++ {
+		for _, p := range protos {
+			sink += Hausdorff(q, p)
+		}
+	}
+	_ = sink
 }

@@ -503,7 +503,8 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 const deadlineGrace = 250 * time.Millisecond
 
 // writeSearchResponse maps an engine Status onto HTTP: deadline errors
-// are 504 (with the partial results the engine salvaged); other
+// are 504 (with the partial results the engine salvaged); a trajectory
+// the encoder cannot embed to finite coordinates is 400; other
 // degradation (shard panics) stays 200 with complete=false.
 func (s *Server) writeSearchResponse(w http.ResponseWriter, res searchResult) {
 	resp := SearchResponse{
@@ -516,9 +517,12 @@ func (s *Server) writeSearchResponse(w http.ResponseWriter, res searchResult) {
 	code := http.StatusOK
 	if res.status.Err != nil {
 		resp.Err = res.status.Err.Error()
-		if errors.Is(res.status.Err, context.DeadlineExceeded) || errors.Is(res.status.Err, context.Canceled) {
+		switch {
+		case errors.Is(res.status.Err, context.DeadlineExceeded), errors.Is(res.status.Err, context.Canceled):
 			code = http.StatusGatewayTimeout
 			s.met.timeouts.Inc()
+		case errors.Is(res.status.Err, traj2hash.ErrNonFiniteEmbedding):
+			code = http.StatusBadRequest
 		}
 	}
 	writeJSON(w, code, resp)
@@ -532,6 +536,8 @@ func writeMutateError(w http.ResponseWriter, err error) {
 		code = http.StatusNotFound
 	case errors.Is(err, traj2hash.ErrDeleted):
 		code = http.StatusGone
+	case errors.Is(err, traj2hash.ErrNonFiniteEmbedding):
+		code = http.StatusBadRequest
 	case errors.Is(err, traj2hash.ErrClosed):
 		// The WAL is released (drain finished under us): durability can
 		// no longer be promised, so the mutation was refused whole.

@@ -8,6 +8,8 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -185,6 +187,60 @@ func TestServeEndpointRoundTrips(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("/healthz status %d, want 200", resp.StatusCode)
 	}
+}
+
+// TestServeRejectsUnembeddableTrajectories: [[1e200,0]] is valid JSON and
+// a non-empty trajectory, but GeoPTH embeds it to NaN in every coordinate.
+// /add, /update and /search answer 400, and the refused mutations leave
+// the index and the bytes of the WAL directory as they were.
+func TestServeRejectsUnembeddableTrajectories(t *testing.T) {
+	dir := t.TempDir()
+	idx, _ := testIndex(t, traj2hash.Options{WALDir: dir})
+	defer idx.Close()
+	base, _, _ := startServer(t, Config{Index: idx, DefaultTimeout: 5 * time.Second})
+	n := idx.Len()
+	disk := walBytes(t, dir)
+	bad := [][2]float64{{1e200, 0}}
+
+	var er ErrorResponse
+	if code := postJSON(t, base+"/add", MutateRequest{Traj: bad}, &er); code != http.StatusBadRequest {
+		t.Errorf("/add status %d (%q), want 400", code, er.Error)
+	}
+	if code := postJSON(t, base+"/update", MutateRequest{ID: 0, Traj: bad}, &er); code != http.StatusBadRequest {
+		t.Errorf("/update status %d (%q), want 400", code, er.Error)
+	}
+	var sr SearchResponse
+	if code := postJSON(t, base+"/search", SearchRequest{Traj: bad, K: 3}, &sr); code != http.StatusBadRequest {
+		t.Errorf("/search status %d, want 400", code)
+	}
+	if sr.Complete || len(sr.Results) != 0 || sr.Err == "" {
+		t.Errorf("/search reply %+v, want no results, incomplete, an error", sr)
+	}
+	if idx.Len() != n {
+		t.Errorf("Len = %d after refused mutations, want %d", idx.Len(), n)
+	}
+	if got := walBytes(t, dir); got != disk {
+		t.Error("refused mutations changed the WAL directory")
+	}
+}
+
+// walBytes concatenates name and content of every file in dir.
+func walBytes(t *testing.T, dir string) string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	for _, e := range entries {
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sb.WriteString(e.Name())
+		sb.Write(b)
+	}
+	return sb.String()
 }
 
 // TestServeCoalescesConcurrentSearches is the micro-batching contract:

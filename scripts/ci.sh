@@ -40,10 +40,12 @@
 #   9. mutable-index benchmark artifact — add/delete/compaction/search-
 #      with-tombstones and WAL append/recovery ns_per_op + allocs,
 #      exported to bin/BENCH_mutable.json (informational, no floors)
-#  10. WAL fuzz smoke — FuzzReadFrame / FuzzLoadSnapshot for 10s each
-#      over the committed seed corpora (internal/wal/testdata/fuzz/):
-#      frame/snapshot decoding never panics and torn-tail truncation
-#      never misclassifies corruption
+#  10. fuzz smoke — FuzzReadFrame / FuzzLoadSnapshot (internal/wal) and
+#      FuzzHausdorffMatchesPlain (internal/dist) for 10s each over the
+#      committed seed corpora (internal/*/testdata/fuzz/): frame/snapshot
+#      decoding never panics, torn-tail truncation never misclassifies
+#      corruption, and the Hausdorff kernel equals the plain double loop
+#      bit for bit
 #  11. serving smoke — a real traj2hashd daemon over a temp WAL dir,
 #      started with a 250 ms batch window, is driven by cmd/trajload
 #      three times: a lone-client pass whose p99 must stay under
@@ -161,7 +163,7 @@ go build -o bin/benchjson ./cmd/benchjson
 # is exact in steady state, so a short run measures it as well as a
 # long one. Each benchmark warms its reusable buffers before ResetTimer.
 go test -bench 'BenchmarkHotpath' -benchmem -benchtime 100x -run '^$' \
-	./internal/topk ./internal/hamming ./internal/nn ./internal/eval ./internal/core \
+	./internal/topk ./internal/hamming ./internal/nn ./internal/eval ./internal/core ./internal/dist \
 	>bin/bench_hotpath.txt || {
 	cat bin/bench_hotpath.txt
 	echo "perf contracts: the BenchmarkHotpath suite failed to run"
@@ -228,16 +230,18 @@ go test -bench 'BenchmarkMutable' -benchmem -benchtime 50x -run '^$' \
 	exit 1
 }
 
-echo "== WAL fuzz smoke (10s per target)"
-# Native Go fuzzing over the WAL frame parser and snapshot decoder: the
-# seed corpora under internal/wal/testdata/fuzz/ are committed, and a
-# short randomized run guards the no-panic / torn-tail-classification
-# contracts on every CI pass (go fuzzing takes one target per
-# invocation, hence two runs). New crashers land in the build cache, so
-# this stage leaves the tree clean.
-for target in FuzzReadFrame FuzzLoadSnapshot; do
-	go test -fuzz "$target" -fuzztime 10s -run '^$' ./internal/wal || {
-		echo "wal fuzz: $target found a crasher or invariant violation — the failing input is under the go build cache's fuzz corpus; reproduce with: go test -run $target ./internal/wal"
+echo "== fuzz smoke (10s per target)"
+# Native Go fuzzing over the WAL frame parser and snapshot decoder and
+# the Hausdorff kernel: the seed corpora under internal/*/testdata/fuzz/
+# are committed, and a short randomized run guards the no-panic /
+# torn-tail-classification contracts and the kernel's bit equality with
+# the plain double loop on every CI pass (go fuzzing takes one target
+# per invocation, hence one run each). New crashers land in the build
+# cache, so this stage leaves the tree clean.
+for target in wal:FuzzReadFrame wal:FuzzLoadSnapshot dist:FuzzHausdorffMatchesPlain; do
+	pkg=./internal/${target%%:*} name=${target#*:}
+	go test -fuzz "$name" -fuzztime 10s -run '^$' "$pkg" || {
+		echo "fuzz: $name found a crasher or invariant violation — the failing input is under the go build cache's fuzz corpus; reproduce with: go test -run $name $pkg"
 		exit 1
 	}
 done
