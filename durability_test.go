@@ -454,6 +454,33 @@ func TestAccessorsReportMissing(t *testing.T) {
 	}
 }
 
+// TestEmbeddingIsACopy: Embedding hands out a copy. It used to return the
+// very array the Euclidean scan reads, so a caller that modified what it
+// got changed the index's answers and its next snapshot.
+func TestEmbeddingIsACopy(t *testing.T) {
+	m, ds := untrainedFixture(t)
+	ix, err := NewIndexWith(m, ds.Database, Options{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	emb, ok := ix.Embedding(0)
+	if !ok {
+		t.Fatal("no embedding for id 0")
+	}
+	q := append([]float64(nil), emb...)
+	image := ix.captureState()
+	emb[0] += 1000
+	if rs := ix.SearchEuclideanByVec(q, 1); len(rs) != 1 || rs[0] != (Result{ID: 0, Score: 0}) {
+		t.Errorf("after the caller modified its copy, id 0's own embedding finds %v, want {0 0}", rs)
+	}
+	if again, _ := ix.Embedding(0); !reflect.DeepEqual(again, q) {
+		t.Errorf("Embedding(0) = %v after the caller modified its copy, want %v", again, q)
+	}
+	if !reflect.DeepEqual(ix.captureState(), image) {
+		t.Error("the snapshot image changed with the caller's copy")
+	}
+}
+
 // TestMutationsAfterCloseFailClosed locks the post-Close contract: once
 // Close has released a durable index's WAL, every mutation path returns
 // ErrClosed and applies NOTHING — before the fix, mutations silently

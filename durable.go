@@ -34,10 +34,9 @@ func (ix *Index) Delete(id int) error {
 	if err := ix.eng.Delete(id); err != nil {
 		return err
 	}
-	// Release the canonical copies: a deleted id answers nothing, so
-	// holding its trajectory and embedding would only pin memory.
+	// Release the trajectory: a deleted id answers nothing, so holding it
+	// would only pin memory.
 	ix.trajs[id] = nil
-	ix.embs[id] = nil
 	return ix.logMutation(wal.Record{Op: wal.OpDelete, ID: id})
 }
 
@@ -62,7 +61,6 @@ func (ix *Index) Update(id int, t Trajectory) error {
 		return err
 	}
 	ix.trajs[id] = t
-	ix.embs[id] = emb
 	return ix.logMutation(wal.Record{Op: wal.OpUpdate, ID: id, Emb: emb, Code: code, Traj: flattenTraj(t)})
 }
 
@@ -71,6 +69,11 @@ func (ix *Index) Update(id int, t Trajectory) error {
 // changes; a trajectory whose embedding is not finite (an empty one, an
 // overflowing coordinate) fails with ErrNonFiniteEmbedding, likewise
 // before any state changes.
+//
+// The index keeps t itself, not a copy — copying would double the user's
+// data on every workload that holds on to its inputs — so t must not be
+// modified while it is indexed (Trajectory returns the same slice). The
+// embedding, by contrast, is the index's own copy.
 func (ix *Index) AddCtx(ctx context.Context, t Trajectory) (int, error) {
 	if err := ctx.Err(); err != nil {
 		return 0, err
@@ -158,10 +161,10 @@ func (ix *Index) captureState() *wal.State {
 	next := ix.eng.NextID()
 	s := &wal.State{Next: next}
 	for id := 0; id < next; id++ {
-		if !ix.eng.Live(id) {
+		emb, ok := ix.eng.Embedding(id, nil)
+		if !ok {
 			continue
 		}
-		emb := ix.embs[id]
 		s.Items = append(s.Items, wal.Item{
 			ID:   id,
 			Emb:  emb,
@@ -196,8 +199,8 @@ func (ix *Index) openWAL() error {
 	return nil
 }
 
-// restore rebuilds the engine and the canonical trajectory/embedding
-// arrays from what recovery found: the snapshot's live items first
+// restore rebuilds the engine and the canonical trajectory array from
+// what recovery found: the snapshot's live items first
 // (placed back under their original global ids, with id-sequence gaps
 // becoming engine tombstones), then the log tail re-applied in order.
 //
@@ -232,11 +235,9 @@ func (ix *Index) restore(rec *wal.Recovered) error {
 		return err
 	}
 	ix.trajs = make([]Trajectory, next)
-	ix.embs = make([][]float64, next)
 	if rec.Snapshot != nil {
 		for _, it := range rec.Snapshot.Items {
 			ix.trajs[it.ID] = unflattenTraj(it.Traj)
-			ix.embs[it.ID] = it.Emb
 		}
 	}
 	for _, r := range rec.Tail {
@@ -253,7 +254,6 @@ func (ix *Index) restore(rec *wal.Recovered) error {
 				return fmt.Errorf("traj2hash: WAL add replay assigned id %d, logged id was %d (lost record)", id, r.ID)
 			}
 			ix.trajs = append(ix.trajs, unflattenTraj(r.Traj))
-			ix.embs = append(ix.embs, r.Emb)
 			ix.rec.Replayed++
 		case wal.OpDelete:
 			if !ix.eng.Live(r.ID) {
@@ -263,7 +263,6 @@ func (ix *Index) restore(rec *wal.Recovered) error {
 				return fmt.Errorf("traj2hash: replaying delete of id %d: %w", r.ID, err)
 			}
 			ix.trajs[r.ID] = nil
-			ix.embs[r.ID] = nil
 			ix.rec.Replayed++
 		case wal.OpUpdate:
 			if !ix.eng.Live(r.ID) {
@@ -273,7 +272,6 @@ func (ix *Index) restore(rec *wal.Recovered) error {
 				return fmt.Errorf("traj2hash: replaying update of id %d: %w", r.ID, err)
 			}
 			ix.trajs[r.ID] = unflattenTraj(r.Traj)
-			ix.embs[r.ID] = r.Emb
 			ix.rec.Replayed++
 		default:
 			return fmt.Errorf("traj2hash: WAL record with unknown op %d", r.Op)

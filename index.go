@@ -49,6 +49,18 @@ func checkEmbedding(emb []float64) error {
 	return nil
 }
 
+// checkQueryVec is checkEmbedding for a query: the vector must also have
+// the encoder's dimension, or no stored item has a distance to it.
+func (ix *Index) checkQueryVec(emb []float64) error {
+	if err := checkEmbedding(emb); err != nil {
+		return err
+	}
+	if len(emb) != ix.enc.Dim() {
+		return fmt.Errorf("traj2hash: query vector has dimension %d, the index's encoder embeds to %d", len(emb), ix.enc.Dim())
+	}
+	return nil
+}
+
 // Status reports how completely a context-aware query was answered — the
 // failure-domain contract of the query engine (DESIGN.md "Failure
 // semantics & graceful degradation"). A query never blocks past its
@@ -193,9 +205,8 @@ type Index struct {
 	opts Options
 	eng  *engine.Engine
 
-	mu     sync.RWMutex // guards trajs, embs, the store, and closed
+	mu     sync.RWMutex // guards trajs, the store, and closed
 	trajs  []Trajectory // indexed by global id; nil at deleted ids
-	embs   [][]float64  // indexed by global id; nil at deleted ids
 	store  *wal.Store   // nil when Options.WALDir is empty
 	closed bool         // set by Close on a durable index; mutations fail with ErrClosed
 	rec    RecoveryInfo
@@ -234,8 +245,9 @@ func NewIndexWith(enc Encoder, ts []Trajectory, opts Options) (*Index, error) {
 	eng, err := engine.New(engine.Options{
 		// The configured backend is the default of Do and serves
 		// SearchBatchCtx; the three paper strategies are always maintained
-		// (the scans cost only a slice header each; the hybrid table also
-		// serves WithinCtx).
+		// (the scans cost nothing per item: they read the shard's one
+		// embedding slab and the hybrid's table, which also serves
+		// WithinCtx).
 		Backends:  []string{backend, BackendEuclideanBF, BackendHammingBF, BackendHammingHybrid},
 		Shards:    opts.Shards,
 		Workers:   opts.Workers,
@@ -283,7 +295,7 @@ func (ix *Index) Recovery() RecoveryInfo { return ix.rec }
 
 // add indexes one embedded trajectory and logs it durably when a WAL is
 // configured; callers hold ix.mu, which keeps the engine's sequential
-// ids aligned with ix.trajs/ix.embs positions.
+// ids aligned with ix.trajs positions.
 func (ix *Index) add(t Trajectory, emb []float64) (int, error) {
 	if ix.closed {
 		return 0, ErrClosed
@@ -297,7 +309,6 @@ func (ix *Index) add(t Trajectory, emb []float64) (int, error) {
 		return 0, err
 	}
 	ix.trajs = append(ix.trajs, t)
-	ix.embs = append(ix.embs, emb)
 	if err := ix.logMutation(wal.Record{Op: wal.OpAdd, ID: id, Emb: emb, Code: code, Traj: flattenTraj(t)}); err != nil {
 		return 0, err
 	}
@@ -319,15 +330,13 @@ func (ix *Index) Trajectory(id int) (Trajectory, bool) {
 	return ix.trajs[id], true
 }
 
-// Embedding returns the stored Euclidean-space embedding of id. The
+// Embedding returns a copy of the stored Euclidean-space embedding of id
+// (the index keeps its own; the caller may modify what it gets). The
 // boolean is false when id is out of range or was deleted.
 func (ix *Index) Embedding(id int) ([]float64, bool) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	if !ix.eng.Live(id) {
-		return nil, false
-	}
-	return ix.embs[id], true
+	return ix.eng.Embedding(id, nil)
 }
 
 // Backend returns the canonical name of the configured backend
@@ -347,8 +356,9 @@ func (ix *Index) Encoder() Encoder { return ix.enc }
 //
 // An invalid query — none or several of Traj/Vec/Code set, a bare Code
 // for a Euclidean-space backend, a backend the index does not maintain,
-// a Traj or Vec whose embedding is not finite (ErrNonFiniteEmbedding) —
-// is reported as Status{Err: …} with no results and no shard consulted.
+// a Traj or Vec whose embedding is not finite (ErrNonFiniteEmbedding), a
+// Vec or Code that is not of the encoder's dimension — is reported as
+// Status{Err: …} with no results and no shard consulted.
 func (ix *Index) Do(ctx context.Context, q Query) ([]Result, Status) {
 	backend := ix.opts.Backend
 	if q.Backend != "" {
@@ -368,12 +378,15 @@ func (ix *Index) Do(ctx context.Context, q Query) ([]Result, Status) {
 		if backend == BackendEuclideanBF || backend == BackendVPTree {
 			return nil, Status{Err: fmt.Errorf("traj2hash: backend %q searches embeddings; a Query carrying only a Code cannot be answered by it (set Vec or Traj)", backend)}
 		}
+		if q.Code.Bits != ix.enc.Dim() {
+			return nil, Status{Err: fmt.Errorf("traj2hash: query code has %d bits, the index's encoder hashes to %d", q.Code.Bits, ix.enc.Dim())}
+		}
 		eq.Code = q.Code
 	default:
 		return nil, Status{Err: errors.New("traj2hash: a Query needs exactly one of Traj, Vec and Code")}
 	}
 	if !hasCode {
-		if err := checkEmbedding(eq.Emb); err != nil {
+		if err := ix.checkQueryVec(eq.Emb); err != nil {
 			return nil, Status{Err: err}
 		}
 		eq.Code = hamming.FromSigns(eq.Emb)
@@ -421,7 +434,7 @@ func (ix *Index) SearchBatchCtx(ctx context.Context, qs []Trajectory, k int) ([]
 	// is the position in qs of the j-th of them.
 	queries, at := make([]engine.Query, 0, len(embs)), make([]int, 0, len(embs))
 	for i, e := range embs {
-		if sts[i].Err = checkEmbedding(e); sts[i].Err == nil {
+		if sts[i].Err = ix.checkQueryVec(e); sts[i].Err == nil {
 			queries = append(queries, engine.Query{Emb: e, Code: hamming.FromSigns(e)})
 			at = append(at, i)
 		}
@@ -482,14 +495,15 @@ func (ix *Index) Stats() MetricsSnapshot {
 // ApproxDistanceByVec returns the index's learned approximation of the
 // trajectory distance between a query embedding (from Encoder.Embed —
 // embed once, evaluate against many ids) and an indexed trajectory. An
-// out-of-range or deleted id has no distance: the result is NaN.
+// out-of-range or deleted id has no distance, nor has a qe that is not of
+// the index's dimension: the result is NaN.
 func (ix *Index) ApproxDistanceByVec(qe []float64, id int) float64 {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	if !ix.eng.Live(id) {
+	emb, ok := ix.eng.Embedding(id, nil)
+	if !ok || len(qe) != len(emb) {
 		return math.NaN()
 	}
-	emb := ix.embs[id]
 	var sum float64
 	for j := range qe {
 		d := qe[j] - emb[j]

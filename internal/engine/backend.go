@@ -162,7 +162,7 @@ func backendNamesLocked() []string {
 
 func init() {
 	Register(EuclideanBFName, func(cfg Config) (Backend, error) {
-		return &EuclideanBF{}, nil
+		return &EuclideanBF{vecBackend{name: EuclideanBFName, embs: &slab{}}}, nil
 	})
 	Register(HammingBFName, func(cfg Config) (Backend, error) {
 		return &HammingBF{tableBackend{name: HammingBFName, tab: &codeTable{bits: cfg.Bits}}}, nil
@@ -174,58 +174,59 @@ func init() {
 		return &MIHBackend{bits: cfg.Bits, chunks: cfg.MIHChunks}, nil
 	})
 	Register(VPTreeName, func(cfg Config) (Backend, error) {
-		return &VPTreeBackend{seed: cfg.VPSeed}, nil
+		return &VPTreeBackend{vecBackend: vecBackend{name: VPTreeName, embs: &slab{}}, seed: cfg.VPSeed}, nil
 	})
 }
 
 // --- euclidean-bf ---
 
-// EuclideanBF scans all embeddings with squared Euclidean distance — the
-// paper's Euclidean-BF strategy: exact over the learned space, highest
-// accuracy, linear cost.
-type EuclideanBF struct {
-	embs [][]float64
+// vecBackend is the Backend plumbing euclidean-bf and vptree share: the
+// slab their rows live in. A standalone backend owns one; inside an
+// engine shard both adopt the shard's (see Engine.newItems), so a shard
+// holds each embedding once.
+type vecBackend struct {
+	name    string
+	embs    *slab
+	adopted bool // embs is the shard's, which feeds it
 }
 
 // Name implements Backend.
-func (b *EuclideanBF) Name() string { return EuclideanBFName }
+func (b *vecBackend) Name() string { return b.name }
 
 // Len implements Backend.
-func (b *EuclideanBF) Len() int { return len(b.embs) }
+func (b *vecBackend) Len() int { return b.embs.len() }
 
-// Add implements Backend.
-func (b *EuclideanBF) Add(emb []float64, _ hamming.Code) error {
-	if len(emb) == 0 {
-		return fmt.Errorf("engine: %s needs a non-empty embedding", EuclideanBFName)
+// Add implements Backend. An adopted slab is fed by the shard; the
+// embedding is validated all the same, so error attribution does not
+// depend on backend order.
+func (b *vecBackend) Add(emb []float64, _ hamming.Code) error {
+	if b.adopted {
+		return b.embs.fits(emb)
 	}
-	if len(b.embs) > 0 && len(emb) != len(b.embs[0]) {
-		return fmt.Errorf("engine: embedding dim %d, want %d", len(emb), len(b.embs[0]))
-	}
-	b.embs = append(b.embs, emb)
-	return nil
+	return b.embs.append(emb)
 }
 
 // Update implements Backend.
-func (b *EuclideanBF) Update(local int, emb []float64, _ hamming.Code) error {
-	if local < 0 || local >= len(b.embs) {
-		return fmt.Errorf("engine: %s update of unknown id %d (have %d)", EuclideanBFName, local, len(b.embs))
+func (b *vecBackend) Update(local int, emb []float64, _ hamming.Code) error {
+	if b.adopted {
+		return b.embs.settable(local, emb)
 	}
-	if len(emb) != len(b.embs[local]) {
-		return fmt.Errorf("engine: embedding dim %d, want %d", len(emb), len(b.embs[local]))
-	}
-	b.embs[local] = emb
-	return nil
+	return b.embs.set(local, emb)
 }
+
+// EuclideanBF scans all embeddings with squared Euclidean distance — the
+// paper's Euclidean-BF strategy: exact over the learned space, highest
+// accuracy, linear cost.
+type EuclideanBF struct{ vecBackend }
 
 // Search implements Backend.
 func (b *EuclideanBF) Search(q Query, k int) []Result {
-	if len(q.Emb) == 0 {
+	if len(q.Emb) == 0 || b.embs.len() == 0 {
 		return nil
 	}
-	items := topk.Select(len(b.embs), k, func(i int) float64 {
-		return sqDist(q.Emb, b.embs[i])
-	})
-	return itemsToResults(items)
+	var sel topk.Selector
+	sel.Reserve(min(k, b.embs.len()))
+	return itemsToResults(b.embs.nearest(q.Emb, k, &sel))
 }
 
 func sqDist(a, b []float64) float64 {
@@ -441,8 +442,8 @@ func (b *MIHBackend) Search(q Query, k int) []Result {
 // (vantage-point trees do not insert incrementally), so bulk-load-then-
 // search workloads pay one build.
 type VPTreeBackend struct {
+	vecBackend
 	seed int64
-	vecs [][]float64
 
 	// mu guards the lazy rebuild: concurrent Searches may race to build
 	// the tree; Add (serialized against Search by the Engine) invalidates
@@ -451,52 +452,36 @@ type VPTreeBackend struct {
 	tree *VPTree
 }
 
-// Name implements Backend.
-func (b *VPTreeBackend) Name() string { return VPTreeName }
-
-// Len implements Backend.
-func (b *VPTreeBackend) Len() int { return len(b.vecs) }
-
 // Add implements Backend.
-func (b *VPTreeBackend) Add(emb []float64, _ hamming.Code) error {
-	if len(emb) == 0 {
-		return fmt.Errorf("engine: %s needs a non-empty embedding", VPTreeName)
+func (b *VPTreeBackend) Add(emb []float64, code hamming.Code) error {
+	if err := b.vecBackend.Add(emb, code); err != nil {
+		return err
 	}
-	if len(b.vecs) > 0 && len(emb) != len(b.vecs[0]) {
-		return fmt.Errorf("engine: embedding dim %d, want %d", len(emb), len(b.vecs[0]))
-	}
-	b.vecs = append(b.vecs, emb)
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.tree = nil
+	b.invalidate()
 	return nil
 }
 
 // Update implements Backend. The tree is invalidated and rebuilt lazily
 // on the next Search, like Add.
-func (b *VPTreeBackend) Update(local int, emb []float64, _ hamming.Code) error {
-	if local < 0 || local >= len(b.vecs) {
-		return fmt.Errorf("engine: %s update of unknown id %d (have %d)", VPTreeName, local, len(b.vecs))
+func (b *VPTreeBackend) Update(local int, emb []float64, code hamming.Code) error {
+	if err := b.vecBackend.Update(local, emb, code); err != nil {
+		return err
 	}
-	if len(emb) != len(b.vecs[local]) {
-		return fmt.Errorf("engine: embedding dim %d, want %d", len(emb), len(b.vecs[local]))
-	}
-	b.vecs[local] = emb
+	b.invalidate()
+	return nil
+}
+
+func (b *VPTreeBackend) invalidate() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.tree = nil
-	return nil
 }
 
 func (b *VPTreeBackend) ensure() *VPTree {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.tree == nil {
-		t, err := NewVPTree(b.vecs, b.seed)
-		if err != nil {
-			return nil // unreachable: Add validated dims and vecs non-empty
-		}
-		b.tree = t
+		b.tree = newVPTree(b.embs, b.seed)
 	}
 	return b.tree
 }
@@ -504,17 +489,13 @@ func (b *VPTreeBackend) ensure() *VPTree {
 // Search implements Backend. Scores are squared Euclidean distances,
 // matching the euclidean-bf backend.
 func (b *VPTreeBackend) Search(q Query, k int) []Result {
-	if len(b.vecs) == 0 || len(q.Emb) == 0 || k <= 0 {
+	if b.embs.len() == 0 || len(q.Emb) == 0 || k <= 0 {
 		return nil
 	}
-	tree := b.ensure()
-	if tree == nil {
-		return nil
-	}
-	ids, _ := tree.Search(q.Emb, k)
+	ids, _ := b.ensure().Search(q.Emb, k)
 	out := make([]Result, len(ids))
 	for i, id := range ids {
-		out[i] = Result{ID: id, Score: sqDist(q.Emb, b.vecs[id])}
+		out[i] = Result{ID: id, Score: sqDist(q.Emb, b.embs.at(id))}
 	}
 	return out
 }

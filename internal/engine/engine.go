@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -89,26 +90,34 @@ type shard struct {
 }
 
 // items is what compaction rebuilds and swaps in as a whole: a backend
-// set and the canonical arrays it indexes, all parallel to ids.
+// set and the canonical arrays it indexes, all parallel to ids. embs is
+// the shard's one copy of every embedding; the Euclidean backends read
+// it rather than keep their own (see newItems).
 type items struct {
 	ids      []int
-	embs     [][]float64
+	embs     *slab
 	codes    hamming.Slab
 	dead     []bool
 	backends []Backend
 }
 
-// put appends one item — every backend, then the canonical arrays — and
-// returns its local index. Callers hold the shard's write lock.
-func (it *items) put(id int, emb []float64, code hamming.Code) (int, error) {
+// put appends one item — every backend, then the canonical arrays, which
+// copy emb and code in — and returns its local index. Callers hold the
+// shard's write lock.
+func (it *items) put(id int, emb []float64, code hamming.Code) (int32, error) {
+	if len(it.ids) == math.MaxInt32 {
+		return 0, fmt.Errorf("engine: shard is full (%d items)", len(it.ids))
+	}
 	if err := addToBackends(it.backends, emb, code); err != nil {
 		return 0, err
 	}
+	if err := it.embs.append(emb); err != nil {
+		return 0, fmt.Errorf("engine: shard inconsistent after partial add: %w", err)
+	}
 	it.ids = append(it.ids, id)
-	it.embs = append(it.embs, emb)
 	it.codes.Append(code)
 	it.dead = append(it.dead, false)
-	return len(it.ids) - 1, nil
+	return int32(len(it.ids) - 1), nil
 }
 
 // Engine is a sharded, concurrency-safe top-k query engine. Every shard
@@ -133,12 +142,13 @@ type Engine struct {
 	shards []*shard
 }
 
-// loc places one global id inside the sharded store. A negative local
-// index is the engine-level tombstone: the id existed and was deleted
-// (its per-shard slot may already have been reclaimed by compaction).
+// loc places one global id inside the sharded store, in 8 bytes (there
+// is one per id ever assigned). A negative local index is the
+// engine-level tombstone: the id existed and was deleted (its per-shard
+// slot may already have been reclaimed by compaction).
 type loc struct {
-	shard int
-	local int
+	shard int32
+	local int32
 }
 
 // metrics caches the engine's instruments, resolved once at construction
@@ -191,6 +201,9 @@ func newMetrics(reg *obs.Registry, names []string, shards int) *metrics {
 // deduplicated, preserving order (the first stays the default).
 func New(opts Options) (*Engine, error) {
 	opts = opts.withDefaults()
+	if opts.Shards > math.MaxInt32 {
+		return nil, fmt.Errorf("engine: %d shards, at most %d", opts.Shards, math.MaxInt32)
+	}
 	var names []string
 	seen := map[string]bool{}
 	for _, n := range opts.Backends {
@@ -220,12 +233,14 @@ func New(opts Options) (*Engine, error) {
 
 // newItems builds shard sh an empty item set with a fresh backend per
 // configured name (at construction and at every compaction) and wires
-// what the shard keeps once: hamming-bf adopts hamming-hybrid's table, so
-// one hamming.Table serves both and each mutation feeds it once, and the
-// hybrid counts its fast paths on the shard. A wrapped backend
-// (internal/faultinject) is neither concrete type: it keeps its own.
+// what the shard keeps once: euclidean-bf and vptree adopt the item set's
+// slab, so the shard holds each embedding once; hamming-bf adopts
+// hamming-hybrid's table, so one hamming.Table serves both and each
+// mutation feeds it once; and the hybrid counts its fast paths on the
+// shard. A wrapped backend (internal/faultinject) is none of the
+// concrete types: it keeps its own.
 func (e *Engine) newItems(sh *shard) (items, error) {
-	backends := make([]Backend, 0, len(e.names))
+	it := items{embs: &slab{}, backends: make([]Backend, 0, len(e.names))}
 	var bf *HammingBF
 	var hybrid *HammingHybrid
 	for _, n := range e.names {
@@ -234,12 +249,16 @@ func (e *Engine) newItems(sh *shard) (items, error) {
 			return items{}, err
 		}
 		switch b := b.(type) {
+		case *EuclideanBF:
+			b.embs, b.adopted = it.embs, true
+		case *VPTreeBackend:
+			b.embs, b.adopted = it.embs, true
 		case *HammingBF:
 			bf = b
 		case *HammingHybrid:
 			hybrid = b
 		}
-		backends = append(backends, b)
+		it.backends = append(it.backends, b)
 	}
 	if hybrid != nil {
 		hybrid.fastPaths = &sh.fastPaths
@@ -247,7 +266,7 @@ func (e *Engine) newItems(sh *shard) (items, error) {
 			bf.tab, bf.adopted = hybrid.tab, true
 		}
 	}
-	return items{backends: backends}, nil
+	return it, nil
 }
 
 // Backends returns the canonical backend names the engine maintains; the
@@ -280,13 +299,31 @@ func (e *Engine) Live(id int) bool {
 	return id >= 0 && id < e.next && e.locs[id].local >= 0
 }
 
+// Embedding returns the stored embedding of id appended to dst[:0] — a
+// copy, never a view of the store, so callers may keep or modify it. The
+// boolean is false, with no embedding, when id was never assigned or was
+// deleted.
+func (e *Engine) Embedding(id int, dst []float64) ([]float64, bool) {
+	e.addMu.Lock()
+	defer e.addMu.Unlock()
+	if id < 0 || id >= e.next || e.locs[id].local < 0 {
+		return nil, false
+	}
+	l := e.locs[id]
+	sh := e.shards[l.shard]
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	return append(dst[:0], sh.embs.at(int(l.local))...), true
+}
+
 // Add indexes one item in every backend of its shard and returns its
-// global id. Ids are assigned sequentially from 0 in call order (deleted
-// ids are never reused). If the code is zero, it is derived from the
-// embedding's signs (the model's Code = sign(Embed) convention); an
-// explicitly provided code must have one bit per embedding dimension —
-// the same convention — so the two representations always describe the
-// same item.
+// global id. The embedding and the code are copied in: the engine keeps
+// no reference to either argument. Ids are assigned sequentially from 0
+// in call order (deleted ids are never reused). If the code is zero, it
+// is derived from the embedding's signs (the model's Code = sign(Embed)
+// convention); an explicitly provided code must have one bit per
+// embedding dimension — the same convention — so the two representations
+// always describe the same item.
 func (e *Engine) Add(emb []float64, code hamming.Code) (int, error) {
 	if len(emb) == 0 {
 		return 0, fmt.Errorf("engine: empty embedding")
@@ -316,7 +353,7 @@ func (e *Engine) Add(emb []float64, code hamming.Code) (int, error) {
 		return 0, err
 	}
 	e.dim = len(emb)
-	e.locs = append(e.locs, loc{shard: si, local: local})
+	e.locs = append(e.locs, loc{shard: int32(si), local: local})
 	e.next++
 	e.live++
 	return id, nil

@@ -2,11 +2,13 @@ package engine
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"traj2hash/internal/hamming"
 	"traj2hash/internal/obs"
@@ -178,6 +180,19 @@ func TestEngineRoundRobinSharding(t *testing.T) {
 	res := e.Search(Query{Emb: vecs[7]}, 3)
 	if len(res) != 3 || res[0].ID != 7 || res[0].Score != 0 {
 		t.Fatalf("self search = %+v", res)
+	}
+}
+
+// TestLocPacksToEightBytes: there is one loc per id ever assigned, so it
+// stays two int32s — and New refuses a shard count that would not fit.
+func TestLocPacksToEightBytes(t *testing.T) {
+	if size := unsafe.Sizeof(loc{}); size != 8 {
+		t.Errorf("loc is %d bytes, want 8", size)
+	}
+	tooMany := math.MaxInt32
+	tooMany++
+	if _, err := New(Options{Shards: tooMany}); err == nil || !strings.HasPrefix(err.Error(), "engine: ") {
+		t.Errorf("New with %d shards: error %v, want an engine:-attributed one", tooMany, err)
 	}
 }
 

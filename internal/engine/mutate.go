@@ -51,13 +51,13 @@ func (e *Engine) Delete(id int) error {
 	defer sh.mu.Unlock()
 	sh.dead[l.local] = true
 	sh.deadN++
-	e.locs[id] = loc{shard: l.shard, local: -1}
+	e.locs[id].local = -1
 	e.live--
 	if e.met != nil {
 		e.met.deletes.Inc()
 	}
 	if e.opts.CompactAt > 0 && float64(sh.deadN) >= e.opts.CompactAt*float64(len(sh.ids)) {
-		return e.compactShardLocked(l.shard)
+		return e.compactShardLocked(int(l.shard))
 	}
 	return nil
 }
@@ -89,20 +89,22 @@ func (e *Engine) Update(id int, emb []float64, code hamming.Code) error {
 	sh := e.shards[l.shard]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if want := len(sh.embs[l.local]); len(emb) != want {
+	if len(emb) != e.dim {
 		return fmt.Errorf("engine: update of id %d changes dim %d to %d (updates must keep the item's dimensionality)",
-			id, want, len(emb))
+			id, e.dim, len(emb))
 	}
 	for i, b := range sh.backends {
-		if err := b.Update(l.local, emb, code); err != nil {
+		if err := b.Update(int(l.local), emb, code); err != nil {
 			if i > 0 {
 				return fmt.Errorf("engine: shard inconsistent after partial update: %w", err)
 			}
 			return err
 		}
 	}
-	sh.embs[l.local] = emb
-	sh.codes.Set(l.local, code)
+	if err := sh.embs.set(int(l.local), emb); err != nil {
+		return fmt.Errorf("engine: shard inconsistent after partial update: %w", err)
+	}
+	sh.codes.Set(int(l.local), code)
 	if e.met != nil {
 		e.met.updates.Inc()
 	}
@@ -159,11 +161,11 @@ func (e *Engine) compactShardLocked(si int) error {
 		if sh.dead[local] {
 			continue
 		}
-		n, err := next.put(id, sh.embs[local], sh.codes.At(local))
+		n, err := next.put(id, sh.embs.at(local), sh.codes.At(local))
 		if err != nil {
 			return fmt.Errorf("engine: compaction of shard %d: %w", si, err)
 		}
-		e.locs[id] = loc{shard: si, local: n}
+		e.locs[id].local = n
 	}
 	sh.items, sh.deadN = next, 0
 	if e.met != nil {
@@ -212,7 +214,7 @@ func (e *Engine) Restore(next int, items []RestoreItem) error {
 	}
 	e.locs = make([]loc, next)
 	for id := 0; id < next; id++ {
-		e.locs[id] = loc{shard: id % len(e.shards), local: -1}
+		e.locs[id] = loc{shard: int32(id % len(e.shards)), local: -1}
 	}
 	for _, it := range items {
 		if err := e.restoreItem(it); err != nil {
@@ -249,7 +251,7 @@ func (e *Engine) restoreItem(it RestoreItem) error {
 		return fmt.Errorf("engine: Restore item %d: %w", it.ID, err)
 	}
 	e.dim = len(emb)
-	e.locs[it.ID] = loc{shard: si, local: local}
+	e.locs[it.ID].local = local
 	e.live++
 	return nil
 }

@@ -425,6 +425,103 @@ func TestRestoreRebuildsExactly(t *testing.T) {
 	}
 }
 
+// TestEngineDoesNotAliasCallerEmbeddings: Add, AddBatch, Update and
+// Restore copy the embedding in. The engine used to keep the caller's
+// slice, so reusing a buffer between adds silently rewrote stored items.
+func TestEngineDoesNotAliasCallerEmbeddings(t *testing.T) {
+	rng := rand.New(rand.NewSource(83))
+	const n, dim, k = 60, 16, 8
+	opts := Options{Backends: []string{EuclideanBFName, VPTreeName, HammingHybridName}, Shards: 3}
+	pristine := randVecs(rng, n+1, dim) // pristine[n] replaces item 5
+	scribble := func(v []float64) {
+		for j := range v {
+			v[j] = 1e6
+		}
+	}
+	clone := func(v []float64) []float64 { return append([]float64(nil), v...) }
+
+	e, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]float64, dim) // one buffer reused for every single add
+	for _, v := range pristine[:n/2] {
+		copy(buf, v)
+		if _, err := e.Add(buf, hamming.Code{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	batch := make([][]float64, 0, n/2)
+	for _, v := range pristine[n/2 : n] {
+		batch = append(batch, clone(v))
+	}
+	if _, err := e.AddBatch(batch, nil); err != nil {
+		t.Fatal(err)
+	}
+	copy(buf, pristine[n])
+	if err := e.Update(5, buf, hamming.Code{}); err != nil {
+		t.Fatal(err)
+	}
+	scribble(buf)
+	for _, v := range batch {
+		scribble(v)
+	}
+	want := append([][]float64(nil), pristine[:n]...)
+	want[5] = pristine[n]
+
+	items := make([]RestoreItem, n)
+	for id := range items {
+		items[id] = RestoreItem{ID: id, Emb: clone(want[id])}
+	}
+	r, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Restore(n, items); err != nil {
+		t.Fatal(err)
+	}
+	for _, it := range items {
+		scribble(it.Emb)
+	}
+
+	fresh, err := New(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fresh.AddBatch(want, nil); err != nil {
+		t.Fatal(err)
+	}
+	for name, got := range map[string]*Engine{"mutated": e, "restored": r} {
+		for id := range want {
+			if emb, ok := got.Embedding(id, nil); !ok || !reflect.DeepEqual(emb, want[id]) {
+				t.Fatalf("%s: Embedding(%d) = %v, want %v", name, id, emb, want[id])
+			}
+		}
+		for _, backend := range opts.Backends {
+			for qi, v := range randVecs(rng, 5, dim) {
+				q := Query{Emb: v, Code: hamming.FromSigns(v)}
+				a, err := searchWith(got, backend, q, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				b, err := searchWith(fresh, backend, q, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(a, b) {
+					t.Fatalf("%s %s query %d: %v, a fresh build answers %v", name, backend, qi, a, b)
+				}
+			}
+		}
+	}
+	// What Embedding returns is the caller's to modify.
+	emb, _ := e.Embedding(0, nil)
+	scribble(emb)
+	if again, _ := e.Embedding(0, nil); !reflect.DeepEqual(again, want[0]) {
+		t.Fatalf("Embedding(0) = %v after the caller modified its copy, want %v", again, want[0])
+	}
+}
+
 // TestAddBatchAppliedPrefix locks AddBatch's failure contract: an item
 // rejected mid-batch returns the ids already assigned — the applied
 // prefix — not nil.

@@ -16,9 +16,8 @@ import (
 // the paper's answer, and this is the classical Euclidean one, provided
 // for comparison (see BenchmarkSearchVPTree in the root bench suite).
 type VPTree struct {
-	dim     int
-	vectors [][]float64
-	root    *vpNode
+	vecs *slab // a private copy from NewVPTree, or the backend's store
+	root *vpNode
 }
 
 type vpNode struct {
@@ -28,45 +27,39 @@ type vpNode struct {
 	outside *vpNode
 }
 
-// NewVPTree builds the tree over the vectors (all of equal dimension).
+// NewVPTree builds the tree over a copy of the vectors (all of equal
+// dimension).
 func NewVPTree(vectors [][]float64, seed int64) (*VPTree, error) {
 	if len(vectors) == 0 {
 		return nil, fmt.Errorf("engine: empty vector set")
 	}
-	dim := len(vectors[0])
+	vecs := &slab{}
 	for i, v := range vectors {
-		if len(v) != dim {
-			return nil, fmt.Errorf("engine: vector %d has dim %d, want %d", i, len(v), dim)
+		if err := vecs.append(v); err != nil {
+			return nil, fmt.Errorf("%w (vector %d)", err, i)
 		}
 	}
-	t := &VPTree{dim: dim, vectors: vectors}
-	ids := make([]int, len(vectors))
+	return newVPTree(vecs, seed), nil
+}
+
+// newVPTree builds the tree over the rows of a non-empty store, which
+// must not change while the tree is in use.
+func newVPTree(vecs *slab, seed int64) *VPTree {
+	t := &VPTree{vecs: vecs}
+	ids := make([]int, vecs.len())
 	for i := range ids {
 		ids[i] = i
 	}
-	rng := rand.New(rand.NewSource(seed))
-	t.root = t.build(ids, rng)
-	return t, nil
+	t.root = t.build(ids, rand.New(rand.NewSource(seed)))
+	return t
 }
 
 func (t *VPTree) dist(a, b int) float64 {
-	va, vb := t.vectors[a], t.vectors[b]
-	var sum float64
-	for i := range va {
-		d := va[i] - vb[i]
-		sum += d * d
-	}
-	return math.Sqrt(sum)
+	return math.Sqrt(sqDist(t.vecs.at(a), t.vecs.at(b)))
 }
 
 func (t *VPTree) distToQuery(q []float64, id int) float64 {
-	v := t.vectors[id]
-	var sum float64
-	for i := range q {
-		d := q[i] - v[i]
-		sum += d * d
-	}
-	return math.Sqrt(sum)
+	return math.Sqrt(sqDist(q, t.vecs.at(id)))
 }
 
 func (t *VPTree) build(ids []int, rng *rand.Rand) *vpNode {
@@ -175,8 +168,8 @@ func (h *knnHeap) swap(a, b int) {
 // Search returns the exact k nearest vector ids to q, closest first.
 // Visited counts distance evaluations (exposed for pruning diagnostics).
 func (t *VPTree) Search(q []float64, k int) (ids []int, visited int) {
-	if len(q) != t.dim {
-		panic(fmt.Sprintf("engine: query dim %d, tree dim %d", len(q), t.dim))
+	if len(q) != t.vecs.dim {
+		panic(fmt.Sprintf("engine: query dim %d, tree dim %d", len(q), t.vecs.dim))
 	}
 	h := &knnHeap{k: k}
 	var walk func(n *vpNode)

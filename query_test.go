@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"sort"
 	"strings"
@@ -109,7 +110,10 @@ func TestDoParity(t *testing.T) {
 
 // TestDoInvalidQueries: every malformed Query shape comes back as
 // Status.Err with no results — and without consulting a shard, so the
-// engine's query counter does not move.
+// engine's query counter does not move. That includes a Vec or Code that
+// is not of the encoder's dimension: half a vector used to be answered
+// Complete with distances over the prefix, a longer one (and either under
+// the Hamming backends) panicked in every shard.
 func TestDoInvalidQueries(t *testing.T) {
 	m, ds := untrainedFixture(t)
 	reg := NewMetricsRegistry()
@@ -120,6 +124,7 @@ func TestDoInvalidQueries(t *testing.T) {
 	q := ds.Queries[0]
 	emb := m.Embed(q)
 	code := SignCode(emb)
+	short, long := emb[:len(emb)/2], append(append([]float64(nil), emb...), 1)
 	for name, query := range map[string]Query{
 		"no input":           {K: 5},
 		"traj and vec":       {Traj: q, Vec: emb, K: 5},
@@ -130,6 +135,11 @@ func TestDoInvalidQueries(t *testing.T) {
 		"code to vptree":     {Code: code, K: 5, Backend: BackendVPTree},
 		"code to vp-tree":    {Code: code, K: 5, Backend: "vp-tree"}, // alias of vptree
 		"unknown backend":    {Vec: emb, K: 5, Backend: "bogus"},
+		"short vec":          {Vec: short, K: 5, Backend: BackendEuclideanBF},
+		"long vec":           {Vec: long, K: 5, Backend: BackendEuclideanBF},
+		"short vec, hybrid":  {Vec: short, K: 5},
+		"long vec, hamming":  {Vec: long, K: 5, Backend: BackendHammingBF},
+		"short code":         {Code: SignCode(short), K: 5},
 	} {
 		rs, st := ix.Do(context.Background(), query)
 		if st.Err == nil || st.Complete || rs != nil || st.ShardsOK != 0 {
@@ -138,6 +148,18 @@ func TestDoInvalidQueries(t *testing.T) {
 	}
 	if got := ix.Stats().Counters["engine.search.total"]; got != 0 {
 		t.Errorf("invalid queries moved engine.search.total to %d", got)
+	}
+	if got := ix.Stats().Counters["engine.shard.panics"]; got != 0 {
+		t.Errorf("invalid queries panicked in %d shards", got)
+	}
+	// The same vectors have no learned distance to a stored item either.
+	for name, qe := range map[string][]float64{"short": short, "long": long, "empty": nil} {
+		if d := ix.ApproxDistanceByVec(qe, 0); !math.IsNaN(d) {
+			t.Errorf("ApproxDistanceByVec of a %s vector = %v, want NaN", name, d)
+		}
+	}
+	if d := ix.ApproxDistanceByVec(emb, 0); math.IsNaN(d) {
+		t.Error("ApproxDistanceByVec of a well-formed vector is NaN")
 	}
 	// A valid query on the same index still counts.
 	do(t, ix, Query{Code: code, K: 5})

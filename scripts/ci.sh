@@ -163,7 +163,7 @@ go build -o bin/benchjson ./cmd/benchjson
 # is exact in steady state, so a short run measures it as well as a
 # long one. Each benchmark warms its reusable buffers before ResetTimer.
 go test -bench 'BenchmarkHotpath' -benchmem -benchtime 100x -run '^$' \
-	./internal/topk ./internal/hamming ./internal/nn ./internal/eval ./internal/core ./internal/dist \
+	./internal/topk ./internal/hamming ./internal/engine ./internal/nn ./internal/eval ./internal/core ./internal/dist \
 	>bin/bench_hotpath.txt || {
 	cat bin/bench_hotpath.txt
 	echo "perf contracts: the BenchmarkHotpath suite failed to run"
