@@ -20,43 +20,67 @@ import (
 // recover to some prefix of the mutation script and answer queries
 // byte-identically to a fresh index built over exactly that prefix.
 
-// mop is one scripted mutation against the public Index API.
+// mop is one scripted call against the public Index API: a single
+// mutation, or a batch of adds (AddBatchCtx — one WAL group).
 type mop struct {
-	kind int // mopAdd | mopDelete | mopUpdate
+	kind int // mopAdd | mopDelete | mopUpdate | mopBatch
 	id   int
 	t    Trajectory
+	ts   []Trajectory // mopBatch only
 }
 
 const (
 	mopAdd = iota
 	mopDelete
 	mopUpdate
+	mopBatch
 )
 
-// durabilityScript interleaves adds, deletes, and updates over distinct
-// dataset trajectories. Every op changes the observable state (updates
-// use fresh trajectories), so each script prefix is distinguishable —
-// which is what lets recovery tests identify the durable prefix.
+// itemsOf flattens a script of calls into the single mutations it makes,
+// the granularity recovery is judged at: a crash inside a batch may keep
+// any prefix of its items.
+func itemsOf(ops []mop) []mop {
+	items := make([]mop, 0, len(ops))
+	for _, op := range ops {
+		if op.kind != mopBatch {
+			items = append(items, op)
+			continue
+		}
+		for _, t := range op.ts {
+			items = append(items, mop{kind: mopAdd, t: t})
+		}
+	}
+	return items
+}
+
+// durabilityScript interleaves adds, deletes, updates and one batch of
+// adds over distinct dataset trajectories. Every mutation changes the
+// observable state (updates use fresh trajectories), so each prefix of
+// the script's items is distinguishable — which is what lets recovery
+// tests identify the durable prefix. Under durableOpts' SnapshotEvery 4
+// the batch starts two records after a snapshot, so the next one falls
+// due inside it and is taken behind the whole group.
 func durabilityScript(ds *Dataset) []mop {
 	db := ds.Database
-	ops := make([]mop, 0, 16)
+	ops := make([]mop, 0, 17)
 	for i := 0; i < 8; i++ {
 		ops = append(ops, mop{kind: mopAdd, t: db[i]})
 	}
 	return append(ops,
 		mop{kind: mopDelete, id: 2},
 		mop{kind: mopUpdate, id: 5, t: db[8]},
-		mop{kind: mopAdd, t: db[9]}, // id 8
+		mop{kind: mopBatch, ts: db[13:18]}, // ids 8–12
+		mop{kind: mopAdd, t: db[9]},        // id 13
 		mop{kind: mopDelete, id: 0},
-		mop{kind: mopAdd, t: db[10]}, // id 9
+		mop{kind: mopAdd, t: db[10]}, // id 14
 		mop{kind: mopUpdate, id: 3, t: db[11]},
 		mop{kind: mopDelete, id: 7},
-		mop{kind: mopAdd, t: db[12]}, // id 10
+		mop{kind: mopAdd, t: db[12]}, // id 15
 	)
 }
 
 // applyOps runs the script until the first failure, returning how many
-// ops fully succeeded.
+// calls fully succeeded.
 func applyOps(ix *Index, ops []mop) (int, error) {
 	for i, op := range ops {
 		var err error
@@ -67,6 +91,8 @@ func applyOps(ix *Index, ops []mop) (int, error) {
 			err = ix.Delete(op.id)
 		case mopUpdate:
 			err = ix.Update(op.id, op.t)
+		case mopBatch:
+			_, err = ix.AddBatchCtx(context.Background(), op.ts)
 		}
 		if err != nil {
 			return i, err
@@ -75,8 +101,9 @@ func applyOps(ix *Index, ops []mop) (int, error) {
 	return len(ops), nil
 }
 
-// expectedAfter simulates the first L script ops in pure Go: the next
-// id the index would assign and the live id → trajectory mapping.
+// expectedAfter simulates the first L single mutations (itemsOf a script)
+// in pure Go: the next id the index would assign and the live id →
+// trajectory mapping.
 func expectedAfter(ops []mop, L int) (int, map[int]Trajectory) {
 	next := 0
 	live := map[int]Trajectory{}
@@ -110,9 +137,9 @@ func stateMatches(ix *Index, maxNext int, live map[int]Trajectory) bool {
 	return true
 }
 
-// matchPrefix finds the longest script prefix whose state equals what
-// ix recovered. ok=false means the recovered state is NOT any prefix —
-// the durability contract is broken.
+// matchPrefix finds the longest prefix of single mutations whose state
+// equals what ix recovered. ok=false means the recovered state is NOT any
+// prefix — the durability contract is broken.
 func matchPrefix(ix *Index, ops []mop, maxNext int) (int, bool) {
 	for L := len(ops); L >= 0; L-- {
 		_, live := expectedAfter(ops, L)
@@ -201,10 +228,11 @@ func oracleIndex(t *testing.T, enc Encoder, backend string, shards int, ops []mo
 // before renaming) — crash there, recover the directory through a
 // healthy filesystem, and require that
 //
-//  1. the recovered state is EXACTLY some prefix of the mutation script,
-//  2. that prefix covers every op whose call returned success (durability
-//     was promised: WALSyncEvery=1) and overshoots by at most the op
-//     in flight at the crash,
+//  1. the recovered state is EXACTLY some prefix of the script's single
+//     mutations (a batch counts item by item),
+//  2. that prefix covers every call that returned success (durability
+//     was promised: WALSyncEvery=1) and overshoots by at most the call
+//     in flight at the crash — for the batch, any prefix of its group,
 //  3. a fresh in-memory index built over exactly that prefix answers
 //     every query byte-identically on all backends,
 //  4. deleted ids never appear in any answer.
@@ -214,7 +242,8 @@ func oracleIndex(t *testing.T, enc Encoder, backend string, shards int, ops []mo
 func TestCrashRecoveryParity(t *testing.T) {
 	m, ds := untrainedFixture(t)
 	ops := durabilityScript(ds)
-	maxNext, _ := expectedAfter(ops, len(ops))
+	items := itemsOf(ops)
+	maxNext, _ := expectedAfter(items, len(items))
 	queries := ds.Queries[:2]
 
 	configs := []struct {
@@ -264,6 +293,7 @@ func TestCrashRecoveryParity(t *testing.T) {
 				faults = append(faults, fault{fmt.Sprintf("fail-rename-%d", r), func(f *faultinject.FS) { f.FailRenameAt(r) }})
 			}
 
+			splitBatch := false // some crash kept a proper prefix of the batch's group
 			for _, fl := range faults {
 				dir := t.TempDir()
 				ffs := faultinject.NewFS(nil)
@@ -287,19 +317,25 @@ func TestCrashRecoveryParity(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: recovery failed: %v", fl.name, err)
 				}
-				L, ok := matchPrefix(rec, ops, maxNext)
+				L, ok := matchPrefix(rec, items, maxNext)
 				if !ok {
 					t.Fatalf("%s: recovered state (Len=%d) is not any prefix of the script", fl.name, rec.Len())
 				}
-				if L < applied || L > applied+1 {
-					t.Fatalf("%s: durable prefix %d, but %d ops returned success (want applied <= L <= applied+1)", fl.name, L, applied)
+				// The crash happened inside call number applied (0-based).
+				acked, inFlight := len(itemsOf(ops[:applied])), len(itemsOf(ops[:applied+1]))
+				if L < acked || L > inFlight {
+					t.Fatalf("%s: durable prefix %d mutations, but the %d calls that returned success made %d and the call in flight ends at %d", fl.name, L, applied, acked, inFlight)
 				}
-				_, live := expectedAfter(ops, L)
-				oracle := oracleIndex(t, m, cfg.backend, cfg.shards, ops[:L])
+				splitBatch = splitBatch || (ops[applied].kind == mopBatch && acked < L && L < inFlight)
+				_, live := expectedAfter(items, L)
+				oracle := oracleIndex(t, m, cfg.backend, cfg.shards, items[:L])
 				assertIndexParity(t, fmt.Sprintf("%s L=%d", fl.name, L), rec, oracle, queries, live)
 				if err := rec.Close(); err != nil {
 					t.Fatalf("%s: closing recovered index: %v", fl.name, err)
 				}
+			}
+			if !splitBatch {
+				t.Fatal("no crash point recovered a proper prefix of the batch: the matrix does not reach inside a group")
 			}
 		})
 	}
@@ -551,6 +587,125 @@ func TestMutationsAfterCloseFailClosed(t *testing.T) {
 	}
 	if id, err := mem.AddCtx(context.Background(), ds.Database[5]); err != nil || id != 2 {
 		t.Fatalf("in-memory Add after Close = (%d, %v), want id 2", id, err)
+	}
+}
+
+// TestWALFailureIsLatched: an append error the process survives (a write
+// that ran out of disk half-way, the filesystem still alive) used to be
+// forgotten — the next AddCtx was appended behind the partial record,
+// fsynced and acknowledged, and a reopen truncated the log at the partial
+// record and took the acknowledged one with it. The store now stays
+// failed: every later mutation is refused whole with ErrWALFailed, queries
+// keep answering, and a reopen finds every acknowledged id.
+func TestWALFailureIsLatched(t *testing.T) {
+	m, ds := untrainedFixture(t)
+	ctx := context.Background()
+	dir := t.TempDir()
+	opts := Options{Shards: 2, WALDir: dir, SnapshotEvery: -1, WALSyncEvery: 1}
+	ffs := faultinject.NewFS(nil)
+	opts.walFS = ffs
+	ix, err := NewIndexWith(m, nil, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opening, _, _ := ffs.Counts()
+	ffs.PartialWriteAt(opening + 2) // the second append
+	if id, err := ix.AddCtx(ctx, ds.Database[0]); err != nil || id != 0 {
+		t.Fatalf("first AddCtx = (%d, %v), want id 0", id, err)
+	}
+	if _, err := ix.AddCtx(ctx, ds.Database[1]); !errors.Is(err, faultinject.ErrNoSpace) || !errors.Is(err, ErrWALFailed) {
+		t.Fatalf("AddCtx over the failing write = %v, want ErrNoSpace wrapped beside ErrWALFailed", err)
+	}
+	if ffs.Crashed() {
+		t.Fatal("the partial write crashed the filesystem; this test needs it alive")
+	}
+
+	// Nothing is acknowledged behind the failure, and nothing is applied.
+	n := ix.Len()
+	want := do(t, ix, Query{Traj: ds.Queries[0], K: 2})
+	if id, err := ix.AddCtx(ctx, ds.Database[2]); !errors.Is(err, ErrWALFailed) {
+		t.Errorf("AddCtx on a failed WAL = (%d, %v), want ErrWALFailed", id, err)
+	}
+	if ids, err := ix.AddBatchCtx(ctx, ds.Database[2:5]); !errors.Is(err, ErrWALFailed) || len(ids) != 0 {
+		t.Errorf("AddBatchCtx on a failed WAL = (%v, %v), want ErrWALFailed and no ids", ids, err)
+	}
+	if err := ix.Update(0, ds.Database[9]); !errors.Is(err, ErrWALFailed) {
+		t.Errorf("Update on a failed WAL = %v, want ErrWALFailed", err)
+	}
+	if err := ix.Delete(0); !errors.Is(err, ErrWALFailed) {
+		t.Errorf("Delete on a failed WAL = %v, want ErrWALFailed", err)
+	}
+	if tr, ok := ix.Trajectory(0); ix.Len() != n || !ok || !reflect.DeepEqual(tr, ds.Database[0]) {
+		t.Errorf("refused mutations changed the index: Len %d (was %d), id 0 present %v", ix.Len(), n, ok)
+	}
+	assertSameResults(t, "search on a failed WAL", do(t, ix, Query{Traj: ds.Queries[0], K: 2}), want)
+	w, s, _ := ffs.Counts()
+	if err := ix.Close(); !errors.Is(err, ErrWALFailed) {
+		t.Errorf("Close of a failed index = %v, want the latched failure reported", err)
+	}
+	if w2, s2, _ := ffs.Counts(); w2 != w || s2 != s {
+		t.Errorf("Close of a failed index wrote or fsynced (%d writes, %d fsyncs since the failure)", w2-w, s2-s)
+	}
+
+	opts.walFS = nil
+	re, err := NewIndexWith(m, nil, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		//lint:ignore errcheck test cleanup close
+		re.Close()
+	}()
+	if info := re.Recovery(); re.Len() != 1 || !info.TornTail {
+		t.Fatalf("reopen: Len %d, %+v — want the one acknowledged add behind a truncated partial record", re.Len(), info)
+	}
+	if tr, ok := re.Trajectory(0); !ok || !reflect.DeepEqual(tr, ds.Database[0]) {
+		t.Fatal("reopen lost the acknowledged id 0")
+	}
+}
+
+// TestGroupCommitOperationCounts pins the WAL's cost per call on a
+// counting filesystem under WALSyncEvery 1: a 64-trajectory AddBatchCtx
+// is one log write and one fsync (it was 64 of each), consecutive batches
+// one of each per call, and a single AddCtx still exactly one of each.
+func TestGroupCommitOperationCounts(t *testing.T) {
+	m, ds := untrainedFixture(t)
+	ctx := context.Background()
+	fs := faultinject.NewFS(nil)
+	ix, err := NewIndexWith(m, nil, Options{Shards: 2, WALDir: t.TempDir(), SnapshotEvery: -1, WALSyncEvery: 1, walFS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		//lint:ignore errcheck test cleanup close
+		ix.Close()
+	}()
+	steps := []struct {
+		name string
+		run  func() error
+		want int // log writes, and fsyncs
+	}{
+		{"AddBatchCtx of 64", func() error { _, err := ix.AddBatchCtx(ctx, ds.Database[:64]); return err }, 1},
+		{"AddCtx", func() error { _, err := ix.AddCtx(ctx, ds.Database[64]); return err }, 1},
+		{"three AddBatchCtx of 5", func() error {
+			for lo := 65; lo < 80; lo += 5 {
+				if _, err := ix.AddBatchCtx(ctx, ds.Database[lo:lo+5]); err != nil {
+					return err
+				}
+			}
+			return nil
+		}, 3},
+		{"Update", func() error { return ix.Update(3, ds.Database[70]) }, 1},
+		{"Delete", func() error { return ix.Delete(4) }, 1},
+	}
+	for _, st := range steps {
+		w0, s0, _ := fs.Counts()
+		if err := st.run(); err != nil {
+			t.Fatalf("%s: %v", st.name, err)
+		}
+		if w, s, _ := fs.Counts(); w-w0 != st.want || s-s0 != st.want {
+			t.Errorf("%s: %d log writes and %d fsyncs, want %d of each", st.name, w-w0, s-s0, st.want)
+		}
 	}
 }
 

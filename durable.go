@@ -12,11 +12,32 @@ import (
 
 // This file is the mutability + durability face of the Index:
 // Delete/Update (engine tombstones and in-place replacement), the two
-// Add forms, and the write-ahead-log protocol — apply the mutation in
-// memory, append its record (group-fsynced), snapshot on cadence.
+// Add forms, and the write-ahead-log protocol — apply a group of
+// mutations in memory (one, for the single forms), append their records
+// in one write (group-fsynced), snapshot on cadence.
 // Recovery (openWAL/restore) is the inverse: load the latest snapshot
 // into the engine, replay the log tail idempotently, and remember what
 // happened in RecoveryInfo.
+
+// walGroupBytes is the budget of log frames AddBatchCtx stages before it
+// commits them: a batch is applied and logged in groups, and a group
+// closes once its encoded frames reach this many bytes — so a 100 K-trip
+// seed batch stages 1 MiB of frames (plus one record) at a time, not
+// 124 MB, and in-memory state never runs ahead of the log by more.
+const walGroupBytes = 1 << 20
+
+// writable reports why a mutation must be refused whole, before it
+// touches memory: the index was closed, or its WAL failed. Callers hold
+// ix.mu.
+func (ix *Index) writable() error {
+	if ix.closed {
+		return ErrClosed
+	}
+	if ix.store != nil {
+		return ix.store.Err()
+	}
+	return nil
+}
 
 // Delete removes the trajectory with the given id from the index: it
 // disappears from every subsequent search and WithinCtx answer immediately
@@ -28,8 +49,8 @@ import (
 func (ix *Index) Delete(id int) error {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	if ix.closed {
-		return ErrClosed
+	if err := ix.writable(); err != nil {
+		return err
 	}
 	if err := ix.eng.Delete(id); err != nil {
 		return err
@@ -37,7 +58,7 @@ func (ix *Index) Delete(id int) error {
 	// Release the trajectory: a deleted id answers nothing, so holding it
 	// would only pin memory.
 	ix.trajs[id] = nil
-	return ix.logMutation(wal.Record{Op: wal.OpDelete, ID: id})
+	return ix.logMutations(wal.Record{Op: wal.OpDelete, ID: id})
 }
 
 // Update re-embeds t and replaces the trajectory stored under id in
@@ -54,14 +75,14 @@ func (ix *Index) Update(id int, t Trajectory) error {
 	code := hamming.FromSigns(emb)
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	if ix.closed {
-		return ErrClosed
+	if err := ix.writable(); err != nil {
+		return err
 	}
 	if err := ix.eng.Update(id, emb, code); err != nil {
 		return err
 	}
 	ix.trajs[id] = t
-	return ix.logMutation(wal.Record{Op: wal.OpUpdate, ID: id, Emb: emb, Code: code, Traj: flattenTraj(t)})
+	return ix.logMutations(wal.Record{Op: wal.OpUpdate, ID: id, Emb: emb, Code: code, Traj: flattenTraj(t)})
 }
 
 // AddCtx embeds and indexes one more trajectory, returning its id. A done
@@ -81,17 +102,38 @@ func (ix *Index) AddCtx(ctx context.Context, t Trajectory) (int, error) {
 	emb := ix.enc.Embed(t)
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	return ix.add(t, emb)
+	if err := ix.writable(); err != nil {
+		return 0, err
+	}
+	rec, err := ix.applyAdd(t, emb)
+	if err != nil {
+		return 0, err
+	}
+	if err := ix.logMutations(rec); err != nil {
+		return 0, err
+	}
+	return rec.ID, nil
 }
 
 // AddBatchCtx embeds (in parallel, across the index's worker budget) and
 // indexes a batch of trajectories, returning their ids. A done context
 // fails fast BEFORE the batch is embedded (embedding is the expensive
 // part — the same fail-fast contract AddCtx documents) and is re-checked
-// before each item. On any failure — cancellation, a rejected item, a WAL
-// append error — the ids already indexed (and durably logged, when a WAL
-// is configured) are returned alongside the error: the applied prefix,
-// exactly what reopening the directory would recover.
+// before each item.
+//
+// With a WAL the batch is committed in groups: a group's items are applied
+// in memory, their records reach the log in ONE write followed by ONE
+// fsync, and only then are their ids acknowledged. A group ends with the
+// batch, at the first refused item, or at walGroupBytes of log frames. No
+// fsync a per-item commit would have issued in between was observable: the
+// ids only exist for the caller once the call returns.
+//
+// On any failure — cancellation, a rejected item, a WAL error — the
+// returned ids are the acknowledged prefix of the batch: every one of them
+// is durable (with WALSyncEvery 1), none belongs to a group whose write or
+// fsync failed. Reopening the directory recovers a prefix of the batch that
+// covers every returned id and runs past them by at most the group in
+// flight at the failure.
 func (ix *Index) AddBatchCtx(ctx context.Context, ts []Trajectory) ([]int, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -102,16 +144,37 @@ func (ix *Index) AddBatchCtx(ctx context.Context, ts []Trajectory) ([]int, error
 	embs := ix.enc.EmbedAllParallel(ts, ix.opts.Workers)
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
+	if err := ix.writable(); err != nil {
+		return nil, err
+	}
 	ids := make([]int, 0, len(ts))
-	for i, t := range ts {
-		if err := ctx.Err(); err != nil {
+	var group []wal.Record
+	for len(ids) < len(ts) {
+		// Apply one group in memory, up to the first item that is refused or
+		// the one whose frame takes the group to its budget …
+		group = group[:0]
+		var refused error
+		for i, frames := len(ids), 0; i < len(ts) && frames < walGroupBytes; i++ {
+			if refused = ctx.Err(); refused != nil {
+				break
+			}
+			rec, err := ix.applyAdd(ts[i], embs[i])
+			if refused = err; err != nil {
+				break
+			}
+			group = append(group, rec)
+			frames += rec.FrameLen()
+		}
+		// … then commit it, and only then acknowledge its ids.
+		if err := ix.logMutations(group...); err != nil {
 			return ids, err
 		}
-		id, err := ix.add(t, embs[i])
-		if err != nil {
-			return ids, err
+		for _, rec := range group {
+			ids = append(ids, rec.ID)
 		}
-		ids = append(ids, id)
+		if refused != nil {
+			return ids, refused
+		}
 	}
 	return ids, nil
 }
@@ -134,17 +197,19 @@ func (ix *Index) Close() error {
 	return err
 }
 
-// logMutation appends one record to the WAL (no-op for in-memory
-// indexes) and snapshots when the cadence says so. Callers hold ix.mu
-// and have already applied the mutation in memory — the in-memory state
-// IS the state a due snapshot captures. An error means durability was
-// lost for this mutation (it is still applied in memory); the caller
-// should surface it and rebuild via NewIndexWith.
-func (ix *Index) logMutation(rec wal.Record) error {
+// logMutations commits a group of mutations: their records are appended
+// to the WAL in one write (no-op for in-memory indexes) and a snapshot is
+// taken if the cadence says so — once, after the group. Callers hold
+// ix.mu and have already applied the mutations in memory — the in-memory
+// state IS the state a due snapshot captures. An error means none of the
+// group may be acknowledged (it is still applied in memory) and the WAL
+// has failed: every later mutation is refused with ErrWALFailed; the
+// caller should surface it and rebuild via NewIndexWith.
+func (ix *Index) logMutations(group ...wal.Record) error {
 	if ix.store == nil {
 		return nil
 	}
-	if err := ix.store.Append(rec); err != nil {
+	if err := ix.store.AppendBatch(group); err != nil {
 		return err
 	}
 	if ix.store.SnapshotDue() {

@@ -29,6 +29,16 @@ var (
 // working. Test with errors.Is.
 var ErrClosed = errors.New("traj2hash: index closed")
 
+// ErrWALFailed is returned (wrapped, beside its cause) by the mutation
+// whose WAL write, fsync or snapshot failed, and by every
+// AddCtx/AddBatchCtx/Delete/Update after it: a failed write leaves a
+// partial record in the log that recovery truncates together with
+// everything behind it, so a later mutation could be acknowledged and then
+// lost. Like a closed index, a failed one refuses mutations whole — no
+// in-memory change — and keeps answering queries; Close it and reopen the
+// directory with NewIndexWith to recover. Test with errors.Is.
+var ErrWALFailed = wal.ErrFailed
+
 // ErrNonFiniteEmbedding is returned — by the mutations directly, by the
 // queries in Status.Err — when the embedding of a trajectory (or a
 // caller-supplied Query.Vec) has a NaN or infinite coordinate: an empty
@@ -225,7 +235,8 @@ func NewIndex(enc Encoder, ts []Trajectory) (*Index, error) {
 
 // NewIndexWith embeds and indexes the given trajectories (which may be
 // empty) with explicit Options. The initial batch is embedded in parallel
-// across opts.Workers goroutines.
+// across opts.Workers goroutines and indexed by AddBatchCtx — with a WAL,
+// in groups of one log write and one fsync each, not one per trajectory.
 //
 // With Options.WALDir set, the directory's prior state is recovered
 // first (snapshot + log-tail replay; see RecoveryInfo). The initial
@@ -282,8 +293,9 @@ func NewIndexWith(enc Encoder, ts []Trajectory, opts Options) (*Index, error) {
 	if ids, err := ix.AddBatchCtx(context.Background(), ts); err != nil {
 		//lint:ignore errcheck the batch error takes precedence over the store cleanup close
 		ix.Close()
-		// With a WAL the applied prefix is already durable: the next
-		// NewIndexWith on this directory recovers it and ignores ts.
+		// With a WAL the acknowledged prefix is already durable: the next
+		// NewIndexWith on this directory recovers it (and whatever of the
+		// group in flight reached the log) and ignores ts.
 		return nil, fmt.Errorf("traj2hash: seeding the index stopped after %d of %d trajectories: %w", len(ids), len(ts), err)
 	}
 	return ix, nil
@@ -293,26 +305,21 @@ func NewIndexWith(enc Encoder, ts []Trajectory, opts Options) (*Index, error) {
 // RecoveryInfo for an in-memory index or a fresh directory).
 func (ix *Index) Recovery() RecoveryInfo { return ix.rec }
 
-// add indexes one embedded trajectory and logs it durably when a WAL is
-// configured; callers hold ix.mu, which keeps the engine's sequential
-// ids aligned with ix.trajs positions.
-func (ix *Index) add(t Trajectory, emb []float64) (int, error) {
-	if ix.closed {
-		return 0, ErrClosed
-	}
+// applyAdd indexes one embedded trajectory in memory and returns the WAL
+// record describing it; callers hold ix.mu, which keeps the engine's
+// sequential ids aligned with ix.trajs positions, and commit the record
+// with logMutations before they acknowledge its id.
+func (ix *Index) applyAdd(t Trajectory, emb []float64) (wal.Record, error) {
 	if err := checkEmbedding(emb); err != nil {
-		return 0, err
+		return wal.Record{}, err
 	}
 	code := hamming.FromSigns(emb)
 	id, err := ix.eng.Add(emb, code)
 	if err != nil {
-		return 0, err
+		return wal.Record{}, err
 	}
 	ix.trajs = append(ix.trajs, t)
-	if err := ix.logMutation(wal.Record{Op: wal.OpAdd, ID: id, Emb: emb, Code: code, Traj: flattenTraj(t)}); err != nil {
-		return 0, err
-	}
-	return id, nil
+	return wal.Record{Op: wal.OpAdd, ID: id, Emb: emb, Code: code, Traj: flattenTraj(t)}, nil
 }
 
 // Len returns the number of live (non-deleted) indexed trajectories.

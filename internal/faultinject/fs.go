@@ -15,6 +15,12 @@ import (
 // restarted process would.
 var ErrCrashed = errors.New("faultinject: filesystem crashed")
 
+// ErrNoSpace is the error of the one fault that does NOT crash the FS: a
+// write that ran out of room part-way, ENOSPC-style. The process — and
+// the filesystem under it — live on, so what the durability layer does
+// next is observable, not just what recovery finds.
+var ErrNoSpace = errors.New("faultinject: no space left on device")
+
 // FS wraps a wal.VFS with a deterministic fault schedule over the
 // write-side operations the durability layer performs. Operations are
 // counted per kind (file writes, file fsyncs, renames) and a fault fires
@@ -26,6 +32,9 @@ var ErrCrashed = errors.New("faultinject: filesystem crashed")
 //     FS crashes — data handed to the OS but never made durable.
 //   - FailRenameAt(n): the n-th Rename fails before renaming, then the
 //     FS crashes — a snapshot fully written but never published.
+//   - PartialWriteAt(n): the n-th File.Write persists only half its
+//     bytes and fails with ErrNoSpace — and the FS stays ALIVE: every
+//     later operation goes through. The survivable append error.
 //
 // Crash-at-every-point suites first run the workload on a counting-only
 // FS to learn how many operations of each kind it performs, then replay
@@ -40,6 +49,7 @@ type FS struct {
 	syncs        int
 	renames      int
 	shortWriteAt int
+	partialAt    int
 	failSyncAt   int
 	failRenameAt int
 	crashed      bool
@@ -57,6 +67,10 @@ func NewFS(inner wal.VFS) *FS {
 // ShortWriteAt arms the short-write fault at the 1-based write index n
 // (0 disarms).
 func (f *FS) ShortWriteAt(n int) { f.mu.Lock(); defer f.mu.Unlock(); f.shortWriteAt = n }
+
+// PartialWriteAt arms the non-crashing partial-write fault at the 1-based
+// write index n (0 disarms).
+func (f *FS) PartialWriteAt(n int) { f.mu.Lock(); defer f.mu.Unlock(); f.partialAt = n }
 
 // FailSyncAt arms the fsync fault at the 1-based sync index n (0 disarms).
 func (f *FS) FailSyncAt(n int) { f.mu.Lock(); defer f.mu.Unlock(); f.failSyncAt = n }
@@ -187,8 +201,9 @@ type faultyFile struct {
 }
 
 // writeFault counts one write and decides its fate under the lock:
-// tear=true means this write is the scheduled short write (and the FS
-// is now crashed).
+// tear=true means this write persists only half its bytes and fails with
+// err — ErrCrashed for the scheduled short write (the FS is now crashed),
+// ErrNoSpace for the scheduled partial write (it is not).
 func (f *FS) writeFault() (tear bool, err error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -196,9 +211,12 @@ func (f *FS) writeFault() (tear bool, err error) {
 		return false, ErrCrashed
 	}
 	f.writes++
-	if f.shortWriteAt > 0 && f.writes == f.shortWriteAt {
+	switch f.writes {
+	case f.shortWriteAt:
 		f.crashed = true
-		return true, nil
+		return true, ErrCrashed
+	case f.partialAt:
+		return true, ErrNoSpace
 	}
 	return false, nil
 }
@@ -218,19 +236,19 @@ func (f *FS) syncFault() error {
 	return nil
 }
 
-// Write implements wal.File. The scheduled short write persists the
-// first half of p and then crashes the FS — producing a literally torn
-// record on the real file, which is what the recovery path must detect
-// and truncate.
+// Write implements wal.File. A scheduled short or partial write persists
+// the first half of p and fails — producing a literally torn record on
+// the real file, which is what the recovery path must detect and
+// truncate.
 func (w *faultyFile) Write(p []byte) (int, error) {
 	tear, err := w.fs.writeFault()
-	if err != nil {
-		return 0, err
-	}
 	if tear {
 		//lint:ignore errcheck the injected error below supersedes the real half-write's outcome
 		n, _ := w.inner.Write(p[:len(p)/2])
-		return n, fmt.Errorf("faultinject: injected short write (%d of %d bytes): %w", len(p)/2, len(p), ErrCrashed)
+		return n, fmt.Errorf("faultinject: injected short write (%d of %d bytes): %w", len(p)/2, len(p), err)
+	}
+	if err != nil {
+		return 0, err
 	}
 	return w.inner.Write(p)
 }

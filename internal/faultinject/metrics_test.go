@@ -244,7 +244,9 @@ func TestChaosPanicsAllVisible(t *testing.T) {
 // engine.compactions by precisely the scripted amounts, and a WAL
 // workload crashed mid-append by an injected short write must surface
 // as exactly one wal.recoveries and one wal.torn_tails on reopen, with
-// wal.appends/wal.fsyncs counting only the operations that succeeded.
+// wal.appends/wal.fsyncs counting only the operations that succeeded —
+// records for the former, writes for the latter: a group of n records
+// moves them by n and by 1.
 func TestMutationAndWALMetricsExact(t *testing.T) {
 	reg := obs.New()
 
@@ -279,11 +281,12 @@ func TestMutationAndWALMetricsExact(t *testing.T) {
 	}
 
 	// WAL side: a store through a fault-injected FS. The log's magic
-	// header is write 1 and each appended record is one more write, so
-	// arming the short write at index 5 tears the FOURTH record.
+	// header is write 1, each appended record is one more write and a
+	// group of records ONE more, so arming the short write at index 6
+	// tears the record behind three appends and a group of five.
 	dir := t.TempDir()
 	fs := NewFS(nil)
-	fs.ShortWriteAt(5)
+	fs.ShortWriteAt(6)
 	s, _, err := wal.Open(wal.Options{Dir: dir, Metrics: reg, FS: fs})
 	if err != nil {
 		t.Fatal(err)
@@ -295,7 +298,14 @@ func TestMutationAndWALMetricsExact(t *testing.T) {
 			t.Fatalf("append %d: %v", i, err)
 		}
 	}
-	rec.ID = 3
+	group := make([]wal.Record, 5)
+	for i := range group {
+		group[i], group[i].ID = rec, 3+i
+	}
+	if err := s.AppendBatch(group); err != nil {
+		t.Fatalf("group append: %v", err)
+	}
+	rec.ID = 8
 	if err := s.Append(rec); !errors.Is(err, ErrCrashed) {
 		t.Fatalf("torn append = %v, want ErrCrashed", err)
 	}
@@ -310,16 +320,16 @@ func TestMutationAndWALMetricsExact(t *testing.T) {
 		//lint:ignore errcheck test cleanup close
 		s2.Close()
 	}()
-	if !recovered.TornTail || len(recovered.Tail) != 3 {
-		t.Fatalf("recovered torn=%v tail=%d, want true/3", recovered.TornTail, len(recovered.Tail))
+	if !recovered.TornTail || len(recovered.Tail) != 8 {
+		t.Fatalf("recovered torn=%v tail=%d, want true/8", recovered.TornTail, len(recovered.Tail))
 	}
 
 	snap := reg.Snapshot()
 	want := map[string]int64{
 		"engine.deletes":     4,
 		"engine.compactions": 2, // one per shard holding tombstones
-		"wal.appends":        3, // the torn fourth append never counts
-		"wal.fsyncs":         3, // one group fsync per successful append (SyncEvery=1)
+		"wal.appends":        8, // 3 singles + the group's 5; the torn append never counts
+		"wal.fsyncs":         4, // one per successful write (SyncEvery=1): a group of n is appends + n, fsyncs + 1
 		"wal.recoveries":     1, // only the reopen found prior state
 		"wal.torn_tails":     1,
 	}

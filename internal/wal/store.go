@@ -22,6 +22,24 @@ const (
 // used when Options.SnapshotEvery is zero.
 const DefaultSnapshotEvery = 1024
 
+// maxRetainedBuf bounds the encode buffer a store keeps between appends —
+// room for any single record short of a 4 000-point trajectory. A group
+// that needs more is encoded into a buffer the store lets go of, so a
+// bulk load does not pin its last group's frames for the store's life.
+const maxRetainedBuf = 64 << 10
+
+// ErrFailed is wrapped by the error of the first log write, fsync or
+// snapshot step that fails, and by every Append, AppendBatch, Sync and
+// WriteSnapshot after it: a failed write leaves a partial frame of unknown
+// length in the log and a failed fsync leaves the kernel free to have
+// dropped the dirty pages, so nothing appended behind either could be
+// promised durable. The store stays failed until it is closed and the
+// directory reopened (recovery truncates the partial frame). Test with
+// errors.Is; the cause is wrapped beside it.
+var ErrFailed = errors.New("wal: store failed and takes no further writes")
+
+var errClosed = errors.New("wal: store is closed")
+
 // Options configures a Store.
 type Options struct {
 	// Dir is the directory holding the log and snapshots; created if
@@ -77,10 +95,14 @@ type Recovered struct {
 // use; appends are serialized by an internal mutex, which is also what
 // makes the fixed temp-file name of the snapshot writer safe.
 //
-// The write protocol its owner follows: apply the mutation in memory,
-// Append the record (group-fsynced), and when SnapshotDue, capture the
-// state and WriteSnapshot it — which resets the log, bounding replay
-// work by the snapshot cadence.
+// The unit the store writes, syncs and acknowledges is a group of records
+// (AppendBatch; Append is the group of one): the group's frames reach the
+// file in one write and the group-fsync rule is applied once, after it.
+// The write protocol its owner follows: apply the group's mutations in
+// memory, append their records, and when SnapshotDue, capture the state
+// and WriteSnapshot it — which resets the log, bounding replay work by
+// the snapshot cadence. The first write or fsync that fails ends the
+// store's life (ErrFailed): it refuses everything but Close from then on.
 type Store struct {
 	opts Options
 	fs   VFS
@@ -88,9 +110,10 @@ type Store struct {
 
 	mu        sync.Mutex
 	f         File
-	buf       []byte
-	pending   int // appends since the last fsync
-	sinceSnap int // appends since the last snapshot
+	buf       []byte // encode buffer, kept while cap <= maxRetainedBuf
+	pending   int    // records appended since the last fsync
+	sinceSnap int    // records appended since the last snapshot
+	failed    error  // the latched first failure, wrapping ErrFailed
 
 	appends   *obs.Counter // wal.appends
 	fsyncs    *obs.Counter // wal.fsyncs
@@ -187,29 +210,82 @@ func (s *Store) openLog(empty bool) error {
 	return nil
 }
 
-// Append logs one mutation record. The record is durable once this (or
-// a later) call has fsynced — with SyncEvery == 1, immediately; with
-// group fsync, after at most SyncEvery-1 further appends or an explicit
-// Sync. An append error leaves the store unusable for further appends
-// (the log position is undefined); the owner should surface it and
-// rebuild via Open.
-func (s *Store) Append(r Record) error {
+// Append logs one mutation record: AppendBatch of a group of one.
+func (s *Store) Append(r Record) error { return s.AppendBatch([]Record{r}) }
+
+// AppendBatch logs a group of mutation records: their frames are encoded
+// back to back — the bytes len(rs) Appends would have written — handed to
+// the file in one write, and the group-fsync rule is applied once, to the
+// whole group. The records are durable once this (or a later) call has
+// fsynced — with SyncEvery == 1, before it returns; otherwise once
+// SyncEvery records are pending, or on an explicit Sync. A crash in the
+// middle of the write leaves some whole frames of the group and at most
+// one partial one, which recovery truncates: a prefix of the group.
+//
+// An error means none of the group may be acknowledged, and it is final:
+// the store is failed (ErrFailed) and the owner should surface the error,
+// Close, and rebuild via Open.
+func (s *Store) AppendBatch(rs []Record) error {
+	if len(rs) == 0 {
+		return nil
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.f == nil {
-		return fmt.Errorf("wal: store is closed")
+	if err := s.usable(); err != nil {
+		return err
 	}
-	s.buf = appendRecord(s.buf[:0], r)
-	if _, err := s.f.Write(s.buf); err != nil {
-		return fmt.Errorf("wal: appending %s record for id %d: %w", r.Op, r.ID, err)
+	need := 0
+	for i := range rs {
+		need += rs[i].FrameLen()
 	}
-	s.appends.Inc()
-	s.pending++
-	s.sinceSnap++
+	buf := s.buf[:0]
+	if need > cap(buf) {
+		buf = make([]byte, 0, need)
+	}
+	for i := range rs {
+		buf = appendRecord(buf, rs[i])
+	}
+	s.buf = nil
+	if need <= maxRetainedBuf {
+		s.buf = buf
+	}
+	if _, err := s.f.Write(buf); err != nil {
+		return s.fail(fmt.Errorf("appending %d record(s) from the %s of id %d: %w", len(rs), rs[0].Op, rs[0].ID, err))
+	}
+	s.appends.Add(int64(len(rs)))
+	s.pending += len(rs)
+	s.sinceSnap += len(rs)
 	if s.pending >= s.opts.SyncEvery {
 		return s.syncLocked()
 	}
 	return nil
+}
+
+// Err reports whether the store has failed: nil while it is healthy, the
+// latched error (wrapping ErrFailed) afterwards. An owner checks it before
+// changing the state its next record would describe.
+func (s *Store) Err() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.failed
+}
+
+// usable reports why the store can take no further write: it failed, or
+// it was closed. Callers hold mu.
+func (s *Store) usable() error {
+	if s.failed != nil {
+		return s.failed
+	}
+	if s.f == nil {
+		return errClosed
+	}
+	return nil
+}
+
+// fail latches the store's first failure. Callers hold mu.
+func (s *Store) fail(err error) error {
+	s.failed = fmt.Errorf("%w: %w", ErrFailed, err)
+	return s.failed
 }
 
 // Sync forces any appends still buffered by the group-fsync window to
@@ -217,15 +293,18 @@ func (s *Store) Append(r Record) error {
 func (s *Store) Sync() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.f == nil || s.pending == 0 {
-		return nil
+	if s.failed != nil || s.f == nil || s.pending == 0 {
+		return s.failed
 	}
 	return s.syncLocked()
 }
 
+// syncLocked fsyncs the log. A failed fsync is never retried: the kernel
+// may have dropped the pages it could not write, and a second fsync would
+// then report a success the data does not back.
 func (s *Store) syncLocked() error {
 	if err := s.f.Sync(); err != nil {
-		return fmt.Errorf("wal: fsync: %w", err)
+		return s.fail(fmt.Errorf("fsync: %w", err))
 	}
 	s.fsyncs.Inc()
 	s.pending = 0
@@ -245,29 +324,20 @@ func (s *Store) SnapshotDue() bool {
 // (tmp + fsync + rename + dir sync) BEFORE the log is truncated, so a
 // crash anywhere in between leaves the new snapshot plus a stale log —
 // which replays idempotently — never a state only partially captured.
+// An error at any step fails the store (ErrFailed).
 func (s *Store) WriteSnapshot(state *State) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.f == nil {
-		return fmt.Errorf("wal: store is closed")
+	if err := s.usable(); err != nil {
+		return err
 	}
 	if s.pending > 0 {
 		if err := s.syncLocked(); err != nil {
 			return err
 		}
 	}
-	if err := saveSnapshot(s.fs, filepath.Join(s.dir, SnapshotName), state); err != nil {
-		return err
-	}
-	if err := s.f.Close(); err != nil {
-		return fmt.Errorf("wal: closing log before reset: %w", err)
-	}
-	s.f = nil
-	if err := s.fs.Truncate(filepath.Join(s.dir, LogName), 0); err != nil {
-		return fmt.Errorf("wal: resetting log: %w", err)
-	}
-	if err := s.openLog(true); err != nil {
-		return err
+	if err := s.resetLocked(state); err != nil {
+		return s.fail(err)
 	}
 	s.sinceSnap = 0
 	s.pending = 0
@@ -275,21 +345,39 @@ func (s *Store) WriteSnapshot(state *State) error {
 	return nil
 }
 
+// resetLocked is WriteSnapshot's body behind the fsync of the log: the
+// snapshot, then the log reset. Any error leaves the store failed — the
+// log handle may already be gone.
+func (s *Store) resetLocked(state *State) error {
+	if err := saveSnapshot(s.fs, filepath.Join(s.dir, SnapshotName), state); err != nil {
+		return fmt.Errorf("writing snapshot: %w", err)
+	}
+	if err := s.f.Close(); err != nil {
+		return fmt.Errorf("closing log before reset: %w", err)
+	}
+	s.f = nil
+	if err := s.fs.Truncate(filepath.Join(s.dir, LogName), 0); err != nil {
+		return fmt.Errorf("resetting log: %w", err)
+	}
+	return s.openLog(true)
+}
+
 // Close syncs pending appends and releases the log handle. The store is
-// unusable afterwards; reopen with Open.
+// unusable afterwards; reopen with Open. A failed store is not synced
+// again — Close releases its handle and reports the latched failure.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.f == nil {
 		return nil
 	}
-	var firstErr error
-	if s.pending > 0 {
-		firstErr = s.syncLocked()
+	err := s.failed
+	if err == nil && s.pending > 0 {
+		err = s.syncLocked()
 	}
-	if err := s.f.Close(); err != nil && firstErr == nil {
-		firstErr = err
+	if cerr := s.f.Close(); cerr != nil && err == nil {
+		err = cerr
 	}
 	s.f = nil
-	return firstErr
+	return err
 }

@@ -67,6 +67,12 @@ const frameHeader = 8
 // change is detectable instead of being misparsed as a torn tail.
 var magic = []byte("TWL1")
 
+// FrameLen is the number of bytes the record occupies in the log, frame
+// header included — what an owner sizes a group of records by.
+func (r Record) FrameLen() int {
+	return frameHeader + 1 + 8 + 4 + 8*len(r.Emb) + 4 + 4 + 8*len(r.Code.Words) + 4 + 8*len(r.Traj)
+}
+
 // appendRecord encodes one framed record onto buf.
 func appendRecord(buf []byte, r Record) []byte {
 	start := len(buf)

@@ -1,6 +1,8 @@
 package wal
 
 import (
+	"bytes"
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
@@ -40,34 +42,6 @@ func TestRecordFramingRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(parsed.Records, recs) {
 		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", parsed.Records, recs)
-	}
-}
-
-// TestTornTailDetection cuts an intact log at every byte boundary inside
-// its final record: each cut must parse as the full prefix plus a torn
-// tail, never an error and never a phantom record.
-func TestTornTailDetection(t *testing.T) {
-	recs := sampleRecords()
-	data := append([]byte(nil), magic...)
-	for _, r := range recs[:3] {
-		data = appendRecord(data, r)
-	}
-	intact := int64(len(data))
-	data = appendRecord(data, recs[3])
-	for cut := intact + 1; cut < int64(len(data)); cut++ {
-		parsed, err := parseLog(data[:cut])
-		if err != nil {
-			t.Fatalf("cut at %d: %v", cut, err)
-		}
-		if !parsed.Torn {
-			t.Fatalf("cut at %d not reported torn", cut)
-		}
-		if parsed.Valid != intact {
-			t.Fatalf("cut at %d: valid prefix %d, want %d", cut, parsed.Valid, intact)
-		}
-		if len(parsed.Records) != 3 {
-			t.Fatalf("cut at %d: %d records, want 3", cut, len(parsed.Records))
-		}
 	}
 }
 
@@ -263,6 +237,253 @@ func TestGroupFsync(t *testing.T) {
 	}
 }
 
+// TestAppendBatchWritesTheSameBytes: a group leaves the log image its
+// records would have left appended one by one — so parseLog, the fuzz
+// corpora and the bytes-per-record figures are untouched by grouping.
+func TestAppendBatchWritesTheSameBytes(t *testing.T) {
+	recs := append(sampleRecords(), benchRecord(7), benchRecord(8))
+	image := func(write func(*Store) error) []byte {
+		t.Helper()
+		dir := t.TempDir()
+		s, _, err := Open(Options{Dir: dir, SnapshotEvery: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := write(s); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(filepath.Join(dir, LogName))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	single := image(func(s *Store) error {
+		for _, r := range recs {
+			if err := s.Append(r); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	grouped := image(func(s *Store) error { return s.AppendBatch(recs) })
+	split := image(func(s *Store) error {
+		if err := s.AppendBatch(recs[:2]); err != nil {
+			return err
+		}
+		if err := s.AppendBatch(nil); err != nil { // an empty group writes nothing
+			return err
+		}
+		return s.AppendBatch(recs[2:])
+	})
+	if !bytes.Equal(grouped, single) || !bytes.Equal(split, single) {
+		t.Fatalf("log images differ: %d bytes appended singly, %d as one group, %d as two", len(single), len(grouped), len(split))
+	}
+	want := len(magic)
+	for _, r := range recs {
+		want += r.FrameLen()
+	}
+	if len(single) != want {
+		t.Fatalf("log is %d bytes, FrameLen sums to %d", len(single), want)
+	}
+}
+
+// TestTornTailDetection cuts an intact log at every byte offset — a crash
+// may cut a group's single write anywhere, not only inside the final
+// record. Every cut parses to exactly the whole frames before it, torn
+// unless it falls on a frame boundary — never an error, never a phantom
+// record.
+func TestTornTailDetection(t *testing.T) {
+	recs := sampleRecords()
+	data := append([]byte(nil), magic...)
+	ends := []int{len(data)} // ends[i]: offset behind the i-th frame
+	for _, r := range recs {
+		data = appendRecord(data, r)
+		ends = append(ends, len(data))
+	}
+	whole := 0
+	for cut := len(magic); cut <= len(data); cut++ {
+		if cut == ends[whole+1] {
+			whole++
+		}
+		parsed, err := parseLog(data[:cut])
+		if err != nil {
+			t.Fatalf("cut at %d: %v", cut, err)
+		}
+		if len(parsed.Records) != whole || parsed.Valid != int64(ends[whole]) || parsed.Torn != (cut != ends[whole]) {
+			t.Fatalf("cut at %d: %d records, valid %d, torn %v; want %d, %d, %v",
+				cut, len(parsed.Records), parsed.Valid, parsed.Torn, whole, ends[whole], cut != ends[whole])
+		}
+		if whole > 0 && !reflect.DeepEqual(parsed.Records, recs[:whole]) {
+			t.Fatalf("cut at %d: records %+v, want the first %d", cut, parsed.Records, whole)
+		}
+	}
+}
+
+// TestGroupFsyncCountsRecordsOfAGroup: the group-fsync rule is applied
+// once per write, to the records pending behind it — a group that carries
+// the count across SyncEvery is synced once and leaves nothing pending.
+func TestGroupFsyncCountsRecordsOfAGroup(t *testing.T) {
+	reg := obs.New()
+	s, _, err := Open(Options{Dir: t.TempDir(), Metrics: reg, SyncEvery: 64, SnapshotEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		//lint:ignore errcheck test cleanup close
+		s.Close()
+	}()
+	fsyncs, appends := reg.Counter("wal.fsyncs"), reg.Counter("wal.appends")
+	base := fsyncs.Value() // the magic-header sync
+	group := func(n int) []Record {
+		rs := make([]Record, n)
+		for i := range rs {
+			rs[i] = Record{Op: OpDelete, ID: i}
+		}
+		return rs
+	}
+	steps := []struct {
+		n    int   // records of the next group
+		want int64 // fsyncs so far
+	}{
+		{60, 0}, // 60 pending
+		{10, 1}, // 70 >= 64: one fsync for the whole group, 0 pending
+		{63, 1}, // 63 pending
+		{1, 2},  // 64
+		{200, 3},
+	}
+	total := int64(0)
+	for i, st := range steps {
+		if err := s.AppendBatch(group(st.n)); err != nil {
+			t.Fatal(err)
+		}
+		total += int64(st.n)
+		if got := fsyncs.Value() - base; got != st.want || appends.Value() != total {
+			t.Fatalf("step %d (group of %d): %d fsyncs and %d appends so far, want %d and %d", i, st.n, got, appends.Value(), st.want, total)
+		}
+	}
+}
+
+// TestOversizedGroupBufferIsReleased: the store keeps its encode buffer
+// between appends, but not one that a single huge group inflated.
+func TestOversizedGroupBufferIsReleased(t *testing.T) {
+	s, _, err := Open(Options{Dir: t.TempDir(), SnapshotEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		//lint:ignore errcheck test cleanup close
+		s.Close()
+	}()
+	small := []Record{benchRecord(0), benchRecord(1)}
+	if err := s.AppendBatch(small); err != nil {
+		t.Fatal(err)
+	}
+	if cap(s.buf) == 0 || cap(s.buf) > maxRetainedBuf {
+		t.Fatalf("after a small group the store holds a %d-byte buffer, want one it reuses", cap(s.buf))
+	}
+	big := make([]Record, maxRetainedBuf/benchRecord(0).FrameLen()+1)
+	for i := range big {
+		big[i] = benchRecord(i)
+	}
+	if err := s.AppendBatch(big); err != nil {
+		t.Fatal(err)
+	}
+	if s.buf != nil {
+		t.Fatalf("after a group past maxRetainedBuf the store still holds a %d-byte buffer", cap(s.buf))
+	}
+	if err := s.Append(small[0]); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// flakyFS is the real filesystem whose log file fails the next write or
+// fsync on request and then works again — the faults a process survives.
+type flakyFS struct {
+	OSFS
+	failWrite, failSync bool // fail the next one, once
+	writes, syncs       int  // calls that reached the log file
+}
+
+var errFlaky = errors.New("flaky: injected I/O error")
+
+func (fs *flakyFS) OpenAppend(path string) (File, error) {
+	f, err := fs.OSFS.OpenAppend(path)
+	if err != nil {
+		return nil, err
+	}
+	return &flakyFile{File: f, fs: fs}, nil
+}
+
+type flakyFile struct {
+	File
+	fs *flakyFS
+}
+
+func (f *flakyFile) Write(p []byte) (int, error) {
+	f.fs.writes++
+	if f.fs.failWrite {
+		f.fs.failWrite = false
+		return 0, errFlaky
+	}
+	return f.File.Write(p)
+}
+
+func (f *flakyFile) Sync() error {
+	f.fs.syncs++
+	if f.fs.failSync {
+		f.fs.failSync = false
+		return errFlaky
+	}
+	return f.File.Sync()
+}
+
+// TestStoreFailureIsLatched: the first failed write or fsync ends the
+// store's life. Before, the next Append wrote behind the partial frame —
+// where recovery would truncate it — and a failed fsync was simply tried
+// again by the next one, which can report a success the kernel's dropped
+// pages do not back.
+func TestStoreFailureIsLatched(t *testing.T) {
+	for _, fault := range []string{"write", "fsync"} {
+		fs := &flakyFS{}
+		s, _, err := Open(Options{Dir: t.TempDir(), SnapshotEvery: -1, FS: fs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs := sampleRecords()
+		if err := s.Append(recs[0]); err != nil || s.Err() != nil {
+			t.Fatalf("%s: healthy append = %v, Err = %v", fault, err, s.Err())
+		}
+		fs.failWrite, fs.failSync = fault == "write", fault == "fsync"
+		err = s.AppendBatch(recs[1:3])
+		if !errors.Is(err, ErrFailed) || !errors.Is(err, errFlaky) {
+			t.Fatalf("%s: failing append = %v, want ErrFailed wrapping the cause", fault, err)
+		}
+		writes, syncs := fs.writes, fs.syncs
+		for name, call := range map[string]func() error{
+			"Append":        func() error { return s.Append(recs[3]) },
+			"AppendBatch":   func() error { return s.AppendBatch(recs) },
+			"Sync":          s.Sync,
+			"WriteSnapshot": func() error { return s.WriteSnapshot(&State{Next: 1}) },
+			"Err":           s.Err,
+			"Close":         s.Close,
+		} {
+			if got := call(); !errors.Is(got, ErrFailed) || !errors.Is(got, errFlaky) {
+				t.Errorf("%s after a failed %s = %v, want the latched failure", name, fault, got)
+			}
+		}
+		if fs.writes != writes || fs.syncs != syncs {
+			t.Errorf("a failed store reached the file again: %d writes, %d fsyncs after the failed %s", fs.writes-writes, fs.syncs-syncs, fault)
+		}
+		if err := s.Close(); err != nil {
+			t.Errorf("%s: second Close = %v, want nil", fault, err)
+		}
+	}
+}
+
 // benchRecord builds a realistic-sized record: a 64-dim embedding, its
 // 64-bit code, and a 30-point trajectory.
 func benchRecord(id int) Record {
@@ -298,6 +519,32 @@ func BenchmarkMutableWALAppend(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkMutableWALAppendBatch64 measures the same durable append when
+// 64 records share one write and one fsync — the bulk-ingest path. ns/op
+// is per group; ns/record is what compares with BenchmarkMutableWALAppend.
+func BenchmarkMutableWALAppendBatch64(b *testing.B) {
+	s, _, err := Open(Options{Dir: b.TempDir(), SnapshotEvery: -1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer func() {
+		//lint:ignore errcheck benchmark cleanup close
+		s.Close()
+	}()
+	group := make([]Record, 64)
+	for i := range group {
+		group[i] = benchRecord(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := s.AppendBatch(group); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(group)), "ns/record")
 }
 
 // BenchmarkMutableRecovery measures Open on a directory holding a

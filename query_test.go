@@ -12,6 +12,7 @@ import (
 
 	"traj2hash/internal/engine"
 	"traj2hash/internal/faultinject"
+	"traj2hash/internal/wal"
 )
 
 // TestIndexSurface pins the exported method set of *Index against a
@@ -185,13 +186,32 @@ func TestSearchByVecCtxAllocs(t *testing.T) {
 	}
 }
 
-// TestAddBatchAppliedPrefixIsWhatRecovers: when the WAL append of item n
-// of a batch fails, the ids AddBatchCtx returns are the applied prefix —
-// exactly what reopening the directory recovers — and NewIndexWith's
-// seed batch reports the same prefix in its error.
+// densify resamples t to n points by linear interpolation — a trajectory
+// whose WAL record is as large as a test needs it to be.
+func densify(t Trajectory, n int) Trajectory {
+	out := make(Trajectory, n)
+	for i := range out {
+		pos := float64(i) * float64(len(t)-1) / float64(n-1)
+		j := int(pos)
+		if j >= len(t)-1 {
+			j = len(t) - 2
+		}
+		f := pos - float64(j)
+		out[i].X = t[j].X + f*(t[j+1].X-t[j].X)
+		out[i].Y = t[j].Y + f*(t[j+1].Y-t[j].Y)
+	}
+	return out
+}
+
+// TestAddBatchAppliedPrefixIsWhatRecovers pins AddBatchCtx's group
+// contract: a group of the batch reaches the log in one write and one
+// fsync, and when either fails no id of that group is returned, the error
+// wraps the fault, and reopening the directory recovers some prefix of the
+// batch that covers every returned id. With a batch spanning two groups,
+// a failure in the second returns exactly the first group's ids — and
+// NewIndexWith's seed batch reports the same count in its error.
 func TestAddBatchAppliedPrefixIsWhatRecovers(t *testing.T) {
 	m, ds := untrainedFixture(t)
-	batch := ds.Database[:6]
 	opts := func(dir string, fs *faultinject.FS) Options {
 		o := Options{Shards: 2, WALDir: dir, SnapshotEvery: -1, WALSyncEvery: 1}
 		if fs != nil {
@@ -199,60 +219,103 @@ func TestAddBatchAppliedPrefixIsWhatRecovers(t *testing.T) {
 		}
 		return o
 	}
-	// Recon: writes spent opening the log, then one write per appended item.
+	small := ds.Database[:6]
+	// Six records of ~400 KB each: the first group closes once its frames
+	// pass walGroupBytes, the rest of the batch is the second.
+	large := make([]Trajectory, 6)
+	for i := range large {
+		large[i] = densify(ds.Database[i], 25_000)
+	}
+	firstGroup, frames := 0, 0
+	for frames < walGroupBytes {
+		emb := m.Embed(large[firstGroup])
+		frames += wal.Record{Emb: emb, Code: SignCode(emb), Traj: flattenTraj(large[firstGroup])}.FrameLen()
+		firstGroup++
+	}
+	if firstGroup == 0 || firstGroup >= len(large) {
+		t.Fatalf("the large batch is %d group-one items of %d; it must span two groups", firstGroup, len(large))
+	}
+
+	// Recon: the writes and fsyncs spent opening the log, then one of each
+	// per group.
 	recon := faultinject.NewFS(nil)
 	rix, err := NewIndexWith(m, nil, opts(t.TempDir(), recon))
 	if err != nil {
 		t.Fatal(err)
 	}
-	opening, _, _ := recon.Counts()
-	if _, err := rix.AddBatchCtx(context.Background(), batch); err != nil {
-		t.Fatal(err)
-	}
-	if total, _, _ := recon.Counts(); total-opening != len(batch) {
-		t.Fatalf("recon: %d writes for %d appends; the schedule below assumes one each", total-opening, len(batch))
+	openWrites, openSyncs, _ := recon.Counts()
+	for groups, batch := range map[int][]Trajectory{1: small, 2: large} {
+		w0, s0, _ := recon.Counts()
+		if _, err := rix.AddBatchCtx(context.Background(), batch); err != nil {
+			t.Fatal(err)
+		}
+		if w, s, _ := recon.Counts(); w-w0 != groups || s-s0 != groups {
+			t.Fatalf("recon: a %d-item batch took %d writes and %d fsyncs, want %d of each", len(batch), w-w0, s-s0, groups)
+		}
 	}
 	if err := rix.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	for n := 1; n <= len(batch); n++ {
+	cases := []struct {
+		name  string
+		batch []Trajectory
+		arm   func(*faultinject.FS)
+		torn  bool // the fault leaves half a group on disk
+		acked int  // ids AddBatchCtx must return
+	}{
+		{"torn write", small, func(f *faultinject.FS) { f.ShortWriteAt(openWrites + 1) }, true, 0},
+		{"failed fsync", small, func(f *faultinject.FS) { f.FailSyncAt(openSyncs + 1) }, false, 0},
+		{"second group's write torn", large, func(f *faultinject.FS) { f.ShortWriteAt(openWrites + 2) }, true, firstGroup},
+		{"second group's fsync failed", large, func(f *faultinject.FS) { f.FailSyncAt(openSyncs + 2) }, false, firstGroup},
+	}
+	for _, tc := range cases {
 		for _, seed := range []bool{false, true} {
+			tag := fmt.Sprintf("%s (seed batch: %v)", tc.name, seed)
 			dir := t.TempDir()
 			ffs := faultinject.NewFS(nil)
-			ffs.ShortWriteAt(opening + n) // the n-th append tears
-			var ids []int
+			tc.arm(ffs)
 			if seed {
-				_, err = NewIndexWith(m, batch, opts(dir, ffs))
-				want := fmt.Sprintf("after %d of %d trajectories", n-1, len(batch))
+				_, err = NewIndexWith(m, tc.batch, opts(dir, ffs))
+				want := fmt.Sprintf("after %d of %d trajectories", tc.acked, len(tc.batch))
 				if err == nil || !strings.Contains(err.Error(), want) || !errors.Is(err, faultinject.ErrCrashed) {
-					t.Fatalf("n=%d seed batch: err %v, want the crash wrapped with %q", n, err, want)
+					t.Fatalf("%s: err %v, want the crash wrapped with %q", tag, err, want)
 				}
 			} else {
 				ix, err := NewIndexWith(m, nil, opts(dir, ffs))
 				if err != nil {
 					t.Fatal(err)
 				}
-				ids, err = ix.AddBatchCtx(context.Background(), batch)
-				if !errors.Is(err, faultinject.ErrCrashed) || len(ids) != n-1 {
-					t.Fatalf("n=%d: AddBatchCtx = (%v, %v), want the %d-id prefix and the crash", n, ids, err, n-1)
+				ids, err := ix.AddBatchCtx(context.Background(), tc.batch)
+				if !errors.Is(err, faultinject.ErrCrashed) || !errors.Is(err, ErrWALFailed) {
+					t.Fatalf("%s: AddBatchCtx error %v, want the crash wrapped beside ErrWALFailed", tag, err)
+				}
+				if len(ids) != tc.acked {
+					t.Fatalf("%s: AddBatchCtx returned ids %v, want exactly the %d of the groups that committed", tag, ids, tc.acked)
+				}
+				for i, id := range ids {
+					if id != i {
+						t.Fatalf("%s: returned ids %v are not a prefix of the batch", tag, ids)
+					}
 				}
 				//lint:ignore errcheck the filesystem crashed mid-flight; Close only releases the dead log handle
 				ix.Close()
 			}
 			re, err := NewIndexWith(m, nil, opts(dir, nil))
 			if err != nil {
-				t.Fatalf("n=%d seed=%v: reopen: %v", n, seed, err)
+				t.Fatalf("%s: reopen: %v", tag, err)
 			}
-			if re.Len() != n-1 {
-				t.Fatalf("n=%d seed=%v: reopen recovered %d items, the applied prefix was %d", n, seed, re.Len(), n-1)
+			r := re.Len()
+			if r < tc.acked || r > len(tc.batch) {
+				t.Fatalf("%s: reopen recovered %d items, want between the %d acknowledged and the %d of the batch", tag, r, tc.acked, len(tc.batch))
 			}
-			for i := 0; i < n-1; i++ {
-				if !seed && ids[i] != i {
-					t.Fatalf("n=%d: returned ids %v are not the prefix 0..%d", n, ids, n-2)
-				}
-				if tr, ok := re.Trajectory(i); !ok || !reflect.DeepEqual(tr, batch[i]) {
-					t.Fatalf("n=%d seed=%v: recovered id %d is not batch item %d", n, seed, i, i)
+			if tc.torn && r == len(tc.batch) {
+				t.Fatalf("%s: reopen recovered the whole batch behind a write that was torn in half", tag)
+			}
+			for i := 0; i < len(tc.batch); i++ {
+				tr, ok := re.Trajectory(i)
+				if ok != (i < r) || (ok && !reflect.DeepEqual(tr, tc.batch[i])) {
+					t.Fatalf("%s: recovered id %d (present: %v) — the %d recovered items must be batch[:%d], bit for bit", tag, i, ok, r, r)
 				}
 			}
 			if err := re.Close(); err != nil {

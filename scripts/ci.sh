@@ -38,8 +38,10 @@
 #      contracts"), followed by the trajlint cold/warm cost artifact
 #      bin/BENCH_trajlint.json
 #   9. mutable-index benchmark artifact — add/delete/compaction/search-
-#      with-tombstones and WAL append/recovery ns_per_op + allocs,
-#      exported to bin/BENCH_mutable.json (informational, no floors)
+#      with-tombstones and WAL append (single, and as a 64-record group:
+#      BenchmarkMutableWALAppendBatch64, ns_per_op per group) / recovery
+#      ns_per_op + allocs, exported to bin/BENCH_mutable.json
+#      (informational, no floors)
 #  10. fuzz smoke — FuzzReadFrame / FuzzLoadSnapshot (internal/wal) and
 #      FuzzHausdorffMatchesPlain (internal/dist) for 10s each over the
 #      committed seed corpora (internal/*/testdata/fuzz/): frame/snapshot
