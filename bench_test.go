@@ -143,30 +143,32 @@ func benchSearchSetup(b *testing.B, n int) ([]hamming.Code, [][]float64, hamming
 	return codes, embs, hamming.FromSigns(q), q
 }
 
-// benchBackend loads one engine backend — the code every search consumer
-// runs — with the given items, each an embedding and its code.
-func benchBackend(b *testing.B, name string, cfg engine.Config, embs [][]float64, codes []hamming.Code) engine.Backend {
+// benchBackend loads one engine strategy — the code every search consumer
+// runs — over a store of the given items, each an embedding and its code,
+// and returns its search.
+func benchBackend(b *testing.B, name string, cfg engine.Config, embs [][]float64, codes []hamming.Code) func(engine.Query, int) []engine.Result {
 	b.Helper()
 	be, err := engine.NewBackend(name, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
+	st := engine.NewStore(cfg, be)
 	for i, emb := range embs {
-		if err := be.Add(emb, codes[i]); err != nil {
+		if err := st.Add(emb, codes[i]); err != nil {
 			b.Fatal(err)
 		}
 	}
-	return be
+	return func(q engine.Query, k int) []engine.Result { return be.Search(st, q, k) }
 }
 
 // benchSearch10k times top-50 search of one backend over 10k items.
 func benchSearch10k(b *testing.B, name string, cfg engine.Config) {
 	codes, embs, qc, q := benchSearchSetup(b, 10000)
-	be := benchBackend(b, name, cfg, embs, codes)
+	search := benchBackend(b, name, cfg, embs, codes)
 	query := engine.Query{Emb: q, Code: qc}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		be.Search(query, 50)
+		search(query, 50)
 	}
 }
 
@@ -234,10 +236,10 @@ func BenchmarkSearchLongCodes64(b *testing.B) {
 		{"HammingHybrid", engine.HammingHybridName},
 		{"HammingMIH", engine.MIHName},
 	} {
-		be := benchBackend(b, c.backend, engine.Config{MIHChunks: 4}, vecs, codes)
+		search := benchBackend(b, c.backend, engine.Config{MIHChunks: 4}, vecs, codes)
 		b.Run(c.label, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				be.Search(q, 50)
+				search(q, 50)
 			}
 		})
 	}

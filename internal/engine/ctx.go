@@ -188,7 +188,7 @@ func (e *Engine) searchShard(bi, si int, q Query, k int) (rs []Result, err error
 	if sh.deadN > 0 {
 		fetch = k + sh.deadN
 	}
-	raw := sh.backends[bi].Search(q, fetch)
+	raw := sh.store.strategies[bi].Search(sh.store, q, fetch)
 	out := make([]Result, 0, min(k, len(raw)))
 	for _, r := range raw {
 		if sh.dead[r.ID] {
@@ -353,14 +353,7 @@ func (e *Engine) WithinCtx(ctx context.Context, code hamming.Code, radius int) (
 	if radius < 0 || radius > hamming.MaxRadius {
 		return nil, Status{}, fmt.Errorf("engine: radius %d outside the supported range 0–%d", radius, hamming.MaxRadius)
 	}
-	bi := -1
-	for i := range e.names {
-		if _, ok := e.shards[0].backends[i].(radiusSearcher); ok {
-			bi = i
-			break
-		}
-	}
-	if bi < 0 {
+	if e.within < 0 {
 		return nil, Status{}, fmt.Errorf("engine: no radius-lookup backend (add %q)", HammingHybridName)
 	}
 	var span *obs.ActiveSpan
@@ -369,7 +362,7 @@ func (e *Engine) WithinCtx(ctx context.Context, code hamming.Code, radius int) (
 	}
 	n := len(e.shards)
 	per, done, errs := fanOut(ctx, n, e.opts.Workers, func(si int) ([]int, error) {
-		return e.withinShard(bi, si, code, radius)
+		return e.withinShard(si, code, radius)
 	})
 	ok := 0
 	var all []int
@@ -388,7 +381,7 @@ func (e *Engine) WithinCtx(ctx context.Context, code hamming.Code, radius int) (
 // withinShard is the panic-isolated per-shard radius lookup. Deleted
 // items are filtered here, at the local→global remap, so a tombstoned id
 // never appears in a Within answer.
-func (e *Engine) withinShard(bi, si int, code hamming.Code, radius int) (ids []int, err error) {
+func (e *Engine) withinShard(si int, code hamming.Code, radius int) (ids []int, err error) {
 	sh := e.shards[si]
 	defer func() {
 		if r := recover(); r != nil {
@@ -400,7 +393,7 @@ func (e *Engine) withinShard(bi, si int, code hamming.Code, radius int) (ids []i
 	}()
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	local := sh.backends[bi].(radiusSearcher).Within(code, radius)
+	local := sh.store.strategies[e.within].(radiusSearcher).Within(code, radius)
 	global := make([]int, 0, len(local))
 	for _, id := range local {
 		if sh.dead[id] {

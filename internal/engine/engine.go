@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"traj2hash/internal/hamming"
@@ -70,68 +69,60 @@ func (o Options) withDefaults() Options {
 }
 
 // shard is one partition of the database: the global ids of its items
-// (ascending, thanks to round-robin assignment under the add lock), one
-// backend instance per configured backend name, the canonical item
-// representations (embedding + code words, parallel to ids — the source
-// of truth compaction rebuilds from), the tombstone overlay (dead bitmap
-// + count) that Delete maintains and the search paths filter through,
-// and the hybrid fast-path counter, which must outlive the backends.
+// (ascending, thanks to round-robin assignment under the add lock), the
+// Store that holds their representations and the strategies searching
+// them (parallel to ids — the source of truth compaction rebuilds from),
+// and the tombstone overlay (dead bitmap + count) that Delete maintains
+// and the search paths filter through.
 //
 // Liveness invariant: the live entries of ids are strictly ascending —
 // Add appends increasing ids, Delete only flips dead bits, Update
 // replaces in place, and compaction preserves order — which is what keeps
-// per-backend local-id tie-breaks equal to global-id tie-breaks after any
+// per-strategy local-id tie-breaks equal to global-id tie-breaks after any
 // mutation history.
 type shard struct {
 	mu sync.RWMutex
 	items
-	deadN     int
-	fastPaths atomic.Int64
+	deadN int
 }
 
-// items is what compaction rebuilds and swaps in as a whole: a backend
-// set and the canonical arrays it indexes, all parallel to ids. embs is
-// the shard's one copy of every embedding; the Euclidean backends read
-// it rather than keep their own (see newItems).
+// items is what compaction rebuilds and swaps in as a whole: a store and
+// the global id and tombstone flag of each of its local ids.
 type items struct {
-	ids      []int
-	embs     *slab
-	codes    hamming.Slab
-	dead     []bool
-	backends []Backend
+	ids   []int
+	dead  []bool
+	store *Store
 }
 
-// put appends one item — every backend, then the canonical arrays, which
-// copy emb and code in — and returns its local index. Callers hold the
-// shard's write lock.
+// put appends one item to the store — which validates it, copies emb and
+// code in and tells the strategies — and returns its local index. Callers
+// hold the shard's write lock.
 func (it *items) put(id int, emb []float64, code hamming.Code) (int32, error) {
 	if len(it.ids) == math.MaxInt32 {
 		return 0, fmt.Errorf("engine: shard is full (%d items)", len(it.ids))
 	}
-	if err := addToBackends(it.backends, emb, code); err != nil {
+	if err := it.store.Add(emb, code); err != nil {
 		return 0, err
 	}
-	if err := it.embs.append(emb); err != nil {
-		return 0, fmt.Errorf("engine: shard inconsistent after partial add: %w", err)
-	}
 	it.ids = append(it.ids, id)
-	it.codes.Append(code)
 	it.dead = append(it.dead, false)
 	return int32(len(it.ids) - 1), nil
 }
 
 // Engine is a sharded, concurrency-safe top-k query engine. Every shard
-// maintains the same set of pluggable backends over its partition of the
-// items; a query fans out across shards in parallel and the per-shard
-// top-k lists are merged by (score, id) into the exact global top-k.
+// keeps its partition of the items in one Store searched by the same set
+// of pluggable strategies; a query fans out across shards in parallel and
+// the per-shard top-k lists are merged by (score, id) into the exact
+// global top-k.
 //
 // Add and Search may be called concurrently from any number of
 // goroutines: a per-shard RWMutex serializes writes against reads, and a
 // global add lock keeps id assignment strictly sequential.
 type Engine struct {
-	opts  Options
-	names []string // canonical backend names, parallel to shard.backends
-	met   *metrics // nil when Options.Metrics is nil (uninstrumented)
+	opts   Options
+	names  []string // canonical backend names, parallel to Store.strategies
+	within int      // slot of the strategy that answers WithinCtx, -1 without one
+	met    *metrics // nil when Options.Metrics is nil (uninstrumented)
 
 	addMu sync.Mutex
 	next  int   // next global id, guarded by addMu
@@ -197,8 +188,9 @@ func newMetrics(reg *obs.Registry, names []string, shards int) *metrics {
 	return m
 }
 
-// New builds an empty engine. Backend names are canonicalized and
-// deduplicated, preserving order (the first stays the default).
+// New builds an empty engine. Backend names are checked against the
+// registry and deduplicated, preserving order (the first stays the
+// default).
 func New(opts Options) (*Engine, error) {
 	opts = opts.withDefaults()
 	if opts.Shards > math.MaxInt32 {
@@ -207,13 +199,12 @@ func New(opts Options) (*Engine, error) {
 	var names []string
 	seen := map[string]bool{}
 	for _, n := range opts.Backends {
-		canonical, err := Resolve(n)
-		if err != nil {
+		if _, err := Resolve(n); err != nil {
 			return nil, err
 		}
-		if !seen[canonical] {
-			seen[canonical] = true
-			names = append(names, canonical)
+		if !seen[n] {
+			seen[n] = true
+			names = append(names, n)
 		}
 	}
 	e := &Engine{opts: opts, names: names}
@@ -221,52 +212,38 @@ func New(opts Options) (*Engine, error) {
 		e.met = newMetrics(opts.Metrics, names, opts.Shards)
 	}
 	for s := 0; s < opts.Shards; s++ {
-		sh := &shard{}
-		var err error
-		if sh.items, err = e.newItems(sh); err != nil {
+		it, err := e.newItems()
+		if err != nil {
 			return nil, err
 		}
-		e.shards = append(e.shards, sh)
+		e.shards = append(e.shards, &shard{items: it})
+	}
+	// Which strategy answers WithinCtx follows from the names alone, so it
+	// is settled here, once, and never read off a shard a compaction may
+	// be replacing.
+	e.within = -1
+	for i, b := range e.shards[0].store.strategies {
+		if _, ok := b.(radiusSearcher); ok {
+			e.within = i
+			break
+		}
 	}
 	return e, nil
 }
 
-// newItems builds shard sh an empty item set with a fresh backend per
-// configured name (at construction and at every compaction) and wires
-// what the shard keeps once: euclidean-bf and vptree adopt the item set's
-// slab, so the shard holds each embedding once; hamming-bf adopts
-// hamming-hybrid's table, so one hamming.Table serves both and each
-// mutation feeds it once; and the hybrid counts its fast paths on the
-// shard. A wrapped backend (internal/faultinject) is none of the
-// concrete types: it keeps its own.
-func (e *Engine) newItems(sh *shard) (items, error) {
-	it := items{embs: &slab{}, backends: make([]Backend, 0, len(e.names))}
-	var bf *HammingBF
-	var hybrid *HammingHybrid
-	for _, n := range e.names {
+// newItems builds an empty item set — at construction and at every
+// compaction — whose store is searched by a fresh strategy per configured
+// name.
+func (e *Engine) newItems() (items, error) {
+	strategies := make([]Backend, len(e.names))
+	for i, n := range e.names {
 		b, err := NewBackend(n, e.opts.Config)
 		if err != nil {
 			return items{}, err
 		}
-		switch b := b.(type) {
-		case *EuclideanBF:
-			b.embs, b.adopted = it.embs, true
-		case *VPTreeBackend:
-			b.embs, b.adopted = it.embs, true
-		case *HammingBF:
-			bf = b
-		case *HammingHybrid:
-			hybrid = b
-		}
-		it.backends = append(it.backends, b)
+		strategies[i] = b
 	}
-	if hybrid != nil {
-		hybrid.fastPaths = &sh.fastPaths
-		if bf != nil {
-			bf.tab, bf.adopted = hybrid.tab, true
-		}
-	}
-	return it, nil
+	return items{store: NewStore(e.opts.Config, strategies...)}, nil
 }
 
 // Backends returns the canonical backend names the engine maintains; the
@@ -313,33 +290,28 @@ func (e *Engine) Embedding(id int, dst []float64) ([]float64, bool) {
 	sh := e.shards[l.shard]
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	return append(dst[:0], sh.embs.at(int(l.local))...), true
+	return append(dst[:0], sh.store.embs.at(int(l.local))...), true
 }
 
-// Add indexes one item in every backend of its shard and returns its
-// global id. The embedding and the code are copied in: the engine keeps
-// no reference to either argument. Ids are assigned sequentially from 0
-// in call order (deleted ids are never reused). If the code is zero, it
-// is derived from the embedding's signs (the model's Code = sign(Embed)
-// convention); an explicitly provided code must have one bit per
-// embedding dimension — the same convention — so the two representations
-// always describe the same item.
+// Add indexes one item in its shard's store and returns its global id.
+// The embedding and the code are copied in: the engine keeps no reference
+// to either argument. Ids are assigned sequentially from 0 in call order
+// (deleted ids are never reused). If the code is zero, it is derived from
+// the embedding's signs (the model's Code = sign(Embed) convention); an
+// explicitly provided code must have one bit per embedding dimension —
+// the same convention — so the two representations always describe the
+// same item.
 func (e *Engine) Add(emb []float64, code hamming.Code) (int, error) {
-	if len(emb) == 0 {
-		return 0, fmt.Errorf("engine: empty embedding")
-	}
-	if code.Bits == 0 {
-		code = hamming.FromSigns(emb)
-	} else if code.Bits != len(emb) {
-		return 0, fmt.Errorf("engine: code has %d bits but the embedding has dim %d (the Code = sign(Embed) convention requires one bit per dimension)",
-			code.Bits, len(emb))
+	code, err := signCode(emb, code)
+	if err != nil {
+		return 0, err
 	}
 	e.addMu.Lock()
 	defer e.addMu.Unlock()
 	// Dimension is an engine-wide invariant, enforced here rather than
-	// per backend: with several shards, a drifting add would otherwise
-	// land on a still-empty shard whose backends have nothing to compare
-	// against. It is pinned only after a fully successful add.
+	// per store: with several shards, a drifting add would otherwise land
+	// on a still-empty shard whose store has nothing to compare against.
+	// It is pinned only after a fully successful add.
 	if e.dim != 0 && len(emb) != e.dim {
 		return 0, fmt.Errorf("engine: embedding dim %d, want %d", len(emb), e.dim)
 	}
@@ -357,22 +329,6 @@ func (e *Engine) Add(emb []float64, code hamming.Code) (int, error) {
 	e.next++
 	e.live++
 	return id, nil
-}
-
-// addToBackends feeds one item to every backend of a shard. A failure on
-// the first backend is a clean validation error; a failure after at least
-// one backend accepted the item means the shard's backends now disagree,
-// which is surfaced loudly (rolling back would require removal support).
-func addToBackends(backends []Backend, emb []float64, code hamming.Code) error {
-	for i, b := range backends {
-		if err := b.Add(emb, code); err != nil {
-			if i > 0 {
-				return fmt.Errorf("engine: shard inconsistent after partial add: %w", err)
-			}
-			return err
-		}
-	}
-	return nil
 }
 
 // AddBatch indexes a batch, returning the assigned ids. codes may be nil
@@ -399,12 +355,11 @@ func (e *Engine) AddBatch(embs [][]float64, codes []hamming.Code) ([]int, error)
 
 // backendIndex resolves a backend name to its slot in every shard.
 func (e *Engine) backendIndex(name string) (int, error) {
-	canonical, err := Resolve(name)
-	if err != nil {
+	if _, err := Resolve(name); err != nil {
 		return 0, err
 	}
 	for i, n := range e.names {
-		if n == canonical {
+		if n == name {
 			return i, nil
 		}
 	}
@@ -426,15 +381,21 @@ type radiusSearcher interface {
 	Within(code hamming.Code, radius int) []int
 }
 
-// FastPathCount sums the hybrid fast-path counters (0 without a
-// hamming-hybrid backend). They live on the shards, not in the backends,
-// so the total survives compaction and reading it takes no lock.
+// FastPathCount sums the shard stores' hybrid fast-path counts (0 without
+// a hamming-hybrid backend). A compaction carries a shard's count over to
+// the store it builds, so the total is monotone.
 func (e *Engine) FastPathCount() int64 {
 	var total int64
 	for _, sh := range e.shards {
-		total += sh.fastPaths.Load()
+		total += sh.fastPathCount()
 	}
 	return total
+}
+
+func (sh *shard) fastPathCount() int64 {
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	return sh.store.FastPathCount()
 }
 
 // merge is mergeTopK with observability around it: the candidate count

@@ -58,14 +58,29 @@ func randCodes(rng *rand.Rand, n, bits int) []hamming.Code {
 	return out
 }
 
-// mustBackend builds a backend and feeds it items; embs or codes may be
-// nil when the backend only consumes the other representation.
-func mustBackend(t *testing.T, name string, cfg Config, embs [][]float64, codes []hamming.Code) Backend {
+// standalone is one strategy over a store of its own: what a consumer
+// outside the engine (the experiments, the benchmarks) builds.
+type standalone struct {
+	be Backend
+	*Store
+}
+
+func (s standalone) Search(q Query, k int) []Result { return s.be.Search(s.Store, q, k) }
+
+func newStandalone(t *testing.T, name string, cfg Config) standalone {
 	t.Helper()
 	be, err := NewBackend(name, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return standalone{be, NewStore(cfg, be)}
+}
+
+// mustBackend builds a strategy over its own store and feeds it items;
+// embs or codes may be nil when the strategy only reads the other column.
+func mustBackend(t *testing.T, name string, cfg Config, embs [][]float64, codes []hamming.Code) standalone {
+	t.Helper()
+	s := newStandalone(t, name, cfg)
 	n := len(embs)
 	if n == 0 {
 		n = len(codes)
@@ -79,11 +94,11 @@ func mustBackend(t *testing.T, name string, cfg Config, embs [][]float64, codes 
 		if codes != nil {
 			c = codes[i]
 		}
-		if err := be.Add(e, c); err != nil {
+		if err := s.Add(e, c); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return be
+	return s
 }
 
 func TestRegistryHasAllFiveBackends(t *testing.T) {
@@ -99,37 +114,61 @@ func TestRegistryHasAllFiveBackends(t *testing.T) {
 		if !found {
 			t.Errorf("backend %q not registered (have %v)", w, got)
 		}
+		if n, err := Resolve(w); err != nil || n != w {
+			t.Errorf("Resolve(%q) = %q, %v", w, n, err)
+		}
 	}
 	if _, err := NewBackend("no-such-backend", Config{}); err == nil {
 		t.Error("unknown backend accepted")
 	}
-	// Aliases resolve.
-	if n, err := Resolve("hamming-mih"); err != nil || n != MIHName {
-		t.Errorf("alias hamming-mih -> %q, %v", n, err)
-	}
 }
 
+// TestBackendValidation: the store refuses, whichever strategy searches
+// it, an item with neither representation, a row of another dimension, a
+// code of another length than Config.Bits or than the codes stored, and a
+// column that was not there from the start — and a refusal changes
+// nothing.
 func TestBackendValidation(t *testing.T) {
-	eb, _ := NewBackend(EuclideanBFName, Config{})
-	if err := eb.Add(nil, hamming.Code{}); err == nil {
-		t.Error("euclidean-bf accepted empty embedding")
-	}
-	if err := eb.Add([]float64{1, 2}, hamming.Code{}); err != nil {
-		t.Fatal(err)
-	}
-	if err := eb.Add([]float64{1}, hamming.Code{}); err == nil {
-		t.Error("euclidean-bf accepted dim mismatch")
-	}
-	for _, name := range []string{HammingBFName, HammingHybridName, MIHName} {
-		hb, _ := NewBackend(name, Config{Bits: 16})
-		if err := hb.Add(nil, hamming.Code{}); err == nil {
-			t.Errorf("%s accepted empty code", name)
+	code := func(bits int) hamming.Code { return hamming.FromSigns(make([]float64, bits)) }
+	for _, name := range allBackends {
+		eb := newStandalone(t, name, Config{})
+		if err := eb.Add(nil, hamming.Code{}); err == nil {
+			t.Errorf("%s: store accepted an empty item", name)
 		}
-		if err := hb.Add(nil, hamming.FromSigns(make([]float64, 8))); err == nil {
-			t.Errorf("%s accepted wrong bit length", name)
+		if err := eb.Add([]float64{1, 2}, hamming.Code{}); err != nil {
+			t.Fatal(err)
 		}
-		if err := hb.Add(nil, hamming.FromSigns(make([]float64, 16))); err != nil {
-			t.Errorf("%s rejected matching bits: %v", name, err)
+		for what, err := range map[string]error{
+			"dim mismatch":      eb.Add([]float64{1}, hamming.Code{}),
+			"a late code":       eb.Add([]float64{1, 2}, code(2)),
+			"a code alone":      eb.Add(nil, code(2)),
+			"update dim":        eb.Update(0, []float64{1, 2, 3}, hamming.Code{}),
+			"update unknown id": eb.Update(1, []float64{1, 2}, hamming.Code{}),
+			"update negative":   eb.Update(-1, []float64{1, 2}, hamming.Code{}),
+		} {
+			if err == nil || !strings.HasPrefix(err.Error(), "engine: ") {
+				t.Errorf("%s: %s: error %v, want an engine:-attributed one", name, what, err)
+			}
+		}
+		if eb.Len() != 1 || !reflect.DeepEqual(eb.embs.at(0), []float64{1, 2}) {
+			t.Errorf("%s: refused operations changed the store: %d items, row 0 %v", name, eb.Len(), eb.embs.at(0))
+		}
+
+		hb := newStandalone(t, name, Config{Bits: 16})
+		if err := hb.Add(nil, code(8)); err == nil {
+			t.Errorf("%s: store accepted a first code off Config.Bits", name)
+		}
+		if err := hb.Add(nil, code(16)); err != nil {
+			t.Errorf("%s: store rejected matching bits: %v", name, err)
+		}
+		if err := hb.Add(nil, code(8)); err == nil {
+			t.Errorf("%s: store accepted a second code of another length", name)
+		}
+		if err := hb.Add(make([]float64, 16), code(16)); err == nil {
+			t.Errorf("%s: store accepted a late embedding", name)
+		}
+		if hb.Len() != 1 {
+			t.Errorf("%s: refused codes changed the store: %d items", name, hb.Len())
 		}
 	}
 }
@@ -138,13 +177,17 @@ func TestDefaultMIHChunks(t *testing.T) {
 	for _, tc := range []struct{ bits, want int }{
 		{16, 4}, {64, 4}, {256, 4}, {2, 2}, {300, 5},
 	} {
-		if got := defaultMIHChunks(tc.bits); got != tc.want {
-			t.Errorf("defaultMIHChunks(%d) = %d, want %d", tc.bits, got, tc.want)
+		if got := mihChunks(0, tc.bits); got != tc.want {
+			t.Errorf("mihChunks(0, %d) = %d, want %d", tc.bits, got, tc.want)
 		}
-		// The chosen chunk count must be constructible.
-		rng := rand.New(rand.NewSource(9))
-		if _, err := hamming.NewMIH(randCodes(rng, 3, tc.bits), defaultMIHChunks(tc.bits)); err != nil {
-			t.Errorf("bits=%d: %v", tc.bits, err)
+	}
+	// Whatever is asked for, the chosen chunk count must be constructible.
+	rng := rand.New(rand.NewSource(9))
+	for _, bits := range []int{2, 16, 64, 256, 300} {
+		for _, asked := range []int{0, 1, 3, 4, 9, 400} {
+			if _, err := hamming.NewMIH(randCodes(rng, 3, bits), mihChunks(asked, bits)); err != nil {
+				t.Errorf("bits=%d asked=%d: %v", bits, asked, err)
+			}
 		}
 	}
 }

@@ -69,16 +69,11 @@ func (e *Engine) Delete(id int) error {
 // The same representation rules as Add apply: a zero code is derived
 // from the embedding's signs, an explicit code needs one bit per
 // dimension, and the new embedding must keep the item's dimensionality
-// (backends are built for a fixed dimension).
+// (a store's columns have a fixed dimension).
 func (e *Engine) Update(id int, emb []float64, code hamming.Code) error {
-	if len(emb) == 0 {
-		return fmt.Errorf("engine: empty embedding")
-	}
-	if code.Bits == 0 {
-		code = hamming.FromSigns(emb)
-	} else if code.Bits != len(emb) {
-		return fmt.Errorf("engine: code has %d bits but the embedding has dim %d (the Code = sign(Embed) convention requires one bit per dimension)",
-			code.Bits, len(emb))
+	code, err := signCode(emb, code)
+	if err != nil {
+		return err
 	}
 	e.addMu.Lock()
 	defer e.addMu.Unlock()
@@ -93,18 +88,9 @@ func (e *Engine) Update(id int, emb []float64, code hamming.Code) error {
 		return fmt.Errorf("engine: update of id %d changes dim %d to %d (updates must keep the item's dimensionality)",
 			id, e.dim, len(emb))
 	}
-	for i, b := range sh.backends {
-		if err := b.Update(int(l.local), emb, code); err != nil {
-			if i > 0 {
-				return fmt.Errorf("engine: shard inconsistent after partial update: %w", err)
-			}
-			return err
-		}
+	if err := sh.store.Update(int(l.local), emb, code); err != nil {
+		return err
 	}
-	if err := sh.embs.set(int(l.local), emb); err != nil {
-		return fmt.Errorf("engine: shard inconsistent after partial update: %w", err)
-	}
-	sh.codes.Set(int(l.local), code)
 	if e.met != nil {
 		e.met.updates.Inc()
 	}
@@ -153,7 +139,7 @@ func (e *Engine) compactShardLocked(si int) error {
 	if sh.deadN == 0 {
 		return nil
 	}
-	next, err := e.newItems(sh)
+	next, err := e.newItems()
 	if err != nil {
 		return fmt.Errorf("engine: compaction of shard %d: %w", si, err)
 	}
@@ -161,12 +147,13 @@ func (e *Engine) compactShardLocked(si int) error {
 		if sh.dead[local] {
 			continue
 		}
-		n, err := next.put(id, sh.embs.at(local), sh.codes.At(local))
+		n, err := next.put(id, sh.store.embs.at(local), sh.store.codes.At(local))
 		if err != nil {
 			return fmt.Errorf("engine: compaction of shard %d: %w", si, err)
 		}
 		e.locs[id].local = n
 	}
+	next.store.fastPaths.Store(sh.store.FastPathCount())
 	sh.items, sh.deadN = next, 0
 	if e.met != nil {
 		e.met.compactions.Inc()
@@ -230,27 +217,22 @@ func (e *Engine) Restore(next int, items []RestoreItem) error {
 //
 //det:replayed id-driven placement is what keeps restored shard layouts identical run to run
 func (e *Engine) restoreItem(it RestoreItem) error {
-	emb, code := it.Emb, it.Code
-	if len(emb) == 0 {
-		return fmt.Errorf("engine: Restore item %d has an empty embedding", it.ID)
+	code, err := signCode(it.Emb, it.Code)
+	if err != nil {
+		return fmt.Errorf("engine: Restore item %d: %w", it.ID, err)
 	}
-	if code.Bits == 0 {
-		code = hamming.FromSigns(emb)
-	} else if code.Bits != len(emb) {
-		return fmt.Errorf("engine: Restore item %d: code has %d bits but the embedding has dim %d", it.ID, code.Bits, len(emb))
-	}
-	if e.dim != 0 && len(emb) != e.dim {
-		return fmt.Errorf("engine: Restore item %d: embedding dim %d, want %d", it.ID, len(emb), e.dim)
+	if e.dim != 0 && len(it.Emb) != e.dim {
+		return fmt.Errorf("engine: Restore item %d: embedding dim %d, want %d", it.ID, len(it.Emb), e.dim)
 	}
 	si := it.ID % len(e.shards)
 	sh := e.shards[si]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	local, err := sh.put(it.ID, emb, code)
+	local, err := sh.put(it.ID, it.Emb, code)
 	if err != nil {
 		return fmt.Errorf("engine: Restore item %d: %w", it.ID, err)
 	}
-	e.dim = len(emb)
+	e.dim = len(it.Emb)
 	e.locs[it.ID].local = local
 	e.live++
 	return nil

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"sort"
+	"sync"
 	"testing"
 
 	"traj2hash/internal/hamming"
@@ -13,15 +15,26 @@ import (
 // allBackends is every production backend name, in canonical order.
 var allBackends = []string{EuclideanBFName, HammingBFName, HammingHybridName, MIHName, VPTreeName}
 
+// rotated returns allBackends starting at its rot-th name.
+func rotated(rot int) []string {
+	return append(append([]string(nil), allBackends[rot:]...), allBackends[:rot]...)
+}
+
 // mutationScript applies a deterministic Add/Delete/Update workload to e
 // and returns the surviving state: live ids ascending, plus the current
 // embedding and code of every live id. The script exercises deletes
 // scattered across shards, double-mutation of the same id, and updates
-// that move items in embedding space.
-func mutationScript(t *testing.T, e *Engine, rng *rand.Rand, n, dim int) (liveIDs []int, embs map[int][]float64, codes map[int]hamming.Code) {
+// that move items in embedding space. Each after is called with the
+// live state at the end of every phase of the script.
+func mutationScript(t *testing.T, e *Engine, rng *rand.Rand, n, dim int, after ...func(embs map[int][]float64, codes map[int]hamming.Code)) (liveIDs []int, embs map[int][]float64, codes map[int]hamming.Code) {
 	t.Helper()
 	embs = map[int][]float64{}
 	codes = map[int]hamming.Code{}
+	phaseDone := func() {
+		for _, f := range after {
+			f(embs, codes)
+		}
+	}
 	vecs := randVecs(rng, n, dim)
 	for i, v := range vecs {
 		c := hamming.FromSigns(v)
@@ -35,6 +48,7 @@ func mutationScript(t *testing.T, e *Engine, rng *rand.Rand, n, dim int) (liveID
 		embs[id] = v
 		codes[id] = c
 	}
+	phaseDone()
 	// Delete every 5th item, then update every 7th survivor.
 	for id := 0; id < n; id += 5 {
 		if err := e.Delete(id); err != nil {
@@ -43,6 +57,7 @@ func mutationScript(t *testing.T, e *Engine, rng *rand.Rand, n, dim int) (liveID
 		delete(embs, id)
 		delete(codes, id)
 	}
+	phaseDone()
 	for id := 0; id < n; id += 7 {
 		if _, ok := embs[id]; !ok {
 			continue
@@ -55,6 +70,7 @@ func mutationScript(t *testing.T, e *Engine, rng *rand.Rand, n, dim int) (liveID
 		embs[id] = v
 		codes[id] = c
 	}
+	phaseDone()
 	// A second delete wave hits some updated items too.
 	for id := 1; id < n; id += 9 {
 		if _, ok := embs[id]; !ok {
@@ -66,12 +82,39 @@ func mutationScript(t *testing.T, e *Engine, rng *rand.Rand, n, dim int) (liveID
 		delete(embs, id)
 		delete(codes, id)
 	}
-	for id := 0; id < n; id++ {
-		if _, ok := embs[id]; ok {
-			liveIDs = append(liveIDs, id)
-		}
+	phaseDone()
+	return liveOf(embs), embs, codes
+}
+
+// liveOf returns the ids of a live state, ascending.
+func liveOf(embs map[int][]float64) []int {
+	ids := make([]int, 0, len(embs))
+	for id := range embs {
+		ids = append(ids, id)
 	}
-	return liveIDs, embs, codes
+	sort.Ints(ids)
+	return ids
+}
+
+// oracle is the naive answer of a backend over a live state: every item
+// scored by the plain per-pair function of the backend's space, sorted by
+// (score, id), cut at k.
+func oracle(backend string, q Query, k int, embs map[int][]float64, codes map[int]hamming.Code) []Result {
+	out := make([]Result, 0, len(embs))
+	for _, id := range liveOf(embs) {
+		score := float64(hamming.Distance(q.Code, codes[id]))
+		if backend == EuclideanBFName || backend == VPTreeName {
+			score = sqDist(q.Emb, embs[id])
+		}
+		out = append(out, Result{ID: id, Score: score})
+	}
+	sort.Slice(out, func(a, b int) bool {
+		if out[a].Score < out[b].Score || out[a].Score > out[b].Score {
+			return out[a].Score < out[b].Score
+		}
+		return out[a].ID < out[b].ID
+	})
+	return out[:min(k, len(out))]
 }
 
 // TestMutatedEngineMatchesFreshBuild is the tentpole parity contract:
@@ -82,7 +125,10 @@ func mutationScript(t *testing.T, e *Engine, rng *rand.Rand, n, dim int) (liveID
 // 0.2 forces several compactions during the script). The fresh engine's
 // renumbered ids are mapped back through the ascending live-id list,
 // which is a bijection precisely because both sides order ties by
-// ascending (global) id.
+// ascending (global) id. Both are also held to the naive oracle — at the
+// end of every phase of the history for the sharded engine, and at its
+// end for the strategy over a standalone Store fed the survivors — so the
+// two sides cannot be wrong together.
 func TestMutatedEngineMatchesFreshBuild(t *testing.T) {
 	const (
 		n    = 200
@@ -90,6 +136,10 @@ func TestMutatedEngineMatchesFreshBuild(t *testing.T) {
 		k    = 20
 		nQry = 12
 	)
+	phaseQueries := make([]Query, 4)
+	for i, v := range randVecs(rand.New(rand.NewSource(32)), len(phaseQueries), dim) {
+		phaseQueries[i] = Query{Emb: v, Code: hamming.FromSigns(v)}
+	}
 	for _, backend := range allBackends {
 		for _, shards := range []int{1, 3} {
 			//lint:ignore floatcompare exact sentinel values, never computed
@@ -199,6 +249,98 @@ func TestWithinExcludesDeleted(t *testing.T) {
 	}
 }
 
+// TestWithinDuringCompaction: WithinCtx touches shard state only under
+// the shard's read lock. It used to pick the radius-lookup strategy by
+// reading shard 0's backend list with no lock, racing the compaction that
+// swaps that list in (run under -race: ci.sh's scenario stage). Deletes
+// drive compactions (CompactAt 0.01) and updates move codes while a
+// reader asks; once the writers stop, the answers are those of a serial
+// scan over what survived.
+func TestWithinDuringCompaction(t *testing.T) {
+	const n, dim, radius = 1500, 12, 2
+	for _, shards := range []int{1, 4} {
+		rng := rand.New(rand.NewSource(91))
+		e, err := New(Options{Backends: []string{EuclideanBFName, HammingHybridName}, Shards: shards, CompactAt: 0.01})
+		if err != nil {
+			t.Fatal(err)
+		}
+		vecs := randVecs(rng, n, dim)
+		if _, err := e.AddBatch(vecs, nil); err != nil {
+			t.Fatal(err)
+		}
+		moved := randVecs(rng, n, dim)
+		probes := randCodes(rng, 8, dim)
+
+		var writers, reader sync.WaitGroup
+		stop := make(chan struct{})
+		writers.Add(2)
+		go func() { // ids 0, 3, 6, … go; every few deletes compact a shard
+			defer writers.Done()
+			for id := 0; id < n/2; id += 3 {
+				if err := e.Delete(id); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+		go func() { // ids 1, 4, 7, … move
+			defer writers.Done()
+			for id := 1; id < n; id += 3 {
+				if err := e.Update(id, moved[id], hamming.Code{}); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+		reader.Add(1)
+		go func() {
+			defer reader.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				ids, err := within(e, probes[i%len(probes)], radius)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for j := 1; j < len(ids); j++ {
+					if ids[j] <= ids[j-1] {
+						t.Errorf("shards=%d: Within answer not ascending: %v", shards, ids)
+						return
+					}
+				}
+			}
+		}()
+		writers.Wait()
+		close(stop)
+		reader.Wait()
+
+		for pi, probe := range probes {
+			var want []int
+			for id := 0; id < n; id++ {
+				v := vecs[id]
+				switch {
+				case id%3 == 0 && id < n/2:
+					continue
+				case id%3 == 1:
+					v = moved[id]
+				}
+				if hamming.Distance(probe, hamming.FromSigns(v)) <= radius {
+					want = append(want, id)
+				}
+			}
+			got, err := within(e, probe, radius)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !equalInts(got, want) {
+				t.Fatalf("shards=%d probe %d: Within = %v, a serial scan gives %v", shards, pi, got, want)
+			}
+		}
+	}
+}
+
 func containsInt(xs []int, v int) bool {
 	for _, x := range xs {
 		if x == v {
@@ -299,6 +441,102 @@ func TestAddErrorPathsAllBackends(t *testing.T) {
 		}
 		if e.Len() != 1 || e.NextID() != 1 {
 			t.Fatalf("%s: failed adds mutated the engine: Len=%d NextID=%d", backend, e.Len(), e.NextID())
+		}
+	}
+}
+
+// TestRefusalsDoNotDependOnBackendOrder: the representation rules live in
+// the store, not in whichever strategy is listed first — every rotation
+// of the five names answers identically, refuses each bad input of
+// TestAddErrorPathsAllBackends and TestDeleteUpdateErrors with the same
+// error text, and a refused Add or Update leaves Len, every strategy's
+// answers and the next assigned id untouched.
+func TestRefusalsDoNotDependOnBackendOrder(t *testing.T) {
+	const n, dim, k = 40, 8, 6
+	rng := rand.New(rand.NewSource(97))
+	vecs := randVecs(rng, n, dim)
+	queries := make([]Query, 4)
+	for i, v := range randVecs(rng, len(queries), dim) {
+		queries[i] = Query{Emb: v, Code: hamming.FromSigns(v)}
+	}
+	wide, narrow := randVecs(rng, 1, 12)[0], randCodes(rng, 1, 6)[0]
+	add := func(emb []float64, code hamming.Code) func(*Engine) error {
+		return func(e *Engine) error { _, err := e.Add(emb, code); return err }
+	}
+	update := func(id int, emb []float64, code hamming.Code) func(*Engine) error {
+		return func(e *Engine) error { return e.Update(id, emb, code) }
+	}
+	bad := []struct {
+		name string
+		do   func(*Engine) error
+	}{
+		{"add of an empty embedding", add(nil, hamming.Code{})},
+		{"add with code/embedding disagreement", add(vecs[0], narrow)},
+		{"add with dimension drift", add(wide, hamming.Code{})},
+		{"batch of mismatched lengths", func(e *Engine) error { _, err := e.AddBatch(vecs[:3], randCodes(rng, 2, dim)); return err }},
+		{"update with an empty embedding", update(1, nil, hamming.Code{})},
+		{"update changing the dimension", update(1, wide, hamming.Code{})},
+		{"update with code/embedding disagreement", update(1, vecs[1], narrow)},
+		{"update of an unknown id", update(n+5, vecs[1], hamming.Code{})},
+		{"update of a deleted id", update(3, vecs[1], hamming.Code{})},
+	}
+	var firstErrs []string
+	var firstAnswers [][]Result
+	for rot := range allBackends {
+		names := rotated(rot)
+		e, err := New(Options{Backends: names, Shards: 2, Config: Config{Bits: dim}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		state := func() (int, int, [][]Result) {
+			var answers [][]Result
+			for _, backend := range allBackends {
+				for _, q := range queries {
+					rs, err := searchWith(e, backend, q, k)
+					if err != nil {
+						t.Fatal(err)
+					}
+					answers = append(answers, rs)
+				}
+			}
+			return e.Len(), e.NextID(), answers
+		}
+		// A first item off Config.Bits is refused by the store itself.
+		err = add(wide, hamming.Code{})(e)
+		if err == nil || e.Len() != 0 || e.NextID() != 0 {
+			t.Fatalf("%v: a %d-dim first item under Config.Bits %d: error %v, Len %d, NextID %d", names, len(wide), dim, err, e.Len(), e.NextID())
+		}
+		errs := []string{err.Error()}
+		if _, err := e.AddBatch(vecs, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.Delete(3); err != nil {
+			t.Fatal(err)
+		}
+		_, _, before := state()
+		for _, b := range bad {
+			err := b.do(e)
+			if err == nil {
+				t.Fatalf("%v: %s accepted", names, b.name)
+			}
+			errs = append(errs, err.Error())
+			if length, next, after := state(); length != n-1 || next != n || !reflect.DeepEqual(after, before) {
+				t.Fatalf("%v: a refused %s changed the engine: Len %d, NextID %d, answers equal %v",
+					names, b.name, length, next, reflect.DeepEqual(after, before))
+			}
+		}
+		if id, err := e.Add(vecs[0], hamming.Code{}); err != nil || id != n {
+			t.Fatalf("%v: the add after the refusals got id %d, %v; want %d", names, id, err, n)
+		}
+		if rot == 0 {
+			firstErrs, firstAnswers = errs, before
+			continue
+		}
+		if !reflect.DeepEqual(errs, firstErrs) {
+			t.Fatalf("error texts depend on backend order:\n%v: %q\n%v: %q", names, errs, allBackends, firstErrs)
+		}
+		if !reflect.DeepEqual(before, firstAnswers) {
+			t.Fatalf("answers depend on backend order (%v vs %v)", names, allBackends)
 		}
 	}
 }

@@ -82,7 +82,7 @@ func TestHammingBackendsAgree(t *testing.T) {
 		for qi, qc := range queries {
 			q := Query{Code: qc}
 			want := bf.Search(q, 20)
-			for name, be := range map[string]Backend{"hybrid": hy, "mih": mih} {
+			for name, be := range map[string]standalone{"hybrid": hy, "mih": mih} {
 				got := be.Search(q, 20)
 				if len(got) != len(want) {
 					t.Fatalf("bits=%d %s query %d: len %d vs %d", bits, name, qi, len(got), len(want))

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"traj2hash/internal/hamming"
@@ -53,44 +54,77 @@ func TestFastPathCountSurvivesCompaction(t *testing.T) {
 	}
 }
 
-// sharedTable returns the one table shard sh's hamming-bf and
-// hamming-hybrid backends search, failing the test if they hold two, or
-// if it was fed more than once per item.
-func sharedTable(t *testing.T, when string, si int, sh *shard) *hamming.Table {
-	t.Helper()
-	var bf *HammingBF
-	var hybrid *HammingHybrid
-	for _, b := range sh.backends {
-		switch b := b.(type) {
-		case *HammingBF:
-			bf = b
-		case *HammingHybrid:
-			hybrid = b
+// census walks everything reachable from root — through pointers,
+// interfaces, structs, slices, arrays and maps, unexported fields
+// included — and counts the distinct hamming.Tables it meets and the
+// float64s the distinct float slices have room for. It knows nothing of
+// how a shard is wired, which is the point: a second table or a second
+// copy of the rows shows up wherever it hides.
+func census(root any) (tables, floats int) {
+	type ref struct {
+		at uintptr
+		t  reflect.Type
+	}
+	seen := map[ref]bool{}
+	first := func(v reflect.Value) bool {
+		r := ref{v.Pointer(), v.Type()}
+		was := seen[r]
+		seen[r] = true
+		return !was
+	}
+	var walk func(v reflect.Value)
+	walk = func(v reflect.Value) {
+		switch v.Kind() {
+		case reflect.Pointer:
+			if v.IsNil() || !first(v) {
+				return
+			}
+			if v.Type() == reflect.TypeOf((*hamming.Table)(nil)) {
+				tables++
+			}
+			walk(v.Elem())
+		case reflect.Interface:
+			if !v.IsNil() {
+				walk(v.Elem())
+			}
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				walk(v.Field(i))
+			}
+		case reflect.Slice:
+			if v.IsNil() || !first(v) {
+				return
+			}
+			if v.Type().Elem().Kind() == reflect.Float64 {
+				floats += v.Cap()
+			}
+			for i := 0; i < v.Len(); i++ {
+				walk(v.Index(i))
+			}
+		case reflect.Array:
+			for i := 0; i < v.Len(); i++ {
+				walk(v.Index(i))
+			}
+		case reflect.Map:
+			for it := v.MapRange(); it.Next(); {
+				walk(it.Key())
+				walk(it.Value())
+			}
 		}
 	}
-	if bf == nil || hybrid == nil {
-		t.Fatalf("%s: shard %d lacks one of the two Hamming backends", when, si)
-	}
-	if bf.tab != hybrid.tab || bf.tab.t == nil {
-		t.Fatalf("%s: shard %d holds two tables (bf %p, hybrid %p)", when, si, bf.tab.t, hybrid.tab.t)
-	}
-	if got := bf.tab.t.Len(); got != len(sh.ids) {
-		t.Fatalf("%s: shard %d table holds %d codes for %d items", when, si, got, len(sh.ids))
-	}
-	return bf.tab.t
+	walk(reflect.ValueOf(root))
+	return tables, floats
 }
 
-// TestShardSharesOneTable: an engine maintaining hamming-hybrid and
-// hamming-bf keeps one hamming.Table per shard — whichever of the two is
-// listed first, after a mutation history, after Compact, and after
-// Restore — and both strategies still answer exactly like a standalone
-// backend of their kind (which owns its table) fed the surviving items.
+// TestShardSharesOneTable: a shard searched by all five strategies
+// builds exactly one hamming.Table — in whichever order they are listed,
+// after a mutation history, after Compact, and after Restore — and
+// hamming-bf and hamming-hybrid still answer exactly like a strategy of
+// their kind over a store of its own fed the surviving items.
 func TestShardSharesOneTable(t *testing.T) {
 	const n, dim, k = 180, 16, 12
-	for _, names := range [][]string{
-		{HammingHybridName, HammingBFName, EuclideanBFName},
-		{HammingBFName, EuclideanBFName, HammingHybridName},
-	} {
+	for rot := range allBackends {
+		names := rotated(rot)
 		rng := rand.New(rand.NewSource(73))
 		opts := Options{Backends: names, Shards: 3, CompactAt: -1}
 		e, err := New(opts)
@@ -113,12 +147,10 @@ func TestShardSharesOneTable(t *testing.T) {
 
 		check := func(when string, e *Engine) {
 			t.Helper()
-			seen := map[*hamming.Table]bool{}
 			for si, sh := range e.shards {
-				seen[sharedTable(t, when, si, sh)] = true
-			}
-			if len(seen) != len(e.shards) {
-				t.Fatalf("%s: %d distinct tables for %d shards", when, len(seen), len(e.shards))
+				if tables, _ := census(sh); tables != 1 {
+					t.Fatalf("%s %v: shard %d reaches %d hamming.Tables, want 1", when, names, si, tables)
+				}
 			}
 			for _, name := range []string{HammingBFName, HammingHybridName} {
 				alone := mustBackend(t, name, Config{}, nil, liveCodes)

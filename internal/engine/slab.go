@@ -1,10 +1,6 @@
 package engine
 
-import (
-	"fmt"
-
-	"traj2hash/internal/topk"
-)
+import "traj2hash/internal/topk"
 
 // slabChunkFloats caps one chunk of a slab at 4096 float64s = 32 KB (64
 // rows at d = 64). A slab grows by whole chunks, never by reallocating
@@ -16,14 +12,14 @@ const slabChunkFloats = 4096
 // capacity so that appending into it never moves it.
 type chunk []float64
 
-// slab is the columnar embedding store of one shard — the only place a
-// shard keeps an embedding: the canonical array compaction rebuilds from
-// and the rows euclidean-bf and vptree search (they adopt the shard's
-// slab, see Engine.newItems; a standalone backend owns a private one).
-// Row i lives in chunks[i/per] at offset (i%per)*dim. Vectors are copied
-// in, so a slab never aliases its callers' memory, and rows never move,
-// so a view from at stays valid while the slab grows. The zero value is
-// empty; the first append fixes the dimension.
+// slab is the columnar embedding store — a Store's embedding column, the
+// only place a shard keeps an embedding: the canonical array compaction
+// rebuilds from and the rows euclidean-bf and vptree search. Row i lives
+// in chunks[i/per] at offset (i%per)*dim. Vectors are copied in, so a slab
+// never aliases its callers' memory, and rows never move, so a view from
+// at stays valid while the slab grows. The zero value is empty; the first
+// append fixes the dimension, and a row of another length after that is a
+// caller bug (Store and NewVPTree validate first) that panics.
 type slab struct {
 	dim    int // row length, 0 until the first append
 	per    int // rows per chunk: max(1, slabChunkFloats/dim)
@@ -33,18 +29,6 @@ type slab struct {
 
 func (s *slab) len() int { return s.n }
 
-// fits reports whether v can be stored: non-empty, and of the slab's
-// dimension once there is one.
-func (s *slab) fits(v []float64) error {
-	if len(v) == 0 {
-		return fmt.Errorf("engine: empty embedding")
-	}
-	if s.dim != 0 && len(v) != s.dim {
-		return fmt.Errorf("engine: embedding dim %d, want %d", len(v), s.dim)
-	}
-	return nil
-}
-
 // at returns row i as a view: it aliases the store and must not be
 // modified or handed to callers outside the engine.
 func (s *slab) at(i int) []float64 {
@@ -52,13 +36,13 @@ func (s *slab) at(i int) []float64 {
 	return s.chunks[i/s.per][off : off+s.dim : off+s.dim]
 }
 
-// append copies v in as the next row.
-func (s *slab) append(v []float64) error {
-	if err := s.fits(v); err != nil {
-		return err
-	}
+// append copies the non-empty v in as the next row.
+func (s *slab) append(v []float64) {
 	if s.dim == 0 {
 		s.dim, s.per = len(v), max(1, slabChunkFloats/len(v))
+	}
+	if len(v) != s.dim {
+		panic("engine: row length mismatch in the embedding slab")
 	}
 	if s.n == len(s.chunks)*s.per {
 		s.chunks = append(s.chunks, make(chunk, 0, s.per*s.dim))
@@ -66,24 +50,14 @@ func (s *slab) append(v []float64) error {
 	last := &s.chunks[len(s.chunks)-1]
 	*last = append(*last, v...) // within capacity: the chunk stays where it is
 	s.n++
-	return nil
 }
 
-// settable reports whether set(i, v) would succeed.
-func (s *slab) settable(i int, v []float64) error {
-	if uint(i) >= uint(s.n) {
-		return fmt.Errorf("engine: update of unknown id %d (have %d)", i, s.n)
-	}
-	return s.fits(v)
-}
-
-// set overwrites row i with a copy of v.
-func (s *slab) set(i int, v []float64) error {
-	if err := s.settable(i, v); err != nil {
-		return err
+// set overwrites row i < len with a copy of v.
+func (s *slab) set(i int, v []float64) {
+	if len(v) != s.dim {
+		panic("engine: row length mismatch in the embedding slab")
 	}
 	copy(s.at(i), v)
-	return nil
 }
 
 // nearest is the Euclidean-BF scan: the k rows with the smallest squared

@@ -5,6 +5,8 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+
+	"traj2hash/internal/hamming"
 )
 
 // VPTree is a vantage-point tree over Euclidean-space embeddings: exact
@@ -16,7 +18,7 @@ import (
 // the paper's answer, and this is the classical Euclidean one, provided
 // for comparison (see BenchmarkSearchVPTree in the root bench suite).
 type VPTree struct {
-	vecs *slab // a private copy from NewVPTree, or the backend's store
+	vecs *slab // a private copy from NewVPTree, or the store's column
 	root *vpNode
 }
 
@@ -33,13 +35,13 @@ func NewVPTree(vectors [][]float64, seed int64) (*VPTree, error) {
 	if len(vectors) == 0 {
 		return nil, fmt.Errorf("engine: empty vector set")
 	}
-	vecs := &slab{}
+	st := NewStore(Config{})
 	for i, v := range vectors {
-		if err := vecs.append(v); err != nil {
+		if err := st.Add(v, hamming.Code{}); err != nil {
 			return nil, fmt.Errorf("%w (vector %d)", err, i)
 		}
 	}
-	return newVPTree(vecs, seed), nil
+	return newVPTree(&st.embs, seed), nil
 }
 
 // newVPTree builds the tree over the rows of a non-empty store, which

@@ -8,19 +8,21 @@ import (
 )
 
 // strategy is one search strategy of the efficiency and accuracy studies
-// (Section V-E) loaded for measurement: an engine backend, built by its
-// registry name, over a database, plus the prepared queries it will be
-// asked. Going through engine.NewBackend means the experiments time and
-// score exactly the code that serves production queries through the
-// public Index. Items and queries are engine.Query values carrying
-// whichever representation the backend reads — embeddings for the
-// Euclidean backends, codes for the Hamming ones, or both.
+// (Section V-E) loaded for measurement: an engine strategy, built by its
+// registry name, over an engine.Store fed the database, plus the prepared
+// queries it will be asked. Store and strategy are the ones an engine
+// shard is made of, so the experiments time and score exactly the code
+// that serves production queries through the public Index. Items and
+// queries are engine.Query values carrying whichever representation the
+// strategy reads — embeddings for the Euclidean ones, codes for the
+// Hamming ones, or both — and the store keeps only the columns it is fed.
 type strategy struct {
 	be      engine.Backend
+	st      *engine.Store
 	queries []engine.Query
 }
 
-// newStrategy builds the named backend over db and checks every prepared
+// newStrategy builds the named strategy over db and checks every prepared
 // query against the database's dimensions, so a mismatch is an error here
 // rather than a wrong answer (or an index panic) mid-measurement.
 func newStrategy(name string, db, queries []engine.Query) (*strategy, error) {
@@ -31,8 +33,9 @@ func newStrategy(name string, db, queries []engine.Query) (*strategy, error) {
 	if err != nil {
 		return nil, err
 	}
+	st := engine.NewStore(engine.Config{}, be)
 	for i, it := range db {
-		if err := be.Add(it.Emb, it.Code); err != nil {
+		if err := st.Add(it.Emb, it.Code); err != nil {
 			return nil, fmt.Errorf("experiments: %s database item %d: %w", name, i, err)
 		}
 	}
@@ -42,7 +45,7 @@ func newStrategy(name string, db, queries []engine.Query) (*strategy, error) {
 				name, i, len(q.Emb), q.Code.Bits, len(db[0].Emb), db[0].Code.Bits)
 		}
 	}
-	return &strategy{be: be, queries: queries}, nil
+	return &strategy{be: be, st: st, queries: queries}, nil
 }
 
 // runAll answers every prepared query, returning the top-k database ids
@@ -51,7 +54,7 @@ func newStrategy(name string, db, queries []engine.Query) (*strategy, error) {
 func (s *strategy) runAll(k int) [][]int {
 	out := make([][]int, len(s.queries))
 	for qi, q := range s.queries {
-		rs := s.be.Search(q, k)
+		rs := s.be.Search(s.st, q, k)
 		ids := make([]int, len(rs))
 		for i, r := range rs {
 			ids[i] = r.ID
@@ -65,12 +68,7 @@ func (s *strategy) runAll(k int) [][]int {
 // radius-2 neighborhood answered — the paper's table-lookup case (0 for
 // every other backend) — the Figure 5/6 analysis of when the hybrid
 // degenerates to Hamming-BF.
-func (s *strategy) fastPaths() int64 {
-	if h, ok := s.be.(*engine.HammingHybrid); ok {
-		return h.FastPathCount()
-	}
-	return 0
-}
+func (s *strategy) fastPaths() int64 { return s.st.FastPathCount() }
 
 // embQueries wraps embeddings as Euclidean-space items or queries.
 func embQueries(embs [][]float64) []engine.Query {

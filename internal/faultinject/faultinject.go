@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"traj2hash/internal/engine"
-	"traj2hash/internal/hamming"
 	"traj2hash/internal/nn"
 )
 
@@ -154,9 +153,11 @@ func Register() {
 	})
 }
 
-// faultyBackend wraps a real backend and injects the scheduled faults on
-// the read path. Add passes straight through: the failure domains under
-// test are query fan-out and training, not ingestion.
+// faultyBackend wraps a real strategy and injects the scheduled faults on
+// the read path. It searches the same store as everything else in its
+// shard and holds no items of its own: the failure domains under test are
+// query fan-out and training, not ingestion (nor in-memory mutation — the
+// durability layer has fs.go).
 type faultyBackend struct {
 	inner engine.Backend
 	inst  int
@@ -169,26 +170,19 @@ type faultyBackend struct {
 // Name implements engine.Backend.
 func (b *faultyBackend) Name() string { return BackendName }
 
-// Len implements engine.Backend.
-func (b *faultyBackend) Len() int { return b.inner.Len() }
-
-// Add implements engine.Backend.
-func (b *faultyBackend) Add(emb []float64, code hamming.Code) error {
-	return b.inner.Add(emb, code)
-}
-
-// Update implements engine.Backend, passing straight through like Add:
-// the failure domains under test are the read paths and the durability
-// layer (see fs.go), not in-memory mutation.
-func (b *faultyBackend) Update(local int, emb []float64, code hamming.Code) error {
-	return b.inner.Update(local, emb, code)
+// Index implements engine.Indexer by forwarding to the inner strategy,
+// when that keeps an index.
+func (b *faultyBackend) Index(st *engine.Store, local int) {
+	if ix, ok := b.inner.(engine.Indexer); ok {
+		ix.Index(st, local)
+	}
 }
 
 // Search implements engine.Backend, firing the instance's scheduled
 // faults before delegating: sleep first (so a slow shard can also be a
 // panicking one), then the deterministic panic, then the seeded chaos
 // panic.
-func (b *faultyBackend) Search(q engine.Query, k int) []engine.Result {
+func (b *faultyBackend) Search(st *engine.Store, q engine.Query, k int) []engine.Result {
 	if d := b.f.SleepOn[b.inst]; d > 0 {
 		time.Sleep(d)
 	}
@@ -198,7 +192,7 @@ func (b *faultyBackend) Search(q engine.Query, k int) []engine.Result {
 	if b.f.PanicProb > 0 && b.chaosFires() {
 		panic(fmt.Sprintf("faultinject: chaos panic in backend instance %d", b.inst))
 	}
-	return b.inner.Search(q, k)
+	return b.inner.Search(st, q, k)
 }
 
 // chaosFires draws one seeded Bernoulli trial under the rng lock.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -74,6 +75,41 @@ func bruteTopK(vecs [][]float64, q []float64, k, shards int, keep func(shard int
 		all = all[:k]
 	}
 	return all
+}
+
+// TestFaultyEngineHoldsRowsOnce: the faulty backend wraps a strategy, not
+// a container — its inner euclidean-bf searches the shard's one store, so
+// an engine over it costs one copy of each embedding (the budget is
+// internal/engine's TestPerItemHeapBudget: d × 8 bytes plus 132). The
+// wrapper used to carry a private slab, a second 512 B per item.
+func TestFaultyEngineHoldsRowsOnce(t *testing.T) {
+	const n, dim = 20000, 64
+	heap := func() uint64 {
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return m.HeapAlloc
+	}
+	rng := rand.New(rand.NewSource(21))
+	before := heap()
+	e := faultyEngine(t, 2, &Faults{}, nil)
+	v := make([]float64, dim)
+	for i := 0; i < n; i++ {
+		for j := range v {
+			v[j] = rng.NormFloat64()
+		}
+		if _, err := e.Add(v, hamming.Code{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	perItem := float64(heap()-before) / n
+	runtime.KeepAlive(e)
+	if perItem > dim*8+132 {
+		t.Fatalf("%.1f B of live heap per item behind the faulty backend, budget %d + 132: the rows are held twice", perItem, dim*8)
+	}
+	if rs := e.Search(engine.Query{Emb: v}, 1); len(rs) != 1 || rs[0].ID != n-1 || rs[0].Score != 0 {
+		t.Fatalf("self search through the wrapper = %+v, want id %d at distance 0", rs, n-1)
+	}
 }
 
 // TestPanickingShardDegradesExactly is acceptance scenario (a): with

@@ -279,5 +279,5 @@ func (m *MIH) Search(q Code, k int) []Neighbor {
 		}
 	}
 	// Guarantee unreachable within the probe budget: rank everything.
-	return m.codes.nearest(q, k, &sel, nil)
+	return m.codes.Nearest(q, k, &sel, nil)
 }

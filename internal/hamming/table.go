@@ -321,10 +321,11 @@ func (t *Table) fresh(k int) (topk.Selector, []Neighbor) {
 //
 //perf:hotpath the Hamming-BF scan is one of the two serving hot paths (ROADMAP); it runs per query per shard over every indexed code
 func (t *Table) BruteForceInto(q Code, k int, sel *topk.Selector, dst []Neighbor) []Neighbor {
-	return t.codes.nearest(q, k, sel, dst)
+	return t.codes.Nearest(q, k, sel, dst)
 }
 
-// nearest is the item scan, for every bit length: a threshold scan — XOR
+// Nearest is the Hamming-BF item scan with caller-owned state (see
+// BruteForceInto), for every bit length: a threshold scan — XOR
 // + popcount per code and one integer comparison against the current
 // k-th distance; the heap is touched only on an improvement. d < worst
 // is exact: ids ascend during the scan, so a candidate that ties the
@@ -333,7 +334,7 @@ func (t *Table) BruteForceInto(q Code, k int, sel *topk.Selector, dst []Neighbor
 // and panics, once per call rather than once per code.
 //
 //perf:hotpath the inner loop of the Hamming-BF scan: a bounds check or an allocation here multiplies by n codes per query
-func (s *Slab) nearest(q Code, k int, sel *topk.Selector, dst []Neighbor) []Neighbor {
+func (s *Slab) Nearest(q Code, k int, sel *topk.Selector, dst []Neighbor) []Neighbor {
 	words, qw := s.words, q.Words
 	if q.Bits != s.bits || len(qw) != s.stride {
 		panic("hamming: code length mismatch in brute-force scan")

@@ -134,7 +134,6 @@ func TestDoInvalidQueries(t *testing.T) {
 		"code to euclidean":  {Code: code, K: 5, Backend: BackendEuclideanBF},
 		"unmaintained (mih)": {Vec: emb, K: 5, Backend: BackendMIH},
 		"code to vptree":     {Code: code, K: 5, Backend: BackendVPTree},
-		"code to vp-tree":    {Code: code, K: 5, Backend: "vp-tree"}, // alias of vptree
 		"unknown backend":    {Vec: emb, K: 5, Backend: "bogus"},
 		"short vec":          {Vec: short, K: 5, Backend: BackendEuclideanBF},
 		"long vec":           {Vec: long, K: 5, Backend: BackendEuclideanBF},

@@ -10,7 +10,8 @@
 #      race detector — the failure-domain contracts (panic isolation,
 #      deadlines, checkpoint rollback — for the paper model and, in
 #      ./internal/baselines, the six baselines that inherit the same
-#      training loop), their visibility (injected
+#      training loop), the engine's mutation-under-search races
+#      (TestWithinDuringCompaction), their visibility (injected
 #      faults must move the obs counters; see DESIGN.md
 #      "Observability"), and the crash-recovery parity suite (a crash
 #      injected at every WAL write/fsync/rename must recover to an
@@ -73,6 +74,15 @@
 # BenchmarkSearchBatchMetrics must stay within 5% of
 # BenchmarkSearchBatchNoMetrics (the nil-registry no-op path); see
 # DESIGN.md "Observability".
+#
+# scripts/abpair.sh <parent-ref> [workload…] — the alternating-pair
+# benchmark protocol (not a CI gate either: ten pairs of every workload
+# are over an hour): builds trajbench from the ref and from the working
+# tree, runs them in alternation and prints wins, medians, the parent's
+# IQR and an inside-bound / unresolved / worse verdict per BENCHMARK.json
+# metric, plus nn.matmul's alignment in both binaries. Run it before
+# claiming, in CHANGES.md, that a number moved or did not.
+# scripts/loc.sh --against <parent-ref> is the size needle as a diff.
 # Usage: ./scripts/ci.sh [extra go test args]
 set -eu
 
@@ -126,7 +136,7 @@ echo "nn.matmul address mod 64 in bin/trajbench: $((0x${matmul_addr:-0} % 64)) (
 
 echo "== go test -race (fault-injection + observability + durability scenarios)"
 METRICS_JSON_OUT="$PWD/bin/metrics.json" \
-	go test -race -run 'Fault|Panic|Chaos|Deadline|Checkpoint|Resume|Diverg|Rollback|Cancel|EdgeCases|Metrics|Degraded|Timeout|Histogram|Tracer|SaveCheckpointFile|Crash|Recover|Torn|Durab|Mutat' \
+	go test -race -run 'Fault|Panic|Chaos|Deadline|Checkpoint|Resume|Diverg|Rollback|Cancel|EdgeCases|Metrics|Degraded|Timeout|Histogram|Tracer|SaveCheckpointFile|Crash|Recover|Torn|Durab|Mutat|Compaction' \
 	. ./internal/engine ./internal/faultinject ./internal/core ./internal/baselines ./internal/obs ./internal/wal || {
 	echo "fault injection: a failure-domain contract is broken — partial results, panic isolation, checkpoint rollback, crash-recovery parity, and their metric visibility are specified in DESIGN.md 'Failure semantics & graceful degradation', 'Observability', and 'Mutability & durability'"
 	exit 1
