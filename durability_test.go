@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"sync/atomic"
 	"testing"
 
@@ -707,6 +709,70 @@ func TestGroupCommitOperationCounts(t *testing.T) {
 			t.Errorf("%s: %d log writes and %d fsyncs, want %d of each", st.name, w-w0, s-s0, st.want)
 		}
 	}
+}
+
+// TestInMemoryAddBuildsNoWALPayload: an in-memory index has no log, so an
+// add builds no WAL payload — beyond the encoder's own objects, AddCtx
+// allocates only the code's words (flattening the trajectory for a record
+// nobody writes made it two). A durable index still logs whole records:
+// the durability script leaves WAL-directory bytes that hash to the value
+// recorded when every add still built its payload, and after a reopen it
+// answers like the in-memory index fed the same script.
+func TestInMemoryAddBuildsNoWALPayload(t *testing.T) {
+	ds := BuildDataset(Porto(), SplitSpec{Seed: 10, Validation: 6, Corpus: 30, Queries: 6, Database: 40}, 9)
+	enc, err := NewEncoder(EncoderGeoPTH, DefaultConfig(16), ds.All())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mem, err := NewIndexWith(enc, nil, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	tr := ds.Database[0]
+	add := testing.AllocsPerRun(200, func() {
+		if _, err := mem.AddCtx(ctx, tr); err != nil {
+			t.Fatal(err)
+		}
+	})
+	embed := testing.AllocsPerRun(200, func() { enc.Embed(tr) })
+	if own := add - embed; own > 1 {
+		t.Errorf("in-memory AddCtx allocates %v objects beside the encoder's %v, want at most 1 (the code's words)", own, embed)
+	}
+
+	dir := t.TempDir()
+	ops := durabilityScript(ds)
+	dur, err := NewIndexWith(enc, nil, durableOpts(BackendEuclideanBF, 2, dir, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := applyOps(dur, ops); err != nil {
+		t.Fatalf("op %d: %v", n, err)
+	}
+	if err := dur.Close(); err != nil {
+		t.Fatal(err)
+	}
+	files := dirBytes(t, dir)
+	names := make([]string, 0, len(files))
+	for name := range files {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	h := fnv.New64a()
+	for _, name := range names {
+		fmt.Fprintf(h, "%s\x00%d\x00%s", name, len(files[name]), files[name])
+	}
+	if got, want := h.Sum64(), uint64(0x7050863c3aa50169); got != want {
+		t.Errorf("WAL directory bytes hash to %#x, want %#x", got, want)
+	}
+	re, err := NewIndexWith(enc, nil, durableOpts(BackendEuclideanBF, 2, dir, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	items := itemsOf(ops)
+	_, live := expectedAfter(items, len(items))
+	assertIndexParity(t, "reopened", re, oracleIndex(t, enc, BackendEuclideanBF, 2, ops), ds.Queries, live)
 }
 
 // countingEncoder wraps an Encoder and counts trajectories embedded

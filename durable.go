@@ -82,7 +82,18 @@ func (ix *Index) Update(id int, t Trajectory) error {
 		return err
 	}
 	ix.trajs[id] = t
-	return ix.logMutations(wal.Record{Op: wal.OpUpdate, ID: id, Emb: emb, Code: code, Traj: flattenTraj(t)})
+	return ix.logMutations(ix.record(wal.OpUpdate, id, emb, code, t))
+}
+
+// record is the WAL record of an add or update. Its payload is built only
+// when there is a log to write it to: logMutations drops the records of an
+// in-memory index, and flattening every trajectory for it would be the
+// largest garbage of a bulk ingest. Callers hold ix.mu.
+func (ix *Index) record(op wal.Op, id int, emb []float64, code hamming.Code, t Trajectory) wal.Record {
+	if ix.store == nil {
+		return wal.Record{Op: op, ID: id}
+	}
+	return wal.Record{Op: op, ID: id, Emb: emb, Code: code, Traj: flattenTraj(t)}
 }
 
 // AddCtx embeds and indexes one more trajectory, returning its id. A done

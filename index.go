@@ -319,7 +319,7 @@ func (ix *Index) applyAdd(t Trajectory, emb []float64) (wal.Record, error) {
 		return wal.Record{}, err
 	}
 	ix.trajs = append(ix.trajs, t)
-	return wal.Record{Op: wal.OpAdd, ID: id, Emb: emb, Code: code, Traj: flattenTraj(t)}, nil
+	return ix.record(wal.OpAdd, id, emb, code, t), nil
 }
 
 // Len returns the number of live (non-deleted) indexed trajectories.

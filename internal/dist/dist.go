@@ -268,6 +268,9 @@ func Frechet(a, b geo.Trajectory) float64 {
 
 // Hausdorff returns the (symmetric) Hausdorff distance
 // max(h(a, b), h(b, a)) where h(a, b) = max_i min_j d(a_i, b_j).
+//
+// Two exact kernels compute it and agree bit for bit; the point-pair count
+// len(a)·len(b) picks one (smallKernel).
 func Hausdorff(a, b geo.Trajectory) float64 {
 	if len(a) == 0 && len(b) == 0 {
 		return 0
@@ -275,12 +278,104 @@ func Hausdorff(a, b geo.Trajectory) float64 {
 	if len(a) == 0 || len(b) == 0 {
 		return math.Inf(1)
 	}
+	if smallKernel(len(a), len(b)) {
+		return math.Sqrt(hausdorffSqSmall(a, b))
+	}
 	sq, _ := hausdorffSq(a, b)
 	return math.Sqrt(sq)
 }
 
+// smallPairs is the crossover between Hausdorff's kernels, in point pairs:
+// up to it every pair is evaluated (hausdorffSqSmall), above it pairs are
+// skipped (hausdorffSq). Nanoseconds per distance, fastest of 20 runs of
+// BenchmarkHausdorffKernels (Porto trips against Porto prototypes, a new
+// pair every op) on a 2-core Xeon:
+//
+//	shape    pairs  adaptive  small
+//	6 × 6       36       213     52
+//	8 × 8       64       262     87
+//	12 × 12    144       387    180
+//	16 × 16    256       483    316
+//	20 × 20    400       600    486
+//	5 × 48     240       574    311
+//	8 × 48     384       653    492
+//	10 × 48    480       704    611
+//	20 × 24    480       582    615
+//	20 × 32    640       863    831
+//
+// Squares cross just above 20 × 20 (with the column buffer widened to 32,
+// 22 × 22 and 24 × 24 went to the adaptive kernel by 2 % and 8 %); thin
+// shapes cross later, since the adaptive kernel's cost follows the points
+// and the small one's the pairs. At 48 points GeoPTH's shapes start at
+// 10 × 48 on preprocessed trips (data.MinPoints) and stay adaptive.
+const smallPairs = 400
+
+// smallCols is the column buffer of hausdorffSqSmall: the shorter side of
+// an n × m input with n·m ≤ smallPairs has at most ⌊√smallPairs⌋ points.
+const smallCols = 20
+
+// The build fails (a negative uint constant) if smallPairs outgrows the
+// buffer: (smallCols+1)² must exceed it.
+const _ = uint((smallCols+1)*(smallCols+1) - smallPairs - 1)
+
+// smallKernel reports whether Hausdorff runs hausdorffSqSmall on an
+// n × m input rather than hausdorffSq.
+func smallKernel(n, m int) bool { return n*m <= smallPairs }
+
+// hausdorffSqSmall is the kernel of Hausdorff in squared units for small,
+// non-empty inputs whose shorter side has at most smallCols points: one
+// pass over the whole n × m matrix keeps every row minimum and every
+// column minimum at once, so each pair is evaluated once and nothing
+// branches on a distance. Rows go two at a time, sharing each column's
+// point and minimum (an odd last row is paired with itself).
+//
+// Minima and maxima compare the IEEE bit patterns of the squared
+// distances as uint64, which the compiler turns into conditional moves.
+// That order is the float order for everything SqDist returns: for
+// d ≥ +0 (a sum of squares is never -0) the bit patterns rise with d,
+// +Inf sits above every finite d, and every NaN — including the
+// negative-sign NaN that Inf − Inf gives on amd64 — sits above +Inf. So
+// a NaN never becomes a minimum started at +Inf, just as `d < best` never
+// admits one in the plain double loop, and no NaN check is needed.
+//
+//perf:hotpath a GeoPTH embed at 6 points is 2 x HashBits of these and nothing else; a branch, a bounds check or an allocation per pair is most of what one costs
+func hausdorffSqSmall(a, b geo.Trajectory) float64 {
+	// Hausdorff is symmetric: the shorter side goes on the columns.
+	if len(b) > len(a) {
+		a, b = b, a
+	}
+	inf := math.Float64bits(math.Inf(1))
+	var buf [smallCols]uint64
+	cols := buf[:len(b)]
+	for j := range cols {
+		cols[j] = inf
+	}
+	var worst uint64 // the bits of +0
+	for rows := a; len(rows) > 0; {
+		p0, p1 := rows[0], rows[0]
+		if len(rows) > 1 {
+			p1, rows = rows[1], rows[2:]
+		} else {
+			rows = rows[1:]
+		}
+		row0, row1 := inf, inf
+		for j, q := range b {
+			d0 := math.Float64bits(p0.SqDist(q))
+			d1 := math.Float64bits(p1.SqDist(q))
+			row0, row1 = min(row0, d0), min(row1, d1)
+			cols[j] = min(cols[j], d0, d1)
+		}
+		worst = max(worst, row0, row1)
+	}
+	for _, c := range cols {
+		worst = max(worst, c)
+	}
+	return math.Float64frombits(worst)
+}
+
 // hausdorffSq is the kernel of Hausdorff in squared units over two
-// non-empty trajectories; pairs counts the point pairs it evaluated.
+// non-empty trajectories, the one Hausdorff runs above smallPairs; pairs
+// counts the point pairs it evaluated.
 //
 // A point whose running minimum has dropped to the outer maximum worst
 // can no longer raise it, so its scan stops there (the early break). The
@@ -302,7 +397,7 @@ func Hausdorff(a, b geo.Trajectory) float64 {
 // order — each index is probed at most once per scan — so the worst case
 // is the plain double loop.
 //
-//perf:hotpath a GeoPTH embed is 2 x HashBits of these and nothing else, so it is the served search's largest owned cost; an allocation or a bounds check per probed pair would give the saved pairs back
+//perf:hotpath a GeoPTH embed at 48 points is 2 x HashBits of these and nothing else, so it is the served search's largest owned cost; an allocation or a bounds check per probed pair would give the saved pairs back
 func hausdorffSq(a, b geo.Trajectory) (worst float64, pairs int) {
 	// Each side splits into its first point, its last and the rest between
 	// them, so every point is scanned exactly once (a one-point side has

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -356,22 +357,37 @@ func plainHausdorff(a, b geo.Trajectory) float64 {
 	return math.Max(directed(a, b), directed(b, a))
 }
 
-// checkHausdorff holds Hausdorff(a, b) to plainHausdorff bit for bit, in
-// both argument orders, and the kernel to its worst case, the double
-// loop: every point pair at most once per direction.
+// checkHausdorff holds Hausdorff(a, b) and both of its kernels — called
+// directly, whichever one the dispatch would pick — to plainHausdorff bit
+// for bit, in both argument orders; the small kernel on every input its
+// column buffer takes. It also holds the adaptive kernel to its worst
+// case, the double loop: every point pair at most once per direction.
 func checkHausdorff(t *testing.T, name string, a, b geo.Trajectory) {
 	t.Helper()
 	want := math.Float64bits(plainHausdorff(a, b))
-	if got := math.Float64bits(Hausdorff(a, b)); got != want {
-		t.Errorf("%s: Hausdorff(a, b) = %#x, plain double loop = %#x", name, got, want)
-	}
-	if got := math.Float64bits(Hausdorff(b, a)); got != want {
-		t.Errorf("%s: Hausdorff(b, a) = %#x, plain double loop = %#x", name, got, want)
-	}
-	if len(a) > 0 && len(b) > 0 {
-		if _, pairs := hausdorffSq(a, b); pairs > 2*len(a)*len(b) {
+	for _, args := range []struct {
+		order string
+		x, y  geo.Trajectory
+	}{{"a, b", a, b}, {"b, a", b, a}} {
+		x, y := args.x, args.y
+		if got := math.Float64bits(Hausdorff(x, y)); got != want {
+			t.Errorf("%s: Hausdorff(%s) = %#x, plain double loop = %#x", name, args.order, got, want)
+		}
+		if len(x) == 0 || len(y) == 0 {
+			continue
+		}
+		sq, pairs := hausdorffSq(x, y)
+		if got := math.Float64bits(math.Sqrt(sq)); got != want {
+			t.Errorf("%s: hausdorffSq(%s) = %#x, plain double loop = %#x", name, args.order, got, want)
+		}
+		if pairs > 2*len(x)*len(y) {
 			t.Errorf("%s: %d point pairs evaluated for %d x %d points, more than the double loop",
-				name, pairs, len(a), len(b))
+				name, pairs, len(x), len(y))
+		}
+		if min(len(x), len(y)) <= smallCols {
+			if got := math.Float64bits(math.Sqrt(hausdorffSqSmall(x, y))); got != want {
+				t.Errorf("%s: hausdorffSqSmall(%s) = %#x, plain double loop = %#x", name, args.order, got, want)
+			}
 		}
 	}
 }
@@ -393,20 +409,41 @@ func zigZag(n, m int) (a, b geo.Trajectory) {
 	return a, b
 }
 
-// TestHausdorffKernelBitIdentical: the running bound shared by both
-// directions, the endpoint seeds and the scan that starts at the previous
-// point's nearest neighbour change no bit of any Hausdorff distance and
-// never cost more than the double loop — over
-// Porto-like pairs in the shapes GeoPTH meets (equal lengths, a trip
-// against a shorter or longer prototype, reversed and self-paired), the
-// degenerate shapes where a break fires first, and the zig-zag adversary
-// whose locality hint is wrong at every point.
+// TestHausdorffKernelBitIdentical: neither kernel changes a bit of any
+// Hausdorff distance — not the small kernel's uint64 compares, not the
+// adaptive kernel's running bound shared by both directions, endpoint
+// seeds and scan that starts at the previous point's nearest neighbour —
+// and the adaptive one never costs more than the double loop. Over
+// Porto-like pairs in the shapes GeoPTH meets (equal lengths at 6, 24 and
+// 48 points, a trip against a shorter or longer prototype, a one-point
+// trip, reversed and self-paired), the degenerate shapes where a break
+// fires first, and the zig-zag adversary whose locality hint is wrong at
+// every point. Each shape GeoPTH meets is also pinned to its kernel.
 func TestHausdorffKernelBitIdentical(t *testing.T) {
+	// A moved smallPairs must not route the serving shape (48 × 48) or a
+	// long trip onto the O(n·m) kernel, nor scan_100k's 6 × 6 off it.
+	for _, tc := range []struct {
+		n, m  int
+		small bool
+	}{
+		{6, 6, true}, {12, 12, true}, {5, 48, true}, {8, 48, true}, {1, 48, true}, {1, smallPairs, true},
+		{1, smallPairs + 1, false}, {10, 48, false}, {24, 24, false}, {48, 48, false}, {120, 48, false},
+	} {
+		if got := smallKernel(tc.n, tc.m); got != tc.small {
+			t.Errorf("%d x %d points: small kernel %v, want %v", tc.n, tc.m, got, tc.small)
+		}
+		if got := smallKernel(tc.m, tc.n); got != tc.small {
+			t.Errorf("%d x %d points: small kernel %v, want %v", tc.m, tc.n, got, tc.small)
+		}
+	}
+
 	ts := data.Porto().Generate(40, 3)
 	for i := 0; i+1 < len(ts); i++ {
 		for _, j := range []int{i + 1, (i + 7) % len(ts), (i + 19) % len(ts)} {
 			checkHausdorff(t, "porto", ts[i], ts[j])
 			checkHausdorff(t, "porto reversed", ts[j], ts[i].Reverse())
+			checkHausdorff(t, "porto 6 vs 6", ts[i].Resample(6), ts[j].Resample(6))
+			checkHausdorff(t, "porto 12 vs 12", ts[i].Resample(12), ts[j].Resample(12))
 			checkHausdorff(t, "porto resampled", ts[i].Resample(24), ts[j].Resample(24))
 			checkHausdorff(t, "porto 48 vs 48", ts[i].Resample(48), ts[j].Resample(48))
 			checkHausdorff(t, "porto 44 vs 6", ts[i].Resample(44), ts[j].Resample(6))
@@ -416,10 +453,14 @@ func TestHausdorffKernelBitIdentical(t *testing.T) {
 		for n := 1; n <= 5; n++ {
 			checkHausdorff(t, "short vs 48", ts[(i+1)%len(ts)].Resample(n), proto)
 		}
+		for _, n := range []int{6, smallPairs, smallPairs + 1} {
+			checkHausdorff(t, "one point vs n", ts[(i+2)%len(ts)].Resample(1), ts[i].Resample(n))
+		}
 		checkHausdorff(t, "prototype vs itself", proto, proto)
 		checkHausdorff(t, "prototype vs its reverse", proto, proto.Reverse())
 	}
 	p, q := geo.Point{X: 1, Y: 2}, geo.Point{X: 4, Y: 6}
+	inf := geo.Point{X: math.Inf(1)}
 	long := ts[0]
 	dup := append(append(geo.Trajectory{}, long...), long...)
 	for _, tc := range []struct {
@@ -435,6 +476,9 @@ func TestHausdorffKernelBitIdentical(t *testing.T) {
 		{"identical", long, long},
 		{"duplicated points", dup, long},
 		{"duplicated vs other", dup, ts[1]},
+		// Inf − Inf is a negative-sign NaN: as an int64 it would be the
+		// smallest distance, as a uint64 it sits above +Inf.
+		{"Inf − Inf beside finite pairs", geo.Trajectory{inf, p, q}, geo.Trajectory{inf, q}},
 	} {
 		checkHausdorff(t, tc.name, tc.a, tc.b)
 	}
@@ -479,8 +523,11 @@ func fuzzTrajectories(data []byte) (a, b geo.Trajectory) {
 }
 
 // FuzzHausdorffMatchesPlain: for any two point lists — empty sides,
-// ties, NaN and infinite coordinates included — Hausdorff equals the
-// plain double loop bit for bit and is symmetric in its arguments.
+// ties, NaN and infinite coordinates included — Hausdorff and each of its
+// kernels equal the plain double loop bit for bit and are symmetric in
+// their arguments. The committed corpus holds the pair counts around
+// smallPairs, a side longer than the small kernel's column buffer, and
+// Inf − Inf on both sides.
 func FuzzHausdorffMatchesPlain(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 2})                                     // a empty
@@ -552,34 +599,31 @@ func TestQuickLowerBoundNeverNegative(t *testing.T) {
 	}
 }
 
-// hausdorffFixture is one GeoPTH embed at the serving shape: a 48-point
-// Porto trip and the 128 48-point prototypes it is measured against.
-func hausdorffFixture() (q geo.Trajectory, protos []geo.Trajectory) {
+// hausdorffFixture is one GeoPTH embed at n points: a Porto trip and the
+// 128 prototypes it is measured against, all resampled to n points — 48
+// is the serving shape, 6 scan_100k's.
+func hausdorffFixture(n int) (q geo.Trajectory, protos []geo.Trajectory) {
 	ts := data.Porto().Generate(129, 5)
 	for i := range ts {
-		ts[i] = ts[i].Resample(48)
+		ts[i] = ts[i].Resample(n)
 	}
 	return ts[0], ts[1:]
 }
 
-// TestHotpathHausdorffZeroAlloc locks in the //perf:hotpath contract on
-// the Hausdorff kernel.
-func TestHotpathHausdorffZeroAlloc(t *testing.T) {
-	q, protos := hausdorffFixture()
+// hausdorffAllocs is the heap allocations of the fixture's 128 distances.
+func hausdorffAllocs(n int) float64 {
+	q, protos := hausdorffFixture(n)
 	var sink float64
-	allocs := testing.AllocsPerRun(20, func() {
+	return testing.AllocsPerRun(20, func() {
 		for _, p := range protos {
 			sink += Hausdorff(q, p)
 		}
 	})
-	if allocs != 0 {
-		t.Fatalf("Hausdorff allocated %v per 128 distances, want 0", allocs)
-	}
 }
 
-// BenchmarkHotpathHausdorff measures the 128 distances of the fixture.
-func BenchmarkHotpathHausdorff(b *testing.B) {
-	q, protos := hausdorffFixture()
+// benchHausdorff measures the fixture's 128 distances at n points.
+func benchHausdorff(b *testing.B, n int) {
+	q, protos := hausdorffFixture(n)
 	b.ReportAllocs()
 	b.ResetTimer()
 	var sink float64
@@ -589,4 +633,60 @@ func BenchmarkHotpathHausdorff(b *testing.B) {
 		}
 	}
 	_ = sink
+}
+
+// TestHotpathHausdorffZeroAlloc locks in the //perf:hotpath contract on
+// the adaptive Hausdorff kernel.
+func TestHotpathHausdorffZeroAlloc(t *testing.T) {
+	if allocs := hausdorffAllocs(48); allocs != 0 {
+		t.Fatalf("Hausdorff allocated %v per 128 distances at 48 points, want 0", allocs)
+	}
+}
+
+// TestHotpathHausdorff6ZeroAlloc locks in the //perf:hotpath contract on
+// the small Hausdorff kernel.
+func TestHotpathHausdorff6ZeroAlloc(t *testing.T) {
+	if allocs := hausdorffAllocs(6); allocs != 0 {
+		t.Fatalf("Hausdorff allocated %v per 128 distances at 6 points, want 0", allocs)
+	}
+}
+
+// BenchmarkHotpathHausdorff measures the 128 distances of the fixture at
+// 48 points, on the adaptive kernel.
+func BenchmarkHotpathHausdorff(b *testing.B) { benchHausdorff(b, 48) }
+
+// BenchmarkHotpathHausdorff6 measures them at 6 points, on the small
+// kernel: a scan_100k embed.
+func BenchmarkHotpathHausdorff6(b *testing.B) { benchHausdorff(b, 6) }
+
+// BenchmarkHausdorffKernels times one distance per op on each kernel over
+// the shapes around smallPairs — the measurement that constant cites. Each
+// op pairs a different trip with a different prototype, 128 Porto trips
+// of each, as a GeoPTH embed does: a fixed trip would let the adaptive
+// kernel's branches be learnt. The small kernel's shorter side is capped
+// at smallCols, so the shapes past the crossover grow the longer side.
+func BenchmarkHausdorffKernels(b *testing.B) {
+	ts := data.Porto().Generate(256, 5)
+	kernels := []struct {
+		name string
+		sq   func(a, b geo.Trajectory) float64
+	}{
+		{"adaptive", func(a, b geo.Trajectory) float64 { sq, _ := hausdorffSq(a, b); return sq }},
+		{"small", hausdorffSqSmall},
+	}
+	for _, shape := range [][2]int{{6, 6}, {8, 8}, {12, 12}, {16, 16}, {20, 20}, {5, 48}, {8, 48}, {10, 48}, {20, 24}, {20, 32}} {
+		trips, protos := make([]geo.Trajectory, 128), make([]geo.Trajectory, 128)
+		for i := range trips {
+			trips[i], protos[i] = ts[i].Resample(shape[0]), ts[128+i].Resample(shape[1])
+		}
+		for _, k := range kernels {
+			b.Run(fmt.Sprintf("%s/%dx%d", k.name, shape[0], shape[1]), func(b *testing.B) {
+				var sink float64
+				for i := 0; i < b.N; i++ {
+					sink += k.sq(trips[i&127], protos[(i>>7)&127])
+				}
+				_ = sink
+			})
+		}
+	}
 }

@@ -16,7 +16,10 @@
 #                by more than the parent's IQR — the rule for claiming a gain)
 # Above the table: nn.matmul's address mod 64 in both binaries (the
 # alignment trap of ROADMAP item 1 — unequal values void the timing rows of
-# query_attention and write_path) and the failed operations per side.
+# query_attention and write_path), the same for every //perf:hotpath
+# function of either tree (scripts/hotpath_align.sh; a DIFFERS row voids
+# the timing rows of the workloads that function serves), and the failed
+# operations per side.
 #
 # The parent is built from a `git archive` of the ref — a plain directory,
 # removed once its binary exists, nothing to prune from .git. Every run's full
@@ -59,12 +62,13 @@ mkdir -p "$out/parent" "$out/scratch"
 git archive "$ref" | tar -x -C "$out/parent"
 echo "== building trajbench: parent ($ref) and change (working tree)"
 (cd "$out/parent" && go build -o ../parent.bin ./benchmarks/trajbench)
-rm -rf "$out/parent" # only the binary is needed; a Go tree under bin/ would be swept up by gofmt -l . and loc.sh
 go build -o "$out/change.bin" ./benchmarks/trajbench
 for side in parent change; do
 	addr=$(go tool nm "$out/$side.bin" | awk '$3 == "traj2hash/internal/nn.matmul" { print $1 }')
 	echo "nn.matmul address mod 64, $side: $((0x${addr:-0} % 64)) (0x${addr:-symbol not found})"
 done
+./scripts/hotpath_align.sh -s . -s "$out/parent" "$out/parent.bin" "$out/change.bin"
+rm -rf "$out/parent" # only the binary is needed; a Go tree under bin/ would be swept up by gofmt -l . and loc.sh
 
 # run <workload> <seed> <side>: one untraced run; the contract's result
 # line is the last line of its output.

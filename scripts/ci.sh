@@ -4,8 +4,9 @@
 #   2. trajlint — the stdlib-only analyzer suite enforcing the repo's
 #      correctness contracts (see DESIGN.md "Static analysis & invariants")
 #   3. go vet
-#   4. go build (and one informational line: nn.matmul's address mod 64
-#      in the trajbench binary — see the alignment trap in ROADMAP item 1)
+#   4. go build (and, informational: nn.matmul's address mod 64 in the
+#      trajbench binary, then every //perf:hotpath function's, from
+#      scripts/hotpath_align.sh — see the alignment trap in ROADMAP item 1)
 #   5. fault-injection + observability + durability scenarios under the
 #      race detector — the failure-domain contracts (panic isolation,
 #      deadlines, checkpoint rollback — for the paper model and, in
@@ -80,7 +81,8 @@
 # are over an hour): builds trajbench from the ref and from the working
 # tree, runs them in alternation and prints wins, medians, the parent's
 # IQR and an inside-bound / unresolved / worse verdict per BENCHMARK.json
-# metric, plus nn.matmul's alignment in both binaries. Run it before
+# metric, plus nn.matmul's and every //perf:hotpath function's alignment
+# in both binaries. Run it before
 # claiming, in CHANGES.md, that a number moved or did not.
 # scripts/loc.sh --against <parent-ref> is the size needle as a diff.
 # Usage: ./scripts/ci.sh [extra go test args]
@@ -133,6 +135,7 @@ go build ./...
 go build -o bin/trajbench ./benchmarks/trajbench
 matmul_addr=$(go tool nm bin/trajbench | awk '$3 == "traj2hash/internal/nn.matmul" { print $1 }')
 echo "nn.matmul address mod 64 in bin/trajbench: $((0x${matmul_addr:-0} % 64)) (0x${matmul_addr:-symbol not found})"
+./scripts/hotpath_align.sh bin/trajbench
 
 echo "== go test -race (fault-injection + observability + durability scenarios)"
 METRICS_JSON_OUT="$PWD/bin/metrics.json" \
