@@ -230,16 +230,5 @@ function's doc comment — anywhere else it is a diagnostic):
                             bounds-check-free in loops; enforced by the
                             hotpathalloc, hotpathbce, and allocinloop
                             rules against real compiler diagnostics
-
-Determinism contracts (reason is mandatory; the directive must sit in a
-function's doc comment — anywhere else it is a diagnostic):
-  //det:replayed <reason>   the function's results must be a pure
-                            function of its inputs — it replays during
-                            recovery or feeds serialized state; the
-                            detmaprange, detwallclock, and detunordered
-                            rules taint-check nondeterminism sources
-                            (map iteration order, wall clock, global
-                            rand, goroutine completion order) away from
-                            its returns and the module's encode sinks
 `)
 }

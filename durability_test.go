@@ -307,7 +307,6 @@ func TestCrashRecoveryParity(t *testing.T) {
 					if err == nil {
 						t.Fatalf("%s: workload survived its scheduled crash", fl.name)
 					}
-					//lint:ignore errcheck the index crashed mid-flight; Close only releases the dead log handle
 					ix.Close()
 				}
 				if !ffs.Crashed() {
@@ -433,7 +432,6 @@ func TestDurableRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() {
-		//lint:ignore errcheck test cleanup close
 		ix3.Close()
 	}()
 	if ix3.Len() != 5 {
@@ -441,6 +439,51 @@ func TestDurableRoundTrip(t *testing.T) {
 	}
 	if tr, ok := ix3.Trajectory(5); !ok || !reflect.DeepEqual(tr, ds.Database[12]) {
 		t.Fatal("mutation made after the first recovery lost by the second")
+	}
+}
+
+// TestDurableFilesDeterministic: two durable indexes, each built from
+// scratch (dataset, encoder, index) and driven by the same mutation
+// script, must leave byte-identical snapshot and log files. Under
+// durableOpts' SnapshotEvery 4 the script snapshots several times and
+// ends with records logged after the last snapshot, so both captureState
+// and record reach disk through the facade.
+func TestDurableFilesDeterministic(t *testing.T) {
+	dirs := [2]string{t.TempDir(), t.TempDir()}
+	var files [2]map[string]string
+	for i, dir := range dirs {
+		m, ds := untrainedFixture(t)
+		ix, err := NewIndexWith(m, ds.Database[20:26], durableOpts(BackendHammingHybrid, 2, dir, nil))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n, err := applyOps(ix, durabilityScript(ds)); err != nil {
+			t.Fatalf("op %d: %v", n, err)
+		}
+		if err := ix.Close(); err != nil {
+			t.Fatal(err)
+		}
+		files[i] = dirBytes(t, dir)
+	}
+	for _, name := range []string{wal.SnapshotName, wal.LogName} {
+		if files[0][name] != files[1][name] {
+			t.Errorf("%s differs between two identical runs (%d vs %d bytes)", name, len(files[0][name]), len(files[1][name]))
+		}
+	}
+	if len(files[0]) != len(files[1]) {
+		t.Errorf("the runs left different files: %d vs %d", len(files[0]), len(files[1]))
+	}
+
+	// Both files carry state: recovery reads items from the snapshot and
+	// replays records from the log.
+	m, _ := untrainedFixture(t)
+	re, err := NewIndexWith(m, nil, durableOpts(BackendHammingHybrid, 2, dirs[0], nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if info := re.Recovery(); info.FromSnapshot == 0 || info.Replayed == 0 {
+		t.Fatalf("RecoveryInfo = %+v, want items from the snapshot and records from the log", info)
 	}
 }
 
@@ -568,7 +611,6 @@ func TestMutationsAfterCloseFailClosed(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() {
-		//lint:ignore errcheck test cleanup close
 		ix2.Close()
 	}()
 	if ix2.Len() != 3 {
@@ -655,7 +697,6 @@ func TestWALFailureIsLatched(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() {
-		//lint:ignore errcheck test cleanup close
 		re.Close()
 	}()
 	if info := re.Recovery(); re.Len() != 1 || !info.TornTail {
@@ -679,7 +720,6 @@ func TestGroupCommitOperationCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() {
-		//lint:ignore errcheck test cleanup close
 		ix.Close()
 	}()
 	steps := []struct {
@@ -889,7 +929,6 @@ func TestRecoveryInfoTornFirstRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() {
-		//lint:ignore errcheck test cleanup close
 		ix.Close()
 	}()
 	info := ix.Recovery()

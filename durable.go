@@ -231,8 +231,6 @@ func (ix *Index) logMutations(group ...wal.Record) error {
 
 // captureState images the live index for a snapshot: next-id plus every
 // live item's full representation, ascending by id. Callers hold ix.mu.
-//
-//det:replayed two captures of the same live index must gob-encode to identical snapshot bytes
 func (ix *Index) captureState() *wal.State {
 	next := ix.eng.NextID()
 	s := &wal.State{Next: next}
@@ -286,8 +284,6 @@ func (ix *Index) openWAL() error {
 // Delete/Update of ids that are no longer live. What can NOT happen on
 // an intact log is an Add ABOVE the next id — that would mean a lost
 // record — so it fails recovery loudly instead of leaving a silent gap.
-//
-//det:replayed the crash-recovery suite proves byte-identical top-k parity after this replay; it must be a pure function of rec
 func (ix *Index) restore(rec *wal.Recovered) error {
 	var next int
 	var items []engine.RestoreItem

@@ -1,8 +1,8 @@
 // Package analysis is a small, stdlib-only static-analysis framework plus
 // the repo-specific rule suite behind cmd/trajlint. It loads packages with
 // go/parser and go/types (no golang.org/x/tools dependency — the repo is
-// stdlib-only by contract, and this package machine-checks that contract,
-// so it must not violate it), walks the syntax trees, and emits
+// stdlib-only by contract: go.mod requires nothing, so the go tool itself
+// refuses any other import), walks the syntax trees, and emits
 // "file:line:col rule: message" diagnostics.
 //
 // The rules encode the correctness contracts the sharded query engine and
@@ -10,11 +10,17 @@
 //
 //	noglobalrand  — reproducibility: no math/rand package-level state
 //	floatcompare  — no exact ==/!= on floats outside justified sites
-//	bannedimport  — the stdlib-only constraint itself
 //	panicattrib   — panics in internal/ carry a "pkg: " prefix
 //	deferunlock   — Lock/RLock paired with defer Unlock/RUnlock
 //	exporteddoc   — the public facade stays documented
 //	ctxfirst      — context.Context is the first parameter, never a field
+//
+// Three CFG/dataflow rules (cfg.go, dataflow.go) follow values and locks
+// across paths and calls:
+//
+//	errcheck      — every error is consumed on every path
+//	lockorder     — no cycle in the cross-function lock-acquisition graph
+//	goroutineleak — every go statement has a way to end
 //
 // On top of those, three performance-contract rules enforce the
 // //perf:hotpath directive (see funcdirective.go and perfdiag.go):
@@ -27,17 +33,9 @@
 //	                cap, fmt.*, string concat, make/new, interface
 //	                boxing) inside marked loops, judged syntactically
 //
-// And three determinism-contract rules enforce the //det:replayed
-// directive and guard every serialization sink with an interprocedural
-// nondeterminism taint analysis (see det.go and funcdirective.go):
-//
-//	detmaprange   — map-iteration order never reaches gob encodes, WAL
-//	                append payloads, or //det:replayed returns unsorted
-//	detwallclock  — time.Now/global-rand/ambient-process reads never
-//	                reach serialized state or run inside replayed code
-//	detunordered  — goroutine-completion order (multi-sender channels,
-//	                multi-case selects, captured-write races) never
-//	                reaches serialized state
+// Determinism and the stdlib-only constraint have no rule here: the
+// byte-identity tests pin the first at runtime, and the go tool enforces
+// the second (see DESIGN.md §7 for the audit behind each rule).
 //
 // Deliberate violations are suppressed in place with
 //
@@ -128,7 +126,6 @@ func Rules() []*Rule {
 	return []*Rule{
 		ruleNoGlobalRand,
 		ruleFloatCompare,
-		ruleBannedImport,
 		rulePanicAttrib,
 		ruleDeferUnlock,
 		ruleExportedDoc,
@@ -139,9 +136,6 @@ func Rules() []*Rule {
 		ruleHotpathAlloc,
 		ruleHotpathBCE,
 		ruleAllocInLoop,
-		ruleDetMapRange,
-		ruleDetWallclock,
-		ruleDetUnordered,
 	}
 }
 
@@ -225,8 +219,7 @@ func runPackageObserved(pkg *Package, rules []*Rule, observe func(rule string, d
 	}
 	diags = append(diags, directiveDiags...)
 	diags = append(diags, sup.stale(pkg, selected)...)
-	diags = append(diags, hotpathDirective.collect(pkg)...)
-	diags = append(diags, replayedDirective.collect(pkg)...)
+	diags = append(diags, collectHotpathDirectives(pkg)...)
 	return diags
 }
 

@@ -86,11 +86,6 @@ func TestFloatCompareGolden(t *testing.T) {
 	goldenCheck(t, pkg, diags)
 }
 
-func TestBannedImportGolden(t *testing.T) {
-	diags, pkg := fixturePkg(t, "fixtures/bannedimport", "bannedimport")
-	goldenCheck(t, pkg, diags)
-}
-
 func TestPanicAttribGolden(t *testing.T) {
 	diags, pkg := fixturePkg(t, "fixtures/internal/panicattrib", "panicattrib")
 	goldenCheck(t, pkg, diags)
@@ -314,5 +309,21 @@ func TestRepoIsLintClean(t *testing.T) {
 	diags := Run(pkgs, Rules())
 	for _, d := range diags {
 		t.Errorf("%s", d)
+	}
+}
+
+// TestModuleRequiresNothing is the stdlib-only contract: with no require
+// (and so nothing to replace) in go.mod, `go build` itself refuses any
+// import that is neither standard library nor module-local.
+func TestModuleRequiresNothing(t *testing.T) {
+	data, err := os.ReadFile("../../go.mod")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, line := range strings.Split(string(data), "\n") {
+		line = strings.TrimSpace(line)
+		if strings.HasPrefix(line, "require") || strings.HasPrefix(line, "replace") {
+			t.Errorf("go.mod:%d: %q — the module is stdlib-only and must require nothing", i+1, line)
+		}
 	}
 }

@@ -1,31 +1,19 @@
 package analysis
 
-// A generic forward/backward worklist solver over the CFGs of cfg.go.
+// A generic forward worklist solver over the CFGs of cfg.go.
 // Rules define a Dataflow problem — bottom element, boundary fact, join,
 // equality, and a block transfer function — and read the per-block fixed
 // point. Facts are user-defined; the solver imposes only that Join is
 // monotone and Equal detects stabilization (the usual termination
 // contract of Kildall's algorithm).
 
-// DataflowDirection selects forward (entry→exit) or backward
-// (exit→entry) propagation.
-type DataflowDirection int
-
-// The two propagation directions.
-const (
-	Forward DataflowDirection = iota
-	Backward
-)
-
 // Dataflow is one dataflow problem over a CFG.
 type Dataflow[F any] struct {
-	// Dir is the propagation direction.
-	Dir DataflowDirection
 	// Bottom returns the least element: the initial fact of every block
 	// (and the input of unreachable blocks).
 	Bottom func() F
 	// Boundary returns the fact entering the graph: the Entry block's
-	// input under Forward, the Exit block's input under Backward.
+	// input.
 	Boundary func() F
 	// Join merges a predecessor fact into an accumulator, returning the
 	// merged fact. It may mutate and return acc; src must not be mutated.
@@ -38,8 +26,7 @@ type Dataflow[F any] struct {
 }
 
 // DataflowResult carries the per-block fixed point: the fact entering
-// and leaving each block (indexed by CFGBlock.Index) in the direction of
-// propagation.
+// and leaving each block (indexed by CFGBlock.Index).
 type DataflowResult[F any] struct {
 	In  []F
 	Out []F
@@ -55,12 +42,9 @@ func SolveDataflow[F any](g *CFG, p Dataflow[F]) DataflowResult[F] {
 		res.In[i] = p.Bottom()
 		res.Out[i] = p.Transfer(g.Blocks[i], res.In[i])
 	}
-	boundary := g.Entry
-	if p.Dir == Backward {
-		boundary = g.Exit
-	}
-	res.In[boundary.Index] = p.Boundary()
-	res.Out[boundary.Index] = p.Transfer(boundary, res.In[boundary.Index])
+	entry := g.Entry
+	res.In[entry.Index] = p.Boundary()
+	res.Out[entry.Index] = p.Transfer(entry, res.In[entry.Index])
 
 	inWork := make([]bool, n)
 	var work []*CFGBlock
@@ -78,16 +62,12 @@ func SolveDataflow[F any](g *CFG, p Dataflow[F]) DataflowResult[F] {
 		work = work[1:]
 		inWork[b.Index] = false
 
-		// Gather the inputs from the flow predecessors.
-		preds := b.Preds
-		if p.Dir == Backward {
-			preds = b.Succs
-		}
+		// Gather the inputs from the predecessors.
 		in := p.Bottom()
-		if b == boundary {
+		if b == entry {
 			in = p.Join(in, p.Boundary())
 		}
-		for _, pr := range preds {
+		for _, pr := range b.Preds {
 			in = p.Join(in, res.Out[pr.Index])
 		}
 		out := p.Transfer(b, in)
@@ -96,11 +76,7 @@ func SolveDataflow[F any](g *CFG, p Dataflow[F]) DataflowResult[F] {
 			continue
 		}
 		res.Out[b.Index] = out
-		succs := b.Succs
-		if p.Dir == Backward {
-			succs = b.Preds
-		}
-		for _, s := range succs {
+		for _, s := range b.Succs {
 			push(s)
 		}
 	}

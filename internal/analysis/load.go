@@ -65,9 +65,9 @@ func (p *Package) Dep(path string) *Package {
 // Loader loads module-local packages from source. Standard-library
 // imports are type-checked from GOROOT source via go/importer's "source"
 // compiler; module-local imports are resolved recursively by the Loader
-// itself. Anything else fails to resolve — which is exactly the repo's
-// stdlib-only contract (the bannedimport rule reports it syntactically,
-// so the failure is also visible as a diagnostic, not only a load error).
+// itself. Anything else fails to resolve — the repo's stdlib-only
+// contract, which the go tool enforces first (go.mod requires nothing;
+// TestModuleRequiresNothing pins that).
 type Loader struct {
 	// ModuleDir is the module root (the directory holding go.mod).
 	ModuleDir string
@@ -213,7 +213,7 @@ func (l *Loader) Import(path string) (*types.Package, error) {
 	case IsStdImport(path):
 		return l.std.Import(path)
 	default:
-		return nil, fmt.Errorf("analysis: non-stdlib, non-module import %q (see the bannedimport rule)", path)
+		return nil, fmt.Errorf("analysis: non-stdlib, non-module import %q (the module is stdlib-only)", path)
 	}
 }
 

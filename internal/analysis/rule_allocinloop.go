@@ -33,12 +33,12 @@ var ruleAllocInLoop = &Rule{
 }
 
 func runAllocInLoop(p *Pass) {
-	for _, h := range hotpathDirective.funcs(p.Pkg) {
-		if h.decl.Body == nil {
+	for _, h := range hotpathFuncs(p.Pkg) {
+		if h.Body == nil {
 			continue
 		}
-		preallocated, local := slicePreallocs(p, h.decl)
-		ast.Inspect(h.decl.Body, func(n ast.Node) bool {
+		preallocated, local := slicePreallocs(p, h)
+		ast.Inspect(h.Body, func(n ast.Node) bool {
 			var body *ast.BlockStmt
 			switch n := n.(type) {
 			case *ast.ForStmt:
@@ -48,7 +48,7 @@ func runAllocInLoop(p *Pass) {
 			default:
 				return true
 			}
-			checkLoopBody(p, h.decl.Name.Name, body, preallocated, local)
+			checkLoopBody(p, h.Name.Name, body, preallocated, local)
 			return false // checkLoopBody recurses into nested loops itself
 		})
 	}

@@ -127,7 +127,6 @@ func checkErrBody(p *Pass, body *ast.BlockStmt, ftype *ast.FuncType) {
 	// Pass 2: forward may-analysis — a def in the fact set has not been
 	// consumed on at least one path reaching the point.
 	prob := Dataflow[errFact]{
-		Dir:      Forward,
 		Bottom:   func() errFact { return errFact{} },
 		Boundary: func() errFact { return errFact{} },
 		Join: func(acc, src errFact) errFact {

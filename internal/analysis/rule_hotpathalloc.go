@@ -33,7 +33,7 @@ var ruleHotpathAlloc = &Rule{
 }
 
 func runHotpathAlloc(p *Pass) {
-	hot := hotpathDirective.funcs(p.Pkg)
+	hot := hotpathFuncs(p.Pkg)
 	if len(hot) == 0 {
 		return
 	}
@@ -45,14 +45,14 @@ func runHotpathAlloc(p *Pass) {
 	for _, h := range hot {
 		// Own-body allocations (including inlined callees', which the
 		// compiler re-attributes to the call site inside this span).
-		for _, d := range diagsInDecl(p.Pkg, set, h.decl) {
+		for _, d := range diagsInDecl(p.Pkg, set, h) {
 			if d.IsHeapAlloc() {
-				p.Reportf(diagPos(p.Pkg, h.decl, d),
-					"hot path %s allocates: %s", h.decl.Name.Name, d.Message)
+				p.Reportf(diagPos(p.Pkg, h, d),
+					"hot path %s allocates: %s", h.Name.Name, d.Message)
 			}
 		}
 		// Non-inlined module-local callees, transitively.
-		a.checkCalls(h.decl, set)
+		a.checkCalls(h, set)
 	}
 }
 

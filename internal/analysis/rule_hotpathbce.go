@@ -30,7 +30,7 @@ var ruleHotpathBCE = &Rule{
 }
 
 func runHotpathBCE(p *Pass) {
-	hot := hotpathDirective.funcs(p.Pkg)
+	hot := hotpathFuncs(p.Pkg)
 	if len(hot) == 0 {
 		return
 	}
@@ -39,12 +39,12 @@ func runHotpathBCE(p *Pass) {
 		return
 	}
 	for _, h := range hot {
-		if h.decl.Body == nil {
+		if h.Body == nil {
 			continue
 		}
-		loops := loopSpans(p.Pkg, h.decl.Body)
+		loops := loopSpans(p.Pkg, h.Body)
 		seen := map[linecol]bool{}
-		for _, d := range diagsInDecl(p.Pkg, set, h.decl) {
+		for _, d := range diagsInDecl(p.Pkg, set, h) {
 			if !d.IsBoundsCheck() {
 				continue
 			}
@@ -53,14 +53,14 @@ func runHotpathBCE(p *Pass) {
 				continue
 			}
 			seen[at] = true
-			expr := indexExprAt(p.Pkg, h.decl, at)
+			expr := indexExprAt(p.Pkg, h, at)
 			what := "an index expression"
 			if expr != "" {
 				what = expr
 			}
-			p.Reportf(diagPos(p.Pkg, h.decl, d),
+			p.Reportf(diagPos(p.Pkg, h, d),
 				"hot loop in %s keeps a bounds check on %s; hoist the proof above the loop (e.g. `_ = s[len(s)-1]`, or reslice `b = b[:len(a)]` for lockstep indexing)",
-				h.decl.Name.Name, what)
+				h.Name.Name, what)
 		}
 	}
 }

@@ -157,7 +157,7 @@ func collectSuppressions(pkg *Package) (suppressionSet, []Diagnostic) {
 }
 
 // directiveText extracts a comment's directive payload — its text from
-// prefix ("lint:", "perf:", "det:") on — if it carries one.
+// prefix ("lint:", "perf:") on — if it carries one.
 func directiveText(comment, prefix string) (string, bool) {
 	var body string
 	switch {

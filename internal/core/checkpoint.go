@@ -109,8 +109,6 @@ func allocGroup(shapes [][2]int) ([][]float64, []*nn.Tensor) {
 
 // Save writes the checkpoint to w: a gob metadata header followed by the
 // four parameter groups in nn.SaveParams format.
-//
-//det:replayed checkpoint bytes must be identical across independent saves of the same state (bitwise-identical resume)
 func (c *Checkpoint) Save(w io.Writer) error {
 	meta := checkpointMeta{
 		Version:   CheckpointVersion,
@@ -139,8 +137,6 @@ func (c *Checkpoint) Save(w io.Writer) error {
 }
 
 // LoadCheckpoint reads a checkpoint written by Save.
-//
-//det:replayed resume rebuilds training state from this decode; it must be a pure function of the stream
 func LoadCheckpoint(r io.Reader) (*Checkpoint, error) {
 	var meta checkpointMeta
 	if err := gob.NewDecoder(r).Decode(&meta); err != nil {
@@ -264,8 +260,6 @@ func LoadCheckpointFile(path string) (*Checkpoint, error) {
 // copies throughout — the snapshot must not alias tensors the next epoch
 // will mutate). The header records the encoder kind and configuration so
 // a resume into the wrong encoder fails with a typed error.
-//
-//det:replayed the captured state is what makes resumed training bitwise identical to uninterrupted training
 func buildCheckpoint(m *NetEncoder, opt *nn.Adam, epoch int, h *History, lr float64, rollbacks int, best [][]float64) *Checkpoint {
 	ps := m.net.Params()
 	shapes := make([][2]int, len(ps))
@@ -303,8 +297,6 @@ func buildCheckpoint(m *NetEncoder, opt *nn.Adam, epoch int, h *History, lr floa
 // disagreement — an empty kind means a version-1 checkpoint, which is
 // always the attention model) and the parameter shapes, so a mismatch
 // fails loudly instead of training from garbage.
-//
-//det:replayed restoring a checkpoint must reproduce the exact state buildCheckpoint captured
 func applyCheckpoint(m *NetEncoder, c *Checkpoint, opt *nn.Adam) ([][]float64, *History, error) {
 	kind := c.Kind
 	if kind == "" {

@@ -5,9 +5,9 @@ import (
 	"testing"
 )
 
-// TestCheckpointEncodeDeterministic pins the byte-identity contract the
-// det rules protect on the checkpoint path: two checkpoints produced by
-// two independent training runs of the same seeded fixture must Save to
+// TestCheckpointEncodeDeterministic pins the checkpoint path's
+// byte-identity contract: two checkpoints produced by two independent
+// training runs of the same seeded fixture must Save to
 // identical bytes (deterministic training AND deterministic encoding),
 // and a Load → Save round trip must reproduce them. Any map iteration,
 // wall-clock read, or goroutine-completion-order merge leaking into the

@@ -123,7 +123,6 @@ func TestEncoderBenchArtifact(t *testing.T) {
 	encJSON := json.NewEncoder(out)
 	encJSON.SetIndent("", "  ")
 	if err := encJSON.Encode(map[string]any{"benchmarks": records}); err != nil {
-		//lint:ignore errcheck the encode error takes precedence over the cleanup close
 		out.Close()
 		t.Fatalf("bench artifact: %v", err)
 	}

@@ -130,6 +130,27 @@ func TestEncoderSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSaveEncoderDeterministic: for every registered kind, two encoders
+// built independently from the same config and seeded space must save to
+// identical container bytes.
+func TestSaveEncoderDeterministic(t *testing.T) {
+	for _, kind := range EncoderKinds() {
+		t.Run(kind, func(t *testing.T) {
+			var saved [2][]byte
+			for i := range saved {
+				var buf bytes.Buffer
+				if err := SaveEncoder(&buf, newTestEncoder(t, kind)); err != nil {
+					t.Fatal(err)
+				}
+				saved[i] = buf.Bytes()
+			}
+			if !bytes.Equal(saved[0], saved[1]) {
+				t.Fatalf("two independently-built encoders saved to different bytes (%d vs %d)", len(saved[0]), len(saved[1]))
+			}
+		})
+	}
+}
+
 // TestLoadEncoderFile checks the file entry point: the container format
 // round-trips, and anything else — a raw model stream from Model.SaveFile
 // included — fails with one error naming the expected format.

@@ -243,8 +243,6 @@ func (e *NetEncoder) TrainCtx(ctx context.Context, td TrainData) (*History, erro
 // the supervised baselines train with), and a Net that brings its own
 // batch loss (batchLosser) runs it over shuffled corpus batches in place
 // of the seed and triplet phases, needing no seeds or distance function.
-//
-//det:replayed the per-epoch body replays after resume and rollback; (seed, epoch) is the only allowed randomness cursor
 func trainLoop(ctx context.Context, m *NetEncoder, td TrainData) (*History, error) {
 	cfg := m.Cfg
 	own, selfSupervised := m.net.(batchLosser)

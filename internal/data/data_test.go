@@ -1,7 +1,9 @@
 package data
 
 import (
+	"bytes"
 	"math"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -236,6 +238,28 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 	if _, err := Load(filepath.Join(t.TempDir(), "missing.gob")); err == nil {
 		t.Error("missing file accepted")
+	}
+}
+
+// TestSaveDeterministic: two datasets built independently from the same
+// city and seed must Save to identical bytes — a saved dataset is the
+// input of every reproducible experiment run.
+func TestSaveDeterministic(t *testing.T) {
+	spec := SplitSpec{Seed: 5, Validation: 5, Corpus: 5, Queries: 5, Database: 20}
+	var saved [2][]byte
+	for i := range saved {
+		path := filepath.Join(t.TempDir(), "ds.gob")
+		if err := Build(Porto(), spec, 8).Save(path); err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		saved[i] = b
+	}
+	if !bytes.Equal(saved[0], saved[1]) {
+		t.Fatalf("two independently-built datasets saved to different bytes (%d vs %d)", len(saved[0]), len(saved[1]))
 	}
 }
 

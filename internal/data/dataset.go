@@ -142,8 +142,6 @@ func (d *Dataset) All() []geo.Trajectory {
 }
 
 // Save writes the dataset to path with encoding/gob.
-//
-//det:replayed a saved dataset is the input to reproducible experiment runs; its bytes must be a pure function of the splits
 func (d *Dataset) Save(path string) error {
 	f, err := os.Create(path)
 	if err != nil {
@@ -157,8 +155,6 @@ func (d *Dataset) Save(path string) error {
 }
 
 // Load reads a dataset written by Save.
-//
-//det:replayed experiment reproducibility depends on decoding the same splits from the same dataset bytes every time
 func Load(path string) (*Dataset, error) {
 	f, err := os.Open(path)
 	if err != nil {

@@ -178,8 +178,6 @@ type RestoreItem struct {
 // placement is id-driven (shard = id mod shards) and insertion follows
 // id order, a restored engine answers queries byte-identically to one
 // that performed the original mutation history.
-//
-//det:replayed recovery parity: a restored engine must answer queries byte-identically to the pre-crash engine
 func (e *Engine) Restore(next int, items []RestoreItem) error {
 	e.addMu.Lock()
 	defer e.addMu.Unlock()
@@ -214,8 +212,6 @@ func (e *Engine) Restore(next int, items []RestoreItem) error {
 
 // restoreItem places one snapshot item back into the shard its id maps
 // to, under that shard's write lock. Callers hold addMu.
-//
-//det:replayed id-driven placement is what keeps restored shard layouts identical run to run
 func (e *Engine) restoreItem(it RestoreItem) error {
 	code, err := signCode(it.Emb, it.Code)
 	if err != nil {

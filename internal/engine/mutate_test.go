@@ -142,7 +142,6 @@ func TestMutatedEngineMatchesFreshBuild(t *testing.T) {
 	}
 	for _, backend := range allBackends {
 		for _, shards := range []int{1, 3} {
-			//lint:ignore floatcompare exact sentinel values, never computed
 			for _, compactAt := range []float64{-1, 0.2} {
 				rng := rand.New(rand.NewSource(31))
 				e, err := New(Options{Backends: []string{backend}, Shards: shards, Workers: 4, CompactAt: compactAt})
@@ -181,7 +180,6 @@ func TestMutatedEngineMatchesFreshBuild(t *testing.T) {
 					}
 					for i := range want {
 						wantID := liveIDs[want[i].ID]
-						//lint:ignore floatcompare byte-identical parity is the contract under test
 						if got[i].ID != wantID || got[i].Score != want[i].Score {
 							t.Fatalf("%s shards=%d compactAt=%v query %d rank %d: got %+v, want {ID:%d Score:%v}",
 								backend, shards, compactAt, qi, i, got[i], wantID, want[i].Score)

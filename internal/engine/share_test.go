@@ -164,7 +164,6 @@ func TestShardSharesOneTable(t *testing.T) {
 						t.Fatalf("%s %s query %d: %d results, standalone %d", when, name, qi, len(got), len(want))
 					}
 					for i := range want {
-						//lint:ignore floatcompare byte-identical parity is the contract under test
 						if got[i].ID != liveIDs[want[i].ID] || got[i].Score != want[i].Score {
 							t.Fatalf("%s %s query %d rank %d: got %+v, standalone {ID:%d Score:%v}",
 								when, name, qi, i, got[i], liveIDs[want[i].ID], want[i].Score)

@@ -52,7 +52,6 @@ func exportMetricsArtifact(t *testing.T, reg *obs.Registry) {
 		t.Fatalf("metrics artifact: %v", err)
 	}
 	if err := reg.WriteJSON(out); err != nil {
-		//lint:ignore errcheck the write error takes precedence over the cleanup close
 		out.Close()
 		t.Fatalf("metrics artifact: %v", err)
 	}
@@ -309,7 +308,6 @@ func TestMutationAndWALMetricsExact(t *testing.T) {
 	if err := s.Append(rec); !errors.Is(err, ErrCrashed) {
 		t.Fatalf("torn append = %v, want ErrCrashed", err)
 	}
-	//lint:ignore errcheck the store crashed mid-append; Close only releases the dead handle
 	s.Close()
 
 	s2, recovered, err := wal.Open(wal.Options{Dir: dir, Metrics: reg})
@@ -317,7 +315,6 @@ func TestMutationAndWALMetricsExact(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() {
-		//lint:ignore errcheck test cleanup close
 		s2.Close()
 	}()
 	if !recovered.TornTail || len(recovered.Tail) != 8 {

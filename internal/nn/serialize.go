@@ -17,8 +17,6 @@ type paramBlob struct {
 // responsible for producing the same parameter order on load (models expose
 // Params() with a stable order, so saving and loading the same architecture
 // round-trips).
-//
-//det:replayed checkpoint byte-identity rides on this codec; parameter bytes must be a pure function of the tensors
 func SaveParams(w io.Writer, params []*Tensor) error {
 	enc := gob.NewEncoder(w)
 	if err := enc.Encode(len(params)); err != nil {
@@ -34,8 +32,6 @@ func SaveParams(w io.Writer, params []*Tensor) error {
 
 // LoadParams reads parameters from r into the given tensors, which must
 // match in count and shape.
-//
-//det:replayed resume rebuilds model state from this decode; it must be a pure function of the parameter bytes
 func LoadParams(r io.Reader, params []*Tensor) error {
 	dec := gob.NewDecoder(r)
 	var n int

@@ -11,8 +11,7 @@ import (
 
 // snapState builds a snapshot state from scratch on every call — two
 // calls share no memory, so identical encodes can only come from the
-// encoding being a pure function of the logical state, which is exactly
-// what the det rules enforce on saveSnapshot (//det:replayed).
+// encoding being a pure function of the logical state.
 func snapState() *State {
 	s := &State{Next: 5}
 	for id := 0; id < 5; id++ {
@@ -42,11 +41,10 @@ func saveBytes(t *testing.T, path string, s *State) []byte {
 	return data
 }
 
-// TestSnapshotEncodeDeterministic pins the byte-identity contract the
-// detmaprange/detunordered rules protect: encoding the same logical
-// state must yield identical bytes whether the state was built fresh,
-// built fresh a second time, or recovered through a WAL replay
-// round-trip. If an unordered structure ever leaks into State, this
+// TestSnapshotEncodeDeterministic pins the snapshot's byte-identity
+// contract: encoding the same logical state must yield identical bytes
+// whether the state was built fresh, built fresh a second time, or
+// recovered through a WAL replay round-trip. If an unordered structure ever leaks into State, this
 // test fails before crash-recovery parity does.
 func TestSnapshotEncodeDeterministic(t *testing.T) {
 	dir := t.TempDir()

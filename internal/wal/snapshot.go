@@ -35,8 +35,6 @@ type State struct {
 // the old complete snapshot or the new complete snapshot, never a torn
 // one. The temp name is fixed (single-writer store, serialized by the
 // Store mutex), which keeps the fault-injection schedule deterministic.
-//
-//det:replayed snapshot bytes are compared across independent encodes by the byte-identity suite; encoding must be state-pure
 func saveSnapshot(fs VFS, path string, s *State) error {
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(s); err != nil {
@@ -68,8 +66,6 @@ func saveSnapshot(fs VFS, path string, s *State) error {
 
 // loadSnapshot reads and decodes a snapshot image. The caller handles
 // os.ErrNotExist from the read as "no snapshot yet".
-//
-//det:replayed recovery rebuilds index state from this decode; it must be a pure function of the snapshot bytes
 func loadSnapshot(fs VFS, path string) (*State, error) {
 	data, err := fs.ReadFile(path)
 	if err != nil {

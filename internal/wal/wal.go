@@ -102,8 +102,6 @@ func appendRecord(buf []byte, r Record) []byte {
 // decodePayload parses one record payload. Errors here mean a CRC-valid
 // payload with impossible structure — corruption the checksum missed, or
 // a writer bug — and fail replay loudly rather than truncating silently.
-//
-//det:replayed recovery re-decodes every logged record; the result must be a pure function of the payload bytes
 func decodePayload(p []byte) (Record, error) {
 	var r Record
 	get32 := func() (uint32, bool) {
@@ -194,8 +192,6 @@ type Replayed struct {
 // signature of a crash mid-append and mark the file truncatable at the
 // last valid record; a CRC-valid payload that fails structural decoding
 // is reported as a hard error instead.
-//
-//det:replayed crash-recovery parity depends on replaying the same records from the same log image every time
 func parseLog(data []byte) (Replayed, error) {
 	var out Replayed
 	if len(data) == 0 {

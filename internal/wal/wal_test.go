@@ -111,7 +111,6 @@ func TestStoreRoundTrip(t *testing.T) {
 
 	s2, rec2 := open()
 	defer func() {
-		//lint:ignore errcheck test cleanup close
 		s2.Close()
 	}()
 	if rec2.Snapshot == nil || !reflect.DeepEqual(rec2.Snapshot, state) {
@@ -196,7 +195,6 @@ func TestStoreTornTailRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() {
-		//lint:ignore errcheck test cleanup close
 		s3.Close()
 	}()
 	if rec3.TornTail {
@@ -217,7 +215,6 @@ func TestGroupFsync(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() {
-		//lint:ignore errcheck test cleanup close
 		s.Close()
 	}()
 	base := reg.Counter("wal.fsyncs").Value() // the magic-header sync
@@ -333,7 +330,6 @@ func TestGroupFsyncCountsRecordsOfAGroup(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() {
-		//lint:ignore errcheck test cleanup close
 		s.Close()
 	}()
 	fsyncs, appends := reg.Counter("wal.fsyncs"), reg.Counter("wal.appends")
@@ -375,7 +371,6 @@ func TestOversizedGroupBufferIsReleased(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer func() {
-		//lint:ignore errcheck test cleanup close
 		s.Close()
 	}()
 	small := []Record{benchRecord(0), benchRecord(1)}
@@ -507,7 +502,6 @@ func BenchmarkMutableWALAppend(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer func() {
-		//lint:ignore errcheck benchmark cleanup close
 		s.Close()
 	}()
 	r := benchRecord(1)
@@ -530,7 +524,6 @@ func BenchmarkMutableWALAppendBatch64(b *testing.B) {
 		b.Fatal(err)
 	}
 	defer func() {
-		//lint:ignore errcheck benchmark cleanup close
 		s.Close()
 	}()
 	group := make([]Record, 64)

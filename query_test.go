@@ -297,7 +297,6 @@ func TestAddBatchAppliedPrefixIsWhatRecovers(t *testing.T) {
 						t.Fatalf("%s: returned ids %v are not a prefix of the batch", tag, ids)
 					}
 				}
-				//lint:ignore errcheck the filesystem crashed mid-flight; Close only releases the dead log handle
 				ix.Close()
 			}
 			re, err := NewIndexWith(m, nil, opts(dir, nil))

@@ -33,12 +33,8 @@
 #      contracts"). The suite includes the tape-free embedding path at
 #      both shapes: BenchmarkHotpathEmbedAll (tinyConfig batch) and
 #      BenchmarkHotpathEmbedAttention64 (one Embed at the paper shape)
-#   8. determinism contracts — the det-rule subset of trajlint
-#      (detmaprange, detwallclock, detunordered) re-checked standalone:
-#      nondeterminism sources must not reach gob encodes, WAL appends,
-#      or //det:replayed returns (see DESIGN.md "Determinism
-#      contracts"), followed by the trajlint cold/warm cost artifact
-#      bin/BENCH_trajlint.json
+#   8. trajlint benchmark artifact — cold/warm whole-module analysis
+#      cost (BenchmarkTrajlintTree), exported to bin/BENCH_trajlint.json
 #   9. mutable-index benchmark artifact — add/delete/compaction/search-
 #      with-tombstones and WAL append (single, and as a 64-record group:
 #      BenchmarkMutableWALAppendBatch64, ns_per_op per group) / recovery
@@ -111,7 +107,7 @@ lint_status=0
 case "$lint_status" in
 0) ;;
 1)
-	echo "trajlint: findings — a correctness contract is violated. Each rule is documented in DESIGN.md 'Static analysis & invariants', including how to suppress deliberate sites with //lint:ignore <rule> <reason>; det* findings (determinism contracts) are specified in DESIGN.md 'Determinism contracts' (§10). Run ./bin/trajlint -fix ./... for the mechanical ones; JSON artifact at bin/trajlint-findings.json"
+	echo "trajlint: findings — a correctness contract is violated. Each rule is documented in DESIGN.md 'Static analysis & invariants', including how to suppress deliberate sites with //lint:ignore <rule> <reason>. Run ./bin/trajlint -fix ./... for the mechanical ones; JSON artifact at bin/trajlint-findings.json"
 	exit 1
 	;;
 *)
@@ -190,17 +186,6 @@ go test -bench 'BenchmarkHotpath' -benchmem -benchtime 100x -run '^$' \
 }
 [ -s bin/BENCH_hotpath.json ] || {
 	echo "perf contracts: bin/BENCH_hotpath.json missing or empty"
-	exit 1
-}
-
-echo "== determinism contracts (det rules)"
-# The full trajlint pass above already includes the det rules; this
-# standalone invocation is the determinism gate the replay/serialization
-# surface is held to — map-range order, wall clock, global rand, and
-# goroutine-completion order must never reach gob encodes, WAL appends,
-# or //det:replayed returns. The diagnostics cache makes it a replay.
-./bin/trajlint -cache bin/trajlint-cache -rules detmaprange,detwallclock,detunordered ./... || {
-	echo "determinism contracts: nondeterminism reaches replayed/serialized state — see DESIGN.md 'Determinism contracts' (§10) for the source/sink model, the //det:replayed directive, and the sort-before-encode autofix (./bin/trajlint -fix)"
 	exit 1
 }
 

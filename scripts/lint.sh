@@ -7,8 +7,6 @@
 # Flags pass straight through to trajlint, so
 #   ./scripts/lint.sh -fix             # apply mechanical fixes, re-lint
 #   ./scripts/lint.sh -rules errcheck  # one rule only
-#   ./scripts/lint.sh -rules detmaprange,detwallclock,detunordered
-#                                      # determinism contracts only (DESIGN.md §10)
 #   ./scripts/lint.sh ./internal/engine
 # all work; when no package pattern is given, ./... is appended.
 # Usage: ./scripts/lint.sh [trajlint flags] [packages]
