@@ -319,8 +319,6 @@ func cmdSearch(ctx context.Context, args []string) error {
 			"; training-free kinds build from the dataset, trainable kinds load -model and must match (default: whatever -model holds)")
 	scale := fs.String("scale", "small", "config scale for training-free encoders built on the fly")
 	k := fs.Int("k", 10, "number of results per query")
-	strategy := fs.String("strategy", "hamming-hybrid",
-		"search backend: "+strings.Join(traj2hash.Backends(), " | "))
 	numQueries := fs.Int("queries", 5, "number of queries to run")
 	workers := fs.Int("workers", 0, "parallel workers for embedding and search (0 = GOMAXPROCS)")
 	shards := fs.Int("shards", 1, "database shards (queries fan out across shards in parallel)")
@@ -359,10 +357,9 @@ func cmdSearch(ctx context.Context, args []string) error {
 	}
 
 	// The CLI serves queries through the same engine as the public API:
-	// the -strategy backend behind a sharded, concurrent index.
+	// Hamming-space search behind a sharded, concurrent index.
 	buildStart := time.Now()
 	idx, err := traj2hash.NewIndexWith(enc, ds.Database, traj2hash.Options{
-		Backend:       *strategy,
 		Shards:        *shards,
 		Workers:       *workers,
 		Metrics:       reg,
@@ -385,8 +382,8 @@ func cmdSearch(ctx context.Context, args []string) error {
 		fmt.Printf("recovered %d trajectories from %s (%d from snapshot, %d replayed from the log%s)\n",
 			idx.Len(), *walDir, rec.FromSnapshot, rec.Replayed, torn)
 	}
-	fmt.Printf("indexed %d trajectories in %v (%s encoder, %s backend, %d shard(s))\n",
-		idx.Len(), time.Since(buildStart).Round(time.Millisecond), enc.Kind(), idx.Backend(), *shards)
+	fmt.Printf("indexed %d trajectories in %v (%s encoder, %d shard(s))\n",
+		idx.Len(), time.Since(buildStart).Round(time.Millisecond), enc.Kind(), *shards)
 
 	if *timeout > 0 {
 		var cancel context.CancelFunc
@@ -413,15 +410,13 @@ func cmdSearch(ctx context.Context, args []string) error {
 		fmt.Printf("warning: %d/%d queries returned partial results (deadline or shard failure)\n",
 			degraded, len(queries))
 	}
-	fmt.Printf("%s: %d queries (embed+search) in %v (%v/query)\n",
-		idx.Backend(), len(queries), elapsed.Round(time.Microsecond),
+	fmt.Printf("%d queries (embed+search) in %v (%v/query)\n",
+		len(queries), elapsed.Round(time.Microsecond),
 		(elapsed / time.Duration(len(queries))).Round(time.Microsecond))
-	if *strategy == traj2hash.BackendHammingHybrid || *strategy == "" {
-		// One count per per-shard lookup, so the total can exceed the
-		// query count when the index is sharded.
-		fmt.Printf("hybrid fast-path hits: %d (%d queries x %d shards)\n",
-			idx.HybridFastPaths(), len(queries), *shards)
-	}
+	// One count per per-shard lookup, so the total can exceed the query
+	// count when the index is sharded.
+	fmt.Printf("hybrid fast-path hits: %d (%d queries x %d shards)\n",
+		idx.HybridFastPaths(), len(queries), *shards)
 	if *stats {
 		serve.WriteStats(os.Stdout, reg)
 	}

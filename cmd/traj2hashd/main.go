@@ -64,8 +64,6 @@ func run(ctx context.Context, args []string) error {
 			"; training-free kinds build from the dataset, trainable kinds load -model (default: whatever -model holds)")
 	modelPath := fs.String("model", "model.gob", "trained encoder path (ignored by training-free encoders)")
 	scale := fs.String("scale", "small", "config scale for training-free encoders built on the fly")
-	strategy := fs.String("strategy", "hamming-hybrid",
-		"search backend: "+strings.Join(traj2hash.Backends(), " | "))
 	shards := fs.Int("shards", 1, "database shards (queries fan out across shards in parallel)")
 	workers := fs.Int("workers", 0, "parallel workers for embedding and search (0 = GOMAXPROCS)")
 	walDir := fs.String("wal-dir", "",
@@ -101,7 +99,6 @@ func run(ctx context.Context, args []string) error {
 
 	buildStart := time.Now()
 	idx, err := traj2hash.NewIndexWith(enc, ds.Database, traj2hash.Options{
-		Backend:       *strategy,
 		Shards:        *shards,
 		Workers:       *workers,
 		Metrics:       reg,
@@ -120,8 +117,8 @@ func run(ctx context.Context, args []string) error {
 		fmt.Printf("recovered %d trajectories from %s (%d from snapshot, %d replayed from the log%s)\n",
 			idx.Len(), *walDir, rec.FromSnapshot, rec.Replayed, torn)
 	}
-	fmt.Printf("serving %d trajectories (%s encoder, %s backend, %d shard(s)) built in %v\n",
-		idx.Len(), enc.Kind(), idx.Backend(), *shards, time.Since(buildStart).Round(time.Millisecond))
+	fmt.Printf("serving %d trajectories (%s encoder, %d shard(s)) built in %v\n",
+		idx.Len(), enc.Kind(), *shards, time.Since(buildStart).Round(time.Millisecond))
 
 	srv, err := serve.New(serve.Config{
 		Index:          idx,

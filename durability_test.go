@@ -165,8 +165,7 @@ func assertSameResults(t *testing.T, tag string, got, want []Result) {
 }
 
 // assertIndexParity compares the recovered index to its oracle on every
-// search surface: the configured backend plus the three always-on
-// strategy backends and the Within neighborhood — byte-identical ids,
+// search surface: both spaces and the Within neighborhood — byte-identical ids,
 // scores, and order. It also proves no dead id ever surfaces, even when
 // over-asking for the full ranking.
 func assertIndexParity(t *testing.T, tag string, got, want *Index, qs []Trajectory, live map[int]Trajectory) {
@@ -178,15 +177,15 @@ func assertIndexParity(t *testing.T, tag string, got, want *Index, qs []Trajecto
 	for qi, q := range qs {
 		qt := fmt.Sprintf("%s q%d", tag, qi)
 		assertSameResults(t, qt+" Search", do(t, got, Query{Traj: q, K: 5}), do(t, want, Query{Traj: q, K: 5}))
-		for _, backend := range []string{BackendEuclideanBF, BackendHammingBF, BackendHammingHybrid} {
-			query := Query{Traj: q, K: k, Backend: backend}
-			assertSameResults(t, qt+" "+backend, do(t, got, query), do(t, want, query))
+		for _, space := range []Space{SpaceHamming, SpaceEuclidean} {
+			query := Query{Traj: q, K: k, Space: space}
+			assertSameResults(t, fmt.Sprintf("%s space %d", qt, space), do(t, got, query), do(t, want, query))
 		}
 		gw, ww := within(t, got, q, 2), within(t, want, q, 2)
 		if !reflect.DeepEqual(gw, ww) {
 			t.Fatalf("%s Within: got %v, want %v", qt, gw, ww)
 		}
-		for _, r := range do(t, got, Query{Traj: q, K: k, Backend: BackendEuclideanBF}) {
+		for _, r := range do(t, got, Query{Traj: q, K: k, Space: SpaceEuclidean}) {
 			if _, ok := live[r.ID]; !ok {
 				t.Fatalf("%s: dead id %d surfaced in the full ranking", qt, r.ID)
 			}
@@ -198,11 +197,9 @@ func assertIndexParity(t *testing.T, tag string, got, want *Index, qs []Trajecto
 // cadence (so the crash schedule covers the snapshot protocol several
 // times over) and per-mutation fsync (so every successful op is a
 // durability promise the recovery assertions can hold it to).
-func durableOpts(backend string, shards int, dir string, fs wal.VFS) Options {
+func durableOpts(shards int, dir string, fs wal.VFS) Options {
 	return Options{
-		Backend:       backend,
 		Shards:        shards,
-		VPTreeSeed:    7,
 		WALDir:        dir,
 		SnapshotEvery: 4,
 		WALSyncEvery:  1,
@@ -212,9 +209,9 @@ func durableOpts(backend string, shards int, dir string, fs wal.VFS) Options {
 
 // oracleIndex builds the in-memory reference: same search options, no
 // durability, the given script prefix applied through the same API.
-func oracleIndex(t *testing.T, enc Encoder, backend string, shards int, ops []mop) *Index {
+func oracleIndex(t *testing.T, enc Encoder, shards int, ops []mop) *Index {
 	t.Helper()
-	ix, err := NewIndexWith(enc, nil, Options{Backend: backend, Shards: shards, VPTreeSeed: 7})
+	ix, err := NewIndexWith(enc, nil, Options{Shards: shards})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,8 +236,7 @@ func oracleIndex(t *testing.T, enc Encoder, backend string, shards int, ops []mo
 //     every query byte-identically on all backends,
 //  4. deleted ids never appear in any answer.
 //
-// Two configurations cover all five registered backends (each index
-// maintains its configured backend plus the three paper strategies).
+// It runs sharded and on a single shard.
 func TestCrashRecoveryParity(t *testing.T) {
 	m, ds := untrainedFixture(t)
 	ops := durabilityScript(ds)
@@ -249,12 +245,11 @@ func TestCrashRecoveryParity(t *testing.T) {
 	queries := ds.Queries[:2]
 
 	configs := []struct {
-		name    string
-		backend string
-		shards  int
+		name   string
+		shards int
 	}{
-		{"mih-sharded", BackendMIH, 2},
-		{"vptree", BackendVPTree, 1},
+		{"sharded", 2},
+		{"single-shard", 1},
 	}
 	for _, cfg := range configs {
 		cfg := cfg
@@ -262,7 +257,7 @@ func TestCrashRecoveryParity(t *testing.T) {
 			// Recon pass: run the workload on a counting-only FS to learn
 			// the crash schedule's coordinate space.
 			recon := faultinject.NewFS(nil)
-			rix, err := NewIndexWith(m, nil, durableOpts(cfg.backend, cfg.shards, t.TempDir(), recon))
+			rix, err := NewIndexWith(m, nil, durableOpts(cfg.shards, t.TempDir(), recon))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -301,7 +296,7 @@ func TestCrashRecoveryParity(t *testing.T) {
 				ffs := faultinject.NewFS(nil)
 				fl.arm(ffs)
 				applied := 0
-				ix, err := NewIndexWith(m, nil, durableOpts(cfg.backend, cfg.shards, dir, ffs))
+				ix, err := NewIndexWith(m, nil, durableOpts(cfg.shards, dir, ffs))
 				if err == nil {
 					applied, err = applyOps(ix, ops)
 					if err == nil {
@@ -314,7 +309,7 @@ func TestCrashRecoveryParity(t *testing.T) {
 				}
 
 				// Recover the directory like a restarted process: healthy FS.
-				rec, err := NewIndexWith(m, nil, durableOpts(cfg.backend, cfg.shards, dir, nil))
+				rec, err := NewIndexWith(m, nil, durableOpts(cfg.shards, dir, nil))
 				if err != nil {
 					t.Fatalf("%s: recovery failed: %v", fl.name, err)
 				}
@@ -329,7 +324,7 @@ func TestCrashRecoveryParity(t *testing.T) {
 				}
 				splitBatch = splitBatch || (ops[applied].kind == mopBatch && acked < L && L < inFlight)
 				_, live := expectedAfter(items, L)
-				oracle := oracleIndex(t, m, cfg.backend, cfg.shards, items[:L])
+				oracle := oracleIndex(t, m, cfg.shards, items[:L])
 				assertIndexParity(t, fmt.Sprintf("%s L=%d", fl.name, L), rec, oracle, queries, live)
 				if err := rec.Close(); err != nil {
 					t.Fatalf("%s: closing recovered index: %v", fl.name, err)
@@ -350,7 +345,7 @@ func TestDurableRoundTrip(t *testing.T) {
 	m, ds := untrainedFixture(t)
 	dir := t.TempDir()
 	opts := func() Options {
-		return Options{Backend: BackendMIH, Shards: 2, WALDir: dir, SnapshotEvery: 3}
+		return Options{Shards: 2, WALDir: dir, SnapshotEvery: 3}
 	}
 
 	ix, err := NewIndexWith(m, ds.Database[:4], opts())
@@ -399,7 +394,7 @@ func TestDurableRoundTrip(t *testing.T) {
 
 	// The reopened index answers exactly like an in-memory index with the
 	// same mutation history.
-	oracle, err := NewIndexWith(m, ds.Database[:4], Options{Backend: BackendMIH, Shards: 2})
+	oracle, err := NewIndexWith(m, ds.Database[:4], Options{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -453,7 +448,7 @@ func TestDurableFilesDeterministic(t *testing.T) {
 	var files [2]map[string]string
 	for i, dir := range dirs {
 		m, ds := untrainedFixture(t)
-		ix, err := NewIndexWith(m, ds.Database[20:26], durableOpts(BackendHammingHybrid, 2, dir, nil))
+		ix, err := NewIndexWith(m, ds.Database[20:26], durableOpts(2, dir, nil))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -477,7 +472,7 @@ func TestDurableFilesDeterministic(t *testing.T) {
 	// Both files carry state: recovery reads items from the snapshot and
 	// replays records from the log.
 	m, _ := untrainedFixture(t)
-	re, err := NewIndexWith(m, nil, durableOpts(BackendHammingHybrid, 2, dirs[0], nil))
+	re, err := NewIndexWith(m, nil, durableOpts(2, dirs[0], nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -571,7 +566,7 @@ func TestEmbeddingIsACopy(t *testing.T) {
 func TestMutationsAfterCloseFailClosed(t *testing.T) {
 	m, ds := untrainedFixture(t)
 	dir := t.TempDir()
-	opts := Options{Backend: BackendMIH, WALDir: dir}
+	opts := Options{WALDir: dir}
 	ix, err := NewIndexWith(m, ds.Database[:3], opts)
 	if err != nil {
 		t.Fatal(err)
@@ -782,7 +777,7 @@ func TestInMemoryAddBuildsNoWALPayload(t *testing.T) {
 
 	dir := t.TempDir()
 	ops := durabilityScript(ds)
-	dur, err := NewIndexWith(enc, nil, durableOpts(BackendEuclideanBF, 2, dir, nil))
+	dur, err := NewIndexWith(enc, nil, durableOpts(2, dir, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -805,14 +800,14 @@ func TestInMemoryAddBuildsNoWALPayload(t *testing.T) {
 	if got, want := h.Sum64(), uint64(0x7050863c3aa50169); got != want {
 		t.Errorf("WAL directory bytes hash to %#x, want %#x", got, want)
 	}
-	re, err := NewIndexWith(enc, nil, durableOpts(BackendEuclideanBF, 2, dir, nil))
+	re, err := NewIndexWith(enc, nil, durableOpts(2, dir, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer re.Close()
 	items := itemsOf(ops)
 	_, live := expectedAfter(items, len(items))
-	assertIndexParity(t, "reopened", re, oracleIndex(t, enc, BackendEuclideanBF, 2, ops), ds.Queries, live)
+	assertIndexParity(t, "reopened", re, oracleIndex(t, enc, 2, ops), ds.Queries, live)
 }
 
 // countingEncoder wraps an Encoder and counts trajectories embedded
@@ -1005,7 +1000,7 @@ func TestNonFiniteEmbeddingIsRefused(t *testing.T) {
 	}
 	dir := t.TempDir()
 	reg := NewMetricsRegistry()
-	opts := durableOpts(BackendEuclideanBF, 2, dir, nil)
+	opts := durableOpts(2, dir, nil)
 	opts.Metrics = reg
 	ix, err := NewIndexWith(enc, ds.Database, opts)
 	if err != nil {

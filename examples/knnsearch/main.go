@@ -1,7 +1,8 @@
 // knnsearch: the paper's headline use case end to end — approximate top-k
-// similar trajectory search over a database, comparing the three search
-// strategies of Section V-E on both speed and accuracy against exact DTW
-// ground truth. Uses only the library's public API.
+// similar trajectory search over a database, comparing its two retrieval
+// spaces (Euclidean over embeddings, Table I; Hamming over codes, Table
+// II, answered by the Section V-E hybrid) on both speed and accuracy
+// against exact DTW ground truth. Uses only the library's public API.
 //
 //	go run ./examples/knnsearch
 package main
@@ -61,29 +62,28 @@ func main() {
 		qCodes[i] = m.Code(q)
 	}
 	encPer := time.Since(encStart) / time.Duration(2*len(ds.Queries))
-	fmt.Printf("query encoding: %v/query (one-time, shared by all strategies)\n",
+	fmt.Printf("query encoding: %v/query (one-time, shared by both spaces)\n",
 		encPer.Round(time.Microsecond))
 
-	// A strategy is a backend plus the representation it reads: the
-	// embedding for the Euclidean scan, the code for the Hamming ones.
-	strategies := []struct {
-		name, backend string
-		byCode        bool
+	// Each space ranks the representation it reads: the embedding in
+	// Euclidean space, the code in Hamming space.
+	spaces := []struct {
+		name  string
+		space traj2hash.Space
 	}{
-		{"Euclidean-BF", traj2hash.BackendEuclideanBF, false},
-		{"Hamming-BF", traj2hash.BackendHammingBF, true},
-		{"Hamming-Hybrid", traj2hash.BackendHammingHybrid, true},
+		{"Euclidean", traj2hash.SpaceEuclidean},
+		{"Hamming", traj2hash.SpaceHamming},
 	}
 	ctx := context.Background()
 
-	fmt.Printf("\n%-16s %12s %10s\n", "strategy", "per query", "HR@10")
-	for _, s := range strategies {
+	fmt.Printf("\n%-16s %12s %10s\n", "space", "per query", "HR@10")
+	for _, s := range spaces {
 		start := time.Now()
 		returned := make([][]int, len(ds.Queries))
 		for qi := range ds.Queries {
-			query := traj2hash.Query{Vec: qVecs[qi], K: k, Backend: s.backend}
-			if s.byCode {
-				query = traj2hash.Query{Code: qCodes[qi], K: k, Backend: s.backend}
+			query := traj2hash.Query{Vec: qVecs[qi], K: k, Space: s.space}
+			if s.space == traj2hash.SpaceHamming {
+				query = traj2hash.Query{Code: qCodes[qi], K: k}
 			}
 			res, status := idx.Do(ctx, query)
 			if status.Err != nil {

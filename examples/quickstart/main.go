@@ -63,7 +63,7 @@ func main() {
 	}
 	exactTime := time.Since(exactStart)
 	approxStart := time.Now()
-	top, status := idx.Do(ctx, traj2hash.Query{Traj: q, K: 10, Backend: traj2hash.BackendEuclideanBF})
+	top, status := idx.Do(ctx, traj2hash.Query{Traj: q, K: 10, Space: traj2hash.SpaceEuclidean})
 	approxTime := time.Since(approxStart)
 	if status.Err != nil {
 		log.Fatal(status.Err)
@@ -81,8 +81,8 @@ func main() {
 	fmt.Printf("embedding's top match (id %d) sits at exact-Frechet rank %d\n",
 		top[0].ID, bestExactRank)
 
-	// 5. Top-k search in Hamming space with the hybrid strategy (the
-	//    default backend of an index built with NewIndex).
+	// 5. Top-k search in Hamming space (a Query's default), answered by
+	//    the paper's hybrid lookup.
 	for qi, query := range ds.Queries {
 		res, status := idx.Do(ctx, traj2hash.Query{Traj: query, K: 5})
 		if status.Err != nil {

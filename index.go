@@ -81,74 +81,68 @@ func (ix *Index) checkQueryVec(emb []float64) error {
 // per-shard failures and/or the context error.
 type Status = engine.Status
 
-// Result is one search hit: the database id and the score under the
-// backend that produced it (squared Euclidean distance for the Euclidean
-// backends; Hamming distance for the Hamming backends — smaller is more
-// similar in both cases).
+// Result is one search hit: the database id and the score in the space
+// the query was answered in (squared Euclidean distance in SpaceEuclidean,
+// Hamming distance in SpaceHamming — smaller is more similar in both).
 type Result = engine.Result
 
+// Space names the space a Query is ranked in — the paper's two retrieval
+// settings. Both answers are exact in their space, and the index picks
+// the strategy that computes them: a caller chooses what "similar" means,
+// never how it is searched.
+type Space int
+
+const (
+	// SpaceHamming ranks by Hamming distance between hash codes (the
+	// paper's Table II) — the zero value, answered by the Section V-E
+	// hybrid lookup.
+	SpaceHamming Space = iota
+	// SpaceEuclidean ranks by squared Euclidean distance between
+	// embeddings (the paper's Table I), answered by an exact scan.
+	SpaceEuclidean
+)
+
+// spaceStrategies is the fixed rule by which Do routes a Space to the
+// engine strategy that answers it; NewIndexWith maintains exactly these.
+var spaceStrategies = [...]string{
+	SpaceHamming:   engine.HammingHybridName,
+	SpaceEuclidean: engine.EuclideanBFName,
+}
+
 // Query is one top-k search: a representation of the query trajectory, a
-// result count, and a strategy. Exactly one of Traj, Vec and Code must be
-// set — they are the three stages of the same pipeline (trajectory →
-// Encoder.Embed → SignCode), so a caller that already holds a later stage
-// skips the work before it: Vec amortizes the forward pass over repeated
-// searches, Code additionally skips the sign hash but can only be answered
-// in Hamming space.
+// result count, and the space to rank in. Exactly one of Traj, Vec and
+// Code must be set — they are the three stages of the same pipeline
+// (trajectory → Encoder.Embed → SignCode), so a caller that already holds
+// a later stage skips the work before it: Vec amortizes the forward pass
+// over repeated searches, Code additionally skips the sign hash but can
+// only be answered in SpaceHamming.
 type Query struct {
 	// Traj is a raw query trajectory; Do embeds it with the index's encoder.
 	Traj Trajectory
 	// Vec is a precomputed query embedding (from Encoder.Embed). The
 	// Hamming code is derived from its signs, so one forward pass serves
-	// every backend.
+	// both spaces.
 	Vec []float64
 	// Code is a precomputed query code (from Encoder.Code or SignCode). A
-	// bare code carries no embedding, so it is an error to send it to a
-	// Euclidean-space backend (BackendEuclideanBF, BackendVPTree).
+	// bare code carries no embedding, so it is an error to rank it in
+	// SpaceEuclidean.
 	Code Code
 	// K is the number of results wanted; K <= 0 is answered with the
 	// empty, complete result.
 	K int
-	// Backend names the strategy answering this query; see the Backend*
-	// constants. Empty means Options.Backend. The index always maintains
-	// the paper's three strategies next to the configured one; any other
-	// backend is an error.
-	Backend string
+	// Space is the space to rank in; the zero value is SpaceHamming.
+	Space Space
 }
 
-// The search backends selectable through Options.Backend (and the CLI
-// -strategy flag). The first three are the paper's Section V-E
-// strategies; MIH and VPTree are the library's sublinear extensions.
-const (
-	BackendEuclideanBF   = engine.EuclideanBFName   // exact scan over embeddings
-	BackendHammingBF     = engine.HammingBFName     // popcount scan over codes
-	BackendHammingHybrid = engine.HammingHybridName // Section V-E hybrid: a scan of the distinct codes
-	BackendMIH           = engine.MIHName           // multi-index hashing
-	BackendVPTree        = engine.VPTreeName        // vantage-point tree
-)
-
-// Backends returns the names of all registered search backends, sorted.
-func Backends() []string { return engine.BackendNames() }
-
-// Options configures an Index. The zero value is valid: Hamming-Hybrid
-// search on a single shard with GOMAXPROCS workers.
+// Options configures an Index. The zero value is valid: a single shard
+// with GOMAXPROCS workers.
 type Options struct {
-	// Backend selects the strategy that answers a Query with no Backend
-	// of its own, and every SearchBatchCtx; see the Backend* constants.
-	// Empty means BackendHammingHybrid. The paper's three strategies
-	// (Euclidean-BF, Hamming-BF, Hamming-Hybrid) stay selectable per query
-	// through Query.Backend regardless of this choice.
-	Backend string
 	// Shards partitions the database; queries fan out across shards in
 	// parallel and adds only lock one shard. ≤ 0 means 1.
 	Shards int
-	// Workers bounds the index's parallelism: batch embedding, the
-	// per-query shard fan-out, and the SearchBatchCtx query fan-out.
-	// ≤ 0 means GOMAXPROCS.
+	// Workers bounds the index's parallelism: batch embedding and the
+	// (query, shard) search fan-out. ≤ 0 means GOMAXPROCS.
 	Workers int
-	// MIHChunks is the substring count of the MIH backend (0 = auto).
-	MIHChunks int
-	// VPTreeSeed seeds vantage-point sampling of the VPTree backend.
-	VPTreeSeed int64
 	// Metrics, when non-nil, is the observability registry the index's
 	// query engine records into (search counters, per-shard latency
 	// histograms, spans — see DESIGN.md "Observability"). nil leaves the
@@ -157,10 +151,10 @@ type Options struct {
 	// accumulate), including DefaultMetricsRegistry().
 	Metrics *MetricsRegistry
 	// CompactAt is the per-shard tombstone-density threshold at which a
-	// Delete triggers a synchronous compaction of its shard (backends are
-	// rebuilt over the live items). 0 means the engine default (0.25);
-	// negative disables automatic compaction. Compaction never changes
-	// answers, only their cost.
+	// Delete triggers a synchronous compaction of its shard (its index
+	// structures are rebuilt over the live items). 0 means the engine
+	// default (0.25); negative disables automatic compaction. Compaction
+	// never changes answers, only their cost.
 	CompactAt float64
 	// WALDir, when non-empty, makes the index durable: every mutation
 	// (Add/Delete/Update) is appended to a CRC-checksummed write-ahead
@@ -206,7 +200,7 @@ type RecoveryInfo struct {
 
 // Index is a searchable trajectory database: it stores each trajectory's
 // Euclidean-space embedding and Hamming-space code and answers top-k
-// similar-trajectory queries with any registered search backend. It is a
+// similar-trajectory queries in either space. It is a
 // thin facade over the sharded internal query engine and is safe for
 // concurrent use: any number of goroutines may add and search at once
 // (training the encoder concurrently is not).
@@ -249,31 +243,20 @@ func NewIndexWith(enc Encoder, ts []Trajectory, opts Options) (*Index, error) {
 	if enc == nil {
 		return nil, fmt.Errorf("traj2hash: nil encoder")
 	}
-	backend := opts.Backend
-	if backend == "" {
-		backend = BackendHammingHybrid
-	}
 	eng, err := engine.New(engine.Options{
-		// The configured backend is the default of Do and serves
-		// SearchBatchCtx; the three paper strategies are always maintained
-		// (the scans cost nothing per item: they read the shard's one
-		// embedding slab and the hybrid's table, which also serves
-		// WithinCtx).
-		Backends:  []string{backend, BackendEuclideanBF, BackendHammingBF, BackendHammingHybrid},
+		// One strategy per Space (the hybrid's table also serves
+		// WithinCtx; the Euclidean scan reads the shard's embedding slab
+		// and costs nothing per item).
+		Backends:  spaceStrategies[:],
 		Shards:    opts.Shards,
 		Workers:   opts.Workers,
 		CompactAt: opts.CompactAt,
 		Metrics:   opts.Metrics,
-		Config: engine.Config{
-			Bits:      enc.Dim(),
-			MIHChunks: opts.MIHChunks,
-			VPSeed:    opts.VPTreeSeed,
-		},
+		Config:    engine.Config{Bits: enc.Dim()},
 	})
 	if err != nil {
 		return nil, err
 	}
-	opts.Backend = eng.Backends()[0] // canonical, so Do and Backend need no lookup
 	ix := &Index{enc: enc, opts: opts, eng: eng}
 	if opts.WALDir != "" {
 		if err := ix.openWAL(); err != nil {
@@ -346,33 +329,25 @@ func (ix *Index) Embedding(id int) ([]float64, bool) {
 	return ix.eng.Embedding(id, nil)
 }
 
-// Backend returns the canonical name of the configured backend
-// (Options.Backend): the default of Do and the one serving SearchBatchCtx.
-func (ix *Index) Backend() string { return ix.opts.Backend }
-
 // Encoder returns the encoder the index embeds and hashes with.
 func (ix *Index) Encoder() Encoder { return ix.enc }
 
 // Do answers one top-k query. It is the single search path of the index:
 // the query is embedded if it arrived as a trajectory, hashed if it
-// arrived as (or was just turned into) an embedding, and fanned out
-// across the shards of q.Backend under ctx. The fan-out stops as soon as
-// ctx is done and whatever shards answered in time are merged into a
-// (possibly partial) answer, tagged by the returned Status; a panicking
-// shard degrades the answer instead of crashing the process.
+// arrived as (or was just turned into) an embedding, and ranked in
+// q.Space by a fan-out across the shards under ctx. The fan-out stops as
+// soon as ctx is done and whatever shards answered in time are merged
+// into a (possibly partial) answer, tagged by the returned Status; a
+// panicking shard degrades the answer instead of crashing the process.
 //
 // An invalid query — none or several of Traj/Vec/Code set, a bare Code
-// for a Euclidean-space backend, a backend the index does not maintain,
-// a Traj or Vec whose embedding is not finite (ErrNonFiniteEmbedding), a
-// Vec or Code that is not of the encoder's dimension — is reported as
-// Status{Err: …} with no results and no shard consulted.
+// in SpaceEuclidean, a Space that is neither, a Traj or Vec whose
+// embedding is not finite (ErrNonFiniteEmbedding), a Vec or Code that is
+// not of the encoder's dimension — is reported as Status{Err: …} with no
+// results and no shard consulted.
 func (ix *Index) Do(ctx context.Context, q Query) ([]Result, Status) {
-	backend := ix.opts.Backend
-	if q.Backend != "" {
-		var err error
-		if backend, err = engine.Resolve(q.Backend); err != nil {
-			return nil, Status{Err: err}
-		}
+	if q.Space != SpaceHamming && q.Space != SpaceEuclidean {
+		return nil, Status{Err: fmt.Errorf("traj2hash: unknown Space %d", q.Space)}
 	}
 	hasTraj, hasVec, hasCode := len(q.Traj) > 0, len(q.Vec) > 0, q.Code.Bits > 0
 	var eq engine.Query
@@ -382,8 +357,8 @@ func (ix *Index) Do(ctx context.Context, q Query) ([]Result, Status) {
 	case hasVec && !hasTraj && !hasCode:
 		eq.Emb = q.Vec
 	case hasCode && !hasTraj && !hasVec:
-		if backend == BackendEuclideanBF || backend == BackendVPTree {
-			return nil, Status{Err: fmt.Errorf("traj2hash: backend %q searches embeddings; a Query carrying only a Code cannot be answered by it (set Vec or Traj)", backend)}
+		if q.Space == SpaceEuclidean {
+			return nil, Status{Err: errors.New("traj2hash: SpaceEuclidean ranks embeddings; a Query carrying only a Code cannot be answered in it (set Vec or Traj)")}
 		}
 		if q.Code.Bits != ix.enc.Dim() {
 			return nil, Status{Err: fmt.Errorf("traj2hash: query code has %d bits, the index's encoder hashes to %d", q.Code.Bits, ix.enc.Dim())}
@@ -398,38 +373,36 @@ func (ix *Index) Do(ctx context.Context, q Query) ([]Result, Status) {
 		}
 		eq.Code = hamming.FromSigns(eq.Emb)
 	}
-	rs, st, err := ix.eng.SearchWithCtx(ctx, backend, eq, q.K)
-	if err != nil {
-		return nil, Status{Err: err}
-	}
+	//lint:ignore errcheck NewIndexWith maintains every strategy of spaceStrategies; the config error is impossible
+	rs, st, _ := ix.eng.SearchWithCtx(ctx, spaceStrategies[q.Space], eq, q.K)
 	return rs, st
 }
 
-// SearchCtx is Do for a raw trajectory under the configured backend.
+// SearchCtx is Do for a raw trajectory in SpaceHamming.
 func (ix *Index) SearchCtx(ctx context.Context, q Trajectory, k int) ([]Result, Status) {
 	return ix.Do(ctx, Query{Traj: q, K: k})
 }
 
-// SearchByVecCtx is Do for a precomputed query embedding under the
-// configured backend.
+// SearchByVecCtx is Do for a precomputed query embedding in
+// SpaceHamming.
 func (ix *Index) SearchByVecCtx(ctx context.Context, qe []float64, k int) ([]Result, Status) {
 	return ix.Do(ctx, Query{Vec: qe, K: k})
 }
 
-// SearchEuclideanByVec is Do for a precomputed query embedding under
-// Euclidean-BF — exact over the learned space — with no deadline and the
-// Status dropped: the convenience for "which stored item is nearest to
-// this vector" lookups.
+// SearchEuclideanByVec is Do for a precomputed query embedding in
+// SpaceEuclidean — exact over the learned space — with no deadline and
+// the Status dropped: the convenience for "which stored item is nearest
+// to this vector" lookups.
 func (ix *Index) SearchEuclideanByVec(qe []float64, k int) []Result {
-	rs, _ := ix.Do(context.Background(), Query{Vec: qe, K: k, Backend: BackendEuclideanBF})
+	rs, _ := ix.Do(context.Background(), Query{Vec: qe, K: k, Space: SpaceEuclidean})
 	return rs
 }
 
-// SearchBatchCtx answers many queries under the configured backend,
-// embedding them in parallel (Encoder.EmbedAllParallel) and fanning the
-// searches out across the index's worker budget under ctx. Results and
-// statuses are in query order; queries never started because the context
-// expired first carry an incomplete Status with the context error, and a
+// SearchBatchCtx answers many queries in SpaceHamming, embedding them in
+// parallel (Encoder.EmbedAllParallel) and fanning every (query, shard)
+// search out across the index's worker budget under ctx: each member is
+// answered exactly as Do answers it alone, partial answers at the
+// deadline included. Results and statuses are in query order, and a
 // query whose embedding is not finite carries ErrNonFiniteEmbedding and
 // no results while the rest of the batch is answered. (Query embedding
 // happens before the deadline applies to shard work; embed separately
@@ -446,13 +419,8 @@ func (ix *Index) SearchBatchCtx(ctx context.Context, qs []Trajectory, k int) ([]
 			at = append(at, i)
 		}
 	}
-	batches, ok, err := ix.eng.SearchBatchWithCtx(ctx, ix.opts.Backend, queries, k)
-	if err != nil {
-		for _, i := range at {
-			sts[i].Err = err
-		}
-		return results, sts
-	}
+	//lint:ignore errcheck NewIndexWith maintains every strategy of spaceStrategies; the config error is impossible
+	batches, ok, _ := ix.eng.SearchBatchWithCtx(ctx, spaceStrategies[SpaceHamming], queries, k)
 	for j, i := range at {
 		results[i], sts[i] = batches[j], ok[j]
 	}

@@ -35,12 +35,24 @@ type Status struct {
 	Err error
 }
 
-// statusFor finalizes a Status: Complete iff every one of n shards
-// answered, with the context error appended when the fan-out was cut
-// short before completion.
-func statusFor(ctx context.Context, n, ok, failed int, errs []error) Status {
-	st := Status{ShardsOK: ok, ShardsFailed: failed}
-	st.Complete = ok == n
+// statusOf finalizes the Status of query qi from its shard units —
+// every nq-th unit from qi (see search): Complete iff every shard
+// answered, with the shard failures (in shard order) and, when the
+// fan-out was cut short before completion, the context's error joined
+// into Err.
+func statusOf[T any](ctx context.Context, units []outcome[T], qi, nq int) Status {
+	var st Status
+	var errs []error
+	for u := qi; u < len(units); u += nq {
+		switch {
+		case units[u].done:
+			st.ShardsOK++
+		case units[u].err != nil:
+			st.ShardsFailed++
+			errs = append(errs, units[u].err)
+		}
+	}
+	st.Complete = st.ShardsOK == len(units)/nq
 	if !st.Complete {
 		if cerr := ctx.Err(); cerr != nil {
 			errs = append(errs, cerr)
@@ -50,32 +62,31 @@ func statusFor(ctx context.Context, n, ok, failed int, errs []error) Status {
 	return st
 }
 
-// outcome is one fan-out unit's result: the index it belongs to, the
-// value produced, and the failure (if any). skipped marks units never
-// attempted because the context was already done.
+// outcome is one fan-out unit's result: its index, and either the value
+// it produced (done) or its failure (err). A unit skipped because the
+// context was already done — or not yet back when the fan-out returned at
+// it — has neither.
 type outcome[T any] struct {
-	i       int
-	v       T
-	err     error
-	skipped bool
+	i    int
+	v    T
+	err  error
+	done bool
 }
 
 // fanOut runs fn(0..n-1) across at most `workers` goroutines, gathering
 // outcomes until every unit reports or ctx is done — whichever comes
-// first. Stragglers still running at cancellation deliver into a
-// buffered channel and exit on their own; fanOut never blocks on them
-// and never leaks a goroutine. done[i] reports whether unit i completed
-// without error; errs collects unit failures in arrival order.
+// first — into units[i]. Stragglers still running at cancellation deliver
+// into a buffered channel and exit on their own; fanOut never blocks on
+// them and never leaks a goroutine.
 //
 // fn must confine its own panics (the engine's per-shard closures
 // recover internally, converting a backend panic into an error) — fanOut
 // adds a second recovery layer so that even a misbehaving fn degrades
 // into an error instead of killing the process.
-func fanOut[T any](ctx context.Context, n, workers int, fn func(i int) (T, error)) (vals []T, done []bool, errs []error) {
-	vals = make([]T, n)
-	done = make([]bool, n)
+func fanOut[T any](ctx context.Context, n, workers int, fn func(i int) (T, error)) (units []outcome[T]) {
+	units = make([]outcome[T], n)
 	if n == 0 {
-		return vals, done, nil
+		return units
 	}
 	if workers > n {
 		workers = n
@@ -85,8 +96,8 @@ func fanOut[T any](ctx context.Context, n, workers int, fn func(i int) (T, error
 	}
 	ch := make(chan outcome[T], n)
 	run := func(i int) outcome[T] {
-		if err := ctx.Err(); err != nil {
-			return outcome[T]{i: i, skipped: true}
+		if ctx.Err() != nil {
+			return outcome[T]{i: i}
 		}
 		v, err := func() (v T, err error) {
 			defer func() {
@@ -96,7 +107,10 @@ func fanOut[T any](ctx context.Context, n, workers int, fn func(i int) (T, error
 			}()
 			return fn(i)
 		}()
-		return outcome[T]{i: i, v: v, err: err}
+		if err != nil {
+			return outcome[T]{i: i, err: err}
+		}
+		return outcome[T]{i: i, v: v, done: true}
 	}
 	// Worker w starts on unit w and claims further indices from a shared
 	// counter. A unit claimed after ctx is done reports itself skipped
@@ -113,21 +127,11 @@ func fanOut[T any](ctx context.Context, n, workers int, fn func(i int) (T, error
 			}
 		}(w)
 	}
-	gather := func(out outcome[T]) {
-		switch {
-		case out.skipped:
-		case out.err != nil:
-			errs = append(errs, out.err)
-		default:
-			vals[out.i] = out.v
-			done[out.i] = true
-		}
-	}
 	for received := 0; received < n; {
 		select {
 		case out := <-ch:
 			received++
-			gather(out)
+			units[out.i] = out
 		case <-ctx.Done():
 			// Deadline hit mid-fan-out: scoop up outcomes already
 			// delivered, then stop waiting for in-flight units — they
@@ -137,14 +141,14 @@ func fanOut[T any](ctx context.Context, n, workers int, fn func(i int) (T, error
 				select {
 				case out := <-ch:
 					received++
-					gather(out)
+					units[out.i] = out
 				default:
-					return vals, done, errs
+					return units
 				}
 			}
 		}
 	}
-	return vals, done, errs
+	return units
 }
 
 // searchShard answers a top-k query on one shard with panic isolation:
@@ -154,10 +158,10 @@ func fanOut[T any](ctx context.Context, n, workers int, fn func(i int) (T, error
 // discipline panic-safe).
 //
 // Tombstones: when the shard carries deleted items the backend is asked
-// for k+deadN results and the dead ones are filtered out. That
-// over-fetch is exact, not heuristic — at most deadN dead items can
-// outrank a live one, so every member of the live top-k has backend rank
-// below k+deadN and survives the cut.
+// for k+deadN results — at most the whole shard — and the dead ones are
+// filtered out. That over-fetch is exact, not heuristic — at most deadN
+// dead items can outrank a live one, so every member of the live top-k
+// has backend rank below k+deadN and survives the cut.
 //
 // Timing note: the shard latency histogram is observed HERE, inside the
 // fan-out worker, not around the merge at the collection site — so a
@@ -184,10 +188,8 @@ func (e *Engine) searchShard(bi, si int, q Query, k int) (rs []Result, err error
 	}()
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	fetch := k
-	if sh.deadN > 0 {
-		fetch = k + sh.deadN
-	}
+	// Bounded by the live count first: k+deadN overflows for a huge k.
+	fetch := min(k, len(sh.ids)-sh.deadN) + sh.deadN
 	raw := sh.store.strategies[bi].Search(sh.store, q, fetch)
 	out := make([]Result, 0, min(k, len(raw)))
 	for _, r := range raw {
@@ -213,51 +215,73 @@ func (e *Engine) SearchCtx(ctx context.Context, q Query, k int) ([]Result, Statu
 	return rs, st
 }
 
-// SearchWithCtx is SearchCtx with an explicit backend. The error return
-// reports configuration problems (unknown backend); runtime degradation
-// — failed shards, expired deadlines — is reported through Status so
-// partial results stay usable.
+// SearchWithCtx is SearchCtx with an explicit backend: the batch of one.
+// The error return reports configuration problems (unknown backend);
+// runtime degradation — failed shards, expired deadlines — is reported
+// through Status so partial results stay usable.
 func (e *Engine) SearchWithCtx(ctx context.Context, name string, q Query, k int) ([]Result, Status, error) {
-	bi, err := e.backendIndex(name)
-	if err != nil {
-		return nil, Status{}, err
-	}
-	rs, st := e.searchShardsCtx(ctx, bi, q, k)
-	return rs, st, nil
+	var rs [1][]Result
+	var st [1]Status
+	err := e.search(ctx, name, []Query{q}, k, rs[:], st[:])
+	return rs[0], st[0], err
 }
 
-// searchShardsCtx fans a query out across shards in parallel under ctx
-// and merges whatever answered into the (possibly partial) top-k.
-func (e *Engine) searchShardsCtx(ctx context.Context, bi int, q Query, k int) ([]Result, Status) {
-	if k <= 0 {
+// SearchBatchWithCtx answers many queries with the named backend under
+// ctx, exactly as SearchWithCtx answers each: one fan-out over every
+// (query, shard) pair within the engine's worker budget, so a member cut
+// short by the deadline keeps the shards that answered, like a lone
+// query. Results and statuses are in query order. The error reports
+// configuration problems only (unknown backend); per-query degradation is
+// in the Status slice.
+func (e *Engine) SearchBatchWithCtx(ctx context.Context, name string, qs []Query, k int) ([][]Result, []Status, error) {
+	out, sts := make([][]Result, len(qs)), make([]Status, len(qs))
+	if err := e.search(ctx, name, qs, k, out, sts); err != nil {
+		return nil, nil, err
+	}
+	return out, sts, nil
+}
+
+// search is the one search path: a fan-out of every query of qs over every
+// shard of the named backend under ctx, then a merge of each query's
+// answered shards into its (possibly partial) top-k in out, with its
+// Status in sts. The units run shard by shard — unit u is shard u/len(qs)
+// of query u%len(qs) — so when one shard is slow, every query has its
+// other shards' answers in hand at the deadline. The error is an unknown
+// backend's, before anything is written.
+func (e *Engine) search(ctx context.Context, name string, qs []Query, k int, out [][]Result, sts []Status) error {
+	bi, err := e.backendIndex(name)
+	if err != nil {
+		return err
+	}
+	if k <= 0 || len(qs) == 0 {
 		// The exact answer to a non-positive k is empty; no shard work
 		// is needed, so the empty answer is complete.
-		return nil, Status{Complete: true}
+		for i := range sts {
+			sts[i] = Status{Complete: true}
+		}
+		return nil
 	}
 	var span *obs.ActiveSpan
 	if e.met != nil {
 		span = e.met.tracer.Start(e.met.spanNames[bi], 0)
 	}
-	n := len(e.shards)
-	per, done, errs := fanOut(ctx, n, e.opts.Workers, func(si int) ([]Result, error) {
-		return e.searchShard(bi, si, q, k)
+	nq := len(qs)
+	units := fanOut(ctx, len(e.shards)*nq, e.opts.Workers, func(u int) ([]Result, error) {
+		return e.searchShard(bi, u/nq, qs[u%nq], k)
 	})
-	ok := 0
-	for _, d := range done {
-		if d {
-			ok++
-		}
+	for qi := range qs {
+		out[qi] = e.merge(units, qi, nq, k)
+		sts[qi] = statusOf(ctx, units, qi, nq)
+		e.countQuery(sts[qi])
 	}
-	rs := e.merge(per, k)
-	st := statusFor(ctx, n, ok, len(errs), errs)
-	e.finishQuery(st, span)
-	return rs, st
+	span.End()
+	return nil
 }
 
-// finishQuery records the per-query accounting shared by every search
-// path: the total query count, the degraded count when the status is
-// incomplete, and the query span (when tracing is live).
-func (e *Engine) finishQuery(st Status, span *obs.ActiveSpan) {
+// countQuery records the per-query accounting shared by every search
+// path: the total query count, and the degraded count when the status is
+// incomplete.
+func (e *Engine) countQuery(st Status) {
 	if e.met == nil {
 		return
 	}
@@ -265,81 +289,6 @@ func (e *Engine) finishQuery(st Status, span *obs.ActiveSpan) {
 	if !st.Complete {
 		e.met.degraded.Inc()
 	}
-	span.End()
-}
-
-// searchShardsSeqCtx is searchShardsCtx without the per-shard goroutine
-// fan-out: one goroutine walks every shard, checking ctx between shards
-// (an in-flight shard search itself is not interruptible). Used by the
-// batch path, where parallelism comes from query-level fan-out.
-func (e *Engine) searchShardsSeqCtx(ctx context.Context, bi int, q Query, k int) ([]Result, Status) {
-	if k <= 0 {
-		return nil, Status{Complete: true}
-	}
-	var span *obs.ActiveSpan
-	if e.met != nil {
-		span = e.met.tracer.Start(e.met.spanNames[bi], 0)
-	}
-	n := len(e.shards)
-	per := make([][]Result, n)
-	var ok int
-	var errs []error
-	var failed int
-	for si := 0; si < n; si++ {
-		if ctx.Err() != nil {
-			break
-		}
-		rs, err := e.searchShard(bi, si, q, k)
-		if err != nil {
-			failed++
-			errs = append(errs, err)
-			continue
-		}
-		per[si] = rs
-		ok++
-	}
-	out := e.merge(per, k)
-	st := statusFor(ctx, n, ok, failed, errs)
-	e.finishQuery(st, span)
-	return out, st
-}
-
-// SearchBatchWithCtx answers many queries with the named backend under
-// ctx, parallelized across queries by the engine's worker budget: each
-// worker walks the shards of its query sequentially, which scales better
-// than nested fan-out when the batch is larger than the worker budget.
-// Results and statuses are in query order; queries never started because
-// the context expired first carry an incomplete Status with the context
-// error. The error reports configuration problems only (unknown backend);
-// per-query degradation is in the Status slice.
-func (e *Engine) SearchBatchWithCtx(ctx context.Context, name string, qs []Query, k int) ([][]Result, []Status, error) {
-	bi, err := e.backendIndex(name)
-	if err != nil {
-		return nil, nil, err
-	}
-	type qOut struct {
-		rs []Result
-		st Status
-	}
-	vals, done, _ := fanOut(ctx, len(qs), e.opts.Workers, func(qi int) (qOut, error) {
-		rs, st := e.searchShardsSeqCtx(ctx, bi, qs[qi], k)
-		return qOut{rs: rs, st: st}, nil
-	})
-	out := make([][]Result, len(qs))
-	sts := make([]Status, len(qs))
-	for i := range qs {
-		if done[i] {
-			out[i] = vals[i].rs
-			sts[i] = vals[i].st
-		} else {
-			sts[i] = statusFor(ctx, len(e.shards), 0, 0, nil)
-			// Queries that never ran still count: they were asked and
-			// answered (with nothing), which is exactly what the degraded
-			// counter exists to surface.
-			e.finishQuery(sts[i], nil)
-		}
-	}
-	return out, sts, nil
 }
 
 // WithinCtx returns the global ids whose codes lie within the given
@@ -360,21 +309,17 @@ func (e *Engine) WithinCtx(ctx context.Context, code hamming.Code, radius int) (
 	if e.met != nil {
 		span = e.met.tracer.Start("engine.within", 0)
 	}
-	n := len(e.shards)
-	per, done, errs := fanOut(ctx, n, e.opts.Workers, func(si int) ([]int, error) {
+	units := fanOut(ctx, len(e.shards), e.opts.Workers, func(si int) ([]int, error) {
 		return e.withinShard(si, code, radius)
 	})
-	ok := 0
 	var all []int
-	for si, d := range done {
-		if d {
-			ok++
-			all = append(all, per[si]...)
-		}
+	for _, u := range units {
+		all = append(all, u.v...)
 	}
 	sort.Ints(all)
-	st := statusFor(ctx, n, ok, len(errs), errs)
-	e.finishQuery(st, span)
+	st := statusOf(ctx, units, 0, 1)
+	e.countQuery(st)
+	span.End()
 	return all, st, nil
 }
 

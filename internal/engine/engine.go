@@ -23,8 +23,8 @@ type Options struct {
 	// assigned round-robin, so shard loads stay balanced under any
 	// insertion pattern and per-shard id order follows global id order.
 	Shards int
-	// Workers bounds the engine's parallelism: the per-query shard
-	// fan-out and the SearchBatchWithCtx query fan-out (default GOMAXPROCS).
+	// Workers bounds the engine's parallelism: the (query, shard) search
+	// fan-out (default GOMAXPROCS).
 	Workers int
 	// CompactAt is the tombstone-density threshold that triggers a shard
 	// compaction at the end of the Delete that crosses it: when
@@ -246,10 +246,6 @@ func (e *Engine) newItems() (items, error) {
 	return items{store: NewStore(e.opts.Config, strategies...)}, nil
 }
 
-// Backends returns the canonical backend names the engine maintains; the
-// first is the default.
-func (e *Engine) Backends() []string { return append([]string(nil), e.names...) }
-
 // Shards returns the shard count.
 func (e *Engine) Shards() int { return len(e.shards) }
 
@@ -403,32 +399,33 @@ func (sh *shard) fastPathCount() int64 {
 // recorded separately from the per-shard search work — shard latency is
 // measured inside the fan-out worker (searchShard), so a slow shard and
 // a slow merge are independently attributable.
-func (e *Engine) merge(per [][]Result, k int) []Result {
+func (e *Engine) merge(units []outcome[[]Result], qi, nq, k int) []Result {
 	if e.met == nil {
-		return mergeTopK(per, k)
+		return mergeTopK(units, qi, nq, k)
 	}
 	var n int
-	for _, rs := range per {
-		n += len(rs)
+	for u := qi; u < len(units); u += nq {
+		n += len(units[u].v)
 	}
 	e.met.candidates.Observe(float64(n))
 	start := time.Now()
-	out := mergeTopK(per, k)
+	out := mergeTopK(units, qi, nq, k)
 	e.met.mergeLat.Observe(time.Since(start).Seconds())
 	return out
 }
 
-// mergeTopK merges per-shard top-k lists (each sorted by (score, id))
-// into the exact global top-k. Each global winner is necessarily within
-// its own shard's top-k, so merging the lists loses nothing.
-func mergeTopK(per [][]Result, k int) []Result {
+// mergeTopK merges the per-shard top-k lists of query qi — every nq-th
+// unit from qi, each sorted by (score, id); a shard that did not answer
+// has none — into the exact global top-k. Each global winner is necessarily
+// within its own shard's top-k, so merging the lists loses nothing.
+func mergeTopK(units []outcome[[]Result], qi, nq, k int) []Result {
 	var n int
-	for _, rs := range per {
-		n += len(rs)
+	for u := qi; u < len(units); u += nq {
+		n += len(units[u].v)
 	}
 	all := make([]Result, 0, n)
-	for _, rs := range per {
-		all = append(all, rs...)
+	for u := qi; u < len(units); u += nq {
+		all = append(all, units[u].v...)
 	}
 	sort.Slice(all, func(a, b int) bool {
 		//lint:ignore floatcompare sort tie-break over stored scores: both operands are the same stored float64s every evaluation, so exact inequality is the determinism contract, not a hazard

@@ -334,31 +334,50 @@ func TestWithinRejectsUnsupportedRadius(t *testing.T) {
 	}
 }
 
+// TestEngineSearchBatchMatchesSequential: every member of a batch is
+// answered exactly as its query alone — results and Status — for every
+// registered backend, on one shard and on three, fresh and with
+// tombstones in the shards (compaction is off, so the dead items stay and
+// the over-fetch runs).
 func TestEngineSearchBatchMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	vecs := randVecs(rng, 200, 8)
-	for _, backend := range []string{EuclideanBFName, HammingBFName, HammingHybridName, MIHName, VPTreeName} {
-		e, err := New(Options{
-			Backends: []string{backend},
-			Shards:   3,
-			Workers:  4,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := e.AddBatch(vecs, nil); err != nil {
-			t.Fatal(err)
-		}
-		qs := make([]Query, 10)
-		for i := range qs {
-			emb := randVecs(rng, 1, 8)[0]
-			qs[i] = Query{Emb: emb, Code: hamming.FromSigns(emb)}
-		}
-		batch := searchBatch(e, qs, 7)
-		for qi, q := range qs {
-			single := e.Search(q, 7)
-			if !reflect.DeepEqual(batch[qi], single) {
-				t.Fatalf("%s query %d: batch %v != single %v", backend, qi, batch[qi], single)
+	qs := make([]Query, 10)
+	for i := range qs {
+		emb := randVecs(rng, 1, 8)[0]
+		qs[i] = Query{Emb: emb, Code: hamming.FromSigns(emb)}
+	}
+	ctx := context.Background()
+	for _, backend := range BackendNames() {
+		for _, shards := range []int{1, 3} {
+			e, err := New(Options{Backends: []string{backend}, Shards: shards, Workers: 4, CompactAt: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := e.AddBatch(vecs, nil); err != nil {
+				t.Fatal(err)
+			}
+			for _, phase := range []string{"fresh", "tombstones"} {
+				if phase == "tombstones" {
+					for id := 0; id < len(vecs); id += 3 {
+						if err := e.Delete(id); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				batch, sts, err := e.SearchBatchWithCtx(ctx, backend, qs, 7)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for qi, q := range qs {
+					single, st, err := e.SearchWithCtx(ctx, backend, q, 7)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(batch[qi], single) || !reflect.DeepEqual(sts[qi], st) {
+						t.Fatalf("%s shards=%d %s query %d: batch (%v, %+v) != single (%v, %+v)", backend, shards, phase, qi, batch[qi], sts[qi], single, st)
+					}
+				}
 			}
 		}
 	}
@@ -414,7 +433,7 @@ func TestEngineConcurrentAddSearch(t *testing.T) {
 			for i := 0; i < searches; i++ {
 				v := randVecs(rng, 1, 16)[0]
 				q := Query{Emb: v, Code: hamming.FromSigns(v)}
-				for _, name := range e.Backends() {
+				for _, name := range e.names {
 					rs, err := searchWith(e, name, q, 5)
 					if err != nil {
 						errCh <- err

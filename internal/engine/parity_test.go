@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -134,8 +135,8 @@ func TestVPTreeMatchesEuclideanBF(t *testing.T) {
 
 // TestEngineEdgeCasesAllBackends sweeps the degenerate-query corners for
 // every registered backend behind a sharded engine: non-positive k, an
-// empty engine, k exceeding the corpus, and a context canceled before
-// any shard runs. These are the inputs the failure-domain contract
+// empty engine, k exceeding the corpus (up to math.MaxInt over a
+// tombstone), and a context canceled before any shard runs. These are the inputs the failure-domain contract
 // (DESIGN.md "Failure semantics & graceful degradation") pins down:
 // empty answers that need no shard work are Complete, and a dead context
 // yields an incomplete Status with zero shards consulted.
@@ -231,6 +232,17 @@ func TestEngineEdgeCasesAllBackends(t *testing.T) {
 				if s.Complete {
 					t.Errorf("%s shards=%d canceled batch query %d: status %+v, want incomplete", backend, shards, qi, s)
 				}
+			}
+
+			// k = math.MaxInt over a shard with a tombstone: every live
+			// item, Complete — the over-fetch of k plus the dead count
+			// must not overflow.
+			if err := e.Delete(0); err != nil {
+				t.Fatal(err)
+			}
+			rs, st = e.SearchCtx(context.Background(), q, math.MaxInt)
+			if len(rs) != n-1 || !st.Complete {
+				t.Errorf("%s shards=%d k=MaxInt after a delete: %d results, %+v; want %d, Complete", backend, shards, len(rs), st, n-1)
 			}
 		}
 	}

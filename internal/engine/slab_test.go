@@ -235,7 +235,7 @@ func TestPerItemHeapBudget(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	v := make([]float64, dim)
 	before := heap()
-	e, err := New(Options{Backends: []string{HammingHybridName, EuclideanBFName, HammingBFName}, Shards: 2, CompactAt: -1})
+	e, err := New(Options{Backends: []string{HammingHybridName, EuclideanBFName}, Shards: 2, CompactAt: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,10 @@
 // Everything here is test instrumentation: the faulty backend is wired
 // through engine.Config.Hooks, never through production options, and
 // injection schedules are either explicit (per-shard) or drawn from a
-// seeded RNG so every failure scenario replays bit-for-bit.
+// seeded RNG so every failure scenario replays bit-for-bit. The public
+// facade has no seam to it: tests above the facade (internal/serve) put
+// their faults in a wrapper around a real *traj2hash.Index instead,
+// passed in through the interface the layer under test consumes.
 package faultinject
 
 import (
@@ -82,38 +85,6 @@ func (f *Faults) Instances() int {
 	return f.next
 }
 
-// The package-level fallback schedule (SetDefault). Guarded by its own
-// mutex rather than folded into a Faults method: the fallback is chosen
-// at backend CONSTRUCTION time only, so the lock never sits on a search
-// path.
-var (
-	defaultMu     sync.Mutex
-	defaultFaults *Faults
-)
-
-// SetDefault installs (nil clears) the package-level fallback schedule
-// the faulty backend falls back to when engine.Config.Hooks carries no
-// *Faults. It exists for tests that drive the PUBLIC facade: a fault
-// schedule is test instrumentation, so traj2hash.Options deliberately
-// has no Hooks surface — SetDefault is the only seam through which
-// `Options{Backend: faultinject.BackendName}` can reach a schedule.
-// Returns the previous fallback so tests can restore it in a Cleanup.
-// Call it before constructing the index, never while one is serving.
-func SetDefault(f *Faults) *Faults {
-	defaultMu.Lock()
-	defer defaultMu.Unlock()
-	prev := defaultFaults
-	defaultFaults = f
-	return prev
-}
-
-// getDefault returns the current fallback schedule (nil when unset).
-func getDefault() *Faults {
-	defaultMu.Lock()
-	defer defaultMu.Unlock()
-	return defaultFaults
-}
-
 // registerOnce guards the engine-registry registration (the registry
 // panics on duplicates, mirroring database/sql).
 var registerOnce sync.Once
@@ -126,10 +97,7 @@ func Register() {
 		engine.Register(BackendName, func(cfg engine.Config) (engine.Backend, error) {
 			f, ok := cfg.Hooks.(*Faults)
 			if !ok || f == nil {
-				f = getDefault()
-			}
-			if f == nil {
-				return nil, fmt.Errorf("faultinject: the %q backend needs engine.Config.Hooks to carry a *faultinject.Faults (or a SetDefault fallback)", BackendName)
+				return nil, fmt.Errorf("faultinject: the %q backend needs engine.Config.Hooks to carry a *faultinject.Faults", BackendName)
 			}
 			innerName := f.Inner
 			if innerName == "" {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"sort"
 	"strings"
@@ -197,6 +198,49 @@ func TestDeadlineMidFanoutReturnsPartial(t *testing.T) {
 	}
 }
 
+// TestBatchDeadlineSalvagesEveryMember is scenario (b) for a batch: with
+// shard 2 slower than the deadline, every member of a batch larger than
+// the worker budget comes back with its fast shards' merged answer,
+// flagged incomplete — what the same query returns alone.
+func TestBatchDeadlineSalvagesEveryMember(t *testing.T) {
+	const (
+		n       = 60
+		dim     = 8
+		k       = 10
+		shards  = 3
+		members = 6 // faultyEngine has 4 workers
+	)
+	rng := rand.New(rand.NewSource(43))
+	vecs := testVecs(rng, n, dim)
+	f := &Faults{SleepOn: map[int]time.Duration{2: 2 * time.Second}}
+	e := faultyEngine(t, shards, f, vecs)
+
+	qvecs := testVecs(rng, members, dim)
+	qs := make([]engine.Query, members)
+	for i, q := range qvecs {
+		qs[i] = engine.Query{Emb: q}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	rs, sts, err := e.SearchBatchWithCtx(ctx, BackendName, qs, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Errorf("batch blocked %v past its 100ms deadline", elapsed)
+	}
+	for i, q := range qvecs {
+		if st := sts[i]; st.Complete || st.ShardsOK != 2 || st.ShardsFailed != 0 || !errors.Is(st.Err, context.DeadlineExceeded) {
+			t.Errorf("member %d: status %+v, want incomplete with the 2 fast shards and DeadlineExceeded", i, st)
+		}
+		want := bruteTopK(vecs, q, k, shards, func(s int) bool { return s != 2 })
+		if !reflect.DeepEqual(rs[i], want) {
+			t.Errorf("member %d:\n got %v\nwant %v (the fast shards' merge)", i, rs[i], want)
+		}
+	}
+}
+
 // TestChaosSearchesNeverCrash hammers an engine whose every backend
 // panics with seeded probability, from many goroutines (run under -race).
 // The process must survive and every status must account for all shards.
@@ -258,42 +302,6 @@ func TestFaultyBackendNeedsHooks(t *testing.T) {
 		Config:   engine.Config{Hooks: &Faults{Inner: BackendName}},
 	}); err == nil {
 		t.Fatal("faulty backend accepted itself as Inner")
-	}
-}
-
-// TestSetDefaultFallbackSchedule: when engine.Config.Hooks carries no
-// schedule, the faulty backend falls back to the SetDefault one — the
-// seam that lets tests driving the PUBLIC facade (whose Options has no
-// Hooks surface) inject faults. An explicit Hooks schedule still wins,
-// and clearing the fallback restores the loud construction error.
-func TestSetDefaultFallbackSchedule(t *testing.T) {
-	Register()
-	fallback := &Faults{}
-	prev := SetDefault(fallback)
-	t.Cleanup(func() { SetDefault(prev) })
-
-	if _, err := engine.New(engine.Options{Backends: []string{BackendName}, Shards: 2}); err != nil {
-		t.Fatalf("construction with a SetDefault fallback failed: %v", err)
-	}
-	if got := fallback.Instances(); got != 2 {
-		t.Fatalf("fallback schedule built %d instances, want 2 (one per shard)", got)
-	}
-
-	own := &Faults{}
-	if _, err := engine.New(engine.Options{
-		Backends: []string{BackendName},
-		Config:   engine.Config{Hooks: own},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if own.Instances() != 1 || fallback.Instances() != 2 {
-		t.Fatalf("explicit Hooks schedule did not win over the fallback (own=%d fallback=%d)",
-			own.Instances(), fallback.Instances())
-	}
-
-	SetDefault(nil)
-	if _, err := engine.New(engine.Options{Backends: []string{BackendName}}); err == nil {
-		t.Fatal("faulty backend constructed with neither Hooks nor a fallback schedule")
 	}
 }
 

@@ -162,22 +162,11 @@ func (s *Server) flushGroup(k int, g []*searchReq) {
 	for _, sr := range g {
 		s.met.batchWait.Observe(flushStart.Sub(sr.enqueued).Seconds())
 	}
-	var results [][]traj2hash.Result
-	var statuses []traj2hash.Status
-	if len(g) == 1 {
-		// A batch of one takes the single-query path: its shard fan-out
-		// runs in parallel and salvages per-shard partial results at the
-		// deadline, which the batch path (parallel across queries,
-		// sequential across shards) cannot.
-		rs, st := s.cfg.Index.SearchCtx(ctx, g[0].traj, k)
-		results, statuses = [][]traj2hash.Result{rs}, []traj2hash.Status{st}
-	} else {
-		qs := make([]traj2hash.Trajectory, len(g))
-		for i, sr := range g {
-			qs[i] = sr.traj
-		}
-		results, statuses = s.cfg.Index.SearchBatchCtx(ctx, qs, k)
+	qs := make([]traj2hash.Trajectory, len(g))
+	for i, sr := range g {
+		qs[i] = sr.traj
 	}
+	results, statuses := s.cfg.Index.SearchBatchCtx(ctx, qs, k)
 	for i, sr := range g {
 		res := searchResult{batched: len(g)}
 		if i < len(results) {

@@ -40,13 +40,11 @@ import (
 // *traj2hash.Index. An interface so tests can wedge fakes between the
 // HTTP layer and the engine.
 type Index interface {
-	SearchCtx(ctx context.Context, q traj2hash.Trajectory, k int) ([]traj2hash.Result, traj2hash.Status)
 	SearchBatchCtx(ctx context.Context, qs []traj2hash.Trajectory, k int) ([][]traj2hash.Result, []traj2hash.Status)
 	AddCtx(ctx context.Context, t traj2hash.Trajectory) (int, error)
 	Delete(id int) error
 	Update(id int, t traj2hash.Trajectory) error
 	Len() int
-	Backend() string
 	Close() error
 }
 
@@ -320,7 +318,6 @@ type ErrorResponse struct {
 // the full metrics snapshot.
 type StatsResponse struct {
 	Len      int          `json:"len"`
-	Backend  string       `json:"backend"`
 	Draining bool         `json:"draining"`
 	P50      float64      `json:"p50_seconds"`
 	P99      float64      `json:"p99_seconds"`
@@ -628,7 +625,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	lat := snap.Histograms["serve.request.seconds"]
 	writeJSON(w, http.StatusOK, StatsResponse{
 		Len:      s.cfg.Index.Len(),
-		Backend:  s.cfg.Index.Backend(),
 		Draining: s.draining.Load(),
 		P50:      lat.Quantile(0.50),
 		P99:      lat.Quantile(0.99),

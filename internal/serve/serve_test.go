@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"traj2hash"
-	"traj2hash/internal/faultinject"
 	"traj2hash/internal/obs"
 )
 
@@ -28,7 +27,7 @@ var (
 	dsMemo *traj2hash.Dataset
 )
 
-func serveDataset(t *testing.T) *traj2hash.Dataset {
+func serveDataset(t testing.TB) *traj2hash.Dataset {
 	t.Helper()
 	dsOnce.Do(func() {
 		dsMemo = traj2hash.BuildDataset(traj2hash.Porto(),
@@ -39,7 +38,7 @@ func serveDataset(t *testing.T) *traj2hash.Dataset {
 
 // testIndex builds a training-free GeoPTH index over the fixture
 // dataset's database split with the given options.
-func testIndex(t *testing.T, opts traj2hash.Options) (*traj2hash.Index, *traj2hash.Dataset) {
+func testIndex(t testing.TB, opts traj2hash.Options) (*traj2hash.Index, *traj2hash.Dataset) {
 	t.Helper()
 	ds := serveDataset(t)
 	enc, err := traj2hash.NewEncoder(traj2hash.EncoderGeoPTH, traj2hash.DefaultConfig(16), ds.All())
@@ -56,7 +55,7 @@ func testIndex(t *testing.T, opts traj2hash.Options) (*traj2hash.Index, *traj2ha
 // startServer runs a Server on an ephemeral loopback port and returns
 // its base URL, a cancel that starts the drain, and the channel Run's
 // error lands on.
-func startServer(t *testing.T, cfg Config) (string, context.CancelFunc, chan error) {
+func startServer(t testing.TB, cfg Config) (string, context.CancelFunc, chan error) {
 	t.Helper()
 	srv, err := New(cfg)
 	if err != nil {
@@ -104,15 +103,45 @@ func postJSON(t *testing.T, url string, v, out any) int {
 	return resp.StatusCode
 }
 
-// slowFlights makes every engine search on a one-shard faultinject index
-// take d, and returns the index: the way the batching tests keep a
-// flight in the air for a known time.
-func slowFlights(t *testing.T, d time.Duration) (*traj2hash.Index, *traj2hash.Dataset) {
+// slowIndex is a real index under the daemon whose every search call
+// first waits d, or until the batch's deadline: the seam through which
+// these tests keep a flight in the air for a known time.
+type slowIndex struct {
+	*traj2hash.Index
+	d time.Duration
+}
+
+func (s slowIndex) SearchBatchCtx(ctx context.Context, qs []traj2hash.Trajectory, k int) ([][]traj2hash.Result, []traj2hash.Status) {
+	select {
+	case <-time.After(s.d):
+	case <-ctx.Done():
+	}
+	return s.Index.SearchBatchCtx(ctx, qs, k)
+}
+
+// slowFlights returns a test index whose searches take d.
+func slowFlights(t *testing.T, d time.Duration, opts traj2hash.Options) (slowIndex, *traj2hash.Dataset) {
 	t.Helper()
-	faultinject.Register()
-	prev := faultinject.SetDefault(&faultinject.Faults{SleepOn: map[int]time.Duration{0: d}})
-	t.Cleanup(func() { faultinject.SetDefault(prev) })
-	return testIndex(t, traj2hash.Options{Backend: faultinject.BackendName, Shards: 1})
+	idx, ds := testIndex(t, opts)
+	return slowIndex{Index: idx, d: d}, ds
+}
+
+// stalledShard is a real index under the daemon that answers like a
+// two-shard index whose second shard outlives every deadline: at the
+// batch's deadline it returns the real answer as the first shard's,
+// marked incomplete with one shard answered and the deadline's error.
+// The engine's own salvage of the shards that answered is
+// internal/faultinject's TestDeadlineMidFanoutReturnsPartial; this is the
+// daemon's side of it.
+type stalledShard struct{ *traj2hash.Index }
+
+func (s stalledShard) SearchBatchCtx(ctx context.Context, qs []traj2hash.Trajectory, k int) ([][]traj2hash.Result, []traj2hash.Status) {
+	rs, sts := s.Index.SearchBatchCtx(context.Background(), qs, k)
+	<-ctx.Done()
+	for i := range sts {
+		sts[i] = traj2hash.Status{ShardsOK: 1, Err: ctx.Err()}
+	}
+	return rs, sts
 }
 
 // TestServeEndpointRoundTrips drives every endpoint once over a live
@@ -172,8 +201,8 @@ func TestServeEndpointRoundTrips(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if st.Len != idx.Len() || st.Backend != idx.Backend() || st.Draining {
-		t.Errorf("stats %+v, want len %d backend %q not draining", st, idx.Len(), idx.Backend())
+	if st.Len != idx.Len() || st.Draining {
+		t.Errorf("stats %+v, want len %d not draining", st, idx.Len())
 	}
 	if st.Metrics.Counters["serve.searches"] < 1 {
 		t.Errorf("stats metrics %v, want serve.searches >= 1", st.Metrics.Counters)
@@ -252,7 +281,7 @@ func TestServeCoalescesConcurrentSearches(t *testing.T) {
 	// must last long enough for eight HTTP clients to overlap one: the
 	// first search takes off alone and the rest share the batch held
 	// behind it.
-	idx, ds := slowFlights(t, 50*time.Millisecond)
+	idx, ds := slowFlights(t, 50*time.Millisecond, traj2hash.Options{})
 	reg := obs.New()
 	base, _, _ := startServer(t, Config{
 		Index: idx, Metrics: reg,
@@ -369,7 +398,7 @@ func searchBehindFlight(t *testing.T, base string, reg *obs.Registry, ds *traj2h
 // flight is released by that flight landing — the sticky completion
 // signal — not by the window, here fifty times longer than the flight.
 func TestServeQueuedSearchLeavesWhenFlightEnds(t *testing.T) {
-	idx, ds := slowFlights(t, 100*time.Millisecond)
+	idx, ds := slowFlights(t, 100*time.Millisecond, traj2hash.Options{})
 	reg := obs.New()
 	base, _, _ := startServer(t, Config{Index: idx, Metrics: reg, BatchWindow: 5 * time.Second})
 
@@ -383,7 +412,7 @@ func TestServeQueuedSearchLeavesWhenFlightEnds(t *testing.T) {
 // while the first flight is still in the air.
 func TestServeWindowIsMaximumHold(t *testing.T) {
 	const window = 100 * time.Millisecond
-	idx, ds := slowFlights(t, time.Second)
+	idx, ds := slowFlights(t, time.Second, traj2hash.Options{})
 	reg := obs.New()
 	base, _, _ := startServer(t, Config{Index: idx, Metrics: reg, BatchWindow: window})
 
@@ -399,20 +428,13 @@ func TestServeWindowIsMaximumHold(t *testing.T) {
 	}
 }
 
-// TestServeDeadlineReturnsPartial504 wires a slow shard underneath the
-// daemon via the faultinject fallback seam: a request whose deadline
-// expires mid-fan-out must come back 504 carrying the fast shard's
-// partial results, not an empty error.
+// TestServeDeadlineReturnsPartial504 wires a stalled shard underneath the
+// daemon: a request whose deadline expires mid-fan-out must come back 504
+// carrying the fast shard's partial results, not an empty error.
 func TestServeDeadlineReturnsPartial504(t *testing.T) {
-	faultinject.Register()
-	prev := faultinject.SetDefault(&faultinject.Faults{
-		SleepOn: map[int]time.Duration{1: 2 * time.Second}, // shard 1 is slow; shard 0 answers
-	})
-	t.Cleanup(func() { faultinject.SetDefault(prev) })
-
-	idx, ds := testIndex(t, traj2hash.Options{Backend: faultinject.BackendName, Shards: 2})
+	idx, ds := testIndex(t, traj2hash.Options{})
 	reg := obs.New()
-	base, _, _ := startServer(t, Config{Index: idx, Metrics: reg})
+	base, _, _ := startServer(t, Config{Index: stalledShard{idx}, Metrics: reg})
 
 	var sr SearchResponse
 	start := time.Now()
@@ -444,13 +466,7 @@ func TestServeDeadlineReturnsPartial504(t *testing.T) {
 // searches; everything beyond MaxInFlight must be refused immediately
 // with 503 and counted on serve.shed, never queued.
 func TestServeShedsOnOverload(t *testing.T) {
-	faultinject.Register()
-	prev := faultinject.SetDefault(&faultinject.Faults{
-		SleepOn: map[int]time.Duration{0: 400 * time.Millisecond},
-	})
-	t.Cleanup(func() { faultinject.SetDefault(prev) })
-
-	idx, ds := testIndex(t, traj2hash.Options{Backend: faultinject.BackendName, Shards: 1})
+	idx, ds := slowFlights(t, 400*time.Millisecond, traj2hash.Options{})
 	reg := obs.New()
 	base, _, _ := startServer(t, Config{
 		Index: idx, Metrics: reg,
@@ -498,14 +514,8 @@ func TestServeShedsOnOverload(t *testing.T) {
 // (post-drain mutations fail with ErrClosed), nothing may be discarded,
 // and a reopened index must recover the served mutations.
 func TestServeGracefulDrain(t *testing.T) {
-	faultinject.Register()
-	prev := faultinject.SetDefault(&faultinject.Faults{
-		SleepOn: map[int]time.Duration{0: 300 * time.Millisecond},
-	})
-	t.Cleanup(func() { faultinject.SetDefault(prev) })
-
 	dir := t.TempDir()
-	idx, ds := testIndex(t, traj2hash.Options{Backend: faultinject.BackendName, Shards: 1, WALDir: dir})
+	idx, ds := slowFlights(t, 300*time.Millisecond, traj2hash.Options{WALDir: dir})
 	n := idx.Len()
 	reg := obs.New()
 	base, cancel, errc := startServer(t, Config{Index: idx, Metrics: reg})
@@ -559,7 +569,7 @@ func TestServeGracefulDrain(t *testing.T) {
 	}
 
 	// Reopen: the pre-drain add must have been fsynced.
-	idx2, _ := testIndex(t, traj2hash.Options{Backend: faultinject.BackendName, Shards: 1, WALDir: dir})
+	idx2, _ := testIndex(t, traj2hash.Options{WALDir: dir})
 	defer func() {
 		if err := idx2.Close(); err != nil {
 			t.Error(err)

@@ -4,6 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
 	"math"
 	"reflect"
 	"sort"
@@ -21,7 +25,7 @@ import (
 // mutation/accessor methods. A new method is a conscious diff here.
 func TestIndexSurface(t *testing.T) {
 	want := []string{
-		"AddBatchCtx", "AddCtx", "ApproxDistanceByVec", "Backend", "Close",
+		"AddBatchCtx", "AddCtx", "ApproxDistanceByVec", "Close",
 		"Delete", "Do", "Embedding", "Encoder", "HybridFastPaths", "Len",
 		"Recovery", "SearchBatchCtx", "SearchByVecCtx", "SearchCtx",
 		"SearchEuclideanByVec", "Stats", "Trajectory", "Update", "WithinCtx",
@@ -37,73 +41,125 @@ func TestIndexSurface(t *testing.T) {
 	}
 }
 
-// TestDoParity locks Do to the engine: by Traj, Vec and Code, on every
-// backend the index maintains (plus the "" default), over 1 and 3
-// shards, before and after deletes with compaction, the answer is
-// byte-identical to engine.SearchWithCtx on independently prepared
-// representations — and the three pinned conveniences equal Do.
+// TestFacadeExports pins the package-level exported identifiers of the
+// facade (types, functions, variables and constants of the non-test
+// files) against a sorted golden list, as TestIndexSurface pins the
+// methods of *Index: the facade's size changes only by a conscious diff
+// here.
+func TestFacadeExports(t *testing.T) {
+	want := []string{
+		"BuildDataset", "CLS", "ChengDu", "City", "Code", "Config", "DTW",
+		"Dataset", "DefaultConfig", "DefaultMetricsRegistry", "Distance",
+		"DistanceFunc", "DistanceMatrix", "EDR", "ERP", "Encoder",
+		"EncoderAttention", "EncoderCNN", "EncoderGeoPTH", "EncoderKinds",
+		"ErrClosed", "ErrDeleted", "ErrNonFiniteEmbedding", "ErrNotFound",
+		"ErrWALFailed", "Evaluate", "Frechet", "GroundTruth",
+		"HammingDistance", "Hausdorff", "History", "Index", "LoadDataset",
+		"LoadEncoderFile", "LoadModel", "LoadModelFile", "LowerBound", "Mean",
+		"Metrics", "MetricsRegistry", "MetricsSnapshot", "Model", "New",
+		"NewEncoder", "NewIndex", "NewIndexWith", "NewMetricsRegistry",
+		"Options", "Point", "Porto", "ProjectLonLat", "Query", "RecoveryInfo",
+		"Result", "SaveEncoderFile", "SignCode", "Space", "SpaceEuclidean",
+		"SpaceHamming", "SplitSpec", "Stats", "Status", "TrainData",
+		"Trainable", "Trajectory",
+	}
+	nonTest := func(fi fs.FileInfo) bool { return !strings.HasSuffix(fi.Name(), "_test.go") }
+	pkgs, err := parser.ParseDir(token.NewFileSet(), ".", nonTest, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, f := range pkgs["traj2hash"].Files {
+		for _, d := range f.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil && d.Name.IsExported() {
+					got = append(got, d.Name.Name)
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch spec := spec.(type) {
+					case *ast.TypeSpec:
+						if spec.Name.IsExported() {
+							got = append(got, spec.Name.Name)
+						}
+					case *ast.ValueSpec:
+						for _, n := range spec.Names {
+							if n.IsExported() {
+								got = append(got, n.Name)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	sort.Strings(got)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("package traj2hash exports %d identifiers:\n got %v\nwant %v", len(got), got, want)
+	}
+}
+
+// TestDoParity locks Do to the engine: by Traj, Vec and Code, in both
+// spaces, over 1 and 3 shards, before and after deletes with compaction,
+// the answer is byte-identical to engine.SearchWithCtx on independently
+// prepared representations under the strategy the space is routed to —
+// and the three pinned conveniences equal Do.
 func TestDoParity(t *testing.T) {
 	m, ds := untrainedFixture(t)
 	ctx := context.Background()
 	const k = 7
-	// mih and vptree as configured backends bring all five under test (the
-	// three paper strategies are always maintained).
-	for _, configured := range []string{"", BackendMIH, BackendVPTree} {
-		for _, shards := range []int{1, 3} {
-			ix, err := NewIndexWith(m, ds.Database, Options{Backend: configured, Shards: shards, Workers: 2, VPTreeSeed: 7})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, phase := range []string{"fresh", "compacted"} {
-				if phase == "compacted" {
-					for id := 0; id < len(ds.Database); id += 3 {
-						if err := ix.Delete(id); err != nil {
-							t.Fatal(err)
-						}
-					}
-					if err := ix.eng.Compact(); err != nil {
+	strategies := map[Space]string{SpaceHamming: engine.HammingHybridName, SpaceEuclidean: engine.EuclideanBFName}
+	for _, shards := range []int{1, 3} {
+		ix, err := NewIndexWith(m, ds.Database, Options{Shards: shards, Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, phase := range []string{"fresh", "compacted"} {
+			if phase == "compacted" {
+				for id := 0; id < len(ds.Database); id += 3 {
+					if err := ix.Delete(id); err != nil {
 						t.Fatal(err)
 					}
 				}
-				for qi, q := range ds.Queries {
-					emb := m.Embed(q)
-					code := SignCode(emb)
-					for _, backend := range append([]string{""}, ix.eng.Backends()...) {
-						tag := fmt.Sprintf("configured=%q shards=%d %s q%d backend=%q", configured, shards, phase, qi, backend)
-						name := backend
-						if name == "" {
-							name = ix.Backend()
-						}
-						want, wantSt, err := ix.eng.SearchWithCtx(ctx, name, engine.Query{Emb: emb, Code: code}, k)
-						if err != nil || !wantSt.Complete || len(want) != k {
-							t.Fatalf("%s: engine reference = (%d results, %+v, %v)", tag, len(want), wantSt, err)
-						}
-						inputs := map[string]Query{
-							"Traj": {Traj: q, K: k, Backend: backend},
-							"Vec":  {Vec: emb, K: k, Backend: backend},
-						}
-						if name != BackendEuclideanBF && name != BackendVPTree {
-							inputs["Code"] = Query{Code: code, K: k, Backend: backend}
-						}
-						for in, query := range inputs {
-							got, st := ix.Do(ctx, query)
-							if !reflect.DeepEqual(st, wantSt) {
-								t.Fatalf("%s by %s: status %+v, engine %+v", tag, in, st, wantSt)
-							}
-							assertSameResults(t, tag+" by "+in, got, want)
-						}
-					}
-					// The pinned conveniences are Do under another name.
-					byTraj, st := ix.SearchCtx(ctx, q, k)
-					assertSameResults(t, "SearchCtx", byTraj, do(t, ix, Query{Traj: q, K: k}))
-					byVec, st2 := ix.SearchByVecCtx(ctx, emb, k)
-					assertSameResults(t, "SearchByVecCtx", byVec, do(t, ix, Query{Vec: emb, K: k}))
-					if !st.Complete || !st2.Complete {
-						t.Fatalf("convenience statuses %+v %+v", st, st2)
-					}
-					assertSameResults(t, "SearchEuclideanByVec", ix.SearchEuclideanByVec(emb, k),
-						do(t, ix, Query{Vec: emb, K: k, Backend: BackendEuclideanBF}))
+				if err := ix.eng.Compact(); err != nil {
+					t.Fatal(err)
 				}
+			}
+			for qi, q := range ds.Queries {
+				emb := m.Embed(q)
+				code := SignCode(emb)
+				for space, name := range strategies {
+					tag := fmt.Sprintf("shards=%d %s q%d space=%d", shards, phase, qi, space)
+					want, wantSt, err := ix.eng.SearchWithCtx(ctx, name, engine.Query{Emb: emb, Code: code}, k)
+					if err != nil || !wantSt.Complete || len(want) != k {
+						t.Fatalf("%s: engine reference = (%d results, %+v, %v)", tag, len(want), wantSt, err)
+					}
+					inputs := map[string]Query{
+						"Traj": {Traj: q, K: k, Space: space},
+						"Vec":  {Vec: emb, K: k, Space: space},
+					}
+					if space == SpaceHamming {
+						inputs["Code"] = Query{Code: code, K: k}
+					}
+					for in, query := range inputs {
+						got, st := ix.Do(ctx, query)
+						if !reflect.DeepEqual(st, wantSt) {
+							t.Fatalf("%s by %s: status %+v, engine %+v", tag, in, st, wantSt)
+						}
+						assertSameResults(t, tag+" by "+in, got, want)
+					}
+				}
+				// The pinned conveniences are Do under another name.
+				byTraj, st := ix.SearchCtx(ctx, q, k)
+				assertSameResults(t, "SearchCtx", byTraj, do(t, ix, Query{Traj: q, K: k}))
+				byVec, st2 := ix.SearchByVecCtx(ctx, emb, k)
+				assertSameResults(t, "SearchByVecCtx", byVec, do(t, ix, Query{Vec: emb, K: k}))
+				if !st.Complete || !st2.Complete {
+					t.Fatalf("convenience statuses %+v %+v", st, st2)
+				}
+				assertSameResults(t, "SearchEuclideanByVec", ix.SearchEuclideanByVec(emb, k),
+					do(t, ix, Query{Vec: emb, K: k, Space: SpaceEuclidean}))
 			}
 		}
 	}
@@ -131,14 +187,13 @@ func TestDoInvalidQueries(t *testing.T) {
 		"traj and vec":       {Traj: q, Vec: emb, K: 5},
 		"vec and code":       {Vec: emb, Code: code, K: 5},
 		"all three":          {Traj: q, Vec: emb, Code: code, K: 5},
-		"code to euclidean":  {Code: code, K: 5, Backend: BackendEuclideanBF},
-		"unmaintained (mih)": {Vec: emb, K: 5, Backend: BackendMIH},
-		"code to vptree":     {Code: code, K: 5, Backend: BackendVPTree},
-		"unknown backend":    {Vec: emb, K: 5, Backend: "bogus"},
-		"short vec":          {Vec: short, K: 5, Backend: BackendEuclideanBF},
-		"long vec":           {Vec: long, K: 5, Backend: BackendEuclideanBF},
-		"short vec, hybrid":  {Vec: short, K: 5},
-		"long vec, hamming":  {Vec: long, K: 5, Backend: BackendHammingBF},
+		"code to euclidean":  {Code: code, K: 5, Space: SpaceEuclidean},
+		"unknown space":      {Vec: emb, K: 5, Space: SpaceEuclidean + 1},
+		"negative space":     {Vec: emb, K: 5, Space: -1},
+		"short vec":          {Vec: short, K: 5, Space: SpaceEuclidean},
+		"long vec":           {Vec: long, K: 5, Space: SpaceEuclidean},
+		"short vec, hamming": {Vec: short, K: 5},
+		"long vec, hamming":  {Vec: long, K: 5},
 		"short code":         {Code: SignCode(short), K: 5},
 	} {
 		rs, st := ix.Do(context.Background(), query)

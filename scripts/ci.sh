@@ -40,12 +40,14 @@
 #      BenchmarkMutableWALAppendBatch64, ns_per_op per group) / recovery
 #      ns_per_op + allocs, exported to bin/BENCH_mutable.json
 #      (informational, no floors)
-#  10. fuzz smoke — FuzzReadFrame / FuzzLoadSnapshot (internal/wal) and
-#      FuzzHausdorffMatchesPlain (internal/dist) for 10s each over the
-#      committed seed corpora (internal/*/testdata/fuzz/): frame/snapshot
-#      decoding never panics, torn-tail truncation never misclassifies
-#      corruption, and the Hausdorff kernel equals the plain double loop
-#      bit for bit
+#  10. fuzz smoke — FuzzReadFrame / FuzzLoadSnapshot (internal/wal),
+#      FuzzHausdorffMatchesPlain (internal/dist) and FuzzServeSearchBody
+#      (internal/serve) for 10s each over the committed seed corpora
+#      (internal/*/testdata/fuzz/): frame/snapshot decoding never panics,
+#      torn-tail truncation never misclassifies corruption, the Hausdorff
+#      kernel equals the plain double loop bit for bit, and any /search
+#      body is answered 200/400/503/504, a complete 200 with exactly
+#      min(k, Len) results
 #  11. serving smoke — a real traj2hashd daemon over a temp WAL dir,
 #      started with a 250 ms batch window, is driven by cmd/trajload
 #      three times: a lone-client pass whose p99 must stay under
@@ -231,14 +233,15 @@ go test -bench 'BenchmarkMutable' -benchmem -benchtime 50x -run '^$' \
 }
 
 echo "== fuzz smoke (10s per target)"
-# Native Go fuzzing over the WAL frame parser and snapshot decoder and
-# the Hausdorff kernel: the seed corpora under internal/*/testdata/fuzz/
-# are committed, and a short randomized run guards the no-panic /
-# torn-tail-classification contracts and the kernel's bit equality with
-# the plain double loop on every CI pass (go fuzzing takes one target
+# Native Go fuzzing over the WAL frame parser and snapshot decoder, the
+# Hausdorff kernel and the /search request decoder: the seed corpora
+# under internal/*/testdata/fuzz/ are committed, and a short randomized
+# run guards the no-panic / torn-tail-classification contracts, the
+# kernel's bit equality with the plain double loop and the search
+# handler's status and result-count contract on every CI pass (go fuzzing takes one target
 # per invocation, hence one run each). New crashers land in the build
 # cache, so this stage leaves the tree clean.
-for target in wal:FuzzReadFrame wal:FuzzLoadSnapshot dist:FuzzHausdorffMatchesPlain; do
+for target in wal:FuzzReadFrame wal:FuzzLoadSnapshot dist:FuzzHausdorffMatchesPlain serve:FuzzServeSearchBody; do
 	pkg=./internal/${target%%:*} name=${target#*:}
 	go test -fuzz "$name" -fuzztime 10s -run '^$' "$pkg" || {
 		echo "fuzz: $name found a crasher or invariant violation — the failing input is under the go build cache's fuzz corpus; reproduce with: go test -run $name $pkg"

@@ -15,7 +15,7 @@ func do(t testing.TB, ix *Index, q Query) []Result {
 	t.Helper()
 	rs, st := ix.Do(context.Background(), q)
 	if !st.Complete {
-		t.Fatalf("Do(backend %q, k %d): %+v", q.Backend, q.K, st)
+		t.Fatalf("Do(space %d, k %d): %+v", q.Space, q.K, st)
 	}
 	return rs
 }
@@ -123,10 +123,9 @@ func TestIndexLifecycle(t *testing.T) {
 		t.Fatalf("Len = %d", ix.Len())
 	}
 	q := ds.Queries[0]
-	eu := do(t, ix, Query{Traj: q, K: 5, Backend: BackendEuclideanBF})
-	ham := do(t, ix, Query{Traj: q, K: 5, Backend: BackendHammingBF})
-	hyb := do(t, ix, Query{Traj: q, K: 5, Backend: BackendHammingHybrid})
-	for _, res := range [][]Result{eu, ham, hyb} {
+	eu := do(t, ix, Query{Traj: q, K: 5, Space: SpaceEuclidean})
+	ham := do(t, ix, Query{Traj: q, K: 5, Space: SpaceHamming})
+	for _, res := range [][]Result{eu, ham} {
 		if len(res) != 5 {
 			t.Fatalf("result len = %d", len(res))
 		}
@@ -208,14 +207,11 @@ func TestIndexIncrementalAdd(t *testing.T) {
 	if id != 10 || ix.Len() != 11 {
 		t.Fatalf("id=%d len=%d", id, ix.Len())
 	}
-	if got := do(t, ix, Query{Traj: q, K: 1, Backend: BackendEuclideanBF}); got[0].ID != id || got[0].Score > 1e-9 {
+	if got := do(t, ix, Query{Traj: q, K: 1, Space: SpaceEuclidean}); got[0].ID != id || got[0].Score > 1e-9 {
 		t.Errorf("Euclidean self = %+v", got[0])
 	}
-	if got := do(t, ix, Query{Traj: q, K: 1, Backend: BackendHammingBF}); got[0].ID != id || got[0].Score != 0 {
+	if got := do(t, ix, Query{Traj: q, K: 1, Space: SpaceHamming}); got[0].ID != id || got[0].Score != 0 {
 		t.Errorf("Hamming self = %+v", got[0])
-	}
-	if got := do(t, ix, Query{Traj: q, K: 1, Backend: BackendHammingHybrid}); got[0].ID != id {
-		t.Errorf("Hybrid self = %+v", got[0])
 	}
 }
 
@@ -330,51 +326,6 @@ func untrainedFixture(t *testing.T) (*Model, *Dataset) {
 	return m, ds
 }
 
-func TestIndexBackendSelection(t *testing.T) {
-	m, ds := untrainedFixture(t)
-	q := ds.Queries[0]
-	// Reference: the default facade.
-	ref, err := NewIndex(m, ds.Database)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refEu := do(t, ref, Query{Traj: q, K: 7, Backend: BackendEuclideanBF})
-	refHam := do(t, ref, Query{Traj: q, K: 7, Backend: BackendHammingBF})
-	for _, backend := range Backends() {
-		ix, err := NewIndexWith(m, ds.Database, Options{Backend: backend, Shards: 3, Workers: 2})
-		if err != nil {
-			t.Fatalf("%s: %v", backend, err)
-		}
-		if ix.Backend() != backend {
-			t.Errorf("Backend() = %q, want %q", ix.Backend(), backend)
-		}
-		got := do(t, ix, Query{Traj: q, K: 7})
-		if len(got) != 7 {
-			t.Fatalf("%s: len = %d", backend, len(got))
-		}
-		// Each backend must agree with its strategy family on ids.
-		want := refHam
-		if backend == BackendEuclideanBF || backend == BackendVPTree {
-			want = refEu
-		}
-		for i := range want {
-			if got[i].ID != want[i].ID {
-				t.Errorf("%s rank %d: id %d, want %d", backend, i, got[i].ID, want[i].ID)
-			}
-		}
-		// The paper's strategies answer regardless of configuration.
-		if rs := do(t, ix, Query{Traj: q, K: 3, Backend: BackendEuclideanBF}); len(rs) != 3 || rs[0].ID != refEu[0].ID {
-			t.Errorf("%s: Euclidean-BF = %+v", backend, rs)
-		}
-		if rs := do(t, ix, Query{Traj: q, K: 3, Backend: BackendHammingHybrid}); len(rs) != 3 || rs[0].ID != refHam[0].ID {
-			t.Errorf("%s: Hamming-Hybrid = %+v", backend, rs)
-		}
-	}
-	if _, err := NewIndexWith(m, ds.Database, Options{Backend: "bogus"}); err == nil {
-		t.Error("unknown backend accepted")
-	}
-}
-
 func TestIndexBatchAPIs(t *testing.T) {
 	m, ds := untrainedFixture(t)
 	ix, err := NewIndexWith(m, nil, Options{Shards: 2, Workers: 3})
@@ -450,7 +401,7 @@ func TestIndexConcurrentAddSearch(t *testing.T) {
 				t.Errorf("search returned %d results", len(res))
 				return
 			}
-			ix.Do(context.Background(), Query{Traj: q, K: 3, Backend: BackendEuclideanBF})
+			ix.Do(context.Background(), Query{Traj: q, K: 3, Space: SpaceEuclidean})
 			ix.WithinCtx(context.Background(), q, 1)
 		}
 	}()
