@@ -81,6 +81,11 @@ func (n *NeuTraj) memRow(p geo.Point) []float64 {
 	return n.memory.Data[id*d : (id+1)*d]
 }
 
+// SerialForward declares to the training loop that a taped Forward
+// writes the SAM memory later forwards read, so a step's forwards must
+// run one at a time, in the order its loss uses them.
+func (n *NeuTraj) SerialForward() {}
+
 // Forward runs the GRU over the trajectory; with SAM, each step's hidden
 // state is blended with the memory of the current cell (gated read). A
 // taped pass — a training pass — then writes the states it produced back

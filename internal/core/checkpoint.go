@@ -87,24 +87,13 @@ type checkpointMeta struct {
 }
 
 // tensorsOver wraps flat parameter groups in Tensor headers of the given
-// shapes (sharing the data) so nn.SaveParams/LoadParams can carry them.
+// shapes (sharing the data) so nn.SaveParams can carry them.
 func tensorsOver(shapes [][2]int, group [][]float64) []*nn.Tensor {
 	ts := make([]*nn.Tensor, len(group))
 	for i, data := range group {
 		ts[i] = nn.FromSlice(shapes[i][0], shapes[i][1], data)
 	}
 	return ts
-}
-
-// allocGroup allocates one zeroed parameter group matching shapes.
-func allocGroup(shapes [][2]int) ([][]float64, []*nn.Tensor) {
-	group := make([][]float64, len(shapes))
-	ts := make([]*nn.Tensor, len(shapes))
-	for i, s := range shapes {
-		group[i] = make([]float64, s[0]*s[1])
-		ts[i] = nn.FromSlice(s[0], s[1], group[i])
-	}
-	return group, ts
 }
 
 // Save writes the checkpoint to w: a gob metadata header followed by the
@@ -157,10 +146,24 @@ func LoadCheckpoint(r io.Reader) (*Checkpoint, error) {
 		History:   meta.History,
 		Shapes:    meta.Shapes,
 	}
+	// Each group is sized from its decoded tensors, never from the
+	// header's Shapes, which are only compared: a hostile header can
+	// neither panic make nor allocate more than the stream carries.
 	for _, dst := range []*[][]float64{&c.Params, &c.Best, &c.AdamM, &c.AdamV} {
-		group, ts := allocGroup(meta.Shapes)
-		if err := nn.LoadParams(r, ts); err != nil {
+		ts, err := nn.ReadParams(r)
+		if err != nil {
 			return nil, err
+		}
+		if len(ts) != len(meta.Shapes) {
+			return nil, fmt.Errorf("core: checkpoint group has %d tensors, header has %d shapes", len(ts), len(meta.Shapes))
+		}
+		group := make([][]float64, len(ts))
+		for i, t := range ts {
+			if t.Rows != meta.Shapes[i][0] || t.Cols != meta.Shapes[i][1] {
+				return nil, fmt.Errorf("core: checkpoint tensor %d is %dx%d, header says %dx%d",
+					i, t.Rows, t.Cols, meta.Shapes[i][0], meta.Shapes[i][1])
+			}
+			group[i] = t.Data
 		}
 		*dst = group
 	}

@@ -6,7 +6,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"traj2hash/internal/dist"
 	"traj2hash/internal/eval"
@@ -513,23 +516,21 @@ func seedBatchLoss(m *NetEncoder, seeds []geo.Trajectory, s [][]float64, samples
 	if len(batch) == 0 {
 		return nil
 	}
-	cache := map[int]*nn.Tensor{}
-	embed := func(i int) *nn.Tensor {
-		if e, ok := cache[i]; ok {
-			return e
-		}
-		e := m.net.Forward(nil, seeds[i])
-		cache[i] = e
-		return e
+	// Every trajectory the loss reads, in first-use order: each anchor,
+	// then its samples (the ranking pairs below are drawn from those).
+	ids := make([]int, 0, len(batch)*(m.Cfg.M+1))
+	for _, i := range batch {
+		ids = append(append(ids, i), samples[i].ids...)
 	}
+	h := tapedForwards(m.net, seeds, ids)
 
 	var terms []*nn.Tensor
 	for _, i := range batch {
-		hi := embed(i)
+		hi := h[i]
 		set := samples[i]
 		// L_s: weighted MSE between g = exp(−‖·‖) and S_ij (Equation 17).
 		for k, j := range set.ids {
-			g := nn.Exp(nn.Scale(nn.EuclideanDistance(hi, embed(j)), -1))
+			g := nn.Exp(nn.Scale(nn.EuclideanDistance(hi, h[j]), -1))
 			diff := nn.AddScalar(g, -s[i][j])
 			terms = append(terms, nn.Scale(nn.Square(diff), set.weights[k]))
 		}
@@ -546,8 +547,8 @@ func seedBatchLoss(m *NetEncoder, seeds []geo.Trajectory, s [][]float64, samples
 				if row[p] <= row[n] {
 					continue
 				}
-				up := m.relaxedCode(embed(p))
-				un := m.relaxedCode(embed(n))
+				up := m.relaxedCode(h[p])
+				un := m.relaxedCode(h[n])
 				hinge := RankingHinge(ui, up, un, m.Cfg.Alpha)
 				terms = append(terms, nn.Scale(hinge, 0.5*m.Cfg.Gamma))
 			}
@@ -571,25 +572,79 @@ func tripletBatchLoss(m *NetEncoder, corpus []geo.Trajectory, triplets []Triplet
 	if n > len(triplets) {
 		n = len(triplets)
 	}
-	cache := map[int]*nn.Tensor{}
-	code := func(i int) *nn.Tensor {
-		if e, ok := cache[i]; ok {
-			return e
-		}
-		e := m.relaxedCode(m.net.Forward(nil, corpus[i]))
-		cache[i] = e
-		return e
+	// The picks are drawn before any forward runs (forwards draw nothing
+	// from rng), so the epoch's sample stream is what it always was.
+	picks := make([]Triplet, n)
+	ids := make([]int, 0, 3*n)
+	for b := range picks {
+		t := triplets[rng.Intn(len(triplets))]
+		picks[b] = t
+		ids = append(ids, t.Anchor, t.Positive, t.Negative)
+	}
+	codes := tapedForwards(m.net, corpus, ids)
+	for i, h := range codes {
+		codes[i] = m.relaxedCode(h)
 	}
 	var terms []*nn.Tensor
-	for b := 0; b < n; b++ {
-		t := triplets[rng.Intn(len(triplets))]
-		hinge := RankingHinge(code(t.Anchor), code(t.Positive), code(t.Negative), m.Cfg.Alpha)
+	for _, t := range picks {
+		hinge := RankingHinge(codes[t.Anchor], codes[t.Positive], codes[t.Negative], m.Cfg.Alpha)
 		terms = append(terms, nn.Scale(hinge, m.Cfg.Gamma))
 	}
 	if len(terms) == 0 {
 		return nil
 	}
 	return nn.Scale(sumTerms(terms), 1/float64(n))
+}
+
+// serialForward marks a Net whose taped Forward writes state that later
+// forwards read — NeuTraj's SAM memory, which a training pass updates
+// with the states it produced. Such a net's forwards run on one worker,
+// in the order the loss first uses them, as they always have.
+type serialForward interface {
+	SerialForward()
+}
+
+// tapedForwards runs net's taped Forward over ts[id] for every distinct
+// id, in first-use order, and returns the outputs by id. The forwards of
+// one step are independent — each only reads the parameters and builds a
+// graph of its own — so they run on GOMAXPROCS workers (one for a
+// serialForward net); a loss built over the outputs is then exactly the
+// graph a sequential pass would have built, and Backward walks it in the
+// same order to the same bits.
+func tapedForwards(net Net, ts []geo.Trajectory, ids []int) map[int]*nn.Tensor {
+	out := make(map[int]*nn.Tensor, len(ids))
+	var distinct []int
+	for _, id := range ids {
+		if _, ok := out[id]; !ok {
+			out[id] = nil
+			distinct = append(distinct, id)
+		}
+	}
+	hs := make([]*nn.Tensor, len(distinct))
+	var next atomic.Int64
+	work := func() {
+		for k := int(next.Add(1)) - 1; k < len(distinct); k = int(next.Add(1)) - 1 {
+			hs[k] = net.Forward(nil, ts[distinct[k]])
+		}
+	}
+	workers := min(runtime.GOMAXPROCS(0), len(distinct))
+	if _, serial := net.(serialForward); serial || workers <= 1 {
+		work()
+	} else {
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				work()
+			}()
+		}
+		wg.Wait()
+	}
+	for k, id := range distinct {
+		out[id] = hs[k]
+	}
+	return out
 }
 
 // sumTerms adds a list of 1×1 tensors in a balanced tree to keep the graph
@@ -618,7 +673,7 @@ func validationHR10(m *NetEncoder, val []geo.Trajectory, truth [][]int) (hr floa
 	if len(val) == 0 {
 		return math.NaN(), false
 	}
-	embs := m.EmbedAll(val)
+	embs := m.EmbedAllParallel(val, 0)
 	for i := range embs {
 		for _, v := range embs[i] {
 			if math.IsNaN(v) || math.IsInf(v, 0) {

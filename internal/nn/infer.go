@@ -142,9 +142,15 @@ func (m Mark) Keep(t *Tensor) *Tensor {
 
 // matmul accumulates a·b into out for a (n×k), b (k×m) and out (n×m,
 // zeroed by the caller): the textbook i-p-j loop, cache-friendly in both
-// b and out. It is the one matrix-multiply kernel of the package, shared
-// by MatMul's forward (both modes) and MatMulInto, so the three agree to
-// the last bit.
+// b and out. It is the one forward matrix-multiply kernel of the package,
+// shared by MatMul's forward (both modes) and MatMulInto, so the three
+// agree to the last bit. MatMul's backward has two kernels of its own,
+// matmulGradA and matmulGradB (beside MatMul in ops.go, linked after the
+// forward functions they would otherwise move), and they keep a
+// summation-order contract:
+// every gradient element is built from the same products, added in the
+// same order, as the textbook column loops they replace, so a trained
+// model's bits do not depend on which kernels computed its gradients.
 func matmul(out, a, b []float64, n, k, m int) {
 	for i := 0; i < n; i++ {
 		arow := a[i*k : (i+1)*k]

@@ -213,3 +213,137 @@ func TestScratchKeepBoundsFootprint(t *testing.T) {
 		t.Error("nil Scratch is not the identity")
 	}
 }
+
+// textbookGradA and textbookGradB are the oracles of MatMul's backward
+// kernels: the column loops MatMul's backward ran before matmulGradA and
+// matmulGradB existed, whose operations and order the kernels keep.
+func textbookGradA(ag, g, b []float64, n, k, m int) {
+	for i := 0; i < n; i++ {
+		for j := 0; j < m; j++ {
+			gv := g[i*m+j]
+			//lint:ignore floatcompare the oracle skips exactly-zero gradients, as the loop it preserves did
+			if gv == 0 {
+				continue
+			}
+			for p := 0; p < k; p++ {
+				ag[i*k+p] += gv * b[p*m+j]
+			}
+		}
+	}
+}
+
+func textbookGradB(bg, a, g []float64, n, k, m int) {
+	for p := 0; p < k; p++ {
+		for j := 0; j < m; j++ {
+			var s float64
+			for i := 0; i < n; i++ {
+				s += a[i*k+p] * g[i*m+j]
+			}
+			bg[p*m+j] += s
+		}
+	}
+}
+
+// fillOperand fills x with normal values, about one in five an exact
+// +0 or −0, and, when special is set, about one in ten ±Inf or NaN.
+func fillOperand(x []float64, rng *rand.Rand, special bool) {
+	for i := range x {
+		switch r := rng.Intn(20); {
+		case r < 2:
+			x[i] = 0
+		case r < 4:
+			x[i] = math.Copysign(0, -1)
+		case special && r == 4:
+			x[i] = math.Inf(1)
+		case special && r == 5:
+			x[i] = math.Inf(-1)
+		case special && r == 6:
+			x[i] = math.NaN()
+		default:
+			x[i] = rng.NormFloat64()
+		}
+	}
+}
+
+// sameBits reports whether x and y have the same IEEE bit pattern, any
+// NaN matching any NaN. Which NaN a sum of two NaNs yields is the
+// hardware's pick of an operand (amd64 keeps the first), and Go leaves
+// the operand order of a commutative add to its register allocator, so
+// that payload can differ between two compilations of the same loop;
+// everything else — the sign of a zero, an infinity, each finite bit —
+// is fixed by the order of the operations.
+func sameBits(x, y float64) bool {
+	return math.Float64bits(x) == math.Float64bits(y) || (math.IsNaN(x) && math.IsNaN(y))
+}
+
+// TestMatMulGradKernelsMatchTextbook holds matmulGradA and matmulGradB
+// to the textbook column loops bit for bit (sameBits, not values): k and
+// m on and off multiples of four, single rows and columns, exact ±0
+// gradients (which dA skips), ±Inf and NaN operands, and non-zero prior
+// gradients that both must add to, not overwrite.
+func TestMatMulGradKernelsMatchTextbook(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	shapes := []struct{ n, k, m int }{
+		{1, 1, 1}, {1, 5, 1}, {3, 1, 7}, {1, 4, 4}, {2, 4, 4}, {5, 7, 3},
+		{4, 9, 6}, {7, 3, 13}, {6, 13, 1}, {1, 64, 64}, {48, 64, 64}, {48, 16, 48},
+	}
+	for _, sh := range shapes {
+		n, k, m := sh.n, sh.k, sh.m
+		for _, special := range []bool{false, true} {
+			a, b, g := make([]float64, n*k), make([]float64, k*m), make([]float64, n*m)
+			prevA, prevB := make([]float64, n*k), make([]float64, k*m)
+			for _, x := range [][]float64{a, b, g, prevA, prevB} {
+				fillOperand(x, rng, special)
+			}
+			wantA, gotA := append([]float64(nil), prevA...), append([]float64(nil), prevA...)
+			wantB, gotB := append([]float64(nil), prevB...), append([]float64(nil), prevB...)
+			textbookGradA(wantA, g, b, n, k, m)
+			matmulGradA(gotA, g, b, n, k, m)
+			textbookGradB(wantB, a, g, n, k, m)
+			acc := make([]float64, 4*m)
+			fillOperand(acc, rng, true) // stale contents must not leak in
+			matmulGradB(gotB, a, g, acc, n, k, m)
+			for name, pair := range map[string][2][]float64{"dA": {gotA, wantA}, "dB": {gotB, wantB}} {
+				for i := range pair[1] {
+					if !sameBits(pair[0][i], pair[1][i]) {
+						t.Fatalf("%s %dx%dx%d special=%v element %d: got %v (%#x), want %v (%#x)",
+							name, n, k, m, special, i, pair[0][i], math.Float64bits(pair[0][i]),
+							pair[1][i], math.Float64bits(pair[1][i]))
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestHotpathMatMulGradZeroAlloc locks in the //perf:hotpath contract of
+// the backward kernels: the caller owns every buffer, the accumulator
+// included, so neither kernel allocates.
+func TestHotpathMatMulGradZeroAlloc(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	a, b, g := Randn(16, 20, 1, rng), Randn(20, 18, 1, rng), Randn(16, 18, 1, rng)
+	ag, bg, acc := make([]float64, 16*20), make([]float64, 20*18), make([]float64, 4*18)
+	allocs := testing.AllocsPerRun(100, func() {
+		matmulGradA(ag, g.Data, b.Data, 16, 20, 18)
+		matmulGradB(bg, a.Data, g.Data, acc, 16, 20, 18)
+	})
+	if allocs != 0 {
+		t.Fatalf("matmulGradA + matmulGradB allocated %v per call, want 0", allocs)
+	}
+}
+
+// BenchmarkHotpathMatMulGrad measures one MatMul backward at the
+// attention shape — a 48×64 activation times a 64×64 weight, dA and dB
+// both, the dB accumulator owned by the caller.
+func BenchmarkHotpathMatMulGrad(b *testing.B) {
+	rng := rand.New(rand.NewSource(26))
+	const n, k, m = 48, 64, 64
+	x, w, g := Randn(n, k, 1, rng), Randn(k, m, 1, rng), Randn(n, m, 1, rng)
+	xg, wg, acc := make([]float64, n*k), make([]float64, k*m), make([]float64, 4*m)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		matmulGradA(xg, g.Data, w.Data, n, k, m)
+		matmulGradB(wg, x.Data, g.Data, acc, n, k, m)
+	}
+}

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"bytes"
+	"encoding/gob"
 	"math"
 	"math/rand"
 	"testing"
@@ -257,6 +258,29 @@ func TestLoadParamsMismatch(t *testing.T) {
 	other := NewMLP(rng, 4, 9, 2)
 	if err := LoadParams(bytes.NewReader(buf.Bytes()), other.Params()); err == nil {
 		t.Error("shape mismatch accepted")
+	}
+}
+
+// TestLoadParamsRejectsUnfilledShape pins that a blob whose data does
+// not fill its shape exactly is an error, not a partial copy that leaves
+// the tensor's other values stale.
+func TestLoadParamsRejectsUnfilledShape(t *testing.T) {
+	for name, data := range map[string][]float64{"short": {1, 2}, "long": {1, 2, 3, 4, 5, 6, 7}} {
+		var buf bytes.Buffer
+		enc := gob.NewEncoder(&buf)
+		if err := enc.Encode(1); err != nil {
+			t.Fatal(err)
+		}
+		if err := enc.Encode(paramBlob{Rows: 2, Cols: 3, Data: data}); err != nil {
+			t.Fatal(err)
+		}
+		dst := New(2, 3)
+		for i := range dst.Data {
+			dst.Data[i] = 9
+		}
+		if err := LoadParams(&buf, []*Tensor{dst}); err == nil {
+			t.Errorf("%s blob: loaded with no error, leaving %v", name, dst.Data)
+		}
 	}
 }
 

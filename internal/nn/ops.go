@@ -21,33 +21,143 @@ func MatMul(a, b *Tensor) *Tensor {
 		// dA = dOut · Bᵀ ; dB = Aᵀ · dOut
 		if a.inGraph() {
 			a.ensureGrad()
-			for i := 0; i < n; i++ {
-				for j := 0; j < m; j++ {
-					g := t.Grad[i*m+j]
-					//lint:ignore floatcompare sparsity fast path: skipping exactly-zero gradients is exact; a near-zero gradient just takes the slow path
-					if g == 0 {
-						continue
-					}
-					for p := 0; p < k; p++ {
-						a.Grad[i*k+p] += g * b.Data[p*m+j]
-					}
-				}
-			}
+			matmulGradA(a.Grad, t.Grad, b.Data, n, k, m)
 		}
 		if b.inGraph() {
 			b.ensureGrad()
-			for p := 0; p < k; p++ {
-				for j := 0; j < m; j++ {
-					var s float64
-					for i := 0; i < n; i++ {
-						s += a.Data[i*k+p] * t.Grad[i*m+j]
-					}
-					b.Grad[p*m+j] += s
-				}
-			}
+			matmulGradB(b.Grad, a.Data, t.Grad, make([]float64, 4*m), n, k, m)
 		}
 	}
 	return out
+}
+
+// matmulGradA accumulates g·bᵀ into ag for g (n×m, the output gradient),
+// b (k×m) and ag (n×k, a's gradient): MatMul's dA. Each ag[i,p] is its
+// old value plus g[i,j]·b[p,j] for j ascending, exactly-zero g[i,j]
+// skipped (0·x adds nothing to a finite sum) — the textbook loop's
+// operations in its order. Four rows of b go per pass over a row of g,
+// into four running sums held in registers, so every operand is read
+// along its rows.
+//
+//perf:hotpath MatMul's dA; with dB, more than half of a training step
+func matmulGradA(ag, g, b []float64, n, k, m int) {
+	if k <= 0 || m <= 0 {
+		return // no tensor has an empty side; this tells the prover the row widths are positive
+	}
+	ag, g = ag[:n*k], g[:n*m]
+	for ; len(g) >= m && len(ag) >= k; g, ag = g[m:], ag[k:] {
+		grow, arow := g[:m], ag[:k]
+		bs := b
+		for ; len(arow) >= 4; arow = arow[4:] {
+			var b0, b1, b2, b3 []float64
+			b0, b1, b2, b3, bs = rows4(bs, m)
+			s0, s1, s2, s3 := arow[0], arow[1], arow[2], arow[3]
+			for j, gv := range grow {
+				//lint:ignore floatcompare sparsity fast path: skipping exactly-zero gradients is exact; a near-zero gradient just takes the slow path
+				if gv == 0 {
+					continue
+				}
+				s0 += gv * b0[j]
+				s1 += gv * b1[j]
+				s2 += gv * b2[j]
+				s3 += gv * b3[j]
+			}
+			arow[0], arow[1], arow[2], arow[3] = s0, s1, s2, s3
+		}
+		for ; len(arow) > 0 && len(bs) >= m; arow, bs = arow[1:], bs[m:] {
+			brow, s := bs[:m], arow[0]
+			for j, gv := range grow {
+				//lint:ignore floatcompare sparsity fast path: skipping exactly-zero gradients is exact; a near-zero gradient just takes the slow path
+				if gv == 0 {
+					continue
+				}
+				s += gv * brow[j]
+			}
+			arow[0] = s
+		}
+	}
+}
+
+// matmulGradB accumulates aᵀ·g into bg for a (n×k), g (n×m, the output
+// gradient) and bg (k×m, b's gradient): MatMul's dB. Each bg[p,j] gets
+// the sum of a[i,p]·g[i,j] over i ascending, started from +0 and added
+// only once complete — the textbook loop's operations in its order. Four
+// rows of bg are summed at a time into acc (caller-owned, at least 4·m
+// long, contents ignored), so a, g and acc are all read along rows.
+//
+//perf:hotpath MatMul's dB; with dA, more than half of a training step
+func matmulGradB(bg, a, g, acc []float64, n, k, m int) {
+	if k <= 0 || m <= 0 {
+		return // as in matmulGradA
+	}
+	a, g, acc = a[:n*k], g[:n*m], acc[:4*m]
+	c0, c1, c2, c3, _ := rows4(acc, m)
+	// ap starts at column p of a's first row; a's next row is k further on.
+	p, ap, bs := 0, a, bg
+	for ; p+4 <= k && len(ap) >= 4; p, ap = p+4, ap[4:] {
+		clear(acc)
+		for as, gs := ap, g; len(as) >= 4 && len(gs) >= m; gs = gs[m:] {
+			x, grow := as[:4:4], gs[:m]
+			x0, x1, x2, x3 := x[0], x[1], x[2], x[3]
+			for j, gv := range grow {
+				c0[j] += x0 * gv
+				c1[j] += x1 * gv
+				c2[j] += x2 * gv
+				c3[j] += x3 * gv
+			}
+			if len(as) < k {
+				break // a's last row
+			}
+			as = as[k:]
+		}
+		var b0, b1, b2, b3 []float64
+		b0, b1, b2, b3, bs = rows4(bs, m)
+		for j, v := range c0 {
+			b0[j] += v
+			b1[j] += c1[j]
+			b2[j] += c2[j]
+			b3[j] += c3[j]
+		}
+	}
+	for ; p < k && len(ap) > 0 && len(bs) >= m; p, ap, bs = p+1, ap[1:], bs[m:] {
+		clear(c0)
+		for as, gs := ap, g; len(as) > 0 && len(gs) >= m; gs = gs[m:] {
+			x0, grow := as[0], gs[:m]
+			for j, gv := range grow {
+				c0[j] += x0 * gv
+			}
+			if len(as) < k {
+				break // a's last row
+			}
+			as = as[k:]
+		}
+		brow := bs[:m]
+		for j, v := range c0 {
+			brow[j] += v
+		}
+	}
+}
+
+// rows4 cuts four m-wide rows off the front of s. Its explicit length
+// checks are what let the backward kernels index those rows unchecked.
+func rows4(s []float64, m int) (r0, r1, r2, r3, rest []float64) {
+	if len(s) < m {
+		panic("nn: rows4 slice shorter than four rows")
+	}
+	r0, rest = s[:m], s[m:]
+	if len(rest) < m {
+		panic("nn: rows4 slice shorter than four rows")
+	}
+	r1, rest = rest[:m], rest[m:]
+	if len(rest) < m {
+		panic("nn: rows4 slice shorter than four rows")
+	}
+	r2, rest = rest[:m], rest[m:]
+	if len(rest) < m {
+		panic("nn: rows4 slice shorter than four rows")
+	}
+	r3, rest = rest[:m], rest[m:]
+	return r0, r1, r2, r3, rest
 }
 
 // Add returns a + b elementwise (same shape).

@@ -30,27 +30,46 @@ func SaveParams(w io.Writer, params []*Tensor) error {
 	return nil
 }
 
-// LoadParams reads parameters from r into the given tensors, which must
-// match in count and shape.
-func LoadParams(r io.Reader, params []*Tensor) error {
+// ReadParams reads a parameter stream written by SaveParams, sizing
+// every tensor from the stream itself, so what it allocates is bounded by
+// what it reads. Each tensor's shape must be positive and filled exactly
+// by its data.
+func ReadParams(r io.Reader) ([]*Tensor, error) {
 	dec := gob.NewDecoder(r)
 	var n int
 	if err := dec.Decode(&n); err != nil {
-		return fmt.Errorf("nn: decode count: %w", err)
+		return nil, fmt.Errorf("nn: decode count: %w", err)
 	}
-	if n != len(params) {
-		return fmt.Errorf("nn: parameter count mismatch: file has %d, model has %d", n, len(params))
-	}
-	for i, p := range params {
+	var ts []*Tensor
+	for i := 0; i < n; i++ {
 		var blob paramBlob
 		if err := dec.Decode(&blob); err != nil {
-			return fmt.Errorf("nn: decode param %d: %w", i, err)
+			return nil, fmt.Errorf("nn: decode param %d: %w", i, err)
 		}
-		if blob.Rows != p.Rows || blob.Cols != p.Cols {
+		if blob.Rows < 1 || blob.Cols < 1 || len(blob.Data)%blob.Cols != 0 || len(blob.Data)/blob.Cols != blob.Rows {
+			return nil, fmt.Errorf("nn: param %d has %d values for a %dx%d shape", i, len(blob.Data), blob.Rows, blob.Cols)
+		}
+		ts = append(ts, FromSlice(blob.Rows, blob.Cols, blob.Data))
+	}
+	return ts, nil
+}
+
+// LoadParams reads parameters from r into the given tensors, which must
+// match in count and shape.
+func LoadParams(r io.Reader, params []*Tensor) error {
+	ts, err := ReadParams(r)
+	if err != nil {
+		return err
+	}
+	if len(ts) != len(params) {
+		return fmt.Errorf("nn: parameter count mismatch: file has %d, model has %d", len(ts), len(params))
+	}
+	for i, p := range params {
+		if ts[i].Rows != p.Rows || ts[i].Cols != p.Cols {
 			return fmt.Errorf("nn: param %d shape mismatch: file %dx%d, model %dx%d",
-				i, blob.Rows, blob.Cols, p.Rows, p.Cols)
+				i, ts[i].Rows, ts[i].Cols, p.Rows, p.Cols)
 		}
-		copy(p.Data, blob.Data)
+		copy(p.Data, ts[i].Data)
 	}
 	return nil
 }

@@ -41,13 +41,15 @@
 #      ns_per_op + allocs, exported to bin/BENCH_mutable.json
 #      (informational, no floors)
 #  10. fuzz smoke — FuzzReadFrame / FuzzLoadSnapshot (internal/wal),
-#      FuzzHausdorffMatchesPlain (internal/dist) and FuzzServeSearchBody
-#      (internal/serve) for 10s each over the committed seed corpora
-#      (internal/*/testdata/fuzz/): frame/snapshot decoding never panics,
-#      torn-tail truncation never misclassifies corruption, the Hausdorff
-#      kernel equals the plain double loop bit for bit, and any /search
-#      body is answered 200/400/503/504, a complete 200 with exactly
-#      min(k, Len) results
+#      FuzzHausdorffMatchesPlain (internal/dist), FuzzServeSearchBody
+#      (internal/serve) and FuzzLoadCheckpoint (internal/core) for 10s
+#      each over the committed seed corpora (internal/*/testdata/fuzz/):
+#      frame/snapshot decoding never panics, torn-tail truncation never
+#      misclassifies corruption, the Hausdorff kernel equals the plain
+#      double loop bit for bit, any /search body is answered
+#      200/400/503/504, a complete 200 with exactly min(k, Len) results,
+#      and a checkpoint stream never panics the loader and, once
+#      accepted, re-saves and loads back unchanged
 #  11. serving smoke — a real traj2hashd daemon over a temp WAL dir,
 #      started with a 250 ms batch window, is driven by cmd/trajload
 #      three times: a lone-client pass whose p99 must stay under
@@ -59,7 +61,9 @@
 #      concurrent run's latency quantiles are exported to
 #      bin/BENCH_serving.json via cmd/benchjson
 #  12. full test suite under the race detector (the engine's concurrent
-#      Add/Search tests only mean something with -race)
+#      Add/Search tests only mean something with -race, and so does
+#      TestTrainingIsGOMAXPROCSInvariant, whose GOMAXPROCS=4 run puts a
+#      training step's taped forwards on concurrent workers)
 #  13. benchmark artifacts published to the repo root (BENCH_*.json,
 #      committed — the per-PR perf trajectory), the non-test
 #      lines-of-code table per package (scripts/loc.sh — the size
@@ -234,14 +238,15 @@ go test -bench 'BenchmarkMutable' -benchmem -benchtime 50x -run '^$' \
 
 echo "== fuzz smoke (10s per target)"
 # Native Go fuzzing over the WAL frame parser and snapshot decoder, the
-# Hausdorff kernel and the /search request decoder: the seed corpora
-# under internal/*/testdata/fuzz/ are committed, and a short randomized
-# run guards the no-panic / torn-tail-classification contracts, the
-# kernel's bit equality with the plain double loop and the search
-# handler's status and result-count contract on every CI pass (go fuzzing takes one target
-# per invocation, hence one run each). New crashers land in the build
+# Hausdorff kernel, the /search request decoder and the checkpoint
+# loader: the seed corpora under internal/*/testdata/fuzz/ are committed,
+# and a short randomized run guards the no-panic /
+# torn-tail-classification contracts, the kernel's bit equality with the
+# plain double loop, the search handler's status and result-count
+# contract and the checkpoint round trip on every CI pass (go fuzzing
+# takes one target per invocation, hence one run each). New crashers land in the build
 # cache, so this stage leaves the tree clean.
-for target in wal:FuzzReadFrame wal:FuzzLoadSnapshot dist:FuzzHausdorffMatchesPlain serve:FuzzServeSearchBody; do
+for target in wal:FuzzReadFrame wal:FuzzLoadSnapshot dist:FuzzHausdorffMatchesPlain serve:FuzzServeSearchBody core:FuzzLoadCheckpoint; do
 	pkg=./internal/${target%%:*} name=${target#*:}
 	go test -fuzz "$name" -fuzztime 10s -run '^$' "$pkg" || {
 		echo "fuzz: $name found a crasher or invariant violation — the failing input is under the go build cache's fuzz corpus; reproduce with: go test -run $name $pkg"
