@@ -250,8 +250,8 @@ func cmdTrain(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
-	kind, err := core.ResolveEncoderKind(*encoderKind)
-	if err != nil {
+	kind := *encoderKind
+	if err := core.ResolveEncoderKind(kind); err != nil {
 		return err
 	}
 	cfg := experiments.ParamsFor(sc).CoreConfig()
@@ -459,8 +459,8 @@ func cmdBench(ctx context.Context, args []string) error {
 		if cerr := ctx.Err(); cerr != nil {
 			return cerr
 		}
-		kind, err := core.ResolveEncoderKind(strings.TrimSpace(kindFlag))
-		if err != nil {
+		kind := strings.TrimSpace(kindFlag)
+		if err := core.ResolveEncoderKind(kind); err != nil {
 			return err
 		}
 		buildStart := time.Now()

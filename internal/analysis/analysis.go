@@ -179,24 +179,19 @@ func SelectRules(names []string) ([]*Rule, error) {
 func Run(pkgs []*Package, rules []*Rule) []Diagnostic {
 	var diags []Diagnostic
 	for _, pkg := range pkgs {
-		diags = append(diags, runPackage(pkg, rules)...)
+		diags = append(diags, runPackageObserved(pkg, rules, nil)...)
 	}
 	SortDiagnostics(diags)
 	return diags
 }
 
-// runPackage is one package's full analysis: rules, suppression
+// runPackageObserved is one package's full analysis: rules, suppression
 // filtering, directive validation (both //lint: and //perf:), and the
 // staleness scan. The result is unsorted; it is also exactly what the
-// driver caches per package.
-func runPackage(pkg *Package, rules []*Rule) []Diagnostic {
-	return runPackageObserved(pkg, rules, nil)
-}
-
-// runPackageObserved is runPackage with an optional per-rule timing
-// callback (nil to skip). The driver uses it for `trajlint -stats`;
-// observe must be safe for concurrent use, since the driver analyzes
-// packages in parallel.
+// driver caches per package. observe is an optional per-rule timing
+// callback (nil to skip); the driver uses it for `trajlint -stats`, so it
+// must be safe for concurrent use, since the driver analyzes packages in
+// parallel.
 func runPackageObserved(pkg *Package, rules []*Rule, observe func(rule string, d time.Duration)) []Diagnostic {
 	var raw []Diagnostic
 	for _, r := range rules {

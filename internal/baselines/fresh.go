@@ -2,7 +2,6 @@ package baselines
 
 import (
 	"math/rand"
-	"sort"
 
 	"traj2hash/internal/geo"
 	"traj2hash/internal/hamming"
@@ -40,9 +39,6 @@ func NewFresh(resolution float64, repetitions, bitsPerHash int, seed int64) *Fre
 	}
 	return f
 }
-
-// Name identifies the method in result tables.
-func (f *Fresh) Name() string { return "Fresh" }
 
 // Bits returns the total code length.
 func (f *Fresh) Bits() int { return f.Repetitions * f.BitsPerHash }
@@ -101,59 +97,5 @@ func (f *Fresh) CodeAll(ts []geo.Trajectory) []hamming.Code {
 	for i, t := range ts {
 		out[i] = f.Code(t)
 	}
-	return out
-}
-
-// FreshIndex is the original Fresh search structure [18]: one hash table
-// per repetition, keyed by that repetition's integer hash. A query's
-// candidates are the union of its collisions across the L tables, ranked
-// by collision count (more tables agreeing ⇒ more likely similar). This is
-// the table-lookup search path; Table II's aligned-code comparison instead
-// concatenates the hashes into a Hamming code via Fresh.Code.
-type FreshIndex struct {
-	f      *Fresh
-	tables []map[uint64][]int
-	n      int
-}
-
-// NewFreshIndex hashes and indexes the database trajectories.
-func NewFreshIndex(f *Fresh, db []geo.Trajectory) *FreshIndex {
-	ix := &FreshIndex{f: f, n: len(db)}
-	ix.tables = make([]map[uint64][]int, f.Repetitions)
-	for r := range ix.tables {
-		ix.tables[r] = make(map[uint64][]int)
-	}
-	for id, t := range db {
-		for r := 0; r < f.Repetitions; r++ {
-			h := f.hashSequence(f.cellSequence(t, r), r)
-			ix.tables[r][h] = append(ix.tables[r][h], id)
-		}
-	}
-	return ix
-}
-
-// Len returns the number of indexed trajectories.
-func (ix *FreshIndex) Len() int { return ix.n }
-
-// Candidates returns the ids colliding with the query in at least one
-// repetition, ordered by descending collision count (ties by id).
-func (ix *FreshIndex) Candidates(q geo.Trajectory) []int {
-	counts := map[int]int{}
-	for r := 0; r < ix.f.Repetitions; r++ {
-		h := ix.f.hashSequence(ix.f.cellSequence(q, r), r)
-		for _, id := range ix.tables[r][h] {
-			counts[id]++
-		}
-	}
-	out := make([]int, 0, len(counts))
-	for id := range counts {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(a, b int) bool {
-		if counts[out[a]] != counts[out[b]] {
-			return counts[out[a]] > counts[out[b]]
-		}
-		return out[a] < out[b]
-	})
 	return out
 }

@@ -127,27 +127,3 @@ func (q *QuadTree) Path(p geo.Point) []int {
 		n = n.children[q.quadrant(n, p)]
 	}
 }
-
-// Leaf returns the id of the leaf containing p.
-func (q *QuadTree) Leaf(p geo.Point) int {
-	path := q.Path(p)
-	return path[len(path)-1]
-}
-
-// Depth returns the maximum depth reached.
-func (q *QuadTree) Depth() int {
-	var walk func(n *quadNode) int
-	walk = func(n *quadNode) int {
-		if n.children[0] == nil {
-			return n.depth
-		}
-		d := n.depth
-		for _, c := range n.children {
-			if cd := walk(c); cd > d {
-				d = cd
-			}
-		}
-		return d
-	}
-	return walk(q.root)
-}

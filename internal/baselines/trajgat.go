@@ -45,9 +45,6 @@ func (t *TrajGAT) Params() []*nn.Tensor {
 	return ps
 }
 
-// Tree exposes the quadtree (for tests and diagnostics).
-func (t *TrajGAT) Tree() *QuadTree { return t.tree }
-
 // Forward encodes a trajectory (see core.Net).
 func (t *TrajGAT) Forward(s *nn.Scratch, tr geo.Trajectory) *nn.Tensor {
 	p := prepTraj(tr, t.Cfg.MaxLen)

@@ -142,8 +142,11 @@ func (c Config) Validate() error {
 	if c.HashBits <= 0 || c.HashBits%2 != 0 {
 		return fmt.Errorf("core: HashBits must be positive and even, got %d", c.HashBits)
 	}
-	if c.Dim%c.Heads != 0 {
-		return fmt.Errorf("core: Dim %d not divisible by Heads %d", c.Dim, c.Heads)
+	if c.Heads < 1 || c.Dim%c.Heads != 0 {
+		return fmt.Errorf("core: Heads must be positive and divide Dim %d, got %d", c.Dim, c.Heads)
+	}
+	if c.Blocks < 0 {
+		return fmt.Errorf("core: Blocks must be non-negative, got %d", c.Blocks)
 	}
 	if c.M < 2 || c.M%2 != 0 {
 		return fmt.Errorf("core: M must be an even number ≥ 2, got %d", c.M)
@@ -151,7 +154,7 @@ func (c Config) Validate() error {
 	if c.MaxLen < 2 {
 		return fmt.Errorf("core: MaxLen must be ≥ 2, got %d", c.MaxLen)
 	}
-	if c.GridCellSize <= 0 || c.TripletCellSize <= 0 {
+	if !(c.GridCellSize > 0) || !(c.TripletCellSize > 0) { // also catches NaN
 		return fmt.Errorf("core: cell sizes must be positive")
 	}
 	return nil

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"traj2hash/internal/data"
@@ -37,23 +38,31 @@ func TestConfigValidate(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Errorf("default config invalid: %v", err)
 	}
-	cases := []func(*Config){
-		func(c *Config) { c.Dim = 0 },
-		func(c *Config) { c.HashBits = 15 },
-		func(c *Config) { c.HashBits = 0 },
-		func(c *Config) { c.Heads = 5 }, // 32 % 5 != 0
-		func(c *Config) { c.M = 3 },
-		func(c *Config) { c.M = 0 },
-		func(c *Config) { c.MaxLen = 1 },
-		func(c *Config) { c.GridCellSize = 0 },
-		func(c *Config) { c.TripletCellSize = -1 },
+	cases := []struct {
+		name   string
+		mutate func(*Config)
+	}{
+		{"zero dim", func(c *Config) { c.Dim = 0 }},
+		{"odd hash bits", func(c *Config) { c.HashBits = 15 }},
+		{"zero hash bits", func(c *Config) { c.HashBits = 0 }},
+		{"heads not dividing dim", func(c *Config) { c.Heads = 5 }}, // 32 % 5 != 0
+		{"zero heads", func(c *Config) { c.Heads = 0 }},             // must not divide by zero
+		{"negative heads", func(c *Config) { c.Heads = -4 }},        // divides 32, but is no head count
+		{"negative blocks", func(c *Config) { c.Blocks = -1 }},
+		{"odd M", func(c *Config) { c.M = 3 }},
+		{"zero M", func(c *Config) { c.M = 0 }},
+		{"max len one", func(c *Config) { c.MaxLen = 1 }},
+		{"zero grid cell", func(c *Config) { c.GridCellSize = 0 }},
+		{"negative triplet cell", func(c *Config) { c.TripletCellSize = -1 }},
 	}
-	for i, mutate := range cases {
-		c := DefaultConfig(32)
-		mutate(&c)
-		if err := c.Validate(); err == nil {
-			t.Errorf("case %d: invalid config accepted", i)
-		}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := DefaultConfig(32)
+			tc.mutate(&c)
+			if err := c.Validate(); err == nil {
+				t.Error("invalid config accepted")
+			}
+		})
 	}
 }
 
@@ -352,20 +361,6 @@ func TestTripletsFrechetBound(t *testing.T) {
 	}
 }
 
-func TestAnalyzeClusters(t *testing.T) {
-	corpus := genTrajs(100, 9)
-	st := AnalyzeClusters(corpus, 500)
-	if st.Clusters == 0 || st.MultiMember == 0 {
-		t.Errorf("stats = %+v", st)
-	}
-	if st.CoveredTrajs < 2*st.MultiMember {
-		t.Errorf("covered %d < 2×multi %d", st.CoveredTrajs, st.MultiMember)
-	}
-	if got := AnalyzeClusters(nil, 500); got.Clusters != 0 {
-		t.Error("empty corpus should have zero stats")
-	}
-}
-
 func TestSnapshotRestore(t *testing.T) {
 	ts := genTrajs(5, 10)
 	m, err := New(tinyConfig(), ts)
@@ -505,22 +500,28 @@ func TestApproxDistanceOrdering(t *testing.T) {
 	const trials = 10
 	for i := 0; i < trials; i++ {
 		base := seeds[i]
-		noisy := base.Clone()
+		noisy := slices.Clone(base)
 		for j := range noisy {
 			noisy[j] = noisy[j].Add(geo.Point{X: rng.NormFloat64() * 5, Y: rng.NormFloat64() * 5})
 		}
 		other := seeds[(i+7)%len(seeds)]
-		if m.ApproxDistance(base, noisy, 0) < m.ApproxDistance(base, other, 0) {
+		if embedDist(m, base, noisy) < embedDist(m, base, other) {
 			correct++
 		}
 	}
 	if correct < trials*7/10 {
 		t.Errorf("approximate distance ordered only %d/%d pairs", correct, trials)
 	}
-	// theta rescaling divides.
-	d1 := m.ApproxDistance(seeds[0], seeds[1], 0)
-	d2 := m.ApproxDistance(seeds[0], seeds[1], 2)
-	if math.Abs(d1/2-d2) > 1e-9 {
-		t.Errorf("theta rescale wrong: %v vs %v", d1, d2)
+}
+
+// embedDist is the Euclidean distance between the embeddings of a and b,
+// the learned approximation of their trajectory distance.
+func embedDist(m *Model, a, b geo.Trajectory) float64 {
+	va, vb := m.Embed(a), m.Embed(b)
+	var sum float64
+	for i := range va {
+		d := va[i] - vb[i]
+		sum += d * d
 	}
+	return math.Sqrt(sum)
 }

@@ -125,15 +125,14 @@ func RegisterEncoder(kind string, factory EncoderFactory, loader EncoderLoader) 
 	encoderReg[kind] = encoderEntry{factory: factory, loader: loader}
 }
 
-// ResolveEncoderKind checks that kind names a registered encoder and
-// returns it.
-func ResolveEncoderKind(kind string) (string, error) {
+// ResolveEncoderKind checks that kind names a registered encoder.
+func ResolveEncoderKind(kind string) error {
 	encRegMu.RLock()
 	defer encRegMu.RUnlock()
 	if _, ok := encoderReg[kind]; !ok {
-		return "", fmt.Errorf("core: unknown encoder kind %q (have %v)", kind, encoderKindsLocked())
+		return fmt.Errorf("core: unknown encoder kind %q (have %v)", kind, encoderKindsLocked())
 	}
-	return kind, nil
+	return nil
 }
 
 // EncoderKinds returns the names of all registered encoder kinds, sorted.
@@ -155,18 +154,17 @@ func encoderKindsLocked() []string {
 // NewEncoder builds a fresh encoder of the given kind with its study
 // space fitted on space.
 func NewEncoder(kind string, cfg Config, space []geo.Trajectory) (Encoder, error) {
-	canonical, err := ResolveEncoderKind(kind)
-	if err != nil {
+	if err := ResolveEncoderKind(kind); err != nil {
 		return nil, err
 	}
-	return encoderEntryFor(canonical).factory(cfg, space)
+	return encoderEntryFor(kind).factory(cfg, space)
 }
 
 // encoderEntryFor reads a (known-registered) kind's entry under the lock.
-func encoderEntryFor(canonical string) encoderEntry {
+func encoderEntryFor(kind string) encoderEntry {
 	encRegMu.RLock()
 	defer encRegMu.RUnlock()
-	return encoderReg[canonical]
+	return encoderReg[kind]
 }
 
 // encoderBlob is the kind-tagged container SaveEncoder writes: the kind
@@ -211,13 +209,12 @@ func LoadEncoder(r io.Reader) (Encoder, error) {
 	if err := gob.NewDecoder(r).Decode(&blob); err != nil {
 		return nil, fmt.Errorf("core: load encoder: %w", err)
 	}
-	canonical, err := ResolveEncoderKind(blob.Kind)
-	if err != nil {
+	if err := ResolveEncoderKind(blob.Kind); err != nil {
 		return nil, err
 	}
-	entry := encoderEntryFor(canonical)
+	entry := encoderEntryFor(blob.Kind)
 	if entry.loader == nil {
-		return nil, fmt.Errorf("core: encoder kind %q has no loader", canonical)
+		return nil, fmt.Errorf("core: encoder kind %q has no loader", blob.Kind)
 	}
 	return entry.loader(newSliceReader(blob.Raw))
 }
@@ -256,8 +253,7 @@ func SaveEncoderFile(path string, enc Encoder) error {
 }
 
 // LoadEncoderFile reads an encoder from path, which must hold the
-// kind-tagged container SaveEncoderFile writes. (A raw attention-model
-// stream from Model.SaveFile is not one; LoadFile reads those.)
+// kind-tagged container SaveEncoderFile writes.
 func LoadEncoderFile(path string) (Encoder, error) {
 	f, err := os.Open(path)
 	if err != nil {

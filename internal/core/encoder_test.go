@@ -7,6 +7,7 @@ import (
 	"errors"
 	"hash/fnv"
 	"math"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -36,11 +37,11 @@ func TestEncoderRegistry(t *testing.T) {
 		t.Fatalf("EncoderKinds() = %v, want %v", kinds, want)
 	}
 	for _, kind := range want {
-		if got, err := ResolveEncoderKind(kind); err != nil || got != kind {
-			t.Errorf("ResolveEncoderKind(%q) = (%q, %v)", kind, got, err)
+		if err := ResolveEncoderKind(kind); err != nil {
+			t.Errorf("ResolveEncoderKind(%q) = %v", kind, err)
 		}
 	}
-	if _, err := ResolveEncoderKind("no-such-encoder"); err == nil {
+	if err := ResolveEncoderKind("no-such-encoder"); err == nil {
 		t.Error("unknown encoder kind resolved")
 	}
 	if _, err := NewEncoder("no-such-encoder", tinyConfig(), genTrajs(4, 1)); err == nil {
@@ -152,8 +153,8 @@ func TestSaveEncoderDeterministic(t *testing.T) {
 }
 
 // TestLoadEncoderFile checks the file entry point: the container format
-// round-trips, and anything else — a raw model stream from Model.SaveFile
-// included — fails with one error naming the expected format.
+// round-trips, and anything else — a bare attention payload from
+// Model.Save included — fails with one error naming the expected format.
 func TestLoadEncoderFile(t *testing.T) {
 	cfg := tinyConfig()
 	space := genTrajs(40, 7)
@@ -163,15 +164,16 @@ func TestLoadEncoderFile(t *testing.T) {
 	}
 	dir := t.TempDir()
 
+	var payload bytes.Buffer
+	if err := m.Save(&payload); err != nil {
+		t.Fatal(err)
+	}
 	raw := filepath.Join(dir, "raw.gob")
-	if err := m.SaveFile(raw); err != nil {
+	if err := os.WriteFile(raw, payload.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := LoadEncoderFile(raw); err == nil || !strings.Contains(err.Error(), "not an encoder container") {
 		t.Fatalf("raw model file: err %v, want the not-a-container error", err)
-	}
-	if _, err := LoadFile(raw); err != nil {
-		t.Fatalf("LoadFile no longer reads the raw model format: %v", err)
 	}
 	ts := genTrajs(6, 11)
 

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"io"
-	"math"
 	"math/rand"
 	"time"
 
@@ -217,23 +216,4 @@ func (m *Model) Forward(s *nn.Scratch, t geo.Trajectory) *nn.Tensor {
 	}
 	hr := m.encodeDirection(s, p.Reverse())
 	return nn.ConcatCols(m.proj.Forward(h), m.proj.Forward(hr))
-}
-
-// ApproxDistance returns the model's Euclidean-space approximation of the
-// trajectory distance: −log g where g = exp(−‖h_f(a) − h_f(b)‖) is the
-// learned similarity of Equation 17, rescaled back through θ to the
-// original distance units when θ is known (θ > 0).
-func (m *Model) ApproxDistance(a, b geo.Trajectory, theta float64) float64 {
-	va := m.Embed(a)
-	vb := m.Embed(b)
-	var sum float64
-	for i := range va {
-		d := va[i] - vb[i]
-		sum += d * d
-	}
-	eu := math.Sqrt(sum)
-	if theta > 0 {
-		return eu / theta
-	}
-	return eu
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
-	"os"
 
 	"traj2hash/internal/geo"
 	"traj2hash/internal/grid"
@@ -32,7 +31,10 @@ type modelBlob struct {
 	Params [][]float64
 }
 
-// Save writes the trained model to w.
+// Save writes the trained model to w. It is the attention encoder's
+// payload inside the kind-tagged container that SaveEncoder writes, and
+// not a file format of its own: LoadEncoder dispatches the payload to
+// Load.
 func (m *Model) Save(w io.Writer) error {
 	blob := modelBlob{Cfg: m.Cfg, Stats: m.stats}
 	if m.fineGrid != nil {
@@ -59,19 +61,6 @@ func (m *Model) Save(w io.Writer) error {
 	return nil
 }
 
-// SaveFile writes the model to path.
-func (m *Model) SaveFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := m.Save(f); err != nil {
-		return err
-	}
-	return f.Close()
-}
-
 // Load reads a model written by Save, reconstructing the architecture from
 // the stored configuration.
 func Load(r io.Reader) (*Model, error) {
@@ -79,44 +68,42 @@ func Load(r io.Reader) (*Model, error) {
 	if err := gob.NewDecoder(r).Decode(&blob); err != nil {
 		return nil, fmt.Errorf("core: load: %w", err)
 	}
-	// Rebuild with a placeholder space covering the stored grid, then
-	// overwrite everything learned.
-	space := []geo.Trajectory{{
-		{X: blob.GridMinX, Y: blob.GridMinY},
-		{X: blob.GridMinX + blob.GridCell*float64(blob.GridNX)*0.999,
-			Y: blob.GridMinY + blob.GridCell*float64(blob.GridNY)*0.999},
-	}}
-	if !blob.HasGrid {
-		space = []geo.Trajectory{{{X: 0, Y: 0}, {X: 1, Y: 1}}}
-	}
+	// Rebuild on a one-point placeholder space, a single grid cell at any
+	// cell size, then overwrite everything learned, the grid included: the
+	// grid is sized from the tables read, never from the header alone.
 	cfg := blob.Cfg
 	cfg.GridPreEpochs = 0 // embeddings are restored, not retrained
-	m, err := New(cfg, space)
+	m, err := New(cfg, []geo.Trajectory{{{}}})
 	if err != nil {
 		return nil, fmt.Errorf("core: load rebuild: %w", err)
 	}
 	m.stats = blob.Stats
 	if blob.HasGrid {
+		nx, ny, d := blob.GridNX, blob.GridNY, cfg.Dim
 		m.fineGrid = &grid.Grid{
 			MinX: blob.GridMinX, MinY: blob.GridMinY,
-			CellSize: blob.GridCell, NX: blob.GridNX, NY: blob.GridNY,
+			CellSize: blob.GridCell, NX: nx, NY: ny,
 		}
+		// Sizes are compared by division, so no product can overflow into
+		// a match.
 		switch cfg.GridRep {
 		case Node2VecRep:
-			if len(blob.N2VData) != m.fineGrid.Cells()*cfg.Dim {
-				return nil, fmt.Errorf("core: load: node2vec table size %d != %d", len(blob.N2VData), m.fineGrid.Cells()*cfg.Dim)
+			cells := len(blob.N2VData) / d
+			if nx < 1 || ny < 1 || len(blob.N2VData)%d != 0 || cells%nx != 0 || cells/nx != ny {
+				return nil, fmt.Errorf("core: load: node2vec table of %d values does not fill a %dx%d grid at dim %d", len(blob.N2VData), nx, ny, d)
 			}
-			n2v := &grid.Node2Vec{Grid: m.fineGrid, Dim: cfg.Dim,
-				Table: nn.FromSlice(m.fineGrid.Cells(), cfg.Dim, blob.N2VData)}
+			n2v := &grid.Node2Vec{Grid: m.fineGrid, Dim: d,
+				Table: nn.FromSlice(cells, d, blob.N2VData)}
 			m.gridEmb = n2v
 		default:
-			if len(blob.ExData) != m.fineGrid.NX*cfg.Dim || len(blob.EyData) != m.fineGrid.NY*cfg.Dim {
-				return nil, fmt.Errorf("core: load: coordinate table size mismatch")
+			if nx < 1 || ny < 1 || len(blob.ExData)%d != 0 || len(blob.ExData)/d != nx ||
+				len(blob.EyData)%d != 0 || len(blob.EyData)/d != ny {
+				return nil, fmt.Errorf("core: load: coordinate tables of %d and %d values do not fill a %dx%d grid at dim %d", len(blob.ExData), len(blob.EyData), nx, ny, d)
 			}
 			m.gridEmb = &grid.Decomposed{
-				Grid: m.fineGrid, Dim: cfg.Dim,
-				Ex: nn.FromSlice(m.fineGrid.NX, cfg.Dim, blob.ExData),
-				Ey: nn.FromSlice(m.fineGrid.NY, cfg.Dim, blob.EyData),
+				Grid: m.fineGrid, Dim: d,
+				Ex: nn.FromSlice(nx, d, blob.ExData),
+				Ey: nn.FromSlice(ny, d, blob.EyData),
 			}
 		}
 	}
@@ -131,14 +118,4 @@ func Load(r io.Reader) (*Model, error) {
 		copy(p.Data, blob.Params[i])
 	}
 	return m, nil
-}
-
-// LoadFile reads a model from path.
-func LoadFile(path string) (*Model, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return Load(f)
 }

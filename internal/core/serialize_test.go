@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"path/filepath"
 	"testing"
 )
 
@@ -41,11 +40,11 @@ func TestModelSaveLoadNoGrids(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "m.gob")
-	if err := m.SaveFile(path); err != nil {
+	var buf bytes.Buffer
+	if err := m.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadFile(path)
+	got, err := Load(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,8 +85,5 @@ func TestModelSaveLoadNode2Vec(t *testing.T) {
 func TestLoadRejectsGarbage(t *testing.T) {
 	if _, err := Load(bytes.NewReader([]byte("not a model"))); err == nil {
 		t.Error("garbage accepted")
-	}
-	if _, err := LoadFile(filepath.Join(t.TempDir(), "missing.gob")); err == nil {
-		t.Error("missing file accepted")
 	}
 }

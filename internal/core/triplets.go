@@ -83,39 +83,3 @@ func GenerateTriplets(corpus []geo.Trajectory, cellSize float64, n int, seed int
 	}
 	return out
 }
-
-// ClusterStats summarizes the coarse-grid clustering for diagnostics.
-type ClusterStats struct {
-	Clusters     int // total clusters
-	MultiMember  int // clusters with ≥ 2 trajectories
-	LargestSize  int
-	CoveredTrajs int // trajectories inside multi-member clusters
-}
-
-// AnalyzeClusters reports how clusterable a corpus is under the coarse
-// grid — the feasibility check for fast triplet generation.
-func AnalyzeClusters(corpus []geo.Trajectory, cellSize float64) ClusterStats {
-	var st ClusterStats
-	if len(corpus) == 0 {
-		return st
-	}
-	g, err := grid.FromTrajectories(corpus, cellSize)
-	if err != nil {
-		return st
-	}
-	clusters := map[string]int{}
-	for _, t := range corpus {
-		clusters[grid.KeyOf(g.CompressedGridTrajectory(t))]++
-	}
-	st.Clusters = len(clusters)
-	for _, n := range clusters {
-		if n >= 2 {
-			st.MultiMember++
-			st.CoveredTrajs += n
-		}
-		if n > st.LargestSize {
-			st.LargestSize = n
-		}
-	}
-	return st
-}

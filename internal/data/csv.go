@@ -4,7 +4,6 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"os"
 	"strconv"
 
 	"traj2hash/internal/geo"
@@ -19,31 +18,8 @@ import (
 // strings. Coordinates are planar; raw longitude/latitude should be
 // projected first (geo.ProjectEquirectangular) or imported via ReadCSVLonLat.
 
-// WriteCSV writes the trajectories to w with ids "0", "1", ...
-func WriteCSV(w io.Writer, ts []geo.Trajectory) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"traj_id", "x", "y"}); err != nil {
-		return fmt.Errorf("data: csv header: %w", err)
-	}
-	for i, t := range ts {
-		id := strconv.Itoa(i)
-		for _, p := range t {
-			rec := []string{
-				id,
-				strconv.FormatFloat(p.X, 'f', -1, 64),
-				strconv.FormatFloat(p.Y, 'f', -1, 64),
-			}
-			if err := cw.Write(rec); err != nil {
-				return fmt.Errorf("data: csv row: %w", err)
-			}
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// ReadCSV reads trajectories written in the WriteCSV format. Trajectories
-// appear in first-seen id order.
+// ReadCSV reads trajectories in the format above. Trajectories appear in
+// first-seen id order.
 func ReadCSV(r io.Reader) ([]geo.Trajectory, error) {
 	return readCSV(r, func(a, b float64) geo.Point { return geo.Point{X: a, Y: b} })
 }
@@ -98,27 +74,4 @@ func looksLikeHeader(rec []string) bool {
 	_, err1 := strconv.ParseFloat(rec[1], 64)
 	_, err2 := strconv.ParseFloat(rec[2], 64)
 	return err1 != nil || err2 != nil
-}
-
-// WriteCSVFile writes trajectories to a CSV file.
-func WriteCSVFile(path string, ts []geo.Trajectory) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := WriteCSV(f, ts); err != nil {
-		return err
-	}
-	return f.Close()
-}
-
-// ReadCSVFile reads trajectories from a CSV file.
-func ReadCSVFile(path string) ([]geo.Trajectory, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadCSV(f)
 }

@@ -157,13 +157,6 @@ func TestSplitSpec(t *testing.T) {
 	if s.Total() != 2000+8000+200000+10000+100000 {
 		t.Errorf("Total = %d", s.Total())
 	}
-	small := s.Scaled(0.001)
-	if small.Seed < 20 || small.Queries < 10 {
-		t.Errorf("scaled spec below minimums: %+v", small)
-	}
-	if small.Total() >= s.Total() {
-		t.Error("scaling did not shrink")
-	}
 }
 
 func TestBuildSplitsDisjointAndSized(t *testing.T) {
@@ -173,9 +166,6 @@ func TestBuildSplitsDisjointAndSized(t *testing.T) {
 		len(d.Queries) != 5 || len(d.Database) != 40 {
 		t.Fatalf("split sizes: %d/%d/%d/%d/%d", len(d.Seeds), len(d.Validation),
 			len(d.Corpus), len(d.Queries), len(d.Database))
-	}
-	if got := len(d.Labelled()); got != 25 {
-		t.Errorf("Labelled = %d", got)
 	}
 	if got := len(d.All()); got != spec.Total() {
 		t.Errorf("All = %d", got)

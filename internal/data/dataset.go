@@ -31,26 +31,6 @@ func (s SplitSpec) Total() int {
 	return s.Seed + s.Validation + s.Corpus + s.Queries + s.Database
 }
 
-// Scaled shrinks every split by the given factor (minimum sizes keep the
-// pipeline functional), letting experiments run the paper protocol at
-// laptop scale.
-func (s SplitSpec) Scaled(factor float64) SplitSpec {
-	scale := func(n, min int) int {
-		v := int(float64(n) * factor)
-		if v < min {
-			v = min
-		}
-		return v
-	}
-	return SplitSpec{
-		Seed:       scale(s.Seed, 20),
-		Validation: scale(s.Validation, 20),
-		Corpus:     scale(s.Corpus, 50),
-		Queries:    scale(s.Queries, 10),
-		Database:   scale(s.Database, 50),
-	}
-}
-
 // Dataset is a named, split trajectory collection.
 type Dataset struct {
 	Name       string
@@ -118,15 +98,6 @@ func SplitByFractions(name string, ts []geo.Trajectory, seedF, valF, corpusF, qu
 		return nil, fmt.Errorf("data: no trajectories left for the database")
 	}
 	return d, nil
-}
-
-// Labelled returns seeds followed by validation trajectories — the 10K
-// (paper scale) trajectories whose pairwise distances are computed exactly.
-func (d *Dataset) Labelled() []geo.Trajectory {
-	out := make([]geo.Trajectory, 0, len(d.Seeds)+len(d.Validation))
-	out = append(out, d.Seeds...)
-	out = append(out, d.Validation...)
-	return out
 }
 
 // All returns every trajectory across all splits (seeds, validation,

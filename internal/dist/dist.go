@@ -95,19 +95,6 @@ func Distance(f Func, a, b geo.Trajectory) float64 {
 	}
 }
 
-// ReverseSymmetric reports whether f satisfies the reverse symmetric
-// property of Definition 4 (Lemma 2). DTW, Fréchet, and Hausdorff do; the
-// edit distances do as well by symmetry of their recurrences, but the paper
-// only claims the first three, so only those are reported.
-func ReverseSymmetric(f Func) bool {
-	switch f {
-	case DTWDist, FrechetDist, HausdorffDist:
-		return true
-	default:
-		return false
-	}
-}
-
 // DTW returns the dynamic time warping distance between a and b following
 // the recurrence of Equation 1:
 //
@@ -502,48 +489,13 @@ func EDR(a, b geo.Trajectory, eps float64) float64 {
 	return prev[m]
 }
 
-// LCSS returns the Longest Common SubSequence dissimilarity: 1 − LCSS/min(n, m),
-// where two points match when both coordinate differences are within eps.
-// Like EDR it is robust to outliers; it is provided beyond the paper's
-// three evaluation distances because it is a standard member of this
-// literature's distance families.
-func LCSS(a, b geo.Trajectory, eps float64) float64 {
-	n, m := len(a), len(b)
-	if n == 0 || m == 0 {
-		if n == m {
-			return 0
-		}
-		return 1
-	}
-	prev := make([]int, m+1)
-	cur := make([]int, m+1)
-	for i := 1; i <= n; i++ {
-		for j := 1; j <= m; j++ {
-			if math.Abs(a[i-1].X-b[j-1].X) <= eps && math.Abs(a[i-1].Y-b[j-1].Y) <= eps {
-				cur[j] = prev[j-1] + 1
-			} else if prev[j] >= cur[j-1] {
-				cur[j] = prev[j]
-			} else {
-				cur[j] = cur[j-1]
-			}
-		}
-		prev, cur = cur, prev
-	}
-	lcss := prev[m]
-	den := n
-	if m < n {
-		den = m
-	}
-	return 1 - float64(lcss)/float64(den)
-}
-
 // LowerBoundFirst returns the Euclidean distance between the first points of
 // a and b — by Lemma 1 a lower bound of both DTW(a, b) and Frechet(a, b).
 func LowerBoundFirst(a, b geo.Trajectory) float64 {
 	if len(a) == 0 || len(b) == 0 {
 		return 0
 	}
-	return a.First().Dist(b.First())
+	return a[0].Dist(b[0])
 }
 
 // LowerBoundLast returns the Euclidean distance between the last points of
@@ -552,7 +504,7 @@ func LowerBoundLast(a, b geo.Trajectory) float64 {
 	if len(a) == 0 || len(b) == 0 {
 		return 0
 	}
-	return a.Last().Dist(b.Last())
+	return a[len(a)-1].Dist(b[len(b)-1])
 }
 
 // LowerBound returns the tighter of the first-point and last-point lower

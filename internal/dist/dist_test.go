@@ -165,44 +165,6 @@ func TestEDRBounds(t *testing.T) {
 	}
 }
 
-func TestLCSSHandComputed(t *testing.T) {
-	a := geo.Trajectory{{X: 0}, {X: 1}, {X: 2}}
-	b := geo.Trajectory{{X: 0}, {X: 1}, {X: 9}}
-	// LCSS length 2, min length 3: dissimilarity 1 - 2/3.
-	if got := LCSS(a, b, 0.5); !almostEqual(got, 1.0/3.0, 1e-12) {
-		t.Errorf("LCSS = %v", got)
-	}
-	if got := LCSS(a, a, 0.5); got != 0 {
-		t.Errorf("LCSS identical = %v", got)
-	}
-}
-
-func TestLCSSProperties(t *testing.T) {
-	rng := rand.New(rand.NewSource(30))
-	for trial := 0; trial < 50; trial++ {
-		p := genPair(rng)
-		v := LCSS(p.a, p.b, 1.0)
-		if v < 0 || v > 1 {
-			t.Fatalf("LCSS out of [0,1]: %v", v)
-		}
-		// Symmetry.
-		if w := LCSS(p.b, p.a, 1.0); !almostEqual(v, w, 1e-12) {
-			t.Fatalf("LCSS asymmetric: %v vs %v", v, w)
-		}
-		// Monotone in eps: a larger threshold can only match more.
-		if wide := LCSS(p.a, p.b, 5.0); wide > v+1e-12 {
-			t.Fatalf("LCSS not monotone in eps: %v (eps=1) vs %v (eps=5)", v, wide)
-		}
-	}
-	// Empty-side conventions.
-	if got := LCSS(nil, nil, 1); got != 0 {
-		t.Errorf("LCSS(nil,nil) = %v", got)
-	}
-	if got := LCSS(nil, geo.Trajectory{{X: 1}}, 1); got != 1 {
-		t.Errorf("LCSS(nil,a) = %v", got)
-	}
-}
-
 func TestCDTWMatchesDTWWideBand(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 20; trial++ {
@@ -277,9 +239,6 @@ func TestLemma2ReverseSymmetry(t *testing.T) {
 		p := genPair(rng)
 		ar, br := p.a.Reverse(), p.b.Reverse()
 		for _, f := range []Func{DTWDist, FrechetDist, HausdorffDist} {
-			if !ReverseSymmetric(f) {
-				t.Fatalf("%v should report reverse symmetric", f)
-			}
 			fwd := Distance(f, p.a, p.b)
 			rev := Distance(f, ar, br)
 			if !almostEqual(fwd, rev, 1e-9*math.Max(1, fwd)) {

@@ -246,9 +246,6 @@ func (e *Engine) newItems() (items, error) {
 	return items{store: NewStore(e.opts.Config, strategies...)}, nil
 }
 
-// Shards returns the shard count.
-func (e *Engine) Shards() int { return len(e.shards) }
-
 // Len returns the number of live (non-deleted) indexed items.
 func (e *Engine) Len() int {
 	e.addMu.Lock()

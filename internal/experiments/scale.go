@@ -169,12 +169,11 @@ func Cities() []*data.City {
 // training-free kind (geopth) is built from the dataset on the fly — no
 // model file and no training run needed; a trainable kind loads the model
 // file and insists the stored encoder matches.
-func ResolveEncoder(kindFlag, modelPath, scale string, ds *data.Dataset) (core.Encoder, error) {
-	if kindFlag == "" {
+func ResolveEncoder(kind, modelPath, scale string, ds *data.Dataset) (core.Encoder, error) {
+	if kind == "" {
 		return core.LoadEncoderFile(modelPath)
 	}
-	kind, err := core.ResolveEncoderKind(kindFlag)
-	if err != nil {
+	if err := core.ResolveEncoderKind(kind); err != nil {
 		return nil, err
 	}
 	if kind == core.GeoPTHKind {

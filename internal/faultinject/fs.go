@@ -166,14 +166,6 @@ func (f *FS) Rename(oldPath, newPath string) error {
 	return f.inner.Rename(oldPath, newPath)
 }
 
-// Remove implements wal.VFS.
-func (f *FS) Remove(path string) error {
-	if err := f.guard(); err != nil {
-		return err
-	}
-	return f.inner.Remove(path)
-}
-
 // Truncate implements wal.VFS.
 func (f *FS) Truncate(path string, size int64) error {
 	if err := f.guard(); err != nil {

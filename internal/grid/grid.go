@@ -93,14 +93,6 @@ func (g *Grid) ID(p geo.Point) int {
 // CoordOf splits a cell id back into its (x, y) coordinate.
 func (g *Grid) CoordOf(id int) (x, y int) { return id % g.NX, id / g.NX }
 
-// Center returns the center point of cell (x, y).
-func (g *Grid) Center(x, y int) geo.Point {
-	return geo.Point{
-		X: g.MinX + (float64(x)+0.5)*g.CellSize,
-		Y: g.MinY + (float64(y)+0.5)*g.CellSize,
-	}
-}
-
 // GridTrajectory maps a GPS trajectory to its grid trajectory: the sequence
 // of cell ids its points fall into (Definition 2). Consecutive duplicates
 // are kept — the sequence stays aligned with the GPS points.

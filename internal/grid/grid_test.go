@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -66,17 +67,6 @@ func TestIDRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestCenterInsideCell(t *testing.T) {
-	g := mkGrid(t, 10, 10, 50)
-	for _, c := range []struct{ x, y int }{{0, 0}, {3, 7}, {9, 9}} {
-		p := g.Center(c.x, c.y)
-		x, y := g.Coord(p)
-		if x != c.x || y != c.y {
-			t.Errorf("Center(%d,%d) maps to (%d,%d)", c.x, c.y, x, y)
-		}
 	}
 }
 
@@ -147,13 +137,38 @@ func TestDecomposedParamCount(t *testing.T) {
 	g := mkGrid(t, 1100, 1100, 50)
 	d := NewDecomposed(g, 64, rand.New(rand.NewSource(1)))
 	// The Section IV-C claim: 2×1100 coordinate embeddings, not 1.21M.
-	if d.ParamCount() != 64*2200 {
-		t.Errorf("ParamCount = %d", d.ParamCount())
+	if n := len(d.Ex.Data) + len(d.Ey.Data); n != 64*2200 {
+		t.Errorf("decomposed tables hold %d scalars", n)
 	}
 	n2v := NewNode2Vec(mkGrid(t, 20, 20, 50), 64, rand.New(rand.NewSource(1)))
-	if n2v.ParamCount() != 64*400 {
-		t.Errorf("node2vec ParamCount = %d", n2v.ParamCount())
+	if n := len(n2v.Table.Data); n != 64*400 {
+		t.Errorf("node2vec table holds %d scalars", n)
 	}
+}
+
+// decomposedSim is the cosine similarity of the embeddings of cells
+// (x1, y1) and (x2, y2).
+func decomposedSim(d *Decomposed, x1, y1, x2, y2 int) float64 {
+	a := make([]float64, d.Dim)
+	b := make([]float64, d.Dim)
+	d.Vector(x1, y1, a)
+	d.Vector(x2, y2, b)
+	return cosine(a, b)
+}
+
+// node2vecSim is the cosine similarity of the embeddings of cells c1, c2.
+func node2vecSim(n *Node2Vec, c1, c2 int) float64 {
+	return cosine(n.Table.Data[c1*n.Dim:(c1+1)*n.Dim], n.Table.Data[c2*n.Dim:(c2+1)*n.Dim])
+}
+
+func cosine(a, b []float64) float64 {
+	var dot, na, nb float64
+	for i := range a {
+		dot += a[i] * b[i]
+		na += a[i] * a[i]
+		nb += b[i] * b[i]
+	}
+	return dot / math.Sqrt(na*nb)
 }
 
 func TestDecomposedSharedCoordinateSimilarity(t *testing.T) {
@@ -162,8 +177,8 @@ func TestDecomposedSharedCoordinateSimilarity(t *testing.T) {
 	// Section IV-C).
 	g := mkGrid(t, 30, 30, 50)
 	d := NewDecomposed(g, 32, rand.New(rand.NewSource(2)))
-	shared := d.CosineCellSim(3, 5, 3, 6) // share x=3
-	far := d.CosineCellSim(3, 5, 20, 25)  // share nothing
+	shared := decomposedSim(d, 3, 5, 3, 6) // share x=3
+	far := decomposedSim(d, 3, 5, 20, 25)  // share nothing
 	if shared <= far {
 		t.Errorf("shared-coordinate similarity %v <= far similarity %v", shared, far)
 	}
@@ -181,8 +196,8 @@ func TestDecomposedPretrainImprovesNeighborhood(t *testing.T) {
 	var near, far float64
 	probes := [][2]int{{5, 5}, {10, 3}, {14, 14}, {2, 12}}
 	for _, p := range probes {
-		near += d.CosineCellSim(p[0], p[1], p[0]+1, p[1]+1)
-		far += d.CosineCellSim(p[0], p[1], (p[0]+10)%20, (p[1]+10)%20)
+		near += decomposedSim(d, p[0], p[1], p[0]+1, p[1]+1)
+		far += decomposedSim(d, p[0], p[1], (p[0]+10)%20, (p[1]+10)%20)
 	}
 	if near <= far {
 		t.Errorf("near similarity %v <= far similarity %v after pretraining", near, far)
@@ -275,8 +290,8 @@ func TestNode2VecTrainCapturesNeighborhood(t *testing.T) {
 	var near, far float64
 	for _, c := range []int{9, 18, 36} {
 		x, y := g.CoordOf(c)
-		near += n.CosineCellSim(c, (y+1)*g.NX+x)
-		far += n.CosineCellSim(c, ((y+4)%8)*g.NX+(x+4)%8)
+		near += node2vecSim(n, c, (y+1)*g.NX+x)
+		far += node2vecSim(n, c, ((y+4)%8)*g.NX+(x+4)%8)
 	}
 	if near <= far {
 		t.Errorf("node2vec near %v <= far %v", near, far)

@@ -53,10 +53,6 @@ func NewNode2Vec(g *Grid, dim int, rng *rand.Rand) *Node2Vec {
 	}
 }
 
-// ParamCount returns the number of learned scalars (input vectors only, to
-// match how the decomposed representation is counted): d·NX·NY.
-func (n *Node2Vec) ParamCount() int { return n.Dim * n.Grid.Cells() }
-
 // neighbors returns the 8-adjacent cell ids of cell c.
 func (n *Node2Vec) neighbors(c int) []int {
 	x, y := n.Grid.CoordOf(c)
@@ -179,25 +175,11 @@ func (n *Node2Vec) sgnsStep(center, context int, cfg Node2VecConfig, rng *rand.R
 	}
 }
 
-// Vector writes cell c's embedding into out.
-func (n *Node2Vec) Vector(c int, out []float64) {
-	copy(out, n.Table.Data[c*n.Dim:(c+1)*n.Dim])
-}
-
 // EmbedCells returns the n×d embedding matrix of a grid trajectory as a
 // constant tensor (node2vec tables are frozen after training, matching how
 // the decomposed embeddings are used).
 func (n *Node2Vec) EmbedCells(cells []int) *nn.Tensor {
 	return nn.Gather(n.Table, cells)
-}
-
-// CosineCellSim returns the cosine similarity between two cell embeddings.
-func (n *Node2Vec) CosineCellSim(c1, c2 int) float64 {
-	a := make([]float64, n.Dim)
-	b := make([]float64, n.Dim)
-	n.Vector(c1, a)
-	n.Vector(c2, b)
-	return cosine(a, b)
 }
 
 func absInt(v int) int {

@@ -83,12 +83,6 @@ func Distance(a, b Code) int {
 	return d
 }
 
-// InnerProduct returns ⟨z_a, z_b⟩ under the ±1 convention. It satisfies the
-// identity of Section IV-F: H(a, b) = (d_h − ⟨z_a, z_b⟩)/2.
-func InnerProduct(a, b Code) int {
-	return a.Bits - 2*Distance(a, b)
-}
-
 // Equal reports code equality.
 func Equal(a, b Code) bool {
 	if a.Bits != b.Bits {

@@ -68,14 +68,13 @@ func TestHammingInnerProductIdentity(t *testing.T) {
 		a := Code{Bits: 64, Words: []uint64{wa}}
 		b := Code{Bits: 64, Words: []uint64{wb}}
 		h := Distance(a, b)
-		ip := InnerProduct(a, b)
-		// Also verify against the explicit ±1 dot product.
+		// ⟨z_a, z_b⟩ as the explicit ±1 dot product.
 		sa, sb := a.Signs(), b.Signs()
 		var dot float64
 		for i := range sa {
 			dot += sa[i] * sb[i]
 		}
-		return h == (64-ip)/2 && int(dot) == ip
+		return h == (64-int(dot))/2
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -188,7 +187,7 @@ func TestBruteForceOrder(t *testing.T) {
 	}
 	tab, _ := NewTable(codes)
 	q := randCode(rng, 64)
-	ns := tab.BruteForce(q, 10)
+	ns := bruteForce(tab, q, 10)
 	if len(ns) != 10 {
 		t.Fatalf("len = %d", len(ns))
 	}
@@ -198,7 +197,7 @@ func TestBruteForceOrder(t *testing.T) {
 		}
 	}
 	// k beyond size clamps.
-	if got := tab.BruteForce(q, 1000); len(got) != 100 {
+	if got := bruteForce(tab, q, 1000); len(got) != 100 {
 		t.Errorf("clamped len = %d", len(got))
 	}
 }
@@ -217,7 +216,7 @@ func TestHybridAgreesWithBruteForceOnDistances(t *testing.T) {
 		q := randCode(rng, 8)
 		hybrid, fast := tab.Hybrid(q, 10)
 		fastUsed = fastUsed || fast
-		bf := tab.BruteForce(q, 10)
+		bf := bruteForce(tab, q, 10)
 		if len(hybrid) != len(bf) {
 			t.Fatalf("len %d vs %d", len(hybrid), len(bf))
 		}
@@ -269,7 +268,7 @@ func TestTableAdd(t *testing.T) {
 	if !found {
 		t.Error("added code missing from its bucket")
 	}
-	if ns := tab.BruteForce(codes[9], 1); ns[0].ID != 9 || ns[0].Distance != 0 {
+	if ns := bruteForce(tab, codes[9], 1); ns[0].ID != 9 || ns[0].Distance != 0 {
 		t.Errorf("BruteForce after Add = %+v", ns[0])
 	}
 	// Wrong length rejected.
@@ -325,7 +324,7 @@ func TestLongCodesUseSlowTable(t *testing.T) {
 		}
 	}
 	hyb, fast := tab.Hybrid(q, 5)
-	bf := tab.BruteForce(q, 5)
+	bf := bruteForce(tab, q, 5)
 	if fast {
 		for i := range bf {
 			if hyb[i].Distance != bf[i].Distance {
@@ -362,7 +361,7 @@ func TestHybridFallsBackOnSparse(t *testing.T) {
 	if fast {
 		t.Error("fast path on sparse codes")
 	}
-	bf := tab.BruteForce(q, 10)
+	bf := bruteForce(tab, q, 10)
 	for i := range bf {
 		if ns[i] != bf[i] {
 			t.Fatal("sparse hybrid differs from brute force")
@@ -408,7 +407,7 @@ func TestHybridConcurrentAfterUpdate(t *testing.T) {
 			t.Errorf("bits %d: home bucket %v, want ids 0..62 ascending", bits, got)
 		}
 
-		want := tab.BruteForce(home, 5)
+		want := bruteForce(tab, home, 5)
 		var wg sync.WaitGroup
 		for g := 0; g < 4; g++ {
 			wg.Add(1)
@@ -468,7 +467,7 @@ func TestBucketsStayAscendingUnderMutation(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		q := randCode(rng, 8)
 		got, fast := tab.Hybrid(q, 10)
-		if want := tab.BruteForce(q, 10); !fast || !reflect.DeepEqual(got, want) {
+		if want := bruteForce(tab, q, 10); !fast || !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d: Hybrid = %v (fast %v), BruteForce = %v", trial, got, fast, want)
 		}
 	}

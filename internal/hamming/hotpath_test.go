@@ -24,8 +24,20 @@ func randCodes(n, bits int, seed int64) []Code {
 	return codes
 }
 
+// bruteForce is the Hamming-BF answer computed from fresh state.
+func bruteForce(tab *Table, q Code, k int) []Neighbor {
+	var sel topk.Selector
+	return tab.BruteForceInto(q, k, &sel, nil)
+}
+
+// candidates is the MIH candidate set computed from a fresh buffer.
+func candidates(m *MIH, q Code, subRadius int) []int {
+	var buf CandidateBuffer
+	return m.CandidatesInto(q, subRadius, &buf)
+}
+
 // TestBruteForceIntoMatchesBruteForce checks that the buffer-reusing
-// scan returns exactly the allocating API's results call after call.
+// scan returns exactly the fresh-state results call after call.
 func TestBruteForceIntoMatchesBruteForce(t *testing.T) {
 	codes := randCodes(300, 64, 3)
 	table, err := NewTable(codes)
@@ -36,7 +48,7 @@ func TestBruteForceIntoMatchesBruteForce(t *testing.T) {
 	var sel topk.Selector
 	var dst []Neighbor
 	for _, q := range queries {
-		want := table.BruteForce(q, 7)
+		want := bruteForce(table, q, 7)
 		dst = table.BruteForceInto(q, 7, &sel, dst)
 		if len(dst) != len(want) {
 			t.Fatalf("got %d neighbors, want %d", len(dst), len(want))
@@ -50,8 +62,8 @@ func TestBruteForceIntoMatchesBruteForce(t *testing.T) {
 }
 
 // TestCandidatesIntoMatchesCandidates checks that a reused
-// CandidateBuffer yields the same sorted unique candidate sets as the
-// one-shot API across queries and radii.
+// CandidateBuffer yields the same sorted unique candidate sets as a fresh
+// one across queries and radii.
 func TestCandidatesIntoMatchesCandidates(t *testing.T) {
 	codes := randCodes(200, 96, 5)
 	m, err := NewMIH(codes, 3)
@@ -62,7 +74,7 @@ func TestCandidatesIntoMatchesCandidates(t *testing.T) {
 	var buf CandidateBuffer
 	for _, q := range queries {
 		for r := 0; r <= 2; r++ {
-			want := m.Candidates(q, r)
+			want := candidates(m, q, r)
 			got := m.CandidatesInto(q, r, &buf)
 			if len(got) != len(want) {
 				t.Fatalf("radius %d: got %d candidates, want %d", r, len(got), len(want))

@@ -204,21 +204,14 @@ func sortedUnique(ids []int) []int {
 	return ids[:n]
 }
 
-// Candidates returns the ids whose codes match at least one query
-// substring within subRadius bit flips. By pigeonhole this is a superset of
-// all codes within Hamming distance chunks·(subRadius+1)−1 of the query.
-// The result is freshly generated per call; hot callers should hold a
-// CandidateBuffer and use CandidatesInto.
-func (m *MIH) Candidates(q Code, subRadius int) []int {
-	var buf CandidateBuffer
-	return m.CandidatesInto(q, subRadius, &buf)
-}
-
-// CandidatesInto is Candidates with caller-owned state: the probe loop
-// only reads buckets and appends into buf's reused slice (no per-query
-// map, no per-entry dedup structure); duplicates are compacted by the
-// final sort. The returned slice aliases buf and is valid until the
-// next call with the same buffer.
+// CandidatesInto returns the ids whose codes match at least one query
+// substring within subRadius bit flips. By pigeonhole this is a superset
+// of all codes within Hamming distance chunks·(subRadius+1)−1 of the
+// query. The caller owns the state: the probe loop only reads buckets and
+// appends into buf's reused slice (no per-query map, no per-entry dedup
+// structure); duplicates are compacted by the final sort. The returned
+// slice aliases buf and is valid until the next call with the same
+// buffer.
 //
 //perf:hotpath MIH candidate generation probes every substring bucket per query; it replaced radius expansion precisely for speed, so it must not give the win back in map and slice churn
 func (m *MIH) CandidatesInto(q Code, subRadius int, buf *CandidateBuffer) []int {

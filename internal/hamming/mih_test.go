@@ -96,7 +96,7 @@ func TestMIHPigeonhole(t *testing.T) {
 		for subRadius := 0; subRadius <= 2; subRadius++ {
 			guarantee := 4*(subRadius+1) - 1
 			cands := map[int]bool{}
-			for _, id := range m.Candidates(q, subRadius) {
+			for _, id := range candidates(m, q, subRadius) {
 				cands[id] = true
 			}
 			for id, c := range codes {
@@ -128,7 +128,7 @@ func TestMIHSearchMatchesBruteForceWhenDense(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		q := randCode(rng, 16)
 		got := m.Search(q, 10)
-		want := tab.BruteForce(q, 10)
+		want := bruteForce(tab, q, 10)
 		for i := range want {
 			if got[i].Distance != want[i].Distance {
 				t.Fatalf("trial %d rank %d: MIH %d vs BF %d", trial, i, got[i].Distance, want[i].Distance)
@@ -153,7 +153,7 @@ func TestMIHSearchSparseFallsBack(t *testing.T) {
 		t.Fatalf("len = %d", len(got))
 	}
 	tab, _ := NewTable(codes)
-	want := tab.BruteForce(q, 15)
+	want := bruteForce(tab, q, 15)
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatal("fallback differs from brute force")

@@ -166,7 +166,7 @@ func TestBruteForceBitsMismatchPanics(t *testing.T) {
 					t.Errorf("table %d bits, query %d bits: recovered %v, want a \"hamming: \"-prefixed panic", tc.table, tc.query, msg)
 				}
 			}()
-			tab.BruteForce(NewCode(tc.query), 1)
+			bruteForce(tab, NewCode(tc.query), 1)
 		}()
 	}
 }
@@ -217,7 +217,7 @@ func TestTableDoesNotAliasCallerCodes(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			return add, update, func(q Code) Neighbor { return tab.BruteForce(q, 1)[0] }
+			return add, update, func(q Code) Neighbor { return bruteForce(tab, q, 1)[0] }
 		})
 	}
 }

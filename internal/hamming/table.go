@@ -294,17 +294,8 @@ type Neighbor struct {
 	Distance int
 }
 
-// BruteForce returns the k nearest items to q by scanning all codes — the
-// Hamming-BF strategy. Ties break by id for determinism. Selection is
-// O(n log k), so the popcount scan dominates. The result is freshly
-// allocated; hot callers should use BruteForceInto with reused state.
-func (t *Table) BruteForce(q Code, k int) []Neighbor {
-	sel, dst := t.fresh(k)
-	return t.BruteForceInto(q, k, &sel, dst)
-}
-
 // fresh returns selection state for one search, sized up front: the
-// convenience forms then allocate twice per call, where a zero Selector
+// convenience form then allocates twice per call, where a zero Selector
 // and a nil result would each grow by doubling.
 func (t *Table) fresh(k int) (topk.Selector, []Neighbor) {
 	n := max(0, min(k, t.Len()))
@@ -313,11 +304,14 @@ func (t *Table) fresh(k int) (topk.Selector, []Neighbor) {
 	return sel, make([]Neighbor, 0, n)
 }
 
-// BruteForceInto is BruteForce with caller-owned state: sel holds the
-// selection heap and dst the result storage (its backing array is reused
-// via append, so passing the previous call's result back in makes the
-// steady state allocation-free). The returned slice aliases dst's
-// storage and sel's buffer lifetime — consume it before the next call.
+// BruteForceInto returns the k nearest items to q by scanning all codes —
+// the Hamming-BF strategy. Ties break by id for determinism. Selection is
+// O(n log k), so the popcount scan dominates. The caller owns the state:
+// sel holds the selection heap and dst the result storage (its backing
+// array is reused via append, so passing the previous call's result back
+// in makes the steady state allocation-free). The returned slice aliases
+// dst's storage and sel's buffer lifetime — consume it before the next
+// call.
 //
 //perf:hotpath the Hamming-BF scan is one of the two serving hot paths (ROADMAP); it runs per query per shard over every indexed code
 func (t *Table) BruteForceInto(q Code, k int, sel *topk.Selector, dst []Neighbor) []Neighbor {
@@ -399,12 +393,12 @@ func (t *Table) Hybrid(q Code, k int) ([]Neighbor, bool) {
 	return t.HybridInto(q, k, &sel, dst)
 }
 
-// HybridInto is Hybrid with caller-owned state, as BruteForceInto is
-// BruteForce's. It is one threshold scan over the directory's distinct
+// HybridInto is Hybrid with caller-owned state, as BruteForceInto
+// takes it. It is one threshold scan over the directory's distinct
 // codes: a bucket whose distance exceeds the current k-th distance is
 // skipped, every other bucket offers its ids. That is exact — each item
 // sits in exactly one bucket and the bound only ever falls — so the
-// answer equals BruteForce's id for id. Buckets that tie the bound are
+// answer equals BruteForceInto's id for id. Buckets that tie the bound are
 // offered (d <= worst where the item scan has d < worst) because ids do
 // not ascend across buckets; the selector's (distance, id) order settles
 // them. The cost is one pass over Buckets() keys whichever radius

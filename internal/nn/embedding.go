@@ -21,12 +21,6 @@ func NewEmbedding(vocab, d int, rng *rand.Rand) *Embedding {
 // Forward looks up the ids, returning len(ids)×d.
 func (e *Embedding) Forward(ids []int) *Tensor { return Gather(e.Table, ids) }
 
-// Freeze stops gradient updates to the table — used after the NCE
-// pre-training of the grid embeddings (Section IV-C: "the grid embeddings
-// are frozen ... since the spatial information may be poisoned after
-// updating").
-func (e *Embedding) Freeze() { e.Table.SetRequiresGrad(false) }
-
 // Params implements Module; a frozen table contributes nothing.
 func (e *Embedding) Params() []*Tensor {
 	if !e.Table.RequiresGrad() {
@@ -87,14 +81,4 @@ func (p *PositionalEncoding) Add(x *Tensor) *Tensor {
 		}
 	}
 	return out
-}
-
-// Slice returns the raw encodings for positions [0, n) as an n×d constant
-// tensor.
-func (p *PositionalEncoding) Slice(n int) *Tensor {
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i % p.table.Rows
-	}
-	return Gather(p.table, idx)
 }

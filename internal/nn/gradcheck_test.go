@@ -160,15 +160,12 @@ func TestGradGRU(t *testing.T) {
 	checkOp(t, "GRU.Final", params, func() *Tensor {
 		return SumAll(Square(cell.Final(x)))
 	})
-	checkOp(t, "GRU.RunSequence", params, func() *Tensor {
-		return SumAll(Square(cell.RunSequence(x)))
-	})
 }
 
 func TestGradEmbeddingFrozen(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	emb := NewEmbedding(6, 3, rng)
-	emb.Freeze()
+	emb.Table.SetRequiresGrad(false)
 	if got := emb.Params(); got != nil {
 		t.Errorf("frozen embedding exposes params: %v", got)
 	}

@@ -80,25 +80,25 @@ func TestGRUShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	c := NewGRUCell(3, 6, rng)
 	x := Randn(7, 3, 1, rng)
-	all := c.RunSequence(x)
-	if all.Rows != 7 || all.Cols != 6 {
-		t.Errorf("RunSequence = %dx%d", all.Rows, all.Cols)
-	}
 	fin := c.Final(x)
 	if fin.Rows != 1 || fin.Cols != 6 {
 		t.Errorf("Final = %dx%d", fin.Rows, fin.Cols)
 	}
-	// Final equals last row of RunSequence.
+	// Final equals the last state of a Step loop from a zero state.
+	h := New(1, 6)
+	for i := 0; i < x.Rows; i++ {
+		h = c.Step(SliceRows(x, i, i+1), h)
+	}
 	for j := 0; j < 6; j++ {
-		if !almostEqual(fin.At(0, j), all.At(6, j), 1e-12) {
-			t.Errorf("Final[%d] = %v, last row = %v", j, fin.At(0, j), all.At(6, j))
+		if !almostEqual(fin.At(0, j), h.At(0, j), 1e-12) {
+			t.Errorf("Final[%d] = %v, last step = %v", j, fin.At(0, j), h.At(0, j))
 		}
 	}
 }
 
 func TestPositionalEncodingValues(t *testing.T) {
 	pe := NewPositionalEncoding(50, 8)
-	s := pe.Slice(3)
+	s := pe.Add(New(3, 8)) // x = 0: the raw encodings
 	// Position 0: sin(0)=0, cos(0)=1 alternating.
 	for k := 0; k < 4; k++ {
 		if s.At(0, 2*k) != 0 {
@@ -121,18 +121,23 @@ func TestPositionalEncodingValues(t *testing.T) {
 
 func TestPositionalEncodingAdd(t *testing.T) {
 	pe := NewPositionalEncoding(10, 4)
-	x := New(3, 4)
+	x := Randn(3, 4, 1, rand.New(rand.NewSource(4)))
 	out := pe.Add(x)
-	s := pe.Slice(3)
+	s := pe.Add(New(3, 4))
 	for i := range out.Data {
-		if out.Data[i] != s.Data[i] {
-			t.Fatal("Add(0) != Slice")
+		if out.Data[i] != x.Data[i]+s.Data[i] {
+			t.Fatal("Add(x) != x + Add(0)")
 		}
 	}
-	// Beyond horizon wraps without panicking.
-	long := New(25, 4)
-	if got := pe.Add(long); got.Rows != 25 {
-		t.Error("wrap failed")
+	// Beyond the horizon, positions wrap: row 10 is position 0's encoding.
+	long := pe.Add(New(25, 4))
+	if long.Rows != 25 {
+		t.Fatal("wrap failed")
+	}
+	for j := 0; j < 4; j++ {
+		if long.At(10, j) != s.At(0, j) {
+			t.Errorf("row 10 col %d = %v, want position 0's %v", j, long.At(10, j), s.At(0, j))
+		}
 	}
 }
 
@@ -150,38 +155,6 @@ func TestEmbeddingForward(t *testing.T) {
 	}
 	if len(e.Params()) != 1 {
 		t.Errorf("params = %d", len(e.Params()))
-	}
-}
-
-func TestSGDStep(t *testing.T) {
-	p := NewParam(1, 2)
-	p.Data[0], p.Data[1] = 1, 2
-	p.ensureGrad()
-	p.Grad[0], p.Grad[1] = 0.5, -0.5
-	opt := NewSGD([]*Tensor{p}, 0.1, 0)
-	opt.Step()
-	if !almostEqual(p.Data[0], 0.95, 1e-12) || !almostEqual(p.Data[1], 2.05, 1e-12) {
-		t.Errorf("SGD = %v", p.Data)
-	}
-	// Gradient cleared.
-	if p.Grad[0] != 0 {
-		t.Error("gradient not cleared")
-	}
-}
-
-func TestSGDMomentumAccelerates(t *testing.T) {
-	p := NewParam(1, 1)
-	p.ensureGrad()
-	opt := NewSGD([]*Tensor{p}, 0.1, 0.9)
-	// Constant gradient 1: momentum should make steps grow.
-	p.Grad[0] = 1
-	opt.Step()
-	first := -p.Data[0]
-	p.Grad[0] = 1
-	opt.Step()
-	second := -p.Data[0] - first
-	if second <= first {
-		t.Errorf("momentum did not accelerate: %v then %v", first, second)
 	}
 }
 
@@ -225,16 +198,22 @@ func TestClipGradNorm(t *testing.T) {
 func TestSaveLoadParams(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	src := NewMLP(rng, 4, 8, 2)
-	dst := NewMLP(rand.New(rand.NewSource(99)), 4, 8, 2)
 	var buf bytes.Buffer
 	if err := SaveParams(&buf, src.Params()); err != nil {
 		t.Fatal(err)
 	}
-	if err := LoadParams(&buf, dst.Params()); err != nil {
+	got, err := ReadParams(&buf)
+	if err != nil {
 		t.Fatal(err)
 	}
+	if len(got) != len(src.Params()) {
+		t.Fatalf("read %d params, saved %d", len(got), len(src.Params()))
+	}
 	for i, p := range src.Params() {
-		q := dst.Params()[i]
+		q := got[i]
+		if q.Rows != p.Rows || q.Cols != p.Cols {
+			t.Fatalf("param %d is %dx%d after round trip, want %dx%d", i, q.Rows, q.Cols, p.Rows, p.Cols)
+		}
 		for j := range p.Data {
 			if p.Data[j] != q.Data[j] {
 				t.Fatalf("param %d differs after round trip", i)
@@ -243,60 +222,29 @@ func TestSaveLoadParams(t *testing.T) {
 	}
 }
 
-func TestLoadParamsMismatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	src := NewMLP(rng, 4, 8, 2)
-	var buf bytes.Buffer
-	if err := SaveParams(&buf, src.Params()); err != nil {
-		t.Fatal(err)
-	}
-	// Wrong count.
-	if err := LoadParams(bytes.NewReader(buf.Bytes()), src.Params()[:1]); err == nil {
-		t.Error("count mismatch accepted")
-	}
-	// Wrong shape.
-	other := NewMLP(rng, 4, 9, 2)
-	if err := LoadParams(bytes.NewReader(buf.Bytes()), other.Params()); err == nil {
-		t.Error("shape mismatch accepted")
-	}
-}
-
 // TestLoadParamsRejectsUnfilledShape pins that a blob whose data does
-// not fill its shape exactly is an error, not a partial copy that leaves
-// the tensor's other values stale.
+// not fill its shape exactly, or whose shape is not positive, is an
+// error, not a tensor whose shape and data disagree.
 func TestLoadParamsRejectsUnfilledShape(t *testing.T) {
-	for name, data := range map[string][]float64{"short": {1, 2}, "long": {1, 2, 3, 4, 5, 6, 7}} {
-		var buf bytes.Buffer
-		enc := gob.NewEncoder(&buf)
-		if err := enc.Encode(1); err != nil {
-			t.Fatal(err)
-		}
-		if err := enc.Encode(paramBlob{Rows: 2, Cols: 3, Data: data}); err != nil {
-			t.Fatal(err)
-		}
-		dst := New(2, 3)
-		for i := range dst.Data {
-			dst.Data[i] = 9
-		}
-		if err := LoadParams(&buf, []*Tensor{dst}); err == nil {
-			t.Errorf("%s blob: loaded with no error, leaving %v", name, dst.Data)
-		}
-	}
-}
-
-func TestSaveLoadFile(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	src := NewLinear(3, 3, rng)
-	path := t.TempDir() + "/params.gob"
-	if err := SaveParamsFile(path, src.Params()); err != nil {
-		t.Fatal(err)
-	}
-	dst := NewLinear(3, 3, rand.New(rand.NewSource(11)))
-	if err := LoadParamsFile(path, dst.Params()); err != nil {
-		t.Fatal(err)
-	}
-	if dst.W.Data[0] != src.W.Data[0] {
-		t.Error("file round trip failed")
+	for name, blob := range map[string]paramBlob{
+		"short":     {Rows: 2, Cols: 3, Data: []float64{1, 2}},
+		"long":      {Rows: 2, Cols: 3, Data: []float64{1, 2, 3, 4, 5, 6, 7}},
+		"zero rows": {Rows: 0, Cols: 3},
+		"negative":  {Rows: -2, Cols: -3, Data: []float64{1, 2, 3, 4, 5, 6}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			var buf bytes.Buffer
+			enc := gob.NewEncoder(&buf)
+			if err := enc.Encode(1); err != nil {
+				t.Fatal(err)
+			}
+			if err := enc.Encode(blob); err != nil {
+				t.Fatal(err)
+			}
+			if ts, err := ReadParams(&buf); err == nil {
+				t.Errorf("read with no error as %dx%d", ts[0].Rows, ts[0].Cols)
+			}
+		})
 	}
 }
 

@@ -3,7 +3,6 @@ package nn
 import (
 	"fmt"
 	"math"
-	"math/rand"
 )
 
 // MatMul returns a·b for a (n×k) and b (k×m).
@@ -824,37 +823,6 @@ func Gather(table *Tensor, idx []int) *Tensor {
 				for j := 0; j < d; j++ {
 					table.Grad[i*d+j] += t.Grad[r*d+j]
 				}
-			}
-		}
-	}
-	return out
-}
-
-// Dropout zeroes each element with probability p and rescales the survivors
-// by 1/(1−p). When training is false it is the identity.
-func Dropout(a *Tensor, p float64, training bool, rng *rand.Rand) *Tensor {
-	if !training || p <= 0 {
-		return a
-	}
-	mask := make([]float64, len(a.Data))
-	scale := 1 / (1 - p)
-	for i := range mask {
-		if rng.Float64() >= p {
-			mask[i] = scale
-		}
-	}
-	out, taped := output(a.Rows, a.Cols, a)
-	for i, v := range a.Data {
-		out.Data[i] = v * mask[i]
-	}
-	if !taped {
-		return out
-	}
-	out.back = func(t *Tensor) {
-		if a.inGraph() {
-			a.ensureGrad()
-			for i, g := range t.Grad {
-				a.Grad[i] += g * mask[i]
 			}
 		}
 	}

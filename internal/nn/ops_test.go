@@ -2,7 +2,6 @@ package nn
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 )
 
@@ -171,34 +170,6 @@ func TestEuclideanDistance(t *testing.T) {
 	}
 }
 
-func TestDropout(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	a := FromSlice(1, 1000, make([]float64, 1000))
-	for i := range a.Data {
-		a.Data[i] = 1
-	}
-	// Eval mode: identity (same tensor).
-	if out := Dropout(a, 0.5, false, rng); out != a {
-		t.Error("eval-mode dropout should be identity")
-	}
-	out := Dropout(a, 0.5, true, rng)
-	var zeros int
-	var sum float64
-	for _, v := range out.Data {
-		if v == 0 {
-			zeros++
-		}
-		sum += v
-	}
-	if zeros < 400 || zeros > 600 {
-		t.Errorf("dropout zeroed %d of 1000", zeros)
-	}
-	// Expected sum preserved by rescaling: ~1000.
-	if sum < 800 || sum > 1200 {
-		t.Errorf("dropout sum = %v", sum)
-	}
-}
-
 func TestBackwardSimpleChain(t *testing.T) {
 	// loss = sum((x*2 + 1)^2), dloss/dx = 2*(2x+1)*2
 	x := NewParam(1, 3)
@@ -233,20 +204,6 @@ func TestBackwardNonScalarPanics(t *testing.T) {
 	New(2, 2).Backward()
 }
 
-func TestDetachStopsGradient(t *testing.T) {
-	x := NewParam(1, 2)
-	x.Data[0], x.Data[1] = 1, 2
-	loss := SumAll(Square(x.Detach()))
-	loss.Backward()
-	if x.Grad != nil {
-		for _, g := range x.Grad {
-			if g != 0 {
-				t.Fatal("gradient flowed through Detach")
-			}
-		}
-	}
-}
-
 func TestScalarPanicsOnMatrix(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -254,13 +211,4 @@ func TestScalarPanicsOnMatrix(t *testing.T) {
 		}
 	}()
 	New(2, 1).Scalar()
-}
-
-func TestCloneIndependent(t *testing.T) {
-	a := FromSlice(1, 2, []float64{1, 2})
-	c := a.Clone()
-	c.Data[0] = 99
-	if a.Data[0] != 1 {
-		t.Error("Clone shares storage")
-	}
 }

@@ -5,59 +5,6 @@ import (
 	"math"
 )
 
-// Optimizer updates parameters from their accumulated gradients.
-type Optimizer interface {
-	// Step applies one update and clears the gradients.
-	Step()
-	// ZeroGrad clears all parameter gradients without updating.
-	ZeroGrad()
-}
-
-// SGD is plain stochastic gradient descent with optional momentum.
-type SGD struct {
-	Params   []*Tensor
-	LR       float64
-	Momentum float64
-	velocity [][]float64
-}
-
-// NewSGD returns an SGD optimizer over the parameters.
-func NewSGD(params []*Tensor, lr, momentum float64) *SGD {
-	s := &SGD{Params: params, LR: lr, Momentum: momentum}
-	//lint:ignore floatcompare momentum is a user-set hyper-parameter; exactly 0 is the documented "plain SGD, no velocity buffers" switch
-	if momentum != 0 {
-		s.velocity = make([][]float64, len(params))
-		for i, p := range params {
-			s.velocity[i] = make([]float64, len(p.Data))
-		}
-	}
-	return s
-}
-
-// Step implements Optimizer.
-func (s *SGD) Step() {
-	for i, p := range s.Params {
-		if p.Grad == nil {
-			continue
-		}
-		if s.velocity != nil {
-			v := s.velocity[i]
-			for j := range p.Data {
-				v[j] = s.Momentum*v[j] + p.Grad[j]
-				p.Data[j] -= s.LR * v[j]
-			}
-		} else {
-			for j := range p.Data {
-				p.Data[j] -= s.LR * p.Grad[j]
-			}
-		}
-		p.ZeroGrad()
-	}
-}
-
-// ZeroGrad implements Optimizer.
-func (s *SGD) ZeroGrad() { zeroAll(s.Params) }
-
 // Adam is the Adam optimizer [Kingma & Ba], the paper's choice (Section
 // IV-F: "employ the Adam optimizer for the update of parameters").
 type Adam struct {
@@ -84,7 +31,7 @@ func NewAdam(params []*Tensor, lr float64) *Adam {
 	return a
 }
 
-// Step implements Optimizer.
+// Step applies one update and clears the gradients.
 func (a *Adam) Step() {
 	a.t++
 	c1 := 1 - math.Pow(a.Beta1, float64(a.t))
@@ -105,9 +52,6 @@ func (a *Adam) Step() {
 		p.ZeroGrad()
 	}
 }
-
-// ZeroGrad implements Optimizer.
-func (a *Adam) ZeroGrad() { zeroAll(a.Params) }
 
 // State returns the optimizer's step counter and first/second moment
 // estimates as deep copies, in Params order — the optimizer half of a
@@ -144,12 +88,6 @@ func (a *Adam) SetState(t int, m, v [][]float64) error {
 		copy(a.v[i], v[i])
 	}
 	return nil
-}
-
-func zeroAll(params []*Tensor) {
-	for _, p := range params {
-		p.ZeroGrad()
-	}
 }
 
 // ClipGradNorm rescales all gradients so their global L2 norm does not

@@ -37,21 +37,6 @@ func (c *GRUCell) Step(x, h *Tensor) *Tensor {
 	return Add(Mul(oneMinusZ, h), Mul(z, hc))
 }
 
-// InitState returns a zero 1×hidden initial state.
-func (c *GRUCell) InitState() *Tensor { return New(1, c.Hidden) }
-
-// RunSequence feeds each row of x (n×in) through the cell and returns all
-// hidden states stacked as n×hidden. The final state is the last row.
-func (c *GRUCell) RunSequence(x *Tensor) *Tensor {
-	h := c.InitState()
-	states := make([]*Tensor, x.Rows)
-	for i := 0; i < x.Rows; i++ {
-		h = c.Step(SliceRows(x, i, i+1), h)
-		states[i] = h
-	}
-	return ConcatRows(states...)
-}
-
 // Final runs the sequence and returns only the last hidden state (1×hidden)
 // — the read-out NeuTraj and its variants use. The initial state lives
 // where x does, so an x on a Scratch makes the whole recurrence tape-free,

@@ -4,7 +4,6 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
-	"os"
 )
 
 // paramBlob is the gob wire format for one tensor.
@@ -52,47 +51,4 @@ func ReadParams(r io.Reader) ([]*Tensor, error) {
 		ts = append(ts, FromSlice(blob.Rows, blob.Cols, blob.Data))
 	}
 	return ts, nil
-}
-
-// LoadParams reads parameters from r into the given tensors, which must
-// match in count and shape.
-func LoadParams(r io.Reader, params []*Tensor) error {
-	ts, err := ReadParams(r)
-	if err != nil {
-		return err
-	}
-	if len(ts) != len(params) {
-		return fmt.Errorf("nn: parameter count mismatch: file has %d, model has %d", len(ts), len(params))
-	}
-	for i, p := range params {
-		if ts[i].Rows != p.Rows || ts[i].Cols != p.Cols {
-			return fmt.Errorf("nn: param %d shape mismatch: file %dx%d, model %dx%d",
-				i, ts[i].Rows, ts[i].Cols, p.Rows, p.Cols)
-		}
-		copy(p.Data, ts[i].Data)
-	}
-	return nil
-}
-
-// SaveParamsFile saves parameters to path, creating or truncating it.
-func SaveParamsFile(path string, params []*Tensor) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := SaveParams(f, params); err != nil {
-		return err
-	}
-	return f.Close()
-}
-
-// LoadParamsFile loads parameters from path.
-func LoadParamsFile(path string, params []*Tensor) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return LoadParams(f, params)
 }

@@ -1,8 +1,8 @@
 // Package nn is a small, stdlib-only deep-learning framework: dense 2-D
 // tensors with reverse-mode automatic differentiation, the layers needed by
 // the paper's models (linear, MLP, multi-head self-attention, GRU,
-// embeddings, positional encoding, layer normalization) and the SGD and
-// Adam optimizers.
+// embeddings, positional encoding, layer normalization) and the Adam
+// optimizer.
 //
 // It substitutes for the PyTorch substrate the paper trains on (Section
 // V-A6): the arithmetic of every forward and backward pass is the standard
@@ -85,33 +85,12 @@ func (t *Tensor) At(i, j int) float64 { return t.Data[i*t.Cols+j] }
 // Set assigns element (i, j).
 func (t *Tensor) Set(i, j int, v float64) { t.Data[i*t.Cols+j] = v }
 
-// Row returns a copy of row i as a slice.
-func (t *Tensor) Row(i int) []float64 {
-	out := make([]float64, t.Cols)
-	copy(out, t.Data[i*t.Cols:(i+1)*t.Cols])
-	return out
-}
-
 // Scalar returns the single element of a 1×1 tensor.
 func (t *Tensor) Scalar() float64 {
 	if t.Rows != 1 || t.Cols != 1 {
 		panic(fmt.Sprintf("nn: Scalar on %dx%d tensor", t.Rows, t.Cols))
 	}
 	return t.Data[0]
-}
-
-// Clone returns a graph-detached deep copy.
-func (t *Tensor) Clone() *Tensor {
-	c := New(t.Rows, t.Cols)
-	copy(c.Data, t.Data)
-	return c
-}
-
-// Detach returns a view of the same data severed from the graph, so that no
-// gradient flows past it (used for the frozen pre-trained grid embeddings,
-// Section IV-C).
-func (t *Tensor) Detach() *Tensor {
-	return &Tensor{Rows: t.Rows, Cols: t.Cols, Data: t.Data}
 }
 
 // RequiresGrad reports whether the tensor is a leaf parameter.

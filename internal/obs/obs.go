@@ -73,20 +73,6 @@ func (g *Gauge) Set(v float64) {
 	g.bits.Store(math.Float64bits(v))
 }
 
-// Add atomically adds d to the gauge (no-op on a nil receiver).
-func (g *Gauge) Add(d float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		v := math.Float64frombits(old) + d
-		if g.bits.CompareAndSwap(old, math.Float64bits(v)) {
-			return
-		}
-	}
-}
-
 // Value returns the stored value (0 on a nil receiver).
 func (g *Gauge) Value() float64 {
 	if g == nil {
@@ -98,10 +84,7 @@ func (g *Gauge) Value() float64 {
 // Histogram is a fixed-bucket distribution: observation v lands in the
 // first bucket whose upper bound is >= v, or the overflow bucket when it
 // exceeds every bound. Buckets are cumulative-free (each holds its own
-// count), updates are atomic, and histograms with identical bounds merge
-// exactly — per-shard histograms sum into the global distribution with
-// no loss, which is what makes per-shard latency attributable (DESIGN.md
-// "Observability"). A nil *Histogram is a no-op.
+// count) and updates are atomic. A nil *Histogram is a no-op.
 type Histogram struct {
 	bounds []float64      // ascending upper bounds, immutable after New
 	counts []atomic.Int64 // len(bounds)+1; last is overflow
@@ -170,43 +153,6 @@ func (h *Histogram) Sum() float64 {
 		return 0
 	}
 	return math.Float64frombits(h.sum.Load())
-}
-
-// Merge adds o's current observations into h. Both histograms must share
-// the same bucket bounds (merging across different layouts would silently
-// mis-bucket); merging a nil o — or into a nil h — is a no-op. Merge is
-// associative and commutative over snapshots, so per-shard histograms can
-// be combined in any order into the same global distribution.
-func (h *Histogram) Merge(o *Histogram) error {
-	if h == nil || o == nil {
-		return nil
-	}
-	if len(h.bounds) != len(o.bounds) {
-		return fmt.Errorf("obs: merging histograms with %d vs %d buckets", len(h.bounds), len(o.bounds))
-	}
-	for i := range h.bounds {
-		// Bitwise comparison: bounds are configuration constants copied
-		// verbatim at construction, so identity is exact representation
-		// equality, never an epsilon question.
-		if math.Float64bits(h.bounds[i]) != math.Float64bits(o.bounds[i]) {
-			return fmt.Errorf("obs: merging histograms with different bounds at index %d", i)
-		}
-	}
-	for i := range h.counts {
-		n := o.counts[i].Load()
-		if n != 0 {
-			h.counts[i].Add(n)
-			h.count.Add(n)
-		}
-	}
-	s := o.Sum()
-	for {
-		old := h.sum.Load()
-		v := math.Float64frombits(old) + s
-		if h.sum.CompareAndSwap(old, math.Float64bits(v)) {
-			return nil
-		}
-	}
 }
 
 // Snapshot captures the histogram's current state. A nil histogram (the

@@ -45,8 +45,6 @@ type VFS interface {
 	OpenAppend(path string) (File, error)
 	// Rename atomically replaces newPath with oldPath.
 	Rename(oldPath, newPath string) error
-	// Remove deletes a file; removing a missing file is an error.
-	Remove(path string) error
 	// Truncate cuts a file to the given size.
 	Truncate(path string, size int64) error
 	// SyncDir fsyncs a directory so a completed rename in it is durable.
@@ -78,9 +76,6 @@ func (OSFS) OpenAppend(path string) (File, error) {
 
 // Rename implements VFS.
 func (OSFS) Rename(oldPath, newPath string) error { return os.Rename(oldPath, newPath) }
-
-// Remove implements VFS.
-func (OSFS) Remove(path string) error { return os.Remove(path) }
 
 // Truncate implements VFS.
 func (OSFS) Truncate(path string, size int64) error { return os.Truncate(path, size) }

@@ -55,7 +55,7 @@ func TestFacadeExports(t *testing.T) {
 		"ErrClosed", "ErrDeleted", "ErrNonFiniteEmbedding", "ErrNotFound",
 		"ErrWALFailed", "Evaluate", "Frechet", "GroundTruth",
 		"HammingDistance", "Hausdorff", "History", "Index", "LoadDataset",
-		"LoadEncoderFile", "LoadModel", "LoadModelFile", "LowerBound", "Mean",
+		"LoadEncoderFile", "LowerBound", "Mean",
 		"Metrics", "MetricsRegistry", "MetricsSnapshot", "Model", "New",
 		"NewEncoder", "NewIndex", "NewIndexWith", "NewMetricsRegistry",
 		"Options", "Point", "Porto", "ProjectLonLat", "Query", "RecoveryInfo",

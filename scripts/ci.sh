@@ -42,14 +42,15 @@
 #      (informational, no floors)
 #  10. fuzz smoke — FuzzReadFrame / FuzzLoadSnapshot (internal/wal),
 #      FuzzHausdorffMatchesPlain (internal/dist), FuzzServeSearchBody
-#      (internal/serve) and FuzzLoadCheckpoint (internal/core) for 10s
-#      each over the committed seed corpora (internal/*/testdata/fuzz/):
+#      (internal/serve), FuzzLoadCheckpoint and FuzzLoadEncoder
+#      (internal/core) for 10s each over the committed seed corpora
+#      (internal/*/testdata/fuzz/):
 #      frame/snapshot decoding never panics, torn-tail truncation never
 #      misclassifies corruption, the Hausdorff kernel equals the plain
 #      double loop bit for bit, any /search body is answered
 #      200/400/503/504, a complete 200 with exactly min(k, Len) results,
-#      and a checkpoint stream never panics the loader and, once
-#      accepted, re-saves and loads back unchanged
+#      and a checkpoint stream or an encoder container never panics its
+#      loader and, once accepted, re-saves and loads back unchanged
 #  11. serving smoke — a real traj2hashd daemon over a temp WAL dir,
 #      started with a 250 ms batch window, is driven by cmd/trajload
 #      three times: a lone-client pass whose p99 must stay under
@@ -69,6 +70,12 @@
 #      lines-of-code table per package (scripts/loc.sh — the size
 #      trajectory the ROADMAP's design-quality needle is read from), and
 #      a repo-hygiene check that generated outputs stay under bin/
+#  14. unlinked code — scripts/unlinked.sh builds every main package
+#      without inlining and fails on a function of internal/ or of a
+#      main package that no binary links, unless
+#      scripts/unlinked_keep.txt lists it with one of four reasons
+#      (instrumentation, oracle, observable, roadmap), and on a stale
+#      keep-list line (see DESIGN.md "Unlinked code")
 #
 # BENCH_obs — the instrumentation overhead guard (not a CI gate:
 # wall-clock benchmarks are too noisy to fail a build on; run it when
@@ -238,15 +245,15 @@ go test -bench 'BenchmarkMutable' -benchmem -benchtime 50x -run '^$' \
 
 echo "== fuzz smoke (10s per target)"
 # Native Go fuzzing over the WAL frame parser and snapshot decoder, the
-# Hausdorff kernel, the /search request decoder and the checkpoint
-# loader: the seed corpora under internal/*/testdata/fuzz/ are committed,
+# Hausdorff kernel, the /search request decoder and the checkpoint and
+# encoder loaders: the seed corpora under internal/*/testdata/fuzz/ are committed,
 # and a short randomized run guards the no-panic /
 # torn-tail-classification contracts, the kernel's bit equality with the
 # plain double loop, the search handler's status and result-count
-# contract and the checkpoint round trip on every CI pass (go fuzzing
+# contract and the checkpoint and encoder round trips on every CI pass (go fuzzing
 # takes one target per invocation, hence one run each). New crashers land in the build
 # cache, so this stage leaves the tree clean.
-for target in wal:FuzzReadFrame wal:FuzzLoadSnapshot dist:FuzzHausdorffMatchesPlain serve:FuzzServeSearchBody core:FuzzLoadCheckpoint; do
+for target in wal:FuzzReadFrame wal:FuzzLoadSnapshot dist:FuzzHausdorffMatchesPlain serve:FuzzServeSearchBody core:FuzzLoadCheckpoint core:FuzzLoadEncoder; do
 	pkg=./internal/${target%%:*} name=${target#*:}
 	go test -fuzz "$name" -fuzztime 10s -run '^$' "$pkg" || {
 		echo "fuzz: $name found a crasher or invariant violation — the failing input is under the go build cache's fuzz corpus; reproduce with: go test -run $name $pkg"
@@ -360,5 +367,11 @@ for stray in \
 	fi
 done
 [ "$hygiene_fail" -eq 0 ] || exit 1
+
+echo "== unlinked code (scripts/unlinked.sh)"
+./scripts/unlinked.sh || {
+	echo "unlinked: a function no binary links must be deleted, or listed in scripts/unlinked_keep.txt with its reason; see DESIGN.md 'Unlinked code'"
+	exit 1
+}
 
 echo "CI OK"

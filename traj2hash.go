@@ -22,8 +22,6 @@
 package traj2hash
 
 import (
-	"io"
-
 	"traj2hash/internal/core"
 	"traj2hash/internal/data"
 	"traj2hash/internal/dist"
@@ -124,12 +122,6 @@ func DefaultConfig(dim int) Config { return core.DefaultConfig(dim) }
 // all data the model will see.
 func New(cfg Config, space []Trajectory) (*Model, error) { return core.New(cfg, space) }
 
-// LoadModel reads a model saved with Model.Save.
-func LoadModel(r io.Reader) (*Model, error) { return core.Load(r) }
-
-// LoadModelFile reads a model saved with Model.SaveFile.
-func LoadModelFile(path string) (*Model, error) { return core.LoadFile(path) }
-
 // NewEncoder builds a fresh encoder of the given kind (see the Encoder*
 // constants) with its study space fitted on space.
 func NewEncoder(kind string, cfg Config, space []Trajectory) (Encoder, error) {
@@ -143,9 +135,7 @@ func EncoderKinds() []string { return core.EncoderKinds() }
 // kind-tagged container format.
 func SaveEncoderFile(path string, enc Encoder) error { return core.SaveEncoderFile(path, enc) }
 
-// LoadEncoderFile reads an encoder written by SaveEncoderFile. (Files
-// written by Model.SaveFile are not containers; LoadModelFile reads
-// those.)
+// LoadEncoderFile reads an encoder written by SaveEncoderFile.
 func LoadEncoderFile(path string) (Encoder, error) { return core.LoadEncoderFile(path) }
 
 // Distance computes the exact trajectory distance f between a and b.

@@ -1,7 +1,6 @@
 package traj2hash
 
 import (
-	"bytes"
 	"context"
 	"math"
 	"strings"
@@ -78,11 +77,11 @@ func TestPublicAPIDistanceFunctions(t *testing.T) {
 func TestPublicAPIEndToEnd(t *testing.T) {
 	m, ds := facadeFixture(t)
 	// Model save/load through the façade.
-	var buf bytes.Buffer
-	if err := m.Save(&buf); err != nil {
+	path := t.TempDir() + "/m.enc"
+	if err := SaveEncoderFile(path, m); err != nil {
 		t.Fatal(err)
 	}
-	m2, err := LoadModel(&buf)
+	m2, err := LoadEncoderFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,10 +281,10 @@ func TestFacadeFilesAndCities(t *testing.T) {
 	}
 	m, ds := facadeFixture(t)
 	dir := t.TempDir()
-	if err := m.SaveFile(dir + "/m.gob"); err != nil {
+	if err := SaveEncoderFile(dir+"/m.enc", m); err != nil {
 		t.Fatal(err)
 	}
-	m2, err := LoadModelFile(dir + "/m.gob")
+	m2, err := LoadEncoderFile(dir + "/m.enc")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,5 +425,28 @@ func TestIndexErrors(t *testing.T) {
 	}
 	if _, err := NewIndex(m, nil); err == nil {
 		t.Error("empty database accepted")
+	}
+}
+
+// TestNewRejectsHostileConfig pins that the public constructor turns the
+// head and block counts Validate once let through into errors, not a
+// divide-by-zero or a negative make.
+func TestNewRejectsHostileConfig(t *testing.T) {
+	space := Porto().Generate(5, 1)
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Config)
+	}{
+		{"zero heads", func(c *Config) { c.Heads = 0 }},
+		{"negative heads", func(c *Config) { c.Heads = -4 }},
+		{"negative blocks", func(c *Config) { c.Blocks = -1 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig(16)
+			tc.mutate(&cfg)
+			if _, err := New(cfg, space); err == nil {
+				t.Error("New returned no error")
+			}
+		})
 	}
 }
