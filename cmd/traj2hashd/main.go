@@ -76,7 +76,6 @@ func run(ctx context.Context, args []string) error {
 		"default per-request deadline when the client sends no timeout_ms (0 = none)")
 	batchWindow := fs.Duration("batch-window", 2*time.Millisecond,
 		"maximum time an open batch is held while a flush is in flight; an idle server dispatches immediately (negative = no coalescing)")
-	batchMax := fs.Int("batch-max", 64, "max coalesced batch size")
 	maxInFlight := fs.Int("max-inflight", 256,
 		"admitted-request bound; beyond it requests are shed with 503")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second,
@@ -126,7 +125,6 @@ func run(ctx context.Context, args []string) error {
 		DefaultTimeout: *timeout,
 		DefaultK:       *k,
 		BatchWindow:    *batchWindow,
-		MaxBatch:       *batchMax,
 		MaxInFlight:    *maxInFlight,
 		DrainTimeout:   *drainTimeout,
 		Debug:          *debug,

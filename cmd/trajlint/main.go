@@ -9,8 +9,7 @@
 //	trajlint ./...                   # whole module
 //	trajlint -rules deferunlock ./internal/engine
 //	trajlint -json ./... | jq .
-//	trajlint -fix ./...              # apply mechanical fixes, re-lint
-//	trajlint -cache bin/trajlint-cache ./...   # warm runs skip unchanged packages
+//	trajlint -stats ./...            # per-rule wall time and finding counts
 //
 // Diagnostics print as "file:line:col rule: message" with paths relative
 // to the working directory.
@@ -40,10 +39,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	rulesFlag := fs.String("rules", "", "comma-separated rule names to run (default: all)")
 	jsonFlag := fs.Bool("json", false, "emit diagnostics as a JSON array instead of text")
 	dirFlag := fs.String("C", ".", "module directory to lint (must contain go.mod)")
-	fixFlag := fs.Bool("fix", false, "apply suggested fixes, then re-analyze and report what remains")
-	cacheFlag := fs.String("cache", "", "diagnostic cache directory (empty disables the cache)")
-	jobsFlag := fs.Int("jobs", 0, "analysis parallelism (0 = GOMAXPROCS)")
-	statsFlag := fs.Bool("stats", false, "report package/cache counts and per-rule timing on stderr")
+	statsFlag := fs.Bool("stats", false, "report the package count and per-rule timing and findings on stderr")
 	fs.Usage = func() { usage(fs, stderr) }
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -63,18 +59,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	// analyze runs one full pass with a fresh loader — after -fix
-	// rewrites files, stale syntax trees must not leak into the re-run.
-	analyze := func() ([]analysis.Diagnostic, analysis.DriverStats, error) {
-		loader, err := analysis.NewLoader(*dirFlag)
-		if err != nil {
-			return nil, analysis.DriverStats{}, err
-		}
-		drv := &analysis.Driver{Loader: loader, Rules: rules, CacheDir: *cacheFlag, Jobs: *jobsFlag}
-		return drv.Run(fs.Args())
+	loader, err := analysis.NewLoader(*dirFlag)
+	if err != nil {
+		fmt.Fprintln(stderr, "trajlint:", err)
+		return 2
 	}
-
-	diags, stats, err := analyze()
+	diags, stats, err := (&analysis.Driver{Loader: loader, Rules: rules}).Run(fs.Args())
 	if err != nil {
 		fmt.Fprintln(stderr, "trajlint:", err)
 		return 2
@@ -82,36 +72,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *statsFlag {
 		printStats(stderr, stats)
 	}
-
-	if *fixFlag {
-		res, err := analysis.ApplyFixes(diags)
-		if err != nil {
-			fmt.Fprintln(stderr, "trajlint:", err)
-			return 2
-		}
-		if res.Applied > 0 {
-			fmt.Fprintf(stderr, "trajlint: applied %d fix(es) across %d file(s)", res.Applied, len(res.Changed))
-			if res.Skipped > 0 {
-				fmt.Fprintf(stderr, " (%d overlapping fix(es) skipped)", res.Skipped)
-			}
-			fmt.Fprintln(stderr)
-			// Changed files mean changed content hashes, so the re-run
-			// re-analyzes exactly the affected packages even with the
-			// cache on.
-			if diags, _, err = analyze(); err != nil {
-				fmt.Fprintln(stderr, "trajlint:", err)
-				return 2
-			}
-		}
-	}
 	relativize(diags)
 
 	if *jsonFlag {
 		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
-		if diags == nil {
-			diags = []analysis.Diagnostic{}
-		}
 		if err := enc.Encode(diags); err != nil {
 			fmt.Fprintln(stderr, "trajlint:", err)
 			return 2
@@ -130,15 +95,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// printStats reports package/cache counts and a per-rule table sorted
-// slowest-first: wall time over cold packages (where the perf rules'
-// compiler invocations show up, and why a warm cache run shows dashes)
-// next to surviving finding counts over the whole run (cache entries
-// replay final diagnostics, so counts are complete even when timing
-// is not).
+// printStats reports the package count and a per-rule table sorted
+// slowest-first: wall time (where the perf rules' compiler invocations
+// show up) next to surviving finding counts.
 func printStats(w io.Writer, stats analysis.DriverStats) {
-	fmt.Fprintf(w, "trajlint: %d package(s), %d cached, %d analyzed\n",
-		stats.Packages, stats.CacheHits, stats.CacheMisses)
+	fmt.Fprintf(w, "trajlint: %d package(s)\n", stats.Packages)
 	names := map[string]bool{}
 	for name := range stats.RuleTime {
 		names[name] = true
@@ -166,7 +127,7 @@ func printStats(w io.Writer, stats analysis.DriverStats) {
 		}
 		return rts[i].name < rts[j].name
 	})
-	fmt.Fprintf(w, "trajlint: per-rule stats (timing covers cold packages only):\n")
+	fmt.Fprintf(w, "trajlint: per-rule stats:\n")
 	for _, r := range rts {
 		t := "-"
 		if r.d > 0 {
@@ -204,19 +165,10 @@ Flags:
 `)
 	fs.PrintDefaults()
 	fmt.Fprintf(w, "\nRules:\n")
-	var rules []*analysis.Rule
-	rules = append(rules, analysis.Rules()...)
+	rules := analysis.Rules()
 	sort.Slice(rules, func(i, j int) bool { return rules[i].Name < rules[j].Name })
 	for _, r := range rules {
 		fmt.Fprintf(w, "  %-14s %s\n", r.Name, r.Doc)
-	}
-	fmt.Fprintf(w, `
-Fixable rules (run with -fix to apply mechanically):
-`)
-	for _, r := range rules {
-		if r.Fix != "" {
-			fmt.Fprintf(w, "  %-14s %s\n", r.Name, r.Fix)
-		}
 	}
 	fmt.Fprintf(w, `
 Suppressions (reason is mandatory; a missing reason, an unknown rule, or

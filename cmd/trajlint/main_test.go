@@ -66,7 +66,8 @@ func TestExitCodeClean(t *testing.T) {
 
 // TestExitCodeInternalErrors: trajlint's own failures — bad flags,
 // unknown rules, unloadable packages, missing module — exit 2, never 1,
-// so CI can tell "the gate fired" from "the gate is broken".
+// so CI can tell "the gate fired" from "the gate is broken". trajlint
+// has no -fix, -cache or -jobs: each is a bad flag.
 func TestExitCodeInternalErrors(t *testing.T) {
 	dir := writeModule(t, map[string]string{"eq.go": dirtySrc})
 	cases := []struct {
@@ -77,6 +78,9 @@ func TestExitCodeInternalErrors(t *testing.T) {
 		{"bad flag", []string{"-definitely-not-a-flag"}},
 		{"missing package", []string{"-C", dir, "./nope/..."}},
 		{"no module", []string{"-C", t.TempDir(), "./..."}},
+		{"fix flag", []string{"-C", dir, "-fix", "./..."}},
+		{"cache flag", []string{"-C", dir, "-cache", t.TempDir(), "./..."}},
+		{"jobs flag", []string{"-C", dir, "-jobs", "2", "./..."}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -105,68 +109,21 @@ func TestJSONOutput(t *testing.T) {
 	}
 }
 
-// TestFixFlag: -fix applies the mechanical fixes, re-analyzes, and exits
-// by what remains; a second run is a no-op.
-func TestFixFlag(t *testing.T) {
-	dir := writeModule(t, map[string]string{"undoc.go": `package tmpmod
-
-func Exported() int { return 0 }
-`})
-	code, _, _ := runCLI(t, "-C", dir, "-rules", "exporteddoc", "./...")
-	if code != 1 {
-		t.Fatalf("pre-fix exit = %d, want 1", code)
-	}
-	code, out, errb := runCLI(t, "-C", dir, "-rules", "exporteddoc", "-fix", "./...")
-	if code != 0 {
-		t.Fatalf("-fix exit = %d, want 0 after stubs are inserted\nstdout: %s\nstderr: %s", code, out, errb)
-	}
-	if !strings.Contains(errb, "applied") {
-		t.Errorf("-fix should report what it applied, got: %s", errb)
-	}
-	data, err := os.ReadFile(filepath.Join(dir, "undoc.go"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fixed := string(data)
-	if !strings.Contains(fixed, "// Exported TODO: document.") ||
-		!strings.Contains(fixed, "// Package tmpmod TODO: document.") {
-		t.Errorf("stub docs missing after -fix:\n%s", fixed)
-	}
-	code, _, _ = runCLI(t, "-C", dir, "-rules", "exporteddoc", "-fix", "./...")
-	if code != 0 {
-		t.Fatalf("second -fix exit = %d, want 0 (idempotent)", code)
-	}
-	data2, err := os.ReadFile(filepath.Join(dir, "undoc.go"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(data2) != fixed {
-		t.Errorf("second -fix changed the file:\n%s\nvs\n%s", data2, fixed)
-	}
-}
-
-// TestCacheFlag: warm runs replay from the cache and say so under
-// -stats.
-func TestCacheFlag(t *testing.T) {
+// TestStatsFlag: -stats reports the package count and the per-rule
+// finding counts on stderr, next to the findings on stdout.
+func TestStatsFlag(t *testing.T) {
 	dir := writeModule(t, map[string]string{"eq.go": dirtySrc})
-	cache := t.TempDir()
-	_, _, errb := runCLI(t, "-C", dir, "-rules", "floatcompare", "-cache", cache, "-stats", "./...")
-	if !strings.Contains(errb, "0 cached") {
-		t.Errorf("cold -stats should report 0 cached, got: %s", errb)
-	}
-	code, out, errb := runCLI(t, "-C", dir, "-rules", "floatcompare", "-cache", cache, "-stats", "./...")
+	code, out, errb := runCLI(t, "-C", dir, "-rules", "floatcompare", "-stats", "./...")
 	if code != 1 {
-		t.Fatalf("warm exit = %d, want 1 (replayed findings still gate)", code)
+		t.Fatalf("exit = %d, want 1 (findings)", code)
 	}
-	if !strings.Contains(errb, "1 cached") || !strings.Contains(errb, "0 analyzed") {
-		t.Errorf("warm -stats should report a full cache hit, got: %s", errb)
+	if !strings.Contains(errb, "1 package(s)") || !strings.Contains(errb, "per-rule stats") {
+		t.Errorf("-stats should report the package count and a per-rule table, got: %s", errb)
 	}
-	// Replayed findings still count in the per-rule table even though a
-	// fully warm run has no timing to report.
-	if !strings.Contains(errb, "per-rule stats") || !strings.Contains(errb, "finding(s)") {
-		t.Errorf("warm -stats should list per-rule finding counts, got: %s", errb)
+	if !strings.Contains(errb, "floatcompare") || !strings.Contains(errb, "1 finding(s)") {
+		t.Errorf("-stats should count the floatcompare finding, got: %s", errb)
 	}
 	if !strings.Contains(out, "floatcompare") {
-		t.Errorf("replayed findings should still print, got: %s", out)
+		t.Errorf("findings should still print, got: %s", out)
 	}
 }

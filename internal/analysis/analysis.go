@@ -55,9 +55,8 @@ import (
 	"time"
 )
 
-// Diagnostic is one finding: a position, the rule that fired, a
-// human-readable message, and (for mechanically fixable findings) a
-// suggested fix.
+// Diagnostic is one finding: a position, the rule that fired, and a
+// human-readable message.
 type Diagnostic struct {
 	Pos     token.Position `json:"-"`
 	File    string         `json:"file"`
@@ -65,9 +64,6 @@ type Diagnostic struct {
 	Col     int            `json:"col"`
 	Rule    string         `json:"rule"`
 	Message string         `json:"message"`
-	// Fix, when non-nil, is a byte-offset edit script that resolves the
-	// finding; `trajlint -fix` applies it (see fix.go).
-	Fix *Fix `json:"fix,omitempty"`
 }
 
 // String renders the diagnostic in the canonical file:line:col form.
@@ -83,9 +79,6 @@ type Rule struct {
 	Name string
 	// Doc is a one-line description of the contract the rule guards.
 	Doc string
-	// Fix, when non-empty, describes the mechanical fix for a finding
-	// (surfaced by trajlint's usage text).
-	Fix string
 	// Run performs the check over one package.
 	Run func(*Pass)
 }
@@ -101,12 +94,6 @@ type Pass struct {
 
 // Reportf records a finding at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.ReportFix(pos, nil, format, args...)
-}
-
-// ReportFix records a finding at pos carrying a suggested fix (which may
-// be nil).
-func (p *Pass) ReportFix(pos token.Pos, fix *Fix, format string, args ...any) {
 	position := p.Pkg.Fset.Position(pos)
 	*p.diags = append(*p.diags, Diagnostic{
 		Pos:     position,
@@ -115,7 +102,6 @@ func (p *Pass) ReportFix(pos token.Pos, fix *Fix, format string, args ...any) {
 		Col:     position.Column,
 		Rule:    p.Rule.Name,
 		Message: fmt.Sprintf(format, args...),
-		Fix:     fix,
 	})
 }
 
@@ -171,35 +157,17 @@ func SelectRules(names []string) ([]*Rule, error) {
 	return out, nil
 }
 
-// Run applies the given rules to the given packages, filters the findings
-// through //lint:ignore suppressions, appends directive diagnostics
-// (malformed or unknown-rule suppressions, and stale suppressions whose
-// rule ran but produced nothing for them to hide), and returns everything
-// sorted by (file, line, col, rule).
-func Run(pkgs []*Package, rules []*Rule) []Diagnostic {
-	var diags []Diagnostic
-	for _, pkg := range pkgs {
-		diags = append(diags, runPackageObserved(pkg, rules, nil)...)
-	}
-	SortDiagnostics(diags)
-	return diags
-}
-
 // runPackageObserved is one package's full analysis: rules, suppression
 // filtering, directive validation (both //lint: and //perf:), and the
-// staleness scan. The result is unsorted; it is also exactly what the
-// driver caches per package. observe is an optional per-rule timing
-// callback (nil to skip); the driver uses it for `trajlint -stats`, so it
-// must be safe for concurrent use, since the driver analyzes packages in
-// parallel.
+// staleness scan. The result is unsorted. observe receives each rule's
+// wall time for `trajlint -stats`; it must be safe for concurrent use,
+// since the driver analyzes packages in parallel.
 func runPackageObserved(pkg *Package, rules []*Rule, observe func(rule string, d time.Duration)) []Diagnostic {
 	var raw []Diagnostic
 	for _, r := range rules {
 		start := time.Now()
 		r.Run(&Pass{Rule: r, Pkg: pkg, diags: &raw})
-		if observe != nil {
-			observe(r.Name, time.Since(start))
-		}
+		observe(r.Name, time.Since(start))
 	}
 	selected := make(map[string]bool, len(rules))
 	for _, r := range rules {
@@ -219,7 +187,7 @@ func runPackageObserved(pkg *Package, rules []*Rule, observe func(rule string, d
 }
 
 // SortDiagnostics orders diags by (file, line, col, rule) — the canonical
-// presentation order Run and the driver both emit.
+// presentation order the driver emits.
 func SortDiagnostics(diags []Diagnostic) {
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]

@@ -10,24 +10,37 @@ import (
 	"testing"
 )
 
-// fixturePkg loads one fixture package from testdata/src (module path
-// "fixtures") and runs the named rules over it.
+// runRules runs the named rules over one package of the module at dir
+// through the driver trajlint uses, and returns the diagnostics with the
+// loaded package.
+func runRules(t *testing.T, dir, modulePath, pkgPath string, ruleNames ...string) ([]Diagnostic, *Package) {
+	t.Helper()
+	rules, err := SelectRules(ruleNames)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := NewLoaderAt(dir, modulePath)
+	rel := "./" + strings.TrimPrefix(pkgPath, modulePath+"/")
+	diags, _, err := (&Driver{Loader: l, Rules: rules}).Run([]string{rel})
+	if err != nil {
+		t.Fatalf("analyze %s: %v", pkgPath, err)
+	}
+	pkg, err := l.Load(pkgPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return diags, pkg
+}
+
+// fixturePkg runs the named rules over one fixture package from
+// testdata/src (module path "fixtures").
 func fixturePkg(t *testing.T, pkgPath string, ruleNames ...string) ([]Diagnostic, *Package) {
 	t.Helper()
 	dir, err := filepath.Abs("testdata/src")
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := NewLoaderAt(dir, "fixtures")
-	pkg, err := l.Load(pkgPath)
-	if err != nil {
-		t.Fatalf("load %s: %v", pkgPath, err)
-	}
-	rules, err := SelectRules(ruleNames)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return Run([]*Package{pkg}, rules), pkg
+	return runRules(t, dir, "fixtures", pkgPath, ruleNames...)
 }
 
 var wantRe = regexp.MustCompile(`// want:([a-z]+(?:,[a-z]+)*)`)
@@ -122,19 +135,11 @@ func TestGoroutineLeakGolden(t *testing.T) {
 }
 
 // TestStaleSuppressionGolden: a well-formed directive that suppresses
-// nothing is diagnosed under the directive pseudo-rule, with a fix
-// deleting it; live directives stay silent.
+// nothing is diagnosed under the directive pseudo-rule; live directives
+// stay silent.
 func TestStaleSuppressionGolden(t *testing.T) {
 	diags, pkg := fixturePkg(t, "fixtures/stale", "floatcompare")
 	goldenCheck(t, pkg, diags)
-	for _, d := range diags {
-		if d.Rule != DirectiveRule {
-			continue
-		}
-		if d.Fix == nil || len(d.Fix.Edits) == 0 {
-			t.Errorf("%s: stale-suppression diagnostic should carry a delete fix", d)
-		}
-	}
 }
 
 // TestStaleSuppressionScopedToSelectedRules: a -rules filter must not
@@ -292,8 +297,8 @@ func TestExpandPatternsSkipsTestdata(t *testing.T) {
 
 // TestRepoIsLintClean gates the whole tree: every contract the rule suite
 // encodes holds (or is explicitly suppressed with a reason) in the
-// repository itself. This is the same check scripts/ci.sh runs via
-// cmd/trajlint.
+// repository itself. This is the same check, through the same driver,
+// that scripts/ci.sh runs via cmd/trajlint.
 func TestRepoIsLintClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("whole-tree type-check is slow; run without -short")
@@ -302,11 +307,10 @@ func TestRepoIsLintClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkgs, err := l.LoadPatterns([]string{"./..."})
+	diags, _, err := (&Driver{Loader: l, Rules: Rules()}).Run([]string{"./..."})
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags := Run(pkgs, Rules())
 	for _, d := range diags {
 		t.Errorf("%s", d)
 	}

@@ -1,89 +1,39 @@
 package analysis
 
-// The cached parallel driver behind cmd/trajlint. Analyzing the whole
-// module costs a full parse + type-check of every package plus GOROOT
-// source imports — seconds of work that is identical run-to-run when
-// nothing changed. The driver keys each package's final diagnostics
-// (post-suppression, post-staleness) by a content hash and replays them
-// on a hit without loading the package at all.
-//
-// The key must cover everything the diagnostics depend on:
-//
-//   - the bytes of the package's own files (source, suppressions, and
-//     build tags all live there);
-//   - the keys of its module-local imports, transitively — the lockorder
-//     rule walks into dependency *syntax* through Package.Dep, and type
-//     information flows up from dependencies everywhere else, so editing
-//     a dependency must invalidate its dependents;
-//   - the rule suite fingerprint and the toolchain version (rules and
-//     GOROOT sources both shape the output).
-//
-// Dependency discovery parses imports only (parser.ImportsOnly) — a
-// cheap syntactic pass that never type-checks — so a fully warm run
-// touches no go/types machinery at all. Cold packages are loaded
-// sequentially (the Loader shares one FileSet and memo table) and then
-// analyzed in parallel: rule passes only read the loaded trees.
+// The driver behind cmd/trajlint and the tests: expand the patterns,
+// load every matched package, run the rules over the packages in
+// parallel, and sort the diagnostics. Loading is sequential — the
+// Loader's FileSet and memo table are shared state, and type-checking
+// forces dependencies in order anyway. Analysis only reads the loaded
+// trees, so it fans out across packages, GOMAXPROCS at a time.
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
-	"fmt"
-	"go/parser"
-	"os"
-	"path/filepath"
 	"runtime"
-	"sort"
-	"strings"
 	"sync"
 	"time"
 )
 
-// cacheFormat versions the cache entry encoding; bump it when the
-// Diagnostic JSON shape or the key recipe changes.
-const cacheFormat = "trajlint-cache-v1"
-
-// Driver runs a rule suite over module packages with an optional
-// content-hash keyed diagnostic cache and parallel analysis.
+// Driver runs a rule suite over module packages.
 type Driver struct {
 	Loader *Loader
 	Rules  []*Rule
-	// CacheDir, when non-empty, holds one JSON file per (package, key);
-	// empty disables caching entirely.
-	CacheDir string
-	// Jobs bounds analysis parallelism; 0 means GOMAXPROCS.
-	Jobs int
 }
 
 // DriverStats reports what one Run did.
 type DriverStats struct {
 	// Packages is the number of packages matched by the patterns.
 	Packages int
-	// CacheHits counts packages whose diagnostics were replayed from the
-	// cache; CacheMisses counts packages loaded and analyzed fresh. With
-	// caching disabled every package is a miss.
-	CacheHits, CacheMisses int
-	// RuleTime accumulates wall time per rule across every cold package
-	// (cache hits replay diagnostics without running rules, so they add
-	// nothing). `trajlint -stats` prints it; the perf rules' compile
-	// time shows up here, which is how a warm cache is visibly cheaper.
+	// RuleTime accumulates wall time per rule across every package.
+	// `trajlint -stats` prints it; the perf rules' compile time shows
+	// up here.
 	RuleTime map[string]time.Duration
 	// RuleFindings counts the surviving diagnostics per rule across the
-	// whole run — cached and cold packages alike, since cache entries
-	// replay final diagnostics. Unlike RuleTime it is complete on a
-	// fully warm run, which is why -stats prints both columns.
+	// whole run.
 	RuleFindings map[string]int
 }
 
-func (d *Driver) jobs() int {
-	if d.Jobs > 0 {
-		return d.Jobs
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// Run expands patterns, replays cached diagnostics for unchanged
-// packages, analyzes the rest in parallel, refills the cache, and
-// returns everything in the canonical sort order.
+// Run expands patterns, loads and analyzes every matched package, and
+// returns the diagnostics in the canonical sort order (empty, not nil,
+// when there are none).
 func (d *Driver) Run(patterns []string) ([]Diagnostic, DriverStats, error) {
 	var stats DriverStats
 	paths, err := d.Loader.ExpandPatterns(patterns)
@@ -91,38 +41,13 @@ func (d *Driver) Run(patterns []string) ([]Diagnostic, DriverStats, error) {
 		return nil, stats, err
 	}
 	stats.Packages = len(paths)
-
-	keys := map[string]string{}
-	if d.CacheDir != "" {
-		if keys, err = d.cacheKeys(paths); err != nil {
-			return nil, stats, err
-		}
-	}
-
-	all := []Diagnostic{}
-	var misses []string
-	for _, p := range paths {
-		if key := keys[p]; key != "" {
-			if diags, ok := d.readCache(key); ok {
-				stats.CacheHits++
-				all = append(all, diags...)
-				continue
-			}
-		}
-		misses = append(misses, p)
-	}
-	stats.CacheMisses = len(misses)
-
-	// Loading is sequential — the Loader's FileSet and memo table are
-	// shared state, and type-checking forces dependencies in order
-	// anyway. Analysis is read-only over the loaded trees, so it fans
-	// out across packages.
-	pkgs := make([]*Package, len(misses))
-	for i, p := range misses {
+	pkgs := make([]*Package, len(paths))
+	for i, p := range paths {
 		if pkgs[i], err = d.Loader.Load(p); err != nil {
 			return nil, stats, err
 		}
 	}
+
 	results := make([][]Diagnostic, len(pkgs))
 	stats.RuleTime = map[string]time.Duration{}
 	var timeMu sync.Mutex
@@ -132,7 +57,7 @@ func (d *Driver) Run(patterns []string) ([]Diagnostic, DriverStats, error) {
 		stats.RuleTime[rule] += dur
 	}
 	var wg sync.WaitGroup
-	sem := make(chan struct{}, d.jobs())
+	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 	for i := range pkgs {
 		wg.Add(1)
 		go func(i int) {
@@ -144,11 +69,9 @@ func (d *Driver) Run(patterns []string) ([]Diagnostic, DriverStats, error) {
 	}
 	wg.Wait()
 
-	for i, p := range misses {
-		if key := keys[p]; key != "" {
-			d.writeCache(key, results[i]) // best-effort: a failed write just stays cold
-		}
-		all = append(all, results[i]...)
+	all := []Diagnostic{}
+	for _, r := range results {
+		all = append(all, r...)
 	}
 	SortDiagnostics(all)
 	stats.RuleFindings = map[string]int{}
@@ -156,181 +79,4 @@ func (d *Driver) Run(patterns []string) ([]Diagnostic, DriverStats, error) {
 		stats.RuleFindings[d.Rule]++
 	}
 	return all, stats, nil
-}
-
-// pkgMeta is the cheap (ImportsOnly) view of one package used for key
-// computation.
-type pkgMeta struct {
-	dir      string
-	files    []string // file names, sorted (goFilesIn order)
-	fileHash []string // content hash per file, aligned with files
-	deps     []string // module-local imports, sorted
-}
-
-// cacheKeys scans the targets and their transitive module-local imports
-// (file reads, hashes, and imports-only parses fan out across a worker
-// pool) and derives each target's cache key.
-func (d *Driver) cacheKeys(paths []string) (map[string]string, error) {
-	metas := map[string]*pkgMeta{}
-	seen := map[string]bool{}
-	frontier := []string{}
-	for _, p := range paths {
-		if !seen[p] {
-			seen[p] = true
-			frontier = append(frontier, p)
-		}
-	}
-	for len(frontier) > 0 {
-		ms := make([]*pkgMeta, len(frontier))
-		errs := make([]error, len(frontier))
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, d.jobs())
-		for i := range frontier {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				ms[i], errs[i] = d.scanPackage(frontier[i])
-			}(i)
-		}
-		wg.Wait()
-		var next []string
-		for i, p := range frontier {
-			if errs[i] != nil {
-				return nil, errs[i]
-			}
-			metas[p] = ms[i]
-			for _, dep := range ms[i].deps {
-				if !seen[dep] {
-					seen[dep] = true
-					next = append(next, dep)
-				}
-			}
-		}
-		frontier = next
-	}
-
-	keys := map[string]string{}
-	visiting := map[string]bool{}
-	var key func(path string) string
-	key = func(path string) string {
-		if k, ok := keys[path]; ok {
-			return k
-		}
-		if visiting[path] {
-			return "cycle" // the loader rejects cycles; keep the keyer total anyway
-		}
-		visiting[path] = true
-		m := metas[path]
-		h := sha256.New()
-		fmt.Fprintf(h, "%s\ngo:%s\nrules:%s\npkg:%s\n",
-			cacheFormat, runtime.Version(), ruleFingerprint(d.Rules), path)
-		for i, name := range m.files {
-			fmt.Fprintf(h, "file:%s:%s\n", name, m.fileHash[i])
-		}
-		for _, dep := range m.deps {
-			fmt.Fprintf(h, "dep:%s:%s\n", dep, key(dep))
-		}
-		k := hex.EncodeToString(h.Sum(nil))
-		keys[path] = k
-		return k
-	}
-	for _, p := range paths {
-		key(p)
-	}
-	return keys, nil
-}
-
-// scanPackage reads one package directory without type-checking: file
-// content hashes plus the module-local slice of its import graph.
-func (d *Driver) scanPackage(path string) (*pkgMeta, error) {
-	rel := strings.TrimPrefix(strings.TrimPrefix(path, d.Loader.ModulePath), "/")
-	m := &pkgMeta{dir: filepath.Join(d.Loader.ModuleDir, filepath.FromSlash(rel))}
-	names, err := goFilesIn(m.dir)
-	if err != nil {
-		return nil, err
-	}
-	depSet := map[string]bool{}
-	for _, name := range names {
-		full := filepath.Join(m.dir, name)
-		src, err := os.ReadFile(full)
-		if err != nil {
-			return nil, fmt.Errorf("analysis: %w", err)
-		}
-		sum := sha256.Sum256(src)
-		m.files = append(m.files, name)
-		m.fileHash = append(m.fileHash, hex.EncodeToString(sum[:]))
-		f, err := parser.ParseFile(d.Loader.fset, full, src, parser.ImportsOnly)
-		if err != nil {
-			// Unparsable files still hash; the real load reports the error.
-			continue
-		}
-		for _, imp := range f.Imports {
-			ip := strings.Trim(imp.Path.Value, `"`)
-			if ip == d.Loader.ModulePath || strings.HasPrefix(ip, d.Loader.ModulePath+"/") {
-				depSet[ip] = true
-			}
-		}
-	}
-	for dep := range depSet {
-		m.deps = append(m.deps, dep)
-	}
-	sort.Strings(m.deps)
-	return m, nil
-}
-
-// ruleFingerprint identifies the rule suite for the cache key: the
-// sorted rule names (a behavioral change inside a rule is expected to
-// ride with a toolchain or source change during development; release
-// builds pin both).
-func ruleFingerprint(rules []*Rule) string {
-	names := make([]string, 0, len(rules))
-	for _, r := range rules {
-		names = append(names, r.Name)
-	}
-	sort.Strings(names)
-	return strings.Join(names, ",")
-}
-
-func (d *Driver) cachePath(key string) string {
-	return filepath.Join(d.CacheDir, key+".json")
-}
-
-// readCache replays a package's diagnostics, reporting ok=false on any
-// miss or decode problem (a corrupt entry degrades to a cold analysis).
-func (d *Driver) readCache(key string) ([]Diagnostic, bool) {
-	data, err := os.ReadFile(d.cachePath(key))
-	if err != nil {
-		return nil, false
-	}
-	var diags []Diagnostic
-	if err := json.Unmarshal(data, &diags); err != nil {
-		return nil, false
-	}
-	return diags, true
-}
-
-// writeCache stores a package's diagnostics under its key via temp +
-// rename, so concurrent trajlint runs never observe a torn entry.
-func (d *Driver) writeCache(key string, diags []Diagnostic) {
-	if err := os.MkdirAll(d.CacheDir, 0o755); err != nil {
-		return
-	}
-	if diags == nil {
-		diags = []Diagnostic{}
-	}
-	data, err := json.Marshal(diags)
-	if err != nil {
-		return
-	}
-	tmp, err := os.CreateTemp(d.CacheDir, key+".tmp*")
-	if err != nil {
-		return
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(data); err == nil && tmp.Close() == nil {
-		//lint:ignore errcheck best-effort cache write; a failed rename just stays cold
-		os.Rename(tmp.Name(), d.cachePath(key))
-	}
 }

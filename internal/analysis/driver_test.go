@@ -1,201 +1,28 @@
 package analysis
 
 import (
-	"os"
 	"path/filepath"
-	"strconv"
-	"strings"
 	"testing"
 )
 
-// writeMiniModule lays out a two-package module for the cache tests:
-// minimod/b imports minimod/a, and each package carries one floatcompare
-// finding so the replayed diagnostics are observable.
-func writeMiniModule(t testing.TB, dir string) {
-	t.Helper()
-	files := map[string]string{
-		"a/a.go": `// Package a is a cache-test fixture.
-package a
-
-// Eq compares exactly — a deliberate floatcompare seed.
-func Eq(x, y float64) bool { return x == y }
-`,
-		"b/b.go": `// Package b is a cache-test fixture depending on a.
-package b
-
-import "minimod/a"
-
-// Same reports whether x equals itself under a.Eq.
-func Same(x float64) bool { return a.Eq(x, x) }
-
-// Close compares exactly — a deliberate floatcompare seed.
-func Close(x, y float64) bool { return x != y }
-`,
-	}
-	for name, src := range files {
-		path := filepath.Join(dir, filepath.FromSlash(name))
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-// runDriver runs a fresh driver (fresh loader — cached syntax must come
-// from the cache dir, never from loader memoization) and renders the
-// diagnostics for comparison.
-func runDriver(t testing.TB, moduleDir, cacheDir string) ([]string, DriverStats) {
-	t.Helper()
-	rules, err := SelectRules([]string{"floatcompare"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := &Driver{Loader: NewLoaderAt(moduleDir, "minimod"), Rules: rules, CacheDir: cacheDir}
-	diags, stats, err := d.Run([]string{"./..."})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out []string
-	for _, dg := range diags {
-		out = append(out, dg.String())
-	}
-	return out, stats
-}
-
-// TestDriverCacheInvalidation: warm runs replay identical diagnostics
-// without re-analysis; editing a file re-analyzes exactly the packages
-// whose content (or dependency content) changed.
-func TestDriverCacheInvalidation(t *testing.T) {
-	dir := t.TempDir()
-	cache := t.TempDir()
-	writeMiniModule(t, dir)
-
-	cold, s := runDriver(t, dir, cache)
-	if s.Packages != 2 || s.CacheMisses != 2 || s.CacheHits != 0 {
-		t.Fatalf("cold run stats = %+v; want 2 packages, 2 misses", s)
-	}
-	if len(cold) != 2 {
-		t.Fatalf("cold run diagnostics = %v; want the 2 seeded findings", cold)
-	}
-
-	warm, s := runDriver(t, dir, cache)
-	if s.CacheHits != 2 || s.CacheMisses != 0 {
-		t.Fatalf("warm run stats = %+v; want 2 hits, 0 misses", s)
-	}
-	if strings.Join(warm, "\n") != strings.Join(cold, "\n") {
-		t.Fatalf("warm diagnostics differ from cold:\n%v\nvs\n%v", warm, cold)
-	}
-
-	// Editing the leaf dependent re-analyzes only that package.
-	bPath := filepath.Join(dir, "b", "b.go")
-	data, err := os.ReadFile(bPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	edited := append(data, []byte("\n// Near compares exactly too.\nfunc Near(x, y float64) bool { return x == y }\n")...)
-	if err := os.WriteFile(bPath, edited, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	afterB, s := runDriver(t, dir, cache)
-	if s.CacheHits != 1 || s.CacheMisses != 1 {
-		t.Fatalf("after editing b: stats = %+v; want 1 hit (a), 1 miss (b)", s)
-	}
-	if len(afterB) != 3 {
-		t.Fatalf("after editing b: diagnostics = %v; want 3 findings", afterB)
-	}
-
-	// The cached run must equal a cache-less run on the same tree.
-	uncached, s := runDriver(t, dir, "")
-	if s.CacheHits != 0 || s.CacheMisses != 2 {
-		t.Fatalf("uncached run stats = %+v; want everything analyzed", s)
-	}
-	if strings.Join(uncached, "\n") != strings.Join(afterB, "\n") {
-		t.Fatalf("cached diagnostics diverge from uncached:\n%v\nvs\n%v", afterB, uncached)
-	}
-
-	// Editing the dependency invalidates its dependents too: lockorder
-	// reads dependency syntax through Package.Dep, so a's content is
-	// part of b's key.
-	aPath := filepath.Join(dir, "a", "a.go")
-	data, err = os.ReadFile(aPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	edited = append(data, []byte("\n// More is documentation added to the dependency.\nfunc More() {}\n")...)
-	if err := os.WriteFile(aPath, edited, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, s = runDriver(t, dir, cache)
-	if s.CacheMisses != 2 {
-		t.Fatalf("after editing the dependency: stats = %+v; want both packages re-analyzed", s)
-	}
-}
-
-// TestDriverCorruptCacheDegrades: a torn or garbage cache entry is a
-// cache miss, never an error or wrong output.
-func TestDriverCorruptCacheDegrades(t *testing.T) {
-	dir := t.TempDir()
-	cache := t.TempDir()
-	writeMiniModule(t, dir)
-	cold, _ := runDriver(t, dir, cache)
-	ents, err := os.ReadDir(cache)
-	if err != nil || len(ents) == 0 {
-		t.Fatalf("expected cache entries, got %v (err %v)", ents, err)
-	}
-	for _, e := range ents {
-		if err := os.WriteFile(filepath.Join(cache, e.Name()), []byte("{garbage"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	again, s := runDriver(t, dir, cache)
-	if s.CacheMisses != 2 {
-		t.Fatalf("corrupt entries must degrade to misses, stats = %+v", s)
-	}
-	if strings.Join(again, "\n") != strings.Join(cold, "\n") {
-		t.Fatalf("diagnostics changed after cache corruption:\n%v\nvs\n%v", again, cold)
-	}
-}
-
-// BenchmarkTrajlintTree measures the full-module analysis cold (empty
-// cache: parse, type-check, analyze, fill) and warm (every package
-// replayed from the content-hash cache without type-checking).
+// BenchmarkTrajlintTree measures a whole-module analysis: parse,
+// type-check, and every rule, the compiler runs of the perf rules
+// included. The sub-benchmark keeps the name "cold" so the
+// BENCH_trajlint.json trajectory stays comparable across changes.
 func BenchmarkTrajlintTree(b *testing.B) {
 	moduleDir, err := filepath.Abs("../..")
 	if err != nil {
 		b.Fatal(err)
 	}
-	run := func(b *testing.B, cacheDir string) DriverStats {
-		b.Helper()
-		loader, err := NewLoader(moduleDir)
-		if err != nil {
-			b.Fatal(err)
-		}
-		d := &Driver{Loader: loader, Rules: Rules(), CacheDir: cacheDir}
-		_, stats, err := d.Run([]string{"./..."})
-		if err != nil {
-			b.Fatal(err)
-		}
-		return stats
-	}
 	b.Run("cold", func(b *testing.B) {
-		base := b.TempDir()
 		for i := 0; i < b.N; i++ {
-			stats := run(b, filepath.Join(base, strconv.Itoa(i)))
-			if stats.CacheHits != 0 {
-				b.Fatalf("cold run hit the cache: %+v", stats)
+			loader, err := NewLoader(moduleDir)
+			if err != nil {
+				b.Fatal(err)
 			}
-		}
-	})
-	b.Run("warm", func(b *testing.B) {
-		cache := b.TempDir()
-		prewarm := run(b, cache)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			stats := run(b, cache)
-			if stats.CacheMisses != 0 {
-				b.Fatalf("warm run missed the cache: %+v (prewarm %+v)", stats, prewarm)
+			d := &Driver{Loader: loader, Rules: Rules()}
+			if _, _, err := d.Run([]string{"./..."}); err != nil {
+				b.Fatal(err)
 			}
 		}
 	})

@@ -13,7 +13,7 @@ package analysis
 // suppress.go: a reason is mandatory, the directive must be attached to a
 // function declaration's doc comment, and anything else (reasonless,
 // misplaced, unknown verb under the same prefix) is a diagnostic under
-// the "directive" pseudo-rule carrying a mechanical delete fix.
+// the "directive" pseudo-rule.
 //
 // A well-formed directive on a function that currently produces no
 // findings is NOT stale: the mark is a standing contract (the clean
@@ -23,7 +23,6 @@ package analysis
 import (
 	"fmt"
 	"go/ast"
-	"os"
 	"strings"
 )
 
@@ -63,8 +62,7 @@ func hotpathFuncs(pkg *Package) []*ast.FuncDecl {
 // collectHotpathDirectives validates every "//perf:" comment in the
 // package: a directive with an unknown verb, without a reason, or not
 // attached to a function declaration's doc comment is a "directive"
-// diagnostic with a fix that deletes it (whole line when it stands
-// alone), mirroring the stale-suppression behavior of suppress.go.
+// diagnostic, as a malformed suppression is in suppress.go.
 func collectHotpathDirectives(pkg *Package) []Diagnostic {
 	// Comments that are part of some FuncDecl's doc group are attached;
 	// every other directive comment is misplaced.
@@ -81,18 +79,9 @@ func collectHotpathDirectives(pkg *Package) []Diagnostic {
 	var diags []Diagnostic
 	report := func(c *ast.Comment, format string, args ...any) {
 		pos := pkg.Fset.Position(c.Pos())
-		var fix *Fix
-		if src, err := os.ReadFile(pos.Filename); err == nil {
-			edit := lineEditIn(pkg.Fset, c.Pos(), src)
-			start := pos.Offset
-			if strings.TrimSpace(string(src[edit.Start:start])) != "" {
-				edit = Edit{File: pos.Filename, Start: start, End: pkg.Fset.Position(c.End()).Offset}
-			}
-			fix = &Fix{Message: "delete the malformed perf directive", Edits: []Edit{edit}}
-		}
 		diags = append(diags, Diagnostic{
 			Pos: pos, File: pos.Filename, Line: pos.Line, Col: pos.Column,
-			Rule: DirectiveRule, Fix: fix,
+			Rule:    DirectiveRule,
 			Message: fmt.Sprintf(format, args...),
 		})
 	}

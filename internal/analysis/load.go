@@ -320,20 +320,3 @@ func (l *Loader) importPathFor(dir string) (string, error) {
 	}
 	return l.ModulePath + "/" + filepath.ToSlash(rel), nil
 }
-
-// LoadPatterns expands patterns and loads every matched package.
-func (l *Loader) LoadPatterns(patterns []string) ([]*Package, error) {
-	paths, err := l.ExpandPatterns(patterns)
-	if err != nil {
-		return nil, err
-	}
-	var pkgs []*Package
-	for _, p := range paths {
-		pkg, err := l.Load(p)
-		if err != nil {
-			return nil, err
-		}
-		pkgs = append(pkgs, pkg)
-	}
-	return pkgs, nil
-}

@@ -28,9 +28,8 @@ package analysis
 // themselves via the call graph (rule_hotpathalloc.go).
 //
 // Results are memoized per package on the Loader (three rules share one
-// compile), and the PR-4 content-hash driver caches the final
-// diagnostics per package, so a warm trajlint run never invokes the
-// compiler at all — PerfCompileCount makes that provable in tests.
+// compile), and a package with no //perf:hotpath mark is never compiled
+// — PerfCompileCount makes both provable in tests.
 
 import (
 	"fmt"
@@ -48,12 +47,12 @@ import (
 const perfGcflags = "-m -d=ssa/check_bce/debug=1"
 
 // perfCompileCount counts compiler invocations made by this process —
-// the observable the driver-cache tests use to prove warm runs recompile
-// nothing.
+// the observable the driver tests use to prove a markless package never
+// compiles.
 var perfCompileCount atomic.Int64
 
 // PerfCompileCount returns the number of `go build` diagnostic compiles
-// this process has performed (test observability for the cache).
+// this process has performed (test observability for the compile memo).
 func PerfCompileCount() int64 { return perfCompileCount.Load() }
 
 // CompilerDiag is one position-tagged compiler diagnostic.

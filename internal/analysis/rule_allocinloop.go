@@ -24,11 +24,10 @@ import (
 //   - explicit conversions to interface types (boxing)
 //
 // Unlike hotpathalloc/hotpathbce this rule needs no compiler run, so it
-// also fires in fixture trees and stays cheap on warm caches.
+// also fires in fixture trees and costs no compile.
 var ruleAllocInLoop = &Rule{
 	Name: "allocinloop",
 	Doc:  "no per-iteration allocation idioms inside //perf:hotpath loops",
-	Fix:  "hoist the allocation above the loop, preallocate with make(T, 0, n), build strings outside the hot loop, or take a caller-provided buffer",
 	Run:  runAllocInLoop,
 }
 

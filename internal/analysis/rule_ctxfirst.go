@@ -22,7 +22,6 @@ import (
 var ruleCtxFirst = &Rule{
 	Name: "ctxfirst",
 	Doc:  "context.Context is the first parameter and is never stored in a struct (cancellation contract)",
-	Fix:  "move ctx to the first parameter position; pass contexts per call instead of storing them",
 	Run:  runCtxFirst,
 }
 

@@ -3,7 +3,6 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 )
 
 // ruleDeferUnlock enforces the lock discipline of the sharded engine and
@@ -18,7 +17,6 @@ import (
 var ruleDeferUnlock = &Rule{
 	Name: "deferunlock",
 	Doc:  "Lock()/RLock() must pair with defer Unlock()/RUnlock() in the same function (panic-safe lock discipline)",
-	Fix:  "replace the inline mu.Unlock() with `defer mu.Unlock()` directly after the Lock when the critical section is the rest of the function",
 	Run:  runDeferUnlock,
 }
 
@@ -44,35 +42,21 @@ func runDeferUnlock(p *Pass) {
 }
 
 // checkLockScope inspects one function body (excluding nested function
-// literals) for Lock/RLock calls and their deferred counterparts. A
-// finding whose inline unlock is mechanically convertible (the critical
-// section runs to the end of the function: nothing after the inline
-// unlock touches the receiver again) carries a suggested fix — delete
-// the inline unlock and insert `defer recv.Unlock()` after the lock —
-// which `trajlint -fix` applies.
+// literals) for Lock/RLock calls and their deferred counterparts.
 func checkLockScope(p *Pass, body *ast.BlockStmt) {
 	type lockCall struct {
-		stmt   *ast.ExprStmt
 		call   *ast.CallExpr
 		recv   string // receiver expression, e.g. "sh.mu"
 		method string // Lock or RLock
 	}
-	type unlockCall struct {
-		stmt   *ast.ExprStmt
-		recv   string
-		method string // Unlock or RUnlock
-	}
 	var locks []lockCall
-	var inlineUnlocks []unlockCall
 	deferred := map[string]bool{} // "recv\x00method" of deferred unlocks
 
 	walkShallow(body, func(n ast.Node) {
 		var call *ast.CallExpr
-		var stmt *ast.ExprStmt
 		isDefer := false
 		switch s := n.(type) {
 		case *ast.ExprStmt:
-			stmt = s
 			call, _ = s.X.(*ast.CallExpr)
 		case *ast.DeferStmt:
 			call, isDefer = s.Call, true
@@ -90,79 +74,20 @@ func checkLockScope(p *Pass, body *ast.BlockStmt) {
 		switch name {
 		case "Lock", "RLock":
 			if !isDefer && isMutexRecv(p, sel.X) {
-				locks = append(locks, lockCall{stmt: stmt, call: call, recv: types.ExprString(sel.X), method: name})
+				locks = append(locks, lockCall{call: call, recv: types.ExprString(sel.X), method: name})
 			}
 		case "Unlock", "RUnlock":
 			if isDefer {
 				deferred[types.ExprString(sel.X)+"\x00"+name] = true
-			} else if stmt != nil {
-				inlineUnlocks = append(inlineUnlocks, unlockCall{stmt: stmt, recv: types.ExprString(sel.X), method: name})
 			}
 		}
 	})
-
-	// buildFix constructs the mechanical defer-conversion when it is
-	// provably safe: the lock is a plain statement, exactly one later
-	// inline unlock of the same receiver exists in the scope, and nothing
-	// after that unlock mentions the receiver again (so extending the
-	// critical section to the end of the function cannot self-deadlock).
-	// Returns nil otherwise — the finding still reports, fix-less.
-	buildFix := func(l lockCall) *Fix {
-		if l.stmt == nil {
-			return nil
-		}
-		unlockName := unlockFor[l.method]
-		var match *unlockCall
-		for i := range inlineUnlocks {
-			u := &inlineUnlocks[i]
-			if u.recv != l.recv || u.method != unlockName || u.stmt.Pos() <= l.stmt.End() {
-				continue
-			}
-			if match != nil {
-				return nil // ambiguous: two candidate unlocks
-			}
-			match = u
-		}
-		if match == nil {
-			return nil
-		}
-		// Nothing after the unlock may mention the receiver (it would run
-		// with the lock now held, or re-lock it).
-		mentioned := false
-		walkShallow(body, func(n ast.Node) {
-			if n.Pos() > match.stmt.End() {
-				if e, ok := n.(ast.Expr); ok && types.ExprString(e) == l.recv {
-					mentioned = true
-				}
-			}
-		})
-		if mentioned {
-			return nil
-		}
-		src, err := p.FileSource(p.Pkg.Fset.Position(l.stmt.Pos()).Filename)
-		if err != nil {
-			return nil
-		}
-		insert := p.editAt(l.stmt.End(), l.stmt.End(), "\ndefer "+l.recv+"."+unlockName+"()")
-		remove := p.lineEditAt(match.stmt.Pos(), src)
-		// Only delete the whole line when the statement is alone on it.
-		stmtStart := p.Pkg.Fset.Position(match.stmt.Pos()).Offset
-		stmtEnd := p.Pkg.Fset.Position(match.stmt.End()).Offset
-		line := strings.TrimSpace(string(src[remove.Start:remove.End]))
-		if line != strings.TrimSpace(string(src[stmtStart:stmtEnd])) {
-			remove = p.editAt(match.stmt.Pos(), match.stmt.End(), "")
-		}
-		return &Fix{
-			Message: "convert the inline " + l.recv + "." + unlockName + "() to a defer directly after the " + l.method,
-			Edits:   []Edit{insert, remove},
-		}
-	}
 
 	for _, l := range locks {
 		if deferred[l.recv+"\x00"+unlockFor[l.method]] {
 			continue
 		}
-		p.ReportFix(l.call.Pos(), buildFix(l),
+		p.Reportf(l.call.Pos(),
 			"%s.%s() without a matching defer %s.%s() in the same function; a panic in the critical section leaks the lock",
 			l.recv, l.method, l.recv, unlockFor[l.method])
 	}

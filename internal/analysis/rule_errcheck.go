@@ -32,7 +32,6 @@ import (
 var ruleErrcheck = &Rule{
 	Name: "errcheck",
 	Doc:  "every error result is consumed (returned, checked, or logged) on every control-flow path",
-	Fix:  "handle the error: check it, return it, or discard with `_ =` under a //lint:ignore errcheck <reason>",
 	Run:  runErrcheck,
 }
 

@@ -1,9 +1,6 @@
 package analysis
 
-import (
-	"go/ast"
-	"go/token"
-)
+import "go/ast"
 
 // ruleExportedDoc keeps the public surface documented: in a non-main,
 // non-internal package (for this module, the traj2hash facade itself),
@@ -14,25 +11,12 @@ import (
 var ruleExportedDoc = &Rule{
 	Name: "exporteddoc",
 	Doc:  "exported identifiers of public packages need doc comments (documented-facade contract)",
-	Fix:  "add a doc comment beginning with the identifier's name directly above the declaration",
 	Run:  runExportedDoc,
 }
 
 func runExportedDoc(p *Pass) {
 	if p.Pkg.Name == "main" || isInternalPath(p.Pkg.Path) {
 		return
-	}
-	// stubFix inserts a `// Name TODO: document.` stub comment directly
-	// before pos, which must sit at the start of a top-level line. The
-	// stub resolves the diagnostic mechanically (the declaration gains a
-	// doc comment) while keeping the TODO visible for a human pass — the
-	// contract is "documented surface", and an honest placeholder beats a
-	// silent gap.
-	stubFix := func(pos token.Pos, text string) *Fix {
-		return &Fix{
-			Message: "insert a stub doc comment (keep the TODO until it is written for real)",
-			Edits:   []Edit{p.editAt(pos, pos, "// "+text+"\n")},
-		}
 	}
 	hasPkgDoc := false
 	for _, f := range p.Pkg.Files {
@@ -41,9 +25,7 @@ func runExportedDoc(p *Pass) {
 		}
 	}
 	if !hasPkgDoc && len(p.Pkg.Files) > 0 {
-		f := p.Pkg.Files[0]
-		p.ReportFix(f.Name.Pos(), stubFix(f.Package, "Package "+p.Pkg.Name+" TODO: document."),
-			"package %s has no package comment", p.Pkg.Name)
+		p.Reportf(p.Pkg.Files[0].Name.Pos(), "package %s has no package comment", p.Pkg.Name)
 	}
 	for _, f := range p.Pkg.Files {
 		for _, decl := range f.Decls {
@@ -54,23 +36,14 @@ func runExportedDoc(p *Pass) {
 					if d.Recv != nil {
 						kind = "method"
 					}
-					p.ReportFix(d.Pos(), stubFix(d.Pos(), d.Name.Name+" TODO: document."),
-						"exported %s %s has no doc comment", kind, d.Name.Name)
+					p.Reportf(d.Pos(), "exported %s %s has no doc comment", kind, d.Name.Name)
 				}
 			case *ast.GenDecl:
-				// Stub insertion is only mechanical for an ungrouped decl,
-				// where the spec starts its own top-level line; specs inside
-				// a ( ... ) group report fix-less.
-				grouped := d.Lparen.IsValid()
 				for _, spec := range d.Specs {
 					switch s := spec.(type) {
 					case *ast.TypeSpec:
 						if s.Name.IsExported() && !realDoc(d.Doc) && !realDoc(s.Doc) {
-							var fix *Fix
-							if !grouped {
-								fix = stubFix(d.Pos(), s.Name.Name+" TODO: document.")
-							}
-							p.ReportFix(s.Pos(), fix, "exported type %s has no doc comment", s.Name.Name)
+							p.Reportf(s.Pos(), "exported type %s has no doc comment", s.Name.Name)
 						}
 					case *ast.ValueSpec:
 						if realDoc(d.Doc) || realDoc(s.Doc) {
@@ -78,11 +51,7 @@ func runExportedDoc(p *Pass) {
 						}
 						for _, name := range s.Names {
 							if name.IsExported() {
-								var fix *Fix
-								if !grouped {
-									fix = stubFix(d.Pos(), name.Name+" TODO: document.")
-								}
-								p.ReportFix(name.Pos(), fix, "exported %s %s has no doc comment",
+								p.Reportf(name.Pos(), "exported %s %s has no doc comment",
 									declKind(d), name.Name)
 								break
 							}

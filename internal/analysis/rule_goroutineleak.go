@@ -31,7 +31,6 @@ import (
 var ruleGoroutineLeak = &Rule{
 	Name: "goroutineleak",
 	Doc:  "every go statement is cancellable or provably bounded (ctx/Done, WaitGroup join, closed or buffered channels)",
-	Fix:  "thread a ctx and select on Done, join with a WaitGroup, or send results into a buffered channel",
 	Run:  runGoroutineLeak,
 }
 

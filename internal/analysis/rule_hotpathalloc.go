@@ -28,7 +28,6 @@ import (
 var ruleHotpathAlloc = &Rule{
 	Name: "hotpathalloc",
 	Doc:  "//perf:hotpath functions are heap-allocation-free, including module-local callees",
-	Fix:  "preallocate into caller-provided or reusable buffers, hoist the allocation out of the hot function, or drop the //perf:hotpath mark if the allocation is the function's purpose",
 	Run:  runHotpathAlloc,
 }
 

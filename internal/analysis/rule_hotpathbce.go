@@ -25,7 +25,6 @@ import (
 var ruleHotpathBCE = &Rule{
 	Name: "hotpathbce",
 	Doc:  "//perf:hotpath loop bodies are bounds-check-free under the compiler's BCE pass",
-	Fix:  "hoist the bound proof above the loop: `_ = s[len(s)-1]` for a single slice, or `b = b[:len(a)]` before indexing b by a's indices",
 	Run:  runHotpathBCE,
 }
 

@@ -32,7 +32,6 @@ import (
 var ruleLockOrder = &Rule{
 	Name: "lockorder",
 	Doc:  "the module-wide lock-acquisition graph is acyclic (no potential lock-order deadlocks)",
-	Fix:  "acquire the involved locks in one global order, or narrow one critical section so the nesting disappears",
 	Run:  runLockOrder,
 }
 

@@ -16,7 +16,6 @@ import (
 var rulePanicAttrib = &Rule{
 	Name: "panicattrib",
 	Doc:  "panics in internal/ must carry a \"pkg: \"-prefixed message (attributability contract)",
-	Fix:  "prefix the panic message (or its format string) with \"<package>: \"",
 	Run:  runPanicAttrib,
 }
 

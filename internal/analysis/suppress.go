@@ -3,7 +3,6 @@ package analysis
 import (
 	"fmt"
 	"go/token"
-	"os"
 	"strings"
 )
 
@@ -19,11 +18,10 @@ const (
 
 // suppression is one parsed, well-formed //lint: directive.
 type suppression struct {
-	file     string
 	line     int    // line the directive comment starts on
 	rule     string // rule being suppressed
 	fileWide bool   // true for a file-wide directive
-	pos, end token.Pos
+	pos      token.Pos
 	used     bool // matched at least one raw diagnostic this run
 }
 
@@ -58,10 +56,9 @@ func (s suppressionSet) suppresses(d Diagnostic) bool {
 // stale returns a diagnostic for every directive that suppressed nothing:
 // the rule it names ran (it is in the selected set) and produced no
 // finding the directive covers, so the suppression is dead weight — and,
-// worse, camouflage for a future real finding at the same site. The
-// report carries a fix deleting the directive (the whole line when it
-// stands alone). Directives naming unselected rules are skipped: a
-// -rules filter must not condemn suppressions it never exercised.
+// worse, camouflage for a future real finding at the same site.
+// Directives naming unselected rules are skipped: a -rules filter must
+// not condemn suppressions it never exercised.
 func (s suppressionSet) stale(pkg *Package, selected map[string]bool) []Diagnostic {
 	var diags []Diagnostic
 	for _, sups := range s.byFile {
@@ -70,20 +67,9 @@ func (s suppressionSet) stale(pkg *Package, selected map[string]bool) []Diagnost
 				continue
 			}
 			pos := pkg.Fset.Position(sup.pos)
-			var fix *Fix
-			if src, err := os.ReadFile(sup.file); err == nil {
-				edit := lineEditIn(pkg.Fset, sup.pos, src)
-				start := pkg.Fset.Position(sup.pos).Offset
-				// Delete the whole line only when the directive stands
-				// alone on it; a trailing directive loses just its span.
-				if strings.TrimSpace(string(src[edit.Start:start])) != "" {
-					edit = Edit{File: sup.file, Start: start, End: pkg.Fset.Position(sup.end).Offset}
-				}
-				fix = &Fix{Message: "delete the stale directive", Edits: []Edit{edit}}
-			}
 			diags = append(diags, Diagnostic{
 				Pos: pos, File: pos.Filename, Line: pos.Line, Col: pos.Column,
-				Rule: DirectiveRule, Fix: fix,
+				Rule:    DirectiveRule,
 				Message: fmt.Sprintf("stale suppression: no %s finding here for this directive to suppress; delete it", sup.rule),
 			})
 		}
@@ -147,8 +133,7 @@ func collectSuppressions(pkg *Package) (suppressionSet, []Diagnostic) {
 					continue
 				}
 				set.byFile[pos.Filename] = append(set.byFile[pos.Filename], &suppression{
-					file: pos.Filename, line: pos.Line, rule: rule, fileWide: fileWide,
-					pos: c.Pos(), end: c.End(),
+					line: pos.Line, rule: rule, fileWide: fileWide, pos: c.Pos(),
 				})
 			}
 		}

@@ -178,15 +178,11 @@ var (
 	checkpointWriteFailers = obs.Default().Counter("core.checkpoint.write_failures")
 )
 
-// SaveCheckpointFile writes the checkpoint to path atomically AND
-// durably: the bytes are written to a sibling temp file, fsynced to
-// stable storage, renamed over path, and the parent directory is synced
-// so the rename itself survives a crash. The ordering matters — renaming
-// before fsync would publish a checkpoint whose data could still be lost
-// to power failure, the exact failure checkpoints exist to survive; an
-// interrupt at any point leaves either the old complete file or the new
-// complete file, never a torn one. Outcomes are counted on obs.Default
-// (core.checkpoint.writes / core.checkpoint.write_failures).
+// SaveCheckpointFile writes the checkpoint to path atomically and
+// durably (see writeFileDurable): an interrupt at any point leaves either
+// the old complete file or the new complete file, never a torn one.
+// Outcomes are counted on obs.Default (core.checkpoint.writes /
+// core.checkpoint.write_failures).
 func SaveCheckpointFile(path string, c *Checkpoint) (err error) {
 	defer func() {
 		if err != nil {
@@ -195,14 +191,24 @@ func SaveCheckpointFile(path string, c *Checkpoint) (err error) {
 			checkpointWrites.Inc()
 		}
 	}()
+	return writeFileDurable(path, c.Save)
+}
+
+// writeFileDurable writes path through write atomically AND durably: the
+// bytes are written to a sibling temp file, fsynced to stable storage,
+// renamed over path, and the parent directory is synced so the rename
+// itself survives a crash. The ordering matters — renaming before fsync
+// would publish a file whose data could still be lost to power failure.
+// A failed write removes the temp file and leaves path as it was.
+func writeFileDurable(path string, write func(io.Writer) error) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
 	if err != nil {
 		return err
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if err := c.Save(tmp); err != nil {
-		//lint:ignore errcheck the save error takes precedence over the cleanup close
+	if err := write(tmp); err != nil {
+		//lint:ignore errcheck the write error takes precedence over the cleanup close
 		tmp.Close()
 		return err
 	}

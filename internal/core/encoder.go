@@ -2,6 +2,7 @@ package core
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/gob"
 	"errors"
@@ -182,24 +183,14 @@ func SaveEncoder(w io.Writer, enc Encoder) error {
 	if !ok {
 		return fmt.Errorf("core: encoder kind %q is not serializable", enc.Kind())
 	}
-	var raw bytesBuffer
+	var raw bytes.Buffer
 	if err := saver.Save(&raw); err != nil {
 		return err
 	}
-	if err := gob.NewEncoder(w).Encode(encoderBlob{Kind: enc.Kind(), Raw: raw.b}); err != nil {
+	if err := gob.NewEncoder(w).Encode(encoderBlob{Kind: enc.Kind(), Raw: raw.Bytes()}); err != nil {
 		return fmt.Errorf("core: save encoder: %w", err)
 	}
 	return nil
-}
-
-// bytesBuffer is a minimal in-memory io.Writer (avoids importing bytes
-// just for a buffer).
-type bytesBuffer struct{ b []byte }
-
-// Write appends p to the buffer; it never fails.
-func (w *bytesBuffer) Write(p []byte) (int, error) {
-	w.b = append(w.b, p...)
-	return len(p), nil
 }
 
 // LoadEncoder reads an encoder written by SaveEncoder, dispatching on the
@@ -216,40 +207,16 @@ func LoadEncoder(r io.Reader) (Encoder, error) {
 	if entry.loader == nil {
 		return nil, fmt.Errorf("core: encoder kind %q has no loader", blob.Kind)
 	}
-	return entry.loader(newSliceReader(blob.Raw))
+	// A bytes.Reader is an io.ByteReader, so the loader's gob decoders
+	// read exactly their own messages without a bufio wrapper.
+	return entry.loader(bytes.NewReader(blob.Raw))
 }
 
-// newSliceReader wraps raw bytes as a buffered reader so gob-based
-// loaders see an io.ByteReader (the same requirement LoadCheckpointFile
-// documents).
-func newSliceReader(b []byte) io.Reader { return bufio.NewReader(&sliceReader{b: b}) }
-
-type sliceReader struct {
-	b   []byte
-	off int
-}
-
-// Read implements io.Reader over the remaining bytes.
-func (r *sliceReader) Read(p []byte) (int, error) {
-	if r.off >= len(r.b) {
-		return 0, io.EOF
-	}
-	n := copy(p, r.b[r.off:])
-	r.off += n
-	return n, nil
-}
-
-// SaveEncoderFile writes an encoder to path in the container format.
+// SaveEncoderFile writes an encoder to path in the container format,
+// atomically and durably as SaveCheckpointFile does: a failed save
+// leaves the file that was at path unchanged.
 func SaveEncoderFile(path string, enc Encoder) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if err := SaveEncoder(f, enc); err != nil {
-		return err
-	}
-	return f.Close()
+	return writeFileDurable(path, func(w io.Writer) error { return SaveEncoder(w, enc) })
 }
 
 // LoadEncoderFile reads an encoder from path, which must hold the

@@ -6,6 +6,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"hash/fnv"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -192,6 +193,75 @@ func TestLoadEncoderFile(t *testing.T) {
 
 	if _, err := LoadEncoderFile(filepath.Join(dir, "missing.enc")); err == nil {
 		t.Error("missing file loaded")
+	}
+}
+
+// unsaveableEncoder hides its encoder's Save, so SaveEncoder refuses it
+// before writing a byte.
+type unsaveableEncoder struct{ Encoder }
+
+// tornSaveEncoder's Save fails after writing part of its payload.
+type tornSaveEncoder struct{ Encoder }
+
+func (tornSaveEncoder) Save(w io.Writer) error {
+	if _, err := w.Write([]byte("torn")); err != nil {
+		return err
+	}
+	return errors.New("disk full")
+}
+
+// TestSaveEncoderFileFailureKeepsOldFile: a save that fails returns its
+// error and leaves the model file that was at the path loadable and
+// unchanged, with no temp file beside it.
+func TestSaveEncoderFileFailureKeepsOldFile(t *testing.T) {
+	enc := newTestEncoder(t, GeoPTHKind)
+	for _, tc := range []struct {
+		name string
+		bad  Encoder
+	}{
+		{"not serializable", unsaveableEncoder{enc}},
+		{"encoder Save fails", tornSaveEncoder{enc}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, "model.enc")
+			if err := SaveEncoderFile(path, enc); err != nil {
+				t.Fatal(err)
+			}
+			before, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := SaveEncoderFile(path, tc.bad); err == nil {
+				t.Fatal("failed save returned nil")
+			}
+			after, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(after, before) {
+				t.Fatalf("failed save changed the file: %d bytes, was %d", len(after), len(before))
+			}
+			loaded, err := LoadEncoderFile(path)
+			if err != nil {
+				t.Fatalf("old file no longer loads: %v", err)
+			}
+			ts := genTrajs(6, 11)
+			if !reflect.DeepEqual(loaded.EmbedAll(ts), enc.EmbedAll(ts)) {
+				t.Error("old file loads a different encoder")
+			}
+			ents, err := os.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(ents) != 1 {
+				var names []string
+				for _, e := range ents {
+					names = append(names, e.Name())
+				}
+				t.Errorf("directory holds %v; want only model.enc", names)
+			}
+		})
 	}
 }
 

@@ -43,11 +43,14 @@ func (s *Server) dispatch() {
 	}
 }
 
+// maxBatch caps the coalesced batch size.
+const maxBatch = 64
+
 // collect gathers a batch starting from first, flush-when-idle: it takes
 // whatever is already queued without blocking and, if no flush is in
 // flight, returns at once — a request that meets an idle server never
 // waits. Only while a flight is in the air is the batch held open, and
-// then until that flight lands (flightsLanded), MaxBatch fills, or
+// then until that flight lands (flightsLanded), maxBatch fills, or
 // BatchWindow has passed: arrivals that overlap a flight are exactly the
 // ones that can share the next one, so the batch size follows the load
 // by itself and the window is the maximum hold, not the hold. A negative
@@ -59,7 +62,7 @@ func (s *Server) collect(first *searchReq) []*searchReq {
 		return batch
 	}
 	var window <-chan time.Time // armed only once the batch actually has to wait
-	for len(batch) < s.cfg.MaxBatch {
+	for len(batch) < maxBatch {
 		select {
 		case sr := <-s.in:
 			batch = append(batch, sr)

@@ -68,8 +68,6 @@ type Config struct {
 	// 2ms; negative disables coalescing — every search becomes a batch
 	// of one).
 	BatchWindow time.Duration
-	// MaxBatch caps the coalesced batch size (default 64).
-	MaxBatch int
 	// MaxInFlight bounds admitted requests; beyond it the server sheds
 	// with 503 (default 256).
 	MaxInFlight int
@@ -139,30 +137,23 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Index == nil {
 		return nil, errors.New("serve: Config.Index is required")
 	}
-	if cfg.DefaultK <= 0 {
-		cfg.DefaultK = 10
+	s := &Server{cfg: cfg, quit: make(chan struct{}), flightsLanded: make(chan struct{}, 1)}
+	c := &s.cfg
+	if c.DefaultK <= 0 {
+		c.DefaultK = 10
 	}
-	if cfg.BatchWindow == 0 {
-		cfg.BatchWindow = 2 * time.Millisecond
+	if c.BatchWindow == 0 {
+		c.BatchWindow = 2 * time.Millisecond
 	}
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = 64
+	if c.MaxInFlight <= 0 {
+		c.MaxInFlight = 256
 	}
-	if cfg.MaxInFlight <= 0 {
-		cfg.MaxInFlight = 256
+	if c.DrainTimeout <= 0 {
+		c.DrainTimeout = 30 * time.Second
 	}
-	if cfg.DrainTimeout <= 0 {
-		cfg.DrainTimeout = 30 * time.Second
-	}
-	s := &Server{
-		cfg:  cfg,
-		met:  newServeMetrics(cfg.Metrics),
-		sem:  make(chan struct{}, cfg.MaxInFlight),
-		in:   make(chan *searchReq, cfg.MaxInFlight),
-		quit: make(chan struct{}),
-
-		flightsLanded: make(chan struct{}, 1),
-	}
+	s.met = newServeMetrics(c.Metrics)
+	s.sem = make(chan struct{}, c.MaxInFlight)
+	s.in = make(chan *searchReq, c.MaxInFlight)
 	mux := http.NewServeMux()
 	mux.HandleFunc("/search", s.handleSearch)
 	mux.HandleFunc("/add", s.handleAdd)

@@ -2,7 +2,9 @@
 # CI gate for the repository, in order:
 #   1. gofmt cleanliness (including testdata fixtures)
 #   2. trajlint — the stdlib-only analyzer suite enforcing the repo's
-#      correctness contracts (see DESIGN.md "Static analysis & invariants")
+#      correctness contracts (see DESIGN.md "Static analysis & invariants"),
+#      run once; its JSON findings are archived at
+#      bin/trajlint-findings.json
 #   3. go vet
 #   4. go build (and, informational: nn.matmul's address mod 64 in the
 #      trajbench binary, then every //perf:hotpath function's, from
@@ -24,17 +26,17 @@
 #   6. encoder benchmark artifact — embed/hash ns/op, ops/sec, and allocs
 #      for every registered encoder kind, exported to
 #      bin/BENCH_encoders.json (BENCH_ENCODERS_OUT)
-#   7. hotpath performance contracts — the perf-rule subset of trajlint
-#      (hotpathalloc, hotpathbce, allocinloop) re-checked standalone,
-#      then the BenchmarkHotpath* suite runs with -benchmem and
+#   7. hotpath performance contracts — the perf rules (hotpathalloc,
+#      hotpathbce, allocinloop) already ran in stage 2; here the
+#      BenchmarkHotpath* suite runs with -benchmem and
 #      cmd/benchjson exports bin/BENCH_hotpath.json and gates allocs/op
 #      against scripts/hotpath_floors.json (allocs are exact, so unlike
 #      ns/op they CAN fail the build; see DESIGN.md "Performance
 #      contracts"). The suite includes the tape-free embedding path at
 #      both shapes: BenchmarkHotpathEmbedAll (tinyConfig batch) and
 #      BenchmarkHotpathEmbedAttention64 (one Embed at the paper shape)
-#   8. trajlint benchmark artifact — cold/warm whole-module analysis
-#      cost (BenchmarkTrajlintTree), exported to bin/BENCH_trajlint.json
+#   8. trajlint benchmark artifact — whole-module analysis cost
+#      (BenchmarkTrajlintTree), exported to bin/BENCH_trajlint.json
 #   9. mutable-index benchmark artifact — add/delete/compaction/search-
 #      with-tombstones and WAL append (single, and as a 64-record group:
 #      BenchmarkMutableWALAppendBatch64, ns_per_op per group) / recovery
@@ -108,19 +110,18 @@ if [ -n "$unformatted" ]; then
 fi
 
 echo "== trajlint ./..."
-# Build the linter once into bin/ (gitignored) and reuse the binary for
-# both passes; the content-hash cache makes the second pass a replay.
+# Build the linter into bin/ (gitignored) and run it once: the JSON
+# findings (an empty array when clean) are both the gate and the
+# artifact CI consumers read.
 mkdir -p bin
 go build -o bin/trajlint ./cmd/trajlint
 lint_status=0
-./bin/trajlint -cache bin/trajlint-cache ./... || lint_status=$?
-# Machine-readable findings artifact for CI consumers (empty array when
-# clean). Best-effort: a findings exit (1) is expected here.
-./bin/trajlint -json -cache bin/trajlint-cache ./... >bin/trajlint-findings.json || true
+./bin/trajlint -json ./... >bin/trajlint-findings.json || lint_status=$?
 case "$lint_status" in
 0) ;;
 1)
-	echo "trajlint: findings — a correctness contract is violated. Each rule is documented in DESIGN.md 'Static analysis & invariants', including how to suppress deliberate sites with //lint:ignore <rule> <reason>. Run ./bin/trajlint -fix ./... for the mechanical ones; JSON artifact at bin/trajlint-findings.json"
+	cat bin/trajlint-findings.json
+	echo "trajlint: findings — a correctness contract is violated. Each rule is documented in DESIGN.md 'Static analysis & invariants', including how to suppress deliberate sites with //lint:ignore <rule> <reason>; JSON artifact at bin/trajlint-findings.json"
 	exit 1
 	;;
 *)
@@ -173,15 +174,10 @@ BENCH_ENCODERS_OUT="$PWD/bin/BENCH_encoders.json" \
 	exit 1
 }
 
-echo "== hotpath performance contracts (perf rules + BENCH_hotpath.json)"
-# The full trajlint pass above already includes the perf rules; this
-# standalone invocation documents the contract and exercises the
-# -rules path the perf docs point people at. The diagnostics cache makes
-# it a replay of the compile work done in stage 2.
-./bin/trajlint -cache bin/trajlint-cache -rules hotpathalloc,hotpathbce,allocinloop ./... || {
-	echo "perf contracts: a //perf:hotpath function regressed — see DESIGN.md 'Performance contracts' for the escape/BCE/alloc gates and how to read the findings"
-	exit 1
-}
+echo "== hotpath performance contracts (BENCH_hotpath.json)"
+# The perf rules (hotpathalloc, hotpathbce, allocinloop) ran with the
+# rest of trajlint in stage 2; this stage gates the allocations the hot
+# paths make at run time.
 go build -o bin/benchjson ./cmd/benchjson
 # -benchtime 100x keeps the stage fast; the gated quantity (allocs/op)
 # is exact in steady state, so a short run measures it as well as a
@@ -203,10 +199,10 @@ go test -bench 'BenchmarkHotpath' -benchmem -benchtime 100x -run '^$' \
 }
 
 echo "== trajlint benchmark artifact (BENCH_trajlint.json)"
-# Cold/warm full-module analysis cost (BenchmarkTrajlintTree): the cold
-# number is the parse+type-check+analyze bill, the warm number is the
-# content-hash cache replay. Informational, no floors — but the artifact
-# must exist so the per-PR tooling-cost trajectory is recorded.
+# Full-module analysis cost (BenchmarkTrajlintTree): the
+# parse+type-check+analyze bill of one trajlint run. Informational, no
+# floors — but the artifact must exist so the per-PR tooling-cost
+# trajectory is recorded.
 go test -bench BenchmarkTrajlintTree -benchmem -benchtime 1x -run '^$' \
 	./internal/analysis >bin/bench_trajlint.txt || {
 	cat bin/bench_trajlint.txt
@@ -357,10 +353,10 @@ echo "== repo hygiene (generated outputs stay under bin/)"
 # into scripts/ and the repo root before; fail loudly if they return.
 hygiene_fail=0
 for stray in \
-	scripts/trajlint scripts/benchjson scripts/trajlint-cache \
+	scripts/trajlint scripts/benchjson \
 	scripts/metrics.json scripts/bench_hotpath.txt \
 	scripts/bench_mutable.txt scripts/bench_trajlint.txt \
-	trajlint benchjson trajlint-cache metrics.json; do
+	trajlint benchjson metrics.json; do
 	if [ -e "$stray" ]; then
 		echo "hygiene: $stray is a generated output — it belongs under bin/ (delete it; bin/ is gitignored)"
 		hygiene_fail=1

@@ -1,11 +1,11 @@
 #!/usr/bin/env sh
 # Fast pre-commit lint: build trajlint once and run it over the module.
 # This is the standalone version of the trajlint stage in ci.sh — a few
-# seconds instead of the full race-detector test run (warm cache runs are
-# milliseconds). The binary and its cache land in ./bin (gitignored).
+# seconds instead of the full race-detector test run. The binary lands
+# in ./bin (gitignored).
 #
 # Flags pass straight through to trajlint, so
-#   ./scripts/lint.sh -fix             # apply mechanical fixes, re-lint
+#   ./scripts/lint.sh -stats           # per-rule time and findings
 #   ./scripts/lint.sh -rules errcheck  # one rule only
 #   ./scripts/lint.sh ./internal/engine
 # all work; when no package pattern is given, ./... is appended.
@@ -28,8 +28,8 @@ for arg in "$@"; do
 	esac
 done
 if [ "$have_pattern" -eq 1 ]; then
-	./bin/trajlint -cache bin/trajlint-cache "$@"
+	./bin/trajlint "$@"
 else
-	./bin/trajlint -cache bin/trajlint-cache "$@" ./...
+	./bin/trajlint "$@" ./...
 fi
 echo "lint OK"
