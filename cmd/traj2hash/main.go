@@ -3,7 +3,6 @@
 //	traj2hash gen        generate a synthetic trajectory dataset
 //	traj2hash train      train a trainable encoder (attention, cnn) on a dataset
 //	traj2hash search     top-k similar trajectory search with an encoder
-//	traj2hash bench      benchmark embed/encode throughput per encoder kind
 //	traj2hash experiment reproduce one of the paper's tables or figures
 //	traj2hash all        reproduce every table and figure
 //
@@ -56,8 +55,6 @@ func main() {
 		err = cmdTrain(ctx, os.Args[2:])
 	case "search":
 		err = cmdSearch(ctx, os.Args[2:])
-	case "bench":
-		err = cmdBench(ctx, os.Args[2:])
 	case "experiment":
 		err = cmdExperiment(ctx, os.Args[2:])
 	case "all":
@@ -82,7 +79,6 @@ commands:
   import      build a dataset from a CSV of real trajectories
   train       train a trainable encoder (-encoder attention|cnn) on a dataset
   search      top-k similar trajectory search with an encoder
-  bench       benchmark embed/encode throughput per encoder kind
   experiment  reproduce a paper table/figure: table1..3 fig4..9 extra-cdtw encoders
   all         reproduce every table and figure`)
 }
@@ -419,74 +415,6 @@ func cmdSearch(ctx context.Context, args []string) error {
 		idx.HybridFastPaths(), len(queries), *shards)
 	if *stats {
 		serve.WriteStats(os.Stdout, reg)
-	}
-	return nil
-}
-
-// cmdBench times each encoder kind's embed and hash throughput on a
-// dataset. Encoders are built fresh and left untrained: training changes
-// the parameter values, not the arithmetic, so throughput is identical
-// and no model files are needed.
-func cmdBench(ctx context.Context, args []string) error {
-	fs := flag.NewFlagSet("bench", flag.ExitOnError)
-	in := fs.String("data", "dataset.gob", "dataset path (from gen)")
-	scale := fs.String("scale", "small", "encoder config scale: tiny|small|medium|paper")
-	kinds := fs.String("encoders", strings.Join(core.EncoderKinds(), ","),
-		"comma-separated encoder kinds to benchmark")
-	n := fs.Int("n", 100, "number of trajectories to embed per measurement")
-	workers := fs.Int("workers", 0, "workers for the parallel embed pass (0 = GOMAXPROCS)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	ds, err := data.Load(*in)
-	if err != nil {
-		return err
-	}
-	sc, err := experiments.ParseScale(*scale)
-	if err != nil {
-		return err
-	}
-	cfg := experiments.ParamsFor(sc).CoreConfig()
-	ts := ds.Database
-	if *n < len(ts) {
-		ts = ts[:*n]
-	}
-	if len(ts) == 0 {
-		return fmt.Errorf("bench: dataset has no database trajectories")
-	}
-	fmt.Printf("benchmarking %d trajectories per pass (scale %s, %d bits)\n", len(ts), sc, cfg.HashBits)
-	for _, kindFlag := range strings.Split(*kinds, ",") {
-		if cerr := ctx.Err(); cerr != nil {
-			return cerr
-		}
-		kind := strings.TrimSpace(kindFlag)
-		if err := core.ResolveEncoderKind(kind); err != nil {
-			return err
-		}
-		buildStart := time.Now()
-		enc, err := core.NewEncoder(kind, cfg, ds.All())
-		if err != nil {
-			return err
-		}
-		buildDur := time.Since(buildStart)
-
-		embStart := time.Now()
-		enc.EmbedAll(ts)
-		embDur := time.Since(embStart)
-
-		parStart := time.Now()
-		enc.EmbedAllParallel(ts, *workers)
-		parDur := time.Since(parStart)
-
-		codeStart := time.Now()
-		enc.CodeAll(ts)
-		codeDur := time.Since(codeStart)
-
-		per := func(d time.Duration) string {
-			return fmt.Sprintf("%.1fµs", float64(d.Nanoseconds())/float64(len(ts))/1e3)
-		}
-		fmt.Printf("%-10s build %8v | embed %s/traj | parallel %s/traj | code %s/traj\n",
-			kind, buildDur.Round(time.Millisecond), per(embDur), per(parDur), per(codeDur))
 	}
 	return nil
 }

@@ -234,9 +234,10 @@ func oracleIndex(t *testing.T, enc Encoder, shards int, ops []mop) *Index {
 //     in flight at the crash — for the batch, any prefix of its group,
 //  3. a fresh in-memory index built over exactly that prefix answers
 //     every query byte-identically on all backends,
-//  4. deleted ids never appear in any answer.
+//  4. deleted ids never appear in any answer,
 //
-// It runs sharded and on a single shard.
+// and that Close of the crashed index reports the failure, wherever in
+// the protocol it struck. It runs sharded and on a single shard.
 func TestCrashRecoveryParity(t *testing.T) {
 	m, ds := untrainedFixture(t)
 	ops := durabilityScript(ds)
@@ -302,7 +303,9 @@ func TestCrashRecoveryParity(t *testing.T) {
 					if err == nil {
 						t.Fatalf("%s: workload survived its scheduled crash", fl.name)
 					}
-					ix.Close()
+					if cerr := ix.Close(); !errors.Is(cerr, ErrWALFailed) {
+						t.Fatalf("%s: Close after the fault = %v, want the latched ErrWALFailed", fl.name, cerr)
+					}
 				}
 				if !ffs.Crashed() {
 					t.Fatalf("%s: workload failed (%v) without the fault firing", fl.name, err)
@@ -634,71 +637,97 @@ func TestMutationsAfterCloseFailClosed(t *testing.T) {
 // forgotten — the next AddCtx was appended behind the partial record,
 // fsynced and acknowledged, and a reopen truncated the log at the partial
 // record and took the acknowledged one with it. The store now stays
-// failed: every later mutation is refused whole with ErrWALFailed, queries
-// keep answering, and a reopen finds every acknowledged id.
+// failed after any survivable fault — a partial write, a failed fsync, a
+// failed rename inside a snapshot: every later mutation is refused whole
+// with ErrWALFailed, queries keep answering, Close reports the failure,
+// and a reopen finds every acknowledged id (and ignores the temp file a
+// failed snapshot rename leaves).
 func TestWALFailureIsLatched(t *testing.T) {
 	m, ds := untrainedFixture(t)
 	ctx := context.Background()
-	dir := t.TempDir()
-	opts := Options{Shards: 2, WALDir: dir, SnapshotEvery: -1, WALSyncEvery: 1}
-	ffs := faultinject.NewFS(nil)
-	opts.walFS = ffs
-	ix, err := NewIndexWith(m, nil, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opening, _, _ := ffs.Counts()
-	ffs.PartialWriteAt(opening + 2) // the second append
-	if id, err := ix.AddCtx(ctx, ds.Database[0]); err != nil || id != 0 {
-		t.Fatalf("first AddCtx = (%d, %v), want id 0", id, err)
-	}
-	if _, err := ix.AddCtx(ctx, ds.Database[1]); !errors.Is(err, faultinject.ErrNoSpace) || !errors.Is(err, ErrWALFailed) {
-		t.Fatalf("AddCtx over the failing write = %v, want ErrNoSpace wrapped beside ErrWALFailed", err)
-	}
-	if ffs.Crashed() {
-		t.Fatal("the partial write crashed the filesystem; this test needs it alive")
-	}
+	for _, tc := range []struct {
+		name          string
+		snapshotEvery int
+		arm           func(f *faultinject.FS, writes, syncs, renames int) // counts after opening
+		cause         error
+		leavesTmp     bool // the fault strands the snapshot's temp file
+		wantLen       int  // what the reopen recovers
+		wantTorn      bool
+	}{
+		// Half the second add's frame reaches the log: the reopen truncates it.
+		{"partial write", -1, func(f *faultinject.FS, w, _, _ int) { f.PartialWriteAt(w + 2) }, faultinject.ErrNoSpace, false, 1, true},
+		// The second add's bytes are written whole; only its fsync fails.
+		{"fsync", -1, func(f *faultinject.FS, _, s, _ int) { f.SyncErrorAt(s + 2) }, faultinject.ErrIO, false, 2, false},
+		// The second add is logged and falls due for a snapshot, whose rename fails.
+		{"snapshot rename", 2, func(f *faultinject.FS, _, _, r int) { f.RenameErrorAt(r + 1) }, faultinject.ErrIO, true, 2, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			opts := Options{Shards: 2, WALDir: dir, SnapshotEvery: tc.snapshotEvery, WALSyncEvery: 1}
+			ffs := faultinject.NewFS(nil)
+			opts.walFS = ffs
+			ix, err := NewIndexWith(m, nil, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w, s, r := ffs.Counts()
+			tc.arm(ffs, w, s, r) // the second add fails
+			if id, err := ix.AddCtx(ctx, ds.Database[0]); err != nil || id != 0 {
+				t.Fatalf("first AddCtx = (%d, %v), want id 0", id, err)
+			}
+			if _, err := ix.AddCtx(ctx, ds.Database[1]); !errors.Is(err, tc.cause) || !errors.Is(err, ErrWALFailed) {
+				t.Fatalf("AddCtx over the fault = %v, want %v wrapped beside ErrWALFailed", err, tc.cause)
+			}
+			if ffs.Crashed() {
+				t.Fatal("the fault crashed the filesystem; this test needs it alive")
+			}
 
-	// Nothing is acknowledged behind the failure, and nothing is applied.
-	n := ix.Len()
-	want := do(t, ix, Query{Traj: ds.Queries[0], K: 2})
-	if id, err := ix.AddCtx(ctx, ds.Database[2]); !errors.Is(err, ErrWALFailed) {
-		t.Errorf("AddCtx on a failed WAL = (%d, %v), want ErrWALFailed", id, err)
-	}
-	if ids, err := ix.AddBatchCtx(ctx, ds.Database[2:5]); !errors.Is(err, ErrWALFailed) || len(ids) != 0 {
-		t.Errorf("AddBatchCtx on a failed WAL = (%v, %v), want ErrWALFailed and no ids", ids, err)
-	}
-	if err := ix.Update(0, ds.Database[9]); !errors.Is(err, ErrWALFailed) {
-		t.Errorf("Update on a failed WAL = %v, want ErrWALFailed", err)
-	}
-	if err := ix.Delete(0); !errors.Is(err, ErrWALFailed) {
-		t.Errorf("Delete on a failed WAL = %v, want ErrWALFailed", err)
-	}
-	if tr, ok := ix.Trajectory(0); ix.Len() != n || !ok || !reflect.DeepEqual(tr, ds.Database[0]) {
-		t.Errorf("refused mutations changed the index: Len %d (was %d), id 0 present %v", ix.Len(), n, ok)
-	}
-	assertSameResults(t, "search on a failed WAL", do(t, ix, Query{Traj: ds.Queries[0], K: 2}), want)
-	w, s, _ := ffs.Counts()
-	if err := ix.Close(); !errors.Is(err, ErrWALFailed) {
-		t.Errorf("Close of a failed index = %v, want the latched failure reported", err)
-	}
-	if w2, s2, _ := ffs.Counts(); w2 != w || s2 != s {
-		t.Errorf("Close of a failed index wrote or fsynced (%d writes, %d fsyncs since the failure)", w2-w, s2-s)
-	}
+			// Nothing is acknowledged behind the failure, and nothing is applied.
+			n := ix.Len()
+			want := do(t, ix, Query{Traj: ds.Queries[0], K: 2})
+			if id, err := ix.AddCtx(ctx, ds.Database[2]); !errors.Is(err, ErrWALFailed) {
+				t.Errorf("AddCtx on a failed WAL = (%d, %v), want ErrWALFailed", id, err)
+			}
+			if ids, err := ix.AddBatchCtx(ctx, ds.Database[2:5]); !errors.Is(err, ErrWALFailed) || len(ids) != 0 {
+				t.Errorf("AddBatchCtx on a failed WAL = (%v, %v), want ErrWALFailed and no ids", ids, err)
+			}
+			if err := ix.Update(0, ds.Database[9]); !errors.Is(err, ErrWALFailed) {
+				t.Errorf("Update on a failed WAL = %v, want ErrWALFailed", err)
+			}
+			if err := ix.Delete(0); !errors.Is(err, ErrWALFailed) {
+				t.Errorf("Delete on a failed WAL = %v, want ErrWALFailed", err)
+			}
+			if tr, ok := ix.Trajectory(0); ix.Len() != n || !ok || !reflect.DeepEqual(tr, ds.Database[0]) {
+				t.Errorf("refused mutations changed the index: Len %d (was %d), id 0 present %v", ix.Len(), n, ok)
+			}
+			assertSameResults(t, "search on a failed WAL", do(t, ix, Query{Traj: ds.Queries[0], K: 2}), want)
+			w, s, _ = ffs.Counts()
+			if err := ix.Close(); !errors.Is(err, ErrWALFailed) || !errors.Is(err, tc.cause) {
+				t.Errorf("Close of a failed index = %v, want the latched failure reported", err)
+			}
+			if w2, s2, _ := ffs.Counts(); w2 != w || s2 != s {
+				t.Errorf("Close of a failed index wrote or fsynced (%d writes, %d fsyncs since the failure)", w2-w, s2-s)
+			}
+			if _, err := os.Stat(filepath.Join(dir, wal.SnapshotName+".tmp")); (err == nil) != tc.leavesTmp {
+				t.Errorf("snapshot temp file present = %v, want it only after the failed rename", err == nil)
+			}
 
-	opts.walFS = nil
-	re, err := NewIndexWith(m, nil, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		re.Close()
-	}()
-	if info := re.Recovery(); re.Len() != 1 || !info.TornTail {
-		t.Fatalf("reopen: Len %d, %+v — want the one acknowledged add behind a truncated partial record", re.Len(), info)
-	}
-	if tr, ok := re.Trajectory(0); !ok || !reflect.DeepEqual(tr, ds.Database[0]) {
-		t.Fatal("reopen lost the acknowledged id 0")
+			opts.walFS = nil
+			re, err := NewIndexWith(m, nil, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer func() {
+				re.Close()
+			}()
+			adds := []mop{{kind: mopAdd, t: ds.Database[0]}, {kind: mopAdd, t: ds.Database[1]}}
+			if L, ok := matchPrefix(re, adds, len(adds)); !ok || L < 1 {
+				t.Fatalf("reopen: Len %d, %+v — want a prefix of the two adds that keeps the acknowledged id 0", re.Len(), re.Recovery())
+			}
+			if info := re.Recovery(); re.Len() != tc.wantLen || info.TornTail != tc.wantTorn {
+				t.Fatalf("reopen: Len %d, torn tail %v — want Len %d, torn tail %v", re.Len(), info.TornTail, tc.wantLen, tc.wantTorn)
+			}
+		})
 	}
 }
 
@@ -750,9 +779,11 @@ func TestGroupCommitOperationCounts(t *testing.T) {
 // add builds no WAL payload — beyond the encoder's own objects, AddCtx
 // allocates only the code's words (flattening the trajectory for a record
 // nobody writes made it two). A durable index still logs whole records:
-// the durability script leaves WAL-directory bytes that hash to the value
-// recorded when every add still built its payload, and after a reopen it
-// answers like the in-memory index fed the same script.
+// the durability script leaves WAL-directory bytes that hash to a pinned
+// value (its wal.log is the one recorded when every add still built its
+// payload; the pin was re-recorded when the snapshot became a frame file),
+// and after a reopen it answers like the in-memory index fed the same
+// script.
 func TestInMemoryAddBuildsNoWALPayload(t *testing.T) {
 	ds := BuildDataset(Porto(), SplitSpec{Seed: 10, Validation: 6, Corpus: 30, Queries: 6, Database: 40}, 9)
 	enc, err := NewEncoder(EncoderGeoPTH, DefaultConfig(16), ds.All())
@@ -797,7 +828,7 @@ func TestInMemoryAddBuildsNoWALPayload(t *testing.T) {
 	for _, name := range names {
 		fmt.Fprintf(h, "%s\x00%d\x00%s", name, len(files[name]), files[name])
 	}
-	if got, want := h.Sum64(), uint64(0x7050863c3aa50169); got != want {
+	if got, want := h.Sum64(), uint64(0x90a83405952f082b); got != want {
 		t.Errorf("WAL directory bytes hash to %#x, want %#x", got, want)
 	}
 	re, err := NewIndexWith(enc, nil, durableOpts(2, dir, nil))

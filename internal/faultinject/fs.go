@@ -15,11 +15,16 @@ import (
 // restarted process would.
 var ErrCrashed = errors.New("faultinject: filesystem crashed")
 
-// ErrNoSpace is the error of the one fault that does NOT crash the FS: a
-// write that ran out of room part-way, ENOSPC-style. The process — and
-// the filesystem under it — live on, so what the durability layer does
-// next is observable, not just what recovery finds.
+// ErrNoSpace is the error of the partial write, a fault that does NOT
+// crash the FS: a write that ran out of room part-way, ENOSPC-style. The
+// process — and the filesystem under it — live on, so what the durability
+// layer does next is observable, not just what recovery finds.
 var ErrNoSpace = errors.New("faultinject: no space left on device")
+
+// ErrIO is the error of the other two faults the FS survives: an fsync or
+// a rename that fails, EIO-style, with every later operation going
+// through.
+var ErrIO = errors.New("faultinject: input/output error")
 
 // FS wraps a wal.VFS with a deterministic fault schedule over the
 // write-side operations the durability layer performs. Operations are
@@ -35,6 +40,10 @@ var ErrNoSpace = errors.New("faultinject: no space left on device")
 //   - PartialWriteAt(n): the n-th File.Write persists only half its
 //     bytes and fails with ErrNoSpace — and the FS stays ALIVE: every
 //     later operation goes through. The survivable append error.
+//   - SyncErrorAt(n): the n-th File.Sync fails with ErrIO without
+//     flushing, and the FS stays alive.
+//   - RenameErrorAt(n): the n-th Rename fails with ErrIO before renaming,
+//     and the FS stays alive — the temp file is left behind.
 //
 // Crash-at-every-point suites first run the workload on a counting-only
 // FS to learn how many operations of each kind it performs, then replay
@@ -52,6 +61,8 @@ type FS struct {
 	partialAt    int
 	failSyncAt   int
 	failRenameAt int
+	syncErrAt    int
+	renameErrAt  int
 	crashed      bool
 }
 
@@ -78,6 +89,14 @@ func (f *FS) FailSyncAt(n int) { f.mu.Lock(); defer f.mu.Unlock(); f.failSyncAt 
 // FailRenameAt arms the rename fault at the 1-based rename index n
 // (0 disarms).
 func (f *FS) FailRenameAt(n int) { f.mu.Lock(); defer f.mu.Unlock(); f.failRenameAt = n }
+
+// SyncErrorAt arms the non-crashing fsync fault at the 1-based sync
+// index n (0 disarms).
+func (f *FS) SyncErrorAt(n int) { f.mu.Lock(); defer f.mu.Unlock(); f.syncErrAt = n }
+
+// RenameErrorAt arms the non-crashing rename fault at the 1-based rename
+// index n (0 disarms).
+func (f *FS) RenameErrorAt(n int) { f.mu.Lock(); defer f.mu.Unlock(); f.renameErrAt = n }
 
 // Crashed reports whether a fault has fired (and the FS is now dead).
 func (f *FS) Crashed() bool { f.mu.Lock(); defer f.mu.Unlock(); return f.crashed }
@@ -150,15 +169,18 @@ func (f *FS) renameFault() error {
 		return ErrCrashed
 	}
 	f.renames++
-	if f.failRenameAt > 0 && f.renames == f.failRenameAt {
+	switch f.renames {
+	case f.failRenameAt:
 		f.crashed = true
-		return fmt.Errorf("faultinject: injected rename failure (rename %d): %w", f.failRenameAt, ErrCrashed)
+		return fmt.Errorf("faultinject: injected rename failure (rename %d): %w", f.renames, ErrCrashed)
+	case f.renameErrAt:
+		return fmt.Errorf("faultinject: injected rename error (rename %d): %w", f.renames, ErrIO)
 	}
 	return nil
 }
 
-// Rename implements wal.VFS, firing the scheduled rename fault BEFORE
-// the rename happens — the "snapshot written but never published" crash.
+// Rename implements wal.VFS, firing a scheduled rename fault BEFORE the
+// rename happens — the "snapshot written but never published" case.
 func (f *FS) Rename(oldPath, newPath string) error {
 	if err := f.renameFault(); err != nil {
 		return err
@@ -221,9 +243,12 @@ func (f *FS) syncFault() error {
 		return ErrCrashed
 	}
 	f.syncs++
-	if f.failSyncAt > 0 && f.syncs == f.failSyncAt {
+	switch f.syncs {
+	case f.failSyncAt:
 		f.crashed = true
-		return fmt.Errorf("faultinject: injected fsync failure (sync %d): %w", f.failSyncAt, ErrCrashed)
+		return fmt.Errorf("faultinject: injected fsync failure (sync %d): %w", f.syncs, ErrCrashed)
+	case f.syncErrAt:
+		return fmt.Errorf("faultinject: injected fsync error (sync %d): %w", f.syncs, ErrIO)
 	}
 	return nil
 }
@@ -245,9 +270,9 @@ func (w *faultyFile) Write(p []byte) (int, error) {
 	return w.inner.Write(p)
 }
 
-// Sync implements wal.File. A scheduled sync failure does NOT flush —
-// the bytes may be in the OS cache of the test process, but the modeled
-// machine lost them.
+// Sync implements wal.File. A scheduled sync fault does NOT flush — the
+// bytes may be in the OS cache of the test process, but the modeled
+// machine may have lost them.
 func (w *faultyFile) Sync() error {
 	if err := w.fs.syncFault(); err != nil {
 		return err

@@ -279,37 +279,13 @@ var defaultRegistry = New()
 // instead and treat nil as "off".
 func Default() *Registry { return defaultRegistry }
 
-// lookupCounter is the read-locked fast path of Counter.
-func (r *Registry) lookupCounter(name string) *Counter {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.counters[name]
-}
-
 // Counter returns the named counter, creating it on first use. A nil
 // registry returns a nil (no-op) counter.
 func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
 		return nil
 	}
-	if c := r.lookupCounter(name); c != nil {
-		return c
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if c := r.counters[name]; c != nil {
-		return c
-	}
-	c := &Counter{}
-	r.counters[name] = c
-	return c
-}
-
-// lookupGauge is the read-locked fast path of Gauge.
-func (r *Registry) lookupGauge(name string) *Gauge {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.gauges[name]
+	return instrument(r, r.counters, name, func() *Counter { return &Counter{} })
 }
 
 // Gauge returns the named gauge, creating it on first use. A nil
@@ -318,17 +294,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	if g := r.lookupGauge(name); g != nil {
-		return g
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g := r.gauges[name]; g != nil {
-		return g
-	}
-	g := &Gauge{}
-	r.gauges[name] = g
-	return g
+	return instrument(r, r.gauges, name, func() *Gauge { return &Gauge{} })
 }
 
 // Histogram returns the named histogram, creating it with the given
@@ -340,24 +306,21 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 	if r == nil {
 		return nil
 	}
-	if h := r.lookupHistogram(name); h != nil {
-		return h
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if h := r.histograms[name]; h != nil {
-		return h
-	}
-	h := NewHistogram(bounds)
-	r.histograms[name] = h
-	return h
+	return instrument(r, r.histograms, name, func() *Histogram { return NewHistogram(bounds) })
 }
 
-// lookupHistogram is the read-locked fast path of Histogram.
-func (r *Registry) lookupHistogram(name string) *Histogram {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.histograms[name]
+// instrument returns the instrument named name in m, one of r's maps,
+// creating it with mk on first use. Callers look their instruments up
+// once, when they are built, so one exclusive lock serves every lookup.
+func instrument[T any](r *Registry, m map[string]*T, name string, mk func() *T) *T {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	v := m[name]
+	if v == nil {
+		v = mk()
+		m[name] = v
+	}
+	return v
 }
 
 // Tracer returns the registry's span tracer, creating a
@@ -367,21 +330,11 @@ func (r *Registry) Tracer() *Tracer {
 	if r == nil {
 		return nil
 	}
-	if t := r.lookupTracer(); t != nil {
-		return t
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.tracer == nil {
 		r.tracer = NewTracer(DefaultTraceCapacity)
 	}
-	return r.tracer
-}
-
-// lookupTracer is the read-locked fast path of Tracer.
-func (r *Registry) lookupTracer() *Tracer {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
 	return r.tracer
 }
 

@@ -48,18 +48,18 @@ func saveBytes(t *testing.T, path string, s *State) []byte {
 // test fails before crash-recovery parity does.
 func TestSnapshotEncodeDeterministic(t *testing.T) {
 	dir := t.TempDir()
-	a := saveBytes(t, filepath.Join(dir, "a.gob"), snapState())
-	b := saveBytes(t, filepath.Join(dir, "b.gob"), snapState())
+	a := saveBytes(t, filepath.Join(dir, "a.log"), snapState())
+	b := saveBytes(t, filepath.Join(dir, "b.log"), snapState())
 	if !bytes.Equal(a, b) {
 		t.Fatalf("two independently-built states encoded to different bytes (%d vs %d)", len(a), len(b))
 	}
 
 	// Decode → re-encode round trip.
-	got, err := loadSnapshot(OSFS{}, filepath.Join(dir, "a.gob"))
+	got, err := loadSnapshot(OSFS{}, filepath.Join(dir, "a.log"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := saveBytes(t, filepath.Join(dir, "c.gob"), got)
+	c := saveBytes(t, filepath.Join(dir, "c.log"), got)
 	if !bytes.Equal(a, c) {
 		t.Fatal("decode → re-encode changed the snapshot bytes")
 	}
@@ -85,7 +85,7 @@ func TestSnapshotEncodeDeterministic(t *testing.T) {
 	if rec.Snapshot == nil {
 		t.Fatal("recovery found no snapshot")
 	}
-	d := saveBytes(t, filepath.Join(dir, "d.gob"), rec.Snapshot)
+	d := saveBytes(t, filepath.Join(dir, "d.log"), rec.Snapshot)
 	if !bytes.Equal(a, d) {
 		t.Fatal("snapshot re-encoded after WAL recovery differs from the original encode")
 	}

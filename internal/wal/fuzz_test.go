@@ -2,9 +2,10 @@ package wal
 
 import (
 	"bytes"
-	"encoding/gob"
 	"os"
 	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"traj2hash/internal/hamming"
@@ -81,48 +82,98 @@ func FuzzReadFrame(f *testing.F) {
 	})
 }
 
-// FuzzLoadSnapshot throws arbitrary snapshot images at loadSnapshot:
-// malformed bytes must produce an error, never a panic, and any state
-// that does decode must gob-encode deterministically — two independent
-// re-encodes yield identical bytes, the property the byte-identity
-// suite (TestSnapshotEncodeDeterministic) pins for real states.
-func FuzzLoadSnapshot(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte("not a gob stream"))
+// fuzzSnapshot is a valid snapshot image: two items (id 1 deleted) and
+// the closing frame carrying Next.
+func fuzzSnapshot() []byte {
 	emb := []float64{1, -1}
-	s := &State{Next: 3, Items: []Item{
-		{ID: 0, Emb: emb, Code: hamming.FromSigns(emb), Traj: []float64{0, 0, 1, 1}},
-		{ID: 2, Emb: emb, Code: hamming.FromSigns(emb), Traj: []float64{5, 5}},
-	}}
-	var seed bytes.Buffer
-	if err := gob.NewEncoder(&seed).Encode(s); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(append([]byte(nil), seed.Bytes()...))
-	f.Add(append([]byte(nil), seed.Bytes()[:seed.Len()/2]...)) // truncated stream
+	buf := appendRecord(append([]byte(nil), magic...), Record{Op: OpAdd, ID: 0, Emb: emb, Code: hamming.FromSigns(emb), Traj: []float64{0, 0, 1, 1}})
+	buf = appendRecord(buf, Record{Op: OpAdd, ID: 2, Emb: emb, Code: hamming.FromSigns(emb), Traj: []float64{5, 5}})
+	return appendRecord(buf, Record{Op: opSnapshot, ID: 3})
+}
 
+// FuzzLoadSnapshot throws arbitrary snapshot images at loadSnapshot:
+// loading never panics, and a state that loads re-saves to exactly the
+// input bytes — the frame codec has one encoding per state, so a file
+// that loads is a file this package wrote. The seeds the property alone
+// would not hold to an error (a torn file, a CRC flip, a file without its
+// closing frame, and the committed corpus file seed-valid, an older
+// build's gob snapshot) must be refused.
+func FuzzLoadSnapshot(f *testing.F) {
+	valid := fuzzSnapshot()
+	closing := Record{Op: opSnapshot, ID: 3}.FrameLen()
+	flipped := append([]byte(nil), valid...)
+	flipped[len(magic)+frameHeader+20] ^= 0x01 // inside the first item's embedding
 	dir := f.TempDir()
 	path := filepath.Join(dir, SnapshotName)
-	f.Fuzz(func(t *testing.T, data []byte) {
+	load := func(t testing.TB, data []byte) (*State, error) {
+		t.Helper()
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		got, err := loadSnapshot(OSFS{}, path)
+		return loadSnapshot(OSFS{}, path)
+	}
+	if _, err := load(f, valid); err != nil {
+		f.Fatalf("valid snapshot refused: %v", err)
+	}
+	deleted := appendRecord(valid[:len(valid)-closing:len(valid)-closing], Record{Op: OpDelete, ID: 0})
+	deleted = appendRecord(deleted, Record{Op: opSnapshot, ID: 3})
+	for name, bad := range map[string][]byte{
+		"torn":     valid[:len(valid)-3],
+		"unclosed": valid[:len(valid)-closing],
+		"crc-flip": flipped,
+		"delete":   deleted,
+		"gob":      corpusBytes(f, "FuzzLoadSnapshot", "seed-valid"),
+	} {
+		_, err := load(f, bad)
+		if err == nil {
+			f.Fatalf("%s snapshot loaded", name)
+		}
+		if name != "gob" && (!strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "offset")) {
+			f.Fatalf("%s snapshot: %v, want an error naming the file and the offset", name, err)
+		}
+	}
+	f.Add(valid)
+	f.Add(append([]byte(nil), valid[:len(valid)-3]...))
+	f.Add(append([]byte(nil), valid[:len(valid)-closing]...))
+	f.Add(flipped)
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		got, err := load(t, data)
 		if err != nil {
 			return // corruption is an error, never a panic
 		}
 		if got == nil {
 			t.Fatal("loadSnapshot returned nil state with nil error")
 		}
-		var a, b bytes.Buffer
-		if err := gob.NewEncoder(&a).Encode(got); err != nil {
-			t.Fatalf("re-encoding decoded state: %v", err)
+		resaved := filepath.Join(dir, "resaved")
+		if err := saveSnapshot(OSFS{}, resaved, got); err != nil {
+			t.Fatal(err)
 		}
-		if err := gob.NewEncoder(&b).Encode(got); err != nil {
-			t.Fatalf("re-encoding decoded state: %v", err)
+		again, err := os.ReadFile(resaved)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !bytes.Equal(a.Bytes(), b.Bytes()) {
-			t.Fatal("two gob encodes of the same decoded state differ")
+		if !bytes.Equal(again, data) {
+			t.Fatalf("a loaded state re-saved to %d bytes that differ from its %d input bytes", len(again), len(data))
 		}
 	})
+}
+
+// corpusBytes reads the input of a committed fuzz corpus file (one
+// []byte value in the "go test fuzz v1" encoding).
+func corpusBytes(t testing.TB, target, name string) []byte {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", "fuzz", target, name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lit, ok := strings.CutPrefix(strings.TrimSpace(string(raw)), "go test fuzz v1\n[]byte(")
+	if !ok || !strings.HasSuffix(lit, ")") {
+		t.Fatalf("%s/%s is not a one-[]byte corpus file", target, name)
+	}
+	s, err := strconv.Unquote(strings.TrimSuffix(lit, ")"))
+	if err != nil {
+		t.Fatalf("%s/%s: %v", target, name, err)
+	}
+	return []byte(s)
 }

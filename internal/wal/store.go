@@ -14,9 +14,14 @@ import (
 const (
 	// LogName is the append log file.
 	LogName = "wal.log"
-	// SnapshotName is the latest complete snapshot.
-	SnapshotName = "snapshot.gob"
+	// SnapshotName is the latest complete snapshot: a compacted log in
+	// the append log's frame format.
+	SnapshotName = "snapshot.log"
 )
+
+// legacySnapshotName is the gob snapshot of older builds. Open refuses a
+// directory that holds one rather than open it as a smaller index.
+const legacySnapshotName = "snapshot.gob"
 
 // DefaultSnapshotEvery is the snapshot cadence (in appended records)
 // used when Options.SnapshotEvery is zero.
@@ -114,6 +119,7 @@ type Store struct {
 	pending   int    // records appended since the last fsync
 	sinceSnap int    // records appended since the last snapshot
 	failed    error  // the latched first failure, wrapping ErrFailed
+	closed    bool   // Close has run
 
 	appends   *obs.Counter // wal.appends
 	fsyncs    *obs.Counter // wal.fsyncs
@@ -124,7 +130,8 @@ type Store struct {
 // ready for appends. Recovery is: load the latest snapshot if present,
 // parse the log, truncate a torn tail (counted on wal.torn_tails), and
 // reopen the log for appending. Every Open of a non-empty directory
-// counts one wal.recoveries.
+// counts one wal.recoveries. A directory holding an older build's gob
+// snapshot is refused before the log is read.
 func Open(opts Options) (*Store, *Recovered, error) {
 	opts = opts.withDefaults()
 	if opts.Dir == "" {
@@ -133,6 +140,13 @@ func Open(opts Options) (*Store, *Recovered, error) {
 	fs := opts.FS
 	if err := fs.MkdirAll(opts.Dir); err != nil {
 		return nil, nil, fmt.Errorf("wal: creating %s: %w", opts.Dir, err)
+	}
+	legacy := filepath.Join(opts.Dir, legacySnapshotName)
+	switch _, err := fs.ReadFile(legacy); {
+	case err == nil:
+		return nil, nil, fmt.Errorf("wal: %s was written by an older build, in a format this build does not read; re-export its data with the build that wrote it, or keep that build, before upgrading", legacy)
+	case !errors.Is(err, os.ErrNotExist):
+		return nil, nil, err
 	}
 	rec := &Recovered{}
 	snapPath := filepath.Join(opts.Dir, SnapshotName)
@@ -276,7 +290,7 @@ func (s *Store) usable() error {
 	if s.failed != nil {
 		return s.failed
 	}
-	if s.f == nil {
+	if s.closed {
 		return errClosed
 	}
 	return nil
@@ -293,7 +307,7 @@ func (s *Store) fail(err error) error {
 func (s *Store) Sync() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.failed != nil || s.f == nil || s.pending == 0 {
+	if s.failed != nil || s.closed || s.pending == 0 {
 		return s.failed
 	}
 	return s.syncLocked()
@@ -347,7 +361,7 @@ func (s *Store) WriteSnapshot(state *State) error {
 
 // resetLocked is WriteSnapshot's body behind the fsync of the log: the
 // snapshot, then the log reset. Any error leaves the store failed — the
-// log handle may already be gone.
+// log handle may already be gone (f is nil).
 func (s *Store) resetLocked(state *State) error {
 	if err := saveSnapshot(s.fs, filepath.Join(s.dir, SnapshotName), state); err != nil {
 		return fmt.Errorf("writing snapshot: %w", err)
@@ -364,14 +378,19 @@ func (s *Store) resetLocked(state *State) error {
 
 // Close syncs pending appends and releases the log handle. The store is
 // unusable afterwards; reopen with Open. A failed store is not synced
-// again — Close releases its handle and reports the latched failure.
+// again — the first Close releases its handle (a failed log reset may
+// have left none) and reports the latched failure; later calls return nil.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.f == nil {
+	if s.closed {
 		return nil
 	}
+	s.closed = true
 	err := s.failed
+	if s.f == nil { // a failed log reset left no handle
+		return err
+	}
 	if err == nil && s.pending > 0 {
 		err = s.syncLocked()
 	}

@@ -1,15 +1,18 @@
 // Package wal is the durability layer of the index: a length-prefixed,
 // CRC-checksummed write-ahead log of mutations (Add/Delete/Update) with
-// group fsync, periodic gob snapshots written with the atomic
+// group fsync, periodic snapshots written with the atomic
 // tmp+fsync+rename+dir-sync pattern (the same discipline as the training
 // checkpoints, see internal/core SaveCheckpointFile), and a recovery
 // path that loads the latest snapshot and replays the log tail,
-// truncating a torn final record.
+// truncating a torn final record. A snapshot is a compacted log — one
+// add frame per live item and a closing frame — so both files share one
+// encoder, one parser and one checksum.
 //
 // All file I/O goes through the VFS seam so internal/faultinject can
 // interpose deterministic faults — short writes, failed renames, failed
 // syncs, and whole-process "crashes" — on real files in a test dir. The
-// recovery-parity suite (recovery_test.go) is built on that seam.
+// facade's crash-recovery suite (TestCrashRecoveryParity in the root
+// package's durability_test.go) is built on that seam.
 package wal
 
 import (

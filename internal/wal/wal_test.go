@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"traj2hash/internal/hamming"
@@ -479,6 +480,42 @@ func TestStoreFailureIsLatched(t *testing.T) {
 	}
 }
 
+// TestOpenRefusesGobSnapshot: a directory an older build left with a gob
+// snapshot must not open as the smaller index its log alone describes.
+// Open refuses it, names the older build, and leaves wal.log as it found
+// it — not even a torn tail is truncated.
+func TestOpenRefusesGobSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	s, _, err := Open(Options{Dir: dir, SnapshotEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AppendBatch(sampleRecords()); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	logPath := filepath.Join(dir, LogName)
+	data, err := os.ReadFile(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	torn := data[:len(data)-3]
+	if err := os.WriteFile(logPath, torn, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, legacySnapshotName), corpusBytes(t, "FuzzLoadSnapshot", "seed-valid"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Open(Options{Dir: dir}); err == nil || !strings.Contains(err.Error(), "older build") {
+		t.Fatalf("Open of a directory with a gob snapshot = %v, want a refusal naming the older build", err)
+	}
+	if got, err := os.ReadFile(logPath); err != nil || !bytes.Equal(got, torn) {
+		t.Fatalf("the refused Open changed %s (%d bytes, was %d; err %v)", LogName, len(got), len(torn), err)
+	}
+}
+
 // benchRecord builds a realistic-sized record: a 64-dim embedding, its
 // 64-bit code, and a 30-point trajectory.
 func benchRecord(id int) Record {
@@ -540,6 +577,37 @@ func BenchmarkMutableWALAppendBatch64(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(group)), "ns/record")
 }
 
+// benchState is the 512-item state the snapshot benchmarks write.
+func benchState() *State {
+	state := &State{Next: 512}
+	for id := 0; id < 512; id++ {
+		r := benchRecord(id)
+		state.Items = append(state.Items, Item{ID: id, Emb: r.Emb, Code: r.Code, Traj: r.Traj})
+	}
+	return state
+}
+
+// BenchmarkMutableSnapshot measures WriteSnapshot of benchState: the
+// encode, the fsynced write and rename of the snapshot, and the log
+// reset — what a mutation that falls due for a snapshot waits behind.
+func BenchmarkMutableSnapshot(b *testing.B) {
+	s, _, err := Open(Options{Dir: b.TempDir(), SnapshotEvery: -1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer func() {
+		s.Close()
+	}()
+	state := benchState()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := s.WriteSnapshot(state); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkMutableRecovery measures Open on a directory holding a
 // snapshot plus a log tail — the restart cost the snapshot cadence
 // bounds.
@@ -549,12 +617,7 @@ func BenchmarkMutableRecovery(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	state := &State{Next: 512}
-	for id := 0; id < 512; id++ {
-		r := benchRecord(id)
-		state.Items = append(state.Items, Item{ID: id, Emb: r.Emb, Code: r.Code, Traj: r.Traj})
-	}
-	if err := s.WriteSnapshot(state); err != nil {
+	if err := s.WriteSnapshot(benchState()); err != nil {
 		b.Fatal(err)
 	}
 	for id := 512; id < 768; id++ {
