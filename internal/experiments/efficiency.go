@@ -5,22 +5,18 @@ import (
 	"io"
 	"time"
 
-	"traj2hash/internal/core"
+	"traj2hash/internal/data"
 	"traj2hash/internal/dist"
 	"traj2hash/internal/engine"
 	"traj2hash/internal/geo"
 	"traj2hash/internal/hamming"
 )
 
-// TimingCell is one measured point of Figures 5 and 6.
-type TimingCell struct {
-	Dataset  string
-	Distance string
-	Strategy string
-	DBSize   int
-	K        int
-	PerQuery time.Duration
-	FastFrac float64 // fraction of queries answered via table lookup (hybrid)
+// timingCell is one strategy's measured point of Figures 5 and 6.
+type timingCell struct {
+	strategy string
+	perQuery time.Duration
+	fastFrac float64 // fraction of queries answered via table lookup (hybrid)
 }
 
 // testDBSizes, when non-nil, overrides the efficiency ladder — the test
@@ -52,11 +48,9 @@ var efficiencyQueries = 100
 // covers (Section V-E).
 var efficiencyDistances = []dist.Func{dist.DTWDist, dist.FrechetDist}
 
-// timingEnv is a prepared dataset+model for one (dataset, distance) panel:
-// embeddings and codes for the full database ladder and the query set.
+// timingEnv is one (dataset, distance) panel, prepared: embeddings and
+// codes for the full database ladder and the query set.
 type timingEnv struct {
-	dataset string
-	dist    string
 	db      []engine.Query
 	queries []engine.Query
 }
@@ -64,27 +58,14 @@ type timingEnv struct {
 // prepareTiming trains one Traj2Hash model and embeds the timing corpus.
 // Search cost is independent of model quality, so a short training
 // suffices; what matters is that codes follow the real pipeline.
-func prepareTiming(cityIdx int, f dist.Func, scale Scale) (*timingEnv, error) {
+func prepareTiming(city *data.City, f dist.Func, scale Scale) (*timingEnv, error) {
 	p := ParamsFor(scale)
 	p.Epochs = min(p.Epochs, 3)
-	city := Cities()[cityIdx]
-	env := NewEnv(city, p)
-	m, err := core.New(p.CoreConfig(), env.Dataset.All())
+	m, err := NewEnv(city, p).train(p.CoreConfig(), f, true)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := m.Train(core.TrainData{
-		Seeds: env.Dataset.Seeds, Validation: env.Dataset.Validation,
-		Corpus: env.Dataset.Corpus, F: f,
-	}); err != nil {
-		return nil, err
-	}
 	sizes := efficiencyDBSizes(scale)
-	maxDB := sizes[len(sizes)-1]
-	db := city.Generate(maxDB, p.Seed+100)
-	queries := city.Generate(efficiencyQueries, p.Seed+200)
-
-	te := &timingEnv{dataset: city.Name, dist: f.String()}
 	encode := func(ts []geo.Trajectory) []engine.Query {
 		out := make([]engine.Query, len(ts))
 		for i, t := range ts {
@@ -93,15 +74,17 @@ func prepareTiming(cityIdx int, f dist.Func, scale Scale) (*timingEnv, error) {
 		}
 		return out
 	}
-	te.db, te.queries = encode(db), encode(queries)
-	return te, nil
+	return &timingEnv{
+		db:      encode(city.Generate(sizes[len(sizes)-1], p.Seed+100)),
+		queries: encode(city.Generate(efficiencyQueries, p.Seed+200)),
+	}, nil
 }
 
 // timeStrategies measures the three Section V-E strategies on a database
 // prefix of the given size.
-func (te *timingEnv) timeStrategies(dbSize, k int) ([]TimingCell, error) {
+func (te *timingEnv) timeStrategies(dbSize, k int) ([]timingCell, error) {
 	n := len(te.queries)
-	out := make([]TimingCell, 0, 3)
+	out := make([]timingCell, 0, 3)
 	for _, st := range []struct{ label, backend string }{
 		{"Euclidean-BF", engine.EuclideanBFName},
 		{"Hamming-BF", engine.HammingBFName},
@@ -113,85 +96,63 @@ func (te *timingEnv) timeStrategies(dbSize, k int) ([]TimingCell, error) {
 		}
 		start := time.Now()
 		s.runAll(k)
-		out = append(out, TimingCell{
-			Dataset: te.dataset, Distance: te.dist, Strategy: st.label,
-			DBSize: dbSize, K: k, PerQuery: time.Since(start) / time.Duration(n),
-			FastFrac: float64(s.fastPaths()) / float64(n),
+		out = append(out, timingCell{
+			strategy: st.label,
+			perQuery: time.Since(start) / time.Duration(n),
+			fastFrac: float64(s.fastPaths()) / float64(n),
 		})
 	}
 	return out, nil
 }
 
-// Fig5 reproduces Figure 5: per-query time of the three search strategies
-// as the database grows, for top-50 search.
-func Fig5(scale Scale, log io.Writer) (*Table, []TimingCell, error) {
+// timingTable is Figures 5 and 6: the per-query time of the three search
+// strategies, one row per (dataset, distance, point) of a swept axis;
+// search maps a point to the database size and k it is measured at.
+func timingTable(scale Scale, log io.Writer, id, title, axis string, points []int,
+	search func(point int) (dbSize, k int)) (*Table, error) {
 	tbl := &Table{
-		Title:  "Figure 5 — time cost vs database size (top-50, µs/query)",
-		Header: []string{"Dataset", "Distance", "DB size", "Euclidean-BF", "Hamming-BF", "Hamming-Hybrid", "hybrid fast-path"},
+		Title:  title,
+		Header: []string{"Dataset", "Distance", axis, "Euclidean-BF", "Hamming-BF", "Hamming-Hybrid", "hybrid fast-path"},
 	}
-	var cells []TimingCell
-	for ci := range Cities() {
+	for _, city := range Cities() {
 		for _, f := range efficiencyDistances {
-			te, err := prepareTiming(ci, f, scale)
+			te, err := prepareTiming(city, f, scale)
 			if err != nil {
-				return nil, nil, fmt.Errorf("fig5: %w", err)
+				return nil, fmt.Errorf("%s: %w", id, err)
 			}
-			for _, size := range efficiencyDBSizes(scale) {
-				cs, err := te.timeStrategies(size, 50)
+			for _, pt := range points {
+				cs, err := te.timeStrategies(search(pt))
 				if err != nil {
-					return nil, nil, err
+					return nil, err
 				}
-				cells = append(cells, cs...)
 				tbl.Rows = append(tbl.Rows, []string{
-					te.dataset, te.dist, fmt.Sprintf("%d", size),
-					us(cs[0].PerQuery), us(cs[1].PerQuery), us(cs[2].PerQuery),
-					fmt.Sprintf("%.0f%%", cs[2].FastFrac*100),
+					city.Name, f.String(), fmt.Sprintf("%d", pt),
+					us(cs[0].perQuery), us(cs[1].perQuery), us(cs[2].perQuery),
+					fmt.Sprintf("%.0f%%", cs[2].fastFrac*100),
 				})
 				if log != nil {
-					fmt.Fprintf(log, "fig5 %s %s db=%d: eu=%v ham=%v hybrid=%v\n",
-						te.dataset, te.dist, size, cs[0].PerQuery, cs[1].PerQuery, cs[2].PerQuery)
+					fmt.Fprintf(log, "%s %s %s %s %d: eu=%v ham=%v hybrid=%v\n",
+						id, city.Name, f, axis, pt, cs[0].perQuery, cs[1].perQuery, cs[2].perQuery)
 				}
 			}
 		}
 	}
-	return tbl, cells, nil
+	return tbl, nil
 }
 
-// Fig6 reproduces Figure 6: per-query time versus the returned k at the
+// fig5 reproduces Figure 5: per-query time of the three search strategies
+// as the database grows, for top-50 search.
+func fig5(scale Scale, log io.Writer) (*Table, error) {
+	return timingTable(scale, log, "fig5", "Figure 5 — time cost vs database size (top-50, µs/query)",
+		"DB size", efficiencyDBSizes(scale), func(size int) (int, int) { return size, 50 })
+}
+
+// fig6 reproduces Figure 6: per-query time versus the returned k at the
 // largest database size.
-func Fig6(scale Scale, log io.Writer) (*Table, []TimingCell, error) {
-	tbl := &Table{
-		Title:  "Figure 6 — time cost vs returned k (µs/query, largest database)",
-		Header: []string{"Dataset", "Distance", "k", "Euclidean-BF", "Hamming-BF", "Hamming-Hybrid", "hybrid fast-path"},
-	}
+func fig6(scale Scale, log io.Writer) (*Table, error) {
 	sizes := efficiencyDBSizes(scale)
-	dbSize := sizes[len(sizes)-1]
-	var cells []TimingCell
-	for ci := range Cities() {
-		for _, f := range efficiencyDistances {
-			te, err := prepareTiming(ci, f, scale)
-			if err != nil {
-				return nil, nil, fmt.Errorf("fig6: %w", err)
-			}
-			for _, k := range []int{10, 20, 30, 40, 50} {
-				cs, err := te.timeStrategies(dbSize, k)
-				if err != nil {
-					return nil, nil, err
-				}
-				cells = append(cells, cs...)
-				tbl.Rows = append(tbl.Rows, []string{
-					te.dataset, te.dist, fmt.Sprintf("%d", k),
-					us(cs[0].PerQuery), us(cs[1].PerQuery), us(cs[2].PerQuery),
-					fmt.Sprintf("%.0f%%", cs[2].FastFrac*100),
-				})
-				if log != nil {
-					fmt.Fprintf(log, "fig6 %s %s k=%d: eu=%v ham=%v hybrid=%v\n",
-						te.dataset, te.dist, k, cs[0].PerQuery, cs[1].PerQuery, cs[2].PerQuery)
-				}
-			}
-		}
-	}
-	return tbl, cells, nil
+	return timingTable(scale, log, "fig6", "Figure 6 — time cost vs returned k (µs/query, largest database)",
+		"k", []int{10, 20, 30, 40, 50}, func(k int) (int, int) { return sizes[len(sizes)-1], k })
 }
 
 func us(d time.Duration) string {

@@ -12,7 +12,7 @@ import (
 	"traj2hash/internal/eval"
 )
 
-// EncoderRace races every registered encoder kind on the same dataset
+// encoderRace races every registered encoder kind on the same dataset
 // and protocol: Hamming-space retrieval accuracy (HR@10/HR@50/R10@50
 // against exact Fréchet ground truth) next to what each encoder paid to
 // get there — optimizer steps, training wall-clock, per-trajectory
@@ -20,23 +20,22 @@ import (
 // GeoPTH row shows 0 steps by construction; the point of the table is
 // the accuracy-vs-cost frontier across the encoder zoo, not a single
 // winner.
-func EncoderRace(scale Scale, log io.Writer) (*Table, []CellResult, error) {
+func encoderRace(scale Scale, log io.Writer) (*Table, error) {
 	p := ParamsFor(scale)
 	env := NewEnv(data.Porto(), p)
 	ds := env.Dataset
-	truth := eval.GroundTruth(dist.FrechetDist, ds.Queries, ds.Database, 60)
+	truth := env.truth(dist.FrechetDist)
 
 	tbl := &Table{
 		Title: "Encoder zoo — Hamming-space accuracy vs training and query cost (Porto, Frechet)",
 		Header: []string{"Encoder", "TrainSteps", "TrainSec",
 			"HR@10", "HR@50", "R10@50", "Encode µs/traj", "Search µs/query"},
 	}
-	var cells []CellResult
 	for _, kind := range core.EncoderKinds() {
 		cfg := p.CoreConfig()
 		enc, err := core.NewEncoder(kind, cfg, ds.All())
 		if err != nil {
-			return nil, nil, fmt.Errorf("encoders %s: %w", kind, err)
+			return nil, fmt.Errorf("encoders %s: %w", kind, err)
 		}
 
 		steps := 0
@@ -48,7 +47,7 @@ func EncoderRace(scale Scale, log io.Writer) (*Table, []CellResult, error) {
 				F:        dist.FrechetDist,
 				StepHook: func(epoch, step int) { steps++ },
 			}); err != nil {
-				return nil, nil, fmt.Errorf("encoders %s train: %w", kind, err)
+				return nil, fmt.Errorf("encoders %s train: %w", kind, err)
 			}
 			trainDur = time.Since(start)
 		}
@@ -61,16 +60,13 @@ func EncoderRace(scale Scale, log io.Writer) (*Table, []CellResult, error) {
 
 		s, err := newStrategy(engine.HammingBFName, codeQueries(dc), codeQueries(qc))
 		if err != nil {
-			return nil, nil, fmt.Errorf("encoders %s search: %w", kind, err)
+			return nil, fmt.Errorf("encoders %s search: %w", kind, err)
 		}
 		searchStart := time.Now()
 		returned := s.runAll(60)
 		searchPer := time.Since(searchStart) / time.Duration(len(qc))
 
 		m := eval.Evaluate(returned, truth)
-		cells = append(cells, CellResult{
-			Dataset: "Porto", Method: kind, Distance: dist.FrechetDist.String(), Metrics: m,
-		})
 		tbl.Rows = append(tbl.Rows, []string{
 			kind,
 			fmt.Sprintf("%d", steps),
@@ -87,5 +83,5 @@ func EncoderRace(scale Scale, log io.Writer) (*Table, []CellResult, error) {
 	tbl.Notes = append(tbl.Notes,
 		"all encoders share the dataset, bit width, and brute-force Hamming search; only the encoder varies",
 		"geopth is training-free: the index is ready the moment the prototypes are chosen (0 steps)")
-	return tbl, cells, nil
+	return tbl, nil
 }

@@ -10,7 +10,6 @@ import (
 	"traj2hash/internal/data"
 	"traj2hash/internal/dist"
 	"traj2hash/internal/engine"
-	"traj2hash/internal/eval"
 	"traj2hash/internal/geo"
 )
 
@@ -149,7 +148,7 @@ func TestDistanceAgnostic(t *testing.T) {
 func TestMetricsPipeline(t *testing.T) {
 	env := microEnv(t)
 	f := dist.DTWDist
-	truth := eval.GroundTruth(f, env.Dataset.Queries, env.Dataset.Database, 60)
+	truth := env.truth(f)
 	// A "perfect" method that embeds via the exact distance to fixed
 	// anchors would be complex; instead verify pipeline consistency with a
 	// real tiny model and check metrics are within [0, 1].
@@ -157,11 +156,11 @@ func TestMetricsPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	em, err := euclideanMetrics(tr, env, truth)
+	em, err := euclideanMetrics(tr.EmbedAll, env, truth)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hm, err := hammingMetrics(tr, env, truth)
+	hm, err := hammingMetrics(tr.CodeAll, env, truth)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,9 +200,7 @@ func TestTimeStrategiesConsistency(t *testing.T) {
 	// Build a timing env manually with random embeddings; strategies must
 	// return k results and the hybrid must agree with BF on the fast path
 	// (verified in package hamming); here check the experiment wiring.
-	te := &timingEnv{dataset: "Porto", dist: "DTW"}
-	p := microParams()
-	env := NewEnv(data.Porto(), p)
+	env := microEnv(t)
 	tr, err := TrainMethod("Traj2Hash", env, dist.DTWDist)
 	if err != nil {
 		t.Fatal(err)
@@ -216,7 +213,7 @@ func TestTimeStrategiesConsistency(t *testing.T) {
 		}
 		return out
 	}
-	te.db, te.queries = pair(env.Dataset.Database), pair(env.Dataset.Queries)
+	te := &timingEnv{db: pair(env.Dataset.Database), queries: pair(env.Dataset.Queries)}
 	cells, err := te.timeStrategies(len(te.db), 5)
 	if err != nil {
 		t.Fatal(err)
@@ -226,8 +223,8 @@ func TestTimeStrategiesConsistency(t *testing.T) {
 	}
 	names := map[string]bool{}
 	for _, c := range cells {
-		names[c.Strategy] = true
-		if c.PerQuery < 0 {
+		names[c.strategy] = true
+		if c.perQuery < 0 {
 			t.Error("negative timing")
 		}
 	}

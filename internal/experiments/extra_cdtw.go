@@ -6,96 +6,65 @@ import (
 	"time"
 
 	"traj2hash/internal/dist"
+	"traj2hash/internal/engine"
 	"traj2hash/internal/eval"
 	"traj2hash/internal/geo"
 	"traj2hash/internal/topk"
 )
 
-// CDTWCell is one row of the extra cDTW study.
-type CDTWCell struct {
-	Dataset  string
-	Method   string
-	HR10     float64
-	R10At50  float64
-	PerQuery time.Duration
-}
-
-// ExtraCDTW is an extension experiment beyond the paper's figures: it
+// extraCDTW is an extension experiment beyond the paper's figures: it
 // quantifies the Related-Work claim that cDTW — the traditional fast DTW
 // approximation [26]–[28] — trades accuracy for speed and is still
 // dominated by learned embeddings. For DTW ground truth on both datasets,
 // it compares cDTW at several Sakoe–Chiba widths against Traj2Hash's
 // Euclidean-space search, on HR@10, R10@50, and per-query latency.
-func ExtraCDTW(scale Scale, log io.Writer) (*Table, []CDTWCell, error) {
+func extraCDTW(scale Scale, log io.Writer) (*Table, error) {
 	p := ParamsFor(scale)
 	tbl := &Table{
 		Title:  "Extra — cDTW band width vs learned embeddings (DTW ground truth)",
 		Header: []string{"Dataset", "Method", "HR@10", "R10@50", "per query"},
 	}
-	var cells []CDTWCell
 	for _, city := range Cities() {
 		env := NewEnv(city, p)
 		queries, db := env.Dataset.Queries, env.Dataset.Database
-		truth := eval.GroundTruth(dist.DTWDist, queries, db, 60)
+		truth := env.truth(dist.DTWDist)
+		// timed runs one method's top-60 search for every query and adds
+		// its row; the latency covers the search alone.
+		timed := func(method string, search func() [][]int) {
+			start := time.Now()
+			returned := search()
+			per := time.Since(start) / time.Duration(len(queries))
+			m := eval.Evaluate(returned, truth)
+			tbl.Rows = append(tbl.Rows, []string{
+				city.Name, method, f4(m.HR10), f4(m.R10At50), per.Round(time.Microsecond).String(),
+			})
+			if log != nil {
+				fmt.Fprintf(log, "cdtw %s %s: HR@10=%.4f %v/query\n", city.Name, method, m.HR10, per)
+			}
+		}
 
 		// cDTW at increasing band widths: scans the whole database per
 		// query with the constrained dynamic program.
 		for _, w := range []int{1, 3, 8} {
-			start := time.Now()
-			returned := cdtwSearch(queries, db, w, 60)
-			per := time.Since(start) / time.Duration(len(queries))
-			m := eval.Evaluate(returned, truth)
-			name := fmt.Sprintf("cDTW(w=%d)", w)
-			cells = append(cells, CDTWCell{
-				Dataset: city.Name, Method: name,
-				HR10: m.HR10, R10At50: m.R10At50, PerQuery: per,
-			})
-			tbl.Rows = append(tbl.Rows, []string{
-				city.Name, name, f4(m.HR10), f4(m.R10At50), per.Round(time.Microsecond).String(),
-			})
-			if log != nil {
-				fmt.Fprintf(log, "cdtw %s w=%d: HR@10=%.4f %v/query\n", city.Name, w, m.HR10, per)
-			}
+			timed(fmt.Sprintf("cDTW(w=%d)", w), func() [][]int { return cdtwSearch(queries, db, w, 60) })
 		}
 
 		// Traj2Hash Euclidean-space search on the same ground truth.
-		tr, err := TrainMethod("Traj2Hash", env, dist.DTWDist)
+		m, err := env.train(p.CoreConfig(), dist.DTWDist, true)
 		if err != nil {
-			return nil, nil, fmt.Errorf("extra-cdtw: %w", err)
+			return nil, fmt.Errorf("extra-cdtw: %w", err)
 		}
-		qe := tr.EmbedAll(queries)
-		de := tr.EmbedAll(db)
-		start := time.Now()
-		returned := make([][]int, len(qe))
-		for i := range qe {
-			items := topk.Select(len(de), 60, func(j int) float64 {
-				var sum float64
-				for d := range qe[i] {
-					diff := qe[i][d] - de[j][d]
-					sum += diff * diff
-				}
-				return sum
-			})
-			ids := make([]int, len(items))
-			for r, it := range items {
-				ids[r] = it.ID
-			}
-			returned[i] = ids
+		qe := m.EmbedAll(queries)
+		s, err := newStrategy(engine.EuclideanBFName, embQueries(m.EmbedAll(db)), embQueries(qe))
+		if err != nil {
+			return nil, err
 		}
-		per := time.Since(start) / time.Duration(len(qe))
-		m := eval.Evaluate(returned, truth)
-		cells = append(cells, CDTWCell{
-			Dataset: city.Name, Method: "Traj2Hash",
-			HR10: m.HR10, R10At50: m.R10At50, PerQuery: per,
-		})
-		tbl.Rows = append(tbl.Rows, []string{
-			city.Name, "Traj2Hash", f4(m.HR10), f4(m.R10At50), per.Round(time.Microsecond).String(),
-		})
+		timed("Traj2Hash", func() [][]int { return s.runAll(60) })
 	}
 	tbl.Notes = append(tbl.Notes,
 		"cDTW latency excludes nothing: it runs the banded dynamic program against every database trajectory",
 		"Traj2Hash latency is search only; embedding the database is a one-time indexing cost")
-	return tbl, cells, nil
+	return tbl, nil
 }
 
 // cdtwSearch scans the database with banded DTW for each query.

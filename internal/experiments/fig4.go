@@ -5,32 +5,22 @@ import (
 	"io"
 
 	"traj2hash/internal/core"
-	"traj2hash/internal/eval"
 )
 
-// ReadoutCell is one (dataset, distance, read-out) HR@10 point of Figure 4.
-type ReadoutCell struct {
-	Dataset  string
-	Distance string
-	Readout  string
-	HR10     float64
-}
-
-// Fig4 reproduces Figure 4: the effect of the read-out layer. A bare
+// fig4 reproduces Figure 4: the effect of the read-out layer. A bare
 // Transformer backbone (no grids, no reverse augmentation, no triplets) is
 // trained per read-out variant and searched in Euclidean space.
-func Fig4(scale Scale, log io.Writer) (*Table, []ReadoutCell, error) {
+func fig4(scale Scale, log io.Writer) (*Table, error) {
 	p := ParamsFor(scale)
 	readouts := []core.Readout{core.Mean, core.CLS, core.LowerBound}
 	tbl := &Table{
 		Title:  "Figure 4 — the effect of different read-out layers (HR@10, Euclidean space)",
 		Header: []string{"Dataset", "Distance", "Mean", "CLS", "LowerBound"},
 	}
-	var cells []ReadoutCell
 	for _, city := range Cities() {
 		env := NewEnv(city, p)
 		for _, f := range Distances {
-			truth := eval.GroundTruth(f, env.Dataset.Queries, env.Dataset.Database, 60)
+			truth := env.truth(f)
 			row := []string{city.Name, f.String()}
 			for _, ro := range readouts {
 				cfg := p.CoreConfig()
@@ -39,23 +29,14 @@ func Fig4(scale Scale, log io.Writer) (*Table, []ReadoutCell, error) {
 				cfg.UseTriplets = false
 				cfg.Gamma = 0 // pure WMSE: only the backbone and read-out differ
 				cfg.Readout = ro
-				m, err := core.New(cfg, env.Dataset.All())
+				m, err := env.train(cfg, f, false)
 				if err != nil {
-					return nil, nil, fmt.Errorf("fig4 %s: %w", ro, err)
+					return nil, fmt.Errorf("fig4 %s: %w", ro, err)
 				}
-				if _, err := m.Train(core.TrainData{
-					Seeds: env.Dataset.Seeds, Validation: env.Dataset.Validation, F: f,
-				}); err != nil {
-					return nil, nil, err
-				}
-				tr := &Trained{Name: ro.String(), EmbedAll: m.EmbedAll}
-				em, err := euclideanMetrics(tr, env, truth)
+				em, err := euclideanMetrics(m.EmbedAll, env, truth)
 				if err != nil {
-					return nil, nil, err
+					return nil, err
 				}
-				cells = append(cells, ReadoutCell{
-					Dataset: city.Name, Distance: f.String(), Readout: ro.String(), HR10: em.HR10,
-				})
 				row = append(row, f4(em.HR10))
 				if log != nil {
 					fmt.Fprintf(log, "fig4 %s %s %s: HR@10=%.4f\n", city.Name, f, ro, em.HR10)
@@ -65,5 +46,5 @@ func Fig4(scale Scale, log io.Writer) (*Table, []ReadoutCell, error) {
 		}
 	}
 	tbl.Notes = append(tbl.Notes, "backbone only: grids, reverse augmentation, and triplets disabled")
-	return tbl, cells, nil
+	return tbl, nil
 }

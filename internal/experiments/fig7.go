@@ -3,30 +3,20 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"traj2hash/internal/core"
 	"traj2hash/internal/dist"
-	"traj2hash/internal/eval"
 )
 
-// GridRepCell is one variant of the Figure 7 grid-representation study.
-type GridRepCell struct {
-	Variant      string
-	HR10         float64
-	R10At50      float64
-	PretrainTime time.Duration
-}
-
-// Fig7 reproduces Figure 7: the decomposed grid representation versus
+// fig7 reproduces Figure 7: the decomposed grid representation versus
 // node2vec cell embeddings versus no grid channel at all, on Porto, plus
 // the pre-training-time comparison discussed in Section V-D (decomposed:
 // ~80 s vs node2vec: >2 h at paper scale).
-func Fig7(scale Scale, log io.Writer) (*Table, []GridRepCell, error) {
+func fig7(scale Scale, log io.Writer) (*Table, error) {
 	p := ParamsFor(scale)
 	env := NewEnv(Cities()[0], p) // Porto
 	f := dist.FrechetDist
-	truth := eval.GroundTruth(f, env.Dataset.Queries, env.Dataset.Database, 60)
+	truth := env.truth(f)
 
 	variants := []struct {
 		name   string
@@ -40,28 +30,17 @@ func Fig7(scale Scale, log io.Writer) (*Table, []GridRepCell, error) {
 		Title:  "Figure 7 — the effect of different grid representations (Porto, Frechet)",
 		Header: []string{"Variant", "HR@10", "R10@50", "grid pre-train"},
 	}
-	var cells []GridRepCell
 	for _, v := range variants {
 		cfg := p.CoreConfig()
 		v.mutate(&cfg)
-		m, err := core.New(cfg, env.Dataset.All())
+		m, err := env.train(cfg, f, true)
 		if err != nil {
-			return nil, nil, fmt.Errorf("fig7 %s: %w", v.name, err)
+			return nil, fmt.Errorf("fig7 %s: %w", v.name, err)
 		}
-		if _, err := m.Train(core.TrainData{
-			Seeds: env.Dataset.Seeds, Validation: env.Dataset.Validation,
-			Corpus: env.Dataset.Corpus, F: f,
-		}); err != nil {
-			return nil, nil, err
-		}
-		tr := &Trained{Name: v.name, EmbedAll: m.EmbedAll}
-		em, err := euclideanMetrics(tr, env, truth)
+		em, err := euclideanMetrics(m.EmbedAll, env, truth)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		cells = append(cells, GridRepCell{
-			Variant: v.name, HR10: em.HR10, R10At50: em.R10At50, PretrainTime: m.GridPretrainTime,
-		})
 		tbl.Rows = append(tbl.Rows, []string{v.name, f4(em.HR10), f4(em.R10At50), m.GridPretrainTime.String()})
 		if log != nil {
 			fmt.Fprintf(log, "fig7 %s: HR@10=%.4f R10@50=%.4f pretrain=%v\n",
@@ -70,5 +49,5 @@ func Fig7(scale Scale, log io.Writer) (*Table, []GridRepCell, error) {
 	}
 	tbl.Notes = append(tbl.Notes,
 		"node2vec: walk length 80, 10 walks, window 10, p=q=1 (bounded on large grids)")
-	return tbl, cells, nil
+	return tbl, nil
 }

@@ -31,7 +31,7 @@ type Trained struct {
 	// only available after AttachHashAdapter.
 	CodeAll func([]geo.Trajectory) []hamming.Code
 
-	enc core.Encoder // nil for Fresh
+	enc core.Encoder // nil for Fresh and Traj2Hash, which hash natively
 }
 
 // DistanceAgnostic reports whether the method trains without the target
@@ -56,7 +56,11 @@ func TrainMethod(name string, env *Env, f dist.Func) (*Trained, error) {
 	var err error
 	switch name {
 	case "Traj2Hash":
-		enc, err = core.New(p.CoreConfig(), space)
+		m, err := env.train(p.CoreConfig(), f, true)
+		if err != nil {
+			return nil, err
+		}
+		return &Trained{Name: name, EmbedAll: m.EmbedAll, CodeAll: m.CodeAll}, nil
 	case "Fresh":
 		fr := baselines.NewFresh(1000, 4, 16, p.Seed)
 		return &Trained{Name: name, CodeAll: fr.CodeAll}, nil
@@ -85,11 +89,7 @@ func TrainMethod(name string, env *Env, f dist.Func) (*Trained, error) {
 	if _, err := enc.Train(td); err != nil {
 		return nil, err
 	}
-	t := &Trained{Name: name, EmbedAll: enc.EmbedAll, enc: enc}
-	if name == "Traj2Hash" {
-		t.CodeAll = enc.CodeAll // hashes natively; the baselines need AttachHashAdapter
-	}
-	return t, nil
+	return &Trained{Name: name, EmbedAll: enc.EmbedAll, enc: enc}, nil
 }
 
 // AttachHashAdapter fits the Table II linear hash head on a trained neural

@@ -15,17 +15,17 @@ type Experiment struct {
 // All returns every experiment in paper order.
 func All() []Experiment {
 	return []Experiment{
-		{"table1", "Table I — Euclidean-space accuracy", wrap3(Table1)},
-		{"table2", "Table II — Hamming-space accuracy", wrap3(Table2)},
-		{"table3", "Table III — ablation study", wrap3(Table3)},
-		{"fig4", "Figure 4 — read-out layers", wrap3(Fig4)},
-		{"fig5", "Figure 5 — time vs database size", wrap3(Fig5)},
-		{"fig6", "Figure 6 — time vs k", wrap3(Fig6)},
-		{"fig7", "Figure 7 — grid representations", wrap3(Fig7)},
-		{"fig8", "Figure 8 — margin α sweep", wrap3(Fig8)},
-		{"fig9", "Figure 9 — balance weight γ sweep", wrap3(Fig9)},
-		{"extra-cdtw", "Extra — cDTW band width vs learned embeddings", wrap3(ExtraCDTW)},
-		{"encoders", "Extra — encoder zoo: accuracy vs training and query cost", wrap3(EncoderRace)},
+		{"table1", "Table I — Euclidean-space accuracy", table1},
+		{"table2", "Table II — Hamming-space accuracy", table2},
+		{"table3", "Table III — ablation study", table3},
+		{"fig4", "Figure 4 — read-out layers", fig4},
+		{"fig5", "Figure 5 — time vs database size", fig5},
+		{"fig6", "Figure 6 — time vs k", fig6},
+		{"fig7", "Figure 7 — grid representations", fig7},
+		{"fig8", "Figure 8 — margin α sweep", fig8},
+		{"fig9", "Figure 9 — balance weight γ sweep", fig9},
+		{"extra-cdtw", "Extra — cDTW band width vs learned embeddings", extraCDTW},
+		{"encoders", "Extra — encoder zoo: accuracy vs training and query cost", encoderRace},
 	}
 }
 
@@ -37,12 +37,4 @@ func Lookup(id string) (Experiment, error) {
 		}
 	}
 	return Experiment{}, fmt.Errorf("experiments: unknown experiment %q", id)
-}
-
-// wrap3 adapts the (Table, cells, error) signatures to the registry shape.
-func wrap3[T any](f func(Scale, io.Writer) (*Table, T, error)) func(Scale, io.Writer) (*Table, error) {
-	return func(s Scale, log io.Writer) (*Table, error) {
-		t, _, err := f(s, log)
-		return t, err
-	}
 }

@@ -1,7 +1,7 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (Section V): Tables I–III and Figures 4–9. Each experiment is
-// a function returning a printable Table plus structured results, runnable
-// through cmd/traj2hash or the root benchmark suite.
+// a function returning a printable Table, registered in All; cmd/traj2hash
+// and the root benchmark suite run them through the registry.
 //
 // Experiments take a Scale: the paper's protocol (10K labelled, 200K
 // corpus, 10K queries × 100K database, d = 64) is preserved structurally at
@@ -16,6 +16,8 @@ import (
 
 	"traj2hash/internal/core"
 	"traj2hash/internal/data"
+	"traj2hash/internal/dist"
+	"traj2hash/internal/eval"
 )
 
 // Scale selects the experimental workload size.
@@ -155,6 +157,29 @@ type Env struct {
 // NewEnv generates a dataset for the named city at the given scale.
 func NewEnv(city *data.City, p Params) *Env {
 	return &Env{Params: p, Dataset: data.Build(city, p.Split, p.Seed)}
+}
+
+// truth is the exact top-60 ground truth of the queries over the database
+// under f, against which every accuracy cell is scored.
+func (e *Env) truth(f dist.Func) [][]int {
+	return eval.GroundTruth(f, e.Dataset.Queries, e.Dataset.Database, 60)
+}
+
+// train builds a Traj2Hash model at cfg and trains it for f on the seeds
+// and validation set, plus the unlabelled corpus when withCorpus is set.
+func (e *Env) train(cfg core.Config, f dist.Func, withCorpus bool) (*core.Model, error) {
+	m, err := core.New(cfg, e.Dataset.All())
+	if err != nil {
+		return nil, err
+	}
+	td := core.TrainData{Seeds: e.Dataset.Seeds, Validation: e.Dataset.Validation, F: f}
+	if withCorpus {
+		td.Corpus = e.Dataset.Corpus
+	}
+	if _, err := m.Train(td); err != nil {
+		return nil, err
+	}
+	return m, nil
 }
 
 // Cities returns the two evaluation datasets of Section V-A1 in paper

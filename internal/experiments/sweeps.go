@@ -6,18 +6,7 @@ import (
 
 	"traj2hash/internal/core"
 	"traj2hash/internal/dist"
-	"traj2hash/internal/eval"
 )
-
-// SweepCell is one (dataset, distance, value) point of the Figure 8/9
-// hyper-parameter sweeps: HR@10 in both spaces.
-type SweepCell struct {
-	Dataset   string
-	Distance  string
-	Value     float64
-	Euclidean float64
-	Hamming   float64
-}
 
 // sweepDistances: the parameter studies cover DTW and the Fréchet distance
 // (Section V-F).
@@ -26,7 +15,7 @@ var sweepDistances = []dist.Func{dist.DTWDist, dist.FrechetDist}
 // runSweep trains one model per parameter value and reports HR@10 in
 // Euclidean and Hamming space.
 func runSweep(scale Scale, log io.Writer, title, param string, values []float64,
-	apply func(*core.Config, float64)) (*Table, []SweepCell, error) {
+	apply func(*core.Config, float64)) (*Table, error) {
 	p := ParamsFor(scale)
 	tbl := &Table{
 		Title:  title,
@@ -35,39 +24,27 @@ func runSweep(scale Scale, log io.Writer, title, param string, values []float64,
 	for _, v := range values {
 		tbl.Header = append(tbl.Header, fmt.Sprintf("%s=%g", param, v))
 	}
-	var cells []SweepCell
 	for _, city := range Cities() {
 		env := NewEnv(city, p)
 		for _, f := range sweepDistances {
-			truth := eval.GroundTruth(f, env.Dataset.Queries, env.Dataset.Database, 60)
+			truth := env.truth(f)
 			euRow := []string{city.Name, f.String(), "Euclidean"}
 			haRow := []string{city.Name, f.String(), "Hamming"}
 			for _, v := range values {
 				cfg := p.CoreConfig()
 				apply(&cfg, v)
-				m, err := core.New(cfg, env.Dataset.All())
+				m, err := env.train(cfg, f, true)
 				if err != nil {
-					return nil, nil, fmt.Errorf("sweep %s=%g: %w", param, v, err)
+					return nil, fmt.Errorf("sweep %s=%g: %w", param, v, err)
 				}
-				if _, err := m.Train(core.TrainData{
-					Seeds: env.Dataset.Seeds, Validation: env.Dataset.Validation,
-					Corpus: env.Dataset.Corpus, F: f,
-				}); err != nil {
-					return nil, nil, err
-				}
-				tr := &Trained{Name: param, EmbedAll: m.EmbedAll, CodeAll: m.CodeAll}
-				em, err := euclideanMetrics(tr, env, truth)
+				em, err := euclideanMetrics(m.EmbedAll, env, truth)
 				if err != nil {
-					return nil, nil, err
+					return nil, err
 				}
-				hm, err := hammingMetrics(tr, env, truth)
+				hm, err := hammingMetrics(m.CodeAll, env, truth)
 				if err != nil {
-					return nil, nil, err
+					return nil, err
 				}
-				cells = append(cells, SweepCell{
-					Dataset: city.Name, Distance: f.String(), Value: v,
-					Euclidean: em.HR10, Hamming: hm.HR10,
-				})
 				euRow = append(euRow, f4(em.HR10))
 				haRow = append(haRow, f4(hm.HR10))
 				if log != nil {
@@ -78,22 +55,22 @@ func runSweep(scale Scale, log io.Writer, title, param string, values []float64,
 			tbl.Rows = append(tbl.Rows, euRow, haRow)
 		}
 	}
-	return tbl, cells, nil
+	return tbl, nil
 }
 
-// Fig8 reproduces Figure 8: the effect of the ranking margin α ∈ [0, 25]
+// fig8 reproduces Figure 8: the effect of the ranking margin α ∈ [0, 25]
 // on HR@10 in both spaces.
-func Fig8(scale Scale, log io.Writer) (*Table, []SweepCell, error) {
+func fig8(scale Scale, log io.Writer) (*Table, error) {
 	return runSweep(scale, log,
 		"Figure 8 — the performance changes with margin α (HR@10)",
 		"alpha", []float64{0, 2, 5, 10, 25},
 		func(c *core.Config, v float64) { c.Alpha = v })
 }
 
-// Fig9 reproduces Figure 9: the effect of the balance weight γ ∈ [0, 12]
+// fig9 reproduces Figure 9: the effect of the balance weight γ ∈ [0, 12]
 // on HR@10 in both spaces. γ = 0 disables both ranking losses — the
 // Hamming collapse the paper highlights.
-func Fig9(scale Scale, log io.Writer) (*Table, []SweepCell, error) {
+func fig9(scale Scale, log io.Writer) (*Table, error) {
 	return runSweep(scale, log,
 		"Figure 9 — the performance changes with balance weight γ (HR@10)",
 		"gamma", []float64{0, 1, 3, 6, 12},

@@ -6,7 +6,6 @@ import (
 
 	"traj2hash/internal/core"
 	"traj2hash/internal/dist"
-	"traj2hash/internal/eval"
 )
 
 // AblationVariants are the cumulative ablations of Section V-D: each
@@ -31,76 +30,48 @@ func ablationConfig(base core.Config, variant string) core.Config {
 	return cfg
 }
 
-// AblationCell is one (dataset, distance, variant) result in both spaces.
-type AblationCell struct {
-	Dataset   string
-	Distance  string
-	Variant   string
-	Euclidean eval.Metrics
-	Hamming   eval.Metrics
-}
-
-// Table3 reproduces Table III: the component ablation on the Fréchet
+// table3 reproduces Table III: the component ablation on the Fréchet
 // distance and DTW, evaluated in Euclidean and Hamming space.
-func Table3(scale Scale, log io.Writer) (*Table, []AblationCell, error) {
+func table3(scale Scale, log io.Writer) (*Table, error) {
 	p := ParamsFor(scale)
 	tbl := &Table{
 		Title:  "Table III — ablation study (-Grids, -RevAug, -Triplets)",
 		Header: []string{"Dataset", "Distance", "Space", "Metric", "Traj2Hash", "-Grids", "-RevAug", "-Triplets"},
 	}
-	var cells []AblationCell
-	distances := []dist.Func{dist.FrechetDist, dist.DTWDist}
 	for _, city := range Cities() {
 		env := NewEnv(city, p)
-		for _, f := range distances {
-			truth := eval.GroundTruth(f, env.Dataset.Queries, env.Dataset.Database, 60)
-			// metric rows: [space][metric][variant]
-			eu := map[string][]string{"HR@10": nil, "HR@50": nil, "R10@50": nil}
-			ha := map[string][]string{"HR@10": nil, "HR@50": nil, "R10@50": nil}
+		for _, f := range []dist.Func{dist.FrechetDist, dist.DTWDist} {
+			truth := env.truth(f)
+			// One row per space × metric; the variants fill the columns.
+			rows := make([][]string, 6)
+			for i := range rows {
+				space, metric := []string{"Euclidean", "Hamming"}[i/3], []string{"HR@10", "HR@50", "R10@50"}[i%3]
+				rows[i] = []string{city.Name, f.String(), space, metric}
+			}
 			for _, variant := range AblationVariants {
-				cfg := ablationConfig(p.CoreConfig(), variant)
-				m, err := core.New(cfg, env.Dataset.All())
+				m, err := env.train(ablationConfig(p.CoreConfig(), variant), f, true)
 				if err != nil {
-					return nil, nil, fmt.Errorf("table3 %s: %w", variant, err)
+					return nil, fmt.Errorf("table3 %s: %w", variant, err)
 				}
-				if _, err := m.Train(core.TrainData{
-					Seeds: env.Dataset.Seeds, Validation: env.Dataset.Validation,
-					Corpus: env.Dataset.Corpus, F: f,
-				}); err != nil {
-					return nil, nil, err
-				}
-				tr := &Trained{Name: variant, EmbedAll: m.EmbedAll, CodeAll: m.CodeAll}
-				em, err := euclideanMetrics(tr, env, truth)
+				em, err := euclideanMetrics(m.EmbedAll, env, truth)
 				if err != nil {
-					return nil, nil, err
+					return nil, err
 				}
-				hm, err := hammingMetrics(tr, env, truth)
+				hm, err := hammingMetrics(m.CodeAll, env, truth)
 				if err != nil {
-					return nil, nil, err
+					return nil, err
 				}
-				cells = append(cells, AblationCell{
-					Dataset: city.Name, Distance: f.String(), Variant: variant,
-					Euclidean: em, Hamming: hm,
-				})
-				eu["HR@10"] = append(eu["HR@10"], f4(em.HR10))
-				eu["HR@50"] = append(eu["HR@50"], f4(em.HR50))
-				eu["R10@50"] = append(eu["R10@50"], f4(em.R10At50))
-				ha["HR@10"] = append(ha["HR@10"], f4(hm.HR10))
-				ha["HR@50"] = append(ha["HR@50"], f4(hm.HR50))
-				ha["R10@50"] = append(ha["R10@50"], f4(hm.R10At50))
+				for i, v := range []float64{em.HR10, em.HR50, em.R10At50, hm.HR10, hm.HR50, hm.R10At50} {
+					rows[i] = append(rows[i], f4(v))
+				}
 				if log != nil {
 					fmt.Fprintf(log, "table3 %s %s %s: eu HR@10=%.4f ham HR@10=%.4f\n",
 						city.Name, f, variant, em.HR10, hm.HR10)
 				}
 			}
-			for _, metric := range []string{"HR@10", "HR@50", "R10@50"} {
-				tbl.Rows = append(tbl.Rows, append([]string{city.Name, f.String(), "Euclidean", metric}, eu[metric]...))
-			}
-			for _, metric := range []string{"HR@10", "HR@50", "R10@50"} {
-				tbl.Rows = append(tbl.Rows, append([]string{city.Name, f.String(), "Hamming", metric}, ha[metric]...))
-			}
+			tbl.Rows = append(tbl.Rows, rows...)
 		}
 	}
 	tbl.Notes = append(tbl.Notes, "ablations are cumulative: -RevAug also drops grids; -Triplets drops all three")
-	return tbl, cells, nil
+	return tbl, nil
 }

@@ -66,7 +66,11 @@
 #  12. full test suite under the race detector (the engine's concurrent
 #      Add/Search tests only mean something with -race, and so does
 #      TestTrainingIsGOMAXPROCSInvariant, whose GOMAXPROCS=4 run puts a
-#      training step's taped forwards on concurrent workers)
+#      training step's taped forwards on concurrent workers). It includes
+#      the experiment goldens: internal/experiments' TestEndToEnd* compare
+#      every table and figure, wall-clock columns masked, with
+#      internal/experiments/testdata/<id>.golden (regenerate with
+#      EXPERIMENTS_GOLDEN_OUT; see DESIGN.md "Per-experiment index")
 #  13. benchmark artifacts published to the repo root (BENCH_*.json,
 #      committed — the per-PR perf trajectory), the non-test
 #      lines-of-code table per package (scripts/loc.sh — the size
@@ -329,7 +333,7 @@ wait "$serve_pid" || {
 }
 rm -rf "$serve_tmp"
 
-echo "== go test -race ./... $*"
+echo "== go test -race ./... $* (includes the experiment goldens)"
 go test -race "$@" ./...
 
 echo "== benchmark artifacts -> repo root"
