@@ -200,11 +200,11 @@ func BenchmarkSearchVPTree10k(b *testing.B) {
 
 // BenchmarkSearchHammingMIH10k measures the multi-index hashing extension
 // (see internal/hamming/mih.go) on the same short-code workload as the
-// three paper strategies above. Short dense codes favor the hybrid's whole-
+// three paper strategies above (four substrings). Short dense codes favor the hybrid's whole-
 // code radius expansion; MIH's regime is long codes — see
 // BenchmarkSearchLongCodes64.
 func BenchmarkSearchHammingMIH10k(b *testing.B) {
-	benchSearch10k(b, engine.MIHName, engine.Config{MIHChunks: 4})
+	benchSearch10k(b, engine.MIHName, engine.Config{})
 }
 
 // BenchmarkSearchLongCodes64 compares the paper's strategies against MIH on
@@ -236,7 +236,7 @@ func BenchmarkSearchLongCodes64(b *testing.B) {
 		{"HammingHybrid", engine.HammingHybridName},
 		{"HammingMIH", engine.MIHName},
 	} {
-		search := benchBackend(b, c.backend, engine.Config{MIHChunks: 4}, vecs, codes)
+		search := benchBackend(b, c.backend, engine.Config{}, vecs, codes)
 		b.Run(c.label, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				search(q, 50)

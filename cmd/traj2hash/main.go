@@ -13,6 +13,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strings"
@@ -247,9 +248,6 @@ func cmdTrain(ctx context.Context, args []string) error {
 		return err
 	}
 	kind := *encoderKind
-	if err := core.ResolveEncoderKind(kind); err != nil {
-		return err
-	}
 	cfg := experiments.ParamsFor(sc).CoreConfig()
 	enc, err := core.NewEncoder(kind, cfg, ds.All())
 	if err != nil {
@@ -443,7 +441,7 @@ func cmdExperiment(ctx context.Context, args []string) error {
 		if err != nil {
 			return err
 		}
-		var log *os.File
+		var log io.Writer = io.Discard
 		if *verbose {
 			log = os.Stderr
 		}

@@ -155,7 +155,9 @@ func run(args []string) error {
 			"client_errors": t.clientErr.Load(), "refused": t.refused.Load(),
 			"dropped": t.dropped.Load(), "max_batched": t.maxBatched.Load(),
 			"elapsed_seconds": elapsed.Seconds(),
-			"p50_seconds":     p50, "p99_seconds": p99, "p999_seconds": p999,
+			"p50_seconds":     serve.Quantile(snap, 0.50),
+			"p99_seconds":     serve.Quantile(snap, 0.99),
+			"p999_seconds":    serve.Quantile(snap, 0.999),
 		}, "", "  ")
 		if err != nil {
 			return err

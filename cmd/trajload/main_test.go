@@ -1,11 +1,17 @@
 package main
 
 import (
+	"encoding/json"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"traj2hash/internal/data"
+	"traj2hash/internal/serve"
 )
 
 func TestParseMix(t *testing.T) {
@@ -64,6 +70,54 @@ func TestWriteBenchLines(t *testing.T) {
 	} {
 		if !strings.Contains(got, want) {
 			t.Errorf("bench file missing %q:\n%s", want, got)
+		}
+	}
+}
+
+// TestJSONSummaryWithoutSearches: a search-free mix records no search
+// latency, so the -json summary reports its quantiles as null — and the
+// run succeeds.
+func TestJSONSummaryWithoutSearches(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "ds.gob")
+	ds := data.Build(data.Porto(), data.SplitSpec{Queries: 3, Database: 3}, 1)
+	if err := ds.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	daemon := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if err := json.NewEncoder(w).Encode(serve.MutateResponse{ID: 1, Len: 1}); err != nil {
+			t.Error(err)
+		}
+	}))
+	defer daemon.Close()
+
+	out, err := os.Create(filepath.Join(dir, "stdout"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer out.Close()
+	stdout := os.Stdout
+	os.Stdout = out
+	err = run([]string{"-addr", strings.TrimPrefix(daemon.URL, "http://"), "-data", path,
+		"-n", "4", "-c", "1", "-mix", "add=1", "-json"})
+	os.Stdout = stdout
+	if err != nil {
+		t.Fatalf("trajload -mix add=1 -json: %v", err)
+	}
+	b, err := os.ReadFile(out.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sum map[string]any
+	if err := json.Unmarshal(b, &sum); err != nil {
+		t.Fatalf("summary is not JSON: %v\n%s", err, b)
+	}
+	if sum["ok"] != 4.0 {
+		t.Errorf("summary ok = %v, want 4", sum["ok"])
+	}
+	for _, q := range []string{"p50_seconds", "p99_seconds", "p999_seconds"} {
+		if v, ok := sum[q]; !ok || v != nil {
+			t.Errorf("summary %s = %v (present %v), want null", q, v, ok)
 		}
 	}
 }

@@ -44,8 +44,10 @@ func (ix *Index) writable() error {
 // and its id is never reused. Deleting an unknown id returns ErrNotFound;
 // deleting twice returns ErrDeleted (both from package engine, exposed
 // as traj2hash.ErrNotFound / traj2hash.ErrDeleted). When the shard's
-// tombstone density crosses Options.CompactAt the delete also compacts
-// that shard synchronously; compaction never changes answers.
+// tombstone density reaches engine.DefaultCompactAt (a quarter of its
+// items) the delete also compacts that shard synchronously (its index
+// structures are rebuilt over the live items); compaction never changes
+// answers, only their cost.
 func (ix *Index) Delete(id int) error {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()

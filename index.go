@@ -150,12 +150,6 @@ type Options struct {
 	// snapshot. Several indexes may share one registry (counters
 	// accumulate), including DefaultMetricsRegistry().
 	Metrics *MetricsRegistry
-	// CompactAt is the per-shard tombstone-density threshold at which a
-	// Delete triggers a synchronous compaction of its shard (its index
-	// structures are rebuilt over the live items). 0 means the engine
-	// default (0.25); negative disables automatic compaction. Compaction
-	// never changes answers, only their cost.
-	CompactAt float64
 	// WALDir, when non-empty, makes the index durable: every mutation
 	// (Add/Delete/Update) is appended to a CRC-checksummed write-ahead
 	// log in this directory before its call returns, snapshots are taken
@@ -217,7 +211,7 @@ type Index struct {
 }
 
 // NewIndex embeds and indexes the given trajectories with an encoder
-// (e.g. a trained Model, or any other registered Encoder kind) and
+// (e.g. a trained Model, or any other Encoder) and
 // default Options. At least one trajectory is required; use AddCtx or
 // AddBatchCtx for subsequent insertions.
 func NewIndex(enc Encoder, ts []Trajectory) (*Index, error) {
@@ -247,12 +241,11 @@ func NewIndexWith(enc Encoder, ts []Trajectory, opts Options) (*Index, error) {
 		// One strategy per Space (the hybrid's table also serves
 		// WithinCtx; the Euclidean scan reads the shard's embedding slab
 		// and costs nothing per item).
-		Backends:  spaceStrategies[:],
-		Shards:    opts.Shards,
-		Workers:   opts.Workers,
-		CompactAt: opts.CompactAt,
-		Metrics:   opts.Metrics,
-		Config:    engine.Config{Bits: enc.Dim()},
+		Backends: spaceStrategies[:],
+		Shards:   opts.Shards,
+		Workers:  opts.Workers,
+		Metrics:  opts.Metrics,
+		Config:   engine.Config{Bits: enc.Dim()},
 	})
 	if err != nil {
 		return nil, err

@@ -73,7 +73,7 @@ func checkLockScope(p *Pass, body *ast.BlockStmt) {
 		name := sel.Sel.Name
 		switch name {
 		case "Lock", "RLock":
-			if !isDefer && isMutexRecv(p, sel.X) {
+			if !isDefer && isMutexRecv(p.Pkg, sel.X) {
 				locks = append(locks, lockCall{call: call, recv: types.ExprString(sel.X), method: name})
 			}
 		case "Unlock", "RUnlock":
@@ -111,8 +111,8 @@ func walkShallow(body *ast.BlockStmt, fn func(ast.Node)) {
 // information resolved) a sync.Mutex, sync.RWMutex, sync.Locker, or a
 // type embedding one; without type info it conservatively assumes yes —
 // the Lock/RLock method-name pair is already a strong signal.
-func isMutexRecv(p *Pass, recv ast.Expr) bool {
-	t := p.Pkg.Info.TypeOf(recv)
+func isMutexRecv(pkg *Package, recv ast.Expr) bool {
+	t := pkg.Info.TypeOf(recv)
 	if t == nil {
 		return true
 	}

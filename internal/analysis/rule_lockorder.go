@@ -72,7 +72,7 @@ func runLockOrder(p *Pass) {
 				a.summarize(fn)
 			} else {
 				// init functions and unresolved decls: analyze directly.
-				a.analyzeBody(p.Pkg, fd, fd.Body, map[string]token.Pos{})
+				a.analyzeBodyInto(p.Pkg, fd, fd.Body, map[string]token.Pos{})
 			}
 		}
 	}
@@ -98,12 +98,6 @@ func (a *lockAnalyzer) summarize(fn *types.Func) *lockSummary {
 	}
 	a.summaries[fn] = s
 	return s
-}
-
-// analyzeBody analyzes one function (or literal) body with an empty held
-// set, discarding the acquired summary.
-func (a *lockAnalyzer) analyzeBody(pkg *Package, decl *ast.FuncDecl, body *ast.BlockStmt, acquired map[string]token.Pos) {
-	a.analyzeBodyInto(pkg, decl, body, acquired)
 }
 
 // analyzeBodyInto walks one body in source order, maintaining the held
@@ -138,7 +132,7 @@ func (a *lockAnalyzer) analyzeBodyInto(pkg *Package, decl *ast.FuncDecl, body *a
 			if isSel && len(n.Args) == 0 {
 				switch sel.Sel.Name {
 				case "Lock", "RLock":
-					if lockRecvIsMutex(pkg, sel.X) && !deferredCalls[n] {
+					if isMutexRecv(pkg, sel.X) && !deferredCalls[n] {
 						id := a.lockID(pkg, fnName, sel.X)
 						for _, h := range heldLocks {
 							a.addEdge(h.id, id, n.Pos(), inPkg)
@@ -150,7 +144,7 @@ func (a *lockAnalyzer) analyzeBodyInto(pkg *Package, decl *ast.FuncDecl, body *a
 						return true
 					}
 				case "Unlock", "RUnlock":
-					if lockRecvIsMutex(pkg, sel.X) && !deferredCalls[n] {
+					if isMutexRecv(pkg, sel.X) && !deferredCalls[n] {
 						id := a.lockID(pkg, fnName, sel.X)
 						for i := len(heldLocks) - 1; i >= 0; i-- {
 							if heldLocks[i].id == id {
@@ -212,41 +206,6 @@ func calleeFunc(pkg *Package, call *ast.CallExpr) *types.Func {
 	}
 	fn, _ := obj.(*types.Func)
 	return fn
-}
-
-// lockRecvIsMutex is isMutexRecv generalized to any package's type info.
-func lockRecvIsMutex(pkg *Package, recv ast.Expr) bool {
-	t := pkg.Info.TypeOf(recv)
-	if t == nil {
-		return true // no type info: assume (Lock/Unlock names are a strong signal)
-	}
-	for {
-		if ptr, ok := t.Underlying().(*types.Pointer); ok {
-			t = ptr.Elem()
-			continue
-		}
-		break
-	}
-	if named, ok := t.(*types.Named); ok {
-		obj := named.Obj()
-		if obj.Pkg() != nil && obj.Pkg().Path() == "sync" {
-			switch obj.Name() {
-			case "Mutex", "RWMutex":
-				return true
-			}
-		}
-	}
-	ms := types.NewMethodSet(types.NewPointer(t))
-	hasLock, hasUnlock := false, false
-	for i := 0; i < ms.Len(); i++ {
-		switch ms.At(i).Obj().Name() {
-		case "Lock", "RLock":
-			hasLock = true
-		case "Unlock", "RUnlock":
-			hasUnlock = true
-		}
-	}
-	return hasLock && hasUnlock
 }
 
 // lockID canonicalizes a lock receiver expression into a stable identity:

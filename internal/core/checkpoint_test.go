@@ -243,7 +243,7 @@ func TestErrDivergedWithoutCheckpoint(t *testing.T) {
 }
 
 // TestRollbackBudgetExhausted: a site that re-poisons every replay must
-// exhaust MaxRollbacks and surface ErrDiverged.
+// exhaust maxRollbacks and surface ErrDiverged.
 func TestRollbackBudgetExhausted(t *testing.T) {
 	cfg, space, td := trainFixture(t)
 	m, err := New(cfg, space)
@@ -253,7 +253,6 @@ func TestRollbackBudgetExhausted(t *testing.T) {
 	site := faultinject.Site{Epoch: 2, Step: 0}
 	p := faultinject.NewGradPoisoner(site, site, site, site)
 	td.StepHook = func(epoch, step int) { p.MaybePoison(epoch, step, m.Params()) }
-	td.MaxRollbacks = 3
 	_, err = m.Train(td)
 	if !errors.Is(err, ErrDiverged) {
 		t.Fatalf("err = %v, want ErrDiverged after exhausting rollbacks", err)

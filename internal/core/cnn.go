@@ -11,12 +11,6 @@ import (
 	"traj2hash/internal/nn"
 )
 
-func init() {
-	RegisterEncoder(CNNKind,
-		func(cfg Config, space []geo.Trajectory) (Encoder, error) { return NewCNN(cfg, space) },
-		func(r io.Reader) (Encoder, error) { return loadCNN(r) })
-}
-
 // CNN raster geometry: the study-space bounding box is rasterized onto a
 // fixed cnnNX×cnnNY field with cnnChans channels per cell. The field is
 // intentionally coarse — the encoder trades the attention model's

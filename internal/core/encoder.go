@@ -11,7 +11,6 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -37,7 +36,7 @@ import (
 //     EmbedAllParallel is safe for concurrent use while no training step
 //     runs.
 type Encoder interface {
-	// Kind returns the encoder's registry name (see EncoderKinds).
+	// Kind returns the encoder's kind name (see EncoderKinds).
 	Kind() string
 	// Dim returns the embedding width, which equals the configured code
 	// length (Config.HashBits): one sign bit per embedding coordinate.
@@ -85,15 +84,6 @@ type EncoderSaver interface {
 	Save(w io.Writer) error
 }
 
-// EncoderFactory builds a fresh encoder of one kind. The study space
-// (grid extents, normalization statistics, prototype pools) is fitted on
-// space, which should cover all data the encoder will see.
-type EncoderFactory func(cfg Config, space []geo.Trajectory) (Encoder, error)
-
-// EncoderLoader reads one kind's raw serialized form (the bytes written
-// by EncoderSaver.Save, without the container header).
-type EncoderLoader func(r io.Reader) (Encoder, error)
-
 // The built-in encoder kinds.
 const (
 	// AttentionKind is the paper's two-channel attention model (Model).
@@ -104,72 +94,35 @@ const (
 	CNNKind = "cnn"
 )
 
-type encoderEntry struct {
-	factory EncoderFactory
-	loader  EncoderLoader
-}
-
-var (
-	encRegMu   sync.RWMutex
-	encoderReg = map[string]encoderEntry{}
-)
-
-// RegisterEncoder makes an encoder kind constructible by name. loader
-// may be nil for kinds without a serialized form. It panics on duplicate
-// registration, mirroring the engine's backend registry.
-func RegisterEncoder(kind string, factory EncoderFactory, loader EncoderLoader) {
-	encRegMu.Lock()
-	defer encRegMu.Unlock()
-	if _, dup := encoderReg[kind]; dup {
-		panic(fmt.Sprintf("core: duplicate encoder kind %q", kind))
-	}
-	encoderReg[kind] = encoderEntry{factory: factory, loader: loader}
-}
-
-// ResolveEncoderKind checks that kind names a registered encoder.
+// ResolveEncoderKind checks that kind names a built-in encoder.
 func ResolveEncoderKind(kind string) error {
-	encRegMu.RLock()
-	defer encRegMu.RUnlock()
-	if _, ok := encoderReg[kind]; !ok {
-		return fmt.Errorf("core: unknown encoder kind %q (have %v)", kind, encoderKindsLocked())
+	for _, k := range EncoderKinds() {
+		if k == kind {
+			return nil
+		}
 	}
-	return nil
+	return fmt.Errorf("core: unknown encoder kind %q (have %v)", kind, EncoderKinds())
 }
 
-// EncoderKinds returns the names of all registered encoder kinds, sorted.
-func EncoderKinds() []string {
-	encRegMu.RLock()
-	defer encRegMu.RUnlock()
-	return encoderKindsLocked()
-}
-
-func encoderKindsLocked() []string {
-	kinds := make([]string, 0, len(encoderReg))
-	for k := range encoderReg {
-		kinds = append(kinds, k)
-	}
-	sort.Strings(kinds)
-	return kinds
-}
+// EncoderKinds returns the names of the built-in encoder kinds, sorted.
+func EncoderKinds() []string { return []string{AttentionKind, CNNKind, GeoPTHKind} }
 
 // NewEncoder builds a fresh encoder of the given kind with its study
 // space fitted on space.
 func NewEncoder(kind string, cfg Config, space []geo.Trajectory) (Encoder, error) {
-	if err := ResolveEncoderKind(kind); err != nil {
-		return nil, err
+	switch kind {
+	case AttentionKind:
+		return New(cfg, space)
+	case CNNKind:
+		return NewCNN(cfg, space)
+	case GeoPTHKind:
+		return NewGeoPTH(cfg, space)
 	}
-	return encoderEntryFor(kind).factory(cfg, space)
-}
-
-// encoderEntryFor reads a (known-registered) kind's entry under the lock.
-func encoderEntryFor(kind string) encoderEntry {
-	encRegMu.RLock()
-	defer encRegMu.RUnlock()
-	return encoderReg[kind]
+	return nil, ResolveEncoderKind(kind)
 }
 
 // encoderBlob is the kind-tagged container SaveEncoder writes: the kind
-// header dispatches LoadEncoder to the registered loader for the raw
+// header dispatches LoadEncoder to its kind's loader for the raw
 // bytes that follow.
 type encoderBlob struct {
 	Kind string
@@ -200,16 +153,18 @@ func LoadEncoder(r io.Reader) (Encoder, error) {
 	if err := gob.NewDecoder(r).Decode(&blob); err != nil {
 		return nil, fmt.Errorf("core: load encoder: %w", err)
 	}
-	if err := ResolveEncoderKind(blob.Kind); err != nil {
-		return nil, err
-	}
-	entry := encoderEntryFor(blob.Kind)
-	if entry.loader == nil {
-		return nil, fmt.Errorf("core: encoder kind %q has no loader", blob.Kind)
-	}
 	// A bytes.Reader is an io.ByteReader, so the loader's gob decoders
 	// read exactly their own messages without a bufio wrapper.
-	return entry.loader(bytes.NewReader(blob.Raw))
+	raw := bytes.NewReader(blob.Raw)
+	switch blob.Kind {
+	case AttentionKind:
+		return Load(raw)
+	case CNNKind:
+		return loadCNN(raw)
+	case GeoPTHKind:
+		return loadGeoPTH(raw)
+	}
+	return nil, ResolveEncoderKind(blob.Kind)
 }
 
 // SaveEncoderFile writes an encoder to path in the container format,
@@ -334,8 +289,9 @@ func NewNetEncoder(kind string, cfg Config, rng *rand.Rand, net Net) NetEncoder 
 	return NetEncoder{Cfg: cfg, kind: kind, net: net, beta: cfg.BetaStart, rng: rng}
 }
 
-// Kind returns the encoder's registry name or, for encoders outside the
-// registry, the name it carries in result tables and checkpoints.
+// Kind returns the encoder's kind name (see EncoderKinds) or, for
+// encoders outside that list, the name it carries in result tables and
+// checkpoints.
 func (e *NetEncoder) Kind() string { return e.kind }
 
 // Dim returns the embedding width, which equals the code length

@@ -14,12 +14,6 @@ import (
 	"traj2hash/internal/hamming"
 )
 
-func init() {
-	RegisterEncoder(GeoPTHKind,
-		func(cfg Config, space []geo.Trajectory) (Encoder, error) { return NewGeoPTH(cfg, space) },
-		func(r io.Reader) (Encoder, error) { return loadGeoPTH(r) })
-}
-
 // GeoPTH is a training-free geometric prototype hasher in the spirit of
 // the GeoPTH related work (PAPERS.md): instead of learning an embedding,
 // it picks representative prototype trajectories spread across the study
@@ -150,7 +144,7 @@ func boundLen(t geo.Trajectory, maxLen int) geo.Trajectory {
 	return t
 }
 
-// Kind returns the encoder registry name.
+// Kind returns the encoder kind name.
 func (g *GeoPTH) Kind() string { return GeoPTHKind }
 
 // Dim returns the embedding width (= Config.HashBits, one prototype pair

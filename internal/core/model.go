@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"io"
 	"math/rand"
 	"time"
 
@@ -119,12 +118,6 @@ func New(cfg Config, space []geo.Trajectory) (*Model, error) {
 	}
 	m.proj = nn.NewLinear(cfg.Dim, half, rng)
 	return m, nil
-}
-
-func init() {
-	RegisterEncoder(AttentionKind,
-		func(cfg Config, space []geo.Trajectory) (Encoder, error) { return New(cfg, space) },
-		func(r io.Reader) (Encoder, error) { return Load(r) })
 }
 
 // Params returns all trainable parameters (the frozen grid embeddings are

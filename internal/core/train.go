@@ -24,6 +24,10 @@ import (
 // exhausted. Callers distinguish it with errors.Is.
 var ErrDiverged = errors.New("core: training diverged (non-finite loss, parameters, or validation embeddings)")
 
+// maxRollbacks is the rollback budget: the divergence-guard rollbacks a
+// training run takes before it gives up with ErrDiverged.
+const maxRollbacks = 3
+
 // TrainData is the input of the optimization component (Section IV-F): a
 // seed set with exact pairwise distances, a validation set for model
 // selection, an unlabelled corpus for fast triplet generation, and the
@@ -50,9 +54,6 @@ type TrainData struct {
 	// Config (including Seed) and study space as the interrupted run;
 	// shape mismatches are rejected.
 	Resume *Checkpoint
-	// MaxRollbacks bounds divergence-guard rollbacks before training
-	// gives up with ErrDiverged (0 means the default of 3).
-	MaxRollbacks int
 	// StepHook, when non-nil, runs after every optimizer step with the
 	// absolute epoch and the step index within it. It exists for test
 	// instrumentation (internal/faultinject's gradient poisoning) and
@@ -305,10 +306,6 @@ func trainLoop(ctx context.Context, m *NetEncoder, td TrainData) (*History, erro
 	h.BestHR10 = -1
 	lr := cfg.LR
 	rollbacks := 0
-	maxRollbacks := td.MaxRollbacks
-	if maxRollbacks <= 0 {
-		maxRollbacks = 3
-	}
 	startEpoch := 0
 	// lastGood is the most recent completed-epoch checkpoint: the guard's
 	// rollback target and the snapshot flushed on cancellation. It is

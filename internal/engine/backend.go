@@ -4,9 +4,9 @@
 // the five top-k strategies that search a store (Euclidean brute force,
 // Hamming brute force, Hamming-Hybrid table lookup, multi-index hashing,
 // and a vantage-point tree), with an optional Indexer hook for the three
-// that build something over it; a registry that makes them selectable by
-// name; and a sharded, concurrency-safe Engine that keeps one Store per
-// shard and fans queries out in parallel.
+// that build something over it; a closed table (NewBackend) that makes
+// them selectable by name; and a sharded, concurrency-safe Engine that
+// keeps one Store per shard and fans queries out in parallel.
 //
 // Every consumer of top-k search — the public Index facade, the strategy
 // adapter of the efficiency experiments (internal/experiments), and the
@@ -59,7 +59,7 @@ type Result struct {
 // serialize the store's Add/Update against Search. Concurrent Searches
 // are safe.
 type Backend interface {
-	// Name returns the registry name of the strategy.
+	// Name returns the name NewBackend builds the strategy by.
 	Name() string
 	// Search returns the top-k local ids of st for the query, sorted
 	// ascending by (Score, ID) — nothing when the store lacks the column
@@ -79,22 +79,16 @@ type Indexer interface {
 type Config struct {
 	// Bits is the hash code length. 0 means infer from the first code.
 	Bits int
-	// MIHChunks is the substring count of the mih backend, 0 meaning 4.
-	// Either is narrowed to one chunk per bit and widened until every
-	// chunk fits in 64 bits.
-	MIHChunks int
 	// VPSeed seeds vantage-point sampling of the vptree backend.
 	VPSeed int64
-	// Hooks is an opaque configuration slot for test-instrumentation
-	// backends: internal/faultinject's "faulty" backend reads its fault
-	// schedule (*faultinject.Faults) from here. Production backends
-	// ignore it, and it must never carry request-scoped state — in
-	// particular not a context.Context.
-	Hooks any
+	// Wrap, when non-nil, is applied to every strategy an Engine builds
+	// (one per configured name per shard, in shard order, again at every
+	// compaction) and the Engine keeps what it returns: the seam through
+	// which internal/faultinject puts its faults around a real strategy.
+	// It must never carry request-scoped state — in particular not a
+	// context.Context.
+	Wrap func(Backend) Backend
 }
-
-// Factory builds a fresh, empty backend.
-type Factory func(cfg Config) (Backend, error)
 
 // Canonical backend names.
 const (
@@ -105,67 +99,26 @@ const (
 	VPTreeName        = "vptree"
 )
 
-var (
-	regMu    sync.RWMutex
-	registry = map[string]Factory{}
-)
-
-// Register makes a backend constructible by name. It panics on duplicate
-// registration, mirroring database/sql.Register.
-func Register(name string, f Factory) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := registry[name]; dup {
-		panic(fmt.Sprintf("engine: duplicate backend %q", name))
-	}
-	registry[name] = f
-}
-
-// Resolve checks that a backend name is registered and returns it.
-func Resolve(name string) (string, error) {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	if _, ok := registry[name]; !ok {
-		return "", fmt.Errorf("engine: unknown backend %q (have %v)", name, backendNamesLocked())
-	}
-	return name, nil
-}
-
-// NewBackend builds a fresh strategy by registry name, to be handed to
-// NewStore.
+// NewBackend builds a fresh strategy by name, to be handed to NewStore.
 func NewBackend(name string, cfg Config) (Backend, error) {
-	if _, err := Resolve(name); err != nil {
-		return nil, err
+	switch name {
+	case EuclideanBFName:
+		return euclideanBF{}, nil
+	case HammingBFName:
+		return hammingBF{}, nil
+	case HammingHybridName:
+		return &hybrid{}, nil
+	case MIHName:
+		return &mih{}, nil
+	case VPTreeName:
+		return &vpTree{seed: cfg.VPSeed}, nil
 	}
-	//lint:ignore deferunlock the factory below must run outside the registry lock: a factory that registers (or resolves) would deadlock under defer
-	regMu.RLock()
-	f := registry[name]
-	regMu.RUnlock()
-	return f(cfg)
+	return nil, fmt.Errorf("engine: unknown backend %q (have %v)", name, BackendNames())
 }
 
-// BackendNames returns the registered backend names, sorted.
+// BackendNames returns the backend names NewBackend builds, sorted.
 func BackendNames() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	return backendNamesLocked()
-}
-
-func backendNamesLocked() []string {
-	out := make([]string, 0, len(registry))
-	for n := range registry {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func init() {
-	Register(EuclideanBFName, func(Config) (Backend, error) { return euclideanBF{}, nil })
-	Register(HammingBFName, func(Config) (Backend, error) { return hammingBF{}, nil })
-	Register(HammingHybridName, func(Config) (Backend, error) { return &hybrid{}, nil })
-	Register(MIHName, func(cfg Config) (Backend, error) { return &mih{chunks: cfg.MIHChunks}, nil })
-	Register(VPTreeName, func(cfg Config) (Backend, error) { return &vpTree{seed: cfg.VPSeed}, nil })
+	return []string{EuclideanBFName, HammingBFName, HammingHybridName, MIHName, VPTreeName}
 }
 
 // --- euclidean-bf ---
@@ -291,8 +244,7 @@ func indexed(err error) {
 // generated by the pigeonhole principle — sublinear on long codes where
 // whole-code radius expansion scans mostly empty buckets.
 type mih struct {
-	chunks int          // Config.MIHChunks
-	idx    *hamming.MIH // nil until the store holds a code
+	idx *hamming.MIH // nil until the store holds a code
 }
 
 // Name implements Backend.
@@ -308,7 +260,7 @@ func (b *mih) Index(st *Store, local int) {
 	var err error
 	switch {
 	case b.idx == nil:
-		b.idx, err = hamming.NewMIH([]hamming.Code{code}, mihChunks(b.chunks, code.Bits))
+		b.idx, err = hamming.NewMIH([]hamming.Code{code}, mihChunks(code.Bits))
 	case local == b.idx.Len():
 		_, err = b.idx.Add(code)
 	default:
@@ -317,17 +269,11 @@ func (b *mih) Index(st *Store, local int) {
 	indexed(err)
 }
 
-// mihChunks turns the configured substring count (0 = 4) into one the
-// bit length allows: at most one chunk per bit, and widened until every
-// chunk fits a 64-bit word. The count only trades lookup cost — MIH is
-// exact at any — so an impossible request is adjusted, not refused.
-func mihChunks(chunks, bits int) int {
-	if chunks <= 0 {
-		chunks = 4
-	}
-	if chunks > bits {
-		chunks = bits
-	}
+// mihChunks is the substring count of the mih backend at a bit length:
+// 4, narrowed to one chunk per bit and widened until every chunk fits a
+// 64-bit word. The count only trades lookup cost — MIH is exact at any.
+func mihChunks(bits int) int {
+	chunks := min(4, bits)
 	for (bits+chunks-1)/chunks > 64 {
 		chunks++
 	}

@@ -210,7 +210,7 @@ func (e *Engine) searchShard(bi, si int, q Query, k int) (rs []Result, err error
 // partial answer, tagged by the returned Status. A panicking shard
 // degrades the answer instead of crashing the process.
 func (e *Engine) SearchCtx(ctx context.Context, q Query, k int) ([]Result, Status) {
-	//lint:ignore errcheck the default backend name is registered at construction; the config error is impossible
+	//lint:ignore errcheck the default backend name is checked at construction; the config error is impossible
 	rs, st, _ := e.SearchWithCtx(ctx, e.names[0], q, k)
 	return rs, st
 }

@@ -15,7 +15,7 @@ import (
 
 // Options configures an Engine.
 type Options struct {
-	// Backends are the registry names of the backends every shard
+	// Backends are the names (see BackendNames) of the backends every shard
 	// maintains. Backends[0] is the default used by Search/SearchCtx.
 	// Empty means {hamming-hybrid}.
 	Backends []string
@@ -188,8 +188,8 @@ func newMetrics(reg *obs.Registry, names []string, shards int) *metrics {
 	return m
 }
 
-// New builds an empty engine. Backend names are checked against the
-// registry and deduplicated, preserving order (the first stays the
+// New builds an empty engine. Backend names are checked by NewBackend
+// and deduplicated, preserving order (the first stays the
 // default).
 func New(opts Options) (*Engine, error) {
 	opts = opts.withDefaults()
@@ -199,7 +199,7 @@ func New(opts Options) (*Engine, error) {
 	var names []string
 	seen := map[string]bool{}
 	for _, n := range opts.Backends {
-		if _, err := Resolve(n); err != nil {
+		if _, err := NewBackend(n, opts.Config); err != nil {
 			return nil, err
 		}
 		if !seen[n] {
@@ -240,6 +240,9 @@ func (e *Engine) newItems() (items, error) {
 		b, err := NewBackend(n, e.opts.Config)
 		if err != nil {
 			return items{}, err
+		}
+		if e.opts.Config.Wrap != nil {
+			b = e.opts.Config.Wrap(b)
 		}
 		strategies[i] = b
 	}
@@ -346,15 +349,17 @@ func (e *Engine) AddBatch(embs [][]float64, codes []hamming.Code) ([]int, error)
 	return ids, nil
 }
 
-// backendIndex resolves a backend name to its slot in every shard.
+// backendIndex resolves a backend name to its slot in every shard. The
+// maintained names were checked by New, so NewBackend only runs (to name
+// the error) for a name outside them.
 func (e *Engine) backendIndex(name string) (int, error) {
-	if _, err := Resolve(name); err != nil {
-		return 0, err
-	}
 	for i, n := range e.names {
 		if n == name {
 			return i, nil
 		}
+	}
+	if _, err := NewBackend(name, e.opts.Config); err != nil {
+		return 0, err
 	}
 	return 0, fmt.Errorf("engine: backend %q not maintained by this engine (have %v)", name, e.names)
 }

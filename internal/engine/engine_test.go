@@ -112,10 +112,10 @@ func TestRegistryHasAllFiveBackends(t *testing.T) {
 			}
 		}
 		if !found {
-			t.Errorf("backend %q not registered (have %v)", w, got)
+			t.Errorf("backend %q not listed (have %v)", w, got)
 		}
-		if n, err := Resolve(w); err != nil || n != w {
-			t.Errorf("Resolve(%q) = %q, %v", w, n, err)
+		if b, err := NewBackend(w, Config{}); err != nil || b.Name() != w {
+			t.Errorf("NewBackend(%q) = %v, %v", w, b, err)
 		}
 	}
 	if _, err := NewBackend("no-such-backend", Config{}); err == nil {
@@ -177,17 +177,15 @@ func TestDefaultMIHChunks(t *testing.T) {
 	for _, tc := range []struct{ bits, want int }{
 		{16, 4}, {64, 4}, {256, 4}, {2, 2}, {300, 5},
 	} {
-		if got := mihChunks(0, tc.bits); got != tc.want {
-			t.Errorf("mihChunks(0, %d) = %d, want %d", tc.bits, got, tc.want)
+		if got := mihChunks(tc.bits); got != tc.want {
+			t.Errorf("mihChunks(%d) = %d, want %d", tc.bits, got, tc.want)
 		}
 	}
-	// Whatever is asked for, the chosen chunk count must be constructible.
+	// At every bit length the chosen chunk count must be constructible.
 	rng := rand.New(rand.NewSource(9))
-	for _, bits := range []int{2, 16, 64, 256, 300} {
-		for _, asked := range []int{0, 1, 3, 4, 9, 400} {
-			if _, err := hamming.NewMIH(randCodes(rng, 3, bits), mihChunks(asked, bits)); err != nil {
-				t.Errorf("bits=%d asked=%d: %v", bits, asked, err)
-			}
+	for _, bits := range []int{1, 2, 3, 16, 64, 65, 256, 300} {
+		if _, err := hamming.NewMIH(randCodes(rng, 3, bits), mihChunks(bits)); err != nil {
+			t.Errorf("bits=%d: %v", bits, err)
 		}
 	}
 }
@@ -336,7 +334,7 @@ func TestWithinRejectsUnsupportedRadius(t *testing.T) {
 
 // TestEngineSearchBatchMatchesSequential: every member of a batch is
 // answered exactly as its query alone — results and Status — for every
-// registered backend, on one shard and on three, fresh and with
+// backend, on one shard and on three, fresh and with
 // tombstones in the shards (compaction is off, so the dead items stay and
 // the over-fetch runs).
 func TestEngineSearchBatchMatchesSequential(t *testing.T) {

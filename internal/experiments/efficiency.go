@@ -130,10 +130,8 @@ func timingTable(scale Scale, log io.Writer, id, title, axis string, points []in
 					us(cs[0].perQuery), us(cs[1].perQuery), us(cs[2].perQuery),
 					fmt.Sprintf("%.0f%%", cs[2].fastFrac*100),
 				})
-				if log != nil {
-					fmt.Fprintf(log, "%s %s %s %s %d: eu=%v ham=%v hybrid=%v\n",
-						id, city.Name, f, axis, pt, cs[0].perQuery, cs[1].perQuery, cs[2].perQuery)
-				}
+				fmt.Fprintf(log, "%s %s %s %s %d: eu=%v ham=%v hybrid=%v\n",
+					id, city.Name, f, axis, pt, cs[0].perQuery, cs[1].perQuery, cs[2].perQuery)
 			}
 		}
 	}

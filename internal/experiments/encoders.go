@@ -75,10 +75,8 @@ func encoderRace(scale Scale, log io.Writer) (*Table, error) {
 			fmt.Sprintf("%.1f", float64(encodePer.Nanoseconds())/1e3),
 			fmt.Sprintf("%.1f", float64(searchPer.Nanoseconds())/1e3),
 		})
-		if log != nil {
-			fmt.Fprintf(log, "encoders %s: steps=%d HR@10=%.4f encode=%v/traj\n",
-				kind, steps, m.HR10, encodePer)
-		}
+		fmt.Fprintf(log, "encoders %s: steps=%d HR@10=%.4f encode=%v/traj\n",
+			kind, steps, m.HR10, encodePer)
 	}
 	tbl.Notes = append(tbl.Notes,
 		"all encoders share the dataset, bit width, and brute-force Hamming search; only the encoder varies",

@@ -38,9 +38,7 @@ func extraCDTW(scale Scale, log io.Writer) (*Table, error) {
 			tbl.Rows = append(tbl.Rows, []string{
 				city.Name, method, f4(m.HR10), f4(m.R10At50), per.Round(time.Microsecond).String(),
 			})
-			if log != nil {
-				fmt.Fprintf(log, "cdtw %s %s: HR@10=%.4f %v/query\n", city.Name, method, m.HR10, per)
-			}
+			fmt.Fprintf(log, "cdtw %s %s: HR@10=%.4f %v/query\n", city.Name, method, m.HR10, per)
 		}
 
 		// cDTW at increasing band widths: scans the whole database per

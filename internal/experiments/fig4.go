@@ -38,9 +38,7 @@ func fig4(scale Scale, log io.Writer) (*Table, error) {
 					return nil, err
 				}
 				row = append(row, f4(em.HR10))
-				if log != nil {
-					fmt.Fprintf(log, "fig4 %s %s %s: HR@10=%.4f\n", city.Name, f, ro, em.HR10)
-				}
+				fmt.Fprintf(log, "fig4 %s %s %s: HR@10=%.4f\n", city.Name, f, ro, em.HR10)
 			}
 			tbl.Rows = append(tbl.Rows, row)
 		}

@@ -42,10 +42,8 @@ func fig7(scale Scale, log io.Writer) (*Table, error) {
 			return nil, err
 		}
 		tbl.Rows = append(tbl.Rows, []string{v.name, f4(em.HR10), f4(em.R10At50), m.GridPretrainTime.String()})
-		if log != nil {
-			fmt.Fprintf(log, "fig7 %s: HR@10=%.4f R10@50=%.4f pretrain=%v\n",
-				v.name, em.HR10, em.R10At50, m.GridPretrainTime)
-		}
+		fmt.Fprintf(log, "fig7 %s: HR@10=%.4f R10@50=%.4f pretrain=%v\n",
+			v.name, em.HR10, em.R10At50, m.GridPretrainTime)
 	}
 	tbl.Notes = append(tbl.Notes,
 		"node2vec: walk length 80, 10 walks, window 10, p=q=1 (bounded on large grids)")

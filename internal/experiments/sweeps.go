@@ -47,10 +47,8 @@ func runSweep(scale Scale, log io.Writer, title, param string, values []float64,
 				}
 				euRow = append(euRow, f4(em.HR10))
 				haRow = append(haRow, f4(hm.HR10))
-				if log != nil {
-					fmt.Fprintf(log, "%s %s %s %s=%g: eu=%.4f ham=%.4f\n",
-						param, city.Name, f, param, v, em.HR10, hm.HR10)
-				}
+				fmt.Fprintf(log, "%s %s %s %s=%g: eu=%.4f ham=%.4f\n",
+					param, city.Name, f, param, v, em.HR10, hm.HR10)
 			}
 			tbl.Rows = append(tbl.Rows, euRow, haRow)
 		}

@@ -72,9 +72,7 @@ func methodTable(scale Scale, log io.Writer, id, title string, methods []string,
 					return nil, fmt.Errorf("%s %s/%s/%v: %w", id, city.Name, name, f, err)
 				}
 				row = append(row, f4(m.HR10), f4(m.HR50), f4(m.R10At50))
-				if log != nil {
-					fmt.Fprintf(log, "%s %s %s %s: HR@10=%.4f\n", id, city.Name, name, f, m.HR10)
-				}
+				fmt.Fprintf(log, "%s %s %s %s: HR@10=%.4f\n", id, city.Name, name, f, m.HR10)
 			}
 			tbl.Rows = append(tbl.Rows, row)
 		}

@@ -64,10 +64,8 @@ func table3(scale Scale, log io.Writer) (*Table, error) {
 				for i, v := range []float64{em.HR10, em.HR50, em.R10At50, hm.HR10, hm.HR50, hm.R10At50} {
 					rows[i] = append(rows[i], f4(v))
 				}
-				if log != nil {
-					fmt.Fprintf(log, "table3 %s %s %s: eu HR@10=%.4f ham HR@10=%.4f\n",
-						city.Name, f, variant, em.HR10, hm.HR10)
-				}
+				fmt.Fprintf(log, "table3 %s %s %s: eu HR@10=%.4f ham HR@10=%.4f\n",
+					city.Name, f, variant, em.HR10, hm.HR10)
 			}
 			tbl.Rows = append(tbl.Rows, rows...)
 		}

@@ -1,14 +1,14 @@
 // Package faultinject provides deterministic, seeded fault injectors —
 // backend panics, artificial shard latency, and poisoned training
-// parameters — plus a "faulty" search backend registered through the
-// ordinary engine registry. It exists so the failure-domain contracts of
-// the serving and training layers (engine.Status accounting, partial
-// results under deadlines, checkpoint rollback on divergence; see
-// DESIGN.md "Failure semantics & graceful degradation") are exercised by
-// tests rather than hoped for in production.
+// parameters — plus a faulty wrapper around any real search strategy. It
+// exists so the failure-domain contracts of the serving and training
+// layers (engine.Status accounting, partial results under deadlines,
+// checkpoint rollback on divergence; see DESIGN.md "Failure semantics &
+// graceful degradation") are exercised by tests rather than hoped for in
+// production.
 //
-// Everything here is test instrumentation: the faulty backend is wired
-// through engine.Config.Hooks, never through production options, and
+// Everything here is test instrumentation: the faulty wrapper is wired
+// through engine.Config.Wrap, never through production options, and
 // injection schedules are either explicit (per-shard) or drawn from a
 // seeded RNG so every failure scenario replays bit-for-bit. The public
 // facade has no seam to it: tests above the facade (internal/serve) put
@@ -27,29 +27,23 @@ import (
 	"traj2hash/internal/nn"
 )
 
-// BackendName is the engine-registry name of the fault-injecting
-// backend. Build an engine over it with
+// Faults is the schedule a faulty strategy consults. Build an engine
+// whose every strategy carries it with
 //
-//	faultinject.Register()
 //	e, _ := engine.New(engine.Options{
-//	        Backends: []string{faultinject.BackendName},
+//	        Backends: []string{engine.EuclideanBFName},
 //	        Shards:   3,
-//	        Config:   engine.Config{Hooks: &faultinject.Faults{...}},
+//	        Config:   engine.Config{Wrap: f.Wrap},
 //	})
-const BackendName = "faulty"
-
-// Faults is the schedule a faulty backend consults. Instance numbers are
-// handed out in construction order; the engine builds one backend per
-// shard in shard order, so instance index == shard index — which is what
-// makes "shard 1 always panics" a deterministic scenario regardless of
-// goroutine scheduling.
+//
+// Instance numbers are handed out in construction order; the engine
+// builds one strategy per shard in shard order, so instance index ==
+// shard index — which is what makes "shard 1 always panics" a
+// deterministic scenario regardless of goroutine scheduling.
 //
 // Configure the maps before handing Faults to engine.New and do not
 // mutate them afterwards; the per-call chaos state is internally locked.
 type Faults struct {
-	// Inner names the real backend each faulty instance wraps
-	// (default: euclidean-bf). It must not name the faulty backend.
-	Inner string
 	// PanicOn marks instance (= shard) indices whose every Search
 	// panics with a "faultinject: "-attributed value.
 	PanicOn map[int]bool
@@ -68,57 +62,27 @@ type Faults struct {
 	next int
 }
 
-// instance hands out the next instance number.
-func (f *Faults) instance() int {
+// Wrap is the engine.Config.Wrap seam: it puts the next faulty instance
+// around inner.
+func (f *Faults) Wrap(inner engine.Backend) engine.Backend {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	i := f.next
+	inst := f.next
 	f.next++
-	return i
+	return &faultyBackend{
+		inner: inner,
+		inst:  inst,
+		f:     f,
+		rng:   rand.New(rand.NewSource(f.Seed + int64(inst))),
+	}
 }
 
-// Instances reports how many faulty backends have been built against
+// Instances reports how many faulty strategies have been built against
 // this schedule so far (== shards × engines constructed with it).
 func (f *Faults) Instances() int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.next
-}
-
-// registerOnce guards the engine-registry registration (the registry
-// panics on duplicates, mirroring database/sql).
-var registerOnce sync.Once
-
-// Register makes the faulty backend constructible by name through the
-// ordinary engine registry. Idempotent; call it from any test that wants
-// the backend available.
-func Register() {
-	registerOnce.Do(func() {
-		engine.Register(BackendName, func(cfg engine.Config) (engine.Backend, error) {
-			f, ok := cfg.Hooks.(*Faults)
-			if !ok || f == nil {
-				return nil, fmt.Errorf("faultinject: the %q backend needs engine.Config.Hooks to carry a *faultinject.Faults", BackendName)
-			}
-			innerName := f.Inner
-			if innerName == "" {
-				innerName = engine.EuclideanBFName
-			}
-			if innerName == BackendName {
-				return nil, fmt.Errorf("faultinject: Inner must name a real backend, not %q", BackendName)
-			}
-			inner, err := engine.NewBackend(innerName, cfg)
-			if err != nil {
-				return nil, err
-			}
-			inst := f.instance()
-			return &faultyBackend{
-				inner: inner,
-				inst:  inst,
-				f:     f,
-				rng:   rand.New(rand.NewSource(f.Seed + int64(inst))),
-			}, nil
-		})
-	})
 }
 
 // faultyBackend wraps a real strategy and injects the scheduled faults on
@@ -135,8 +99,8 @@ type faultyBackend struct {
 	rng *rand.Rand
 }
 
-// Name implements engine.Backend.
-func (b *faultyBackend) Name() string { return BackendName }
+// Name implements engine.Backend: the inner strategy's name.
+func (b *faultyBackend) Name() string { return b.inner.Name() }
 
 // Index implements engine.Indexer by forwarding to the inner strategy,
 // when that keeps an index.

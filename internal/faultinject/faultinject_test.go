@@ -29,16 +29,15 @@ func testVecs(rng *rand.Rand, n, d int) [][]float64 {
 	return out
 }
 
-// faultyEngine builds a sharded engine over the faulty backend with the
+// faultyEngine builds a sharded engine over euclidean-bf wrapped in the
 // given schedule and indexes vecs into it.
 func faultyEngine(t *testing.T, shards int, f *Faults, vecs [][]float64) *engine.Engine {
 	t.Helper()
-	Register()
 	e, err := engine.New(engine.Options{
-		Backends: []string{BackendName},
+		Backends: []string{engine.EuclideanBFName},
 		Shards:   shards,
 		Workers:  4,
-		Config:   engine.Config{Hooks: f},
+		Config:   engine.Config{Wrap: f.Wrap},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -223,7 +222,7 @@ func TestBatchDeadlineSalvagesEveryMember(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	rs, sts, err := e.SearchBatchWithCtx(ctx, BackendName, qs, k)
+	rs, sts, err := e.SearchBatchWithCtx(ctx, engine.EuclideanBFName, qs, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,21 +286,6 @@ func TestChaosSearchesNeverCrash(t *testing.T) {
 	close(errc)
 	for msg := range errc {
 		t.Error(msg)
-	}
-}
-
-// TestFaultyBackendNeedsHooks: constructing the faulty backend without a
-// schedule in Config.Hooks must fail loudly, not panic or misbehave.
-func TestFaultyBackendNeedsHooks(t *testing.T) {
-	Register()
-	if _, err := engine.New(engine.Options{Backends: []string{BackendName}}); err == nil {
-		t.Fatal("faulty backend constructed without a *Faults in Config.Hooks")
-	}
-	if _, err := engine.New(engine.Options{
-		Backends: []string{BackendName},
-		Config:   engine.Config{Hooks: &Faults{Inner: BackendName}},
-	}); err == nil {
-		t.Fatal("faulty backend accepted itself as Inner")
 	}
 }
 

@@ -18,13 +18,12 @@ import (
 // instrumentedFaultyEngine is faultyEngine with an obs registry attached.
 func instrumentedFaultyEngine(t *testing.T, reg *obs.Registry, shards int, f *Faults, vecs [][]float64) *engine.Engine {
 	t.Helper()
-	Register()
 	e, err := engine.New(engine.Options{
-		Backends: []string{BackendName},
+		Backends: []string{engine.EuclideanBFName},
 		Shards:   shards,
 		Workers:  4,
 		Metrics:  reg,
-		Config:   engine.Config{Hooks: f},
+		Config:   engine.Config{Wrap: f.Wrap},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -99,7 +98,7 @@ func TestInjectedPanicsMoveMetrics(t *testing.T) {
 	// observes on the panic path too): every shard histogram saw every
 	// query.
 	for si := 0; si < shards; si++ {
-		name := fmt.Sprintf("engine.shard.seconds.%s.%d", BackendName, si)
+		name := fmt.Sprintf("engine.shard.seconds.%s.%d", engine.EuclideanBFName, si)
 		if h := s.Histograms[name]; h.Count != queries {
 			t.Errorf("%s count = %d, want %d", name, h.Count, queries)
 		}
@@ -135,7 +134,7 @@ func TestSlowShardLatencyAttributedToThatShard(t *testing.T) {
 	}
 
 	s := reg.Snapshot()
-	name := func(si int) string { return fmt.Sprintf("engine.shard.seconds.%s.%d", BackendName, si) }
+	name := func(si int) string { return fmt.Sprintf("engine.shard.seconds.%s.%d", engine.EuclideanBFName, si) }
 	slow := s.Histograms[name(1)]
 	if slow.Count != queries {
 		t.Fatalf("slow shard count = %d, want %d", slow.Count, queries)
@@ -252,15 +251,14 @@ func TestMutationAndWALMetricsExact(t *testing.T) {
 	// Engine side: 10 vectors on 2 shards, 4 deletes with automatic
 	// compaction disabled, then one explicit Compact — which rebuilds
 	// exactly the two shards holding tombstones.
-	Register()
 	rng := rand.New(rand.NewSource(83))
 	e, err := engine.New(engine.Options{
-		Backends:  []string{BackendName},
+		Backends:  []string{engine.EuclideanBFName},
 		Shards:    2,
 		Workers:   2,
 		CompactAt: -1,
 		Metrics:   reg,
-		Config:    engine.Config{Hooks: &Faults{}},
+		Config:    engine.Config{Wrap: (&Faults{}).Wrap},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -26,6 +26,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"sync"
@@ -305,15 +306,26 @@ type ErrorResponse struct {
 }
 
 // StatsResponse is the GET /stats reply: index shape, drain state, the
-// request-latency quantiles (seconds, from serve.request.seconds), and
+// request-latency quantiles (seconds, from serve.request.seconds; null
+// until a request has been observed, and always without a registry), and
 // the full metrics snapshot.
 type StatsResponse struct {
 	Len      int          `json:"len"`
 	Draining bool         `json:"draining"`
-	P50      float64      `json:"p50_seconds"`
-	P99      float64      `json:"p99_seconds"`
-	P999     float64      `json:"p999_seconds"`
+	P50      *float64     `json:"p50_seconds"`
+	P99      *float64     `json:"p99_seconds"`
+	P999     *float64     `json:"p999_seconds"`
 	Metrics  obs.Snapshot `json:"metrics"`
+}
+
+// Quantile is the JSON form of h's q-quantile: nil (null) when h has no
+// observations, whose quantile is NaN and which encoding/json refuses.
+func Quantile(h obs.HistogramSnapshot, q float64) *float64 {
+	v := h.Quantile(q)
+	if math.IsNaN(v) {
+		return nil
+	}
+	return &v
 }
 
 // toTrajectory converts the wire shape to a trajectory.
@@ -617,9 +629,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, StatsResponse{
 		Len:      s.cfg.Index.Len(),
 		Draining: s.draining.Load(),
-		P50:      lat.Quantile(0.50),
-		P99:      lat.Quantile(0.99),
-		P999:     lat.Quantile(0.999),
+		P50:      Quantile(lat, 0.50),
+		P99:      Quantile(lat, 0.99),
+		P999:     Quantile(lat, 0.999),
 		Metrics:  snap,
 	})
 }

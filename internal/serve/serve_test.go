@@ -218,6 +218,50 @@ func TestServeEndpointRoundTrips(t *testing.T) {
 	}
 }
 
+// TestServeStatsBeforeFirstSearch: a fresh server — with a registry and
+// without one — answers /stats 200 with a StatsResponse; a latency
+// quantile with no observations is null, and a number once one is.
+func TestServeStatsBeforeFirstSearch(t *testing.T) {
+	idx, ds := testIndex(t, traj2hash.Options{})
+	for _, reg := range []*obs.Registry{obs.New(), nil} {
+		base, _, _ := startServer(t, Config{Index: idx, Metrics: reg, DefaultTimeout: 5 * time.Second})
+		// p50 reports whether /stats carries a p50 (not null).
+		p50 := func() bool {
+			t.Helper()
+			resp, err := http.Get(base + "/stats")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			b, err := io.ReadAll(resp.Body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("registry %v: /stats status %d, want 200: %s", reg != nil, resp.StatusCode, b)
+			}
+			var st StatsResponse
+			if err := json.Unmarshal(b, &st); err != nil || st.Len != idx.Len() {
+				t.Fatalf("registry %v: /stats %s: %v, want len %d", reg != nil, b, err, idx.Len())
+			}
+			var raw map[string]any
+			if err := json.Unmarshal(b, &raw); err != nil {
+				t.Fatal(err)
+			}
+			return raw["p50_seconds"] != nil
+		}
+		if p50() {
+			t.Errorf("registry %v: fresh /stats has a p50, want null", reg != nil)
+		}
+		if code := postJSON(t, base+"/search", SearchRequest{Traj: FromTrajectory(ds.Queries[0]), K: 3}, nil); code != http.StatusOK {
+			t.Fatalf("/search status %d", code)
+		}
+		if got := p50(); got != (reg != nil) {
+			t.Errorf("registry %v: /stats has a p50 after a search: %v", reg != nil, got)
+		}
+	}
+}
+
 // TestServeRejectsUnembeddableTrajectories: [[1e200,0]] is valid JSON and
 // a non-empty trajectory, but GeoPTH embeds it to NaN in every coordinate.
 // /add, /update and /search answer 400, and the refused mutations leave

@@ -54,7 +54,8 @@
 #      and a checkpoint stream or an encoder container never panics its
 #      loader and, once accepted, re-saves and loads back unchanged
 #  11. serving smoke — a real traj2hashd daemon over a temp WAL dir,
-#      started with a 250 ms batch window, is driven by cmd/trajload
+#      started with a 250 ms batch window, must answer GET /stats 200
+#      before its first search, and is driven by cmd/trajload
 #      three times: a lone-client pass whose p99 must stay under
 #      100 ms (flush-when-idle: a search that meets an idle server
 #      never waits for the window), a fixed-count concurrent run that
@@ -295,6 +296,14 @@ while [ ! -s bin/traj2hashd.addr ]; do
 	sleep 0.1
 done
 serve_addr=$(cat bin/traj2hashd.addr)
+# Before any search is served the latency histogram is empty: /stats must
+# still answer 200, with null quantiles (DESIGN.md §11).
+curl -fsS "http://$serve_addr/stats" >/dev/null || {
+	cat bin/traj2hashd.log
+	echo "serving: GET /stats failed before the first search — a quantile with no observations must encode as null, not fail the reply"
+	kill "$serve_pid" 2>/dev/null || true
+	exit 1
+}
 ./bin/trajload -addr "$serve_addr" -data "$serve_tmp/ds.gob" \
 	-n 100 -c 1 -mix search=1 -max-p99 100ms || {
 	cat bin/traj2hashd.log

@@ -45,13 +45,13 @@ type Stats = geo.Stats
 type Config = core.Config
 
 // Model is a (trained or untrained) Traj2Hash model — the paper's
-// attention encoder, one of the registered Encoder kinds.
+// attention encoder, one of the built-in Encoder kinds.
 type Model = core.Model
 
 // Encoder is the pluggable trajectory-encoder seam: anything that maps a
 // trajectory to a Euclidean embedding and a sign-derived Hamming code.
 // NewIndex and NewIndexWith accept any Encoder; see EncoderKinds for the
-// registered kinds and NewEncoder to build one by name.
+// built-in kinds and NewEncoder to build one by name.
 type Encoder = core.Encoder
 
 // Trainable is the sub-interface of encoders fitted by the gradient
@@ -128,7 +128,7 @@ func NewEncoder(kind string, cfg Config, space []Trajectory) (Encoder, error) {
 	return core.NewEncoder(kind, cfg, space)
 }
 
-// EncoderKinds returns the names of all registered encoder kinds, sorted.
+// EncoderKinds returns the names of the built-in encoder kinds, sorted.
 func EncoderKinds() []string { return core.EncoderKinds() }
 
 // SaveEncoderFile writes any serializable encoder to path in a
